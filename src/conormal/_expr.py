@@ -102,7 +102,8 @@ def _mixed_neg(a: dict) -> dict:
     return {key: -p for key, p in a.items()}
 
 
-def _mixed_mul(a: dict, b: dict) -> dict:
+def mixed_mul(a: dict, b: dict) -> dict:
+    """Wedge product of two mixed forms (the loop behind ``forms.wedge``)."""
     out: dict = {}
     for s, p in a.items():
         for t, q in b.items():
@@ -174,7 +175,7 @@ class _Parser:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                mixed = _mixed_mul(mixed, self.factor())
+                mixed = mixed_mul(mixed, self.factor())
             else:
                 return mixed
 

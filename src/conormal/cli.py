@@ -8,17 +8,18 @@ Germ files are UTF-8 and line-oriented; ``#`` starts a comment::
 
     ring x y z
     gen z^2 - x*y^2
-    flag hypersurface
-    flag complete_intersection
     form omega1 y*z*dx + 2*x*z*dy - 2*x*y*dz
     param u v -> u^2, v, u*v
+
+Optional ``flag hypersurface`` / ``flag complete_intersection`` lines are
+assertions: both properties are derived from the generators, and a file
+whose flag does not hold is rejected.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -74,10 +75,6 @@ class GermFile:
         """Canonical text (parses back to equal data)."""
         lines = ["ring " + " ".join(self.germ.ring.variables)]
         lines += [f"gen {g}" for g in self.germ.generators]
-        if self.germ.hypersurface:
-            lines.append("flag hypersurface")
-        if self.germ.complete_intersection:
-            lines.append("flag complete_intersection")
         for name in self.forms:
             lines.append(f"form {name} {format_form_parts(self.forms[name])}")
         if self.parametrization is not None:
@@ -147,6 +144,8 @@ def parse_germ_text(text: str, source: str = "<string>") -> GermFile:
                 comps = [parse_polynomial(chunk, pring) for chunk in right.split(",")]
             except (ParseError, ValueError) as e:
                 fail(lineno, f"bad parametrization: {e}")
+            if raw_param is not None:
+                fail(lineno, "duplicate parametrization")
             raw_param = (lineno, pring, comps)
         else:
             fail(lineno, f"unknown directive {head!r}")
@@ -156,14 +155,18 @@ def parse_germ_text(text: str, source: str = "<string>") -> GermFile:
     if not gens:
         raise GermFileError(f"{source}: missing generators")
     try:
-        germ = Germ(
-            ring,
-            gens,
-            hypersurface="hypersurface" in flags,
-            complete_intersection="complete_intersection" in flags,
-        )
+        germ = Germ(ring, gens)
     except ValueError as e:
         raise GermFileError(f"{source}: {e}") from None
+    if "hypersurface" in flags and not germ.hypersurface:
+        raise GermFileError(
+            f"{source}: hypersurface flag rejected: {len(gens)} generators, expected 1"
+        )
+    if "complete_intersection" in flags and not germ.complete_intersection:
+        raise GermFileError(
+            f"{source}: complete-intersection flag rejected: dimension is "
+            f"{germ.dimension()}, expected {ring.nvars - len(gens)}"
+        )
 
     forms = {}
     for lineno, name, parts in raw_forms:
@@ -254,7 +257,7 @@ def _cmd_check(args) -> int:
         return 1
     if gf.parametrization is None:
         print(
-            "verdict: NO CERTIFICATE (germ is not flagged a complete intersection "
+            "verdict: NO CERTIFICATE (germ is not a complete intersection "
             "and has no parametrization)"
         )
         return 1
@@ -347,10 +350,9 @@ def _cmd_bertini(args) -> int:
             (i, random_hyperplane(gf.germ.ring, args.seed + i, args.bound))
             for i in range(args.trials)
         ]
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(hyperplanes)))) as pool:
-        reports = list(pool.map(lambda hw: bertini_check(gf.germ, hw[1], par), hyperplanes))
     violations = 0
-    for (index, _), report in zip(hyperplanes, reports):
+    for index, hyperplane in hyperplanes:
+        report = bertini_check(gf.germ, hyperplane, par)
         label = "check" if index is None else f"trial {index:02d}"
         print(f"{label}: {report.summary()}")
         if report.verdict is BertiniVerdict.VIOLATION:
@@ -490,6 +492,13 @@ def _cmd_verify_examples(args) -> int:
     return 0 if ok else 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conormal",
@@ -522,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bertini", help="randomized hyperplane-section harness")
     germ_arg(p)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bound", type=int, default=10)
     p.add_argument("--hyperplane", help="check one explicit hyperplane (linear form)")

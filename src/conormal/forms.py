@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence, Union
 
+from ._expr import mixed_mul, parse_mixed_text
 from .poly import (
     Polynomial,
     PolynomialRing,
@@ -153,23 +154,8 @@ def wedge(a: FormLike, b: FormLike) -> FormLike:
     Degree-0 factors act by multiplication; if the degrees add up past the
     ring dimension the result is the zero form of that degree.
     """
-    from ._expr import wedge_index_tuples
-
     ring = same_ring(a, b)
-    out: dict = {}
-    for s, p in _term_dict(a).items():
-        for t, q in _term_dict(b).items():
-            merged = wedge_index_tuples(s, t)
-            if merged is None:
-                continue
-            sign, key = merged
-            c = p * q if sign > 0 else -(p * q)
-            total = out.get(key, ring.zero) + c
-            if total:
-                out[key] = total
-            elif key in out:
-                del out[key]
-    return _make(ring, form_degree(a) + form_degree(b), out)
+    return _make(ring, form_degree(a) + form_degree(b), mixed_mul(_term_dict(a), _term_dict(b)))
 
 
 def exterior_derivative(x: FormLike) -> DifferentialForm:
@@ -375,8 +361,6 @@ def parse_form(text: str, ring: PolynomialRing) -> list:
     differential makes the term zero.  The degree-0 part, when present, is a
     bare polynomial.  The zero form parses to an empty list.
     """
-    from ._expr import parse_mixed_text
-
     mixed = parse_mixed_text(text, ring, allow_differentials=True)
     by_degree: dict = {}
     for idx, coeff in mixed.items():

@@ -83,19 +83,13 @@ def _det(matrix) -> Polynomial:
 
 
 def jacobian_ideal(germ: Germ) -> Ideal:
-    """Ideal whose zero set is the singular locus.
-
-    Hypersurface: the generator and all its partials.  Complete intersection
-    with m generators: the generators plus all m x m minors of the Jacobian
-    matrix.
+    """Ideal whose zero set is the singular locus of a complete intersection
+    with m generators: the generators plus the nonzero m x m minors of the
+    Jacobian matrix (for a hypersurface, its nonzero partials).
     """
-    ring = germ.ring
-    n = ring.nvars
-    if germ.hypersurface:
-        f = germ.generators[0]
-        return Ideal([f] + [partial_derivative(f, i) for i in range(n)], GREVLEX)
     if not germ.complete_intersection:
-        raise ValueError("jacobian ideal needs the hypersurface or complete-intersection flag")
+        raise ValueError("the germ is not a complete intersection, which the jacobian ideal needs")
+    n = germ.ring.nvars
     m = len(germ.generators)
     rows = [[partial_derivative(f, i) for i in range(n)] for f in germ.generators]
     minors = []
@@ -156,7 +150,7 @@ def hyperplane_section(germ: Germ, hyperplane: Hyperplane) -> Germ:
     g = germ.generators[0].substitute(section_ring, images)
     if not g:
         raise ValueError("the hyperplane is contained in the germ")
-    return Germ(section_ring, [g], hypersurface=True, complete_intersection=True)
+    return Germ(section_ring, [g])
 
 
 def section_is_reduced(section: Germ) -> bool:

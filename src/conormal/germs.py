@@ -1,8 +1,9 @@
 """Decision procedures for differential forms on embedded affine germs.
 
 A :class:`Germ` is a polynomial model of an analytic germ at the origin:
-an ambient ring, generators that all vanish at 0, and user-asserted
-structure flags.  Because membership is decided in the polynomial ring
+an ambient ring and generators that all vanish at 0.  Whether it is a
+hypersurface or a complete intersection is derived from the generators,
+never declared.  Because membership is decided in the polynomial ring
 rather than the local analytic ring, germ-level claims come back as a
 three-valued :class:`Verdict`:
 
@@ -17,8 +18,9 @@ CertifiedYes/CertifiedNo match the analytic truth for polynomial data.
 
 The conormality test multiplies the candidate form with the differentials
 of all generators and checks that every coefficient of the product lies in
-the generator ideal; this criterion needs the complete-intersection flag.
-Germs without it only get the independent parametrization oracle.
+the generator ideal; this criterion needs a complete intersection
+(dim V(f_1, ..., f_m) = n - m).  Other germs only get the independent
+parametrization oracle.
 """
 
 from __future__ import annotations
@@ -77,18 +79,16 @@ class Verdict:
 
 
 class Germ:
-    """An embedded affine germ at the origin, V(f_1, ..., f_m) in C^n."""
+    """An embedded affine germ at the origin, V(f_1, ..., f_m) in C^n.
+
+    ``hypersurface`` is m == 1; ``complete_intersection`` is
+    dim V(f_1, ..., f_m) == n - m, computed once from the grevlex basis that
+    the generator ideal caches for membership tests.
+    """
 
     __slots__ = ("ring", "generators", "hypersurface", "complete_intersection", "_ideal")
 
-    def __init__(
-        self,
-        ring: PolynomialRing,
-        generators: Sequence[Polynomial],
-        *,
-        hypersurface: bool = False,
-        complete_intersection: bool = False,
-    ):
+    def __init__(self, ring: PolynomialRing, generators: Sequence[Polynomial]):
         gens = tuple(generators)
         if not gens:
             raise ValueError("a germ needs at least one generator")
@@ -99,21 +99,11 @@ class Germ:
                 raise ValueError("zero generators are not allowed")
             if evaluate(g, (0,) * ring.nvars) != 0:
                 raise ValueError(f"generator {g} does not vanish at the origin")
-        if hypersurface and len(gens) != 1:
-            raise ValueError("a hypersurface germ has exactly one generator")
         self.ring = ring
         self.generators = gens
-        self.hypersurface = hypersurface
-        self.complete_intersection = complete_intersection
         self._ideal = Ideal(gens, GREVLEX)
-        if complete_intersection:
-            expected = ring.nvars - len(gens)
-            actual = krull_dimension(self._ideal)
-            if actual != expected:
-                raise ValueError(
-                    f"complete-intersection flag rejected: dimension is {actual}, "
-                    f"expected {expected}"
-                )
+        self.hypersurface = len(gens) == 1
+        self.complete_intersection = krull_dimension(self._ideal) == ring.nvars - len(gens)
 
     @property
     def ideal(self) -> Ideal:
@@ -176,8 +166,8 @@ def _classify(labelled, ideal: Ideal) -> tuple:
 def _require_complete_intersection(germ: Germ):
     if not germ.complete_intersection:
         raise ValueError(
-            "the conormality criterion needs the complete-intersection flag; "
-            "use the parametrization oracle for other germs"
+            "the germ is not a complete intersection, which the conormality "
+            "criterion needs; use the parametrization oracle for other germs"
         )
 
 
@@ -295,7 +285,7 @@ def vanishes_on_singular_locus(omega: FormLike, germ: Germ) -> bool:
     from .geometry import jacobian_ideal
 
     if not germ.hypersurface:
-        raise ValueError("the singular-locus test needs the hypersurface flag")
+        raise ValueError("the germ is not a hypersurface, which the singular-locus test needs")
     same_ring(omega, germ.generators[0])
     jac = jacobian_ideal(germ)
     if form_degree(omega) == 0:

@@ -27,13 +27,13 @@ def ring4():
 @pytest.fixture(scope="session")
 def cusp(ring3):
     x, y, z = ring3.gens()
-    return Germ(ring3, [x**3 - y * z], hypersurface=True, complete_intersection=True)
+    return Germ(ring3, [x**3 - y * z])
 
 
 @pytest.fixture(scope="session")
 def umbrella(ring3):
     x, y, z = ring3.gens()
-    return Germ(ring3, [z**2 - x * y**2], hypersurface=True, complete_intersection=True)
+    return Germ(ring3, [z**2 - x * y**2])
 
 
 @pytest.fixture(scope="session")
@@ -46,4 +46,4 @@ def umbrella_param(umbrella):
 @pytest.fixture(scope="session")
 def segre(ring4):
     x, y, z, t = ring4.gens()
-    return Germ(ring4, [x * z - y * t], hypersurface=True, complete_intersection=True)
+    return Germ(ring4, [x * z - y * t])

@@ -51,6 +51,24 @@ class TestGermFiles:
         with pytest.raises(GermFileError):
             parse_germ_text("ring x y\ngen x\nflag shiny\n")
 
+    def test_true_flags_are_accepted(self):
+        gf = parse_germ_text("ring x y\ngen x*y\nflag hypersurface\nflag complete_intersection\n")
+        assert gf.germ.hypersurface and gf.germ.complete_intersection
+        assert "flag" not in gf.render()
+
+    def test_false_complete_intersection_flag(self):
+        with pytest.raises(GermFileError, match="dimension is 2, expected 1"):
+            parse_germ_text("ring x y z\ngen x\ngen x*y\nflag complete_intersection\n")
+
+    def test_false_hypersurface_flag(self):
+        with pytest.raises(GermFileError, match="hypersurface"):
+            parse_germ_text("ring x y z\ngen x\ngen y\nflag hypersurface\n")
+
+    def test_duplicate_parametrization(self):
+        text = "ring x y z\ngen x\nparam s t -> 0, s, t\nparam s t -> 0, t, s\n"
+        with pytest.raises(GermFileError, match="4: duplicate parametrization"):
+            parse_germ_text(text)
+
     def test_generator_must_vanish_at_origin(self):
         with pytest.raises(GermFileError):
             parse_germ_text("ring x y\ngen x + 1\n")
@@ -129,6 +147,12 @@ class TestDispatch:
         assert code == 0
         assert "violations: 0" in out
         assert out.count("trial") == 5
+
+    def test_bertini_rejects_nonpositive_trials(self, capsys):
+        for trials in ("0", "-3"):
+            code, out = run(capsys, "bertini", "--germ", "umbrella.germ", "--trials", trials)
+            assert code == 2
+            assert "violations" not in out
 
     def test_bertini_explicit_hyperplane(self, capsys):
         code, out = run(

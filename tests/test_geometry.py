@@ -36,13 +36,16 @@ class TestJacobianIdeal:
 
     def test_complete_intersection_minors(self):
         R4 = PolynomialRing(["x1", "x2", "x3", "x4"])
-        germ = Germ(R4, [R4.var(0), R4.var(1)], complete_intersection=True)
+        germ = Germ(R4, [R4.var(0), R4.var(1)])
         jac = jacobian_ideal(germ)
         assert jac.is_unit()  # smooth: a unit minor
 
-    def test_flag_required(self):
-        germ = Germ(R, [X * Y])
-        with pytest.raises(ValueError):
+    def test_hypersurface_drops_zero_partials(self):
+        assert jacobian_ideal(Germ(R, [X * Y])).generators == (X * Y, Y, X)
+
+    def test_requires_complete_intersection(self):
+        germ = Germ(R, [X, X * Y])  # dimension 2, not 3 - 2
+        with pytest.raises(ValueError, match="not a complete intersection"):
             jacobian_ideal(germ)
 
 
@@ -117,7 +120,7 @@ class TestHyperplaneSection:
 
     def test_needs_three_variables(self):
         R2 = PolynomialRing(["x", "y"])
-        germ = Germ(R2, [R2.var(0)], hypersurface=True)
+        germ = Germ(R2, [R2.var(0)])
         with pytest.raises(ValueError):
             hyperplane_section(germ, Hyperplane(R2, [1, 0]))
 
@@ -126,18 +129,18 @@ class TestSectionIsReduced:
     def test_generic_umbrella_section(self):
         sr = PolynomialRing(["y", "z"])
         y, z = sr.gens()
-        germ = Germ(sr, [z**2 - (y + z) * y**2], hypersurface=True)
+        germ = Germ(sr, [z**2 - (y + z) * y**2])
         assert section_is_reduced(germ)
 
     def test_double_line(self):
         sr = PolynomialRing(["x", "y"])
         x, _ = sr.gens()
-        assert not section_is_reduced(Germ(sr, [x**3], hypersurface=True))
+        assert not section_is_reduced(Germ(sr, [x**3]))
 
     def test_smooth_line(self):
         sr = PolynomialRing(["y", "z"])
         y, _ = sr.gens()
-        assert section_is_reduced(Germ(sr, [y], hypersurface=True))
+        assert section_is_reduced(Germ(sr, [y]))
 
 
 class TestBertiniCheck:
@@ -161,7 +164,7 @@ class TestBertiniCheck:
         assert any("contains Sing X" in d for d in report.diagnostics)
 
     def test_smooth_germ_all_sections_clean(self):
-        germ = Germ(R, [X + Y**2 + Z**2], hypersurface=True, complete_intersection=True)
+        germ = Germ(R, [X + Y**2 + Z**2])
         assert jacobian_ideal(germ).is_unit()
         for seed in range(10):
             report = bertini_check(germ, random_hyperplane(R, seed, 5))

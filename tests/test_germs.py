@@ -4,6 +4,8 @@ and the parametrization oracle, plus their structural invariants."""
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conormal.forms import (
     DifferentialForm,
@@ -24,10 +26,10 @@ from conormal.germs import (
     trivial_form_generators,
     vanishes_on_singular_locus,
 )
-from conormal.groebner import Ideal, ideal_membership, radical_membership
+from conormal.groebner import Ideal, ideal_membership, krull_dimension, radical_membership
 from conormal.poly import PolynomialRing
 
-from strategies import random_form, random_polynomial
+from strategies import nonzero_polynomials, random_form, random_polynomial
 
 R = PolynomialRing(["x", "y", "z"])
 X, Y, Z = R.gens()
@@ -44,14 +46,29 @@ class TestGermConstruction:
             Germ(R, [X + 1])
 
     def test_hypersurface_needs_single_generator(self):
-        with pytest.raises(ValueError):
-            Germ(R, [X, Y], hypersurface=True)
+        assert Germ(R, [X * Y]).hypersurface
+        assert not Germ(R, [X, Y]).hypersurface
 
-    def test_complete_intersection_flag_is_verified(self):
+    def test_complete_intersection_is_derived(self):
         # (x, xy) cuts out a set of dimension 2, not 3 - 2 = 1
-        with pytest.raises(ValueError):
-            Germ(R, [X, X * Y], complete_intersection=True)
-        Germ(R, [X, Y], complete_intersection=True)  # fine: the z-axis
+        assert not Germ(R, [X, X * Y]).complete_intersection
+        assert Germ(R, [X, Y]).complete_intersection  # the z-axis
+        assert Germ(R, [X * Y]).complete_intersection  # every hypersurface
+
+    @given(
+        st.lists(
+            nonzero_polynomials(R, max_terms=3, max_degree=2)
+            .map(lambda p: p - p.terms.get((0, 0, 0), 0))
+            .filter(bool),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_structure_matches_dimension(self, gens):
+        germ = Germ(R, gens)
+        m = len(gens)
+        assert germ.hypersurface == (m == 1)
+        assert germ.complete_intersection == (krull_dimension(Ideal(gens)) == R.nvars - m)
 
 
 class TestIsConormal:
@@ -66,9 +83,9 @@ class TestIsConormal:
         assert verdict.is_certified_no
         assert "radical" in verdict.witness
 
-    def test_requires_complete_intersection_flag(self):
-        germ = Germ(R, [X * Y])  # no flags
-        with pytest.raises(ValueError):
+    def test_requires_complete_intersection(self):
+        germ = Germ(R, [X, X * Y])  # dimension 2, not 3 - 2
+        with pytest.raises(ValueError, match="not a complete intersection"):
             is_conormal(form("dx"), germ)
 
     def test_degree_zero_agrees_with_ideal_membership(self, umbrella):
@@ -81,7 +98,7 @@ class TestIsConormal:
     def test_no_certificate_on_non_radical_generators(self):
         # V(x^2) has the y,z-plane as reduced zero set; x vanishes there but
         # has no certificate in (x^2).
-        germ = Germ(R, [X**2], hypersurface=True, complete_intersection=True)
+        germ = Germ(R, [X**2])
         verdict = is_conormal(X, germ)
         assert verdict.status.value == "NoCertificate"
 
@@ -93,7 +110,7 @@ class TestIsTangential:
 
     def test_transverse_field_refuted(self):
         line = PolynomialRing(["x"])
-        germ = Germ(line, [line.var(0)], hypersurface=True)
+        germ = Germ(line, [line.var(0)])
         field = VectorField(line, [line.one])
         assert is_tangential(field, germ).is_certified_no
 
@@ -152,11 +169,11 @@ class TestVanishesOnSingularLocus:
         assert not vanishes_on_singular_locus(form("dx"), umbrella)
 
     def test_vacuous_for_smooth_germ(self):
-        germ = Germ(R, [X], hypersurface=True, complete_intersection=True)
+        germ = Germ(R, [X])
         assert vanishes_on_singular_locus(form("dy"), germ)
 
-    def test_needs_hypersurface_flag(self):
-        germ = Germ(R, [X, Y], complete_intersection=True)
+    def test_needs_hypersurface(self):
+        germ = Germ(R, [X, Y])
         with pytest.raises(ValueError):
             vanishes_on_singular_locus(form("dx"), germ)
 
@@ -232,7 +249,8 @@ class TestInclusionAndComponents:
     def test_forms_of_bigger_germ_stay_conormal_on_subgerm(self, umbrella):
         # Y = V(f, x) is the y-axis; conormal forms of X stay conormal on Y
         f = umbrella.generators[0]
-        sub = Germ(R, [f, X], complete_intersection=True)
+        sub = Germ(R, [f, X])
+        assert sub.complete_intersection
         for text in ["y*z*dx + 2*x*z*dy - 2*x*y*dz", "y*dx*dz - z*dx*dy"]:
             w = form(text)
             assert is_conormal(w, umbrella).is_certified_yes
@@ -241,8 +259,8 @@ class TestInclusionAndComponents:
     def test_intersection_of_component_conormals(self):
         # X = V(xy) with components V(x), V(y): a form conormal to both
         # components wedges with d(xy) into the radical of (xy).
-        vx = Germ(R, [X], hypersurface=True, complete_intersection=True)
-        vy = Germ(R, [Y], hypersurface=True, complete_intersection=True)
+        vx = Germ(R, [X])
+        vy = Germ(R, [Y])
         product = X * Y
         rng = random.Random(23)
         for _ in range(10):
