@@ -499,6 +499,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+_BERTINI_DEFAULTS = {"trials": 20, "seed": 0, "bound": 10}
+
+
+def _bertini_defaults(parser: argparse.ArgumentParser, args) -> None:
+    """Reject random-trial options next to --hyperplane, else fill in defaults."""
+    given = ["--" + name for name in _BERTINI_DEFAULTS if getattr(args, name) is not None]
+    if args.hyperplane is not None and given:
+        parser.error("bertini: --hyperplane cannot be combined with " + ", ".join(given))
+    for name, value in _BERTINI_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conormal",
@@ -531,10 +544,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bertini", help="randomized hyperplane-section harness")
     germ_arg(p)
-    p.add_argument("--trials", type=_positive_int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=10)
-    p.add_argument("--hyperplane", help="check one explicit hyperplane (linear form)")
+    # The random-trial options default to None so that combining them with
+    # --hyperplane can be rejected; _bertini_defaults fills them in.
+    d = _BERTINI_DEFAULTS
+    p.add_argument("--trials", type=_positive_int, help=f"random hyperplanes (default {d['trials']})")
+    p.add_argument("--seed", type=int, help=f"seed of the first trial (default {d['seed']})")
+    p.add_argument("--bound", type=int, help=f"bound on the normal entries (default {d['bound']})")
+    p.add_argument("--hyperplane", help="check one explicit hyperplane (linear form) instead")
     p.set_defaults(func=_cmd_bertini)
 
     p = sub.add_parser("potential", help="radial potential of a closed 1-form")
@@ -552,6 +568,8 @@ def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "bertini":
+            _bertini_defaults(parser, args)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:

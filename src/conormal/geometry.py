@@ -146,11 +146,17 @@ def hyperplane_section(germ: Germ, hyperplane: Hyperplane) -> Germ:
         raise ValueError("hyperplane sections are defined for hypersurface germs")
     if hyperplane.ring != germ.ring:
         raise ValueError("hyperplane ring mismatch")
+    return _cut(germ, hyperplane)[0]
+
+
+def _cut(germ: Germ, hyperplane: Hyperplane):
+    """The section germ and the images of the ambient variables in its ring;
+    raises if the hyperplane is contained in the germ."""
     section_ring, images = _section_substitution(germ.ring, hyperplane)
     g = germ.generators[0].substitute(section_ring, images)
     if not g:
         raise ValueError("the hyperplane is contained in the germ")
-    return Germ(section_ring, [g])
+    return Germ(section_ring, [g]), images
 
 
 def section_is_reduced(section: Germ) -> bool:
@@ -159,7 +165,11 @@ def section_is_reduced(section: Germ) -> bool:
     characterizes squarefreeness."""
     if not section.hypersurface:
         raise ValueError("reducedness test is defined for hypersurface germs")
-    return krull_dimension(jacobian_ideal(section)) <= section.ring.nvars - 2
+    return _reduced(jacobian_ideal(section))
+
+
+def _reduced(section_jac: Ideal) -> bool:
+    return krull_dimension(section_jac) <= section_jac.ring.nvars - 2
 
 
 def _sampled_tangency_notes(
@@ -211,7 +221,7 @@ def bertini_check(
     f = germ.generators[0]
 
     try:
-        section = hyperplane_section(germ, hyperplane)
+        section, images = _cut(germ, hyperplane)
     except ValueError:
         diagnostics.append("H is contained in X")
         return BertiniReport(
@@ -219,15 +229,14 @@ def bertini_check(
             BertiniVerdict.TRANSVERSALITY_FAILS,
         )
 
-    reduced = section_is_reduced(section)
+    section_jac = jacobian_ideal(section)
+    reduced = _reduced(section_jac)
     if not reduced:
         diagnostics.append("section is non-reduced (H is tangent to X along a locus)")
 
-    section_ring, images = _section_substitution(germ.ring, hyperplane)
-    section_jac = jacobian_ideal(section)
-    sliced = [g.substitute(section_ring, images) for g in jac.generators]
+    sliced = [g.substitute(section.ring, images) for g in jac.generators]
     sliced = [g for g in sliced if g]
-    sliced_ideal = Ideal(sliced or [section_ring.zero], GREVLEX)
+    sliced_ideal = Ideal(sliced or [section.ring.zero], GREVLEX)
     loci_equal = all(
         radical_membership(a, sliced_ideal) for a in section_jac.generators
     ) and all(radical_membership(b, section_jac) for b in sliced_ideal.generators)

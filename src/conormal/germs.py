@@ -82,11 +82,12 @@ class Germ:
     """An embedded affine germ at the origin, V(f_1, ..., f_m) in C^n.
 
     ``hypersurface`` is m == 1; ``complete_intersection`` is
-    dim V(f_1, ..., f_m) == n - m, computed once from the grevlex basis that
-    the generator ideal caches for membership tests.
+    dim V(f_1, ..., f_m) == n - m.  The dimension is computed once, at
+    construction, from the grevlex basis that the generator ideal caches for
+    membership tests.
     """
 
-    __slots__ = ("ring", "generators", "hypersurface", "complete_intersection", "_ideal")
+    __slots__ = ("ring", "generators", "hypersurface", "_ideal", "_dimension")
 
     def __init__(self, ring: PolynomialRing, generators: Sequence[Polynomial]):
         gens = tuple(generators)
@@ -103,14 +104,18 @@ class Germ:
         self.generators = gens
         self._ideal = Ideal(gens, GREVLEX)
         self.hypersurface = len(gens) == 1
-        self.complete_intersection = krull_dimension(self._ideal) == ring.nvars - len(gens)
+        self._dimension = krull_dimension(self._ideal)
 
     @property
     def ideal(self) -> Ideal:
         return self._ideal
 
+    @property
+    def complete_intersection(self) -> bool:
+        return self._dimension == self.ring.nvars - len(self.generators)
+
     def dimension(self) -> int:
-        return krull_dimension(self._ideal)
+        return self._dimension
 
     def __str__(self) -> str:
         return "V(" + ", ".join(str(g) for g in self.generators) + f") in {self.ring}"

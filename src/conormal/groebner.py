@@ -2,11 +2,12 @@
 
 Everything runs over the exact rational polynomials of :mod:`conormal.poly`.
 The public operations are ``reduce`` (multivariate division / normal form),
-``buchberger`` (reduced Groebner basis), ``ideal_membership``, ``eliminate``,
-``radical_membership`` (Rabinowitsch trick), ``krull_dimension`` (independent
-variable sets modulo the leading-term ideal of a grevlex basis) and
-``module_membership`` (Buchberger over a free module in a term-over-position
-order).
+``buchberger`` (reduced Groebner basis, heap-ordered normal pair selection),
+``ideal_membership``, ``eliminate``, ``radical_membership`` (plain membership
+against the cached basis, then the Rabinowitsch trick), ``krull_dimension``
+(independent variable sets modulo the leading-term ideal of a grevlex basis)
+and ``module_membership`` (Buchberger over a free module in a
+term-over-position order).
 
 Bases are reduced, monic and sorted, so they are canonical per (ideal, order);
 :class:`Ideal` caches them lazily behind a lock, which makes concurrent
@@ -15,6 +16,7 @@ membership tests against one ideal cheap and safe.
 
 from __future__ import annotations
 
+import heapq
 import threading
 from fractions import Fraction
 from itertools import combinations
@@ -119,9 +121,11 @@ def _autoreduce(basis: list, order: MonomialOrder) -> list:
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> list:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    Classical Buchberger with normal-pair selection and the coprime-lead and
-    chain criteria; the output is auto-reduced, monic and sorted by leading
-    term, hence canonical for the (ideal, order) pair.
+    Classical Buchberger with the coprime-lead and chain criteria.  Each
+    pair is scored once, when it is created, and kept in a heap, so the
+    normal selection strategy pops the pair with the smallest lcm of leads
+    (ties broken by index).  The output is auto-reduced, monic and sorted
+    by leading term, hence canonical for the (ideal, order) pair.
     """
     if not gens:
         raise ValueError("buchberger needs at least one generator")
@@ -136,45 +140,42 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> list:
                 basis.append(g)
     if not basis:
         return []
-    pending = {(i, j) for j in range(len(basis)) for i in range(j)}
-    while pending:
-        i, j = min(
-            pending,
-            key=lambda p: (
-                order.key(
-                    monomial_lcm(
-                        basis[p[0]].leading(order)[0], basis[p[1]].leading(order)[0]
-                    )
-                ),
-                p,
-            ),
-        )
+    leads = [g.leading(order)[0] for g in basis]
+    pending = set()
+    queue = []
+
+    def add_pairs(j):
+        for i in range(j):
+            lcm = monomial_lcm(leads[i], leads[j])
+            pending.add((i, j))
+            heapq.heappush(queue, (order.key(lcm), i, j, lcm))
+
+    for j in range(len(basis)):
+        add_pairs(j)
+    while queue:
+        _, i, j, lcm = heapq.heappop(queue)
         pending.remove((i, j))
-        fi, fj = basis[i], basis[j]
-        mi, mj = fi.leading(order)[0], fj.leading(order)[0]
-        lcm = monomial_lcm(mi, mj)
-        if lcm == monomial_mul(mi, mj):
+        if lcm == monomial_mul(leads[i], leads[j]):
             continue  # coprime leads: S-polynomial reduces to zero
-        if _chain_criterion(basis, order, pending, i, j, lcm):
+        if _chain_criterion(leads, pending, i, j, lcm):
             continue
-        r = reduce(s_polynomial(fi, fj, order), basis, order)
+        r = reduce(s_polynomial(basis[i], basis[j], order), basis, order)
         if r:
-            basis.append(r.monic(order))
-            k = len(basis) - 1
-            pending.update((t, k) for t in range(k))
+            r = r.monic(order)
+            basis.append(r)
+            leads.append(r.leading(order)[0])
+            add_pairs(len(basis) - 1)
     result = _autoreduce(basis, order)
     if _basis_observer is not None:
         _basis_observer(list(gens), order, list(result))
     return result
 
 
-def _chain_criterion(basis, order, pending, i, j, lcm) -> bool:
+def _chain_criterion(leads, pending, i, j, lcm) -> bool:
     # Skip (i, j) if some k has its lead dividing lcm(i, j) while both
     # (i, k) and (j, k) have already been treated.
-    for k in range(len(basis)):
-        if k in (i, j):
-            continue
-        if not monomial_divides(basis[k].leading(order)[0], lcm):
+    for k, lead in enumerate(leads):
+        if k in (i, j) or not monomial_divides(lead, lcm):
             continue
         ik = (min(i, k), max(i, k))
         jk = (min(j, k), max(j, k))
@@ -302,13 +303,16 @@ def _fresh_name(ring: PolynomialRing, base: str = "_t") -> str:
 def radical_membership(g: Polynomial, ideal: Ideal) -> bool:
     """Whether g lies in the radical of I, i.e. vanishes on the zero set of I.
 
-    Decided by the Rabinowitsch trick: g is in the radical iff the extended
-    ideal I + (1 - t*g), with t a fresh variable, is the unit ideal.
+    Plain membership comes first: g in I implies g in rad(I), and reducing
+    g against the basis the :class:`Ideal` caches is cheap.  Only when that
+    leaves a nonzero remainder is the question decided by the Rabinowitsch
+    trick: g is in the radical iff the extended ideal I + (1 - t*g), with t
+    a fresh variable, is the unit ideal.
     """
     ring = ideal.ring
     if g.ring != ring:
         raise ValueError(f"ring mismatch: {g.ring} vs {ring}")
-    if not g:
+    if ideal_membership(g, ideal):
         return True
     ext = PolynomialRing(ring.variables + (_fresh_name(ring),))
     lift = list(range(ring.nvars))

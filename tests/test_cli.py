@@ -161,6 +161,14 @@ class TestDispatch:
         assert code == 0
         assert "TransversalityFails" in out and "contains Sing X" in out
 
+    def test_bertini_hyperplane_rejects_trial_options(self, capsys):
+        for extra in (["--trials", "5"], ["--seed", "3"], ["--bound", "4"]):
+            code, out = run(
+                capsys, "bertini", "--germ", "umbrella.germ", "--hyperplane", "y", *extra
+            )
+            assert code == 2
+            assert "violations" not in out
+
     def test_bertini_rejects_affine_hyperplane(self, capsys):
         code, out = run(
             capsys, "bertini", "--germ", "umbrella.germ", "--hyperplane", "x + 1"

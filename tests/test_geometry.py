@@ -188,6 +188,27 @@ class TestBertiniCheck:
                     assert report.diagnostics
         assert not failures
 
+    @pytest.mark.parametrize(
+        "hyperplane, bases",
+        [
+            # jac, section, section jac, sliced, Rabinowitsch(ell, jac),
+            # jac + ell, tangency: every locus membership is plain membership
+            (Hyperplane(R, [1, -1, 0]), 7),
+            # 3*y - z: non-reduced section; H contains Sing X
+            (random_hyperplane(R, 7), 10),
+        ],
+    )
+    def test_groebner_bases_per_check(self, monkeypatch, hyperplane, bases):
+        # Deterministic work gate: the exact number of Groebner bases one
+        # check computes.  A rise means a lost cache or a lost shortcut.
+        import conormal.groebner as groebner
+
+        germ = Germ(R, [Z**2 - X * Y**2])
+        seen = []
+        monkeypatch.setattr(groebner, "_basis_observer", lambda *args: seen.append(args))
+        bertini_check(germ, hyperplane)
+        assert len(seen) == bases
+
 
 class TestRandomHyperplane:
     def test_deterministic(self):

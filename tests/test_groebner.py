@@ -18,7 +18,7 @@ from conormal.groebner import (
     reduce,
     s_polynomial,
 )
-from conormal.poly import GREVLEX, LEX, PolynomialRing, monomial_divides
+from conormal.poly import GREVLEX, LEX, Polynomial, PolynomialRing, monomial_divides
 
 from strategies import nonzero_polynomials, polynomials, random_polynomial
 
@@ -154,6 +154,34 @@ class TestEliminate:
             eliminate(Ideal([X]), [0, 1, 2])
 
 
+@st.composite
+def small_ideal_cases(draw):
+    """(generators, g) with g drawn so that g in I, g in rad(I) only, and
+    neither all occur."""
+    p = draw(nonzero_polynomials(R, max_terms=2, max_degree=2))
+    q = draw(polynomials(R, max_terms=2, max_degree=2))
+    gens = [p**2] + ([q] if q else [])
+    h = draw(polynomials(R, max_terms=2, max_degree=1))
+    g = draw(
+        st.sampled_from([p**2 * h + q, p * h + q, p, p + h])
+        | polynomials(R, max_terms=2, max_degree=2)
+    )
+    return gens, g
+
+
+def _rabinowitsch_reference(g, gens):
+    """g in rad(I) iff I + (1 - t*g) contains a nonzero constant; written
+    out here without the plain-membership shortcut of radical_membership."""
+    ext = PolynomialRing(["x", "y", "z", "t"])
+
+    def lift(p):
+        return Polynomial(ext, {m + (0,): c for m, c in p.terms.items()})
+
+    t = ext.var(3)
+    basis = buchberger([lift(f) for f in gens] + [ext.one - t * lift(g)], GREVLEX)
+    return any(b.is_constant() and b for b in basis)
+
+
 class TestRadicalMembership:
     def test_square_among_generators(self):
         ideal = Ideal([F_UMBRELLA, Y**2, 2 * X * Y, 2 * Z])
@@ -172,6 +200,12 @@ class TestRadicalMembership:
         if ideal_membership(f, ideal):
             assert radical_membership(f, ideal)
         assert radical_membership(f, ideal) == radical_membership(f * f, ideal)
+
+    @given(small_ideal_cases())
+    @settings(max_examples=20)
+    def test_agrees_with_pure_rabinowitsch(self, case):
+        gens, g = case
+        assert radical_membership(g, Ideal(gens)) == _rabinowitsch_reference(g, gens)
 
 
 class TestKrullDimension:
