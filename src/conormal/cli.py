@@ -502,11 +502,12 @@ def _positive_int(text: str) -> int:
 _BERTINI_DEFAULTS = {"trials": 20, "seed": 0, "bound": 10}
 
 
-def _bertini_defaults(parser: argparse.ArgumentParser, args) -> None:
-    """Reject random-trial options next to --hyperplane, else fill in defaults."""
+def _bertini_defaults(args) -> None:
+    """Reject random-trial options next to --hyperplane through the bertini
+    subparser, else fill in defaults."""
     given = ["--" + name for name in _BERTINI_DEFAULTS if getattr(args, name) is not None]
     if args.hyperplane is not None and given:
-        parser.error("bertini: --hyperplane cannot be combined with " + ", ".join(given))
+        args.subparser.error("--hyperplane cannot be combined with " + ", ".join(given))
     for name, value in _BERTINI_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, value)
@@ -551,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help=f"seed of the first trial (default {d['seed']})")
     p.add_argument("--bound", type=int, help=f"bound on the normal entries (default {d['bound']})")
     p.add_argument("--hyperplane", help="check one explicit hyperplane (linear form) instead")
-    p.set_defaults(func=_cmd_bertini)
+    p.set_defaults(func=_cmd_bertini, subparser=p)
 
     p = sub.add_parser("potential", help="radial potential of a closed 1-form")
     germ_arg(p)
@@ -569,7 +570,7 @@ def dispatch(argv) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "bertini":
-            _bertini_defaults(parser, args)
+            _bertini_defaults(args)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:

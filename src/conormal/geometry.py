@@ -85,8 +85,11 @@ def _det(matrix) -> Polynomial:
 def jacobian_ideal(germ: Germ) -> Ideal:
     """Ideal whose zero set is the singular locus of a complete intersection
     with m generators: the generators plus the nonzero m x m minors of the
-    Jacobian matrix (for a hypersurface, its nonzero partials).
+    Jacobian matrix (for a hypersurface, its nonzero partials).  Built once
+    per germ and kept on it, together with the bases it caches.
     """
+    if germ._jacobian is not None:
+        return germ._jacobian
     if not germ.complete_intersection:
         raise ValueError("the germ is not a complete intersection, which the jacobian ideal needs")
     n = germ.ring.nvars
@@ -96,7 +99,9 @@ def jacobian_ideal(germ: Germ) -> Ideal:
     for cols in combinations(range(n), m):
         minors.append(_det([[row[c] for c in cols] for row in rows]))
     gens = list(germ.generators) + [p for p in minors if p]
-    return Ideal(gens, GREVLEX)
+    # Two threads racing here each build an equal ideal; either one may stay.
+    germ._jacobian = Ideal(gens, GREVLEX)
+    return germ._jacobian
 
 
 def regular_in_codimension(germ: Germ, k: int) -> bool:

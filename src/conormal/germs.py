@@ -84,10 +84,12 @@ class Germ:
     ``hypersurface`` is m == 1; ``complete_intersection`` is
     dim V(f_1, ..., f_m) == n - m.  The dimension is computed once, at
     construction, from the grevlex basis that the generator ideal caches for
-    membership tests.
+    membership tests.  ``_jacobian`` holds the ideal that
+    :func:`conormal.geometry.jacobian_ideal` builds on first use, so its
+    basis is computed once per germ.
     """
 
-    __slots__ = ("ring", "generators", "hypersurface", "_ideal", "_dimension")
+    __slots__ = ("ring", "generators", "hypersurface", "_ideal", "_dimension", "_jacobian")
 
     def __init__(self, ring: PolynomialRing, generators: Sequence[Polynomial]):
         gens = tuple(generators)
@@ -105,6 +107,7 @@ class Germ:
         self._ideal = Ideal(gens, GREVLEX)
         self.hypersurface = len(gens) == 1
         self._dimension = krull_dimension(self._ideal)
+        self._jacobian = None
 
     @property
     def ideal(self) -> Ideal:
@@ -281,7 +284,7 @@ def is_trivial_form(omega: DifferentialForm, germ: Germ) -> bool:
     basis_tuples = list(combinations(range(n), k))
     target = _to_module_element(omega, basis_tuples)
     gens = [_to_module_element(g, basis_tuples) for g in trivial_form_generators(germ, k)]
-    return module_membership(target, gens, GREVLEX)
+    return module_membership(target, gens)
 
 
 def vanishes_on_singular_locus(omega: FormLike, germ: Germ) -> bool:

@@ -6,8 +6,13 @@ The public operations are ``reduce`` (multivariate division / normal form),
 ``ideal_membership``, ``eliminate``, ``radical_membership`` (plain membership
 against the cached basis, then the Rabinowitsch trick), ``krull_dimension``
 (independent variable sets modulo the leading-term ideal of a grevlex basis)
-and ``module_membership`` (Buchberger over a free module in a
-term-over-position order).
+and ``module_membership``.
+
+There is one division loop and one pair loop.  A vector (p_1, ..., p_r) of
+R^r runs through them as the polynomial sum e_i*p_i, with r position
+variables in front, under the term-over-position order ``top``; the one
+module rule, that leads in different positions give the S-vector 0, lives
+in ``s_polynomial``.
 
 Bases are reduced, monic and sorted, so they are canonical per (ideal, order);
 :class:`Ideal` caches them lazily behind a lock, which makes concurrent
@@ -74,9 +79,15 @@ def reduce(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> 
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    """The cancellation combination of f and g at the lcm of their leads."""
+    """The cancellation combination of f and g at the lcm of their leads.
+
+    Under a ``top`` order, leads in different positions have no common
+    multiple in the module, so the S-vector is 0.
+    """
     fm, fc = f.leading(order)
     gm, gc = g.leading(order)
+    if order.kind == "top" and fm[: order.split] != gm[: order.split]:
+        return f.ring.zero
     lcm = monomial_lcm(fm, gm)
     uf = _mono_times(f, monomial_div(lcm, fm), 1 / fc)
     ug = _mono_times(g, monomial_div(lcm, gm), 1 / gc)
@@ -375,117 +386,59 @@ class ModuleElement:
     def __hash__(self) -> int:
         return hash(self.components)
 
-    def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return ModuleElement([a - b for a, b in zip(self.components, other.components)])
-
-    def leading(self, order: MonomialOrder):
-        """Leading ((monomial, position), coefficient) in term-over-position
-        order: grevlex-style on the monomial, lower position wins ties."""
-        best = None
-        for pos, p in enumerate(self.components):
-            lead = p.leading(order)
-            if lead is None:
-                continue
-            key = (order.key(lead[0]), -pos)
-            if best is None or key > best[0]:
-                best = (key, (lead[0], pos), lead[1])
-        if best is None:
-            return None
-        return best[1], best[2]
-
-    def mono_times(self, mono, coeff) -> "ModuleElement":
-        return ModuleElement([_mono_times(p, mono, coeff) for p in self.components])
-
     def __repr__(self) -> str:
         return "(" + ", ".join(str(p) for p in self.components) + ")"
 
 
-def module_reduce(v: ModuleElement, basis: Sequence[ModuleElement], order: MonomialOrder) -> ModuleElement:
-    """Normal form of v modulo a list of module elements (same rank)."""
-    divisors = [(g, g.leading(order)) for g in basis if g]
-    remainder = [dict() for _ in range(v.rank)]
-    work = [dict(p.terms) for p in v.components]
-
-    def lead():
-        best = None
-        for pos, terms in enumerate(work):
-            if not terms:
-                continue
-            m = max(terms, key=order.key)
-            key = (order.key(m), -pos)
-            if best is None or key > best[0]:
-                best = (key, m, pos)
-        return best
-
-    while True:
-        top = lead()
-        if top is None:
-            break
-        _, m, pos = top
-        c = work[pos].pop(m)
-        for g, ((lm, lpos), lc) in divisors:
-            if lpos == pos and monomial_divides(lm, m):
-                q = monomial_div(m, lm)
-                scale = c / lc
-                for cpos, comp in enumerate(g.components):
-                    for gm, gc in comp.terms.items():
-                        if cpos == lpos and gm == lm:
-                            continue
-                        key = monomial_mul(gm, q)
-                        s = work[cpos].get(key, Fraction(0)) - scale * gc
-                        if s:
-                            work[cpos][key] = s
-                        elif key in work[cpos]:
-                            del work[cpos][key]
-                break
-        else:
-            remainder[pos][m] = c
-    ring = v.ring
-    return ModuleElement([Polynomial(ring, r, _clean=True) for r in remainder])
+def _position_ring(ring: PolynomialRing, rank: int) -> PolynomialRing:
+    # ``rank`` fresh position variables e_1, ..., e_rank in front of ring's.
+    names = [_fresh_name(ring, f"_e{i + 1}") for i in range(rank)]
+    return PolynomialRing(names + list(ring.variables))
 
 
-def module_buchberger(gens: Sequence[ModuleElement], order: MonomialOrder) -> list:
-    """Groebner basis of a submodule of R^rank in term-over-position order.
+def _encode(v: ModuleElement, ring: PolynomialRing) -> Polynomial:
+    lift = list(range(v.rank, ring.nvars))
+    parts = (ring.var(i) * _rename(p, ring, lift) for i, p in enumerate(v.components))
+    return sum(parts, ring.zero)
 
-    Only pairs with equal leading position yield S-vectors; the coprime-lead
-    shortcut is not valid over modules, so every pair is reduced.
-    """
+
+def _decode(p: Polynomial, ring: PolynomialRing, rank: int) -> ModuleElement:
+    comps = [{} for _ in range(rank)]
+    for m, c in p.terms.items():
+        comps[m[:rank].index(1)][m[rank:]] = c
+    return ModuleElement([Polynomial(ring, t, _clean=True) for t in comps])
+
+
+def module_buchberger(gens: Sequence[ModuleElement]) -> list:
+    """Reduced Groebner basis of the submodule of R^rank generated by
+    ``gens``, in the term-over-position order over grevlex: ``buchberger``
+    run on the encoded generators."""
     if not gens:
         return []
-    rank = gens[0].rank
-    same_ring(*[g.components[0] for g in gens])
-    for g in gens:
-        if g.rank != rank:
-            raise ValueError("rank mismatch among module generators")
-    basis = [g for g in gens if g]
-    if not basis:
+    ring, rank = same_ring(*gens), gens[0].rank
+    if any(g.rank != rank for g in gens):
+        raise ValueError("rank mismatch among module generators")
+    encoded_ring = _position_ring(ring, rank)
+    encoded = [_encode(g, encoded_ring) for g in gens if g]
+    if not encoded:
         return []
-    pending = {(i, j) for j in range(len(basis)) for i in range(j)}
-    while pending:
-        i, j = min(pending)
-        pending.remove((i, j))
-        gi, gj = basis[i], basis[j]
-        (mi, pi), ci = gi.leading(order)
-        (mj, pj), cj = gj.leading(order)
-        if pi != pj:
-            continue
-        lcm = monomial_lcm(mi, mj)
-        s = gi.mono_times(monomial_div(lcm, mi), 1 / ci) - gj.mono_times(
-            monomial_div(lcm, mj), 1 / cj
-        )
-        r = module_reduce(s, basis, order)
-        if r:
-            basis.append(r)
-            k = len(basis) - 1
-            pending.update((t, k) for t in range(k))
-    return basis
+    basis = buchberger(encoded, MonomialOrder("top", rank))
+    return [_decode(b, ring, rank) for b in basis]
 
 
-def module_membership(
-    v: ModuleElement, gens: Sequence[ModuleElement], order: MonomialOrder = GREVLEX
-) -> bool:
+def module_reduce(v: ModuleElement, basis: Sequence[ModuleElement]) -> ModuleElement:
+    """Normal form of v modulo module elements of the same rank, in the
+    order of :func:`module_buchberger`."""
+    encoded_ring = _position_ring(v.ring, v.rank)
+    r = reduce(
+        _encode(v, encoded_ring),
+        [_encode(g, encoded_ring) for g in basis],
+        MonomialOrder("top", v.rank),
+    )
+    return _decode(r, v.ring, v.rank)
+
+
+def module_membership(v: ModuleElement, gens: Sequence[ModuleElement]) -> bool:
     """Whether v lies in the submodule of R^rank generated by ``gens``."""
     if not gens:
         return not v
@@ -494,5 +447,4 @@ def module_membership(
             raise ValueError("rank mismatch")
         if g.ring != v.ring:
             raise ValueError("ring mismatch")
-    basis = module_buchberger(gens, order)
-    return not module_reduce(v, basis, order)
+    return not module_reduce(v, module_buchberger(gens))

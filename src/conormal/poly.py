@@ -48,9 +48,13 @@ def _grevlex_key(exps: Exponents):
 class MonomialOrder:
     """A multiplicative well-order on monomials (the constant 1 is minimal).
 
-    ``kind`` is one of ``lex``, ``grevlex`` or ``block``; a block order
-    compares the first ``split`` exponents by grevlex, breaking ties with
-    grevlex on the rest, which makes the first block an elimination block.
+    ``kind`` is one of ``lex``, ``grevlex``, ``block`` or ``top``.  A block
+    order compares the first ``split`` exponents by grevlex, breaking ties
+    with grevlex on the rest, which makes the first block an elimination
+    block.  ``top`` (term over position) encodes a vector (p_1, ..., p_r) of a
+    free module as the polynomial sum e_i*p_i, with the ``split`` = r
+    position variables e_i in front: it compares the rest by grevlex and
+    breaks ties by position, the lower position winning.
     """
 
     kind: str
@@ -62,11 +66,13 @@ class MonomialOrder:
             return _grevlex_key(exps)
         if self.kind == "lex":
             return exps
+        if self.kind == "top":
+            return (_grevlex_key(exps[self.split :]), exps[: self.split])
         return (_grevlex_key(exps[: self.split]), _grevlex_key(exps[self.split :]))
 
     def __str__(self) -> str:
-        if self.kind == "block":
-            return f"block({self.split})"
+        if self.kind in ("block", "top"):
+            return f"{self.kind}({self.split})"
         return self.kind
 
 

@@ -169,6 +169,13 @@ class TestDispatch:
             assert code == 2
             assert "violations" not in out
 
+    def test_bertini_hyperplane_conflict_shows_bertini_usage(self, capsys):
+        code = dispatch(["bertini", "--germ", "umbrella.germ", "--hyperplane", "y", "--seed", "3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "usage: conormal bertini" in err
+        assert "--hyperplane cannot be combined with --seed" in err
+
     def test_bertini_rejects_affine_hyperplane(self, capsys):
         code, out = run(
             capsys, "bertini", "--germ", "umbrella.germ", "--hyperplane", "x + 1"

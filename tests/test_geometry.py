@@ -209,6 +209,23 @@ class TestBertiniCheck:
         bertini_check(germ, hyperplane)
         assert len(seen) == bases
 
+    @pytest.mark.parametrize(
+        "hyperplane, bases",
+        [(Hyperplane(R, [1, -1, 0]), 6), (random_hyperplane(R, 7), 9)],
+    )
+    def test_second_check_reuses_jacobian_basis(self, monkeypatch, hyperplane, bases):
+        # The germ keeps its Jacobian ideal and that ideal its basis, so a
+        # second check on the same germ computes one basis less than the first.
+        import conormal.groebner as groebner
+
+        germ = Germ(R, [Z**2 - X * Y**2])
+        bertini_check(germ, hyperplane)
+        seen = []
+        monkeypatch.setattr(groebner, "_basis_observer", lambda *args: seen.append(args))
+        bertini_check(germ, hyperplane)
+        assert len(seen) == bases
+        assert jacobian_ideal(germ) is jacobian_ideal(germ)
+
 
 class TestRandomHyperplane:
     def test_deterministic(self):

@@ -18,7 +18,14 @@ from conormal.groebner import (
     reduce,
     s_polynomial,
 )
-from conormal.poly import GREVLEX, LEX, Polynomial, PolynomialRing, monomial_divides
+from conormal.poly import (
+    GREVLEX,
+    LEX,
+    MonomialOrder,
+    Polynomial,
+    PolynomialRing,
+    monomial_divides,
+)
 
 from strategies import nonzero_polynomials, polynomials, random_polynomial
 
@@ -264,6 +271,53 @@ class TestModuleMembership:
             assert got == expected
             hits += expected
         assert 0 < hits < 50  # both outcomes exercised
+
+    @pytest.mark.parametrize("rank, seed", [(2, 31), (3, 32)])
+    def test_agrees_with_idealization(self, rank, seed):
+        # Reference without the module code: v is in M iff sum e_i*v_i lies
+        # in the ideal of Q[e, x] generated by the encoded generators of M
+        # and all products e_i*e_j (Nagata idealization).
+        ring = PolynomialRing([f"e{i}" for i in range(rank)] + list(R.variables))
+        es = ring.gens()[:rank]
+        square = [a * b for i, a in enumerate(es) for b in es[i:]]
+
+        def encode(v):
+            return sum(
+                (e * p.substitute(ring, [ring.var(rank + i) for i in range(3)])
+                 for e, p in zip(es, v.components)),
+                ring.zero,
+            )
+
+        rng = random.Random(seed)
+        hits = 0
+        for _ in range(25):
+            gens = [
+                ModuleElement([random_polynomial(rng, R, max_terms=2, max_degree=2)
+                               for _ in range(rank)])
+                for _ in range(rng.randint(1, 3))
+            ]
+            v = ModuleElement([random_polynomial(rng, R, max_terms=2, max_degree=2)
+                               for _ in range(rank)])
+            if rng.random() < 0.5:  # force plenty of positive instances
+                coeffs = [random_polynomial(rng, R, max_terms=2, max_degree=1) for _ in gens]
+                v = ModuleElement([
+                    sum((c * g.components[i] for c, g in zip(coeffs, gens)), R.zero)
+                    for i in range(rank)
+                ])
+            reference = Ideal([encode(g) for g in gens if g] + square)
+            expected = ideal_membership(encode(v), reference)
+            assert module_membership(v, gens) == expected
+            hits += expected
+        assert 0 < hits < 25  # both outcomes exercised
+
+    def test_s_vector_of_leads_in_different_positions_is_zero(self):
+        ring = PolynomialRing(["e1", "e2"] + list(R.variables))
+        e1, e2, x, y, _ = ring.gens()
+        top = MonomialOrder("top", 2)
+        f, g = e1 * x * y + e2 * x, e2 * x**2 + e1
+        assert f.leading(top)[0][:2] == (1, 0) and g.leading(top)[0][:2] == (0, 1)
+        assert not s_polynomial(f, g, top)
+        assert s_polynomial(f, e1 * x**2 + e2, top) == e2 * x**2 - e2 * y
 
 
 class TestIdealCache:
