@@ -42,13 +42,15 @@ from .forms import (
 from .groebner import (
     GREVLEX,
     Ideal,
-    ModuleElement,
+    _encode,
+    _position_ring,
+    buchberger,
     ideal_membership,
     krull_dimension,
-    module_membership,
     radical_membership,
+    reduce,
 )
-from .poly import Polynomial, PolynomialRing, evaluate, same_ring
+from .poly import MonomialOrder, Polynomial, PolynomialRing, evaluate, same_ring
 
 
 class VerdictStatus(Enum):
@@ -86,10 +88,15 @@ class Germ:
     construction, from the grevlex basis that the generator ideal caches for
     membership tests.  ``_jacobian`` holds the ideal that
     :func:`conormal.geometry.jacobian_ideal` builds on first use, so its
-    basis is computed once per germ.
+    basis is computed once per germ.  ``_trivial`` maps a degree k to the
+    encoded Groebner basis of the degree-k trivial forms that
+    :func:`is_trivial_form` builds on first use, so it too is computed once
+    per germ and degree.
     """
 
-    __slots__ = ("ring", "generators", "hypersurface", "_ideal", "_dimension", "_jacobian")
+    __slots__ = (
+        "ring", "generators", "hypersurface", "_ideal", "_dimension", "_jacobian", "_trivial"
+    )
 
     def __init__(self, ring: PolynomialRing, generators: Sequence[Polynomial]):
         gens = tuple(generators)
@@ -108,6 +115,7 @@ class Germ:
         self.hypersurface = len(gens) == 1
         self._dimension = krull_dimension(self._ideal)
         self._jacobian = None
+        self._trivial = {}
 
     @property
     def ideal(self) -> Ideal:
@@ -265,15 +273,31 @@ def trivial_form_generators(germ: Germ, k: int) -> list:
     return out
 
 
-def _to_module_element(omega: DifferentialForm, basis_tuples: Sequence[tuple]) -> ModuleElement:
-    return ModuleElement([omega.coefficient(S) for S in basis_tuples])
+def _trivial_basis(germ: Germ, k: int) -> tuple:
+    # (positions, encoded ring, top order, basis) for the degree-k trivial
+    # forms, computed on first use and kept on the germ.
+    cached = germ._trivial.get(k)
+    if cached is None:
+        positions = {S: p for p, S in enumerate(combinations(range(germ.ring.nvars), k))}
+        rank = len(positions)
+        ring = _position_ring(germ.ring, rank)
+        order = MonomialOrder("top", rank)
+        gens = [
+            _encode(((positions[S], c) for S, c in g.coefficients()), ring, rank)
+            for g in trivial_form_generators(germ, k)
+        ]
+        cached = (positions, ring, order, buchberger(gens, order))
+        germ._trivial[k] = cached
+    return cached
 
 
 def is_trivial_form(omega: DifferentialForm, germ: Germ) -> bool:
     """Whether a homogeneous form of degree >= 1 lies in the submodule
     generated by the trivial forms, i.e. in the differential ideal of the
     germ ideal.  Decided as submodule membership over the basis of k-index
-    tuples in lexicographic order."""
+    tuples in lexicographic order: the form is encoded with one position
+    per tuple and reduced against the submodule's Groebner basis, which the
+    germ computes once per degree and keeps."""
     same_ring(omega, germ.generators[0])
     k = form_degree(omega)
     n = germ.ring.nvars
@@ -281,10 +305,9 @@ def is_trivial_form(omega: DifferentialForm, germ: Germ) -> bool:
         raise ValueError("triviality is defined for forms of degree >= 1")
     if k > n:
         return True  # only the zero form
-    basis_tuples = list(combinations(range(n), k))
-    target = _to_module_element(omega, basis_tuples)
-    gens = [_to_module_element(g, basis_tuples) for g in trivial_form_generators(germ, k)]
-    return module_membership(target, gens)
+    positions, ring, order, basis = _trivial_basis(germ, k)
+    target = _encode(((positions[S], c) for S, c in omega.coefficients()), ring, len(positions))
+    return not reduce(target, basis, order)
 
 
 def vanishes_on_singular_locus(omega: FormLike, germ: Germ) -> bool:

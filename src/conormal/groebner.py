@@ -12,7 +12,7 @@ There is one division loop and one pair loop.  A vector (p_1, ..., p_r) of
 R^r runs through them as the polynomial sum e_i*p_i, with r position
 variables in front, under the term-over-position order ``top``; the one
 module rule, that leads in different positions give the S-vector 0, lives
-in ``s_polynomial``.
+in ``s_polynomial``, and ``buchberger`` never queues such a pair.
 
 Bases are reduced, monic and sorted, so they are canonical per (ideal, order);
 :class:`Ideal` caches them lazily behind a lock, which makes concurrent
@@ -135,8 +135,10 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> list:
     Classical Buchberger with the coprime-lead and chain criteria.  Each
     pair is scored once, when it is created, and kept in a heap, so the
     normal selection strategy pops the pair with the smallest lcm of leads
-    (ties broken by index).  The output is auto-reduced, monic and sorted
-    by leading term, hence canonical for the (ideal, order) pair.
+    (ties broken by index).  Under a ``top`` order a pair of leads in
+    different positions is never queued: its S-vector is 0, so the chain
+    criterion may count it as treated.  The output is auto-reduced, monic
+    and sorted by leading term, hence canonical for the (ideal, order) pair.
     """
     if not gens:
         raise ValueError("buchberger needs at least one generator")
@@ -152,11 +154,14 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> list:
     if not basis:
         return []
     leads = [g.leading(order)[0] for g in basis]
+    split = order.split if order.kind == "top" else 0
     pending = set()
     queue = []
 
     def add_pairs(j):
         for i in range(j):
+            if split and leads[i][:split] != leads[j][:split]:
+                continue  # leads in different positions: S-vector 0
             lcm = monomial_lcm(leads[i], leads[j])
             pending.add((i, j))
             heapq.heappush(queue, (order.key(lcm), i, j, lcm))
@@ -396,10 +401,15 @@ def _position_ring(ring: PolynomialRing, rank: int) -> PolynomialRing:
     return PolynomialRing(names + list(ring.variables))
 
 
-def _encode(v: ModuleElement, ring: PolynomialRing) -> Polynomial:
-    lift = list(range(v.rank, ring.nvars))
-    parts = (ring.var(i) * _rename(p, ring, lift) for i, p in enumerate(v.components))
-    return sum(parts, ring.zero)
+def _encode(parts: Iterable[tuple], ring: PolynomialRing, rank: int) -> Polynomial:
+    """The polynomial sum e_p*q over (position p, polynomial q) pairs with
+    distinct positions, in the position ring ``ring`` of rank ``rank``."""
+    terms = {}
+    for p, q in parts:
+        e = (0,) * p + (1,) + (0,) * (rank - p - 1)
+        for m, c in q.terms.items():
+            terms[e + m] = c
+    return Polynomial(ring, terms, _clean=True)
 
 
 def _decode(p: Polynomial, ring: PolynomialRing, rank: int) -> ModuleElement:
@@ -419,7 +429,7 @@ def module_buchberger(gens: Sequence[ModuleElement]) -> list:
     if any(g.rank != rank for g in gens):
         raise ValueError("rank mismatch among module generators")
     encoded_ring = _position_ring(ring, rank)
-    encoded = [_encode(g, encoded_ring) for g in gens if g]
+    encoded = [_encode(enumerate(g.components), encoded_ring, rank) for g in gens if g]
     if not encoded:
         return []
     basis = buchberger(encoded, MonomialOrder("top", rank))
@@ -431,8 +441,8 @@ def module_reduce(v: ModuleElement, basis: Sequence[ModuleElement]) -> ModuleEle
     order of :func:`module_buchberger`."""
     encoded_ring = _position_ring(v.ring, v.rank)
     r = reduce(
-        _encode(v, encoded_ring),
-        [_encode(g, encoded_ring) for g in basis],
+        _encode(enumerate(v.components), encoded_ring, v.rank),
+        [_encode(enumerate(g.components), encoded_ring, v.rank) for g in basis],
         MonomialOrder("top", v.rank),
     )
     return _decode(r, v.ring, v.rank)

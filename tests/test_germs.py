@@ -2,6 +2,7 @@
 and the parametrization oracle, plus their structural invariants."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -26,7 +27,14 @@ from conormal.germs import (
     trivial_form_generators,
     vanishes_on_singular_locus,
 )
-from conormal.groebner import Ideal, ideal_membership, krull_dimension, radical_membership
+from conormal.groebner import (
+    Ideal,
+    ModuleElement,
+    ideal_membership,
+    krull_dimension,
+    module_membership,
+    radical_membership,
+)
 from conormal.poly import PolynomialRing
 
 from strategies import nonzero_polynomials, random_form, random_polynomial
@@ -159,6 +167,60 @@ class TestTrivialForms:
                 term = g.scale(random_polynomial(rng, R, max_terms=2, max_degree=1))
                 combo = term if combo is None else combo + term
             assert is_trivial_form(combo, umbrella)
+
+    def test_one_basis_per_germ_and_degree(self, monkeypatch, umbrella):
+        # The germ keeps the module basis of its degree-k trivial forms:
+        # repeated tests at one degree compute it once, another degree once
+        # more, and a new, equal germ (which may reuse the id of a freed
+        # one) computes its own.
+        import conormal.groebner as groebner
+
+        germ = Germ(R, umbrella.generators)
+        seen = []
+        monkeypatch.setattr(groebner, "_basis_observer", lambda *args: seen.append(args))
+        omega1 = form("y*z*dx + 2*x*z*dy - 2*x*y*dz")
+        for _ in range(3):
+            assert not is_trivial_form(omega1, germ)
+        assert is_trivial_form(DifferentialForm(R, 1, {(0,): umbrella.generators[0]}), germ)
+        assert len(seen) == 1
+        for _ in range(2):
+            assert is_trivial_form(form("y*dx*dz - z*dx*dy").scale(umbrella.generators[0]), germ)
+        assert len(seen) == 2
+        del germ
+        fresh = Germ(R, umbrella.generators)
+        seen.clear()
+        assert not is_trivial_form(omega1, fresh)
+        assert not is_trivial_form(omega1, fresh)
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("fixture, seed", [("umbrella", 41), ("cusp", 42)])
+    def test_cold_and_warm_agree_with_module_membership(self, request, fixture, seed):
+        # Each form is decided on a new germ (cold: the basis is built) and
+        # again on the same germ (warm: the kept basis is reused); both must
+        # equal the public module_membership path on coefficient vectors.
+        generators = request.getfixturevalue(fixture).generators
+        rng = random.Random(seed)
+        answers = []
+        for k in (1, 2, 3):
+            tuples = list(combinations(range(R.nvars), k))
+            gens = trivial_form_generators(Germ(R, generators), k)
+            vectors = [ModuleElement([g.coefficient(S) for S in tuples]) for g in gens]
+            for i in range(4):
+                if i % 2:
+                    omega = random_form(rng, R, k, max_terms=3)
+                else:
+                    omega = None
+                    for g in rng.sample(gens, 2):
+                        term = g.scale(random_polynomial(rng, R, max_terms=2, max_degree=1))
+                        omega = term if omega is None else omega + term
+                expected = module_membership(
+                    ModuleElement([omega.coefficient(S) for S in tuples]), vectors
+                )
+                germ = Germ(R, generators)
+                assert is_trivial_form(omega, germ) == expected
+                assert is_trivial_form(omega, germ) == expected
+                answers.append(expected)
+        assert True in answers and False in answers
 
 
 class TestVanishesOnSingularLocus:

@@ -13,6 +13,7 @@ from conormal.groebner import (
     eliminate,
     ideal_membership,
     krull_dimension,
+    module_buchberger,
     module_membership,
     radical_membership,
     reduce,
@@ -309,6 +310,40 @@ class TestModuleMembership:
             assert module_membership(v, gens) == expected
             hits += expected
         assert 0 < hits < 25  # both outcomes exercised
+
+    def test_no_pair_of_leads_in_different_positions(self, monkeypatch):
+        # Under top, a pair of leads in different positions has S-vector 0,
+        # so buchberger must never build it.  Generators are the rank-3 data
+        # of test_agrees_with_idealization (same seed, same draws).
+        import conormal.groebner as groebner
+
+        built = []
+
+        def recording(f, g, order):
+            built.append((f.leading(order)[0][:3], g.leading(order)[0][:3]))
+            return s_polynomial(f, g, order)
+
+        def lead_position(v):  # grevlex-largest term, the lower position on ties
+            return -max((GREVLEX.key(c.leading(GREVLEX)[0]), -i)
+                        for i, c in enumerate(v.components) if c)[1]
+
+        monkeypatch.setattr(groebner, "s_polynomial", recording)
+        rng = random.Random(32)
+        mixed = 0
+        for _ in range(25):
+            gens = [
+                ModuleElement([random_polynomial(rng, R, max_terms=2, max_degree=2)
+                               for _ in range(3)])
+                for _ in range(rng.randint(1, 3))
+            ]
+            # Draws of v and of the forced combination, kept so that the
+            # generators stay those of the idealization test.
+            [random_polynomial(rng, R, max_terms=2, max_degree=2) for _ in range(3)]
+            if rng.random() < 0.5:
+                [random_polynomial(rng, R, max_terms=2, max_degree=1) for _ in gens]
+            mixed += len({lead_position(b) for b in module_buchberger(gens)}) > 1
+        assert built and all(a == b for a, b in built)
+        assert mixed  # some bases do have leads in different positions
 
     def test_s_vector_of_leads_in_different_positions_is_zero(self):
         ring = PolynomialRing(["e1", "e2"] + list(R.variables))
