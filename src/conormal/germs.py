@@ -13,8 +13,13 @@ three-valued :class:`Verdict`:
 * ``NoCertificate``  -- the claim holds on the reduced zero set but has no
   certificate in the given generator ideal (non-radical generators).
 
-For generators that define a radical ideal (every bundled example does)
-CertifiedYes/CertifiedNo match the analytic truth for polynomial data.
+For generators that define a radical ideal CertifiedYes/CertifiedNo match
+the analytic truth for polynomial data, and NoCertificate cannot occur.
+Radicality is derived, not assumed: ``Germ.radical`` holds for a complete
+intersection whose singular locus has smaller dimension than the germ.
+Such an ideal is unmixed (Macaulay) and generically reduced (Jacobian
+criterion), hence radical, so a failed membership is already a CertifiedNo
+and no radical test runs.
 
 The conormality test multiplies the candidate form with the differentials
 of all generators and checks that every coefficient of the product lies in
@@ -44,6 +49,7 @@ from .groebner import (
     Ideal,
     _encode,
     _position_ring,
+    _rabinowitsch,
     buchberger,
     ideal_membership,
     krull_dimension,
@@ -92,10 +98,16 @@ class Germ:
     encoded Groebner basis of the degree-k trivial forms that
     :func:`is_trivial_form` builds on first use, so it too is computed once
     per germ and degree.
+
+    ``radical`` holds when the generator ideal is provably radical: the germ
+    is a complete intersection, so its ideal is unmixed, and it is regular
+    in codimension 0, i.e. dim V(Jacobian ideal) < dim X.  It is computed on
+    first use, from the Jacobian ideal's basis, never at construction.
     """
 
     __slots__ = (
-        "ring", "generators", "hypersurface", "_ideal", "_dimension", "_jacobian", "_trivial"
+        "ring", "generators", "hypersurface", "_ideal", "_dimension", "_jacobian", "_trivial",
+        "_radical",
     )
 
     def __init__(self, ring: PolynomialRing, generators: Sequence[Polynomial]):
@@ -116,6 +128,7 @@ class Germ:
         self._dimension = krull_dimension(self._ideal)
         self._jacobian = None
         self._trivial = {}
+        self._radical = None
 
     @property
     def ideal(self) -> Ideal:
@@ -127,6 +140,14 @@ class Germ:
 
     def dimension(self) -> int:
         return self._dimension
+
+    @property
+    def radical(self) -> bool:
+        if self._radical is None:
+            from .geometry import regular_in_codimension
+
+            self._radical = self.complete_intersection and regular_in_codimension(self, 0)
+        return self._radical
 
     def __str__(self) -> str:
         return "V(" + ", ".join(str(g) for g in self.generators) + f") in {self.ring}"
@@ -164,17 +185,27 @@ class Parametrization:
         return "(" + ", ".join(str(p) for p in self.components) + ")"
 
 
-def _classify(labelled, ideal: Ideal) -> tuple:
-    """Three-way classification of labelled polynomials against an ideal.
+def _classify(labelled, germ: Germ) -> tuple:
+    """Three-way classification of labelled polynomials against the
+    generator ideal of a germ.
 
     Returns (status, offender) where offender is the first (label, poly)
-    failing the strongest test that decides the status.
+    failing the strongest test that decides the status.  On a radical germ
+    a polynomial outside the ideal is outside its radical, so the first
+    failure decides; only other germs run the Rabinowitsch test, and only
+    on the failures.
     """
-    failures = [(label, p) for label, p in labelled if not ideal_membership(p, ideal)]
+    ideal = germ.ideal
+    failures = []
+    for label, p in labelled:
+        if not ideal_membership(p, ideal):
+            if germ.radical:
+                return VerdictStatus.CERTIFIED_NO, (label, p)
+            failures.append((label, p))
     if not failures:
         return VerdictStatus.CERTIFIED_YES, None
     for label, p in failures:
-        if not radical_membership(p, ideal):
+        if not _rabinowitsch(p, ideal):
             return VerdictStatus.CERTIFIED_NO, (label, p)
     return VerdictStatus.NO_CERTIFICATE, failures[0]
 
@@ -194,13 +225,14 @@ def is_conormal(omega: FormLike, germ: Germ) -> Verdict:
     For a complete intersection the form is conormal iff its wedge with the
     differentials of all generators vanishes on the germ; vanishing is
     checked coefficient-wise as ideal membership, with radical membership
-    as the fallback that separates CertifiedNo from NoCertificate.  The
-    degree-0 case is plain (radical) ideal membership.
+    as the fallback that separates CertifiedNo from NoCertificate (not
+    needed when ``germ.radical`` holds).  The degree-0 case is plain
+    (radical) ideal membership.
     """
     _require_complete_intersection(germ)
     same_ring(omega, germ.generators[0])
     if form_degree(omega) == 0:
-        status, offender = _classify([("the polynomial", omega)], germ.ideal)
+        status, offender = _classify([("the polynomial", omega)], germ)
         witness = {
             VerdictStatus.CERTIFIED_YES: "normal form 0 modulo the generator ideal",
             VerdictStatus.CERTIFIED_NO: "does not vanish on the zero set (radical test fails)",
@@ -215,7 +247,7 @@ def is_conormal(omega: FormLike, germ: Germ) -> Verdict:
         ("*".join("d" + germ.ring.variables[i] for i in idx), c)
         for idx, c in eta.coefficients()
     ]
-    status, offender = _classify(labelled, germ.ideal)
+    status, offender = _classify(labelled, germ)
     if status is VerdictStatus.CERTIFIED_YES:
         return Verdict(
             status,
@@ -235,7 +267,7 @@ def is_tangential(field: VectorField, germ: Germ) -> Verdict:
     vanish on the germ for every generator f_j."""
     same_ring(field, germ.generators[0])
     derivatives = [(f"V({g})", field.apply(g)) for g in germ.generators]
-    status, offender = _classify(derivatives, germ.ideal)
+    status, offender = _classify(derivatives, germ)
     if status is VerdictStatus.CERTIFIED_YES:
         shown = "; ".join(f"{label} = {p}" for label, p in derivatives)
         return Verdict(status, f"{shown}; all in the generator ideal")

@@ -4,7 +4,8 @@ Everything runs over the exact rational polynomials of :mod:`conormal.poly`.
 The public operations are ``reduce`` (multivariate division / normal form),
 ``buchberger`` (reduced Groebner basis, heap-ordered normal pair selection),
 ``ideal_membership``, ``eliminate``, ``radical_membership`` (plain membership
-against the cached basis, then the Rabinowitsch trick), ``krull_dimension``
+against the cached basis, then the Rabinowitsch trick, seeded with that
+basis), ``krull_dimension``
 (independent variable sets modulo the leading-term ideal of a grevlex basis)
 and ``module_membership``.
 
@@ -129,7 +130,7 @@ def _autoreduce(basis: list, order: MonomialOrder) -> list:
     return reduced
 
 
-def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> list:
+def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, known: int = 0) -> list:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     Classical Buchberger with the coprime-lead and chain criteria.  Each
@@ -138,14 +139,22 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> list:
     (ties broken by index).  Under a ``top`` order a pair of leads in
     different positions is never queued: its S-vector is 0, so the chain
     criterion may count it as treated.  The output is auto-reduced, monic
-    and sorted by leading term, hence canonical for the (ideal, order) pair.
+    and sorted by leading term, hence canonical for the (ideal, order) pair;
+    it is ``[1]`` as soon as a nonzero constant turns up.
+
+    If the first ``known`` generators already form a Groebner basis under
+    ``order`` (say a cached basis lifted to a ring with more variables),
+    no pair among them is queued, only pairs with a later generator
+    (the Gebauer-Moeller update setting).
     """
     if not gens:
         raise ValueError("buchberger needs at least one generator")
     same_ring(*gens)
     seen = set()
     basis = []
-    for g in gens:
+    for index, g in enumerate(gens):
+        if index == known:
+            known = len(basis)  # the prefix without zeros and repeats
         if g:
             g = g.monic(order)
             if g not in seen:
@@ -153,6 +162,19 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> list:
                 basis.append(g)
     if not basis:
         return []
+    result = _autoreduce(_complete(basis, order, min(known, len(basis))), order)
+    if _basis_observer is not None:
+        _basis_observer(list(gens), order, list(result))
+    return result
+
+
+def _complete(basis: list, order: MonomialOrder, known: int) -> list:
+    # The pair loop: extends the distinct monic ``basis`` to a Groebner
+    # basis, queueing no pair inside the first ``known`` elements; returns
+    # [1] on the first constant, which makes the ideal the unit ideal.
+    one = basis[0].ring.one
+    if any(g.is_constant() for g in basis):
+        return [one]
     leads = [g.leading(order)[0] for g in basis]
     split = order.split if order.kind == "top" else 0
     pending = set()
@@ -166,7 +188,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> list:
             pending.add((i, j))
             heapq.heappush(queue, (order.key(lcm), i, j, lcm))
 
-    for j in range(len(basis)):
+    for j in range(known, len(basis)):
         add_pairs(j)
     while queue:
         _, i, j, lcm = heapq.heappop(queue)
@@ -177,14 +199,13 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> list:
             continue
         r = reduce(s_polynomial(basis[i], basis[j], order), basis, order)
         if r:
+            if r.is_constant():
+                return [one]
             r = r.monic(order)
             basis.append(r)
             leads.append(r.leading(order)[0])
             add_pairs(len(basis) - 1)
-    result = _autoreduce(basis, order)
-    if _basis_observer is not None:
-        _basis_observer(list(gens), order, list(result))
-    return result
+    return basis
 
 
 def _chain_criterion(leads, pending, i, j, lcm) -> bool:
@@ -322,20 +343,28 @@ def radical_membership(g: Polynomial, ideal: Ideal) -> bool:
     Plain membership comes first: g in I implies g in rad(I), and reducing
     g against the basis the :class:`Ideal` caches is cheap.  Only when that
     leaves a nonzero remainder is the question decided by the Rabinowitsch
-    trick: g is in the radical iff the extended ideal I + (1 - t*g), with t
-    a fresh variable, is the unit ideal.
+    trick, whose Groebner basis starts from that same cached basis.
+    """
+    return ideal_membership(g, ideal) or _rabinowitsch(g, ideal)
+
+
+def _rabinowitsch(g: Polynomial, ideal: Ideal) -> bool:
+    """Whether g is in rad(I): whether I + (1 - t*g), with t a fresh last
+    variable, is the unit ideal.
+
+    The basis that ``ideal`` caches stays a Groebner basis in the ring with
+    t appended (the order restricts to the same order on the old monomials),
+    so ``buchberger`` starts from it and pairs only the relation and what
+    follows from it.  Callers have already checked g's ring with
+    :func:`ideal_membership`.
     """
     ring = ideal.ring
-    if g.ring != ring:
-        raise ValueError(f"ring mismatch: {g.ring} vs {ring}")
-    if ideal_membership(g, ideal):
-        return True
     ext = PolynomialRing(ring.variables + (_fresh_name(ring),))
     lift = list(range(ring.nvars))
-    lifted = [_rename(p, ext, lift) for p in ideal.generators]
+    known = [_rename(p, ext, lift) for p in ideal.groebner_basis()]
     t = ext.var(ext.nvars - 1)
     relation = ext.one - t * _rename(g, ext, lift)
-    basis = buchberger(lifted + [relation], GREVLEX)
+    basis = buchberger(known + [relation], ideal.order, known=len(known))
     return any(b.is_constant() and b for b in basis)
 
 
@@ -449,12 +478,19 @@ def module_reduce(v: ModuleElement, basis: Sequence[ModuleElement]) -> ModuleEle
 
 
 def module_membership(v: ModuleElement, gens: Sequence[ModuleElement]) -> bool:
-    """Whether v lies in the submodule of R^rank generated by ``gens``."""
-    if not gens:
-        return not v
+    """Whether v lies in the submodule of R^rank generated by ``gens``.
+
+    v and the generators are encoded once, into one position ring, and the
+    encoded basis is used as it comes out of ``buchberger``."""
     for g in gens:
         if g.rank != v.rank:
             raise ValueError("rank mismatch")
         if g.ring != v.ring:
             raise ValueError("ring mismatch")
-    return not module_reduce(v, module_buchberger(gens))
+    ring = _position_ring(v.ring, v.rank)
+    encoded = [_encode(enumerate(g.components), ring, v.rank) for g in gens if g]
+    if not encoded:
+        return not v
+    order = MonomialOrder("top", v.rank)
+    target = _encode(enumerate(v.components), ring, v.rank)
+    return not reduce(target, buchberger(encoded, order), order)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conormal.cli import corpus_names, load_germ_file
 from conormal.forms import (
     DifferentialForm,
     VectorField,
@@ -37,7 +38,7 @@ from conormal.groebner import (
 )
 from conormal.poly import PolynomialRing
 
-from strategies import nonzero_polynomials, random_form, random_polynomial
+from strategies import forms, nonzero_polynomials, polynomials, random_form, random_polynomial
 
 R = PolynomialRing(["x", "y", "z"])
 X, Y, Z = R.gens()
@@ -103,6 +104,30 @@ class TestIsConormal:
             verdict = is_conormal(p, umbrella)
             assert verdict.is_certified_yes == ideal_membership(p, umbrella.ideal)
 
+    def test_bases_per_refutation(self, monkeypatch):
+        # Deterministic work gate.  On the radical umbrella the first "no"
+        # computes the Jacobian basis that shows the germ radical, later
+        # ones compute nothing; on the non-radical V(x^2) each "no" computes
+        # one Rabinowitsch basis.
+        import conormal.groebner as groebner
+
+        umbrella = Germ(R, [Z**2 - X * Y**2])
+        plane = PolynomialRing(["x", "y"])
+        x, y = plane.gens()
+        double_line = Germ(plane, [x**2])
+        seen = []
+        monkeypatch.setattr(groebner, "_basis_observer", lambda *args: seen.append(args))
+        assert is_conormal(form("dx"), umbrella).is_certified_no
+        assert len(seen) == 1
+        seen.clear()
+        assert is_conormal(form("dy"), umbrella).is_certified_no
+        assert is_conormal(form("dx"), umbrella).is_certified_no
+        assert not seen
+        assert is_conormal(y, double_line).is_certified_no  # warms radical
+        seen.clear()
+        assert is_conormal(y, double_line).is_certified_no
+        assert len(seen) == 1
+
     def test_no_certificate_on_non_radical_generators(self):
         # V(x^2) has the y,z-plane as reduced zero set; x vanishes there but
         # has no certificate in (x^2).
@@ -126,6 +151,69 @@ class TestIsTangential:
         w = form("y*dx*dz - z*dx*dy")
         assert is_conormal(w, umbrella).is_certified_yes
         assert is_tangential(form_to_vector_field(w), umbrella).is_certified_yes
+
+
+_CORPUS = {}
+
+
+def corpus_germ(name):
+    if name not in _CORPUS:
+        _CORPUS[name] = load_germ_file(name).germ
+    return _CORPUS[name]
+
+
+class TestRadical:
+    def test_corpus_germs_are_radical(self):
+        assert corpus_names()
+        for name in corpus_names():
+            assert corpus_germ(name).radical, name
+
+    def test_non_radical_and_non_ci_germs(self):
+        plane = PolynomialRing(["x", "y"])
+        x, y = plane.gens()
+        assert Germ(plane, [x**2]).complete_intersection
+        assert not Germ(plane, [x**2]).radical
+        assert not Germ(R, [X * Y**2]).radical  # reduced zero set, non-reduced ideal
+        assert not Germ(R, [X, X * Y]).radical  # not a complete intersection
+
+    def test_smooth_germs_are_radical(self):
+        assert Germ(R, [X, Y]).radical
+        assert Germ(R, [X * Y]).radical
+
+    def test_derived_on_first_use_not_at_construction(self, monkeypatch):
+        import conormal.groebner as groebner
+
+        seen = []
+        monkeypatch.setattr(groebner, "_basis_observer", lambda *args: seen.append(args))
+        germ = Germ(R, [Z**2 - X * Y**2])
+        assert len(seen) == 1  # the generator ideal's basis, for the dimension
+        assert germ.radical
+        assert len(seen) == 2  # the Jacobian ideal's basis
+        assert germ.radical
+        assert len(seen) == 2
+
+    @given(st.sampled_from(corpus_names()), st.data())
+    def test_verdicts_do_not_depend_on_derived_radicality(self, name, data):
+        # The derived shortcut must give the very verdicts (status and
+        # witness) that the Rabinowitsch test gives with it switched off.
+        germ = corpus_germ(name)
+        ring = germ.ring
+        f = germ.generators[0]
+        scale = data.draw(st.sampled_from([ring.one, f]))  # f * anything is a "yes"
+        k = data.draw(st.integers(0, ring.nvars - 1))
+        if k == 0:
+            omega = data.draw(polynomials(ring, max_terms=3, max_degree=2)) * scale
+        else:
+            omega = data.draw(forms(ring, k)).scale(scale)
+        field = VectorField(
+            ring, [data.draw(polynomials(ring, max_terms=2, max_degree=2)) * scale
+                   for _ in range(ring.nvars)]
+        )
+        derived = (is_conormal(omega, germ), is_tangential(field, germ))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Germ, "radical", property(lambda self: False))
+            assert (is_conormal(omega, germ), is_tangential(field, germ)) == derived
+        assert all(v.status.value != "NoCertificate" for v in derived)
 
 
 class TestTrivialForms:

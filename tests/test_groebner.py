@@ -96,6 +96,24 @@ class TestBuchberger:
                 s = s_polynomial(basis[i], basis[j], GREVLEX)
                 assert not reduce(s, basis, GREVLEX)
 
+    def test_constant_remainder_gives_unit_basis(self):
+        assert buchberger([X, 1 - X], GREVLEX) == [R.one]
+        assert buchberger([X * Y - 1, Y, Z], GREVLEX) == [R.one]
+
+    @given(
+        st.lists(nonzero_polynomials(R, max_terms=3, max_degree=2), min_size=1, max_size=2),
+        st.lists(polynomials(R, max_terms=3, max_degree=2), min_size=1, max_size=2),
+        st.sampled_from([GREVLEX, LEX]),
+    )
+    @settings(max_examples=15)
+    def test_known_prefix_gives_the_same_basis(self, gens, extra, order):
+        # A reduced basis passed as the known prefix is not paired with
+        # itself; the result must still be the basis of all generators.
+        basis = buchberger(gens, order)
+        assert buchberger(basis + extra, order, known=len(basis)) == buchberger(
+            gens + extra, order
+        )
+
 
 class TestIdealMembership:
     def test_scalar_multiple(self, cusp):
@@ -214,6 +232,38 @@ class TestRadicalMembership:
     def test_agrees_with_pure_rabinowitsch(self, case):
         gens, g = case
         assert radical_membership(g, Ideal(gens)) == _rabinowitsch_reference(g, gens)
+
+    @given(small_ideal_cases())
+    @settings(max_examples=10)
+    def test_lex_basis_seeds_the_same_answer(self, case):
+        # The Rabinowitsch basis starts from the basis the ideal caches in
+        # its own order, with the new variable last.
+        gens, g = case
+        assert radical_membership(g, Ideal(gens, LEX)) == _rabinowitsch_reference(g, gens)
+
+    def test_no_pair_inside_the_cached_basis(self, monkeypatch):
+        # The cached basis of I is already a Groebner basis in the ring with
+        # t appended, so no S-polynomial of two of its elements is built.
+        import conormal.groebner as groebner
+
+        ideal = Ideal([X**2 - Y * Z, Y**2 - X * Z, Z**2 - X * Y])
+        cached = {frozenset((m + (0,), c) for m, c in b.terms.items())
+                  for b in ideal.groebner_basis()}
+        assert len(cached) > 2
+        built = []
+
+        def recording(f, g, order):
+            built.append((f, g))
+            return s_polynomial(f, g, order)
+
+        monkeypatch.setattr(groebner, "s_polynomial", recording)
+        assert not radical_membership(X + Y, ideal)
+        assert built
+
+        def from_cache(p):
+            return frozenset(p.terms.items()) in cached
+
+        assert not any(from_cache(f) and from_cache(g) for f, g in built)
 
 
 class TestKrullDimension:
@@ -344,6 +394,20 @@ class TestModuleMembership:
             mixed += len({lead_position(b) for b in module_buchberger(gens)}) > 1
         assert built and all(a == b for a, b in built)
         assert mixed  # some bases do have leads in different positions
+
+    def test_membership_uses_the_encoded_basis(self, monkeypatch):
+        # module_membership encodes once and never decodes a basis.
+        import conormal.groebner as groebner
+
+        def no_decode(*args):
+            raise AssertionError("module_membership decoded a basis")
+
+        monkeypatch.setattr(groebner, "_decode", no_decode)
+        gens = [ModuleElement([X, Y]), ModuleElement([Y**2, Z])]
+        assert module_membership(ModuleElement([X * Z + Y**3, 2 * Y * Z]), gens)
+        assert not module_membership(ModuleElement([Y, X]), gens)
+        zero = ModuleElement([R.zero, R.zero])
+        assert module_membership(zero, [zero])
 
     def test_s_vector_of_leads_in_different_positions_is_zero(self):
         ring = PolynomialRing(["e1", "e2"] + list(R.variables))
