@@ -10,10 +10,19 @@ Germ files are UTF-8 and line-oriented; ``#`` starts a comment::
     gen z^2 - x*y^2
     form omega1 y*z*dx + 2*x*z*dy - 2*x*y*dz
     param u v -> u^2, v, u*v
+    expect check omega1 CertifiedYes
+    expect tangent 0, -y, -z CertifiedYes
+    expect regular 1 no
 
 Optional ``flag hypersurface`` / ``flag complete_intersection`` lines are
 assertions: both properties are derived from the generators, and a file
 whose flag does not hold is rejected.
+
+An ``expect <kind> <argument> <value>`` line records a result that
+``verify_examples`` checks.  The argument is a form or form name (kinds
+``check``, ``trivial``, ``oracle``, ``vanishes``), a vector field ``p1, ..., pn``
+(``tangent``) or a codimension (``regular``); ``check`` and ``tangent`` expect
+a verdict status, the others ``yes`` or ``no``.
 """
 
 from __future__ import annotations
@@ -27,19 +36,15 @@ from typing import Optional
 
 from ._expr import ParseError
 from .forms import (
-    DifferentialForm,
     Hyperplane,
     NotClosedError,
     VectorField,
     evaluate_form,
     exterior_derivative,
     form_degree,
-    form_to_vector_field,
     format_form_parts,
     parse_form,
     radial_potential,
-    volume_coefficient,
-    wedge,
 )
 from .germs import (
     Germ,
@@ -49,7 +54,6 @@ from .germs import (
     is_tangential,
     is_trivial_form,
     oracle_conormal_on_parametrization,
-    trivial_form_generators,
     vanishes_on_singular_locus,
 )
 from .geometry import (
@@ -70,6 +74,7 @@ class GermFile:
     germ: Germ
     forms: dict = field(default_factory=dict)  # name -> list of homogeneous parts
     parametrization: Optional[Parametrization] = None
+    expects: list = field(default_factory=list)  # (kind, argument, value) triples
 
     def render(self) -> str:
         """Canonical text (parses back to equal data)."""
@@ -85,6 +90,7 @@ class GermFile:
                 + " -> "
                 + ", ".join(str(p) for p in par.components)
             )
+        lines += [f"expect {kind} {arg} {value}" for kind, arg, value in self.expects]
         return "\n".join(lines) + "\n"
 
 
@@ -98,6 +104,7 @@ def parse_germ_text(text: str, source: str = "<string>") -> GermFile:
     flags = set()
     raw_forms = []
     raw_param = None
+    raw_expects = []
 
     def fail(lineno, message):
         raise GermFileError(f"{source}:{lineno}: {message}")
@@ -147,6 +154,15 @@ def parse_germ_text(text: str, source: str = "<string>") -> GermFile:
             if raw_param is not None:
                 fail(lineno, "duplicate parametrization")
             raw_param = (lineno, pring, comps)
+        elif head == "expect":
+            kind, _, claim = rest.partition(" ")
+            argument, _, value = claim.rpartition(" ")
+            if kind not in _EXPECT_KINDS:
+                fail(lineno, f"unknown expect kind {kind!r}")
+            allowed = _EXPECT_KINDS[kind][0]
+            if not argument.strip() or value not in allowed:
+                fail(lineno, f"expected: expect {kind} <argument> <{'|'.join(allowed)}>")
+            raw_expects.append((lineno, kind, argument.strip(), value))
         else:
             fail(lineno, f"unknown directive {head!r}")
 
@@ -180,7 +196,10 @@ def parse_germ_text(text: str, source: str = "<string>") -> GermFile:
             par = Parametrization(germ, pring, comps)
         except ValueError as e:
             raise GermFileError(f"{source}:{lineno}: {e}") from None
-    return GermFile(germ, forms, par)
+    for lineno, kind, _, _ in raw_expects:
+        if kind == "oracle" and par is None:
+            raise GermFileError(f"{source}:{lineno}: an oracle expectation needs a param line")
+    return GermFile(germ, forms, par, [e[1:] for e in raw_expects])
 
 
 def corpus_path(name: str) -> Path:
@@ -194,7 +213,7 @@ def corpus_names() -> list:
 
 def load_germ_file(path: str) -> GermFile:
     """Load a germ file from disk, falling back to the bundled corpus for
-    bare names like ``umbrella.germ``."""
+    bare file names of it."""
     p = Path(path)
     if not p.exists() and p.name == path and path in corpus_names():
         p = corpus_path(path)
@@ -209,6 +228,10 @@ def _resolve_form(gf: GermFile, text: str) -> list:
     return parse_form(text, gf.germ.ring)
 
 
+def _yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
 def _aggregate(verdicts) -> VerdictStatus:
     statuses = {v.status for v in verdicts}
     if VerdictStatus.CERTIFIED_NO in statuses:
@@ -218,15 +241,11 @@ def _aggregate(verdicts) -> VerdictStatus:
     return VerdictStatus.CERTIFIED_YES
 
 
-def _print_germ(gf: GermFile):
-    print(f"germ: {gf.germ}")
-
-
 def _cmd_check(args) -> int:
     gf = load_germ_file(args.germ)
     parts = _resolve_form(gf, args.form)
     print(f"form: {format_form_parts(parts)}")
-    _print_germ(gf)
+    print(f"germ: {gf.germ}")
     if not parts:
         print("verdict: CONORMAL (certified)")
         print("witness: the zero form is conormal to every germ")
@@ -269,16 +288,19 @@ def _cmd_check(args) -> int:
     return 1
 
 
-def _cmd_tangent(args) -> int:
-    gf = load_germ_file(args.germ)
-    ring = gf.germ.ring
-    chunks = args.field.split(",")
+def _parse_field(text: str, ring: PolynomialRing) -> VectorField:
+    chunks = text.split(",")
     if len(chunks) != ring.nvars:
         raise GermFileError(
             f"--field needs {ring.nvars} comma-separated components for {ring}"
         )
-    field_ = VectorField(ring, [parse_polynomial(c, ring) for c in chunks])
-    _print_germ(gf)
+    return VectorField(ring, [parse_polynomial(c, ring) for c in chunks])
+
+
+def _cmd_tangent(args) -> int:
+    gf = load_germ_file(args.germ)
+    field_ = _parse_field(args.field, gf.germ.ring)
+    print(f"germ: {gf.germ}")
     print(f"field: {field_}")
     verdict = is_tangential(field_, gf.germ)
     print(f"status: {verdict}")
@@ -292,18 +314,23 @@ def _cmd_tangent(args) -> int:
     return 1
 
 
+def _is_trivial_part(part, germ: Germ) -> bool:
+    """Triviality of one homogeneous part; in degree 0 that is membership in
+    the germ ideal."""
+    if form_degree(part) == 0:
+        return ideal_membership(part, germ.ideal)
+    return is_trivial_form(part, germ)
+
+
 def _cmd_trivial(args) -> int:
     gf = load_germ_file(args.germ)
     parts = _resolve_form(gf, args.form)
     print(f"form: {format_form_parts(parts)}")
-    _print_germ(gf)
+    print(f"germ: {gf.germ}")
     trivial = True
     for part in parts:
-        if form_degree(part) == 0:
-            ok = ideal_membership(part, gf.germ.ideal)
-        else:
-            ok = is_trivial_form(part, gf.germ)
-        print(f"degree {form_degree(part)} part trivial: {'yes' if ok else 'no'}")
+        ok = _is_trivial_part(part, gf.germ)
+        print(f"degree {form_degree(part)} part trivial: {_yes_no(ok)}")
         trivial = trivial and ok
     if trivial:
         print("verdict: TRIVIAL (inside the differential ideal generated by the germ ideal)")
@@ -314,7 +341,7 @@ def _cmd_trivial(args) -> int:
 
 def _cmd_singular(args) -> int:
     gf = load_germ_file(args.germ)
-    _print_germ(gf)
+    print(f"germ: {gf.germ}")
     jac = jacobian_ideal(gf.germ)
     print("jacobian ideal: " + "; ".join(str(g) for g in jac.generators))
     dim_x = gf.germ.dimension()
@@ -323,7 +350,7 @@ def _cmd_singular(args) -> int:
     print(f"dim Sing X = {dim_sing}" + (" (empty)" if dim_sing < 0 else ""))
     for k in range(0, dim_x + 1):
         flag = regular_in_codimension(gf.germ, k)
-        print(f"regular in codimension {k}: {'yes' if flag else 'no'}")
+        print(f"regular in codimension {k}: {_yes_no(flag)}")
     return 0
 
 
@@ -341,7 +368,7 @@ def _parse_hyperplane(text: str, ring: PolynomialRing) -> Hyperplane:
 
 def _cmd_bertini(args) -> int:
     gf = load_germ_file(args.germ)
-    _print_germ(gf)
+    print(f"germ: {gf.germ}")
     par = gf.parametrization
     if args.hyperplane is not None:
         hyperplanes = [(None, _parse_hyperplane(args.hyperplane, gf.germ.ring))]
@@ -364,131 +391,64 @@ def _cmd_bertini(args) -> int:
 def _cmd_potential(args) -> int:
     gf = load_germ_file(args.germ)
     parts = _resolve_form(gf, args.form)
-    _print_germ(gf)
+    print(f"germ: {gf.germ}")
     print(f"form: {format_form_parts(parts)}")
     if len(parts) != 1 or form_degree(parts[0]) != 1:
         raise GermFileError("the potential command expects a homogeneous 1-form")
     g = radial_potential(parts[0])
     print(f"potential: {g}")
     back = exterior_derivative(g)
-    print(f"d(potential) equals the form: {'yes' if back == parts[0] else 'no'}")
+    print(f"d(potential) equals the form: {_yes_no(back == parts[0])}")
     member = ideal_membership(g, gf.germ.ideal)
-    print(f"potential in the germ ideal: {'yes' if member else 'no'}")
+    print(f"potential in the germ ideal: {_yes_no(member)}")
     return 0 if member else 1
 
 
-def verify_examples() -> tuple:
-    """Run the bundled corpus end-to-end; returns (report lines, all passed)."""
-    lines = []
-    passed = 0
-    total = 0
+def _every_part(test) -> tuple:
+    """A yes/no kind: whether ``test(part, germ_file)`` holds for each part."""
+    return ("yes", "no"), lambda gf, arg: _yes_no(all(test(p, gf) for p in _resolve_form(gf, arg)))
 
-    def check(label, condition):
-        nonlocal passed, total
-        total += 1
-        if condition:
-            passed += 1
-        lines.append(f"{label}: {'PASS' if condition else 'FAIL'}")
 
-    # --- coordinate subspace: smooth, conormal forms = differential ideal.
-    gf = load_germ_file("coordinate_subspace.germ")
-    germ = gf.germ
-    ring = germ.ring
-    x1, x2, x3, x4 = ring.gens()
-    check("[coordinate_subspace] jacobian ideal is the unit ideal", jacobian_ideal(germ).is_unit())
-    check(
-        "[coordinate_subspace] regular in codimension 1 and 2",
-        regular_in_codimension(germ, 1) and regular_in_codimension(germ, 2),
-    )
-    dx1 = DifferentialForm(ring, 1, {(0,): ring.one})
-    dx3 = DifferentialForm(ring, 1, {(2,): ring.one})
-    check(
-        "[coordinate_subspace] dx1 and x1*dx3 certified conormal",
-        is_conormal(dx1, germ).is_certified_yes
-        and is_conormal(dx3.scale(x1), germ).is_certified_yes,
-    )
-    check(
-        "[coordinate_subspace] d(x1*x3) conormal and trivial",
-        is_conormal(exterior_derivative(x1 * x3), germ).is_certified_yes
-        and is_trivial_form(exterior_derivative(x1 * x3), germ),
-    )
-    check(
-        "[coordinate_subspace] dx3 is not conormal (oracle agrees)",
-        is_conormal(dx3, germ).is_certified_no
-        and not oracle_conormal_on_parametrization(dx3, gf.parametrization),
-    )
+_STATUSES = tuple(status.value for status in VerdictStatus)
 
-    # --- cusp: trivial in degree 1, non-trivial 2-form.
-    gf = load_germ_file("cusp3.germ")
-    germ = gf.germ
-    f = germ.generators[0]
-    [omega2] = gf.forms["omega2"]
-    eta = wedge(omega2, exterior_derivative(f))
-    check(
-        "[cusp3] omega2 certified conormal with wedge = 3*f*volume",
-        is_conormal(omega2, germ).is_certified_yes and volume_coefficient(eta) == 3 * f,
-    )
-    check("[cusp3] omega2 is non-trivial", not is_trivial_form(omega2, germ))
-    check("[cusp3] regular in codimension 1 (degree-1 forms trivial)", regular_in_codimension(germ, 1))
-    check(
-        "[cusp3] trivial generators in degree 1 are certified conormal",
-        all(is_conormal(g, germ).is_certified_yes for g in trivial_form_generators(germ, 1)),
-    )
+# expect kind -> (allowed values, value shown by a germ file for an argument)
+_EXPECT_KINDS = {
+    "check": (_STATUSES, lambda gf, arg: _aggregate(
+        is_conormal(p, gf.germ) for p in _resolve_form(gf, arg)).value),
+    "trivial": _every_part(lambda p, gf: _is_trivial_part(p, gf.germ)),
+    "tangent": (_STATUSES, lambda gf, arg: is_tangential(
+        _parse_field(arg, gf.germ.ring), gf.germ).status.value),
+    "oracle": _every_part(lambda p, gf: oracle_conormal_on_parametrization(p, gf.parametrization)),
+    "vanishes": _every_part(lambda p, gf: vanishes_on_singular_locus(p, gf.germ)),
+    "regular": (("yes", "no"), lambda gf, arg: _yes_no(regular_in_codimension(gf.germ, int(arg)))),
+}
 
-    # --- umbrella: singular along a line; the richest of the examples.
-    gf = load_germ_file("umbrella.germ")
-    germ = gf.germ
-    f = germ.generators[0]
-    par = gf.parametrization
-    [omega1] = gf.forms["omega1"]
-    [omega2] = gf.forms["omega2"]
-    check(
-        "[umbrella] omega1 and omega2 certified conormal",
-        is_conormal(omega1, germ).is_certified_yes
-        and is_conormal(omega2, germ).is_certified_yes,
-    )
-    check("[umbrella] omega1 is non-trivial", not is_trivial_form(omega1, germ))
-    check("[umbrella] not regular in codimension 1", not regular_in_codimension(germ, 1))
-    field_ = form_to_vector_field(omega2)
-    check(
-        "[umbrella] D(omega2) certified tangential with V(f) = -2*f",
-        is_tangential(field_, germ).is_certified_yes and field_.apply(f) == f.scale(-2),
-    )
-    check(
-        "[umbrella] parametrization oracle agrees on omega1 and omega2",
-        oracle_conormal_on_parametrization(omega1, par)
-        and oracle_conormal_on_parametrization(omega2, par),
-    )
-    check(
-        "[umbrella] omega1 vanishes on the singular locus",
-        vanishes_on_singular_locus(omega1, germ),
-    )
 
-    # --- segre cone: trivial in degrees 1 and 2, non-trivial 3-form.
-    gf = load_germ_file("segre.germ")
-    germ = gf.germ
-    f = germ.generators[0]
-    [omega3] = gf.forms["omega3"]
-    check(
-        "[segre] regular in codimension 1 and 2",
-        regular_in_codimension(germ, 1) and regular_in_codimension(germ, 2),
-    )
-    eta = wedge(omega3, exterior_derivative(f))
-    check(
-        "[segre] omega3 certified conormal with wedge = -f*volume",
-        is_conormal(omega3, germ).is_certified_yes and volume_coefficient(eta) == -f,
-    )
-    check("[segre] omega3 is non-trivial", not is_trivial_form(omega3, germ))
-    check("[segre] not regular in codimension 3", not regular_in_codimension(germ, 3))
-
+def verify_examples(files: Optional[dict] = None) -> tuple:
+    """Check the ``expect`` lines of germ files given as {label: GermFile},
+    by default of the bundled corpus; returns (report lines, all passed)."""
+    if files is None:
+        files = {
+            name.removesuffix(".germ"): parse_germ_text(
+                corpus_path(name).read_text(encoding="utf-8"), source=name
+            )
+            for name in corpus_names()
+        }
+    lines, passed = [], 0
+    for label, gf in files.items():
+        for kind, argument, value in gf.expects:
+            got = _EXPECT_KINDS[kind][1](gf, argument)
+            passed += got == value
+            outcome = "PASS" if got == value else f"FAIL (got {got})"
+            lines.append(f"[{label}] {kind} {argument} {value}: {outcome}")
+    total = len(lines)
     lines.append(f"summary: {passed}/{total} checks passed")
     return lines, passed == total
 
 
 def _cmd_verify_examples(args) -> int:
     lines, ok = verify_examples()
-    for line in lines:
-        print(line)
+    print("\n".join(lines))
     return 0 if ok else 1
 
 

@@ -99,7 +99,6 @@ def jacobian_ideal(germ: Germ) -> Ideal:
     for cols in combinations(range(n), m):
         minors.append(_det([[row[c] for c in cols] for row in rows]))
     gens = list(germ.generators) + [p for p in minors if p]
-    # Two threads racing here each build an equal ideal; either one may stay.
     germ._jacobian = Ideal(gens, GREVLEX)
     return germ._jacobian
 

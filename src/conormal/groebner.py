@@ -16,14 +16,13 @@ module rule, that leads in different positions give the S-vector 0, lives
 in ``s_polynomial``, and ``buchberger`` never queues such a pair.
 
 Bases are reduced, monic and sorted, so they are canonical per (ideal, order);
-:class:`Ideal` caches them lazily behind a lock, which makes concurrent
-membership tests against one ideal cheap and safe.
+:class:`Ideal` caches them lazily, so repeated membership tests against one
+ideal compute one basis.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
@@ -224,11 +223,10 @@ def _chain_criterion(leads, pending, i, j, lcm) -> bool:
 class Ideal:
     """An ideal given by generators, with a lazily cached Groebner basis.
 
-    The cache is keyed by monomial order and filled at most once per order
-    (double-checked behind a lock), so concurrent readers share one basis.
+    The cache is keyed by monomial order and filled at most once per order.
     """
 
-    __slots__ = ("ring", "generators", "order", "_bases", "_lock")
+    __slots__ = ("ring", "generators", "order", "_bases")
 
     def __init__(self, generators: Sequence[Polynomial], order: MonomialOrder = GREVLEX):
         gens = tuple(generators)
@@ -238,21 +236,13 @@ class Ideal:
         self.generators = gens
         self.order = order
         self._bases: dict = {}
-        self._lock = threading.Lock()
 
     def groebner_basis(self, order: Optional[MonomialOrder] = None) -> tuple:
         order = order or self.order
         cached = self._bases.get(order)
         if cached is None:
-            with self._lock:
-                cached = self._bases.get(order)
-                if cached is None:
-                    cached = tuple(buchberger(self.generators, order))
-                    self._bases[order] = cached
+            cached = self._bases[order] = tuple(buchberger(self.generators, order))
         return cached
-
-    def contains(self, f: Polynomial) -> bool:
-        return ideal_membership(f, self)
 
     def is_unit(self) -> bool:
         """Whether the ideal is the whole ring (empty zero set)."""

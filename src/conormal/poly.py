@@ -3,8 +3,7 @@
 A polynomial is a mapping from exponent tuples to nonzero ``Fraction``
 coefficients, attached to a :class:`PolynomialRing` that fixes the variable
 names and their order.  Values are immutable after construction and every
-operation returns a fresh polynomial, so instances can be shared freely
-between threads.
+operation returns a fresh polynomial, so instances can be shared freely.
 
 Monomials are plain tuples of non-negative integers (one entry per ring
 variable); the helpers below implement the little divisibility lattice that

@@ -8,6 +8,7 @@ from conormal.cli import (
     dispatch,
     load_germ_file,
     parse_germ_text,
+    verify_examples,
 )
 
 
@@ -33,10 +34,33 @@ class TestGermFiles:
             assert again.germ.hypersurface == gf.germ.hypersurface
             assert again.germ.complete_intersection == gf.germ.complete_intersection
             assert again.forms == gf.forms
+            assert again.expects == gf.expects
             if gf.parametrization is None:
                 assert again.parametrization is None
             else:
                 assert again.parametrization.components == gf.parametrization.components
+
+    def test_every_corpus_file_has_expectations(self):
+        for name in corpus_names():
+            assert load_germ_file(name).expects, name
+
+    def test_bad_expect_lines_carry_source_and_line(self):
+        for line in (
+            "expect shiny dx yes",
+            "expect check dx",
+            "expect check",
+            "expect trivial dx CertifiedYes",
+            "expect oracle dx yes",
+        ):
+            with pytest.raises(GermFileError, match="^cusp.germ:3: "):
+                parse_germ_text(f"ring x y z\ngen x^3 - y*z\n{line}\n", source="cusp.germ")
+
+    def test_flipped_expectation_fails(self):
+        text = load_germ_file("cusp3.germ").render() + "expect trivial omega2 yes\n"
+        lines, ok = verify_examples({"cusp3": parse_germ_text(text)})
+        assert not ok
+        assert "[cusp3] trivial omega2 yes: FAIL (got no)" in lines
+        assert lines[-1] == "summary: 3/4 checks passed"
 
     def test_ring_must_come_first(self):
         with pytest.raises(GermFileError):
@@ -200,9 +224,20 @@ class TestDispatch:
 
     def test_verify_examples(self, capsys):
         code, out = run(capsys, "verify-examples")
+        expects = sum(len(load_germ_file(name).expects) for name in corpus_names())
         assert code == 0
         assert "FAIL" not in out
-        assert out.strip().endswith("checks passed")
+        assert expects >= 24
+        assert out.splitlines()[-1] == f"summary: {expects}/{expects} checks passed"
+
+    def test_verify_examples_ignores_files_in_the_working_directory(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        (tmp_path / "umbrella.germ").write_text("ring x y z\ngen x\n")
+        monkeypatch.chdir(tmp_path)
+        code, out = run(capsys, "verify-examples")
+        assert code == 0
+        assert "[umbrella] check omega1 CertifiedYes: PASS" in out
 
     def test_unknown_command_exit_two(self, capsys):
         assert dispatch(["frobnicate"]) == 2

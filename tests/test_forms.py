@@ -81,6 +81,13 @@ class TestWedge:
         eta = wedge(form("x*dy*dz + 3*z*dx*dy"), exterior_derivative(f))
         assert volume_coefficient(eta) == 3 * f
 
+    def test_conormality_witness_of_segre_cone(self):
+        # (x dy - y dx)^dz^dt ^ d(xz - yt) = -(xz - yt) dx^dy^dz^dt
+        x, y, z, t = R4.gens()
+        f = x * z - y * t
+        eta = wedge(form("(x*dy - y*dx)*dz*dt", R4), exterior_derivative(f))
+        assert volume_coefficient(eta) == -f
+
     def test_square_of_one_form_vanishes(self):
         dx = form("dx")
         assert not wedge(dx, dx)

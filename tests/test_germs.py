@@ -233,10 +233,10 @@ class TestTrivialForms:
         gens = trivial_form_generators(cusp, 3)
         assert len(gens) == 1 + 3
 
-    def test_generators_are_conormal(self, umbrella):
-        for k in (1, 2):
-            for g in trivial_form_generators(umbrella, k):
-                assert is_conormal(g, umbrella).is_certified_yes
+    def test_generators_are_conormal(self, cusp, umbrella):
+        for germ, k in ((cusp, 1), (umbrella, 1), (umbrella, 2)):
+            for g in trivial_form_generators(germ, k):
+                assert is_conormal(g, germ).is_certified_yes
 
     def test_nontrivial_paper_forms(self, cusp, umbrella):
         assert not is_trivial_form(form("x*dy*dz + 3*z*dx*dy"), cusp)

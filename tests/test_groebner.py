@@ -418,20 +418,3 @@ class TestModuleMembership:
         assert not s_polynomial(f, g, top)
         assert s_polynomial(f, e1 * x**2 + e2, top) == e2 * x**2 - e2 * y
 
-
-class TestIdealCache:
-    def test_concurrent_fill_returns_one_basis(self, umbrella):
-        import threading
-
-        ideal = Ideal(list(umbrella.generators))
-        results = []
-
-        def worker():
-            results.append(ideal.groebner_basis())
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(r is results[0] for r in results)
