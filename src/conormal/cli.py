@@ -181,7 +181,7 @@ def parse_germ_text(text: str, source: str = "<string>") -> GermFile:
     if "complete_intersection" in flags and not germ.complete_intersection:
         raise GermFileError(
             f"{source}: complete-intersection flag rejected: dimension is "
-            f"{germ.dimension()}, expected {ring.nvars - len(gens)}"
+            f"{germ.dimension}, expected {ring.nvars - len(gens)}"
         )
 
     forms = {}
@@ -344,7 +344,7 @@ def _cmd_singular(args) -> int:
     print(f"germ: {gf.germ}")
     jac = jacobian_ideal(gf.germ)
     print("jacobian ideal: " + "; ".join(str(g) for g in jac.generators))
-    dim_x = gf.germ.dimension()
+    dim_x = gf.germ.dimension
     dim_sing = krull_dimension(jac)
     print(f"dim X = {dim_x}")
     print(f"dim Sing X = {dim_sing}" + (" (empty)" if dim_sing < 0 else ""))
@@ -381,7 +381,12 @@ def _cmd_bertini(args) -> int:
     for index, hyperplane in hyperplanes:
         report = bertini_check(gf.germ, hyperplane, par)
         label = "check" if index is None else f"trial {index:02d}"
-        print(f"{label}: {report.summary()}")
+        notes = f" [{'; '.join(report.diagnostics)}]" if report.diagnostics else ""
+        print(
+            f"{label}: H: {report.hyperplane} | "
+            f"section reduced: {_yes_no(report.section_reduced)} | "
+            f"loci equal: {_yes_no(report.singular_loci_equal)} | {report.verdict.value}{notes}"
+        )
         if report.verdict is BertiniVerdict.VIOLATION:
             violations += 1
     print(f"violations: {violations}")

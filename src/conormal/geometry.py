@@ -30,7 +30,7 @@ from typing import Optional
 from .forms import Hyperplane
 from .germs import Germ, Parametrization
 from .groebner import GREVLEX, Ideal, krull_dimension, radical_membership
-from .poly import Polynomial, PolynomialRing, evaluate, partial_derivative
+from .poly import PolynomialRing, evaluate, partial_derivative
 
 
 class BertiniVerdict(Enum):
@@ -55,58 +55,22 @@ class BertiniReport:
     diagnostics: tuple
     verdict: BertiniVerdict
 
-    def summary(self) -> str:
-        notes = f" [{'; '.join(self.diagnostics)}]" if self.diagnostics else ""
-        return (
-            f"H: {self.hyperplane} | section reduced: {_yn(self.section_reduced)} | "
-            f"loci equal: {_yn(self.singular_loci_equal)} | {self.verdict.value}{notes}"
-        )
-
-
-def _yn(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
-def _det(matrix) -> Polynomial:
-    if len(matrix) == 1:
-        return matrix[0][0]
-    out = None
-    for j, top in enumerate(matrix[0]):
-        if not top:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = top * _det(minor)
-        if j % 2:
-            term = -term
-        out = term if out is None else out + term
-    return out if out is not None else matrix[0][0].ring.zero
-
 
 def jacobian_ideal(germ: Germ) -> Ideal:
     """Ideal whose zero set is the singular locus of a complete intersection
     with m generators: the generators plus the nonzero m x m minors of the
-    Jacobian matrix (for a hypersurface, its nonzero partials).  Built once
-    per germ and kept on it, together with the bases it caches.
+    Jacobian matrix (for a hypersurface, its nonzero partials).  This is
+    ``germ.jacobian``, built on first use and kept on the germ together with
+    the bases it caches; it raises for a germ that is not a complete
+    intersection.
     """
-    if germ._jacobian is not None:
-        return germ._jacobian
-    if not germ.complete_intersection:
-        raise ValueError("the germ is not a complete intersection, which the jacobian ideal needs")
-    n = germ.ring.nvars
-    m = len(germ.generators)
-    rows = [[partial_derivative(f, i) for i in range(n)] for f in germ.generators]
-    minors = []
-    for cols in combinations(range(n), m):
-        minors.append(_det([[row[c] for c in cols] for row in rows]))
-    gens = list(germ.generators) + [p for p in minors if p]
-    germ._jacobian = Ideal(gens, GREVLEX)
-    return germ._jacobian
+    return germ.jacobian
 
 
 def regular_in_codimension(germ: Germ, k: int) -> bool:
     """Whether the singular locus has codimension greater than k inside the
     germ: dim Sing X < dim X - k."""
-    dim = germ.dimension()
+    dim = germ.dimension
     if not 0 <= k <= dim:
         raise ValueError(f"codimension must be between 0 and dim X = {dim}")
     return krull_dimension(jacobian_ideal(germ)) < dim - k
@@ -144,13 +108,17 @@ def hyperplane_section(germ: Germ, hyperplane: Hyperplane) -> Germ:
     defining equation; the remaining variables keep their names and order.
     Raises if the hyperplane is contained in the germ (zero section).
     """
+    _require_section_input(germ, hyperplane)
+    return _cut(germ, hyperplane)[0]
+
+
+def _require_section_input(germ: Germ, hyperplane: Hyperplane):
     if germ.ring.nvars < 3:
-        raise ValueError("hyperplane sections need an ambient dimension of at least 3")
+        raise ValueError("the section harness needs an ambient dimension of at least 3")
     if not germ.hypersurface:
-        raise ValueError("hyperplane sections are defined for hypersurface germs")
+        raise ValueError("the section harness is defined for hypersurface germs")
     if hyperplane.ring != germ.ring:
         raise ValueError("hyperplane ring mismatch")
-    return _cut(germ, hyperplane)[0]
 
 
 def _cut(germ: Germ, hyperplane: Hyperplane):
@@ -212,13 +180,7 @@ def bertini_check(
     Locus equality is equality of radicals (the claim is about point sets),
     checked by mutual radical membership of generators.
     """
-    if germ.ring.nvars < 3:
-        raise ValueError("the section harness needs an ambient dimension of at least 3")
-    if not germ.hypersurface:
-        raise ValueError("the section harness is defined for hypersurface germs")
-    if hyperplane.ring != germ.ring:
-        raise ValueError("hyperplane ring mismatch")
-
+    _require_section_input(germ, hyperplane)
     diagnostics = []
     jac = jacobian_ideal(germ)
     ell = hyperplane.linear_form()

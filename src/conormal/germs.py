@@ -3,9 +3,12 @@
 A :class:`Germ` is a polynomial model of an analytic germ at the origin:
 an ambient ring and generators that all vanish at 0.  Whether it is a
 hypersurface or a complete intersection is derived from the generators,
-never declared.  Because membership is decided in the polynomial ring
-rather than the local analytic ring, germ-level claims come back as a
-three-valued :class:`Verdict`:
+never declared.  What the tests below need of the germ itself -- its
+Jacobian ideal, its radicality, the differentials of its generators and the
+bases of its trivial forms -- the germ computes on first use and keeps, so
+each is paid once per germ (see :class:`Germ`).  Because membership is
+decided in the polynomial ring rather than the local analytic ring,
+germ-level claims come back as a three-valued :class:`Verdict`:
 
 * ``CertifiedYes``   -- established by an exact ideal-membership certificate;
 * ``CertifiedNo``    -- refuted even up to radical (the defect survives on
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -39,6 +43,7 @@ from .forms import (
     DifferentialForm,
     FormLike,
     VectorField,
+    _term_dict,
     exterior_derivative,
     form_degree,
     format_form,
@@ -56,7 +61,7 @@ from .groebner import (
     radical_membership,
     reduce,
 )
-from .poly import MonomialOrder, Polynomial, PolynomialRing, evaluate, same_ring
+from .poly import MonomialOrder, Polynomial, PolynomialRing, evaluate, partial_derivative, same_ring
 
 
 class VerdictStatus(Enum):
@@ -87,28 +92,31 @@ class Verdict:
 
 
 class Germ:
-    """An embedded affine germ at the origin, V(f_1, ..., f_m) in C^n.
+    """An embedded affine germ at the origin, X = V(f_1, ..., f_m) in C^n.
 
-    ``hypersurface`` is m == 1; ``complete_intersection`` is
-    dim V(f_1, ..., f_m) == n - m.  The dimension is computed once, at
-    construction, from the grevlex basis that the generator ideal caches for
-    membership tests.  ``_jacobian`` holds the ideal that
-    :func:`conormal.geometry.jacobian_ideal` builds on first use, so its
-    basis is computed once per germ.  ``_trivial`` maps a degree k to the
-    encoded Groebner basis of the degree-k trivial forms that
-    :func:`is_trivial_form` builds on first use, so it too is computed once
-    per germ and degree.
+    Plain attributes, set at construction:
 
-    ``radical`` holds when the generator ideal is provably radical: the germ
-    is a complete intersection, so its ideal is unmixed, and it is regular
-    in codimension 0, i.e. dim V(Jacobian ideal) < dim X.  It is computed on
-    first use, from the Jacobian ideal's basis, never at construction.
+    * ``ring``, ``generators``;
+    * ``ideal``: the generator ideal, which caches its grevlex basis for
+      membership tests;
+    * ``hypersurface``: m == 1;
+    * ``dimension``: dim X, from the generator ideal's basis;
+    * ``complete_intersection``: dim X == n - m.
+
+    Derived facts, each computed on first use and kept (``cached_property``):
+
+    * ``jacobian``: the ideal of Sing X for a complete intersection, the
+      generators plus the nonzero m x m minors of the Jacobian matrix; it
+      raises on every access for other germs;
+    * ``radical``: the generator ideal is provably radical, i.e. the germ is a
+      complete intersection (so its ideal is unmixed) and regular in
+      codimension 0, dim V(jacobian) < dim X;
+    * ``differentials``: the exterior derivatives df_1, ..., df_m.
+
+    ``_trivial`` maps a degree k to the encoded Groebner basis of the degree-k
+    trivial forms, which :func:`is_trivial_form` builds on its first test in
+    that degree.
     """
-
-    __slots__ = (
-        "ring", "generators", "hypersurface", "_ideal", "_dimension", "_jacobian", "_trivial",
-        "_radical",
-    )
 
     def __init__(self, ring: PolynomialRing, generators: Sequence[Polynomial]):
         gens = tuple(generators)
@@ -123,36 +131,53 @@ class Germ:
                 raise ValueError(f"generator {g} does not vanish at the origin")
         self.ring = ring
         self.generators = gens
-        self._ideal = Ideal(gens, GREVLEX)
+        self.ideal = Ideal(gens, GREVLEX)
         self.hypersurface = len(gens) == 1
-        self._dimension = krull_dimension(self._ideal)
-        self._jacobian = None
+        self.dimension = krull_dimension(self.ideal)
+        self.complete_intersection = self.dimension == ring.nvars - len(gens)
         self._trivial = {}
-        self._radical = None
 
-    @property
-    def ideal(self) -> Ideal:
-        return self._ideal
+    @cached_property
+    def jacobian(self) -> Ideal:
+        if not self.complete_intersection:
+            raise ValueError(
+                "the germ is not a complete intersection, which the jacobian ideal needs"
+            )
+        n = self.ring.nvars
+        rows = [[partial_derivative(f, i) for i in range(n)] for f in self.generators]
+        minors = [
+            _det([[row[c] for c in cols] for row in rows])
+            for cols in combinations(range(n), len(rows))
+        ]
+        return Ideal(list(self.generators) + [p for p in minors if p], GREVLEX)
 
-    @property
-    def complete_intersection(self) -> bool:
-        return self._dimension == self.ring.nvars - len(self.generators)
-
-    def dimension(self) -> int:
-        return self._dimension
-
-    @property
+    @cached_property
     def radical(self) -> bool:
-        if self._radical is None:
-            from .geometry import regular_in_codimension
+        return self.complete_intersection and krull_dimension(self.jacobian) < self.dimension
 
-            self._radical = self.complete_intersection and regular_in_codimension(self, 0)
-        return self._radical
+    @cached_property
+    def differentials(self) -> tuple:
+        return tuple(exterior_derivative(g) for g in self.generators)
 
     def __str__(self) -> str:
         return "V(" + ", ".join(str(g) for g in self.generators) + f") in {self.ring}"
 
     __repr__ = __str__
+
+
+def _det(matrix) -> Polynomial:
+    if len(matrix) == 1:
+        return matrix[0][0]
+    out = None
+    for j, top in enumerate(matrix[0]):
+        if not top:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
+        term = top * _det(minor)
+        if j % 2:
+            term = -term
+        out = term if out is None else out + term
+    return out if out is not None else matrix[0][0].ring.zero
 
 
 class Parametrization:
@@ -241,8 +266,8 @@ def is_conormal(omega: FormLike, germ: Germ) -> Verdict:
         return Verdict(status, witness)
 
     eta = omega
-    for g in germ.generators:
-        eta = wedge(eta, exterior_derivative(g))
+    for dg in germ.differentials:
+        eta = wedge(eta, dg)
     labelled = [
         ("*".join("d" + germ.ring.variables[i] for i in idx), c)
         for idx, c in eta.coefficients()
@@ -292,8 +317,7 @@ def trivial_form_generators(germ: Germ, k: int) -> list:
             if form not in seen:
                 seen.add(form)
                 out.append(form)
-    for f in germ.generators:
-        df = exterior_derivative(f)
+    for df in germ.differentials:
         for T in combinations(range(n), k - 1):
             basis_form = (
                 ring.one if not T else DifferentialForm(ring, k - 1, {T: ring.one}, _clean=True)
@@ -345,15 +369,10 @@ def is_trivial_form(omega: DifferentialForm, germ: Germ) -> bool:
 def vanishes_on_singular_locus(omega: FormLike, germ: Germ) -> bool:
     """Whether every coefficient of the form vanishes on the singular locus
     of a hypersurface germ (radical membership in the Jacobian ideal)."""
-    from .geometry import jacobian_ideal
-
     if not germ.hypersurface:
         raise ValueError("the germ is not a hypersurface, which the singular-locus test needs")
     same_ring(omega, germ.generators[0])
-    jac = jacobian_ideal(germ)
-    if form_degree(omega) == 0:
-        return radical_membership(omega, jac)
-    return all(radical_membership(c, jac) for _, c in omega.coefficients())
+    return all(radical_membership(c, germ.jacobian) for c in _term_dict(omega).values())
 
 
 def oracle_conormal_on_parametrization(omega: FormLike, par: Parametrization) -> bool:
@@ -367,10 +386,8 @@ def oracle_conormal_on_parametrization(omega: FormLike, par: Parametrization) ->
     same_ring(omega, par.germ.generators[0])
     pring = par.ring
     differentials = [exterior_derivative(p) for p in par.components]
-    if isinstance(omega, Polynomial):
-        return not omega.substitute(pring, par.components)
     pullback = None
-    for idx, coeff in omega.coefficients():
+    for idx, coeff in _term_dict(omega).items():
         term: FormLike = coeff.substitute(pring, par.components)
         for i in idx:
             term = wedge(term, differentials[i])

@@ -18,6 +18,7 @@ from conormal.forms import (
     radial_potential,
     wedge,
 )
+from conormal.geometry import jacobian_ideal
 from conormal.germs import (
     Germ,
     Parametrization,
@@ -216,6 +217,39 @@ class TestRadical:
         assert all(v.status.value != "NoCertificate" for v in derived)
 
 
+class TestDerivedFacts:
+    def test_differentials_computed_once_per_germ(self, monkeypatch, umbrella):
+        import conormal.germs as germs
+
+        calls = []
+        real = germs.exterior_derivative
+        monkeypatch.setattr(
+            germs, "exterior_derivative", lambda x: calls.append(x) or real(x)
+        )
+        germ = Germ(R, umbrella.generators)
+        omega1 = form("y*z*dx + 2*x*z*dy - 2*x*y*dz")
+        assert is_conormal(omega1, germ).is_certified_yes
+        assert len(calls) == 1
+        assert is_conormal(omega1, germ).is_certified_yes
+        trivial_form_generators(germ, 2)
+        assert len(calls) == 1
+        assert is_conormal(omega1, Germ(R, umbrella.generators)).is_certified_yes
+        assert len(calls) == 2
+
+    def test_jacobian_kept_on_germ(self, umbrella):
+        germ = Germ(R, umbrella.generators)
+        assert jacobian_ideal(germ) is jacobian_ideal(germ) is germ.jacobian
+
+    def test_jacobian_of_non_complete_intersection_raises_on_every_access(self):
+        germ = Germ(R, [X, X * Y])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a complete intersection"):
+                germ.jacobian
+        with pytest.raises(ValueError, match="not a complete intersection"):
+            jacobian_ideal(germ)
+        assert not germ.radical
+
+
 class TestTrivialForms:
     def test_degree_one_generators_of_cusp(self, cusp):
         f = cusp.generators[0]
@@ -314,9 +348,11 @@ class TestTrivialForms:
 class TestVanishesOnSingularLocus:
     def test_umbrella_generator_form(self, umbrella):
         assert vanishes_on_singular_locus(form("y*z*dx + 2*x*z*dy - 2*x*y*dz"), umbrella)
+        assert vanishes_on_singular_locus(form("y"), umbrella)  # Sing X is the x-axis
 
     def test_dx_does_not_vanish(self, umbrella):
         assert not vanishes_on_singular_locus(form("dx"), umbrella)
+        assert not vanishes_on_singular_locus(form("x"), umbrella)
 
     def test_vacuous_for_smooth_germ(self):
         germ = Germ(R, [X])
@@ -373,6 +409,8 @@ class TestParametrizationOracle:
             ("y*dx*dz - z*dx*dy", True),
             ("dx", False),
             ("dy", False),
+            ("z^2 - x*y^2", True),
+            ("x", False),
         ]:
             w = form(text)
             verdict = is_conormal(w, umbrella)
