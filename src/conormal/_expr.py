@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .poly import Polynomial, PolynomialRing
+from .poly import PolynomialRing
 
 
 class ParseError(ValueError):
@@ -220,8 +220,3 @@ class _Parser:
 def parse_mixed_text(text: str, ring: PolynomialRing, allow_differentials: bool) -> dict:
     parser = _Parser(_tokenize(text), ring, allow_differentials)
     return parser.parse()
-
-
-def parse_polynomial_text(text: str, ring: PolynomialRing) -> Polynomial:
-    mixed = parse_mixed_text(text, ring, allow_differentials=False)
-    return mixed.get((), ring.zero)

@@ -10,7 +10,9 @@ fact by diagnostics instead of deciding transversality up front:
 * the section is non-reduced,
 * the hyperplane contains (a component of) the singular locus,
 * the hyperplane is tangent to the hypersurface at a regular point of the
-  intersection (decided exactly via 2x2 minors of gradient and normal),
+  intersection (decided exactly: the tangency locus is cut out by f, the
+  linear form l and the coefficients of df ^ dl, the Jacobian ideal of
+  V(f, l)),
 * tangency witnessed at sampled points of a supplied parametrization.
 
 The tangency locus of a hyperplane section is exactly the singular locus of
@@ -24,10 +26,10 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Optional
 
-from .forms import Hyperplane
+from .forms import Hyperplane, exterior_derivative, wedge
 from .germs import Germ, Parametrization
 from .groebner import GREVLEX, Ideal, krull_dimension, radical_membership
 from .poly import PolynomialRing, evaluate, partial_derivative
@@ -58,7 +60,8 @@ class BertiniReport:
 
 def jacobian_ideal(germ: Germ) -> Ideal:
     """Ideal whose zero set is the singular locus of a complete intersection
-    with m generators: the generators plus the nonzero m x m minors of the
+    with m generators: the generators plus the nonzero coefficients of
+    ``germ.jacobian_form`` = df_1 ^ ... ^ df_m, i.e. the m x m minors of the
     Jacobian matrix (for a hypersurface, its nonzero partials).  This is
     ``germ.jacobian``, built on first use and kept on the germ together with
     the bases it caches; it raises for a germ that is not a complete
@@ -74,31 +77,6 @@ def regular_in_codimension(germ: Germ, k: int) -> bool:
     if not 0 <= k <= dim:
         raise ValueError(f"codimension must be between 0 and dim X = {dim}")
     return krull_dimension(jacobian_ideal(germ)) < dim - k
-
-
-def _section_substitution(ring: PolynomialRing, hyperplane: Hyperplane):
-    """Solve the hyperplane for its first nonzero-normal variable.
-
-    Returns (section ring, images) where images realize the substitution
-    from the ambient ring into the section ring.
-    """
-    normal = hyperplane.normal
-    pivot = next(i for i, h in enumerate(normal) if h)
-    keep = [i for i in range(ring.nvars) if i != pivot]
-    section_ring = PolynomialRing([ring.variables[i] for i in keep])
-    images = []
-    solved = section_ring.zero
-    for new_pos, old in enumerate(keep):
-        if normal[old]:
-            solved = solved - section_ring.var(new_pos).scale(
-                Fraction(normal[old], normal[pivot])
-            )
-    for old in range(ring.nvars):
-        if old == pivot:
-            images.append(solved)
-        else:
-            images.append(section_ring.var(keep.index(old)))
-    return section_ring, images
 
 
 def hyperplane_section(germ: Germ, hyperplane: Hyperplane) -> Germ:
@@ -123,8 +101,25 @@ def _require_section_input(germ: Germ, hyperplane: Hyperplane):
 
 def _cut(germ: Germ, hyperplane: Hyperplane):
     """The section germ and the images of the ambient variables in its ring;
-    raises if the hyperplane is contained in the germ."""
-    section_ring, images = _section_substitution(germ.ring, hyperplane)
+    raises if the hyperplane is contained in the germ.
+
+    The hyperplane is solved for its first variable with a nonzero normal
+    entry, whose image is that solution; every other variable maps to itself.
+    """
+    ring, normal = germ.ring, hyperplane.normal
+    pivot = next(i for i, h in enumerate(normal) if h)
+    keep = [i for i in range(ring.nvars) if i != pivot]
+    section_ring = PolynomialRing([ring.variables[i] for i in keep])
+    solved = section_ring.zero
+    for new_pos, old in enumerate(keep):
+        if normal[old]:
+            solved = solved - section_ring.var(new_pos).scale(
+                Fraction(normal[old], normal[pivot])
+            )
+    images = [
+        solved if old == pivot else section_ring.var(keep.index(old))
+        for old in range(ring.nvars)
+    ]
     g = germ.generators[0].substitute(section_ring, images)
     if not g:
         raise ValueError("the hyperplane is contained in the germ")
@@ -134,19 +129,13 @@ def _cut(germ: Germ, hyperplane: Hyperplane):
 def section_is_reduced(section: Germ) -> bool:
     """Whether a hypersurface germ is reduced: the singular locus of g has
     codimension >= 2 in the ambient space, which for a principal ideal
-    characterizes squarefreeness."""
+    characterizes squarefreeness.  This is ``section.radical``."""
     if not section.hypersurface:
         raise ValueError("reducedness test is defined for hypersurface germs")
-    return _reduced(jacobian_ideal(section))
+    return section.radical
 
 
-def _reduced(section_jac: Ideal) -> bool:
-    return krull_dimension(section_jac) <= section_jac.ring.nvars - 2
-
-
-def _sampled_tangency_notes(
-    germ: Germ, hyperplane: Hyperplane, par: Parametrization, jac: Ideal
-) -> list:
+def _sampled_tangency_notes(hyperplane: Hyperplane, par: Parametrization, jac: Ideal) -> list:
     """Point witnesses: sampled parametrized points of the germ lying on the
     hyperplane where every tangent direction of the parametrization stays
     inside the hyperplane."""
@@ -184,7 +173,6 @@ def bertini_check(
     diagnostics = []
     jac = jacobian_ideal(germ)
     ell = hyperplane.linear_form()
-    f = germ.generators[0]
 
     try:
         section, images = _cut(germ, hyperplane)
@@ -196,7 +184,7 @@ def bertini_check(
         )
 
     section_jac = jacobian_ideal(section)
-    reduced = _reduced(section_jac)
+    reduced = section.radical
     if not reduced:
         diagnostics.append("section is non-reduced (H is tangent to X along a locus)")
 
@@ -214,20 +202,17 @@ def bertini_check(
         elif krull_dimension(Ideal(list(jac.generators) + [ell], GREVLEX)) >= dim_sing:
             diagnostics.append("H contains a positive-dimensional component of Sing X")
 
-    # Exact smooth-tangency test: on X intersect H, the gradient of f is
-    # parallel to the normal exactly on V(T); transversality on the regular
-    # part holds iff V(T) stays inside Sing X.
-    gradient = [partial_derivative(f, i) for i in range(germ.ring.nvars)]
-    normal_consts = [germ.ring.const(h) for h in hyperplane.normal]
-    minors = []
-    for i, j in combinations(range(germ.ring.nvars), 2):
-        minors.append(gradient[i] * normal_consts[j] - gradient[j] * normal_consts[i])
-    tangency = Ideal([f, ell] + [m for m in minors if m], GREVLEX)
+    # Exact smooth-tangency test: on X intersect H, df is parallel to dl
+    # exactly where df ^ dl vanishes, so the tangency locus V(T) is the
+    # singular locus of V(f, l); transversality on the regular part holds iff
+    # V(T) stays inside Sing X.
+    df_dl = wedge(germ.jacobian_form, exterior_derivative(ell))
+    tangency = Ideal([germ.generators[0], ell] + [c for _, c in df_dl.coefficients()], GREVLEX)
     if not all(radical_membership(g, tangency) for g in jac.generators):
         diagnostics.append("H is tangent to X at a regular point of X on H")
 
     if parametrization is not None:
-        diagnostics.extend(_sampled_tangency_notes(germ, hyperplane, parametrization, jac))
+        diagnostics.extend(_sampled_tangency_notes(hyperplane, parametrization, jac))
 
     if reduced and loci_equal:
         verdict = BertiniVerdict.CONFIRMS_THEOREM

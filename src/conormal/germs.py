@@ -3,12 +3,13 @@
 A :class:`Germ` is a polynomial model of an analytic germ at the origin:
 an ambient ring and generators that all vanish at 0.  Whether it is a
 hypersurface or a complete intersection is derived from the generators,
-never declared.  What the tests below need of the germ itself -- its
-Jacobian ideal, its radicality, the differentials of its generators and the
-bases of its trivial forms -- the germ computes on first use and keeps, so
-each is paid once per germ (see :class:`Germ`).  Because membership is
-decided in the polynomial ring rather than the local analytic ring,
-germ-level claims come back as a three-valued :class:`Verdict`:
+never declared.  What the tests below need of the germ itself -- the
+differentials of its generators and their wedge product, its Jacobian ideal,
+its radicality and the bases of its trivial forms -- the germ computes on
+first use and keeps, so each is paid once per germ (see :class:`Germ`).
+Because membership is decided in the polynomial ring rather than the local
+analytic ring, germ-level claims come back as a three-valued
+:class:`Verdict`:
 
 * ``CertifiedYes``   -- established by an exact ideal-membership certificate;
 * ``CertifiedNo``    -- refuted even up to radical (the defect survives on
@@ -24,9 +25,9 @@ Such an ideal is unmixed (Macaulay) and generically reduced (Jacobian
 criterion), hence radical, so a failed membership is already a CertifiedNo
 and no radical test runs.
 
-The conormality test multiplies the candidate form with the differentials
-of all generators and checks that every coefficient of the product lies in
-the generator ideal; this criterion needs a complete intersection
+The conormality test wedges the candidate form with df_1 ^ ... ^ df_m
+(``Germ.jacobian_form``) and checks that every coefficient of the product
+lies in the generator ideal; this criterion needs a complete intersection
 (dim V(f_1, ..., f_m) = n - m).  Other germs only get the independent
 parametrization oracle.
 """
@@ -61,7 +62,7 @@ from .groebner import (
     radical_membership,
     reduce,
 )
-from .poly import MonomialOrder, Polynomial, PolynomialRing, evaluate, partial_derivative, same_ring
+from .poly import MonomialOrder, Polynomial, PolynomialRing, evaluate, same_ring
 
 
 class VerdictStatus(Enum):
@@ -105,13 +106,16 @@ class Germ:
 
     Derived facts, each computed on first use and kept (``cached_property``):
 
+    * ``differentials``: the exterior derivatives df_1, ..., df_m;
+    * ``jacobian_form``: df_1 ^ ... ^ df_m, whose coefficients are the m x m
+      minors of the Jacobian matrix and which the conormality test wedges
+      every candidate form with;
     * ``jacobian``: the ideal of Sing X for a complete intersection, the
-      generators plus the nonzero m x m minors of the Jacobian matrix; it
+      generators plus the nonzero coefficients of ``jacobian_form``; it
       raises on every access for other germs;
     * ``radical``: the generator ideal is provably radical, i.e. the germ is a
       complete intersection (so its ideal is unmixed) and regular in
-      codimension 0, dim V(jacobian) < dim X;
-    * ``differentials``: the exterior derivatives df_1, ..., df_m.
+      codimension 0, dim V(jacobian) < dim X.
 
     ``_trivial`` maps a degree k to the encoded Groebner basis of the degree-k
     trivial forms, which :func:`is_trivial_form` builds on its first test in
@@ -143,13 +147,8 @@ class Germ:
             raise ValueError(
                 "the germ is not a complete intersection, which the jacobian ideal needs"
             )
-        n = self.ring.nvars
-        rows = [[partial_derivative(f, i) for i in range(n)] for f in self.generators]
-        minors = [
-            _det([[row[c] for c in cols] for row in rows])
-            for cols in combinations(range(n), len(rows))
-        ]
-        return Ideal(list(self.generators) + [p for p in minors if p], GREVLEX)
+        minors = [c for _, c in self.jacobian_form.coefficients()]
+        return Ideal(list(self.generators) + minors, GREVLEX)
 
     @cached_property
     def radical(self) -> bool:
@@ -159,25 +158,17 @@ class Germ:
     def differentials(self) -> tuple:
         return tuple(exterior_derivative(g) for g in self.generators)
 
+    @cached_property
+    def jacobian_form(self) -> DifferentialForm:
+        form = self.differentials[0]
+        for dg in self.differentials[1:]:
+            form = wedge(form, dg)
+        return form
+
     def __str__(self) -> str:
         return "V(" + ", ".join(str(g) for g in self.generators) + f") in {self.ring}"
 
     __repr__ = __str__
-
-
-def _det(matrix) -> Polynomial:
-    if len(matrix) == 1:
-        return matrix[0][0]
-    out = None
-    for j, top in enumerate(matrix[0]):
-        if not top:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = top * _det(minor)
-        if j % 2:
-            term = -term
-        out = term if out is None else out + term
-    return out if out is not None else matrix[0][0].ring.zero
 
 
 class Parametrization:
@@ -247,9 +238,9 @@ def is_conormal(omega: FormLike, germ: Germ) -> Verdict:
     """Decide whether a homogeneous form vanishes on the tangent spaces of
     the germ at its regular points.
 
-    For a complete intersection the form is conormal iff its wedge with the
-    differentials of all generators vanishes on the germ; vanishing is
-    checked coefficient-wise as ideal membership, with radical membership
+    For a complete intersection the form is conormal iff its wedge with
+    ``germ.jacobian_form`` = df_1 ^ ... ^ df_m vanishes on the germ; vanishing
+    is checked coefficient-wise as ideal membership, with radical membership
     as the fallback that separates CertifiedNo from NoCertificate (not
     needed when ``germ.radical`` holds).  The degree-0 case is plain
     (radical) ideal membership.
@@ -265,9 +256,7 @@ def is_conormal(omega: FormLike, germ: Germ) -> Verdict:
         }[status]
         return Verdict(status, witness)
 
-    eta = omega
-    for dg in germ.differentials:
-        eta = wedge(eta, dg)
+    eta = wedge(omega, germ.jacobian_form)
     labelled = [
         ("*".join("d" + germ.ring.variables[i] for i in idx), c)
         for idx, c in eta.coefficients()

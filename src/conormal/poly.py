@@ -110,12 +110,6 @@ class PolynomialRing:
     def nvars(self) -> int:
         return len(self.variables)
 
-    def var_index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise ValueError(f"unknown variable {name!r} in ring {self}") from None
-
     def var(self, i: int) -> "Polynomial":
         if not 0 <= i < self.nvars:
             raise ValueError(f"variable index {i} out of range for {self}")
@@ -372,9 +366,9 @@ def parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:
     Raises :class:`~conormal._expr.ParseError` (a ``ValueError``) with the
     offending position on syntax errors or unknown names.
     """
-    from ._expr import parse_polynomial_text
+    from ._expr import parse_mixed_text
 
-    return parse_polynomial_text(text, ring)
+    return parse_mixed_text(text, ring, allow_differentials=False).get((), ring.zero)
 
 
 def partial_derivative(p: Polynomial, i: int) -> Polynomial:

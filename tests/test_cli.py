@@ -62,6 +62,34 @@ class TestGermFiles:
         assert "[cusp3] trivial omega2 yes: FAIL (got no)" in lines
         assert lines[-1] == "summary: 3/4 checks passed"
 
+    def test_unanswerable_expect_line_fails_alone(self):
+        # Each bad line is valid syntax but cannot be evaluated; it must fail
+        # with its error while the line after it is still checked.
+        cusp = "ring x y z\ngen x^3 - y*z\n"
+        texts = {
+            "not_ci": ("ring x y\ngen x\ngen x*y\n", "check dx CertifiedYes", "trivial dx yes"),
+            "curve": ("ring x y z\ngen x\ngen y\n", "vanishes dz yes", "check dx CertifiedYes"),
+            "word": (cusp, "regular abc yes", "regular 1 yes"),
+            "too_big": (cusp, "regular 7 no", "regular 1 yes"),
+            "arity": (
+                "ring x y z\ngen z^2 - x*y^2\n",
+                "tangent 0, -y CertifiedYes",
+                "tangent 0, -y, -z CertifiedYes",
+            ),
+            "unknown_name": (cusp, "trivial omega9 no", "regular 1 yes"),
+        }
+        files = {
+            label: parse_germ_text(f"{head}expect {bad}\nexpect {good}\n")
+            for label, (head, bad, good) in texts.items()
+        }
+        lines, ok = verify_examples(files)
+        assert not ok
+        for label, (_, bad, good) in texts.items():
+            assert any(line.startswith(f"[{label}] {bad}: FAIL (error: ") for line in lines)
+            assert f"[{label}] {good}: PASS" in lines
+        assert not any("--field" in line for line in lines)
+        assert lines[-1] == "summary: 6/12 checks passed"
+
     def test_ring_must_come_first(self):
         with pytest.raises(GermFileError):
             parse_germ_text("gen x\nring x y\n")

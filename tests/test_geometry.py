@@ -142,6 +142,17 @@ class TestSectionIsReduced:
         y, _ = sr.gens()
         assert section_is_reduced(Germ(sr, [y]))
 
+    def test_is_the_germ_radicality(self):
+        yz = PolynomialRing(["y", "z"])
+        y, z = yz.gens()
+        xy = PolynomialRing(["x", "y"])
+        for germ in (
+            Germ(yz, [z**2 - (y + z) * y**2]),
+            Germ(xy, [xy.var(0) ** 3]),
+            Germ(yz, [y]),
+        ):
+            assert section_is_reduced(germ) == germ.radical
+
 
 class TestBertiniCheck:
     def test_generic_hand_case(self, umbrella, umbrella_param):

@@ -37,7 +37,7 @@ from conormal.groebner import (
     module_membership,
     radical_membership,
 )
-from conormal.poly import PolynomialRing
+from conormal.poly import PolynomialRing, partial_derivative
 
 from strategies import forms, nonzero_polynomials, polynomials, random_form, random_polynomial
 
@@ -235,6 +235,53 @@ class TestDerivedFacts:
         assert len(calls) == 1
         assert is_conormal(omega1, Germ(R, umbrella.generators)).is_certified_yes
         assert len(calls) == 2
+
+    def test_jacobian_generators_are_the_maximal_minors(self):
+        # Reference: the generators, then the nonzero m x m minors of the
+        # Jacobian matrix by cofactor expansion, columns in lexicographic order.
+        def det(rows):
+            if len(rows) == 1:
+                return rows[0][0]
+            return sum(
+                (
+                    (-1) ** j * top * det([row[:j] + row[j + 1 :] for row in rows[1:]])
+                    for j, top in enumerate(rows[0])
+                ),
+                rows[0][0].ring.zero,
+            )
+
+        rng = random.Random(7)
+        seen = {1: 0, 2: 0}
+        while min(seen.values()) < 6:
+            m = rng.choice([1, 2])
+            gens = []
+            while len(gens) < m:
+                p = random_polynomial(rng, R, max_terms=3, max_degree=3, nonzero=True)
+                p = p - p.terms.get((0, 0, 0), 0)
+                if p:
+                    gens.append(p)
+            germ = Germ(R, gens)
+            if not germ.complete_intersection:
+                continue
+            seen[m] += 1
+            rows = [[partial_derivative(f, i) for i in range(R.nvars)] for f in gens]
+            minors = [
+                det([[row[c] for c in cols] for row in rows])
+                for cols in combinations(range(R.nvars), m)
+            ]
+            assert germ.jacobian.generators == tuple(gens) + tuple(p for p in minors if p)
+
+    def test_warm_conormality_test_wedges_once(self, monkeypatch):
+        import conormal.germs as germs
+
+        germ = Germ(R, [X * Y - Z**2, X + Y * Z])
+        omega = form("z*dx + y*dz")
+        first = is_conormal(omega, germ)
+        calls = []
+        real = germs.wedge
+        monkeypatch.setattr(germs, "wedge", lambda a, b: calls.append(a) or real(a, b))
+        assert is_conormal(omega, germ) == first
+        assert len(calls) == 1
 
     def test_jacobian_kept_on_germ(self, umbrella):
         germ = Germ(R, umbrella.generators)
