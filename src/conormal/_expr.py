@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .poly import PolynomialRing
+from .poly import Polynomial, PolynomialRing, _norm
 
 
 class ParseError(ValueError):
@@ -53,9 +53,9 @@ def _tokenize(text: str):
                 num, den = raw.split("/")
                 if int(den) == 0:
                     raise ParseError("zero denominator", pos)
-                value = Fraction(int(num), int(den))
+                value = _norm(Fraction(int(num), int(den)))
             else:
-                value = Fraction(int(raw))
+                value = int(raw)
             tokens.append(("num", value, pos))
             pos = m.end()
             continue
@@ -185,13 +185,13 @@ class _Parser:
         if kind == "op" and value == "^":
             self.advance()
             kind, value, pos = self.peek()
-            if kind != "num" or value.denominator != 1 or value < 1:
+            if kind != "num" or not isinstance(value, int) or value < 1:
                 raise ParseError("exponent must be a positive integer", pos)
             self.advance()
             if any(key for key in mixed):
                 raise ParseError("'^' applies only to polynomial factors", pos)
             base = mixed.get((), self.ring.zero)
-            power = base ** int(value)
+            power = base**value
             return {(): power} if power else {}
         return mixed
 
@@ -218,5 +218,10 @@ class _Parser:
 
 
 def parse_mixed_text(text: str, ring: PolynomialRing, allow_differentials: bool) -> dict:
+    """The mixed form of ``text``; its integral coefficients are ``int``s,
+    even where the arithmetic of parsing left a ``Fraction`` (``2*1/2``)."""
     parser = _Parser(_tokenize(text), ring, allow_differentials)
-    return parser.parse()
+    return {
+        key: Polynomial(ring, {m: _norm(c) for m, c in p.terms.items()}, _clean=True)
+        for key, p in parser.parse().items()
+    }

@@ -21,8 +21,8 @@ whose flag does not hold is rejected.
 An ``expect <kind> <argument> <value>`` line records a result that
 ``verify_examples`` checks.  The argument is a form or form name (kinds
 ``check``, ``trivial``, ``oracle``, ``vanishes``), a vector field ``p1, ..., pn``
-(``tangent``) or a codimension (``regular``); ``check`` and ``tangent`` expect
-a verdict status, the others ``yes`` or ``no``.
+(``tangent``) or a non-negative integer codimension (``regular``); ``check``
+and ``tangent`` expect a verdict status, the others ``yes`` or ``no``.
 """
 
 from __future__ import annotations
@@ -160,9 +160,12 @@ def parse_germ_text(text: str, source: str = "<string>") -> GermFile:
             if kind not in _EXPECT_KINDS:
                 fail(lineno, f"unknown expect kind {kind!r}")
             allowed = _EXPECT_KINDS[kind][0]
-            if not argument.strip() or value not in allowed:
+            argument = argument.strip()
+            if not argument or value not in allowed:
                 fail(lineno, f"expected: expect {kind} <argument> <{'|'.join(allowed)}>")
-            raw_expects.append((lineno, kind, argument.strip(), value))
+            if kind == "regular" and not argument.isdecimal():
+                fail(lineno, f"expect regular needs a non-negative integer, not {argument!r}")
+            raw_expects.append((lineno, kind, argument, value))
         else:
             fail(lineno, f"unknown directive {head!r}")
 

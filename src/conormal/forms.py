@@ -23,6 +23,7 @@ from .poly import (
     Polynomial,
     PolynomialRing,
     Scalar,
+    _div,
     evaluate,
     format_polynomial,
     partial_derivative,
@@ -294,7 +295,7 @@ def radial_potential(omega: FormLike) -> Polynomial:
         for exps, c in coeff.terms.items():
             d = sum(exps)
             key = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
-            s = out.get(key, Fraction(0)) + Fraction(c, d + 1)
+            s = out.get(key, 0) + _div(c, d + 1)
             if s:
                 out[key] = s
             elif key in out:

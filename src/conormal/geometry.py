@@ -32,7 +32,7 @@ from typing import Optional
 from .forms import Hyperplane, exterior_derivative, wedge
 from .germs import Germ, Parametrization
 from .groebner import GREVLEX, Ideal, krull_dimension, radical_membership
-from .poly import PolynomialRing, evaluate, partial_derivative
+from .poly import PolynomialRing, _div, evaluate, partial_derivative
 
 
 class BertiniVerdict(Enum):
@@ -113,9 +113,7 @@ def _cut(germ: Germ, hyperplane: Hyperplane):
     solved = section_ring.zero
     for new_pos, old in enumerate(keep):
         if normal[old]:
-            solved = solved - section_ring.var(new_pos).scale(
-                Fraction(normal[old], normal[pivot])
-            )
+            solved = solved - section_ring.var(new_pos).scale(_div(normal[old], normal[pivot]))
     images = [
         solved if old == pivot else section_ring.var(keep.index(old))
         for old in range(ring.nvars)
@@ -140,7 +138,7 @@ def _sampled_tangency_notes(hyperplane: Hyperplane, par: Parametrization, jac: I
     hyperplane where every tangent direction of the parametrization stays
     inside the hyperplane."""
     d = par.ring.nvars
-    samples = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(2)]
+    samples = [0, 1, -1, Fraction(1, 2), Fraction(-1, 2), 2]
     normal = hyperplane.normal
     partials = [
         [partial_derivative(p, l) for p in par.components] for l in range(d)

@@ -23,7 +23,6 @@ ideal compute one basis.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -32,6 +31,7 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     PolynomialRing,
+    _div,
     block_order,
     monomial_div,
     monomial_divides,
@@ -55,21 +55,24 @@ def reduce(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> 
     if divisors:
         same_ring(f, *[g for g, _ in divisors])
     work = dict(f.terms)
+    keys = {m: order.key(m) for m in work}  # each term's order key, computed once
     remainder: dict = {}
     while work:
-        m = max(work, key=order.key)
+        m = max(work, key=keys.__getitem__)
         c = work.pop(m)
         for g, (lm, lc) in divisors:
             if monomial_divides(lm, m):
                 q = monomial_div(m, lm)
-                scale = c / lc
+                scale = _div(c, lc)
                 for gm, gc in g.terms.items():
                     if gm == lm:
                         continue
                     key = monomial_mul(gm, q)
-                    s = work.get(key, Fraction(0)) - scale * gc
+                    s = work.get(key, 0) - scale * gc
                     if s:
                         work[key] = s
+                        if key not in keys:
+                            keys[key] = order.key(key)
                     elif key in work:
                         del work[key]
                 break
@@ -89,15 +92,14 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     if order.kind == "top" and fm[: order.split] != gm[: order.split]:
         return f.ring.zero
     lcm = monomial_lcm(fm, gm)
-    uf = _mono_times(f, monomial_div(lcm, fm), 1 / fc)
-    ug = _mono_times(g, monomial_div(lcm, gm), 1 / gc)
+    uf = _mono_times(f, monomial_div(lcm, fm), _div(1, fc))
+    ug = _mono_times(g, monomial_div(lcm, gm), _div(1, gc))
     return uf - ug
 
 
 def _mono_times(p: Polynomial, mono, coeff) -> Polynomial:
-    c = Fraction(coeff)
     return Polynomial(
-        p.ring, {monomial_mul(m, mono): v * c for m, v in p.terms.items()}, _clean=True
+        p.ring, {monomial_mul(m, mono): v * coeff for m, v in p.terms.items()}, _clean=True
     )
 
 

@@ -1,9 +1,17 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a mapping from exponent tuples to nonzero ``Fraction``
+A polynomial is a mapping from exponent tuples to nonzero exact rational
 coefficients, attached to a :class:`PolynomialRing` that fixes the variable
 names and their order.  Values are immutable after construction and every
 operation returns a fresh polynomial, so instances can be shared freely.
+
+A coefficient is a plain ``int`` when it is integral and a ``Fraction``
+otherwise, never a float: integer arithmetic skips the ``gcd`` that every
+``Fraction`` operation pays.  Construction, ``scale`` and ``monic`` store
+integral values as ``int`` (:func:`_norm`); sums and products may keep a
+``Fraction`` with denominator 1, which compares and hashes equal to the
+``int``.  Every division of coefficients goes through :func:`_div`, because
+``int / int`` is a float.
 
 Monomials are plain tuples of non-negative integers (one entry per ring
 variable); the helpers below implement the little divisibility lattice that
@@ -35,6 +43,16 @@ def monomial_div(a: Exponents, b: Exponents) -> Exponents:
 
 def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _norm(c: Scalar) -> Scalar:
+    """``c`` as an ``int`` when it is integral, else unchanged."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b, normalized by :func:`_norm`."""
+    return _norm(Fraction(a) / b)
 
 
 def _grevlex_key(exps: Exponents):
@@ -115,13 +133,13 @@ class PolynomialRing:
             raise ValueError(f"variable index {i} out of range for {self}")
         exps = [0] * self.nvars
         exps[i] = 1
-        return Polynomial(self, {tuple(exps): Fraction(1)}, _clean=True)
+        return Polynomial(self, {tuple(exps): 1}, _clean=True)
 
     def gens(self) -> tuple:
         return tuple(self.var(i) for i in range(self.nvars))
 
     def const(self, value: Scalar) -> "Polynomial":
-        c = Fraction(value)
+        c = _norm(Fraction(value))
         if c == 0:
             return Polynomial(self, {}, _clean=True)
         return Polynomial(self, {(0,) * self.nvars: c}, _clean=True)
@@ -157,7 +175,11 @@ def same_ring(*objs) -> PolynomialRing:
 
 
 class Polynomial:
-    """An immutable sparse polynomial with exact rational coefficients."""
+    """An immutable sparse polynomial with exact rational coefficients.
+
+    Each coefficient is nonzero, and an ``int`` or a ``Fraction``: see the
+    module docstring.
+    """
 
     __slots__ = ("ring", "_terms", "_lead")
 
@@ -174,8 +196,8 @@ class Polynomial:
                     raise ValueError(f"bad exponent tuple {exps} for ring {ring}")
                 c = Fraction(coeff)
                 if c != 0:
-                    clean[exps] = clean.get(exps, Fraction(0)) + c
-            self._terms = {m: c for m, c in clean.items() if c != 0}
+                    clean[exps] = clean.get(exps, 0) + c
+            self._terms = {m: _norm(c) for m, c in clean.items() if c != 0}
         self._lead = {}
 
     @property
@@ -214,16 +236,18 @@ class Polynomial:
         if lead is None or lead[1] == 1:
             return self
         c = lead[1]
-        return Polynomial(self.ring, {m: v / c for m, v in self._terms.items()}, _clean=True)
+        return Polynomial(self.ring, {m: _div(v, c) for m, v in self._terms.items()}, _clean=True)
 
     def scale(self, c: Scalar) -> "Polynomial":
-        c = Fraction(c)
+        c = _norm(Fraction(c))
         if c == 0:
             return self.ring.zero
-        return Polynomial(self.ring, {m: v * c for m, v in self._terms.items()}, _clean=True)
+        return Polynomial(
+            self.ring, {m: _norm(v * c) for m, v in self._terms.items()}, _clean=True
+        )
 
-    def constant_coefficient(self) -> Fraction:
-        return self._terms.get((0,) * self.ring.nvars, Fraction(0))
+    def constant_coefficient(self) -> Scalar:
+        return self._terms.get((0,) * self.ring.nvars, 0)
 
     def is_constant(self) -> bool:
         return not self._terms or (len(self._terms) == 1 and not any(next(iter(self._terms))))
@@ -234,7 +258,7 @@ class Polynomial:
             return NotImplemented
         out = dict(self._terms)
         for m, c in other._terms.items():
-            s = out.get(m, Fraction(0)) + c
+            s = out.get(m, 0) + c
             if s:
                 out[m] = s
             elif m in out:
@@ -268,7 +292,7 @@ class Polynomial:
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = monomial_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
+                s = out.get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
                 elif m in out:
@@ -327,7 +351,7 @@ class Polynomial:
         return f"<{format_polynomial(self)} over {self.ring}>"
 
 
-def _format_coeff(c: Fraction) -> str:
+def _format_coeff(c: Scalar) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 

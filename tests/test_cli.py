@@ -51,6 +51,8 @@ class TestGermFiles:
             "expect check",
             "expect trivial dx CertifiedYes",
             "expect oracle dx yes",
+            "expect regular abc yes",
+            "expect regular -1 no",
         ):
             with pytest.raises(GermFileError, match="^cusp.germ:3: "):
                 parse_germ_text(f"ring x y z\ngen x^3 - y*z\n{line}\n", source="cusp.germ")
@@ -69,7 +71,6 @@ class TestGermFiles:
         texts = {
             "not_ci": ("ring x y\ngen x\ngen x*y\n", "check dx CertifiedYes", "trivial dx yes"),
             "curve": ("ring x y z\ngen x\ngen y\n", "vanishes dz yes", "check dx CertifiedYes"),
-            "word": (cusp, "regular abc yes", "regular 1 yes"),
             "too_big": (cusp, "regular 7 no", "regular 1 yes"),
             "arity": (
                 "ring x y z\ngen z^2 - x*y^2\n",
@@ -88,7 +89,7 @@ class TestGermFiles:
             assert any(line.startswith(f"[{label}] {bad}: FAIL (error: ") for line in lines)
             assert f"[{label}] {good}: PASS" in lines
         assert not any("--field" in line for line in lines)
-        assert lines[-1] == "summary: 6/12 checks passed"
+        assert lines[-1] == "summary: 5/10 checks passed"
 
     def test_ring_must_come_first(self):
         with pytest.raises(GermFileError):

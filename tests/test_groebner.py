@@ -53,6 +53,25 @@ class TestReduce:
     def test_empty_basis_is_identity(self):
         assert reduce(X + Y, [], GREVLEX) == X + Y
 
+    def test_one_order_key_per_monomial(self, monkeypatch):
+        # Each monomial that enters the pending terms is keyed once, not once
+        # per division step while it waits.
+        basis = buchberger([F_UMBRELLA, X**3 - Y * Z], GREVLEX)
+        for g in basis:
+            g.leading(GREVLEX)
+        f = X**3 * Y**2 + X * Z**3 + Y * Z**4
+        keyed = []
+        key = MonomialOrder.key
+
+        def counting(order, exps):
+            keyed.append(exps)
+            return key(order, exps)
+
+        monkeypatch.setattr(MonomialOrder, "key", counting)
+        reduce(f, basis, GREVLEX)
+        assert set(f.terms) < set(keyed)  # division steps brought new terms
+        assert len(keyed) == len(set(keyed))
+
     @given(polynomials(R), nonzero_polynomials(R))
     def test_remainder_terms_not_divisible(self, f, g):
         r = reduce(f, [g], GREVLEX)

@@ -3,10 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conormal import ParseError
+from conormal.forms import Hyperplane, exterior_derivative, radial_potential
+from conormal.geometry import hyperplane_section
+from conormal.germs import Germ
+from conormal.groebner import buchberger, reduce
 from conormal.poly import (
     GREVLEX,
     LEX,
@@ -17,7 +21,7 @@ from conormal.poly import (
     partial_derivative,
 )
 
-from strategies import polynomials
+from strategies import coefficients, nonzero_polynomials, polynomials
 
 R = PolynomialRing(["x", "y", "z"])
 X, Y, Z = R.gens()
@@ -124,6 +128,49 @@ class TestRingAxioms:
     @given(polynomials(R))
     def test_print_parse_stability(self, p):
         assert str(parse_polynomial(str(p), R)) == str(p)
+
+
+def assert_exact(p, normalized=False):
+    """Every coefficient is an ``int`` or a ``Fraction``, never a float; if
+    ``normalized``, no ``Fraction`` is integral."""
+    for c in p.terms.values():
+        assert type(c) in (int, Fraction), (p, c)
+        if normalized:
+            assert type(c) is int or c.denominator != 1, (p, c)
+
+
+class TestCoefficientTypes:
+    @given(polynomials(R), nonzero_polynomials(R, max_degree=2), coefficients())
+    def test_never_a_float(self, p, q, c):
+        assert_exact(p, True)  # Polynomial(R, terms) with Fraction coefficients
+        assert_exact(p.scale(c), True)
+        assert_exact(p.scale(Fraction(4, 2)), True)
+        assert_exact(q.monic(GREVLEX), True)
+        assert_exact(parse_polynomial(str(p), R), True)
+        for result in (p + q, p - q, p * q, reduce(p, [q], GREVLEX)):
+            assert_exact(result)
+        for g in buchberger([q, p + X * q], GREVLEX):
+            assert_exact(g)
+        assert_exact(radial_potential(exterior_derivative(p)))
+
+    def test_parser_normalizes_integral_results(self):
+        p = parse_polynomial("2*1/2*x + 1/3*y + 2/3*y + 4/2", R)
+        assert p == X + Y + 2
+        assert_exact(p, True)
+
+    @given(
+        nonzero_polynomials(R, max_degree=3),
+        st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(any),
+    )
+    def test_hyperplane_section_never_a_float(self, f, normal):
+        f = f - f.constant_coefficient()
+        assume(f)
+        germ = Germ(R, [f])
+        try:
+            section = hyperplane_section(germ, Hyperplane(R, normal))
+        except ValueError:
+            assume(False)  # the hyperplane lies in the germ
+        assert_exact(section.generators[0])
 
 
 class TestOrders:
