@@ -66,7 +66,6 @@ from .geometry import (
     jacobian_ideal,
     random_hyperplane,
     regular_in_codimension,
-    section_is_reduced,
 )
 
 __version__ = "0.1.0"

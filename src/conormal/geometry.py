@@ -124,15 +124,6 @@ def _cut(germ: Germ, hyperplane: Hyperplane):
     return Germ(section_ring, [g]), images
 
 
-def section_is_reduced(section: Germ) -> bool:
-    """Whether a hypersurface germ is reduced: the singular locus of g has
-    codimension >= 2 in the ambient space, which for a principal ideal
-    characterizes squarefreeness.  This is ``section.radical``."""
-    if not section.hypersurface:
-        raise ValueError("reducedness test is defined for hypersurface germs")
-    return section.radical
-
-
 def _sampled_tangency_notes(hyperplane: Hyperplane, par: Parametrization, jac: Ideal) -> list:
     """Point witnesses: sampled parametrized points of the germ lying on the
     hyperplane where every tangent direction of the parametrization stays

@@ -8,8 +8,9 @@ differentials of its generators and their wedge product, its Jacobian ideal,
 its radicality and the bases of its trivial forms -- the germ computes on
 first use and keeps, so each is paid once per germ (see :class:`Germ`).
 Because membership is decided in the polynomial ring rather than the local
-analytic ring, germ-level claims come back as a three-valued
-:class:`Verdict`:
+analytic ring, germ-level claims come back as a :class:`Verdict`: a record
+of the polynomials the claim was reduced to and the one that decided it,
+whose witness text is rendered only when read, with one of three statuses:
 
 * ``CertifiedYes``   -- established by an exact ideal-membership certificate;
 * ``CertifiedNo``    -- refuted even up to radical (the defect survives on
@@ -71,12 +72,32 @@ class VerdictStatus(Enum):
     NO_CERTIFICATE = "NoCertificate"
 
 
+_DEGREE_ZERO = {
+    VerdictStatus.CERTIFIED_YES: "normal form 0 modulo the generator ideal",
+    VerdictStatus.CERTIFIED_NO: "does not vanish on the zero set (radical test fails)",
+    VerdictStatus.NO_CERTIFICATE: "vanishes on the zero set but is not in the generator ideal",
+}
+
+
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a germ-level claim checked in the polynomial ring."""
+    """Outcome of a germ-level claim checked in the polynomial ring.
+
+    ``tested`` holds the (key, polynomial) pairs the claim was reduced to,
+    each claimed to lie in the generator ideal.  A key is ``()`` for a
+    degree-0 claim, an index tuple for a coefficient of ``wedge`` = omega ^
+    ``Germ.jacobian_form`` (a conormality claim in positive degree; when the
+    wedge is the zero form, ``tested`` is empty), or the generator g for the
+    derivative V(g) of a tangency claim.  ``offender`` is the pair that
+    decided a CertifiedNo or NoCertificate.  ``witness`` renders the record
+    as text when it is read; labels such as ``dx*dy`` and ``V(g)`` come from
+    the keys and are never stored.
+    """
 
     status: VerdictStatus
-    witness: Optional[str] = None
+    tested: tuple
+    offender: Optional[tuple] = None
+    wedge: Optional[DifferentialForm] = None
 
     @property
     def is_certified_yes(self) -> bool:
@@ -86,10 +107,29 @@ class Verdict:
     def is_certified_no(self) -> bool:
         return self.status is VerdictStatus.CERTIFIED_NO
 
+    @property
+    def witness(self) -> str:
+        if self.wedge is None and self.tested[0][0] == ():
+            return _DEGREE_ZERO[self.status]
+        if self.offender is None:
+            if self.wedge is not None:
+                return (
+                    f"wedge with generator differentials = {format_form(self.wedge)}; "
+                    "every coefficient is in the generator ideal"
+                )
+            shown = "; ".join(f"V({g}) = {p}" for g, p in self.tested)
+            return f"{shown}; all in the generator ideal"
+        key, p = self.offender
+        if self.wedge is None:
+            claim = f"V({key}) = {p}"
+        else:
+            claim = f"coefficient {p} on " + "*".join("d" + p.ring.variables[i] for i in key)
+        if self.is_certified_no:
+            return f"{claim} is not in the radical of the ideal"
+        return f"{claim} is in the radical but not in the ideal"
+
     def __str__(self) -> str:
-        if self.witness:
-            return f"{self.status.value}: {self.witness}"
-        return self.status.value
+        return f"{self.status.value}: {self.witness}"
 
 
 class Germ:
@@ -201,29 +241,29 @@ class Parametrization:
         return "(" + ", ".join(str(p) for p in self.components) + ")"
 
 
-def _classify(labelled, germ: Germ) -> tuple:
-    """Three-way classification of labelled polynomials against the
-    generator ideal of a germ.
+def _classify(tested, germ: Germ, wedge: Optional[DifferentialForm] = None) -> Verdict:
+    """The verdict on whether every polynomial of the (key, polynomial)
+    pairs ``tested`` lies in the generator ideal of a germ.
 
-    Returns (status, offender) where offender is the first (label, poly)
-    failing the strongest test that decides the status.  On a radical germ
-    a polynomial outside the ideal is outside its radical, so the first
-    failure decides; only other germs run the Rabinowitsch test, and only
-    on the failures.
+    The offender is the first pair failing the strongest test that decides
+    the status.  On a radical germ a polynomial outside the ideal is outside
+    its radical, so the first failure decides; only other germs run the
+    Rabinowitsch test, and only on the failures.
     """
+    tested = tuple(tested)
     ideal = germ.ideal
     failures = []
-    for label, p in labelled:
-        if not ideal_membership(p, ideal):
+    for pair in tested:
+        if not ideal_membership(pair[1], ideal):
             if germ.radical:
-                return VerdictStatus.CERTIFIED_NO, (label, p)
-            failures.append((label, p))
-    if not failures:
-        return VerdictStatus.CERTIFIED_YES, None
-    for label, p in failures:
-        if not _rabinowitsch(p, ideal):
-            return VerdictStatus.CERTIFIED_NO, (label, p)
-    return VerdictStatus.NO_CERTIFICATE, failures[0]
+                return Verdict(VerdictStatus.CERTIFIED_NO, tested, pair, wedge)
+            failures.append(pair)
+    for pair in failures:
+        if not _rabinowitsch(pair[1], ideal):
+            return Verdict(VerdictStatus.CERTIFIED_NO, tested, pair, wedge)
+    if failures:
+        return Verdict(VerdictStatus.NO_CERTIFICATE, tested, failures[0], wedge)
+    return Verdict(VerdictStatus.CERTIFIED_YES, tested, None, wedge)
 
 
 def _require_complete_intersection(germ: Germ):
@@ -248,47 +288,16 @@ def is_conormal(omega: FormLike, germ: Germ) -> Verdict:
     _require_complete_intersection(germ)
     same_ring(omega, germ.generators[0])
     if form_degree(omega) == 0:
-        status, offender = _classify([("the polynomial", omega)], germ)
-        witness = {
-            VerdictStatus.CERTIFIED_YES: "normal form 0 modulo the generator ideal",
-            VerdictStatus.CERTIFIED_NO: "does not vanish on the zero set (radical test fails)",
-            VerdictStatus.NO_CERTIFICATE: "vanishes on the zero set but is not in the generator ideal",
-        }[status]
-        return Verdict(status, witness)
-
+        return _classify([((), omega)], germ)
     eta = wedge(omega, germ.jacobian_form)
-    labelled = [
-        ("*".join("d" + germ.ring.variables[i] for i in idx), c)
-        for idx, c in eta.coefficients()
-    ]
-    status, offender = _classify(labelled, germ)
-    if status is VerdictStatus.CERTIFIED_YES:
-        return Verdict(
-            status,
-            f"wedge with generator differentials = {format_form(eta)}; "
-            "every coefficient is in the generator ideal",
-        )
-    label, p = offender
-    if status is VerdictStatus.CERTIFIED_NO:
-        return Verdict(status, f"coefficient {p} on {label} is not in the radical of the ideal")
-    return Verdict(
-        status, f"coefficient {p} on {label} is in the radical but not in the ideal"
-    )
+    return _classify(eta.coefficients(), germ, eta)
 
 
 def is_tangential(field: VectorField, germ: Germ) -> Verdict:
     """Decide whether a vector field is tangent to the germ: V(f_j) must
     vanish on the germ for every generator f_j."""
     same_ring(field, germ.generators[0])
-    derivatives = [(f"V({g})", field.apply(g)) for g in germ.generators]
-    status, offender = _classify(derivatives, germ)
-    if status is VerdictStatus.CERTIFIED_YES:
-        shown = "; ".join(f"{label} = {p}" for label, p in derivatives)
-        return Verdict(status, f"{shown}; all in the generator ideal")
-    label, p = offender
-    if status is VerdictStatus.CERTIFIED_NO:
-        return Verdict(status, f"{label} = {p} is not in the radical of the ideal")
-    return Verdict(status, f"{label} = {p} is in the radical but not in the ideal")
+    return _classify([(g, field.apply(g)) for g in germ.generators], germ)
 
 
 def trivial_form_generators(germ: Germ, k: int) -> list:

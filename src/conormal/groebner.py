@@ -63,7 +63,7 @@ def reduce(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> 
         for g, (lm, lc) in divisors:
             if monomial_divides(lm, m):
                 q = monomial_div(m, lm)
-                scale = _div(c, lc)
+                scale = c if lc == 1 else _div(c, lc)  # warm bases are monic
                 for gm, gc in g.terms.items():
                     if gm == lm:
                         continue

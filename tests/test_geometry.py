@@ -11,7 +11,6 @@ from conormal.geometry import (
     jacobian_ideal,
     random_hyperplane,
     regular_in_codimension,
-    section_is_reduced,
 )
 from conormal.germs import Germ
 from conormal.groebner import krull_dimension
@@ -85,7 +84,7 @@ class TestHyperplaneSection:
         section = hyperplane_section(cusp, Hyperplane(R, [0, 0, 1]))
         x, y = section.ring.gens()
         assert section.generators[0] == x**3
-        assert not section_is_reduced(section)
+        assert not section.radical
 
     def test_last_coordinate_drop(self, umbrella):
         section = hyperplane_section(umbrella, Hyperplane(R, [0, 0, 1]))
@@ -130,28 +129,17 @@ class TestSectionIsReduced:
         sr = PolynomialRing(["y", "z"])
         y, z = sr.gens()
         germ = Germ(sr, [z**2 - (y + z) * y**2])
-        assert section_is_reduced(germ)
+        assert germ.radical
 
     def test_double_line(self):
         sr = PolynomialRing(["x", "y"])
         x, _ = sr.gens()
-        assert not section_is_reduced(Germ(sr, [x**3]))
+        assert not Germ(sr, [x**3]).radical
 
     def test_smooth_line(self):
         sr = PolynomialRing(["y", "z"])
         y, _ = sr.gens()
-        assert section_is_reduced(Germ(sr, [y]))
-
-    def test_is_the_germ_radicality(self):
-        yz = PolynomialRing(["y", "z"])
-        y, z = yz.gens()
-        xy = PolynomialRing(["x", "y"])
-        for germ in (
-            Germ(yz, [z**2 - (y + z) * y**2]),
-            Germ(xy, [xy.var(0) ** 3]),
-            Germ(yz, [y]),
-        ):
-            assert section_is_reduced(germ) == germ.radical
+        assert Germ(sr, [y]).radical
 
 
 class TestBertiniCheck:

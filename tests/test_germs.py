@@ -154,6 +154,75 @@ class TestIsTangential:
         assert is_tangential(form_to_vector_field(w), umbrella).is_certified_yes
 
 
+class TestVerdict:
+    def test_witness_is_rendered_only_when_read(self, monkeypatch):
+        # Deciding renders no polynomial; reading the witness renders the
+        # same text as ever, for 3 statuses x polynomial, form and field.
+        import conormal.forms
+        import conormal.poly
+
+        umbrella = Germ(R, [Z**2 - X * Y**2])
+        plane = PolynomialRing(["x", "y"])
+        x, y = plane.gens()
+        double_line = Germ(plane, [x**2])
+        omega1, dx = form("y*z*dx + 2*x*z*dy - 2*x*y*dz"), form("dx")
+        plane_dx, plane_dy = form("dx", plane), form("dy", plane)
+        rendered = []
+        original = conormal.poly.format_polynomial
+
+        def counting(p):
+            rendered.append(p)
+            return original(p)
+
+        monkeypatch.setattr(conormal.poly, "format_polynomial", counting)
+        monkeypatch.setattr(conormal.forms, "format_polynomial", counting)
+        yes, no, open_ = "CertifiedYes: ", "CertifiedNo: ", "NoCertificate: "
+        cases = [
+            (is_conormal(x**2 * y, double_line), yes + "normal form 0 modulo the generator ideal"),
+            (is_conormal(y, double_line),
+             no + "does not vanish on the zero set (radical test fails)"),
+            (is_conormal(x, double_line),
+             open_ + "vanishes on the zero set but is not in the generator ideal"),
+            (is_conormal(omega1, umbrella),
+             yes + "wedge with generator differentials = (-2*x*y^3 + 2*y*z^2)*dx*dz"
+             " + (-4*x^2*y^2 + 4*x*z^2)*dy*dz; every coefficient is in the generator ideal"),
+            (is_conormal(plane_dx, double_line),
+             yes + "wedge with generator differentials = 0; every coefficient is in the generator"
+             " ideal"),
+            (is_conormal(dx, umbrella),
+             no + "coefficient -2*x*y on dx*dy is not in the radical of the ideal"),
+            (is_conormal(plane_dy, double_line),
+             open_ + "coefficient -2*x on dx*dy is in the radical but not in the ideal"),
+            (is_tangential(VectorField(R, [R.zero, -Y, -Z]), umbrella),
+             yes + "V(-x*y^2 + z^2) = 2*x*y^2 - 2*z^2; all in the generator ideal"),
+            (is_tangential(VectorField(R, [R.one, R.zero, R.zero]), umbrella),
+             no + "V(-x*y^2 + z^2) = -y^2 is not in the radical of the ideal"),
+            (is_tangential(VectorField(plane, [plane.one, plane.zero]), double_line),
+             open_ + "V(x^2) = 2*x is in the radical but not in the ideal"),
+        ]
+        assert rendered == []
+        for verdict, text in cases:
+            assert str(verdict) == text
+            assert verdict.witness == text.partition(": ")[2]
+        assert rendered
+
+    def test_records_what_was_tested(self, umbrella):
+        plane = PolynomialRing(["x", "y"])
+        x, y = plane.gens()
+        double_line = Germ(plane, [x**2])
+        v = is_conormal(x, double_line)
+        assert (v.tested, v.offender, v.wedge) == ((((), x),), ((), x), None)
+        v = is_conormal(form("dx"), umbrella)
+        assert v.wedge == wedge(form("dx"), umbrella.jacobian_form)
+        assert v.tested == tuple(v.wedge.coefficients())
+        assert v.offender == ((0, 1), -2 * X * Y)
+        v = is_conormal(form("dx", plane), double_line)
+        assert v.is_certified_yes and v.tested == () and not v.wedge
+        [g] = umbrella.generators
+        v = is_tangential(VectorField(R, [R.one, R.zero, R.zero]), umbrella)
+        assert v.tested == ((g, -(Y**2)),) and v.offender == (g, -(Y**2)) and v.wedge is None
+
+
 _CORPUS = {}
 
 

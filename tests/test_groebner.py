@@ -1,6 +1,7 @@
 """Groebner engine: division, bases, membership, elimination, radical, dimension."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,26 @@ class TestReduce:
         reduce(f, basis, GREVLEX)
         assert set(f.terms) < set(keyed)  # division steps brought new terms
         assert len(keyed) == len(set(keyed))
+
+    def test_no_division_by_a_unit_leading_coefficient(self, monkeypatch):
+        # Every basis a warm decision reduces against is monic.
+        import conormal.groebner as groebner
+
+        f = Polynomial(R, {(3, 2, 0): Fraction(1, 2), (1, 0, 3): 3, (0, 1, 4): 1})
+        monic = buchberger([F_UMBRELLA, X**3 - Y * Z], GREVLEX)
+        scaled = [g.scale(2) for g in monic]
+        divided = []
+        div = groebner._div
+
+        def counting(a, b):
+            divided.append(b)
+            return div(a, b)
+
+        monkeypatch.setattr(groebner, "_div", counting)
+        r = reduce(f, monic, GREVLEX)
+        assert divided == []
+        assert reduce(f, scaled, GREVLEX) == r
+        assert divided and set(divided) == {2}
 
     @given(polynomials(R), nonzero_polynomials(R))
     def test_remainder_terms_not_divisible(self, f, g):
