@@ -14,7 +14,6 @@ a polynomial potential for a closed 1-form.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Sequence, Union
 
@@ -24,6 +23,7 @@ from .poly import (
     PolynomialRing,
     Scalar,
     _div,
+    _rational,
     evaluate,
     format_polynomial,
     partial_derivative,
@@ -313,7 +313,7 @@ class Hyperplane:
     __slots__ = ("ring", "normal")
 
     def __init__(self, ring: PolynomialRing, normal: Sequence[Scalar]):
-        vec = [Fraction(v) for v in normal]
+        vec = [_rational(v) for v in normal]
         if len(vec) != ring.nvars:
             raise ValueError("one normal coordinate per ring variable required")
         if not any(vec):

@@ -15,6 +15,13 @@ variables in front, under the term-over-position order ``top``; the one
 module rule, that leads in different positions give the S-vector 0, lives
 in ``s_polynomial``, and ``buchberger`` never queues such a pair.
 
+Every lead-divisibility test (in ``reduce``, in ``_autoreduce`` and in the
+pair criteria of ``_complete``) first compares support masks
+(:func:`conormal.poly.support_mask`, one bit per variable that occurs): a
+lead can divide a term only if its mask lies inside the term's.  Under
+``top`` the position bits thus reject every lead in another position at
+once.  The masks only filter, so bases and remainders do not depend on them.
+
 Bases are reduced, monic and sorted, so they are canonical per (ideal, order);
 :class:`Ideal` caches them lazily, so repeated membership tests against one
 ideal compute one basis.
@@ -38,6 +45,7 @@ from .poly import (
     monomial_lcm,
     monomial_mul,
     same_ring,
+    support_mask,
 )
 
 # Optional callback fired as observer(generators, order, basis) after every
@@ -50,23 +58,30 @@ def reduce(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> 
 
     The result r satisfies f - r in <basis> and no term of r is divisible by
     a leading term of the basis.  With the empty basis, r = f.
+
+    Each divisor is the record :meth:`Polynomial.divisor` caches on the
+    basis element.  A pending term gets its order key once, when it enters,
+    and its support mask once, when it is taken as the largest: terms that
+    cancel first never need one.  A lead is tried only if its support mask
+    lies in the term's (under ``top`` the position bits reject every lead in
+    another position), so the masks filter without changing the result.
     """
-    divisors = [(g, g.leading(order)) for g in basis if g]
-    if divisors:
-        same_ring(f, *[g for g, _ in divisors])
+    nonzero = [g for g in basis if g]
+    if nonzero:
+        same_ring(f, *nonzero)
+    divisors = [g.divisor(order) for g in nonzero]
     work = dict(f.terms)
     keys = {m: order.key(m) for m in work}  # each term's order key, computed once
     remainder: dict = {}
     while work:
         m = max(work, key=keys.__getitem__)
         c = work.pop(m)
-        for g, (lm, lc) in divisors:
-            if monomial_divides(lm, m):
+        mask = support_mask(m)  # a term leaves ``work`` once, so this too is once per term
+        for dmask, lm, lc, tail in divisors:
+            if dmask & mask == dmask and monomial_divides(lm, m):
                 q = monomial_div(m, lm)
                 scale = c if lc == 1 else _div(c, lc)  # warm bases are monic
-                for gm, gc in g.terms.items():
-                    if gm == lm:
-                        continue
+                for gm, gc in tail:
                     key = monomial_mul(gm, q)
                     s = work.get(key, 0) - scale * gc
                     if s:
@@ -109,14 +124,14 @@ def _autoreduce(basis: list, order: MonomialOrder) -> list:
     # against the (sequentially updated) rest.  Leads never change, so the
     # result is the unique reduced basis.
     basis = [g.monic(order) for g in basis if g]
+    leads = [g.divisor(order)[:2] for g in basis]  # (support mask, lead)
     minimal = []
     for i, g in enumerate(basis):
-        lm = g.leading(order)[0]
+        mask, lm = leads[i]
         keep = True
-        for j, h in enumerate(basis):
-            if i == j:
+        for j, (hmask, hm) in enumerate(leads):
+            if i == j or hmask & mask != hmask:
                 continue
-            hm = h.leading(order)[0]
             if monomial_divides(hm, lm) and (hm != lm or j < i):
                 keep = False
                 break
@@ -170,13 +185,19 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, known: int = 0)
 
 
 def _complete(basis: list, order: MonomialOrder, known: int) -> list:
-    # The pair loop: extends the distinct monic ``basis`` to a Groebner
-    # basis, queueing no pair inside the first ``known`` elements; returns
-    # [1] on the first constant, which makes the ideal the unit ideal.
+    """The pair loop: extend the distinct monic ``basis`` to a Groebner
+    basis, queueing no pair inside the first ``known`` elements; return
+    [1] on the first constant, which makes the ideal the unit ideal.
+
+    One support mask is kept per lead.  Two leads are coprime iff their
+    masks are disjoint, and the chain criterion passes over a lead whose
+    mask leaves the union of the pair's masks without comparing exponents.
+    """
     one = basis[0].ring.one
     if any(g.is_constant() for g in basis):
         return [one]
     leads = [g.leading(order)[0] for g in basis]
+    masks = [support_mask(m) for m in leads]
     split = order.split if order.kind == "top" else 0
     pending = set()
     queue = []
@@ -194,9 +215,9 @@ def _complete(basis: list, order: MonomialOrder, known: int) -> list:
     while queue:
         _, i, j, lcm = heapq.heappop(queue)
         pending.remove((i, j))
-        if lcm == monomial_mul(leads[i], leads[j]):
+        if not masks[i] & masks[j]:
             continue  # coprime leads: S-polynomial reduces to zero
-        if _chain_criterion(leads, pending, i, j, lcm):
+        if _chain_criterion(leads, masks, pending, i, j, lcm):
             continue
         r = reduce(s_polynomial(basis[i], basis[j], order), basis, order)
         if r:
@@ -205,15 +226,19 @@ def _complete(basis: list, order: MonomialOrder, known: int) -> list:
             r = r.monic(order)
             basis.append(r)
             leads.append(r.leading(order)[0])
+            masks.append(support_mask(leads[-1]))
             add_pairs(len(basis) - 1)
     return basis
 
 
-def _chain_criterion(leads, pending, i, j, lcm) -> bool:
+def _chain_criterion(leads, masks, pending, i, j, lcm) -> bool:
     # Skip (i, j) if some k has its lead dividing lcm(i, j) while both
-    # (i, k) and (j, k) have already been treated.
+    # (i, k) and (j, k) have already been treated.  The support of the lcm
+    # is the union of the two supports, so a lead with a variable outside it
+    # is passed over on its mask alone.
+    outside = ~(masks[i] | masks[j])
     for k, lead in enumerate(leads):
-        if k in (i, j) or not monomial_divides(lead, lcm):
+        if k in (i, j) or masks[k] & outside or not monomial_divides(lead, lcm):
             continue
         ik = (min(i, k), max(i, k))
         jk = (min(j, k), max(j, k))
@@ -372,13 +397,11 @@ def krull_dimension(ideal: Ideal) -> int:
         return n  # zero ideal: the whole space
     if any(g.is_constant() for g in basis):
         return -1
-    supports = [
-        frozenset(i for i, e in enumerate(g.leading(GREVLEX)[0]) if e) for g in basis
-    ]
+    supports = [g.divisor(GREVLEX)[0] for g in basis]  # support masks of the leads
     for size in range(n, 0, -1):
         for subset in combinations(range(n), size):
-            s = set(subset)
-            if not any(sup <= s for sup in supports):
+            outside = ~sum(1 << i for i in subset)
+            if all(sup & outside for sup in supports):
                 return size
     return 0
 

@@ -15,7 +15,9 @@ integral values as ``int`` (:func:`_norm`); sums and products may keep a
 
 Monomials are plain tuples of non-negative integers (one entry per ring
 variable); the helpers below implement the little divisibility lattice that
-the Groebner machinery needs.
+the Groebner machinery needs.  :func:`support_mask` packs the set of
+variables a monomial involves into an int, a cheap necessary condition for
+divisibility (Singular's "short exponent vector").
 """
 
 from __future__ import annotations
@@ -43,6 +45,28 @@ def monomial_div(a: Exponents, b: Exponents) -> Exponents:
 
 def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def support_mask(m: Exponents) -> int:
+    """The int whose bit i is set iff x_i occurs in ``m``.
+
+    If a divides b then ``support_mask(a) & ~support_mask(b) == 0``, and the
+    mask of lcm(a, b) is the union of the two masks.
+    """
+    mask, bit = 0, 1
+    for e in m:
+        if e:
+            mask |= bit
+        bit <<= 1
+    return mask
+
+
+def _rational(value) -> Fraction:
+    """``value`` as an exact ``Fraction``; a float raises ``TypeError``, as
+    ``x * 0.1`` does, because its binary value is not the decimal it shows."""
+    if isinstance(value, float):
+        raise TypeError(f"coefficients are exact rationals, not floats: {value!r}")
+    return Fraction(value)
 
 
 def _norm(c: Scalar) -> Scalar:
@@ -139,7 +163,7 @@ class PolynomialRing:
         return tuple(self.var(i) for i in range(self.nvars))
 
     def const(self, value: Scalar) -> "Polynomial":
-        c = _norm(Fraction(value))
+        c = _norm(_rational(value))
         if c == 0:
             return Polynomial(self, {}, _clean=True)
         return Polynomial(self, {(0,) * self.nvars: c}, _clean=True)
@@ -194,7 +218,7 @@ class Polynomial:
                 exps = tuple(exps)
                 if len(exps) != n or any(e < 0 or not isinstance(e, int) for e in exps):
                     raise ValueError(f"bad exponent tuple {exps} for ring {ring}")
-                c = Fraction(coeff)
+                c = _rational(coeff)
                 if c != 0:
                     clean[exps] = clean.get(exps, 0) + c
             self._terms = {m: _norm(c) for m, c in clean.items() if c != 0}
@@ -224,11 +248,19 @@ class Polynomial:
         """The (monomial, coefficient) pair maximal under ``order``; None if zero."""
         if not self._terms:
             return None
+        return self.divisor(order)[1:3]
+
+    def divisor(self, order: MonomialOrder) -> tuple:
+        """``(mask, lm, lc, tail)``: what division by this nonzero polynomial
+        reads under ``order``.  ``lm`` and ``lc`` are the leading monomial and
+        coefficient, ``mask`` is ``support_mask(lm)`` and ``tail`` holds the
+        other terms as (monomial, coefficient) pairs.  Cached per order."""
         cached = self._lead.get(order)
         if cached is None:
-            m = max(self._terms, key=order.key)
-            cached = (m, self._terms[m])
-            self._lead[order] = cached
+            terms = self._terms
+            lm = max(terms, key=order.key)
+            tail = tuple(t for t in terms.items() if t[0] != lm)
+            cached = self._lead[order] = (support_mask(lm), lm, terms[lm], tail)
         return cached
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
@@ -239,7 +271,7 @@ class Polynomial:
         return Polynomial(self.ring, {m: _div(v, c) for m, v in self._terms.items()}, _clean=True)
 
     def scale(self, c: Scalar) -> "Polynomial":
-        c = _norm(Fraction(c))
+        c = _norm(_rational(c))
         if c == 0:
             return self.ring.zero
         return Polynomial(
@@ -412,7 +444,7 @@ def evaluate(p: Polynomial, point: Sequence[Scalar]) -> Fraction:
     """Exact value of ``p`` at a rational point of the ambient space."""
     if len(point) != p.ring.nvars:
         raise ValueError(f"point has {len(point)} coordinates, ring has {p.ring.nvars}")
-    coords = [Fraction(v) for v in point]
+    coords = [_rational(v) for v in point]
     total = Fraction(0)
     for exps, c in p.terms.items():
         v = c

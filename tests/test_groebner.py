@@ -2,11 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conormal.cli import corpus_names, load_germ_file
+from conormal.forms import exterior_derivative, parse_form, wedge
+from conormal.germs import _trivial_basis, is_trivial_form
 from conormal.groebner import (
     Ideal,
     ModuleElement,
@@ -26,6 +30,7 @@ from conormal.poly import (
     MonomialOrder,
     Polynomial,
     PolynomialRing,
+    monomial_div,
     monomial_divides,
 )
 
@@ -34,6 +39,34 @@ from strategies import nonzero_polynomials, polynomials, random_polynomial
 R = PolynomialRing(["x", "y", "z"])
 X, Y, Z = R.gens()
 F_UMBRELLA = Z**2 - X * Y**2
+
+# A rank-2 free module over R, encoded as in conormal.groebner: the vector
+# (p, q) is e1*p + e2*q, under the term-over-position order.
+R_TOP = PolynomialRing(["e1", "e2"] + list(R.variables))
+TOP = MonomialOrder("top", 2)
+
+
+def encode_vector(p, q):
+    e1, e2, *xyz = R_TOP.gens()
+    return e1 * p.substitute(R_TOP, xyz) + e2 * q.substitute(R_TOP, xyz)
+
+
+def reference_reduce(f, basis, order):
+    # The textbook division loop with no prefilter: take the leading term
+    # of what is left, cancel it with the first basis element whose lead
+    # divides it, else move it to the remainder.
+    divisors = [(g, g.leading(order)) for g in basis if g]
+    rest, remainder = f, f.ring.zero
+    while rest:
+        m, c = rest.leading(order)
+        term = Polynomial(f.ring, {m: c})
+        for g, (lm, lc) in divisors:
+            if monomial_divides(lm, m):
+                rest = rest - Polynomial(f.ring, {monomial_div(m, lm): Fraction(c) / lc}) * g
+                break
+        else:
+            remainder, rest = remainder + term, rest - term
+    return remainder
 
 
 class TestReduce:
@@ -92,6 +125,20 @@ class TestReduce:
         assert divided == []
         assert reduce(f, scaled, GREVLEX) == r
         assert divided and set(divided) == {2}
+
+    @given(polynomials(R), st.lists(nonzero_polynomials(R, max_degree=2), min_size=1, max_size=3))
+    def test_same_remainder_as_unfiltered_division(self, f, basis):
+        assert reduce(f, basis, GREVLEX) == reference_reduce(f, basis, GREVLEX)
+
+    @given(
+        polynomials(R), polynomials(R),
+        st.lists(st.tuples(polynomials(R, max_degree=2), polynomials(R, max_degree=2)),
+                 min_size=1, max_size=3),
+    )
+    def test_same_remainder_as_unfiltered_division_under_top(self, p, q, vectors):
+        f = encode_vector(p, q)
+        basis = [encode_vector(a, b) for a, b in vectors]
+        assert reduce(f, basis, TOP) == reference_reduce(f, basis, TOP)
 
     @given(polynomials(R), nonzero_polynomials(R))
     def test_remainder_terms_not_divisible(self, f, g):
@@ -153,6 +200,72 @@ class TestBuchberger:
         assert buchberger(basis + extra, order, known=len(basis)) == buchberger(
             gens + extra, order
         )
+
+
+class TestSupportMaskFilter:
+    """The support masks only filter: the work they save is measured by
+    counting calls, and the results they must not move are pinned."""
+
+    def test_warm_module_reduction_compares_only_same_position(self, monkeypatch):
+        # Under top, a lead in another position cannot divide a term; the
+        # position bits of the masks must reject it before any exponent
+        # comparison.
+        import conormal.groebner as groebner
+
+        germ = load_germ_file("segre.germ").germ
+        ring = germ.ring
+        [one_form] = parse_form("x*dy + dt", ring)
+        forms = [
+            parse_form(text, ring)[0]
+            for text in ("x*dy*dz", "y*dx*dt + z*dz*dt", "(x*z - y*t)*dx*dy", "t^2*dx*dz")
+        ]
+        forms.append(wedge(exterior_derivative(germ.generators[0]), one_form))
+        verdicts = [is_trivial_form(omega, germ) for omega in forms]  # warms the basis
+        rank = comb(ring.nvars, 2)
+        compared = []
+        divides = groebner.monomial_divides
+
+        def recording(a, b):
+            compared.append((a, b))
+            return divides(a, b)
+
+        monkeypatch.setattr(groebner, "monomial_divides", recording)
+        assert [is_trivial_form(omega, germ) for omega in forms] == verdicts
+        assert True in verdicts and False in verdicts
+        assert compared
+        assert all(a[:rank] == b[:rank] for a, b in compared)
+
+    # S-polynomials that buchberger builds, per corpus germ: for the
+    # Jacobian ideal under grevlex and for the degree-2 trivial forms under
+    # top.  Both pair criteria decide on masks, so the pairs they skip and
+    # hence these counts must stay those of the exponent tests.
+    S_PAIRS = {
+        "coordinate_subspace.germ": (0, 11),
+        "cusp3.germ": (1, 6),
+        "segre.germ": (2, 8),
+        "umbrella.germ": (2, 7),
+    }
+
+    def test_pair_criteria_skip_the_same_pairs(self, monkeypatch):
+        import conormal.groebner as groebner
+
+        built = []
+        s_poly = groebner.s_polynomial
+
+        def counting(f, g, order):
+            built.append(order)
+            return s_poly(f, g, order)
+
+        monkeypatch.setattr(groebner, "s_polynomial", counting)
+        assert sorted(corpus_names()) == sorted(self.S_PAIRS)
+        for name, (jacobian, trivial) in self.S_PAIRS.items():
+            germ = load_germ_file(name).germ
+            built.clear()
+            buchberger(list(germ.jacobian.generators), GREVLEX)
+            assert len(built) == jacobian, name
+            built.clear()
+            _trivial_basis(germ, 2)
+            assert len(built) == trivial, name
 
 
 class TestIdealMembership:

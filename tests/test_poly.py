@@ -14,14 +14,19 @@ from conormal.groebner import buchberger, reduce
 from conormal.poly import (
     GREVLEX,
     LEX,
+    Polynomial,
     PolynomialRing,
     block_order,
     evaluate,
+    monomial_divides,
+    monomial_lcm,
+    monomial_mul,
     parse_polynomial,
     partial_derivative,
+    support_mask,
 )
 
-from strategies import coefficients, nonzero_polynomials, polynomials
+from strategies import coefficients, monomials, nonzero_polynomials, polynomials
 
 R = PolynomialRing(["x", "y", "z"])
 X, Y, Z = R.gens()
@@ -153,6 +158,25 @@ class TestCoefficientTypes:
             assert_exact(g)
         assert_exact(radial_potential(exterior_derivative(p)))
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda: R.const(0.1),
+            lambda: X.scale(0.1),
+            lambda: Polynomial(R, {(1, 0, 0): 0.1}),
+            lambda: Hyperplane(R, [0.1, 0.3, 0]),
+            lambda: evaluate(X, [0.5, 0, 0]),
+        ],
+        ids=["const", "scale", "Polynomial", "Hyperplane", "evaluate"],
+    )
+    def test_float_raises_like_multiplication(self, entry):
+        # 0.1 is stored in binary as 3602879701896397/36028797018963968;
+        # an exact library must refuse it, not keep that value.
+        with pytest.raises(TypeError):
+            X * 0.1
+        with pytest.raises(TypeError):
+            entry()
+
     def test_parser_normalizes_integral_results(self):
         p = parse_polynomial("2*1/2*x + 1/3*y + 2/3*y + 4/2", R)
         assert p == X + Y + 2
@@ -171,6 +195,20 @@ class TestCoefficientTypes:
         except ValueError:
             assume(False)  # the hyperplane lies in the germ
         assert_exact(section.generators[0])
+
+
+class TestSupportMask:
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(*[monomials(n)] * 3)))
+    def test_mask_facts(self, abc):
+        a, b, c = abc
+        ma, mb = support_mask(a), support_mask(b)
+        assert ma == sum(1 << i for i, e in enumerate(a) if e)
+        for u, v in ((a, b), (a, monomial_mul(a, c))):  # the second pair divides
+            if monomial_divides(u, v):
+                assert support_mask(u) & ~support_mask(v) == 0
+        lcm = monomial_lcm(a, b)
+        assert support_mask(lcm) == ma | mb
+        assert (lcm == monomial_mul(a, b)) == (ma & mb == 0)
 
 
 class TestOrders:
