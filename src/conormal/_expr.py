@@ -9,6 +9,7 @@ Grammar (whitespace-insensitive)::
 
 NUMBER is an integer or a rational literal ``p/q``; NAME is either a ring
 variable or ``d`` immediately followed by a ring variable (a differential).
+An exponent is an integer literal: ``x^4/2`` is an error, not ``x^2``.
 ``^`` only applies to factors of degree zero.  All differentials in a term
 are wedged in order of appearance, so a repeated differential makes the
 term zero rather than raising.
@@ -16,6 +17,13 @@ term zero rather than raising.
 The parse result is a "mixed form": a dict from strictly increasing index
 tuples to polynomial coefficients, with the empty tuple holding the scalar
 part.  ``poly.parse_polynomial`` and ``forms.parse_form`` are thin wrappers.
+
+The parser works on raw mixed forms, ``{index tuple: {exponents:
+coefficient}}``: a number, variable or differential is a one-term dict, and
+products and sums go through the term-dict kernels of ``poly``.  Each
+coefficient becomes a ``Polynomial`` once, at the end of
+:func:`parse_mixed_text`.  :func:`mixed_mul` is the one wedge loop over raw
+term dicts; ``forms.wedge`` calls it too.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .poly import Polynomial, PolynomialRing, _norm
+from .poly import Polynomial, PolynomialRing, _add_terms, _mul_terms, _norm
 
 
 class ParseError(ValueError):
@@ -34,42 +42,32 @@ class ParseError(ValueError):
         self.position = position
 
 
-_NUMBER = re.compile(r"\d+(?:\s*/\s*\d+)?")
-_NAME = re.compile(r"[A-Za-z_]\w*")
+_TOKEN = re.compile(r"(\d+(?:\s*/\s*\d+)?)|([A-Za-z_]\w*)|([-+*^()])|(\S)")
+_KINDS = {2: "name", 3: "op"}  # token kind by the group of _TOKEN that matched
 
 
 def _tokenize(text: str):
+    """Tokens ``(kind, value, position)`` ending with an ``end`` token.
+
+    A number is ``int`` (an integer literal, value ``int``) or ``ratio`` (a
+    ``p/q`` literal, value normalized by :func:`_norm`).
+    """
     tokens = []
-    pos, n = 0, len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _NUMBER.match(text, pos)
-        if m:
-            raw = m.group().replace(" ", "")
-            if "/" in raw:
-                num, den = raw.split("/")
-                if int(den) == 0:
-                    raise ParseError("zero denominator", pos)
-                value = _norm(Fraction(int(num), int(den)))
-            else:
-                value = int(raw)
-            tokens.append(("num", value, pos))
-            pos = m.end()
-            continue
-        m = _NAME.match(text, pos)
-        if m:
-            tokens.append(("name", m.group(), pos))
-            pos = m.end()
-            continue
-        if ch in "+-*^()":
-            tokens.append(("op", ch, pos))
-            pos += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(("end", "", n))
+    for m in _TOKEN.finditer(text):
+        group, value, pos = m.lastindex, m.group(), m.start()
+        if group == 1:
+            num, slash, den = value.partition("/")
+            if not slash:
+                tokens.append(("int", int(num), pos))
+                continue
+            if int(den) == 0:
+                raise ParseError("zero denominator", pos)
+            tokens.append(("ratio", _norm(Fraction(int(num), int(den))), pos))
+        elif group == 4:
+            raise ParseError(f"unexpected character {value!r}", pos)
+        else:
+            tokens.append((_KINDS[group], value, pos))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -79,6 +77,8 @@ def wedge_index_tuples(s: tuple, t: tuple):
     Returns ``(sign, merged)`` where sign is the parity of the shuffle, or
     ``None`` when the tuples share an index (the wedge is zero).
     """
+    if not s or not t:
+        return 1, s or t
     if set(s) & set(t):
         return None
     inversions = sum(1 for a in s for b in t if a > b)
@@ -86,11 +86,19 @@ def wedge_index_tuples(s: tuple, t: tuple):
     return sign, tuple(sorted(s + t))
 
 
+def _neg_terms(p: dict) -> dict:
+    return {m: -c for m, c in p.items()}
+
+
+def _mixed_neg(a: dict) -> dict:
+    return {key: _neg_terms(p) for key, p in a.items()}
+
+
 def _mixed_add(a: dict, b: dict) -> dict:
     out = dict(a)
-    for key, p in b.items():
-        q = out.get(key)
-        s = p if q is None else q + p
+    for key, q in b.items():
+        p = out.get(key)
+        s = q if p is None else _add_terms(p, q)
         if s:
             out[key] = s
         elif key in out:
@@ -98,12 +106,8 @@ def _mixed_add(a: dict, b: dict) -> dict:
     return out
 
 
-def _mixed_neg(a: dict) -> dict:
-    return {key: -p for key, p in a.items()}
-
-
 def mixed_mul(a: dict, b: dict) -> dict:
-    """Wedge product of two mixed forms (the loop behind ``forms.wedge``)."""
+    """Wedge product of two raw mixed forms (the loop behind ``forms.wedge``)."""
     out: dict = {}
     for s, p in a.items():
         for t, q in b.items():
@@ -111,9 +115,11 @@ def mixed_mul(a: dict, b: dict) -> dict:
             if merged is None:
                 continue
             sign, key = merged
-            coeff = p * q if sign > 0 else -(p * q)
+            coeff = _mul_terms(p, q)
+            if sign < 0:
+                coeff = _neg_terms(coeff)
             prev = out.get(key)
-            total = coeff if prev is None else prev + coeff
+            total = coeff if prev is None else _add_terms(prev, coeff)
             if total:
                 out[key] = total
             elif key in out:
@@ -127,6 +133,9 @@ class _Parser:
         self.ring = ring
         self.allow_differentials = allow_differentials
         self.i = 0
+        n = ring.nvars
+        self.unit = (0,) * n  # the exponents of the monomial 1
+        self.var_monomials = [self.unit[:i] + (1,) + self.unit[i + 1 :] for i in range(n)]
 
     def peek(self):
         return self.tokens[self.i]
@@ -185,30 +194,32 @@ class _Parser:
         if kind == "op" and value == "^":
             self.advance()
             kind, value, pos = self.peek()
-            if kind != "num" or not isinstance(value, int) or value < 1:
+            if kind != "int" or value < 1:
                 raise ParseError("exponent must be a positive integer", pos)
             self.advance()
             if any(key for key in mixed):
                 raise ParseError("'^' applies only to polynomial factors", pos)
-            base = mixed.get((), self.ring.zero)
-            power = base**value
+            base = mixed.get((), {})
+            power = {self.unit: 1}
+            for _ in range(value):
+                power = _mul_terms(power, base)
             return {(): power} if power else {}
         return mixed
 
     def atom(self) -> dict:
         kind, value, pos = self.advance()
-        if kind == "num":
-            p = self.ring.const(value)
-            return {(): p} if p else {}
+        if kind == "int" or kind == "ratio":
+            return {(): {self.unit: value}} if value else {}
         if kind == "name":
-            if value in self.ring._index:
-                return {(): self.ring.var(self.ring._index[value])}
-            if value.startswith("d") and value[1:] in self.ring._index:
+            index = self.ring._index
+            if value in index:
+                return {(): {self.var_monomials[index[value]]: 1}}
+            if value.startswith("d") and value[1:] in index:
                 if not self.allow_differentials:
                     raise ParseError(
                         f"differential {value!r} is not allowed in a polynomial expression", pos
                     )
-                return {(self.ring._index[value[1:]],): self.ring.one}
+                return {(index[value[1:]],): {self.unit: 1}}
             raise ParseError(f"unknown variable {value!r}", pos)
         if kind == "op" and value == "(":
             mixed = self.expression()
@@ -218,10 +229,13 @@ class _Parser:
 
 
 def parse_mixed_text(text: str, ring: PolynomialRing, allow_differentials: bool) -> dict:
-    """The mixed form of ``text``; its integral coefficients are ``int``s,
-    even where the arithmetic of parsing left a ``Fraction`` (``2*1/2``)."""
+    """The mixed form of ``text``, one ``Polynomial`` per nonzero coefficient.
+
+    Its integral coefficients are ``int``s, even where the arithmetic of
+    parsing left a ``Fraction`` (``2*1/2``).
+    """
     parser = _Parser(_tokenize(text), ring, allow_differentials)
     return {
-        key: Polynomial(ring, {m: _norm(c) for m, c in p.terms.items()}, _clean=True)
-        for key, p in parser.parse().items()
+        key: Polynomial(ring, {m: _norm(c) for m, c in terms.items()}, _clean=True)
+        for key, terms in parser.parse().items()
     }

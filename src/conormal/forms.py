@@ -156,7 +156,12 @@ def wedge(a: FormLike, b: FormLike) -> FormLike:
     ring dimension the result is the zero form of that degree.
     """
     ring = same_ring(a, b)
-    return _make(ring, form_degree(a) + form_degree(b), mixed_mul(_term_dict(a), _term_dict(b)))
+    raw = mixed_mul(
+        {idx: p.terms for idx, p in _term_dict(a).items()},
+        {idx: p.terms for idx, p in _term_dict(b).items()},
+    )
+    coeffs = {idx: Polynomial(ring, terms, _clean=True) for idx, terms in raw.items()}
+    return _make(ring, form_degree(a) + form_degree(b), coeffs)
 
 
 def exterior_derivative(x: FormLike) -> DifferentialForm:

@@ -348,8 +348,11 @@ def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
 
 
 def _fresh_name(ring: PolynomialRing, base: str = "_t") -> str:
+    """``base``, with ``_`` appended until it can join the ring's names: it is
+    none of them, and neither it nor one of them is ``d`` plus the other."""
+    taken = ring._index
     name = base
-    while name in ring._index:
+    while name in taken or "d" + name in taken or (name[:1] == "d" and name[1:] in taken):
         name += "_"
     return name
 

@@ -18,6 +18,11 @@ variable); the helpers below implement the little divisibility lattice that
 the Groebner machinery needs.  :func:`support_mask` packs the set of
 variables a monomial involves into an int, a cheap necessary condition for
 divisibility (Singular's "short exponent vector").
+
+:func:`_mul_terms` and :func:`_add_terms` are the one product and sum kernel
+over raw term dicts ``{exponents: coefficient}``.  ``Polynomial.__mul__`` and
+``__add__`` call them, and so do the expression parser and ``forms.wedge``,
+which build a ``Polynomial`` only for each final coefficient.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterator, Mapping, Sequence, Union
 
 Exponents = tuple  # tuple[int, ...]
@@ -32,7 +38,7 @@ Scalar = Union[int, Fraction]
 
 
 def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: Exponents, b: Exponents) -> bool:
@@ -132,7 +138,11 @@ _NAME_OK = re.compile(r"[A-Za-z_]\w*\Z")
 
 
 class PolynomialRing:
-    """The ring Q[x_1, ..., x_n] with a fixed, ordered tuple of variable names."""
+    """The ring Q[x_1, ..., x_n] with a fixed, ordered tuple of variable names.
+
+    No name is ``d`` followed by another name of the ring: the parser reads
+    ``d<var>`` as a differential, so ``dx`` beside ``x`` would be ambiguous.
+    """
 
     __slots__ = ("variables", "_index")
 
@@ -147,6 +157,11 @@ class PolynomialRing:
                 raise ValueError(f"invalid variable name {name!r}")
         self.variables = names
         self._index = {name: i for i, name in enumerate(names)}
+        for name in names:
+            if name.startswith("d") and name[1:] in self._index:
+                raise ValueError(
+                    f"variable name {name!r} reads as the differential of {name[1:]!r}"
+                )
 
     @property
     def nvars(self) -> int:
@@ -196,6 +211,32 @@ def same_ring(*objs) -> PolynomialRing:
         if o.ring != ring:
             raise ValueError(f"ring mismatch: {o.ring} vs {ring}")
     return ring
+
+
+def _add_terms(p: Mapping, q: Mapping) -> dict:
+    """The term dict of the sum of two term dicts; zero sums are dropped."""
+    out = dict(p)
+    for m, c in q.items():
+        s = out.get(m, 0) + c
+        if s:
+            out[m] = s
+        elif m in out:
+            del out[m]
+    return out
+
+
+def _mul_terms(p: Mapping, q: Mapping) -> dict:
+    """The term dict of the product of two term dicts; zero sums are dropped."""
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(map(add, m1, m2))
+            s = out.get(m, 0) + c1 * c2
+            if s:
+                out[m] = s
+            elif m in out:
+                del out[m]
+    return out
 
 
 class Polynomial:
@@ -288,14 +329,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        return Polynomial(self.ring, out, _clean=True)
+        return Polynomial(self.ring, _add_terms(self._terms, other._terms), _clean=True)
 
     __radd__ = __add__
 
@@ -320,16 +354,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         same_ring(self, other)
-        out = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = monomial_mul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
-        return Polynomial(self.ring, out, _clean=True)
+        return Polynomial(self.ring, _mul_terms(self._terms, other._terms), _clean=True)
 
     __rmul__ = __mul__
 

@@ -82,3 +82,59 @@ def random_form(
         if p:
             coeffs[idx] = coeffs.get(idx, ring.zero) + p
     return DifferentialForm(ring, degree, {i: c for i, c in coeffs.items() if c})
+
+
+# Expressions of the parser's grammar, drawn as (text, tree).  A tree is
+# ("num", Fraction), ("var", i), ("d", i), ("pow", tree, k), ("prod", [tree])
+# or ("sum", [(negate, tree)]); parentheses leave the tree unchanged.
+
+
+def _literal(draw):
+    p = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        return str(p), ("num", Fraction(p))
+    q = draw(st.integers(1, 4))
+    slash = draw(st.sampled_from(["/", " / "]))
+    return f"{p}{slash}{q}", ("num", Fraction(p, q))
+
+
+def _atom(draw, ring, depth, differentials):
+    kinds = ["num", "var"] + ["d"] * differentials + ["group"] * (depth > 0)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "num":
+        return _literal(draw)
+    if kind == "group":
+        text, tree = _expression(draw, ring, depth - 1, differentials)
+        return f"({text})", tree
+    i = draw(st.integers(0, ring.nvars - 1))
+    if kind == "var":
+        return ring.variables[i], ("var", i)
+    repeat = draw(st.integers(1, 2))  # dx*dx is a zero factor
+    return "*".join(["d" + ring.variables[i]] * repeat), ("prod", [("d", i)] * repeat)
+
+
+def _factor(draw, ring, depth, differentials):
+    if draw(st.integers(0, 3)) == 0:
+        text, tree = _atom(draw, ring, depth, False)
+        k = draw(st.integers(1, 3))
+        return f"{text}^{k}", ("pow", tree, k)
+    return _atom(draw, ring, depth, differentials)
+
+
+def _expression(draw, ring, depth, differentials):
+    chunks, parts = [], []
+    for j in range(draw(st.integers(1, 3))):
+        sign = draw(st.sampled_from(["", "+", "-"] if j == 0 else ["+", "-"]))
+        factors = [_factor(draw, ring, depth, differentials) for _ in range(draw(st.integers(1, 3)))]
+        text = "*".join(t for t, _ in factors)
+        chunks.append(f"{sign}{text}" if j == 0 else f" {sign} {text}")
+        parts.append((sign == "-", ("prod", [tree for _, tree in factors])))
+    return "".join(chunks), ("sum", parts)
+
+
+@st.composite
+def expressions(draw, ring: PolynomialRing, depth: int = 2):
+    """(text, tree) for a random form expression over ``ring``: nested
+    parentheses, unary signs, integer and ``p/q`` literals, integer powers
+    of polynomial factors, differentials and repeated differentials."""
+    return _expression(draw, ring, depth, True)

@@ -95,6 +95,10 @@ class TestGermFiles:
         with pytest.raises(GermFileError):
             parse_germ_text("gen x\nring x y\n")
 
+    def test_differential_variable_name_fails_with_line(self):
+        with pytest.raises(GermFileError, match=r"^bad\.germ:2: variable name 'dx'"):
+            parse_germ_text("# comment\nring x dx\ngen x\n", source="bad.germ")
+
     def test_unknown_directive(self):
         with pytest.raises(GermFileError) as err:
             parse_germ_text("ring x y\nbogus stuff\n")

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conormal._expr import parse_mixed_text
 from conormal.forms import (
     DifferentialForm,
     Hyperplane,
     NotClosedError,
     evaluate_form,
     exterior_derivative,
+    form_degree,
     form_to_vector_field,
     format_form,
     parse_form,
@@ -22,9 +24,9 @@ from conormal.forms import (
     volume_coefficient,
     wedge,
 )
-from conormal.poly import PolynomialRing
+from conormal.poly import Polynomial, PolynomialRing
 
-from strategies import forms, polynomials, random_form, random_polynomial
+from strategies import expressions, forms, polynomials, random_form, random_polynomial
 
 R = PolynomialRing(["x", "y", "z"])
 X, Y, Z = R.gens()
@@ -72,6 +74,80 @@ class TestParseForm:
             parts = parse_form(text, ring)
             printed = format_form(parts[0])
             assert parse_form(printed, ring) == parts
+
+
+def _graded_sum(values) -> dict:
+    out: dict = {}
+    for v in values:
+        k = form_degree(v)
+        out[k] = out[k] + v if k in out else v
+    return out
+
+
+def reference_parse(tree, ring) -> dict:
+    # The value of an expression tree from tests/strategies.py, computed
+    # with Polynomial and wedge arithmetic only, as {degree: homogeneous part}.
+    kind = tree[0]
+    if kind == "num":
+        return {0: ring.const(tree[1])}
+    if kind == "var":
+        return {0: ring.var(tree[1])}
+    if kind == "d":
+        return {1: DifferentialForm(ring, 1, {(tree[1],): ring.one})}
+    if kind == "pow":
+        return {0: reference_parse(tree[1], ring).get(0, ring.zero) ** tree[2]}
+    if kind == "prod":
+        value = {0: ring.one}
+        for factor in tree[1]:
+            rhs = reference_parse(factor, ring)
+            value = _graded_sum(wedge(a, b) for a in value.values() for b in rhs.values())
+        return value
+    value = {}
+    for negate, term in tree[1]:
+        part = reference_parse(term, ring).values()
+        value = _graded_sum([*value.values(), *(-p if negate else p for p in part)])
+    return value
+
+
+def _raw(graded: dict) -> dict:
+    out = {}
+    for k, v in graded.items():
+        if k == 0:
+            if v:
+                out[()] = v.terms
+        else:
+            out.update((idx, c.terms) for idx, c in v.coefficients())
+    return out
+
+
+class TestParseAgainstReference:
+    @given(expressions(R))
+    @settings(max_examples=200)
+    def test_same_terms_as_polynomial_and_wedge_arithmetic(self, case):
+        text, tree = case
+        mixed = parse_mixed_text(text, R, allow_differentials=True)
+        assert {key: p.terms for key, p in mixed.items()} == _raw(reference_parse(tree, R))
+        for p in mixed.values():
+            for c in p.terms.values():
+                assert type(c) in (int, Fraction)
+                assert type(c) is int or c.denominator != 1
+
+    def test_one_polynomial_per_nonzero_coefficient(self, monkeypatch):
+        # The parser works on raw term dicts and builds each coefficient's
+        # Polynomial once, at the end.
+        built = []
+        init = Polynomial.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Polynomial, "__init__", counting)
+        text = "x*dy*dz + 3*z*dx*dy - (x + 1/2*y)^2*dx*dz + 2*dx*dx + y^2 - 2*1/2*x + x"
+        parts = parse_form(text, R)
+        k = sum(1 if form_degree(p) == 0 else len(p.coefficients()) for p in parts)
+        assert k == 4
+        assert len(built) == k
 
 
 class TestWedge:

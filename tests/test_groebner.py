@@ -14,6 +14,7 @@ from conormal.germs import _trivial_basis, is_trivial_form
 from conormal.groebner import (
     Ideal,
     ModuleElement,
+    _fresh_name,
     buchberger,
     eliminate,
     ideal_membership,
@@ -394,6 +395,15 @@ class TestRadicalMembership:
         gens, g = case
         assert radical_membership(g, Ideal(gens, LEX)) == _rabinowitsch_reference(g, gens)
 
+    def test_fresh_variable_avoids_differential_names(self):
+        # Rabinowitsch adds a variable _t; beside d_t it would read as dt's
+        # differential, so the extended ring must pick another name.
+        ring = PolynomialRing(["x", "y", "d_t"])
+        x, y, _ = ring.gens()
+        assert _fresh_name(ring) == "_t_"
+        assert radical_membership(x, Ideal([x**2, y]))
+        assert not radical_membership(x, Ideal([y]))
+
     def test_no_pair_inside_the_cached_basis(self, monkeypatch):
         # The cached basis of I is already a Groebner basis in the ring with
         # t appended, so no S-polynomial of two of its elements is built.
@@ -451,6 +461,13 @@ class TestModuleMembership:
     def test_unit_component_cannot_appear(self):
         f = F_UMBRELLA
         assert not module_membership(ModuleElement([R.one]), [ModuleElement([f])])
+
+    def test_position_variables_avoid_differential_names(self):
+        ring = PolynomialRing(["x", "d_e1"])
+        x, _ = ring.gens()
+        assert _fresh_name(ring, "_e1") == "_e1_"
+        assert module_membership(ModuleElement([x**2]), [ModuleElement([x])])
+        assert not module_membership(ModuleElement([x]), [ModuleElement([x**2])])
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):

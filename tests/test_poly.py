@@ -7,6 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conormal import ParseError
+from conormal._expr import parse_mixed_text
 from conormal.forms import Hyperplane, exterior_derivative, radial_potential
 from conormal.geometry import hyperplane_section
 from conormal.germs import Germ
@@ -66,6 +67,37 @@ class TestParse:
     def test_differential_rejected_in_polynomial_context(self):
         with pytest.raises(ParseError):
             parse_polynomial("x*dy", R)
+
+    @pytest.mark.parametrize(
+        "text, position", [("x^4/2", 2), ("x^2/1", 2), ("(x+y)^6/3", 6), ("x^4 / 2", 2)]
+    )
+    def test_rational_exponent_rejected(self, text, position):
+        # The tokenizer reads 4/2 as one literal; it must not become x^2.
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, R)
+        assert str(err.value) == f"exponent must be a positive integer (at position {position})"
+        assert err.value.position == position
+
+    @pytest.mark.parametrize(
+        "text, differentials, message, position",
+        [
+            ("x + $y", False, "unexpected character '$'", 4),
+            ("x + 1 / 0", False, "zero denominator", 4),
+            ("x + w", False, "unknown variable 'w'", 4),
+            ("x*dy", False, "differential 'dy' is not allowed in a polynomial expression", 2),
+            ("(x*dy)^2", True, "'^' applies only to polynomial factors", 7),
+            ("x^0", False, "exponent must be a positive integer", 2),
+            ("x y", False, "unexpected trailing input 'y'", 2),
+            ("(x + y", False, "expected ')'", 6),
+            ("x +", False, "unexpected end of input", 3),
+            ("x + * y", False, "unexpected token '*'", 4),
+        ],
+    )
+    def test_error_message_and_position(self, text, differentials, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_mixed_text(text, R, differentials)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
 
     def test_roundtrip_canonical(self):
         for text in ["z^2 - x*y^2", "x^3 - y*z", "1/2*x - 7", "0", "-x + y - 1"]:
@@ -239,6 +271,16 @@ class TestRing:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             PolynomialRing(["x", "x"])
+
+    @pytest.mark.parametrize("names", [["x", "dx"], ["dx", "x"], ["x", "y", "dy"]])
+    def test_differential_name_rejected(self, names):
+        # dx beside x would print d(x) as "dx", which parses back as the variable.
+        with pytest.raises(ValueError, match="differential"):
+            PolynomialRing(names)
+
+    @pytest.mark.parametrize("names", [["dx"], ["d", "x"], ["x", "ddx"]])
+    def test_unambiguous_d_names_accepted(self, names):
+        assert PolynomialRing(names).variables == tuple(names)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
