@@ -41,6 +41,7 @@ from .forms import (
     form_to_vector_field,
     format_form,
     parse_form,
+    pullback,
     radial_potential,
     vector_field_to_form,
     volume_coefficient,

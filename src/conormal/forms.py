@@ -6,10 +6,10 @@ coefficients; signs are absorbed during canonicalization.  Degree-0 forms
 are bare :class:`~conormal.poly.Polynomial` values, and mixed-degree input
 is represented as a list of homogeneous parts (see :func:`parse_form`).
 
-Besides wedge, exterior derivative and pointwise evaluation, the module
-implements the degree-(n-1) correspondence with vector fields given by the
-volume form dx_1 ^ ... ^ dx_n |-> 1, and the radial homotopy that produces
-a polynomial potential for a closed 1-form.
+Besides wedge, exterior derivative, pullback and pointwise evaluation, the
+module implements the degree-(n-1) correspondence with vector fields given
+by the volume form dx_1 ^ ... ^ dx_n |-> 1, and the radial homotopy that
+produces a polynomial potential for a closed 1-form.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence, Union
 
-from ._expr import mixed_mul, parse_mixed_text
+from ._expr import _mixed_add, mixed_mul, parse_mixed_text
 from .poly import (
     Polynomial,
     PolynomialRing,
@@ -143,6 +143,11 @@ def _term_dict(x: FormLike) -> dict:
     return x._coeffs
 
 
+def _raw(x: FormLike) -> dict:
+    """The raw mixed form ``{index tuple: term dict}`` of ``x``."""
+    return {idx: p.terms for idx, p in _term_dict(x).items()}
+
+
 def _make(ring: PolynomialRing, degree: int, coeffs: dict) -> FormLike:
     if degree == 0:
         return coeffs.get((), ring.zero)
@@ -156,10 +161,7 @@ def wedge(a: FormLike, b: FormLike) -> FormLike:
     ring dimension the result is the zero form of that degree.
     """
     ring = same_ring(a, b)
-    raw = mixed_mul(
-        {idx: p.terms for idx, p in _term_dict(a).items()},
-        {idx: p.terms for idx, p in _term_dict(b).items()},
-    )
+    raw = mixed_mul(_raw(a), _raw(b))
     coeffs = {idx: Polynomial(ring, terms, _clean=True) for idx, terms in raw.items()}
     return _make(ring, form_degree(a) + form_degree(b), coeffs)
 
@@ -185,6 +187,27 @@ def exterior_derivative(x: FormLike) -> DifferentialForm:
             elif key in out:
                 del out[key]
     return DifferentialForm(ring, form_degree(x) + 1, out, _clean=True)
+
+
+def pullback(x: FormLike, images: Sequence[Polynomial]) -> FormLike:
+    """The pullback of a form along the polynomial map whose j-th component
+    is ``images[j]``: x_j <- images[j] and dx_j <- d(images[j]).
+
+    The result has the degree of ``x`` and lives in the ring of the images.
+    Pullback commutes with d and with wedge.
+    """
+    ring = same_ring(*images)
+    if len(images) != x.ring.nvars:
+        raise ValueError("one image per variable required")
+    diffs = [_raw(exterior_derivative(p)) for p in images]
+    out: dict = {}
+    for idx, coeff in _term_dict(x).items():
+        term = {(): coeff.substitute(ring, images).terms}
+        for j in idx:
+            term = mixed_mul(term, diffs[j])
+        out = _mixed_add(out, term)
+    coeffs = {idx: Polynomial(ring, terms, _clean=True) for idx, terms in out.items()}
+    return _make(ring, form_degree(x), coeffs)
 
 
 def evaluate_form(x: FormLike, point: Sequence[Scalar]):

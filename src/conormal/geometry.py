@@ -29,10 +29,10 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .forms import Hyperplane, exterior_derivative, wedge
+from .forms import Hyperplane, evaluate_form, exterior_derivative, pullback, wedge
 from .germs import Germ, Parametrization
-from .groebner import GREVLEX, Ideal, krull_dimension, radical_membership
-from .poly import PolynomialRing, _div, evaluate, partial_derivative
+from .groebner import Ideal, krull_dimension, radical_membership
+from .poly import PolynomialRing, _div, evaluate
 
 
 class BertiniVerdict(Enum):
@@ -127,22 +127,18 @@ def _cut(germ: Germ, hyperplane: Hyperplane):
 def _sampled_tangency_notes(hyperplane: Hyperplane, par: Parametrization, jac: Ideal) -> list:
     """Point witnesses: sampled parametrized points of the germ lying on the
     hyperplane where every tangent direction of the parametrization stays
-    inside the hyperplane."""
-    d = par.ring.nvars
+    inside the hyperplane, i.e. where the pullback of dl vanishes."""
     samples = [0, 1, -1, Fraction(1, 2), Fraction(-1, 2), 2]
     normal = hyperplane.normal
-    partials = [
-        [partial_derivative(p, l) for p in par.components] for l in range(d)
-    ]
+    dl = pullback(exterior_derivative(hyperplane.linear_form()), par.components)
     notes = []
-    for values in product(samples, repeat=d):
+    for values in product(samples, repeat=par.ring.nvars):
         point = [evaluate(p, values) for p in par.components]
         if sum(h * x for h, x in zip(normal, point)) != 0:
             continue
         if all(evaluate(g, point) == 0 for g in jac.generators):
             continue  # singular point of the germ
-        tangents = [[evaluate(q, values) for q in row] for row in partials]
-        if all(sum(h * t for h, t in zip(normal, tang)) == 0 for tang in tangents):
+        if not evaluate_form(dl, values):
             shown = "(" + ", ".join(str(x) for x in point) + ")"
             notes.append(f"H is tangent to X at the parametrized point {shown}")
             break
@@ -179,7 +175,7 @@ def bertini_check(
 
     sliced = [g.substitute(section.ring, images) for g in jac.generators]
     sliced = [g for g in sliced if g]
-    sliced_ideal = Ideal(sliced or [section.ring.zero], GREVLEX)
+    sliced_ideal = Ideal(sliced or [section.ring.zero])
     loci_equal = all(
         radical_membership(a, sliced_ideal) for a in section_jac.generators
     ) and all(radical_membership(b, section_jac) for b in sliced_ideal.generators)
@@ -188,7 +184,7 @@ def bertini_check(
     if dim_sing >= 1:
         if radical_membership(ell, jac):
             diagnostics.append("H contains Sing X")
-        elif krull_dimension(Ideal(list(jac.generators) + [ell], GREVLEX)) >= dim_sing:
+        elif krull_dimension(Ideal(list(jac.generators) + [ell])) >= dim_sing:
             diagnostics.append("H contains a positive-dimensional component of Sing X")
 
     # Exact smooth-tangency test: on X intersect H, df is parallel to dl
@@ -196,7 +192,7 @@ def bertini_check(
     # singular locus of V(f, l); transversality on the regular part holds iff
     # V(T) stays inside Sing X.
     df_dl = wedge(germ.jacobian_form, exterior_derivative(ell))
-    tangency = Ideal([germ.generators[0], ell] + [c for _, c in df_dl.coefficients()], GREVLEX)
+    tangency = Ideal([germ.generators[0], ell] + [c for _, c in df_dl.coefficients()])
     if not all(radical_membership(g, tangency) for g in jac.generators):
         diagnostics.append("H is tangent to X at a regular point of X on H")
 

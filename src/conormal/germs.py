@@ -49,10 +49,10 @@ from .forms import (
     exterior_derivative,
     form_degree,
     format_form,
+    pullback,
     wedge,
 )
 from .groebner import (
-    GREVLEX,
     Ideal,
     _encode,
     _position_ring,
@@ -175,7 +175,7 @@ class Germ:
                 raise ValueError(f"generator {g} does not vanish at the origin")
         self.ring = ring
         self.generators = gens
-        self.ideal = Ideal(gens, GREVLEX)
+        self.ideal = Ideal(gens)
         self.hypersurface = len(gens) == 1
         self.dimension = krull_dimension(self.ideal)
         self.complete_intersection = self.dimension == ring.nvars - len(gens)
@@ -188,7 +188,7 @@ class Germ:
                 "the germ is not a complete intersection, which the jacobian ideal needs"
             )
         minors = [c for _, c in self.jacobian_form.coefficients()]
-        return Ideal(list(self.generators) + minors, GREVLEX)
+        return Ideal(list(self.generators) + minors)
 
     @cached_property
     def radical(self) -> bool:
@@ -374,20 +374,8 @@ def vanishes_on_singular_locus(omega: FormLike, germ: Germ) -> bool:
 
 
 def oracle_conormal_on_parametrization(omega: FormLike, par: Parametrization) -> bool:
-    """Independent tangent-space oracle: pull the form back along the
-    parametrization and test for the zero form.
-
-    Substitutes x_j <- p_j and dx_j <- sum_l (dp_j/ds_l) ds_l; the form is
-    conormal on the parametrized locus iff the pullback vanishes identically
-    in the parameters.
-    """
+    """Independent tangent-space oracle: the form is conormal on the
+    parametrized locus iff its pullback along the parametrization
+    (x_j <- p_j, dx_j <- dp_j) vanishes identically in the parameters."""
     same_ring(omega, par.germ.generators[0])
-    pring = par.ring
-    differentials = [exterior_derivative(p) for p in par.components]
-    pullback = None
-    for idx, coeff in _term_dict(omega).items():
-        term: FormLike = coeff.substitute(pring, par.components)
-        for i in idx:
-            term = wedge(term, differentials[i])
-        pullback = term if pullback is None else pullback + term
-    return pullback is None or not pullback
+    return not pullback(omega, par.components)

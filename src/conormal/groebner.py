@@ -23,15 +23,15 @@ lead can divide a term only if its mask lies inside the term's.  Under
 once.  The masks only filter, so bases and remainders do not depend on them.
 
 Bases are reduced, monic and sorted, so they are canonical per (ideal, order);
-:class:`Ideal` caches them lazily, so repeated membership tests against one
-ideal compute one basis.
+an :class:`Ideal` caches its one grevlex basis lazily, so repeated membership
+tests against one ideal compute one basis.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .poly import (
     GREVLEX,
@@ -248,28 +248,23 @@ def _chain_criterion(leads, masks, pending, i, j, lcm) -> bool:
 
 
 class Ideal:
-    """An ideal given by generators, with a lazily cached Groebner basis.
+    """An ideal given by generators, with a grevlex Groebner basis computed
+    on first use and kept."""
 
-    The cache is keyed by monomial order and filled at most once per order.
-    """
+    __slots__ = ("ring", "generators", "_basis")
 
-    __slots__ = ("ring", "generators", "order", "_bases")
-
-    def __init__(self, generators: Sequence[Polynomial], order: MonomialOrder = GREVLEX):
+    def __init__(self, generators: Sequence[Polynomial]):
         gens = tuple(generators)
         if not gens:
             raise ValueError("an ideal needs at least one generator")
         self.ring = same_ring(*gens)
         self.generators = gens
-        self.order = order
-        self._bases: dict = {}
+        self._basis = None
 
-    def groebner_basis(self, order: Optional[MonomialOrder] = None) -> tuple:
-        order = order or self.order
-        cached = self._bases.get(order)
-        if cached is None:
-            cached = self._bases[order] = tuple(buchberger(self.generators, order))
-        return cached
+    def groebner_basis(self) -> tuple:
+        if self._basis is None:
+            self._basis = tuple(buchberger(self.generators, GREVLEX))
+        return self._basis
 
     def is_unit(self) -> bool:
         """Whether the ideal is the whole ring (empty zero set)."""
@@ -294,19 +289,7 @@ def ideal_membership(f: Polynomial, ideal: Ideal) -> bool:
         raise ValueError(f"ring mismatch: {f.ring} vs {ideal.ring}")
     if not f:
         return True
-    return not reduce(f, ideal.groebner_basis(), ideal.order)
-
-
-def _rename(p: Polynomial, ring: PolynomialRing, positions: Sequence[int]) -> Polynomial:
-    """Move p into ``ring``, sending old variable i to position positions[i]."""
-    out = {}
-    n = ring.nvars
-    for exps, c in p.terms.items():
-        m = [0] * n
-        for i, e in enumerate(exps):
-            m[positions[i]] = e
-        out[tuple(m)] = c
-    return Polynomial(ring, out, _clean=True)
+    return not reduce(f, ideal.groebner_basis(), GREVLEX)
 
 
 def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
@@ -325,26 +308,18 @@ def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
     if not keep:
         raise ValueError("cannot eliminate every variable")
     if not drop:
-        return Ideal(ideal.generators, ideal.order)
+        return Ideal(ideal.generators)
 
-    permuted_names = [ring.variables[i] for i in drop] + [ring.variables[i] for i in keep]
-    work_ring = PolynomialRing(permuted_names)
-    positions = [0] * ring.nvars
-    for new_pos, old in enumerate(drop + keep):
-        positions[old] = new_pos
-    moved = [_rename(g, work_ring, positions) for g in ideal.generators]
-    basis = buchberger(moved, block_order(len(drop)))
+    perm, k = drop + keep, len(drop)
+    work_ring = PolynomialRing([ring.variables[i] for i in perm])
+    images = [work_ring.var(perm.index(i)) for i in range(ring.nvars)]
+    moved = [g.substitute(work_ring, images) for g in ideal.generators]
+    basis = buchberger(moved, block_order(k))
 
     target = PolynomialRing([ring.variables[i] for i in keep])
-    kept = []
-    k = len(drop)
-    for g in basis:
-        if all(all(e == 0 for e in m[:k]) for m in g.terms):
-            back = [0] * work_ring.nvars
-            for new_pos in range(k, work_ring.nvars):
-                back[new_pos] = new_pos - k
-            kept.append(_rename(g, target, back))
-    return Ideal(kept or [target.zero], GREVLEX)
+    back = [target.zero] * k + list(target.gens())
+    kept = [g.substitute(target, back) for g in basis if not any(any(m[:k]) for m in g.terms)]
+    return Ideal(kept or [target.zero])
 
 
 def _fresh_name(ring: PolynomialRing, base: str = "_t") -> str:
@@ -380,11 +355,10 @@ def _rabinowitsch(g: Polynomial, ideal: Ideal) -> bool:
     """
     ring = ideal.ring
     ext = PolynomialRing(ring.variables + (_fresh_name(ring),))
-    lift = list(range(ring.nvars))
-    known = [_rename(p, ext, lift) for p in ideal.groebner_basis()]
-    t = ext.var(ext.nvars - 1)
-    relation = ext.one - t * _rename(g, ext, lift)
-    basis = buchberger(known + [relation], ideal.order, known=len(known))
+    *lift, t = ext.gens()
+    known = [p.substitute(ext, lift) for p in ideal.groebner_basis()]
+    relation = ext.one - t * g.substitute(ext, lift)
+    basis = buchberger(known + [relation], GREVLEX, known=len(known))
     return any(b.is_constant() and b for b in basis)
 
 
@@ -394,7 +368,7 @@ def krull_dimension(ideal: Ideal) -> int:
     Equals the largest size of a set S of variables such that no leading
     term of a grevlex basis involves only variables from S.
     """
-    basis = ideal.groebner_basis(GREVLEX)
+    basis = ideal.groebner_basis()
     n = ideal.ring.nvars
     if not basis:
         return n  # zero ideal: the whole space

@@ -21,8 +21,9 @@ divisibility (Singular's "short exponent vector").
 
 :func:`_mul_terms` and :func:`_add_terms` are the one product and sum kernel
 over raw term dicts ``{exponents: coefficient}``.  ``Polynomial.__mul__`` and
-``__add__`` call them, and so do the expression parser and ``forms.wedge``,
-which build a ``Polynomial`` only for each final coefficient.
+``__add__`` call them, and so do ``Polynomial.substitute``, the expression
+parser and ``forms.wedge``, which build a ``Polynomial`` only for each final
+result.
 """
 
 from __future__ import annotations
@@ -385,21 +386,34 @@ class Polynomial:
         return hash((self.ring, frozenset(self._terms.items())))
 
     def substitute(self, ring: PolynomialRing, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Apply the ring map sending variable i to ``images[i]`` (all in ``ring``)."""
+        """Apply the ring map sending variable i to ``images[i]`` (all in ``ring``).
+
+        This is the one ring map of the package.  It runs on raw term dicts
+        through :func:`_mul_terms`: the powers of each image are built as
+        they are needed, and every term adds into one accumulating dict.
+        """
         if len(images) != self.ring.nvars:
             raise ValueError("one image per variable required")
-        powers = [{0: ring.one} for _ in images]
-        out = ring.zero
+        if same_ring(*images) != ring:
+            raise ValueError(f"ring mismatch: {images[0].ring} vs {ring}")
+        one = {(0,) * ring.nvars: 1}
+        powers = [[one, p._terms] for p in images]  # powers[i][e]: the terms of images[i]^e
+        out: dict = {}
         for exps, c in self._terms.items():
-            term = ring.const(c)
+            term = one
             for i, e in enumerate(exps):
                 if e:
                     cache = powers[i]
-                    if e not in cache:
-                        cache[e] = images[i] ** e
-                    term = term * cache[e]
-            out = out + term
-        return out
+                    while len(cache) <= e:
+                        cache.append(_mul_terms(cache[-1], cache[1]))
+                    term = cache[e] if term is one else _mul_terms(term, cache[e])
+            for m, v in term.items():
+                s = out.get(m, 0) + c * v
+                if s:
+                    out[m] = s
+                elif m in out:
+                    del out[m]
+        return Polynomial(ring, out, _clean=True)
 
     def __str__(self) -> str:
         return format_polynomial(self)

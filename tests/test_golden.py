@@ -19,9 +19,14 @@ GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
 # Germ files written next to the commands.  V(x^2) is not radical, so with
 # the corpus it reaches every witness phrase (3 statuses x polynomial, form
 # and vector field); V(x) carries a conormal 2-form not vanishing at 0.
+# V(x*y, x*z), the plane x = 0 and the x-axis, is not a complete
+# intersection, so ``check`` falls back on the parametrization oracle, or
+# says that there is none.
 LOCAL_FILES = {
     "double_line.germ": "ring x y\ngen x^2\n",
     "cylinder.germ": "ring x y z\ngen x\n",
+    "plane_line.germ": "ring x y z\ngen x*y\ngen x*z\nparam s -> 0, s, s^2\n",
+    "plane_line_bare.germ": "ring x y z\ngen x*y\ngen x*z\n",
 }
 
 # germ -> forms for check, trivial and potential (named forms first)
@@ -51,6 +56,7 @@ BERTINI = [
     ["--germ", "segre.germ", "--hyperplane", "x - t"],
     ["--germ", "umbrella.germ", "--hyperplane", "x^2"],
     ["--germ", "umbrella.germ", "--hyperplane", "x", "--trials", "3"],
+    ["--germ", "umbrella.germ", "--hyperplane", "x"],
     ["--germ", "coordinate_subspace.germ", "--trials", "5"],
     ["--germ", "double_line.germ", "--trials", "5"],
 ]
@@ -66,6 +72,9 @@ def commands() -> list:
         out += [["tangent", "--germ", germ, "--field", f] for f in fields]
     out += [["bertini"] + args for args in BERTINI]
     out += [
+        ["check", "--germ", "plane_line.germ", "--form", "dx"],
+        ["check", "--germ", "plane_line.germ", "--form", "dy"],
+        ["check", "--germ", "plane_line_bare.germ", "--form", "dx"],
         ["check", "--germ", "missing.germ", "--form", "dx"],
         ["check", "--germ", "umbrella.germ", "--form", "dq"],
         ["verify-examples"],

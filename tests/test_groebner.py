@@ -387,14 +387,6 @@ class TestRadicalMembership:
         gens, g = case
         assert radical_membership(g, Ideal(gens)) == _rabinowitsch_reference(g, gens)
 
-    @given(small_ideal_cases())
-    @settings(max_examples=10)
-    def test_lex_basis_seeds_the_same_answer(self, case):
-        # The Rabinowitsch basis starts from the basis the ideal caches in
-        # its own order, with the new variable last.
-        gens, g = case
-        assert radical_membership(g, Ideal(gens, LEX)) == _rabinowitsch_reference(g, gens)
-
     def test_fresh_variable_avoids_differential_names(self):
         # Rabinowitsch adds a variable _t; beside d_t it would read as dt's
         # differential, so the extended ring must pick another name.

@@ -167,6 +167,46 @@ class TestRingAxioms:
         assert str(parse_polynomial(str(p), R)) == str(p)
 
 
+S = PolynomialRing(["u", "v"])
+
+
+def reference_substitute(p, ring, images):
+    """The ring map written out in ``Polynomial`` arithmetic."""
+    out = ring.zero
+    for exps, c in p.terms.items():
+        term = ring.const(c)
+        for image, e in zip(images, exps):
+            term = term * image**e
+        out = out + term
+    return out
+
+
+class TestSubstitute:
+    @given(polynomials(R), polynomials(R), st.lists(polynomials(S, 3, 2), min_size=3, max_size=3))
+    def test_ring_map(self, p, q, images):
+        sub = p.substitute(S, images)
+        assert sub == reference_substitute(p, S, images)
+        assert (p * q).substitute(S, images) == sub * q.substitute(S, images)
+        assert (p + q).substitute(S, images) == sub + q.substitute(S, images)
+        point = [Fraction(1, 2), Fraction(-3)]
+        assert evaluate(sub, point) == evaluate(p, [evaluate(g, point) for g in images])
+        assert_exact(sub)
+
+    def test_image_from_another_ring_raises(self):
+        # x^2 does not involve y, but y's image must still live in the target.
+        ring = PolynomialRing(["x", "y"])
+        target = PolynomialRing(["u"])
+        other = PolynomialRing(["a", "b", "c"])
+        p = parse_polynomial("x^2", ring)
+        with pytest.raises(ValueError):
+            p.substitute(target, [target.var(0), other.var(2)])
+        with pytest.raises(ValueError):
+            p.substitute(target, [other.var(0), other.var(1)])
+        with pytest.raises(ValueError):
+            p.substitute(target, [target.var(0)])
+        assert p.substitute(target, [target.var(0), target.zero]) == parse_polynomial("u^2", target)
+
+
 def assert_exact(p, normalized=False):
     """Every coefficient is an ``int`` or a ``Fraction``, never a float; if
     ``normalized``, no ``Fraction`` is integral."""
