@@ -63,7 +63,7 @@ from .geometry import (
     random_hyperplane,
     regular_in_codimension,
 )
-from .groebner import ideal_membership, krull_dimension
+from .groebner import ideal_membership
 from .poly import PolynomialRing, parse_polynomial
 
 
@@ -283,6 +283,9 @@ def _cmd_check(args) -> int:
             "and has no parametrization)"
         )
         return 1
+    if not gf.parametrization.covers:
+        print("verdict: NO CERTIFICATE (the parametrization covers only part of X)")
+        return 1
     ok = all(oracle_conormal_on_parametrization(part, gf.parametrization) for part in parts)
     if ok:
         print("verdict: CONORMAL (parametrization oracle: pullback vanishes)")
@@ -317,14 +320,6 @@ def _cmd_tangent(args) -> int:
     return 1
 
 
-def _is_trivial_part(part, germ: Germ) -> bool:
-    """Triviality of one homogeneous part; in degree 0 that is membership in
-    the germ ideal."""
-    if form_degree(part) == 0:
-        return ideal_membership(part, germ.ideal)
-    return is_trivial_form(part, germ)
-
-
 def _cmd_trivial(args) -> int:
     gf = load_germ_file(args.germ)
     parts = _resolve_form(gf, args.form)
@@ -332,7 +327,7 @@ def _cmd_trivial(args) -> int:
     print(f"germ: {gf.germ}")
     trivial = True
     for part in parts:
-        ok = _is_trivial_part(part, gf.germ)
+        ok = is_trivial_form(part, gf.germ)
         print(f"degree {form_degree(part)} part trivial: {_yes_no(ok)}")
         trivial = trivial and ok
     if trivial:
@@ -348,7 +343,7 @@ def _cmd_singular(args) -> int:
     jac = jacobian_ideal(gf.germ)
     print("jacobian ideal: " + "; ".join(str(g) for g in jac.generators))
     dim_x = gf.germ.dimension
-    dim_sing = krull_dimension(jac)
+    dim_sing = gf.germ.singular_dimension
     print(f"dim X = {dim_x}")
     print(f"dim Sing X = {dim_sing}" + (" (empty)" if dim_sing < 0 else ""))
     for k in range(0, dim_x + 1):
@@ -423,7 +418,7 @@ _STATUSES = tuple(status.value for status in VerdictStatus)
 _EXPECT_KINDS = {
     "check": (_STATUSES, lambda gf, arg: _aggregate(
         is_conormal(p, gf.germ) for p in _resolve_form(gf, arg)).value),
-    "trivial": _every_part(lambda p, gf: _is_trivial_part(p, gf.germ)),
+    "trivial": _every_part(lambda p, gf: is_trivial_form(p, gf.germ)),
     "tangent": (_STATUSES, lambda gf, arg: is_tangential(
         _parse_field(arg, gf.germ.ring), gf.germ).status.value),
     "oracle": _every_part(lambda p, gf: oracle_conormal_on_parametrization(p, gf.parametrization)),

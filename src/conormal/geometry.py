@@ -76,7 +76,7 @@ def regular_in_codimension(germ: Germ, k: int) -> bool:
     dim = germ.dimension
     if not 0 <= k <= dim:
         raise ValueError(f"codimension must be between 0 and dim X = {dim}")
-    return krull_dimension(jacobian_ideal(germ)) < dim - k
+    return germ.singular_dimension < dim - k
 
 
 def hyperplane_section(germ: Germ, hyperplane: Hyperplane) -> Germ:
@@ -180,7 +180,7 @@ def bertini_check(
         radical_membership(a, sliced_ideal) for a in section_jac.generators
     ) and all(radical_membership(b, section_jac) for b in sliced_ideal.generators)
 
-    dim_sing = krull_dimension(jac)
+    dim_sing = germ.singular_dimension
     if dim_sing >= 1:
         if radical_membership(ell, jac):
             diagnostics.append("H contains Sing X")

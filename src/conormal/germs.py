@@ -4,9 +4,9 @@ A :class:`Germ` is a polynomial model of an analytic germ at the origin:
 an ambient ring and generators that all vanish at 0.  Whether it is a
 hypersurface or a complete intersection is derived from the generators,
 never declared.  What the tests below need of the germ itself -- the
-differentials of its generators and their wedge product, its Jacobian ideal,
-its radicality and the bases of its trivial forms -- the germ computes on
-first use and keeps, so each is paid once per germ (see :class:`Germ`).
+differentials of its generators and their wedge product, its Jacobian ideal
+and its dimension, its radicality and the modules of its trivial forms --
+the germ computes on first use and keeps (see :class:`Germ`).
 Because membership is decided in the polynomial ring rather than the local
 analytic ring, germ-level claims come back as a :class:`Verdict`: a record
 of the polynomials the claim was reduced to and the one that decided it,
@@ -54,16 +54,13 @@ from .forms import (
 )
 from .groebner import (
     Ideal,
-    _encode,
-    _position_ring,
-    _rabinowitsch,
-    buchberger,
+    Submodule,
     ideal_membership,
+    implicitization,
     krull_dimension,
     radical_membership,
-    reduce,
 )
-from .poly import MonomialOrder, Polynomial, PolynomialRing, evaluate, same_ring
+from .poly import Polynomial, PolynomialRing, evaluate, same_ring
 
 
 class VerdictStatus(Enum):
@@ -153,13 +150,15 @@ class Germ:
     * ``jacobian``: the ideal of Sing X for a complete intersection, the
       generators plus the nonzero coefficients of ``jacobian_form``; it
       raises on every access for other germs;
+    * ``singular_dimension``: dim Sing X = dim V(jacobian), which the
+      radicality test, the regularity table and the section harness read;
     * ``radical``: the generator ideal is provably radical, i.e. the germ is a
       complete intersection (so its ideal is unmixed) and regular in
-      codimension 0, dim V(jacobian) < dim X.
+      codimension 0, ``singular_dimension`` < dim X.
 
-    ``_trivial`` maps a degree k to the encoded Groebner basis of the degree-k
-    trivial forms, which :func:`is_trivial_form` builds on its first test in
-    that degree.
+    ``_trivial`` maps a degree k to (positions of the k-index tuples,
+    :class:`Submodule` of the degree-k trivial forms), which
+    :func:`is_trivial_form` builds on its first test in that degree.
     """
 
     def __init__(self, ring: PolynomialRing, generators: Sequence[Polynomial]):
@@ -191,8 +190,12 @@ class Germ:
         return Ideal(list(self.generators) + minors)
 
     @cached_property
+    def singular_dimension(self) -> int:
+        return krull_dimension(self.jacobian)
+
+    @cached_property
     def radical(self) -> bool:
-        return self.complete_intersection and krull_dimension(self.jacobian) < self.dimension
+        return self.complete_intersection and self.singular_dimension < self.dimension
 
     @cached_property
     def differentials(self) -> tuple:
@@ -216,10 +219,10 @@ class Parametrization:
 
     Substituting the components into every germ generator must give the zero
     polynomial; this is checked at construction, making the parametrization
-    a trustworthy independent oracle for tangent-space computations.
+    a trustworthy independent oracle for tangent-space computations on the
+    image.  ``covers``, computed on first use and kept, says whether the
+    image is dense in X, so that the oracle speaks for all of X.
     """
-
-    __slots__ = ("germ", "ring", "components")
 
     def __init__(self, germ: Germ, ring: PolynomialRing, components: Sequence[Polynomial]):
         comps = tuple(components)
@@ -237,6 +240,12 @@ class Parametrization:
         self.ring = ring
         self.components = comps
 
+    @cached_property
+    def covers(self) -> bool:
+        # V(I) lies in V(J), the closure of the image, iff J lies in rad(I).
+        image = implicitization(self.germ.ring, self.components)
+        return all(radical_membership(g, self.germ.ideal) for g in image.generators)
+
     def __repr__(self) -> str:
         return "(" + ", ".join(str(p) for p in self.components) + ")"
 
@@ -248,7 +257,7 @@ def _classify(tested, germ: Germ, wedge: Optional[DifferentialForm] = None) -> V
     The offender is the first pair failing the strongest test that decides
     the status.  On a radical germ a polynomial outside the ideal is outside
     its radical, so the first failure decides; only other germs run the
-    Rabinowitsch test, and only on the failures.
+    radical test, and only on the failures.
     """
     tested = tuple(tested)
     ideal = germ.ideal
@@ -259,7 +268,7 @@ def _classify(tested, germ: Germ, wedge: Optional[DifferentialForm] = None) -> V
                 return Verdict(VerdictStatus.CERTIFIED_NO, tested, pair, wedge)
             failures.append(pair)
     for pair in failures:
-        if not _rabinowitsch(pair[1], ideal):
+        if not radical_membership(pair[1], ideal):
             return Verdict(VerdictStatus.CERTIFIED_NO, tested, pair, wedge)
     if failures:
         return Verdict(VerdictStatus.NO_CERTIFICATE, tested, failures[0], wedge)
@@ -327,41 +336,35 @@ def trivial_form_generators(germ: Germ, k: int) -> list:
     return out
 
 
-def _trivial_basis(germ: Germ, k: int) -> tuple:
-    # (positions, encoded ring, top order, basis) for the degree-k trivial
-    # forms, computed on first use and kept on the germ.
+def _trivial_module(germ: Germ, k: int) -> tuple:
+    # (positions, submodule) for the degree-k trivial forms, built on first
+    # use and kept on the germ.
     cached = germ._trivial.get(k)
     if cached is None:
         positions = {S: p for p, S in enumerate(combinations(range(germ.ring.nvars), k))}
-        rank = len(positions)
-        ring = _position_ring(germ.ring, rank)
-        order = MonomialOrder("top", rank)
-        gens = [
-            _encode(((positions[S], c) for S, c in g.coefficients()), ring, rank)
+        gens = (
+            ((positions[S], c) for S, c in g.coefficients())
             for g in trivial_form_generators(germ, k)
-        ]
-        cached = (positions, ring, order, buchberger(gens, order))
-        germ._trivial[k] = cached
+        )
+        cached = germ._trivial[k] = (positions, Submodule(germ.ring, len(positions), gens))
     return cached
 
 
-def is_trivial_form(omega: DifferentialForm, germ: Germ) -> bool:
-    """Whether a homogeneous form of degree >= 1 lies in the submodule
-    generated by the trivial forms, i.e. in the differential ideal of the
-    germ ideal.  Decided as submodule membership over the basis of k-index
-    tuples in lexicographic order: the form is encoded with one position
-    per tuple and reduced against the submodule's Groebner basis, which the
-    germ computes once per degree and keeps."""
+def is_trivial_form(omega: FormLike, germ: Germ) -> bool:
+    """Whether a homogeneous form lies in the differential ideal generated
+    by the germ ideal.  In degree 0 that is membership in the germ ideal.
+    In degree k >= 1 it is membership in the submodule generated by the
+    trivial k-forms, over the basis of k-index tuples in lexicographic
+    order, whose Groebner basis the germ computes once per degree and
+    keeps."""
     same_ring(omega, germ.generators[0])
     k = form_degree(omega)
-    n = germ.ring.nvars
-    if k < 1:
-        raise ValueError("triviality is defined for forms of degree >= 1")
-    if k > n:
+    if k == 0:
+        return ideal_membership(omega, germ.ideal)
+    if k > germ.ring.nvars:
         return True  # only the zero form
-    positions, ring, order, basis = _trivial_basis(germ, k)
-    target = _encode(((positions[S], c) for S, c in omega.coefficients()), ring, len(positions))
-    return not reduce(target, basis, order)
+    positions, module = _trivial_module(germ, k)
+    return module.contains((positions[S], c) for S, c in omega.coefficients())
 
 
 def vanishes_on_singular_locus(omega: FormLike, germ: Germ) -> bool:

@@ -3,17 +3,18 @@
 Everything runs over the exact rational polynomials of :mod:`conormal.poly`.
 The public operations are ``reduce`` (multivariate division / normal form),
 ``buchberger`` (reduced Groebner basis, heap-ordered normal pair selection),
-``ideal_membership``, ``eliminate``, ``radical_membership`` (plain membership
-against the cached basis, then the Rabinowitsch trick, seeded with that
-basis), ``krull_dimension``
-(independent variable sets modulo the leading-term ideal of a grevlex basis)
-and ``module_membership``.
+``ideal_membership``, ``eliminate``, ``implicitization`` (the ideal of the
+closure of a polynomial map's image), ``radical_membership`` (plain
+membership against the cached basis, then the Rabinowitsch trick, seeded
+with that basis), ``krull_dimension`` (independent variable sets modulo the
+leading-term ideal of a grevlex basis) and ``module_membership``.
 
-There is one division loop and one pair loop.  A vector (p_1, ..., p_r) of
-R^r runs through them as the polynomial sum e_i*p_i, with r position
-variables in front, under the term-over-position order ``top``; the one
-module rule, that leads in different positions give the S-vector 0, lives
-in ``s_polynomial``, and ``buchberger`` never queues such a pair.
+There is one division loop and one pair loop.  A :class:`Submodule` of R^r
+runs a vector (p_1, ..., p_r) through them as the polynomial sum e_i*p_i,
+with r position variables in front, under the term-over-position order
+``top``; the one module rule, that leads in different positions give the
+S-vector 0, lives in ``s_polynomial``, and ``buchberger`` never queues such
+a pair.
 
 Every lead-divisibility test (in ``reduce``, in ``_autoreduce`` and in the
 pair criteria of ``_complete``) first compares support masks
@@ -322,6 +323,20 @@ def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
     return Ideal(kept or [target.zero])
 
 
+def implicitization(ring: PolynomialRing, images: Sequence[Polynomial]) -> Ideal:
+    """The ideal in ``ring`` of the Zariski closure of the image of the map
+    x_j = images[j](s): (x_j - images[j]) with the parameters eliminated,
+    under fresh names in front of the ring's variables."""
+    if len(images) != ring.nvars:
+        raise ValueError("one image per variable of the ring required")
+    d = same_ring(*images).nvars
+    names = [_fresh_name(ring, f"_s{i + 1}") for i in range(d)]
+    work = PolynomialRing(names + list(ring.variables))
+    params = work.gens()[:d]
+    gens = [work.var(d + j) - p.substitute(work, params) for j, p in enumerate(images)]
+    return eliminate(Ideal(gens), range(d))
+
+
 def _fresh_name(ring: PolynomialRing, base: str = "_t") -> str:
     """``base``, with ``_`` appended until it can join the ring's names: it is
     none of them, and neither it nor one of them is ``d`` plus the other."""
@@ -416,21 +431,46 @@ class ModuleElement:
         return "(" + ", ".join(str(p) for p in self.components) + ")"
 
 
-def _position_ring(ring: PolynomialRing, rank: int) -> PolynomialRing:
-    # ``rank`` fresh position variables e_1, ..., e_rank in front of ring's.
-    names = [_fresh_name(ring, f"_e{i + 1}") for i in range(rank)]
-    return PolynomialRing(names + list(ring.variables))
+class Submodule:
+    """The submodule of R^rank generated by vectors, each given as (position,
+    polynomial) pairs with distinct positions.  ``encode`` is the one map of
+    a vector to its polynomial in the position ring; the nonzero encoded
+    generators are kept, and their basis is computed on first use and kept."""
+
+    __slots__ = ("rank", "position_ring", "order", "generators", "_basis")
+
+    def __init__(self, ring: PolynomialRing, rank: int, generators: Iterable[Iterable[tuple]]):
+        self.rank = rank
+        names = [_fresh_name(ring, f"_e{i + 1}") for i in range(rank)]
+        self.position_ring = PolynomialRing(names + list(ring.variables))
+        self.order = MonomialOrder("top", rank)
+        self.generators = tuple(g for g in map(self.encode, generators) if g)
+        self._basis = None
+
+    def encode(self, parts: Iterable[tuple]) -> Polynomial:
+        """The polynomial sum e_p*q over (position p, polynomial q) pairs."""
+        terms = {}
+        for p, q in parts:
+            e = (0,) * p + (1,) + (0,) * (self.rank - p - 1)
+            for m, c in q.terms.items():
+                terms[e + m] = c
+        return Polynomial(self.position_ring, terms, _clean=True)
+
+    def groebner_basis(self) -> tuple:
+        if self._basis is None:
+            self._basis = tuple(buchberger(self.generators, self.order)) if self.generators else ()
+        return self._basis
+
+    def contains(self, parts: Iterable[tuple]) -> bool:
+        """Whether the vector given by (position, polynomial) pairs lies in
+        the submodule: its normal form modulo the basis is 0."""
+        return not reduce(self.encode(parts), self.groebner_basis(), self.order)
 
 
-def _encode(parts: Iterable[tuple], ring: PolynomialRing, rank: int) -> Polynomial:
-    """The polynomial sum e_p*q over (position p, polynomial q) pairs with
-    distinct positions, in the position ring ``ring`` of rank ``rank``."""
-    terms = {}
-    for p, q in parts:
-        e = (0,) * p + (1,) + (0,) * (rank - p - 1)
-        for m, c in q.terms.items():
-            terms[e + m] = c
-    return Polynomial(ring, terms, _clean=True)
+def _submodule(gens: Sequence[ModuleElement], ring: PolynomialRing, rank: int) -> Submodule:
+    if any(g.rank != rank or g.ring != ring for g in gens):
+        raise ValueError(f"module elements must all lie in {ring}^{rank}")
+    return Submodule(ring, rank, (enumerate(g.components) for g in gens))
 
 
 def _decode(p: Polynomial, ring: PolynomialRing, rank: int) -> ModuleElement:
@@ -442,47 +482,22 @@ def _decode(p: Polynomial, ring: PolynomialRing, rank: int) -> ModuleElement:
 
 def module_buchberger(gens: Sequence[ModuleElement]) -> list:
     """Reduced Groebner basis of the submodule of R^rank generated by
-    ``gens``, in the term-over-position order over grevlex: ``buchberger``
-    run on the encoded generators."""
+    ``gens``, in the term-over-position order over grevlex."""
     if not gens:
         return []
-    ring, rank = same_ring(*gens), gens[0].rank
-    if any(g.rank != rank for g in gens):
-        raise ValueError("rank mismatch among module generators")
-    encoded_ring = _position_ring(ring, rank)
-    encoded = [_encode(enumerate(g.components), encoded_ring, rank) for g in gens if g]
-    if not encoded:
-        return []
-    basis = buchberger(encoded, MonomialOrder("top", rank))
-    return [_decode(b, ring, rank) for b in basis]
+    ring, rank = gens[0].ring, gens[0].rank
+    return [_decode(b, ring, rank) for b in _submodule(gens, ring, rank).groebner_basis()]
 
 
 def module_reduce(v: ModuleElement, basis: Sequence[ModuleElement]) -> ModuleElement:
     """Normal form of v modulo module elements of the same rank, in the
     order of :func:`module_buchberger`."""
-    encoded_ring = _position_ring(v.ring, v.rank)
-    r = reduce(
-        _encode(enumerate(v.components), encoded_ring, v.rank),
-        [_encode(enumerate(g.components), encoded_ring, v.rank) for g in basis],
-        MonomialOrder("top", v.rank),
-    )
+    sub = _submodule(basis, v.ring, v.rank)
+    r = reduce(sub.encode(enumerate(v.components)), sub.generators, sub.order)
     return _decode(r, v.ring, v.rank)
 
 
 def module_membership(v: ModuleElement, gens: Sequence[ModuleElement]) -> bool:
-    """Whether v lies in the submodule of R^rank generated by ``gens``.
-
-    v and the generators are encoded once, into one position ring, and the
+    """Whether v lies in the submodule of R^rank generated by ``gens``; the
     encoded basis is used as it comes out of ``buchberger``."""
-    for g in gens:
-        if g.rank != v.rank:
-            raise ValueError("rank mismatch")
-        if g.ring != v.ring:
-            raise ValueError("ring mismatch")
-    ring = _position_ring(v.ring, v.rank)
-    encoded = [_encode(enumerate(g.components), ring, v.rank) for g in gens if g]
-    if not encoded:
-        return not v
-    order = MonomialOrder("top", v.rank)
-    target = _encode(enumerate(v.components), ring, v.rank)
-    return not reduce(target, buchberger(encoded, order), order)
+    return _submodule(gens, v.ring, v.rank).contains(enumerate(v.components))

@@ -19,7 +19,7 @@ from conormal.forms import (
     radial_potential,
     wedge,
 )
-from conormal.geometry import jacobian_ideal
+from conormal.geometry import jacobian_ideal, regular_in_codimension
 from conormal.germs import (
     Germ,
     Parametrization,
@@ -306,6 +306,28 @@ class TestRadical:
 
 
 class TestDerivedFacts:
+    def test_singular_dimension_computed_once_per_germ(self, monkeypatch, umbrella):
+        # Radicality and the whole regularity table read one dimension of
+        # the Jacobian ideal.
+        import conormal.geometry as geometry
+        import conormal.germs as germs
+
+        germ = Germ(R, umbrella.generators)
+        dimensions_of = []
+        for module in (germs, geometry):
+            real = module.krull_dimension
+
+            def counting(ideal, real=real):
+                dimensions_of.append(ideal)
+                return real(ideal)
+
+            monkeypatch.setattr(module, "krull_dimension", counting)
+        assert germ.radical
+        table = [regular_in_codimension(germ, k) for k in range(germ.dimension + 1)]
+        assert table == [True, False, False]  # Sing X is the x-axis
+        assert dimensions_of == [germ.jacobian]
+        assert germ.singular_dimension == 1
+
     def test_differentials_computed_once_per_germ(self, monkeypatch, umbrella):
         import conormal.germs as germs
 
@@ -411,6 +433,18 @@ class TestTrivialForms:
         assert not is_trivial_form(form("x*dy*dz + 3*z*dx*dy"), cusp)
         assert not is_trivial_form(form("y*z*dx + 2*x*z*dy - 2*x*y*dz"), umbrella)
 
+    @pytest.mark.parametrize("name", ["umbrella.germ", "cusp3.germ"])
+    def test_degree_zero_is_membership_in_the_germ_ideal(self, name):
+        germ = corpus_germ(name)
+        ring = germ.ring
+        f = germ.generators[0]
+        rng = random.Random(5)
+        cases = [ring.zero, f, f * ring.var(0) - 3 * f, ring.var(0), f + ring.one]
+        cases += [random_polynomial(rng, ring, max_terms=3, max_degree=3) for _ in range(5)]
+        answers = [is_trivial_form(p, germ) for p in cases]
+        assert answers == [ideal_membership(p, germ.ideal) for p in cases]
+        assert True in answers and False in answers
+
     def test_f_dx_is_trivial(self, umbrella):
         f = umbrella.generators[0]
         assert is_trivial_form(DifferentialForm(R, 1, {(0,): f}), umbrella)
@@ -507,6 +541,21 @@ class TestParametrizationOracle:
             Parametrization(umbrella, pring, [u, v, u * v])  # does not satisfy f
         with pytest.raises(ValueError):
             Parametrization(umbrella, pring, [u**2, v, u * v + 1])  # misses the origin
+
+    def test_covers_only_a_dense_image(self, umbrella_param):
+        assert umbrella_param.covers
+        for name in corpus_names():
+            par = load_germ_file(name).parametrization
+            assert par is None or par.covers, name
+        s = PolynomialRing(["s"]).var(0)
+        plane_line = Germ(R, [X * Y, X * Z])  # the plane x = 0 and the x-axis
+        assert not Parametrization(plane_line, s.ring, [s.ring.zero, s, s**2]).covers
+        assert not Parametrization(plane_line, s.ring, [s, s.ring.zero, s.ring.zero]).covers
+        ring = PolynomialRing(["x", "y", "z", "w"])
+        x, y, z, w = ring.gens()
+        cone = Germ(ring, [x * z - y**2, y * w - z**2, x * w - y * z])
+        assert Parametrization(cone, UV, [U**3, U**2 * V, U * V**2, V**3]).covers
+        assert not Parametrization(cone, UV, [U**3, UV.zero, UV.zero, UV.zero]).covers
 
     def test_umbrella_1form_pullback_vanishes(self, umbrella, umbrella_param):
         assert oracle_conormal_on_parametrization(

@@ -21,12 +21,18 @@ GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
 # and vector field); V(x) carries a conormal 2-form not vanishing at 0.
 # V(x*y, x*z), the plane x = 0 and the x-axis, is not a complete
 # intersection, so ``check`` falls back on the parametrization oracle, or
-# says that there is none.
+# says that there is none; its curve in the plane covers only part of X.
+# The twisted cubic cone, not a complete intersection either, is covered by
+# its parametrization, so the oracle decides.
 LOCAL_FILES = {
     "double_line.germ": "ring x y\ngen x^2\n",
     "cylinder.germ": "ring x y z\ngen x\n",
     "plane_line.germ": "ring x y z\ngen x*y\ngen x*z\nparam s -> 0, s, s^2\n",
     "plane_line_bare.germ": "ring x y z\ngen x*y\ngen x*z\n",
+    "twisted_cubic.germ": (
+        "ring x y z w\ngen x*z - y^2\ngen y*w - z^2\ngen x*w - y*z\n"
+        "param s t -> s^3, s^2*t, s*t^2, t^3\n"
+    ),
 }
 
 # germ -> forms for check, trivial and potential (named forms first)
@@ -75,6 +81,8 @@ def commands() -> list:
         ["check", "--germ", "plane_line.germ", "--form", "dx"],
         ["check", "--germ", "plane_line.germ", "--form", "dy"],
         ["check", "--germ", "plane_line_bare.germ", "--form", "dx"],
+        ["check", "--germ", "twisted_cubic.germ", "--form", "dx"],
+        ["check", "--germ", "twisted_cubic.germ", "--form", "z*dx - 2*y*dy + x*dz"],
         ["check", "--germ", "missing.germ", "--form", "dx"],
         ["check", "--germ", "umbrella.germ", "--form", "dq"],
         ["verify-examples"],

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conormal.cli import corpus_names, load_germ_file
 from conormal.forms import exterior_derivative, parse_form, wedge
-from conormal.germs import _trivial_basis, is_trivial_form
+from conormal.germs import _trivial_module, is_trivial_form
 from conormal.groebner import (
     Ideal,
     ModuleElement,
@@ -18,9 +18,11 @@ from conormal.groebner import (
     buchberger,
     eliminate,
     ideal_membership,
+    implicitization,
     krull_dimension,
     module_buchberger,
     module_membership,
+    module_reduce,
     radical_membership,
     reduce,
     s_polynomial,
@@ -265,7 +267,7 @@ class TestSupportMaskFilter:
             buchberger(list(germ.jacobian.generators), GREVLEX)
             assert len(built) == jacobian, name
             built.clear()
-            _trivial_basis(germ, 2)
+            _trivial_module(germ, 2)[1].groebner_basis()
             assert len(built) == trivial, name
 
 
@@ -332,6 +334,37 @@ class TestEliminate:
     def test_cannot_drop_everything(self):
         with pytest.raises(ValueError):
             eliminate(Ideal([X]), [0, 1, 2])
+
+
+class TestImplicitization:
+    def test_cusp_even_with_a_parameter_named_like_a_variable(self):
+        plane = PolynomialRing(["x", "y"])
+        x, y = plane.gens()
+        for name in ("t", "x"):
+            params = PolynomialRing([name])
+            t = params.var(0)
+            image = implicitization(plane, [t**2, t**3])
+            assert image.ring == plane
+            assert image.same_ideal(Ideal([y**2 - x**3]))
+
+    def test_twisted_cubic_cone_gives_its_ideal(self):
+        ring = PolynomialRing(["x", "y", "z", "w"])
+        x, y, z, w = ring.gens()
+        params = PolynomialRing(["s", "t"])
+        s, t = params.gens()
+        image = implicitization(ring, [s**3, s**2 * t, s * t**2, t**3])
+        assert image.same_ideal(Ideal([x * z - y**2, y * w - z**2, x * w - y * z]))
+
+    def test_curve_in_a_plane(self):
+        params = PolynomialRing(["s"])
+        s = params.var(0)
+        image = implicitization(R, [params.zero, s, s**2])
+        assert image.same_ideal(Ideal([X, Y**2 - Z]))
+
+    def test_one_image_per_variable(self):
+        params = PolynomialRing(["s"])
+        with pytest.raises(ValueError):
+            implicitization(R, [params.var(0)] * 2)
 
 
 @st.composite
@@ -464,6 +497,10 @@ class TestModuleMembership:
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
             module_membership(ModuleElement([X]), [ModuleElement([X, Y])])
+        with pytest.raises(ValueError):
+            module_buchberger([ModuleElement([X]), ModuleElement([X, Y])])
+        with pytest.raises(ValueError):
+            module_reduce(ModuleElement([X]), [ModuleElement([X, Y])])
 
     def test_rank_one_agrees_with_ideal_membership(self):
         rng = random.Random(20240)

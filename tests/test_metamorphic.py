@@ -67,7 +67,7 @@ def verdicts(germ, forms, fields):
     statuses, triviality and the regularity table."""
     return (
         [is_conormal(w, germ).status for w in forms],
-        [is_trivial_form(w, germ) for w in forms if form_degree(w) >= 1],
+        [is_trivial_form(w, germ) for w in forms],
         [is_tangential(v, germ).status for v in fields],
         [regular_in_codimension(germ, k) for k in range(germ.dimension + 1)],
     )
