@@ -10,9 +10,9 @@ fact by diagnostics instead of deciding transversality up front:
 * the section is non-reduced,
 * the hyperplane contains (a component of) the singular locus,
 * the hyperplane is tangent to the hypersurface at a regular point of the
-  intersection (decided exactly: the tangency locus is cut out by f, the
-  linear form l and the coefficients of df ^ dl, the Jacobian ideal of
-  V(f, l)),
+  intersection (decided exactly in the section ring: restricted to H, the
+  coefficients of df ^ dl generate the section's Jacobian ideal, so the
+  tangency locus is the singular locus of the section),
 * tangency witnessed at sampled points of a supplied parametrization.
 
 The tangency locus of a hyperplane section is exactly the singular locus of
@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .forms import Hyperplane, evaluate_form, exterior_derivative, pullback, wedge
+from .forms import Hyperplane, evaluate_form, exterior_derivative
 from .germs import Germ, Parametrization
 from .groebner import Ideal, krull_dimension, radical_membership
 from .poly import PolynomialRing, _div, evaluate
@@ -127,15 +127,15 @@ def _cut(germ: Germ, hyperplane: Hyperplane):
 def _sampled_tangency_notes(hyperplane: Hyperplane, par: Parametrization, jac: Ideal) -> list:
     """Point witnesses: sampled parametrized points of the germ lying on the
     hyperplane where every tangent direction of the parametrization stays
-    inside the hyperplane, i.e. where the pullback of dl vanishes."""
+    inside the hyperplane, i.e. where the pullback of dl, d(l o par), vanishes."""
     samples = [0, 1, -1, Fraction(1, 2), Fraction(-1, 2), 2]
-    normal = hyperplane.normal
-    dl = pullback(exterior_derivative(hyperplane.linear_form()), par.components)
+    on_h = hyperplane.linear_form().substitute(par.ring, par.components)
+    dl = exterior_derivative(on_h)
     notes = []
     for values in product(samples, repeat=par.ring.nvars):
-        point = [evaluate(p, values) for p in par.components]
-        if sum(h * x for h, x in zip(normal, point)) != 0:
+        if evaluate(on_h, values):
             continue
+        point = [evaluate(p, values) for p in par.components]
         if all(evaluate(g, point) == 0 for g in jac.generators):
             continue  # singular point of the germ
         if not evaluate_form(dl, values):
@@ -152,7 +152,8 @@ def bertini_check(
     singular locus, classifying any disagreement with diagnostics.
 
     Locus equality is equality of radicals (the claim is about point sets),
-    checked by mutual radical membership of generators.
+    checked by mutual radical membership of generators in the section ring,
+    C[x]/(l) through ``_cut``'s images.
     """
     _require_section_input(germ, hyperplane)
     diagnostics = []
@@ -176,24 +177,26 @@ def bertini_check(
     sliced = [g.substitute(section.ring, images) for g in jac.generators]
     sliced = [g for g in sliced if g]
     sliced_ideal = Ideal(sliced or [section.ring.zero])
-    loci_equal = all(
+    sing_in_section = all(
         radical_membership(a, sliced_ideal) for a in section_jac.generators
-    ) and all(radical_membership(b, section_jac) for b in sliced_ideal.generators)
+    )
+    # Exact smooth-tangency test: by the chain rule, d(f o images)/dy_k is
+    # (d_k f - (h_k/h_p) d_p f) o images, so restricted to H the coefficients
+    # of df ^ dl generate the section's Jacobian ideal.  H is transversal on
+    # the regular part iff Sing(X intersect H) stays inside Sing X.
+    tangent = not all(
+        radical_membership(b, section_jac) for b in sliced_ideal.generators
+    )
+    loci_equal = sing_in_section and not tangent
 
     dim_sing = germ.singular_dimension
     if dim_sing >= 1:
         if radical_membership(ell, jac):
             diagnostics.append("H contains Sing X")
-        elif krull_dimension(Ideal(list(jac.generators) + [ell])) >= dim_sing:
+        elif krull_dimension(sliced_ideal) >= dim_sing:
             diagnostics.append("H contains a positive-dimensional component of Sing X")
 
-    # Exact smooth-tangency test: on X intersect H, df is parallel to dl
-    # exactly where df ^ dl vanishes, so the tangency locus V(T) is the
-    # singular locus of V(f, l); transversality on the regular part holds iff
-    # V(T) stays inside Sing X.
-    df_dl = wedge(germ.jacobian_form, exterior_derivative(ell))
-    tangency = Ideal([germ.generators[0], ell] + [c for _, c in df_dl.coefficients()])
-    if not all(radical_membership(g, tangency) for g in jac.generators):
+    if tangent:
         diagnostics.append("H is tangent to X at a regular point of X on H")
 
     if parametrization is not None:

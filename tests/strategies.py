@@ -9,7 +9,8 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from conormal.forms import DifferentialForm
-from conormal.poly import Polynomial, PolynomialRing
+from conormal.germs import Germ
+from conormal.poly import Polynomial, PolynomialRing, parse_polynomial
 
 
 def coefficients():
@@ -43,6 +44,23 @@ def forms(draw, ring: PolynomialRing, degree: int, max_terms: int = 3, max_degre
         )
     )
     return DifferentialForm(ring, degree, coeffs)
+
+
+# Hypersurface germs (variables, equation) whose sections by the hyperplanes
+# with normals in {-1, 0, 1}^n reach every diagnostic of bertini_check.
+SECTION_GERMS = (
+    ("x y z", "z^2 - x^2*y^2"),
+    ("x y z", "z^2 - x*y^2"),
+    ("x y z", "z - x^2 - y^2"),
+    ("x y z", "x^2 + y^2 - z^2"),
+    ("x y z", "x^2 + y^3 + z^4"),
+    ("x y z t", "x*t - y*z"),
+)
+
+
+def section_germ(variables: str, equation: str) -> Germ:
+    ring = PolynomialRing(variables.split())
+    return Germ(ring, [parse_polynomial(equation, ring)])
 
 
 def random_polynomial(

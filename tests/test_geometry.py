@@ -1,9 +1,11 @@
 """Jacobian ideals, regularity in codimension, hyperplane sections, and the
 seeded section harness."""
 
+from itertools import product
+
 import pytest
 
-from conormal.forms import Hyperplane
+from conormal.forms import Hyperplane, exterior_derivative, wedge
 from conormal.geometry import (
     BertiniVerdict,
     bertini_check,
@@ -13,8 +15,10 @@ from conormal.geometry import (
     regular_in_codimension,
 )
 from conormal.germs import Germ
-from conormal.groebner import krull_dimension
+from conormal.groebner import Ideal, krull_dimension, radical_membership
 from conormal.poly import PolynomialRing, evaluate
+
+from strategies import SECTION_GERMS, section_germ
 
 R = PolynomialRing(["x", "y", "z"])
 X, Y, Z = R.gens()
@@ -190,11 +194,12 @@ class TestBertiniCheck:
     @pytest.mark.parametrize(
         "hyperplane, bases",
         [
-            # jac, section, section jac, sliced, Rabinowitsch(ell, jac),
-            # jac + ell, tangency: every locus membership is plain membership
-            (Hyperplane(R, [1, -1, 0]), 7),
-            # 3*y - z: non-reduced section; H contains Sing X
-            (random_hyperplane(R, 7), 10),
+            # section, section jac, sliced, jac, Rabinowitsch(ell, jac):
+            # every locus membership is plain membership
+            (Hyperplane(R, [1, -1, 0]), 5),
+            # 3*y - z: non-reduced section; H contains Sing X; two locus
+            # memberships need a Rabinowitsch basis
+            (random_hyperplane(R, 7), 7),
         ],
     )
     def test_groebner_bases_per_check(self, monkeypatch, hyperplane, bases):
@@ -210,7 +215,7 @@ class TestBertiniCheck:
 
     @pytest.mark.parametrize(
         "hyperplane, bases",
-        [(Hyperplane(R, [1, -1, 0]), 6), (random_hyperplane(R, 7), 9)],
+        [(Hyperplane(R, [1, -1, 0]), 4), (random_hyperplane(R, 7), 6)],
     )
     def test_second_check_reuses_jacobian_basis(self, monkeypatch, hyperplane, bases):
         # The germ keeps its Jacobian ideal and that ideal its basis, so a
@@ -224,6 +229,74 @@ class TestBertiniCheck:
         bertini_check(germ, hyperplane)
         assert len(seen) == bases
         assert jacobian_ideal(germ) is jacobian_ideal(germ)
+
+    def test_isolated_singularity_bases(self, monkeypatch):
+        # section, section jac, sliced, jac; the second check reuses jac.
+        # No Rabinowitsch basis: dim Sing X = 0 skips the component tests.
+        import conormal.groebner as groebner
+
+        germ = Germ(R, [X**2 + Y**3 + Z**4])
+        hyperplane = Hyperplane(R, [1, 2, 3])
+        counts = []
+        for _ in range(2):
+            seen = []
+            monkeypatch.setattr(groebner, "_basis_observer", lambda *args: seen.append(args))
+            bertini_check(germ, hyperplane)
+            counts.append(len(seen))
+        assert counts == [4, 3]
+
+    def test_component_of_singular_locus(self):
+        # Sing X is the x- and y-axes; H = V(y) holds the x-axis only
+        report = bertini_check(Germ(R, [Z**2 - X**2 * Y**2]), Hyperplane(R, [0, 1, 0]))
+        assert report.diagnostics == (
+            "section is non-reduced (H is tangent to X along a locus)",
+            "H contains a positive-dimensional component of Sing X",
+        )
+
+    def test_section_ring_decision_equals_ambient(self):
+        # The check decides tangency and the component test in the section
+        # ring; the ambient formulas below, over C[x] with l adjoined, must
+        # give the same report on every hyperplane with normal in {-1,0,1}^n.
+        fired = set()
+        for variables, equation in SECTION_GERMS:
+            germ = section_germ(variables, equation)
+            ring = germ.ring
+            for normal in product((-1, 0, 1), repeat=ring.nvars):
+                if not any(normal):
+                    continue
+                hyperplane = Hyperplane(ring, list(normal))
+                report = bertini_check(germ, hyperplane)
+                expected = ambient_diagnostics(germ, hyperplane)
+                assert report.diagnostics == expected, (equation, normal)
+                tangent = TANGENT in expected
+                assert report.singular_loci_equal is not tangent, (equation, normal)
+                fired.update(expected)
+        assert len(fired) == 4
+
+
+TANGENT = "H is tangent to X at a regular point of X on H"
+
+
+def ambient_diagnostics(germ, hyperplane):
+    """bertini_check's diagnostics (no parametrization) computed in the
+    ambient ring: the tangency locus is cut out by f, l and the coefficients
+    of df ^ dl, and the component test is dim (jac + l)."""
+    jac = jacobian_ideal(germ)
+    ell = hyperplane.linear_form()
+    diagnostics = []
+    if not hyperplane_section(germ, hyperplane).radical:
+        diagnostics.append("section is non-reduced (H is tangent to X along a locus)")
+    dim_sing = germ.singular_dimension
+    if dim_sing >= 1:
+        if radical_membership(ell, jac):
+            diagnostics.append("H contains Sing X")
+        elif krull_dimension(Ideal(list(jac.generators) + [ell])) >= dim_sing:
+            diagnostics.append("H contains a positive-dimensional component of Sing X")
+    df_dl = wedge(germ.jacobian_form, exterior_derivative(ell))
+    tangency = Ideal([germ.generators[0], ell] + [c for _, c in df_dl.coefficients()])
+    if not all(radical_membership(g, tangency) for g in jac.generators):
+        diagnostics.append(TANGENT)
+    return tuple(diagnostics)
 
 
 class TestRandomHyperplane:

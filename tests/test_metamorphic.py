@@ -13,6 +13,9 @@ becomes V(f o phi), a form omega becomes its pullback, and a field V becomes
 form_to_vector_field(pullback(vector_field_to_form(V), phi)), which is
 +-phi*V.
 
+A hyperplane-section report must not move when the ambient variables are
+listed in another order and the hyperplane normal is permuted with them.
+
 Two relations of a verdict at 0 do not hold yet, because membership is
 decided in the polynomial ring: multiplying a generator by a unit
 1 + (higher terms), and adding a component that misses 0.  They belong with
@@ -28,17 +31,18 @@ from hypothesis import strategies as st
 
 from conormal.cli import _resolve_form, corpus_names, load_germ_file
 from conormal.forms import (
+    Hyperplane,
     VectorField,
     form_degree,
     form_to_vector_field,
     pullback,
     vector_field_to_form,
 )
-from conormal.geometry import regular_in_codimension
+from conormal.geometry import bertini_check, regular_in_codimension
 from conormal.germs import Germ, is_conormal, is_tangential, is_trivial_form
-from conormal.poly import Polynomial, parse_polynomial
+from conormal.poly import Polynomial, PolynomialRing, parse_polynomial
 
-from strategies import coefficients, polynomials
+from strategies import SECTION_GERMS, coefficients, polynomials, section_germ
 
 CORPUS = corpus_names()
 
@@ -157,6 +161,35 @@ def test_invariant_under_scaling_forms(name, c):
     germ, forms, fields = corpus_case(name)
     scaled = [w.scale(c) for w in forms]
     assert verdicts(germ, scaled, fields) == corpus_verdicts(name)
+
+
+@given(data=st.data())
+@settings(max_examples=100)
+def test_section_report_invariant_under_variable_order(data):
+    # _cut solves H for its first variable with a nonzero normal entry, so
+    # reordering moves the pivot; the report must not depend on it.
+    germ = section_germ(*data.draw(st.sampled_from(SECTION_GERMS), label="germ"))
+    ring = germ.ring
+    n = ring.nvars
+    order = data.draw(st.permutations(range(n)), label="order")
+    normal = data.draw(
+        st.lists(st.integers(-1, 1), min_size=n, max_size=n).filter(any), label="normal"
+    )
+    moved_ring = PolynomialRing([ring.variables[i] for i in order])
+    images = [moved_ring.var(order.index(i)) for i in range(n)]
+    moved = Germ(moved_ring, [g.substitute(moved_ring, images) for g in germ.generators])
+
+    def summary(report):
+        return (
+            report.verdict,
+            report.section_reduced,
+            report.singular_loci_equal,
+            report.diagnostics,
+        )
+
+    before = bertini_check(germ, Hyperplane(ring, normal))
+    after = bertini_check(moved, Hyperplane(moved_ring, [normal[i] for i in order]))
+    assert summary(after) == summary(before)
 
 
 def test_relations_reach_every_corpus_verdict_kind():
