@@ -8,11 +8,12 @@ loci equal as point sets); degenerate hyperplanes are classified after the
 fact by diagnostics instead of deciding transversality up front:
 
 * the section is non-reduced,
-* the hyperplane contains (a component of) the singular locus,
+* the hyperplane contains (a component of) the singular locus (Sing X on H
+  has the section's singular dimension unless H is tangent),
 * the hyperplane is tangent to the hypersurface at a regular point of the
-  intersection (decided exactly in the section ring: restricted to H, the
-  coefficients of df ^ dl generate the section's Jacobian ideal, so the
-  tangency locus is the singular locus of the section),
+  intersection (decided exactly in the section ring: the sliced Jacobian
+  ideal is the section's Jacobian ideal plus the pivot partial restricted to
+  H, and H is tangent iff that partial is not zero on all of Sing(X cap H)),
 * tangency witnessed at sampled points of a supplied parametrization.
 
 The tangency locus of a hyperplane section is exactly the singular locus of
@@ -32,7 +33,7 @@ from typing import Optional
 from .forms import Hyperplane, evaluate_form, exterior_derivative
 from .germs import Germ, Parametrization
 from .groebner import Ideal, krull_dimension, radical_membership
-from .poly import PolynomialRing, _div, evaluate
+from .poly import PolynomialRing, _div, evaluate, partial_derivative
 
 
 class BertiniVerdict(Enum):
@@ -100,8 +101,8 @@ def _require_section_input(germ: Germ, hyperplane: Hyperplane):
 
 
 def _cut(germ: Germ, hyperplane: Hyperplane):
-    """The section germ and the images of the ambient variables in its ring;
-    raises if the hyperplane is contained in the germ.
+    """The section germ, the images of the ambient variables in its ring and
+    the pivot; raises if the hyperplane is contained in the germ.
 
     The hyperplane is solved for its first variable with a nonzero normal
     entry, whose image is that solution; every other variable maps to itself.
@@ -121,7 +122,7 @@ def _cut(germ: Germ, hyperplane: Hyperplane):
     g = germ.generators[0].substitute(section_ring, images)
     if not g:
         raise ValueError("the hyperplane is contained in the germ")
-    return Germ(section_ring, [g]), images
+    return Germ(section_ring, [g]), images, pivot
 
 
 def _sampled_tangency_notes(hyperplane: Hyperplane, par: Parametrization, jac: Ideal) -> list:
@@ -151,9 +152,13 @@ def bertini_check(
     """Compare the singular locus of the hyperplane section with the sliced
     singular locus, classifying any disagreement with diagnostics.
 
-    Locus equality is equality of radicals (the claim is about point sets),
-    checked by mutual radical membership of generators in the section ring,
-    C[x]/(l) through ``_cut``'s images.
+    Both loci live in the section ring, C[x]/(l) through ``_cut``'s images.
+    With p the pivot, g = f o images and phi = (d_p f) o images, the chain
+    rule gives (d_k f) o images = dg/dy_k + (h_k/h_p) phi, so the sliced
+    Jacobian ideal is the section's Jacobian ideal plus (phi).  The loci are
+    equal as point sets iff phi is in the radical of the section's Jacobian
+    ideal, one radical membership; then the sliced locus has the section's
+    singular dimension, and only a tangent H needs a dimension of its own.
     """
     _require_section_input(germ, hyperplane)
     diagnostics = []
@@ -161,7 +166,7 @@ def bertini_check(
     ell = hyperplane.linear_form()
 
     try:
-        section, images = _cut(germ, hyperplane)
+        section, images, pivot = _cut(germ, hyperplane)
     except ValueError:
         diagnostics.append("H is contained in X")
         return BertiniReport(
@@ -174,26 +179,19 @@ def bertini_check(
     if not reduced:
         diagnostics.append("section is non-reduced (H is tangent to X along a locus)")
 
-    sliced = [g.substitute(section.ring, images) for g in jac.generators]
-    sliced = [g for g in sliced if g]
-    sliced_ideal = Ideal(sliced or [section.ring.zero])
-    sing_in_section = all(
-        radical_membership(a, sliced_ideal) for a in section_jac.generators
-    )
-    # Exact smooth-tangency test: by the chain rule, d(f o images)/dy_k is
-    # (d_k f - (h_k/h_p) d_p f) o images, so restricted to H the coefficients
-    # of df ^ dl generate the section's Jacobian ideal.  H is transversal on
-    # the regular part iff Sing(X intersect H) stays inside Sing X.
-    tangent = not all(
-        radical_membership(b, section_jac) for b in sliced_ideal.generators
-    )
-    loci_equal = sing_in_section and not tangent
+    phi = partial_derivative(germ.generators[0], pivot).substitute(section.ring, images)
+    tangent = not radical_membership(phi, section_jac)
 
     dim_sing = germ.singular_dimension
     if dim_sing >= 1:
-        if radical_membership(ell, jac):
+        dim_cut = (
+            krull_dimension(Ideal(section_jac.generators + (phi,)))
+            if tangent else section.singular_dimension
+        )
+        # Sing X inside H forces dim (Sing X on H) = dim Sing X.
+        if dim_cut >= dim_sing and radical_membership(ell, jac):
             diagnostics.append("H contains Sing X")
-        elif krull_dimension(sliced_ideal) >= dim_sing:
+        elif dim_cut >= dim_sing:
             diagnostics.append("H contains a positive-dimensional component of Sing X")
 
     if tangent:
@@ -202,14 +200,14 @@ def bertini_check(
     if parametrization is not None:
         diagnostics.extend(_sampled_tangency_notes(hyperplane, parametrization, jac))
 
-    if reduced and loci_equal:
+    if reduced and not tangent:
         verdict = BertiniVerdict.CONFIRMS_THEOREM
     elif diagnostics:
         verdict = BertiniVerdict.TRANSVERSALITY_FAILS
     else:
         verdict = BertiniVerdict.VIOLATION
     return BertiniReport(
-        hyperplane, section, reduced, loci_equal, tuple(diagnostics), verdict
+        hyperplane, section, reduced, not tangent, tuple(diagnostics), verdict
     )
 
 

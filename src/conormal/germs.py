@@ -138,7 +138,8 @@ class Germ:
     * ``ideal``: the generator ideal, which caches its grevlex basis for
       membership tests;
     * ``hypersurface``: m == 1;
-    * ``dimension``: dim X, from the generator ideal's basis;
+    * ``dimension``: dim X; n - 1 for a hypersurface (Krull's principal ideal
+      theorem), otherwise from the generator ideal's basis;
     * ``complete_intersection``: dim X == n - m.
 
     Derived facts, each computed on first use and kept (``cached_property``):
@@ -176,7 +177,9 @@ class Germ:
         self.generators = gens
         self.ideal = Ideal(gens)
         self.hypersurface = len(gens) == 1
-        self.dimension = krull_dimension(self.ideal)
+        # A nonzero generator vanishing at 0 is not constant: Krull's
+        # principal ideal theorem gives a hypersurface dimension n - 1.
+        self.dimension = ring.nvars - 1 if self.hypersurface else krull_dimension(self.ideal)
         self.complete_intersection = self.dimension == ring.nvars - len(gens)
         self._trivial = {}
 

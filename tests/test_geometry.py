@@ -8,6 +8,7 @@ import pytest
 from conormal.forms import Hyperplane, exterior_derivative, wedge
 from conormal.geometry import (
     BertiniVerdict,
+    _cut,
     bertini_check,
     hyperplane_section,
     jacobian_ideal,
@@ -16,7 +17,7 @@ from conormal.geometry import (
 )
 from conormal.germs import Germ
 from conormal.groebner import Ideal, krull_dimension, radical_membership
-from conormal.poly import PolynomialRing, evaluate
+from conormal.poly import PolynomialRing, evaluate, partial_derivative
 
 from strategies import SECTION_GERMS, section_germ
 
@@ -194,13 +195,14 @@ class TestBertiniCheck:
     @pytest.mark.parametrize(
         "hyperplane, bases",
         [
-            # section, section jac, sliced, jac, Rabinowitsch(ell, jac):
-            # every locus membership is plain membership
-            (Hyperplane(R, [1, -1, 0]), 5),
-            # 3*y - z: non-reduced section; H contains Sing X; two locus
-            # memberships need a Rabinowitsch basis
-            (random_hyperplane(R, 7), 7),
+            # section jac, jac: phi is a plain member of the section jac,
+            # and Sing X on H is a point, so the test of l is skipped
+            (Hyperplane(R, [1, -1, 0]), 2),
+            # 3*y - z: non-reduced section; H contains Sing X; section jac,
+            # Rabinowitsch(phi, section jac), jac, Rabinowitsch(ell, jac)
+            (random_hyperplane(R, 7), 4),
         ],
+        ids=["x-y", "3y-z"],
     )
     def test_groebner_bases_per_check(self, monkeypatch, hyperplane, bases):
         # Deterministic work gate: the exact number of Groebner bases one
@@ -215,7 +217,8 @@ class TestBertiniCheck:
 
     @pytest.mark.parametrize(
         "hyperplane, bases",
-        [(Hyperplane(R, [1, -1, 0]), 4), (random_hyperplane(R, 7), 6)],
+        [(Hyperplane(R, [1, -1, 0]), 1), (random_hyperplane(R, 7), 3)],
+        ids=["x-y", "3y-z"],
     )
     def test_second_check_reuses_jacobian_basis(self, monkeypatch, hyperplane, bases):
         # The germ keeps its Jacobian ideal and that ideal its basis, so a
@@ -231,8 +234,9 @@ class TestBertiniCheck:
         assert jacobian_ideal(germ) is jacobian_ideal(germ)
 
     def test_isolated_singularity_bases(self, monkeypatch):
-        # section, section jac, sliced, jac; the second check reuses jac.
-        # No Rabinowitsch basis: dim Sing X = 0 skips the component tests.
+        # section jac, jac; the second check reuses jac.  No Rabinowitsch
+        # basis: phi is a plain member, and dim Sing X = 0 skips the
+        # component tests.
         import conormal.groebner as groebner
 
         germ = Germ(R, [X**2 + Y**3 + Z**4])
@@ -243,7 +247,7 @@ class TestBertiniCheck:
             monkeypatch.setattr(groebner, "_basis_observer", lambda *args: seen.append(args))
             bertini_check(germ, hyperplane)
             counts.append(len(seen))
-        assert counts == [4, 3]
+        assert counts == [2, 1]
 
     def test_component_of_singular_locus(self):
         # Sing X is the x- and y-axes; H = V(y) holds the x-axis only
@@ -272,6 +276,28 @@ class TestBertiniCheck:
                 assert report.singular_loci_equal is not tangent, (equation, normal)
                 fired.update(expected)
         assert len(fired) == 4
+
+    def test_sliced_jacobian_is_section_jacobian_plus_pivot_partial(self):
+        # The identity the check rests on: the Jacobian ideal of X carried
+        # to H through _cut's images equals the section's Jacobian ideal
+        # plus phi = (d_p f) o images, p the pivot.
+        pairs = 0
+        for variables, equation in SECTION_GERMS:
+            germ = section_germ(variables, equation)
+            f = germ.generators[0]
+            for normal in product((-1, 0, 1), repeat=germ.ring.nvars):
+                if not any(normal):
+                    continue
+                try:
+                    section, images, pivot = _cut(germ, Hyperplane(germ.ring, list(normal)))
+                except ValueError:
+                    continue  # H is contained in X
+                sliced = [g.substitute(section.ring, images) for g in germ.jacobian.generators]
+                phi = partial_derivative(f, pivot).substitute(section.ring, images)
+                plus_phi = Ideal(section.jacobian.generators + (phi,))
+                assert Ideal([g for g in sliced if g]).same_ideal(plus_phi), (equation, normal)
+                pairs += 1
+        assert pairs == 210
 
 
 TANGENT = "H is tangent to X at a regular point of X on H"

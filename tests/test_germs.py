@@ -126,9 +126,10 @@ class TestIsConormal:
 
     def test_bases_per_refutation(self, monkeypatch):
         # Deterministic work gate.  On the radical umbrella the first "no"
-        # computes the Jacobian basis that shows the germ radical, later
-        # ones compute nothing; on the non-radical V(x^2) each "no" computes
-        # one Rabinowitsch basis.
+        # computes the generator ideal's basis for the membership test and
+        # the Jacobian basis that shows the germ radical, later ones compute
+        # nothing; on the non-radical V(x^2) each "no" computes one
+        # Rabinowitsch basis.
         import conormal.groebner as groebner
 
         umbrella = Germ(R, [Z**2 - X * Y**2])
@@ -138,7 +139,7 @@ class TestIsConormal:
         seen = []
         monkeypatch.setattr(groebner, "_basis_observer", lambda *args: seen.append(args))
         assert is_conormal(form("dx"), umbrella).is_certified_no
-        assert len(seen) == 1
+        assert len(seen) == 2
         seen.clear()
         assert is_conormal(form("dy"), umbrella).is_certified_no
         assert is_conormal(form("dx"), umbrella).is_certified_no
@@ -275,10 +276,14 @@ class TestRadical:
         seen = []
         monkeypatch.setattr(groebner, "_basis_observer", lambda *args: seen.append(args))
         germ = Germ(R, [Z**2 - X * Y**2])
-        assert len(seen) == 1  # the generator ideal's basis, for the dimension
+        assert not seen  # a hypersurface has dimension n - 1 without a basis
         assert germ.radical
-        assert len(seen) == 2  # the Jacobian ideal's basis
+        assert len(seen) == 1  # the Jacobian ideal's basis
         assert germ.radical
+        assert len(seen) == 1
+        curve = Germ(R, [X, Z**2 - Y**3])
+        assert len(seen) == 2  # the generator ideal's basis, for the dimension
+        assert curve.complete_intersection
         assert len(seen) == 2
 
     @given(st.sampled_from(corpus_names()), st.data())
