@@ -214,7 +214,7 @@ def evaluate_form(x: FormLike, point: Sequence[Scalar]):
     """Coefficient-wise evaluation at a rational point.
 
     Returns a form of the same degree with constant coefficients (a plain
-    Fraction for degree 0); the form vanishes at the point iff the result
+    scalar for degree 0); the form vanishes at the point iff the result
     is zero.
     """
     if isinstance(x, Polynomial):

@@ -60,7 +60,7 @@ from .groebner import (
     krull_dimension,
     radical_membership,
 )
-from .poly import Polynomial, PolynomialRing, evaluate, same_ring
+from .poly import Polynomial, PolynomialRing, same_ring
 
 
 class VerdictStatus(Enum):
@@ -171,7 +171,7 @@ class Germ:
                 raise ValueError("generator ring mismatch")
             if not g:
                 raise ValueError("zero generators are not allowed")
-            if evaluate(g, (0,) * ring.nvars) != 0:
+            if g.constant_coefficient() != 0:
                 raise ValueError(f"generator {g} does not vanish at the origin")
         self.ring = ring
         self.generators = gens
@@ -234,7 +234,7 @@ class Parametrization:
         for p in comps:
             if p.ring != ring:
                 raise ValueError("component ring mismatch")
-            if evaluate(p, (0,) * ring.nvars) != 0:
+            if p.constant_coefficient() != 0:
                 raise ValueError("parametrization must send 0 to 0")
         for g in germ.generators:
             if g.substitute(ring, comps):

@@ -7,17 +7,20 @@ operation returns a fresh polynomial, so instances can be shared freely.
 
 A coefficient is a plain ``int`` when it is integral and a ``Fraction``
 otherwise, never a float: integer arithmetic skips the ``gcd`` that every
-``Fraction`` operation pays.  Construction, ``scale`` and ``monic`` store
-integral values as ``int`` (:func:`_norm`); sums and products may keep a
-``Fraction`` with denominator 1, which compares and hashes equal to the
-``int``.  Every division of coefficients goes through :func:`_div`, because
-``int / int`` is a float.
+``Fraction`` operation pays.  Construction, ``scale``, ``monic``, :func:`_div`
+and :func:`evaluate` give integral values as ``int`` (:func:`_norm`); sums
+and products may keep a ``Fraction`` with denominator 1, which compares and
+hashes equal to the ``int``.  Every division of coefficients goes through
+:func:`_div`, because ``int / int`` is a float; two ints build a ``Fraction``
+there only when the quotient is not integral.
 
 Monomials are plain tuples of non-negative integers (one entry per ring
-variable); the helpers below implement the little divisibility lattice that
-the Groebner machinery needs.  :func:`support_mask` packs the set of
-variables a monomial involves into an int, a cheap necessary condition for
-divisibility (Singular's "short exponent vector").
+variable); the helpers below implement, on C-level ``map``, the little
+divisibility lattice that the Groebner machinery needs.  A
+:class:`MonomialOrder` picks its key function once and compares and hashes
+by identity.  :func:`support_mask` packs the set of variables a monomial
+involves into an int, a cheap necessary condition for divisibility
+(Singular's "short exponent vector").
 
 :func:`_mul_terms` and :func:`_add_terms` are the one product and sum kernel
 over raw term dicts ``{exponents: coefficient}``.  ``Polynomial.__mul__`` and
@@ -29,10 +32,10 @@ result.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
-from typing import Iterator, Mapping, Sequence, Union
+from operator import add, le, neg, sub
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 Exponents = tuple  # tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -43,15 +46,15 @@ def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
 
 
 def monomial_divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def support_mask(m: Exponents) -> int:
@@ -83,16 +86,19 @@ def _norm(c: Scalar) -> Scalar:
 
 def _div(a: Scalar, b: Scalar) -> Scalar:
     """The exact quotient a / b, normalized by :func:`_norm`."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
     return _norm(Fraction(a) / b)
 
 
 def _grevlex_key(exps: Exponents):
     # a > b iff deg a > deg b, or degrees tie and the last nonzero entry of
     # a - b is negative; encoded so that plain tuple comparison agrees.
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    return (sum(exps), tuple(map(neg, reversed(exps))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonomialOrder:
     """A multiplicative well-order on monomials (the constant 1 is minimal).
 
@@ -103,20 +109,23 @@ class MonomialOrder:
     free module as the polynomial sum e_i*p_i, with the ``split`` = r
     position variables e_i in front: it compares the rest by grevlex and
     breaks ties by position, the lower position winning.
+
+    ``key`` is the sort key: ``key(a) > key(b)`` iff the monomial a is larger.
+    Identity hashing lets a :meth:`Polynomial.divisor` cache hit run no Python.
     """
 
     kind: str
     split: int = 0
+    key: Callable = field(init=False, repr=False)
 
-    def key(self, exps: Exponents):
-        """Sort key: ``key(a) > key(b)`` iff the monomial a is larger."""
-        if self.kind == "grevlex":
-            return _grevlex_key(exps)
-        if self.kind == "lex":
-            return exps
-        if self.kind == "top":
-            return (_grevlex_key(exps[self.split :]), exps[: self.split])
-        return (_grevlex_key(exps[: self.split]), _grevlex_key(exps[self.split :]))
+    def __post_init__(self):
+        split = self.split
+        key = {
+            "lex": tuple,  # the identity on a tuple
+            "grevlex": _grevlex_key,
+            "top": lambda e: (_grevlex_key(e[split:]), e[:split]),
+        }.get(self.kind, lambda e: (_grevlex_key(e[:split]), _grevlex_key(e[split:])))
+        object.__setattr__(self, "key", key)
 
     def __str__(self) -> str:
         if self.kind in ("block", "top"):
@@ -209,7 +218,7 @@ def same_ring(*objs) -> PolynomialRing:
     """Return the common ring of the arguments, raising on a mismatch."""
     ring = objs[0].ring
     for o in objs[1:]:
-        if o.ring != ring:
+        if o.ring is not ring and o.ring != ring:
             raise ValueError(f"ring mismatch: {o.ring} vs {ring}")
     return ring
 
@@ -479,16 +488,16 @@ def partial_derivative(p: Polynomial, i: int) -> Polynomial:
     return Polynomial(p.ring, out, _clean=True)
 
 
-def evaluate(p: Polynomial, point: Sequence[Scalar]) -> Fraction:
-    """Exact value of ``p`` at a rational point of the ambient space."""
+def evaluate(p: Polynomial, point: Sequence[Scalar]) -> Scalar:
+    """Exact value of ``p`` at a rational point, normalized by :func:`_norm`."""
     if len(point) != p.ring.nvars:
         raise ValueError(f"point has {len(point)} coordinates, ring has {p.ring.nvars}")
-    coords = [_rational(v) for v in point]
-    total = Fraction(0)
+    coords = [v if type(v) is int else _rational(v) for v in point]
+    total = 0
     for exps, c in p.terms.items():
         v = c
         for x, e in zip(coords, exps):
             if e:
                 v *= x**e
         total += v
-    return total
+    return _norm(total)

@@ -98,13 +98,14 @@ class TestReduce:
             g.leading(GREVLEX)
         f = X**3 * Y**2 + X * Z**3 + Y * Z**4
         keyed = []
-        key = MonomialOrder.key
+        key = GREVLEX.key
 
-        def counting(order, exps):
+        def counting(exps):
             keyed.append(exps)
-            return key(order, exps)
+            return key(exps)
 
-        monkeypatch.setattr(MonomialOrder, "key", counting)
+        # An order holds its key function per instance, and is frozen.
+        monkeypatch.setitem(vars(GREVLEX), "key", counting)
         reduce(f, basis, GREVLEX)
         assert set(f.terms) < set(keyed)  # division steps brought new terms
         assert len(keyed) == len(set(keyed))
@@ -269,6 +270,58 @@ class TestSupportMaskFilter:
             built.clear()
             _trivial_module(germ, 2)[1].groebner_basis()
             assert len(built) == trivial, name
+
+
+class TestTrivialModuleWork:
+    """Work gate: each corpus trivial-form module basis is pinned together
+    with the S-polynomials and reductions that building it takes.  A change
+    to the kernels may change how long these take, not these numbers."""
+
+    # (germ file, k) -> (S-polynomials, reductions, basis)
+    WORK = {
+        ("segre.germ", 2): (8, 18, [
+            "_e6*y + _e2*z - _e4*t", "_e6*x + _e3*z - _e5*t", "_e4*x - _e5*y - _e1*z",
+            "_e2*x - _e3*y - _e1*t", "_e3*z^2 - _e2*z*t - _e5*z*t + _e4*t^2",
+            "_e5*y*z + _e1*z^2 - _e4*y*t", "_e3*y*z - _e2*y*t + _e1*z*t",
+            "_e5*x*z - _e5*y*t", "_e3*x*z - _e3*y*t", "_e1*x*z - _e1*y*t",
+        ]),
+        ("segre.germ", 3): (13, 23, [
+            "_e3*z - _e4*t", "_e4*y - _e1*z", "_e3*y - _e1*t", "_e4*x - _e2*z",
+            "_e3*x - _e2*t", "_e1*x - _e2*y", "_e2*z*t - _e1*t^2", "_e2*z^2 - _e1*z*t",
+            "_e2*y*z - _e1*y*t", "_e2*x*z - _e2*y*t",
+        ]),
+        ("umbrella.germ", 1): (3, 8, [
+            "_e2*x*y + 1/2*_e1*y^2 - _e3*z", "_e3*x*y*z - _e2*x*z^2 - 1/2*_e1*y*z^2",
+            "_e1*y^3 - 2*_e3*y*z + 2*_e2*z^2", "_e3*x*y^2 - _e3*z^2", "_e1*x*y^2 - _e1*z^2",
+        ]),
+        ("umbrella.germ", 2): (7, 14, [
+            "_e2*y*z - _e1*z^2", "_e3*x*z + 1/2*_e1*z^2", "_e1*y^2 + 2*_e3*z",
+            "_e3*x*y + 1/2*_e2*y^2", "_e1*x*y - _e2*z", "_e2*y^3 + 2*_e3*z^2",
+            "_e2*x*y^2 - _e2*z^2",
+        ]),
+        ("cusp3.germ", 1): (2, 6, [
+            "_e3*x*y + _e2*x*z - 3*_e1*y*z", "_e1*x^2 - 1/3*_e3*y - 1/3*_e2*z",
+            "_e3*x^3 - _e3*y*z", "_e2*x^3 - _e2*y*z",
+        ]),
+    }
+
+    @pytest.mark.parametrize("name, k", list(WORK))
+    def test_work_and_basis_are_pinned(self, monkeypatch, name, k):
+        import conormal.groebner as groebner
+
+        calls = {"s_polynomial": 0, "reduce": 0}
+        for attr in calls:
+            original = getattr(groebner, attr)
+
+            def counting(*args, attr=attr, original=original):
+                calls[attr] += 1
+                return original(*args)
+
+            monkeypatch.setattr(groebner, attr, counting)
+        s_polys, reductions, basis = self.WORK[name, k]
+        built = _trivial_module(load_germ_file(name).germ, k)[1].groebner_basis()
+        assert [str(b) for b in built] == basis
+        assert (calls["s_polynomial"], calls["reduce"]) == (s_polys, reductions)
 
 
 class TestIdealMembership:

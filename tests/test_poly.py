@@ -15,10 +15,13 @@ from conormal.groebner import buchberger, reduce
 from conormal.poly import (
     GREVLEX,
     LEX,
+    MonomialOrder,
     Polynomial,
     PolynomialRing,
+    _div,
     block_order,
     evaluate,
+    monomial_div,
     monomial_divides,
     monomial_lcm,
     monomial_mul,
@@ -305,6 +308,84 @@ class TestOrders:
         for order in (LEX, GREVLEX, block_order(1)):
             for m in [(1, 0, 0), (0, 1, 0), (2, 1, 3)]:
                 assert order.key(m) > order.key(one)
+
+
+def reference_key(kind, split, e):
+    # The order keys by their definitions, with grevlex written out.
+    def grevlex(f):
+        return (sum(f), tuple(-x for x in reversed(f)))
+
+    if kind == "lex":
+        return e
+    if kind == "grevlex":
+        return grevlex(e)
+    if kind == "top":
+        return (grevlex(e[split:]), e[:split])
+    return (grevlex(e[:split]), grevlex(e[split:]))
+
+
+def pairs_of_monomials(nvars=4):
+    return st.tuples(monomials(nvars), monomials(nvars))
+
+
+def scalars():
+    return st.integers(-50, 50) | st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+class TestKernels:
+    """The hot-path kernels equal their definitions."""
+
+    @given(pairs_of_monomials())
+    def test_monomial_helpers(self, ab):
+        a, b = ab
+        assert monomial_divides(a, b) == all(x <= y for x, y in zip(a, b))
+        assert monomial_div(a, b) == tuple(x - y for x, y in zip(a, b))
+        assert monomial_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+
+    @given(scalars(), scalars().filter(bool))
+    def test_div_is_the_normalized_quotient(self, a, b):
+        q = Fraction(a) / b
+        assert _div(a, b) == q
+        assert type(_div(a, b)) is (int if q.denominator == 1 else Fraction)
+
+    @pytest.mark.parametrize(
+        "a, b, q", [(6, -2, -3), (-7, 2, Fraction(-7, 2)), (7, -2, Fraction(-7, 2)), (0, -3, 0)]
+    )
+    def test_div_signs_and_zero_numerator(self, a, b, q):
+        assert _div(a, b) == q
+        assert type(_div(a, b)) is type(q)
+
+    @pytest.mark.parametrize("a", [0, 3, Fraction(1, 2)])
+    def test_div_by_zero_raises(self, a):
+        with pytest.raises(ZeroDivisionError):
+            _div(a, 0)
+
+    @given(
+        st.sampled_from(["lex", "grevlex", "block", "top"]),
+        st.integers(0, 4),
+        monomials(4),
+    )
+    def test_order_keys(self, kind, split, e):
+        assert MonomialOrder(kind, split).key(e) == reference_key(kind, split, e)
+
+    def test_orders_compare_by_identity(self):
+        # An equal but distinct order keeps its own divisor records.
+        other = MonomialOrder("grevlex")
+        assert other != GREVLEX and other == other
+        p = X**2 - Y * Z
+        assert p.divisor(other) == p.divisor(GREVLEX)
+        assert set(p._lead) == {other, GREVLEX}
+
+    @given(polynomials(R), st.tuples(scalars(), scalars(), scalars()))
+    def test_evaluate_is_int_when_integral(self, p, point):
+        value = evaluate(p, point)
+        exact = sum(
+            (Fraction(c) * Fraction(point[0]) ** i * Fraction(point[1]) ** j * Fraction(point[2]) ** k
+             for (i, j, k), c in p.terms.items()),
+            Fraction(0),
+        )
+        assert value == exact
+        assert type(value) is (int if exact.denominator == 1 else Fraction)
 
 
 class TestRing:
