@@ -19,11 +19,15 @@ tuples to polynomial coefficients, with the empty tuple holding the scalar
 part.  ``poly.parse_polynomial`` and ``forms.parse_form`` are thin wrappers.
 
 The parser works on raw mixed forms, ``{index tuple: {exponents:
-coefficient}}``: a number, variable or differential is a one-term dict, and
-products and sums go through the term-dict kernels of ``poly``.  Each
-coefficient becomes a ``Polynomial`` once, at the end of
-:func:`parse_mixed_text`.  :func:`mixed_mul` is the one wedge loop over raw
-term dicts; ``forms.wedge`` calls it too.
+coefficient}}``.  A term multiplies its numbers, variables and
+differentials, with their powers, straight into one accumulated monomial
+(a coefficient, an exponent list and the differentials in order of
+appearance, whose order gives the wedge sign); only a parenthesized factor
+is a mixed form of its own, wedged in with :func:`mixed_mul`.  An
+expression adds its terms into one dict in place.  Each coefficient becomes
+a ``Polynomial`` once, at the end of :func:`parse_mixed_text`.
+:func:`mixed_mul` is the one wedge loop over raw term dicts;
+``forms.wedge`` calls it too.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .poly import Polynomial, PolynomialRing, _add_terms, _mul_terms, _norm
+from .poly import Polynomial, PolynomialRing, _mul_terms, _norm
 
 
 class ParseError(ValueError):
@@ -42,8 +46,11 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN = re.compile(r"(\d+(?:\s*/\s*\d+)?)|([A-Za-z_]\w*)|([-+*^()])|(\S)")
-_KINDS = {2: "name", 3: "op"}  # token kind by the group of _TOKEN that matched
+# Each match is one token with the whitespace before it, so the offsets are
+# running sums of the match lengths: the matches leave no gap in the text.
+# Only trailing whitespace matches nothing; it is stripped first, because
+# trying the pattern at each of its k offsets would take k^2 steps.
+_TOKEN = re.compile(r"(\s*)(?:(\d+(?:\s*/\s*\d+)?)|([A-Za-z_]\w*)|([-+*^()])|(\S))")
 
 
 def _tokenize(text: str):
@@ -53,20 +60,26 @@ def _tokenize(text: str):
     ``p/q`` literal, value normalized by :func:`_norm`).
     """
     tokens = []
-    for m in _TOKEN.finditer(text):
-        group, value, pos = m.lastindex, m.group(), m.start()
-        if group == 1:
-            num, slash, den = value.partition("/")
+    pos = 0
+    for space, number, name, op, other in _TOKEN.findall(text.rstrip()):
+        pos += len(space)
+        if op:
+            tokens.append(("op", op, pos))
+            pos += 1
+        elif name:
+            tokens.append(("name", name, pos))
+            pos += len(name)
+        elif number:
+            num, slash, den = number.partition("/")
             if not slash:
                 tokens.append(("int", int(num), pos))
-                continue
-            if int(den) == 0:
+            elif int(den) == 0:
                 raise ParseError("zero denominator", pos)
-            tokens.append(("ratio", _norm(Fraction(int(num), int(den))), pos))
-        elif group == 4:
-            raise ParseError(f"unexpected character {value!r}", pos)
+            else:
+                tokens.append(("ratio", _norm(Fraction(int(num), int(den))), pos))
+            pos += len(number)
         else:
-            tokens.append((_KINDS[group], value, pos))
+            raise ParseError(f"unexpected character {other!r}", pos)
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -86,24 +99,28 @@ def wedge_index_tuples(s: tuple, t: tuple):
     return sign, tuple(sorted(s + t))
 
 
-def _neg_terms(p: dict) -> dict:
-    return {m: -c for m, c in p.items()}
+# wedge_index_tuples(s, t) by (s, t), filled on first use; bounded by the
+# pairs of increasing index tuples actually wedged.
+_WEDGE: dict = {}
 
 
-def _mixed_neg(a: dict) -> dict:
-    return {key: _neg_terms(p) for key, p in a.items()}
-
-
-def _mixed_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for key, q in b.items():
-        p = out.get(key)
-        s = q if p is None else _add_terms(p, q)
+def _accumulate(out: dict, key: tuple, terms: dict, negate: bool = False) -> None:
+    """Add the term dict ``terms``, negated if ``negate``, into ``out[key]``
+    in place; a coefficient that sums to zero is dropped.  ``terms`` itself
+    is not changed."""
+    acc = out.get(key)
+    if acc is None:
+        if terms:
+            out[key] = {m: -c for m, c in terms.items()} if negate else dict(terms)
+        return
+    for m, c in terms.items():
+        s = acc.get(m, 0) - c if negate else acc.get(m, 0) + c
         if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-    return out
+            acc[m] = s
+        else:
+            del acc[m]
+    if not acc:
+        del out[key]
 
 
 def mixed_mul(a: dict, b: dict) -> dict:
@@ -111,121 +128,139 @@ def mixed_mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for s, p in a.items():
         for t, q in b.items():
-            merged = wedge_index_tuples(s, t)
-            if merged is None:
-                continue
-            sign, key = merged
-            coeff = _mul_terms(p, q)
-            if sign < 0:
-                coeff = _neg_terms(coeff)
-            prev = out.get(key)
-            total = coeff if prev is None else _add_terms(prev, coeff)
-            if total:
-                out[key] = total
-            elif key in out:
-                del out[key]
+            try:
+                merged = _WEDGE[s, t]
+            except KeyError:
+                merged = _WEDGE[s, t] = wedge_index_tuples(s, t)
+            if merged is not None:
+                _accumulate(out, merged[1], _mul_terms(p, q), merged[0] < 0)
     return out
 
 
 class _Parser:
+    """Recursive descent over the token list.  An operator is recognized by
+    its value alone: no other token's value is an operator character."""
+
     def __init__(self, tokens, ring: PolynomialRing, allow_differentials: bool):
         self.tokens = tokens
-        self.ring = ring
+        self.index = ring._index
+        self.nvars = ring.nvars
         self.allow_differentials = allow_differentials
         self.i = 0
-        n = ring.nvars
-        self.unit = (0,) * n  # the exponents of the monomial 1
-        self.var_monomials = [self.unit[:i] + (1,) + self.unit[i + 1 :] for i in range(n)]
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
     def expect_op(self, op: str):
-        kind, value, pos = self.peek()
-        if kind != "op" or value != op:
+        _, value, pos = self.tokens[self.i]
+        if value != op:
             raise ParseError(f"expected {op!r}", pos)
-        return self.advance()
+        self.i += 1
 
     def parse(self) -> dict:
         mixed = self.expression()
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tokens[self.i]
         if kind != "end":
             raise ParseError(f"unexpected trailing input {value!r}", pos)
         return mixed
 
     def expression(self) -> dict:
-        kind, value, _ = self.peek()
-        negate = False
-        if kind == "op" and value in "+-":
-            self.advance()
-            negate = value == "-"
+        """The sum of the terms, added into one dict in place; a lone
+        unsigned term is returned as it is."""
+        tokens = self.tokens
+        sign = tokens[self.i][1]
+        if sign == "+" or sign == "-":
+            self.i += 1
         mixed = self.term()
-        if negate:
-            mixed = _mixed_neg(mixed)
+        value = tokens[self.i][1]
+        if sign != "-" and value != "+" and value != "-":
+            return mixed
+        out: dict = {}
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                if value == "-":
-                    rhs = _mixed_neg(rhs)
-                mixed = _mixed_add(mixed, rhs)
-            else:
-                return mixed
+            for key, terms in mixed.items():
+                _accumulate(out, key, terms, sign == "-")
+            sign = tokens[self.i][1]
+            if sign != "+" and sign != "-":
+                return out
+            self.i += 1
+            mixed = self.term()
+
+    def power(self):
+        """``(k, position)`` of the ``^k`` that starts at the current token."""
+        kind, value, pos = self.tokens[self.i + 1]
+        if kind != "int" or value < 1:
+            raise ParseError("exponent must be a positive integer", pos)
+        self.i += 2
+        return value, pos
 
     def term(self) -> dict:
-        mixed = self.factor()
+        """A product: its numbers, variables and differentials multiply into
+        one monomial ``coeff * x^exps * d(diffs)``, with the differentials
+        kept in order of appearance; the parenthesized factors wedge into
+        ``product``, which the monomial then ends."""
+        tokens, index = self.tokens, self.index
+        coeff, exps, diffs = 1, [0] * self.nvars, []
+        product = None
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                mixed = mixed_mul(mixed, self.factor())
+            kind, value, pos = tokens[self.i]
+            self.i += 1
+            if kind == "name":
+                i = index.get(value)
+                if i is not None:
+                    exps[i] += self.power()[0] if tokens[self.i][1] == "^" else 1
+                elif value.startswith("d") and value[1:] in index:
+                    if not self.allow_differentials:
+                        raise ParseError(
+                            f"differential {value!r} is not allowed in a polynomial expression", pos
+                        )
+                    if tokens[self.i][1] == "^":
+                        raise ParseError("'^' applies only to polynomial factors", self.power()[1])
+                    diffs.append(index[value[1:]])
+                else:
+                    raise ParseError(f"unknown variable {value!r}", pos)
+            elif kind == "int" or kind == "ratio":
+                coeff *= value ** self.power()[0] if tokens[self.i][1] == "^" else value
+            elif value == "(":
+                sub = self.group()
+                if len(diffs) % 2:
+                    # the group moves in front of an odd number of
+                    # differentials: its odd-degree parts change sign
+                    sub = {key: {m: -c for m, c in p.items()} if len(key) % 2 else p
+                           for key, p in sub.items()}
+                product = sub if product is None else mixed_mul(product, sub)
             else:
-                return mixed
+                raise ParseError(
+                    f"unexpected token {value!r}" if value else "unexpected end of input", pos
+                )
+            if tokens[self.i][1] != "*":
+                break
+            self.i += 1
+        if not coeff:
+            return {}
+        key = ()
+        if diffs:
+            key = tuple(sorted(diffs))
+            if len(set(key)) < len(key):
+                return {}
+            if sum(1 for j, a in enumerate(diffs) for b in diffs[j + 1 :] if a > b) % 2:
+                coeff = -coeff
+        monomial = {key: {tuple(exps): coeff}}
+        if product is None:
+            return monomial
+        if coeff == 1 and not key and not any(exps):
+            return product
+        return mixed_mul(product, monomial)
 
-    def factor(self) -> dict:
-        mixed = self.atom()
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            kind, value, pos = self.peek()
-            if kind != "int" or value < 1:
-                raise ParseError("exponent must be a positive integer", pos)
-            self.advance()
-            if any(key for key in mixed):
-                raise ParseError("'^' applies only to polynomial factors", pos)
-            base = mixed.get((), {})
-            power = {self.unit: 1}
-            for _ in range(value):
-                power = _mul_terms(power, base)
-            return {(): power} if power else {}
-        return mixed
-
-    def atom(self) -> dict:
-        kind, value, pos = self.advance()
-        if kind == "int" or kind == "ratio":
-            return {(): {self.unit: value}} if value else {}
-        if kind == "name":
-            index = self.ring._index
-            if value in index:
-                return {(): {self.var_monomials[index[value]]: 1}}
-            if value.startswith("d") and value[1:] in index:
-                if not self.allow_differentials:
-                    raise ParseError(
-                        f"differential {value!r} is not allowed in a polynomial expression", pos
-                    )
-                return {(index[value[1:]],): {self.unit: 1}}
-            raise ParseError(f"unknown variable {value!r}", pos)
-        if kind == "op" and value == "(":
-            mixed = self.expression()
-            self.expect_op(")")
+    def group(self) -> dict:
+        """A parenthesized expression after its ``(``, with its power."""
+        mixed = self.expression()
+        self.expect_op(")")
+        if self.tokens[self.i][1] != "^":
             return mixed
-        raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
+        k, pos = self.power()
+        if any(key for key in mixed):
+            raise ParseError("'^' applies only to polynomial factors", pos)
+        base = power = mixed.get((), {})
+        for _ in range(k - 1):
+            power = _mul_terms(power, base)
+        return {(): power} if power else {}
 
 
 def parse_mixed_text(text: str, ring: PolynomialRing, allow_differentials: bool) -> dict:

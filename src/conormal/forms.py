@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence, Union
 
-from ._expr import _mixed_add, mixed_mul, parse_mixed_text
+from ._expr import _accumulate, mixed_mul, parse_mixed_text
 from .poly import (
     Polynomial,
     PolynomialRing,
@@ -205,7 +205,8 @@ def pullback(x: FormLike, images: Sequence[Polynomial]) -> FormLike:
         term = {(): coeff.substitute(ring, images).terms}
         for j in idx:
             term = mixed_mul(term, diffs[j])
-        out = _mixed_add(out, term)
+        for key, terms in term.items():
+            _accumulate(out, key, terms)
     coeffs = {idx: Polynomial(ring, terms, _clean=True) for idx, terms in out.items()}
     return _make(ring, form_degree(x), coeffs)
 

@@ -54,23 +54,31 @@ from .poly import (
 _basis_observer = None
 
 
-def reduce(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
+def reduce(
+    f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder, divisors=None
+) -> Polynomial:
     """Full normal form of ``f`` modulo ``basis``.
 
     The result r satisfies f - r in <basis> and no term of r is divisible by
     a leading term of the basis.  With the empty basis, r = f.
 
     Each divisor is the record :meth:`Polynomial.divisor` caches on the
-    basis element.  A pending term gets its order key once, when it enters,
-    and its support mask once, when it is taken as the largest: terms that
-    cancel first never need one.  A lead is tried only if its support mask
-    lies in the term's (under ``top`` the position bits reject every lead in
-    another position), so the masks filter without changing the result.
+    basis element.  A cached basis (of one ring, without zeros) passes the
+    list of its records as ``divisors``, so a warm call checks the ring of
+    ``f`` against one element and rebuilds nothing.  A pending term gets its
+    order key once, when it enters, and its support mask once, when it is
+    taken as the largest: terms that cancel first never need one.  A lead
+    is tried only if its support mask lies in the term's (under ``top`` the
+    position bits reject every lead in another position), so the masks
+    filter without changing the result.
     """
-    nonzero = [g for g in basis if g]
-    if nonzero:
-        same_ring(f, *nonzero)
-    divisors = [g.divisor(order) for g in nonzero]
+    if divisors is None:
+        nonzero = [g for g in basis if g]
+        if nonzero:
+            same_ring(f, *nonzero)
+        divisors = [g.divisor(order) for g in nonzero]
+    elif basis:
+        same_ring(f, basis[0])
     work = dict(f.terms)
     keys = {m: order.key(m) for m in work}  # each term's order key, computed once
     remainder: dict = {}
@@ -250,9 +258,9 @@ def _chain_criterion(leads, masks, pending, i, j, lcm) -> bool:
 
 class Ideal:
     """An ideal given by generators, with a grevlex Groebner basis computed
-    on first use and kept."""
+    on first use and kept, together with its divisor records."""
 
-    __slots__ = ("ring", "generators", "_basis")
+    __slots__ = ("ring", "generators", "_basis", "_divisors")
 
     def __init__(self, generators: Sequence[Polynomial]):
         gens = tuple(generators)
@@ -260,11 +268,12 @@ class Ideal:
             raise ValueError("an ideal needs at least one generator")
         self.ring = same_ring(*gens)
         self.generators = gens
-        self._basis = None
+        self._basis = self._divisors = None
 
     def groebner_basis(self) -> tuple:
         if self._basis is None:
             self._basis = tuple(buchberger(self.generators, GREVLEX))
+            self._divisors = [g.divisor(GREVLEX) for g in self._basis]
         return self._basis
 
     def is_unit(self) -> bool:
@@ -290,7 +299,7 @@ def ideal_membership(f: Polynomial, ideal: Ideal) -> bool:
         raise ValueError(f"ring mismatch: {f.ring} vs {ideal.ring}")
     if not f:
         return True
-    return not reduce(f, ideal.groebner_basis(), GREVLEX)
+    return not reduce(f, ideal.groebner_basis(), GREVLEX, ideal._divisors)
 
 
 def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
@@ -435,9 +444,10 @@ class Submodule:
     """The submodule of R^rank generated by vectors, each given as (position,
     polynomial) pairs with distinct positions.  ``encode`` is the one map of
     a vector to its polynomial in the position ring; the nonzero encoded
-    generators are kept, and their basis is computed on first use and kept."""
+    generators are kept, and their basis is computed on first use and kept,
+    together with its divisor records."""
 
-    __slots__ = ("rank", "position_ring", "order", "generators", "_basis")
+    __slots__ = ("rank", "position_ring", "order", "generators", "_basis", "_divisors")
 
     def __init__(self, ring: PolynomialRing, rank: int, generators: Iterable[Iterable[tuple]]):
         self.rank = rank
@@ -445,7 +455,7 @@ class Submodule:
         self.position_ring = PolynomialRing(names + list(ring.variables))
         self.order = MonomialOrder("top", rank)
         self.generators = tuple(g for g in map(self.encode, generators) if g)
-        self._basis = None
+        self._basis = self._divisors = None
 
     def encode(self, parts: Iterable[tuple]) -> Polynomial:
         """The polynomial sum e_p*q over (position p, polynomial q) pairs."""
@@ -459,12 +469,13 @@ class Submodule:
     def groebner_basis(self) -> tuple:
         if self._basis is None:
             self._basis = tuple(buchberger(self.generators, self.order)) if self.generators else ()
+            self._divisors = [g.divisor(self.order) for g in self._basis]
         return self._basis
 
     def contains(self, parts: Iterable[tuple]) -> bool:
         """Whether the vector given by (position, polynomial) pairs lies in
         the submodule: its normal form modulo the basis is 0."""
-        return not reduce(self.encode(parts), self.groebner_basis(), self.order)
+        return not reduce(self.encode(parts), self.groebner_basis(), self.order, self._divisors)
 
 
 def _submodule(gens: Sequence[ModuleElement], ring: PolynomialRing, rank: int) -> Submodule:

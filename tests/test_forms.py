@@ -2,13 +2,17 @@
 and the radial potential."""
 
 import random
+import re
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conormal._expr import parse_mixed_text
+from conormal import _expr
+from conormal._expr import ParseError, mixed_mul, parse_mixed_text
 from conormal.forms import (
     DifferentialForm,
     Hyperplane,
@@ -148,6 +152,73 @@ class TestParseAgainstReference:
         k = sum(1 if form_degree(p) == 0 else len(p.coefficients()) for p in parts)
         assert k == 4
         assert len(built) == k
+
+
+def _boundaries(text: str) -> list:
+    # The offsets between tokens: all but those inside a name, an integer
+    # or a "p/q" literal.
+    tokens = re.finditer(r"\d+\s*/\s*\d+|\w+", text)
+    inside = {i for m in tokens for i in range(m.start() + 1, m.end())}
+    return [i for i in range(len(text) + 1) if i not in inside]
+
+
+@st.composite
+def spaced_expressions(draw, ring):
+    """(text, spaced): an expression and the same expression with runs of
+    spaces and tabs put in at random token boundaries."""
+    text, _ = draw(expressions(ring))
+    spaced = text
+    for i in sorted(set(draw(st.lists(st.sampled_from(_boundaries(text)), max_size=6))))[::-1]:
+        spaced = spaced[:i] + draw(st.text(" \t", min_size=1, max_size=3)) + spaced[i:]
+    return text, spaced
+
+
+class TestParseWhitespace:
+    """Token offsets are running sums of the scanned lengths; whitespace
+    must shift them exactly and change nothing else."""
+
+    @given(spaced_expressions(R))
+    @settings(max_examples=200)
+    def test_whitespace_between_tokens_changes_nothing(self, case):
+        text, spaced = case
+        assert parse_mixed_text(spaced, R, True) == parse_mixed_text(text, R, True)
+
+    @given(spaced_expressions(R), st.data())
+    @settings(max_examples=200)
+    def test_stray_character_reported_at_its_offset(self, case, data):
+        _, spaced = case
+        i = data.draw(st.sampled_from(_boundaries(spaced)))
+        with pytest.raises(ParseError) as err:
+            parse_mixed_text(spaced[:i] + "$" + spaced[i:], R, True)
+        assert str(err.value) == f"unexpected character '$' (at position {i})"
+        assert err.value.position == i
+
+    def test_trailing_whitespace_is_scanned_in_linear_time(self):
+        start = time.perf_counter()
+        parsed = parse_mixed_text("x*dy" + " \t" * 20000, R, True)
+        assert time.perf_counter() - start < 2
+        assert parsed == parse_mixed_text("x*dy", R, True)
+
+
+class TestWedgeTable:
+    def test_every_pair_of_increasing_tuples_up_to_five(self, monkeypatch):
+        # Two passes from an empty table: the first fills it, the second
+        # reads it; both must give the shuffle sign and the sorted union.
+        monkeypatch.setattr(_expr, "_WEDGE", {})
+        tuples = [t for k in range(6) for t in combinations(range(5), k)]
+        p, q = {(1, 0, 0, 0, 0): 2}, {(0, 0, 0, 0, 3): Fraction(1, 3)}
+        for _ in range(2):
+            for s in tuples:
+                for t in tuples:
+                    got = mixed_mul({s: p}, {t: q})
+                    if set(s) & set(t):
+                        assert got == {}
+                        continue
+                    u = s + t
+                    inversions = sum(1 for i, j in combinations(range(len(u)), 2) if u[i] > u[j])
+                    coeff = Fraction(2, 3) * (-1) ** inversions
+                    assert got == {tuple(sorted(u)): {(1, 0, 0, 0, 3): coeff}}
+        assert len(_expr._WEDGE) == len(tuples) ** 2
 
 
 class TestWedge:

@@ -324,6 +324,92 @@ class TestTrivialModuleWork:
         assert (calls["s_polynomial"], calls["reduce"]) == (s_polys, reductions)
 
 
+class TestParserWork:
+    """Work gate: the wedge products and term-dict products the parser makes
+    for each corpus germ file and for one line of the ``decide`` benchmark.
+    Numbers, variables and differentials multiply into one accumulated term,
+    so only a parenthesized factor is wedged with ``mixed_mul``."""
+
+    # germ file or form line -> (mixed_mul calls, _mul_terms calls)
+    WORK = {
+        "coordinate_subspace.germ": (0, 0),
+        "cusp3.germ": (0, 0),
+        "segre.germ": (1, 2),
+        "umbrella.germ": (0, 0),
+        "(2*x2 - 2)*((x2)*dx2*dx3*dx4)": (2, 2),
+    }
+
+    def test_every_corpus_file_is_pinned(self):
+        assert sorted(k for k in self.WORK if k.endswith(".germ")) == corpus_names()
+
+    @pytest.mark.parametrize("source", list(WORK))
+    def test_products_are_pinned(self, monkeypatch, source):
+        import conormal._expr as expr
+
+        calls = {"mixed_mul": 0, "_mul_terms": 0}
+        for attr in calls:
+            original = getattr(expr, attr)
+
+            def counting(*args, attr=attr, original=original):
+                calls[attr] += 1
+                return original(*args)
+
+            monkeypatch.setattr(expr, attr, counting)
+        if source.endswith(".germ"):
+            load_germ_file(source)
+        else:
+            parse_form(source, PolynomialRing(["x1", "x2", "x3", "x4"]))
+        assert (calls["mixed_mul"], calls["_mul_terms"]) == self.WORK[source]
+
+
+class TestWarmReduce:
+    """A cached basis keeps its divisor records: a warm membership test
+    fetches none and checks the ring of its argument once."""
+
+    def _count_divisor_calls(self, monkeypatch):
+        calls = []
+        divisor = Polynomial.divisor
+
+        def counting(self, order):
+            calls.append(self)
+            return divisor(self, order)
+
+        monkeypatch.setattr(Polynomial, "divisor", counting)
+        return calls
+
+    def test_ideal_membership_fetches_no_divisor(self, monkeypatch):
+        ideal = Ideal([F_UMBRELLA, X * Z - Y**3])
+        assert ideal_membership(X * F_UMBRELLA, ideal)
+        calls = self._count_divisor_calls(monkeypatch)
+        assert ideal_membership(Y * F_UMBRELLA - X * (X * Z - Y**3), ideal)
+        assert not ideal_membership(X + Y, ideal)
+        assert calls == []
+
+    def test_submodule_contains_fetches_no_divisor(self, monkeypatch):
+        germ = load_germ_file("umbrella.germ").germ
+        positions, module = _trivial_module(germ, 1)
+        module.groebner_basis()
+        calls = self._count_divisor_calls(monkeypatch)
+        [omega] = parse_form("y*z*dx + 2*x*z*dy - 2*x*y*dz", germ.ring)
+        assert not is_trivial_form(omega, germ)
+        assert calls == []
+
+    def test_warm_remainder_equals_cold_remainder(self):
+        ideal = Ideal([F_UMBRELLA, X * Z - Y**3])
+        basis = ideal.groebner_basis()
+        rng = random.Random(5)
+        for _ in range(20):
+            f = random_polynomial(rng, R, max_terms=4, max_degree=4)
+            assert reduce(f, basis, GREVLEX, ideal._divisors) == reduce(f, basis, GREVLEX)
+
+    def test_ring_still_checked(self):
+        ideal = Ideal([F_UMBRELLA])
+        basis = ideal.groebner_basis()
+        other = PolynomialRing(["x", "y", "w"]).var(0)
+        with pytest.raises(ValueError, match="ring mismatch"):
+            reduce(other, basis, GREVLEX, ideal._divisors)
+
+
 class TestIdealMembership:
     def test_scalar_multiple(self, cusp):
         f = cusp.generators[0]
