@@ -18,12 +18,14 @@ The parse result is a "mixed form": a dict from strictly increasing index
 tuples to polynomial coefficients, with the empty tuple holding the scalar
 part.  ``poly.parse_polynomial`` and ``forms.parse_form`` are thin wrappers.
 
-The parser works on raw mixed forms, ``{index tuple: {exponents:
-coefficient}}``.  A term multiplies its numbers, variables and
-differentials, with their powers, straight into one accumulated monomial
-(a coefficient, an exponent list and the differentials in order of
-appearance, whose order gives the wedge sign); only a parenthesized factor
-is a mixed form of its own, wedged in with :func:`mixed_mul`.  An
+The parser works on raw mixed forms, ``{index tuple: {word:
+coefficient}}``, with the packed monomial words of :mod:`conormal.poly`.
+A term multiplies its numbers, variables and differentials, with their
+powers, straight into one accumulated monomial (a coefficient, a word and
+the differentials in order of appearance, whose order gives the wedge
+sign); only a parenthesized factor is a mixed form of its own, wedged in
+with :func:`mixed_mul`.  A total degree past ``poly.MAX_DEGREE`` is a
+:class:`ParseError` at the factor that makes it.  An
 expression adds its terms into one dict in place.  Each coefficient becomes
 a ``Polynomial`` once, at the end of :func:`parse_mixed_text`.
 :func:`mixed_mul` is the one wedge loop over raw term dicts;
@@ -35,7 +37,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .poly import Polynomial, PolynomialRing, _mul_terms, _norm
+from .poly import Polynomial, PolynomialRing, _degree_error, _mul_terms, _norm
 
 
 class ParseError(ValueError):
@@ -123,8 +125,9 @@ def _accumulate(out: dict, key: tuple, terms: dict, negate: bool = False) -> Non
         del out[key]
 
 
-def mixed_mul(a: dict, b: dict) -> dict:
-    """Wedge product of two raw mixed forms (the loop behind ``forms.wedge``)."""
+def mixed_mul(a: dict, b: dict, limit: int) -> dict:
+    """Wedge product of two raw mixed forms (the loop behind ``forms.wedge``)
+    over a ring with :attr:`~conormal.poly.PolynomialRing.limit` ``limit``."""
     out: dict = {}
     for s, p in a.items():
         for t, q in b.items():
@@ -133,8 +136,12 @@ def mixed_mul(a: dict, b: dict) -> dict:
             except KeyError:
                 merged = _WEDGE[s, t] = wedge_index_tuples(s, t)
             if merged is not None:
-                _accumulate(out, merged[1], _mul_terms(p, q), merged[0] < 0)
-    return out
+                sign, key = merged
+                acc = out.get(key)
+                if acc is None:
+                    acc = out[key] = {}
+                _mul_terms(p, q, limit, acc, sign < 0)
+    return {key: terms for key, terms in out.items() if terms}
 
 
 class _Parser:
@@ -144,7 +151,9 @@ class _Parser:
     def __init__(self, tokens, ring: PolynomialRing, allow_differentials: bool):
         self.tokens = tokens
         self.index = ring._index
-        self.nvars = ring.nvars
+        self.units = ring.units
+        self.limit = ring.limit
+        self.degree = ring.degree
         self.allow_differentials = allow_differentials
         self.i = 0
 
@@ -190,21 +199,31 @@ class _Parser:
         self.i += 2
         return value, pos
 
+    def product(self, a: dict, b: dict, pos: int) -> dict:
+        """``mixed_mul(a, b)``, with a degree past the limit reported at ``pos``."""
+        try:
+            return mixed_mul(a, b, self.limit)
+        except ValueError as error:
+            raise ParseError(str(error), pos) from None
+
     def term(self) -> dict:
         """A product: its numbers, variables and differentials multiply into
-        one monomial ``coeff * x^exps * d(diffs)``, with the differentials
+        one monomial ``coeff * word * d(diffs)``, with the differentials
         kept in order of appearance; the parenthesized factors wedge into
         ``product``, which the monomial then ends."""
-        tokens, index = self.tokens, self.index
-        coeff, exps, diffs = 1, [0] * self.nvars, []
+        tokens, index, units, limit = self.tokens, self.index, self.units, self.limit
+        coeff, word, diffs = 1, 0, []
         product = None
+        start = tokens[self.i][2]
         while True:
             kind, value, pos = tokens[self.i]
             self.i += 1
             if kind == "name":
                 i = index.get(value)
                 if i is not None:
-                    exps[i] += self.power()[0] if tokens[self.i][1] == "^" else 1
+                    word += units[i] * self.power()[0] if tokens[self.i][1] == "^" else units[i]
+                    if word >= limit:
+                        raise ParseError(str(_degree_error(self.degree(word))), pos)
                 elif value.startswith("d") and value[1:] in index:
                     if not self.allow_differentials:
                         raise ParseError(
@@ -224,7 +243,7 @@ class _Parser:
                     # differentials: its odd-degree parts change sign
                     sub = {key: {m: -c for m, c in p.items()} if len(key) % 2 else p
                            for key, p in sub.items()}
-                product = sub if product is None else mixed_mul(product, sub)
+                product = sub if product is None else self.product(product, sub, pos)
             else:
                 raise ParseError(
                     f"unexpected token {value!r}" if value else "unexpected end of input", pos
@@ -241,12 +260,12 @@ class _Parser:
                 return {}
             if sum(1 for j, a in enumerate(diffs) for b in diffs[j + 1 :] if a > b) % 2:
                 coeff = -coeff
-        monomial = {key: {tuple(exps): coeff}}
+        monomial = {key: {word: coeff}}
         if product is None:
             return monomial
-        if coeff == 1 and not key and not any(exps):
+        if coeff == 1 and not key and not word:
             return product
-        return mixed_mul(product, monomial)
+        return self.product(product, monomial, start)
 
     def group(self) -> dict:
         """A parenthesized expression after its ``(``, with its power."""
@@ -258,8 +277,11 @@ class _Parser:
         if any(key for key in mixed):
             raise ParseError("'^' applies only to polynomial factors", pos)
         base = power = mixed.get((), {})
-        for _ in range(k - 1):
-            power = _mul_terms(power, base)
+        try:
+            for _ in range(k - 1):
+                power = _mul_terms(power, base, self.limit)
+        except ValueError as error:
+            raise ParseError(str(error), pos) from None
         return {(): power} if power else {}
 
 

@@ -355,12 +355,12 @@ def _cmd_singular(args) -> int:
 def _parse_hyperplane(text: str, ring: PolynomialRing) -> Hyperplane:
     p = parse_polynomial(text, ring)
     normal = [0] * ring.nvars
-    for exps, c in p.terms.items():
-        if sum(exps) != 1:
+    for m, c in p._terms.items():
+        if m not in ring.units:
             raise GermFileError(
                 "a hyperplane must be a homogeneous linear form through the origin"
             )
-        normal[exps.index(1)] = c
+        normal[ring.units.index(m)] = c
     return Hyperplane(ring, normal)
 
 

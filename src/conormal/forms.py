@@ -22,7 +22,9 @@ from .poly import (
     Polynomial,
     PolynomialRing,
     Scalar,
+    _check_degree,
     _div,
+    _mul_terms,
     _rational,
     evaluate,
     format_polynomial,
@@ -145,7 +147,7 @@ def _term_dict(x: FormLike) -> dict:
 
 def _raw(x: FormLike) -> dict:
     """The raw mixed form ``{index tuple: term dict}`` of ``x``."""
-    return {idx: p.terms for idx, p in _term_dict(x).items()}
+    return {idx: p._terms for idx, p in _term_dict(x).items()}
 
 
 def _make(ring: PolynomialRing, degree: int, coeffs: dict) -> FormLike:
@@ -161,7 +163,7 @@ def wedge(a: FormLike, b: FormLike) -> FormLike:
     ring dimension the result is the zero form of that degree.
     """
     ring = same_ring(a, b)
-    raw = mixed_mul(_raw(a), _raw(b))
+    raw = mixed_mul(_raw(a), _raw(b), ring.limit)
     coeffs = {idx: Polynomial(ring, terms, _clean=True) for idx, terms in raw.items()}
     return _make(ring, form_degree(a) + form_degree(b), coeffs)
 
@@ -202,9 +204,9 @@ def pullback(x: FormLike, images: Sequence[Polynomial]) -> FormLike:
     diffs = [_raw(exterior_derivative(p)) for p in images]
     out: dict = {}
     for idx, coeff in _term_dict(x).items():
-        term = {(): coeff.substitute(ring, images).terms}
+        term = {(): coeff.substitute(ring, images)._terms}
         for j in idx:
-            term = mixed_mul(term, diffs[j])
+            term = mixed_mul(term, diffs[j], ring.limit)
         for key, terms in term.items():
             _accumulate(out, key, terms)
     coeffs = {idx: Polynomial(ring, terms, _clean=True) for idx, terms in out.items()}
@@ -246,11 +248,20 @@ class VectorField:
     def apply(self, g: Polynomial) -> Polynomial:
         """Directional derivative V(g) = sum_i V_i * dg/dx_i."""
         same_ring(self, g)
-        out = self.ring.zero
-        for i, c in enumerate(self.components):
-            if c:
-                out = out + c * partial_derivative(g, i)
-        return out
+        return self.contract(exterior_derivative(g))
+
+    def contract(self, alpha: "DifferentialForm") -> Polynomial:
+        """The interior product of a 1-form alpha = sum_i a_i dx_i with the
+        field, sum_i V_i * a_i, added up in one term dict; V(g) for dg."""
+        ring = same_ring(self, alpha)
+        if alpha.degree != 1:
+            raise ValueError("a vector field contracts with a 1-form")
+        out: dict = {}
+        for (i,), a in alpha._coeffs.items():
+            v = self.components[i]
+            if v:
+                _mul_terms(v._terms, a._terms, ring.limit, out)
+        return Polynomial(ring, out, _clean=True)
 
     def __bool__(self) -> bool:
         return any(self.components)
@@ -321,10 +332,11 @@ def radial_potential(omega: FormLike) -> Polynomial:
     ring = omega.ring
     out: dict = {}
     for (i,), coeff in omega._coeffs.items():
-        for exps, c in coeff.terms.items():
-            d = sum(exps)
-            key = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
-            s = out.get(key, 0) + _div(c, d + 1)
+        unit = ring.units[i]
+        for m, c in coeff._terms.items():
+            key = m + unit
+            _check_degree(key, ring.limit)
+            s = out.get(key, 0) + _div(c, ring.degree(key))
             if s:
                 out[key] = s
             elif key in out:
@@ -408,7 +420,7 @@ def parse_form(text: str, ring: PolynomialRing) -> list:
 def _coeff_chunk(coeff: Polynomial, differentials: str) -> tuple:
     """Render one form term; returns (sign, body) with sign '+' or '-'."""
     text = format_polynomial(coeff)
-    if len(coeff.terms) == 1:
+    if len(coeff) == 1:
         if text == "1":
             return "+", differentials
         if text == "-1":

@@ -307,9 +307,11 @@ def is_conormal(omega: FormLike, germ: Germ) -> Verdict:
 
 def is_tangential(field: VectorField, germ: Germ) -> Verdict:
     """Decide whether a vector field is tangent to the germ: V(f_j) must
-    vanish on the germ for every generator f_j."""
+    vanish on the germ for every generator f_j.  V(f_j) is the field
+    contracted with the kept differential df_j."""
     same_ring(field, germ.generators[0])
-    return _classify([(g, field.apply(g)) for g in germ.generators], germ)
+    pairs = zip(germ.generators, germ.differentials)
+    return _classify([(g, field.contract(dg)) for g, dg in pairs], germ)
 
 
 def trivial_form_generators(germ: Germ, k: int) -> list:

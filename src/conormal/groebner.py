@@ -16,12 +16,11 @@ with r position variables in front, under the term-over-position order
 S-vector 0, lives in ``s_polynomial``, and ``buchberger`` never queues such
 a pair.
 
-Every lead-divisibility test (in ``reduce``, in ``_autoreduce`` and in the
-pair criteria of ``_complete``) first compares support masks
-(:func:`conormal.poly.support_mask`, one bit per variable that occurs): a
-lead can divide a term only if its mask lies inside the term's.  Under
-``top`` the position bits thus reject every lead in another position at
-once.  The masks only filter, so bases and remainders do not depend on them.
+Monomials are the packed words of :mod:`conormal.poly`: a product is one
+addition, and a lead-divisibility test (in ``reduce``, in ``_autoreduce``
+and in the pair criteria of ``_complete``) is one subtraction and one mask
+of guard bits.  Under ``top`` it fails at once for a lead in another
+position, whose field the term leaves at 0.
 
 Bases are reduced, monic and sorted, so they are canonical per (ideal, order);
 an :class:`Ideal` caches its one grevlex basis lazily, so repeated membership
@@ -35,18 +34,17 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .poly import (
+    FIELD,
     GREVLEX,
+    WIDTH,
     MonomialOrder,
     Polynomial,
     PolynomialRing,
+    _check_degree,
+    _degree_error,
     _div,
     block_order,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
     same_ring,
-    support_mask,
 )
 
 # Optional callback fired as observer(generators, order, basis) after every
@@ -65,13 +63,10 @@ def reduce(
     Each divisor is the record :meth:`Polynomial.divisor` caches on the
     basis element.  A cached basis (of one ring, without zeros) passes the
     list of its records as ``divisors``, so a warm call checks the ring of
-    ``f`` against one element and rebuilds nothing.  A pending term gets its
-    order key once, when it enters, and its support mask once, when it is
-    taken as the largest: terms that cancel first never need one.  A lead
-    is tried only if its support mask lies in the term's (under ``top`` the
-    position bits reject every lead in another position), so the masks
-    filter without changing the result.
+    ``f`` against one element and rebuilds nothing.  The order's key is
+    looked up once per call; under grevlex it is a C-level ``int.__xor__``.
     """
+    ring = f.ring
     if divisors is None:
         nonzero = [g for g in basis if g]
         if nonzero:
@@ -79,30 +74,30 @@ def reduce(
         divisors = [g.divisor(order) for g in nonzero]
     elif basis:
         same_ring(f, basis[0])
-    work = dict(f.terms)
-    keys = {m: order.key(m) for m in work}  # each term's order key, computed once
+    key, guards, limit = order.key(ring), ring.guards, ring.limit
+    work = dict(f._terms)
     remainder: dict = {}
     while work:
-        m = max(work, key=keys.__getitem__)
+        m = max(work, key=key)
         c = work.pop(m)
-        mask = support_mask(m)  # a term leaves ``work`` once, so this too is once per term
-        for dmask, lm, lc, tail in divisors:
-            if dmask & mask == dmask and monomial_divides(lm, m):
-                q = monomial_div(m, lm)
+        room = m | guards
+        for lm, lc, tail, reach in divisors:
+            if (room - lm) & guards == guards:  # lm divides m
+                q = m - lm
+                if q + reach >= limit:  # a division step past MAX_DEGREE
+                    raise _degree_error(ring.degree(q + reach))
                 scale = c if lc == 1 else _div(c, lc)  # warm bases are monic
                 for gm, gc in tail:
-                    key = monomial_mul(gm, q)
-                    s = work.get(key, 0) - scale * gc
+                    t = gm + q
+                    s = work.get(t, 0) - scale * gc
                     if s:
-                        work[key] = s
-                        if key not in keys:
-                            keys[key] = order.key(key)
-                    elif key in work:
-                        del work[key]
+                        work[t] = s
+                    elif t in work:
+                        del work[t]
                 break
         else:
             remainder[m] = c
-    return Polynomial(f.ring, remainder, _clean=True)
+    return Polynomial(ring, remainder, _clean=True)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -113,18 +108,24 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     """
     fm, fc = f.leading(order)
     gm, gc = g.leading(order)
-    if order.kind == "top" and fm[: order.split] != gm[: order.split]:
+    if (fm ^ gm) & _position_fields(order):
         return f.ring.zero
-    lcm = monomial_lcm(fm, gm)
-    uf = _mono_times(f, monomial_div(lcm, fm), _div(1, fc))
-    ug = _mono_times(g, monomial_div(lcm, gm), _div(1, gc))
+    lcm = f.ring.lcm(fm, gm)
+    uf = _mono_times(f, lcm - fm, _div(1, fc))
+    ug = _mono_times(g, lcm - gm, _div(1, gc))
     return uf - ug
 
 
-def _mono_times(p: Polynomial, mono, coeff) -> Polynomial:
-    return Polynomial(
-        p.ring, {monomial_mul(m, mono): v * coeff for m, v in p.terms.items()}, _clean=True
-    )
+def _position_fields(order: MonomialOrder) -> int:
+    """The mask of the position fields of the words under a ``top`` order
+    (see :class:`Submodule`), and 0 under other orders."""
+    return (1 << (order.split * WIDTH)) - 1 if order.kind == "top" else 0
+
+
+def _mono_times(p: Polynomial, mono: int, coeff) -> Polynomial:
+    terms = p._terms
+    _check_degree(max(terms) + mono, p.ring.limit)
+    return Polynomial(p.ring, {m + mono: v * coeff for m, v in terms.items()}, _clean=True)
 
 
 def _autoreduce(basis: list, order: MonomialOrder) -> list:
@@ -133,25 +134,21 @@ def _autoreduce(basis: list, order: MonomialOrder) -> list:
     # against the (sequentially updated) rest.  Leads never change, so the
     # result is the unique reduced basis.
     basis = [g.monic(order) for g in basis if g]
-    leads = [g.divisor(order)[:2] for g in basis]  # (support mask, lead)
-    minimal = []
-    for i, g in enumerate(basis):
-        mask, lm = leads[i]
-        keep = True
-        for j, (hmask, hm) in enumerate(leads):
-            if i == j or hmask & mask != hmask:
-                continue
-            if monomial_divides(hm, lm) and (hm != lm or j < i):
-                keep = False
-                break
-        if keep:
-            minimal.append(g)
+    if not basis:
+        return []
+    leads = [g.leading(order)[0] for g in basis]
+    divides = basis[0].ring.divides
+    minimal = [
+        g for i, (g, lm) in enumerate(zip(basis, leads))
+        if not any(j != i and divides(hm, lm) and (hm != lm or j < i) for j, hm in enumerate(leads))
+    ]
     reduced: list = []
     for i in range(len(minimal)):
         others = reduced + minimal[i + 1 :]
         r = reduce(minimal[i], others, order)
         reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
+    key = order.key(basis[0].ring)
+    reduced.sort(key=lambda g: key(g.leading(order)[0]))
     return reduced
 
 
@@ -198,35 +195,35 @@ def _complete(basis: list, order: MonomialOrder, known: int) -> list:
     basis, queueing no pair inside the first ``known`` elements; return
     [1] on the first constant, which makes the ideal the unit ideal.
 
-    One support mask is kept per lead.  Two leads are coprime iff their
-    masks are disjoint, and the chain criterion passes over a lead whose
-    mask leaves the union of the pair's masks without comparing exponents.
+    Each queued pair keeps the lcm of its leads; the leads are coprime iff
+    that lcm is their product.
     """
-    one = basis[0].ring.one
+    ring = basis[0].ring
+    one = ring.one
     if any(g.is_constant() for g in basis):
         return [one]
     leads = [g.leading(order)[0] for g in basis]
-    masks = [support_mask(m) for m in leads]
-    split = order.split if order.kind == "top" else 0
+    key, lcm_of = order.key(ring), ring.lcm
+    positions = _position_fields(order)
     pending = set()
     queue = []
 
     def add_pairs(j):
         for i in range(j):
-            if split and leads[i][:split] != leads[j][:split]:
+            if (leads[i] ^ leads[j]) & positions:
                 continue  # leads in different positions: S-vector 0
-            lcm = monomial_lcm(leads[i], leads[j])
+            lcm = lcm_of(leads[i], leads[j])
             pending.add((i, j))
-            heapq.heappush(queue, (order.key(lcm), i, j, lcm))
+            heapq.heappush(queue, (key(lcm), i, j, lcm))
 
     for j in range(known, len(basis)):
         add_pairs(j)
     while queue:
         _, i, j, lcm = heapq.heappop(queue)
         pending.remove((i, j))
-        if not masks[i] & masks[j]:
+        if lcm == leads[i] + leads[j]:
             continue  # coprime leads: S-polynomial reduces to zero
-        if _chain_criterion(leads, masks, pending, i, j, lcm):
+        if _chain_criterion(leads, ring.guards, pending, i, j, lcm):
             continue
         r = reduce(s_polynomial(basis[i], basis[j], order), basis, order)
         if r:
@@ -235,19 +232,16 @@ def _complete(basis: list, order: MonomialOrder, known: int) -> list:
             r = r.monic(order)
             basis.append(r)
             leads.append(r.leading(order)[0])
-            masks.append(support_mask(leads[-1]))
             add_pairs(len(basis) - 1)
     return basis
 
 
-def _chain_criterion(leads, masks, pending, i, j, lcm) -> bool:
+def _chain_criterion(leads, guards, pending, i, j, lcm) -> bool:
     # Skip (i, j) if some k has its lead dividing lcm(i, j) while both
-    # (i, k) and (j, k) have already been treated.  The support of the lcm
-    # is the union of the two supports, so a lead with a variable outside it
-    # is passed over on its mask alone.
-    outside = ~(masks[i] | masks[j])
+    # (i, k) and (j, k) have already been treated.
+    room = lcm | guards
     for k, lead in enumerate(leads):
-        if k in (i, j) or masks[k] & outside or not monomial_divides(lead, lcm):
+        if k in (i, j) or (room - lead) & guards != guards:
             continue
         ik = (min(i, k), max(i, k))
         jk = (min(j, k), max(j, k))
@@ -328,7 +322,8 @@ def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
 
     target = PolynomialRing([ring.variables[i] for i in keep])
     back = [target.zero] * k + list(target.gens())
-    kept = [g.substitute(target, back) for g in basis if not any(any(m[:k]) for m in g.terms)]
+    dropped = (1 << (k * WIDTH)) - 1  # the fields of the dropped block
+    kept = [g.substitute(target, back) for g in basis if not any(m & dropped for m in g._terms)]
     return Ideal(kept or [target.zero])
 
 
@@ -390,7 +385,8 @@ def krull_dimension(ideal: Ideal) -> int:
     """Dimension of the affine zero set of I; -1 for the unit ideal.
 
     Equals the largest size of a set S of variables such that no leading
-    term of a grevlex basis involves only variables from S.
+    term of a grevlex basis involves only variables from S: each lead has
+    an exponent in a field outside S.
     """
     basis = ideal.groebner_basis()
     n = ideal.ring.nvars
@@ -398,11 +394,12 @@ def krull_dimension(ideal: Ideal) -> int:
         return n  # zero ideal: the whole space
     if any(g.is_constant() for g in basis):
         return -1
-    supports = [g.divisor(GREVLEX)[0] for g in basis]  # support masks of the leads
+    leads = [g.leading(GREVLEX)[0] for g in basis]
+    every = ideal.ring.fields
     for size in range(n, 0, -1):
         for subset in combinations(range(n), size):
-            outside = ~sum(1 << i for i in subset)
-            if all(sup & outside for sup in supports):
+            outside = every ^ sum(FIELD << (i * WIDTH) for i in subset)
+            if all(lead & outside for lead in leads):
                 return size
     return 0
 
@@ -458,13 +455,17 @@ class Submodule:
         self._basis = self._divisors = None
 
     def encode(self, parts: Iterable[tuple]) -> Polynomial:
-        """The polynomial sum e_p*q over (position p, polynomial q) pairs."""
-        terms = {}
+        """The polynomial sum e_p*q over (position p, polynomial q) pairs: a
+        word of q moves above the position fields and gains the word of e_p."""
+        ring = self.position_ring
+        bits, terms = self.rank * WIDTH, {}
         for p, q in parts:
-            e = (0,) * p + (1,) + (0,) * (self.rank - p - 1)
-            for m, c in q.terms.items():
-                terms[e + m] = c
-        return Polynomial(self.position_ring, terms, _clean=True)
+            if q:
+                e = ring.units[p]
+                _check_degree((max(q._terms) << bits) + e, ring.limit)
+                for m, c in q._terms.items():
+                    terms[(m << bits) + e] = c
+        return Polynomial(ring, terms, _clean=True)
 
     def groebner_basis(self) -> tuple:
         if self._basis is None:
@@ -485,9 +486,14 @@ def _submodule(gens: Sequence[ModuleElement], ring: PolynomialRing, rank: int) -
 
 
 def _decode(p: Polynomial, ring: PolynomialRing, rank: int) -> ModuleElement:
+    # The inverse of Submodule.encode: a term's one position field gives its
+    # component, and the word above the position fields, less the degree of
+    # e_p, is its word in ``ring``.
     comps = [{} for _ in range(rank)]
-    for m, c in p.terms.items():
-        comps[m[:rank].index(1)][m[rank:]] = c
+    bits, unit = rank * WIDTH, 1 << (ring.nvars * WIDTH)
+    for m, c in p._terms.items():
+        position = ((m & ((1 << bits) - 1)).bit_length() - 1) // WIDTH
+        comps[position][(m >> bits) - unit] = c
     return ModuleElement([Polynomial(ring, t, _clean=True) for t in comps])
 
 

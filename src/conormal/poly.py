@@ -1,9 +1,9 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a mapping from exponent tuples to nonzero exact rational
-coefficients, attached to a :class:`PolynomialRing` that fixes the variable
-names and their order.  Values are immutable after construction and every
-operation returns a fresh polynomial, so instances can be shared freely.
+A polynomial maps monomials to nonzero exact rational coefficients, and is
+attached to a :class:`PolynomialRing` that fixes the variable names and
+their order.  Values are immutable after construction and every operation
+returns a fresh polynomial, so instances can be shared freely.
 
 A coefficient is a plain ``int`` when it is integral and a ``Fraction``
 otherwise, never a float: integer arithmetic skips the ``gcd`` that every
@@ -14,16 +14,36 @@ hashes equal to the ``int``.  Every division of coefficients goes through
 :func:`_div`, because ``int / int`` is a float; two ints build a ``Fraction``
 there only when the quotient is not integral.
 
-Monomials are plain tuples of non-negative integers (one entry per ring
-variable); the helpers below implement, on C-level ``map``, the little
-divisibility lattice that the Groebner machinery needs.  A
-:class:`MonomialOrder` picks its key function once and compares and hashes
-by identity.  :func:`support_mask` packs the set of variables a monomial
-involves into an int, a cheap necessary condition for divisibility
-(Singular's "short exponent vector").
+Inside the package a monomial is one ``int``, a packed exponent word
+(Bachmann-Schoenemann 1998, Monagan-Pearce 2007).  Its layout in a ring of
+n variables:
+
+* the exponent of variable i sits in field i, bits ``[i*WIDTH, (i+1)*WIDTH)``;
+  the top bit of each field is a guard bit, never set in a monomial;
+* the total degree sits in an unbounded field above them, from bit
+  ``n*WIDTH`` on.
+
+Every total degree is at most ``MAX_DEGREE`` = 2^(WIDTH-1) - 1: the
+constructor, the parser and every product kernel refuse a larger one with a
+``ValueError``.  Below that bound no field reaches its guard bit, and the
+sum of two fields never carries into the next one.  So a product is
+``a + b``, a quotient ``a - b``, and ``a`` divides ``b`` iff
+``((b | G) - a) & G == G``, where G has every guard bit set.  The lcm is a
+per-field maximum on the whole word (:meth:`PolynomialRing.lcm`); two
+monomials are coprime iff their lcm is their product.  Ints compare by
+total degree first, and the grevlex key is the word XOR-ed with the mask of
+the variable fields, a C-level ``int.__xor__``.  One width serves every
+ring, with no repacking and no second representation; the layout depends
+only on the number of variables, and :class:`MonomialOrder` builds its key
+per number.
+
+Tuples of exponents are the public boundary: ``Polynomial(ring, {exponent
+tuple: coefficient})`` packs them (:meth:`PolynomialRing.pack`) and
+:attr:`Polynomial.terms` unpacks them.  The parser reads ``x^k`` straight
+into a word, and :func:`format_polynomial` unpacks each word it prints.
 
 :func:`_mul_terms` and :func:`_add_terms` are the one product and sum kernel
-over raw term dicts ``{exponents: coefficient}``.  ``Polynomial.__mul__`` and
+over raw term dicts ``{word: coefficient}``.  ``Polynomial.__mul__`` and
 ``__add__`` call them, and so do ``Polynomial.substitute``, the expression
 parser and ``forms.wedge``, which build a ``Polynomial`` only for each final
 result.
@@ -34,41 +54,38 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, le, neg, sub
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
-Exponents = tuple  # tuple[int, ...]
 Scalar = Union[int, Fraction]
 
-
-def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(add, a, b))
-
-
-def monomial_divides(a: Exponents, b: Exponents) -> bool:
-    return all(map(le, a, b))
+WIDTH = 16  # bits per exponent field, its guard bit included
+FIELD = (1 << WIDTH) - 1
+MAX_DEGREE = (1 << (WIDTH - 1)) - 1  # the largest total degree a monomial may have
 
 
-def monomial_div(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(sub, a, b))
+def _degree_error(degree: int) -> ValueError:
+    return ValueError(f"total degree {degree} is past the limit {MAX_DEGREE}")
 
 
-def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(max, a, b))
+def _check_degree(word: int, limit: int) -> None:
+    """Raise unless ``word`` is below a ring's ``limit`` (see
+    :attr:`PolynomialRing.limit`), i.e. its degree is at most MAX_DEGREE."""
+    if word >= limit:
+        raise _degree_error(word >> (limit.bit_length() - WIDTH))
 
 
-def support_mask(m: Exponents) -> int:
-    """The int whose bit i is set iff x_i occurs in ``m``.
+def _ones(count: int) -> int:
+    """The word with a one in each of fields 0 .. count-1."""
+    return sum(1 << (i * WIDTH) for i in range(count))
 
-    If a divides b then ``support_mask(a) & ~support_mask(b) == 0``, and the
-    mask of lcm(a, b) is the union of the two masks.
-    """
-    mask, bit = 0, 1
-    for e in m:
-        if e:
-            mask |= bit
-        bit <<= 1
-    return mask
+
+def _reversed_fields(word: int, count: int) -> int:
+    """Fields 0 .. count-1 of ``word`` in the opposite order."""
+    out = 0
+    for _ in range(count):
+        out = (out << WIDTH) | (word & FIELD)
+        word >>= WIDTH
+    return out
 
 
 def _rational(value) -> Fraction:
@@ -92,10 +109,52 @@ def _div(a: Scalar, b: Scalar) -> Scalar:
     return _norm(Fraction(a) / b)
 
 
-def _grevlex_key(exps: Exponents):
-    # a > b iff deg a > deg b, or degrees tie and the last nonzero entry of
-    # a - b is negative; encoded so that plain tuple comparison agrees.
-    return (sum(exps), tuple(map(neg, reversed(exps))))
+def _order_key(kind: str, split: int, n: int) -> Callable:
+    """The sort key of an order on the words of a ring of ``n`` variables.
+
+    A field sum below uses the multiplication by :func:`_ones`: field k of
+    the product is the sum of fields 0 .. k, which stays below 2^WIDTH
+    because a total degree does.
+    """
+    every = (1 << (n * WIDTH)) - 1
+    if kind == "grevlex":
+        # Degree first, then the last variable's exponent, smaller winning.
+        return every.__xor__
+    if kind == "lex":
+        return lambda m: _reversed_fields(m, n)
+    s = min(split, n)
+    low, bits, ones = (1 << (s * WIDTH)) - 1, s * WIDTH, _ones(s)
+    sum_shift = (s - 1) * WIDTH if s else 0
+    rest, rest_bits = (1 << ((n - s) * WIDTH)) - 1, (n - s) * WIDTH
+    if kind == "top":
+        # [degree of the rest | rest fields complemented | position fields
+        # reversed, so that lex reads field 0 first].  A term of an encoded
+        # vector has one position field, of exponent 1: the first branch
+        # looks its reversal up and takes 1 off the degree.
+        reversal = {1 << (i * WIDTH): 1 << ((s - 1 - i) * WIDTH) for i in range(s)}
+        unit = 1 << rest_bits
+
+        def top(m):
+            p = m & low
+            tail = reversal.get(p)
+            if tail is not None:
+                return ((((m >> bits) - unit) ^ rest) << bits) | tail
+            degree = (p * ones >> sum_shift) & FIELD
+            head = (m >> bits) - (degree << rest_bits)
+            return ((head ^ rest) << bits) | _reversed_fields(p, s)
+
+        return top
+    # block: [degree of the first s fields | those fields complemented |
+    # degree of the rest | rest fields complemented], two grevlex keys.
+    high_shift = rest_bits + WIDTH
+
+    def block(m):
+        p = m & low
+        degree = (p * ones >> sum_shift) & FIELD
+        head = (m >> bits) - (degree << rest_bits)
+        return (((degree << bits) | (p ^ low)) << high_shift) | (head ^ rest)
+
+    return block
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,22 +169,21 @@ class MonomialOrder:
     position variables e_i in front: it compares the rest by grevlex and
     breaks ties by position, the lower position winning.
 
-    ``key`` is the sort key: ``key(a) > key(b)`` iff the monomial a is larger.
+    ``key(ring)`` is the sort key on the ring's words: ``key(a) > key(b)``
+    iff the monomial a is larger.  It is built once per number of variables.
     Identity hashing lets a :meth:`Polynomial.divisor` cache hit run no Python.
     """
 
     kind: str
     split: int = 0
-    key: Callable = field(init=False, repr=False)
+    _keys: dict = field(init=False, repr=False, default_factory=dict)
 
-    def __post_init__(self):
-        split = self.split
-        key = {
-            "lex": tuple,  # the identity on a tuple
-            "grevlex": _grevlex_key,
-            "top": lambda e: (_grevlex_key(e[split:]), e[:split]),
-        }.get(self.kind, lambda e: (_grevlex_key(e[:split]), _grevlex_key(e[split:])))
-        object.__setattr__(self, "key", key)
+    def key(self, ring: "PolynomialRing") -> Callable:
+        n = len(ring.variables)
+        key = self._keys.get(n)
+        if key is None:
+            key = self._keys[n] = _order_key(self.kind, self.split, n)
+        return key
 
     def __str__(self) -> str:
         if self.kind in ("block", "top"):
@@ -152,9 +210,14 @@ class PolynomialRing:
 
     No name is ``d`` followed by another name of the ring: the parser reads
     ``d<var>`` as a differential, so ``dx`` beside ``x`` would be ambiguous.
+
+    The ring also holds the constants of its word layout (see the module
+    docstring): ``units[i]`` is the word of x_i, ``guards`` has every guard
+    bit set, ``fields`` every bit of the variable fields, and ``limit`` is
+    the smallest word whose total degree is past ``MAX_DEGREE``.
     """
 
-    __slots__ = ("variables", "_index")
+    __slots__ = ("variables", "_index", "units", "guards", "fields", "limit", "_shift")
 
     def __init__(self, variables: Sequence[str]):
         names = tuple(variables)
@@ -172,17 +235,62 @@ class PolynomialRing:
                 raise ValueError(
                     f"variable name {name!r} reads as the differential of {name[1:]!r}"
                 )
+        n = len(names)
+        self._shift = shift = n * WIDTH
+        self.units = tuple((1 << (i * WIDTH)) | (1 << shift) for i in range(n))
+        self.guards = _ones(n) << (WIDTH - 1)
+        self.fields = (1 << shift) - 1
+        self.limit = (MAX_DEGREE + 1) << shift
 
     @property
     def nvars(self) -> int:
         return len(self.variables)
 
+    def pack(self, exps: Sequence[int]) -> int:
+        """The word of an exponent tuple; raises ``ValueError`` on a bad one."""
+        if len(exps) != len(self.variables) or any(
+            not isinstance(e, int) or e < 0 for e in exps
+        ):
+            raise ValueError(f"bad exponent tuple {tuple(exps)} for ring {self}")
+        degree = sum(exps)
+        if degree > MAX_DEGREE:
+            raise _degree_error(degree)
+        word = degree << self._shift
+        for i, e in enumerate(exps):
+            word |= e << (i * WIDTH)
+        return word
+
+    def unpack(self, m: int) -> tuple:
+        """The exponent tuple of a word."""
+        return tuple([(m >> shift) & FIELD for shift in range(0, self._shift, WIDTH)])
+
+    def degree(self, m: int) -> int:
+        """The total degree of a word."""
+        return m >> self._shift
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether the monomial ``a`` divides ``b``: no field of b - a borrows."""
+        guards = self.guards
+        return ((b | guards) - a) & guards == guards
+
+    def lcm(self, a: int, b: int) -> int:
+        """The least common multiple: the larger exponent in each field.
+
+        A field's guard bit survives ``(a | G) - b`` iff a's exponent there
+        is the larger; the guards turn into masks of those fields, and the
+        total degree is the field sum of the result.
+        """
+        guards, shift = self.guards, self._shift
+        larger = ((a | guards) - b) & guards
+        pick = larger - (larger >> (WIDTH - 1))
+        word = (b ^ ((a ^ b) & pick)) & self.fields
+        ones = guards >> (WIDTH - 1)
+        return word | (((word * ones >> (shift - WIDTH)) & FIELD) << shift)
+
     def var(self, i: int) -> "Polynomial":
         if not 0 <= i < self.nvars:
             raise ValueError(f"variable index {i} out of range for {self}")
-        exps = [0] * self.nvars
-        exps[i] = 1
-        return Polynomial(self, {tuple(exps): 1}, _clean=True)
+        return Polynomial(self, {self.units[i]: 1}, _clean=True)
 
     def gens(self) -> tuple:
         return tuple(self.var(i) for i in range(self.nvars))
@@ -191,7 +299,7 @@ class PolynomialRing:
         c = _norm(_rational(value))
         if c == 0:
             return Polynomial(self, {}, _clean=True)
-        return Polynomial(self, {(0,) * self.nvars: c}, _clean=True)
+        return Polynomial(self, {0: c}, _clean=True)
 
     @property
     def zero(self) -> "Polynomial":
@@ -235,12 +343,24 @@ def _add_terms(p: Mapping, q: Mapping) -> dict:
     return out
 
 
-def _mul_terms(p: Mapping, q: Mapping) -> dict:
-    """The term dict of the product of two term dicts; zero sums are dropped."""
-    out: dict = {}
+def _mul_terms(p: Mapping, q: Mapping, limit: int, out: dict = None, negate: bool = False) -> dict:
+    """The term dict of the product of two term dicts, negated if
+    ``negate``, added into ``out`` (a fresh dict by default) and returned;
+    zero sums are dropped.
+
+    ``limit`` is the ring's :attr:`PolynomialRing.limit`: the largest words
+    of p and q have the largest degrees, so their sum is checked against it.
+    """
+    if out is None:
+        out = {}
+    if not p or not q:
+        return out
+    _check_degree(max(p) + max(q), limit)
     for m1, c1 in p.items():
+        if negate:
+            c1 = -c1
         for m2, c2 in q.items():
-            m = tuple(map(add, m1, m2))
+            m = m1 + m2
             s = out.get(m, 0) + c1 * c2
             if s:
                 out[m] = s
@@ -253,10 +373,11 @@ class Polynomial:
     """An immutable sparse polynomial with exact rational coefficients.
 
     Each coefficient is nonzero, and an ``int`` or a ``Fraction``: see the
-    module docstring.
+    module docstring.  ``Polynomial(ring, terms)`` takes exponent tuples as
+    keys; ``_clean=True`` takes a term dict keyed by words, as it is.
     """
 
-    __slots__ = ("ring", "_terms", "_lead")
+    __slots__ = ("ring", "_terms", "_lead", "_tuples")
 
     def __init__(self, ring: PolynomialRing, terms: Mapping, *, _clean: bool = False):
         self.ring = ring
@@ -264,24 +385,22 @@ class Polynomial:
             self._terms = dict(terms) if not isinstance(terms, dict) else terms
         else:
             clean = {}
-            n = ring.nvars
             for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != n or any(e < 0 or not isinstance(e, int) for e in exps):
-                    raise ValueError(f"bad exponent tuple {exps} for ring {ring}")
+                m = ring.pack(tuple(exps))
                 c = _rational(coeff)
                 if c != 0:
-                    clean[exps] = clean.get(exps, 0) + c
+                    clean[m] = clean.get(m, 0) + c
             self._terms = {m: _norm(c) for m, c in clean.items() if c != 0}
-        self._lead = {}
+        self._lead = self._tuples = None  # made on first use
 
     @property
-    def terms(self) -> Mapping:
-        """The term dict (treat as read-only)."""
-        return self._terms
-
-    def items(self) -> Iterator:
-        return iter(self._terms.items())
+    def terms(self) -> dict:
+        """The term dict ``{exponent tuple: coefficient}``, unpacked on the
+        first read and kept (treat as read-only)."""
+        if self._tuples is None:
+            unpack = self.ring.unpack
+            self._tuples = {unpack(m): c for m, c in self._terms.items()}
+        return self._tuples
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -293,25 +412,31 @@ class Polynomial:
         """Total degree, with -1 as the degree of the zero polynomial."""
         if not self._terms:
             return -1
-        return max(sum(m) for m in self._terms)
+        return self.ring.degree(max(self._terms))
 
     def leading(self, order: MonomialOrder):
-        """The (monomial, coefficient) pair maximal under ``order``; None if zero."""
+        """The (word, coefficient) pair maximal under ``order``; None if zero."""
         if not self._terms:
             return None
-        return self.divisor(order)[1:3]
+        return self.divisor(order)[:2]
 
     def divisor(self, order: MonomialOrder) -> tuple:
-        """``(mask, lm, lc, tail)``: what division by this nonzero polynomial
-        reads under ``order``.  ``lm`` and ``lc`` are the leading monomial and
-        coefficient, ``mask`` is ``support_mask(lm)`` and ``tail`` holds the
-        other terms as (monomial, coefficient) pairs.  Cached per order."""
-        cached = self._lead.get(order)
+        """``(lm, lc, tail, reach)``: what division by this nonzero
+        polynomial reads under ``order``.  ``lm`` and ``lc`` are the leading
+        word and coefficient, ``tail`` holds the other terms as (word,
+        coefficient) pairs, and ``reach`` is the largest word of the tail (0
+        without one), which bounds the degree a division step makes.  Cached
+        per order."""
+        records = self._lead
+        if records is None:
+            records = self._lead = {}
+        cached = records.get(order)
         if cached is None:
             terms = self._terms
-            lm = max(terms, key=order.key)
+            lm = max(terms, key=order.key(self.ring))
             tail = tuple(t for t in terms.items() if t[0] != lm)
-            cached = self._lead[order] = (support_mask(lm), lm, terms[lm], tail)
+            reach = max(m for m, _ in tail) if tail else 0
+            cached = records[order] = (lm, terms[lm], tail, reach)
         return cached
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
@@ -330,10 +455,10 @@ class Polynomial:
         )
 
     def constant_coefficient(self) -> Scalar:
-        return self._terms.get((0,) * self.ring.nvars, 0)
+        return self._terms.get(0, 0)
 
     def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and not any(next(iter(self._terms))))
+        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -363,8 +488,8 @@ class Polynomial:
             return self.scale(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        same_ring(self, other)
-        return Polynomial(self.ring, _mul_terms(self._terms, other._terms), _clean=True)
+        ring = same_ring(self, other)
+        return Polynomial(ring, _mul_terms(self._terms, other._terms, ring.limit), _clean=True)
 
     __rmul__ = __mul__
 
@@ -405,23 +530,24 @@ class Polynomial:
             raise ValueError("one image per variable required")
         if same_ring(*images) != ring:
             raise ValueError(f"ring mismatch: {images[0].ring} vs {ring}")
-        one = {(0,) * ring.nvars: 1}
+        one, limit = {0: 1}, ring.limit
         powers = [[one, p._terms] for p in images]  # powers[i][e]: the terms of images[i]^e
         out: dict = {}
-        for exps, c in self._terms.items():
+        for m, c in self._terms.items():
             term = one
-            for i, e in enumerate(exps):
+            for cache in powers:
+                e = m & FIELD
+                m >>= WIDTH
                 if e:
-                    cache = powers[i]
                     while len(cache) <= e:
-                        cache.append(_mul_terms(cache[-1], cache[1]))
-                    term = cache[e] if term is one else _mul_terms(term, cache[e])
-            for m, v in term.items():
-                s = out.get(m, 0) + c * v
+                        cache.append(_mul_terms(cache[-1], cache[1], limit))
+                    term = cache[e] if term is one else _mul_terms(term, cache[e], limit)
+            for t, v in term.items():
+                s = out.get(t, 0) + c * v
                 if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
+                    out[t] = s
+                elif t in out:
+                    del out[t]
         return Polynomial(ring, out, _clean=True)
 
     def __str__(self) -> str:
@@ -437,13 +563,14 @@ def _format_coeff(c: Scalar) -> str:
 
 def format_polynomial(p: Polynomial) -> str:
     """Canonical rendering: terms in descending grevlex, ``*`` and ``^`` explicit."""
-    if not p.terms:
+    if not p:
         return "0"
+    ring, terms = p.ring, p._terms
     chunks = []
-    for exps in sorted(p.terms, key=GREVLEX.key, reverse=True):
-        c = p.terms[exps]
+    for m in sorted(terms, key=GREVLEX.key(ring), reverse=True):
+        c = terms[m]
         factors = []
-        for name, e in zip(p.ring.variables, exps):
+        for name, e in zip(ring.variables, ring.unpack(m)):
             if e == 1:
                 factors.append(name)
             elif e > 1:
@@ -468,7 +595,8 @@ def parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:
     ring variables into a canonical polynomial.
 
     Raises :class:`~conormal._expr.ParseError` (a ``ValueError``) with the
-    offending position on syntax errors or unknown names.
+    offending position on syntax errors, unknown names or a total degree
+    past ``MAX_DEGREE``.
     """
     from ._expr import parse_mixed_text
 
@@ -480,11 +608,12 @@ def partial_derivative(p: Polynomial, i: int) -> Polynomial:
     n = p.ring.nvars
     if not 0 <= i < n:
         raise ValueError(f"variable index {i} out of range (ring has {n} variables)")
+    unit, shift = p.ring.units[i], i * WIDTH
     out = {}
-    for exps, c in p.terms.items():
-        e = exps[i]
+    for m, c in p._terms.items():
+        e = (m >> shift) & FIELD
         if e:
-            out[exps[:i] + (e - 1,) + exps[i + 1 :]] = c * e
+            out[m - unit] = c * e
     return Polynomial(p.ring, out, _clean=True)
 
 
@@ -494,10 +623,12 @@ def evaluate(p: Polynomial, point: Sequence[Scalar]) -> Scalar:
         raise ValueError(f"point has {len(point)} coordinates, ring has {p.ring.nvars}")
     coords = [v if type(v) is int else _rational(v) for v in point]
     total = 0
-    for exps, c in p.terms.items():
+    for m, c in p._terms.items():
         v = c
-        for x, e in zip(coords, exps):
+        for x in coords:
+            e = m & FIELD
             if e:
                 v *= x**e
+            m >>= WIDTH
         total += v
     return _norm(total)

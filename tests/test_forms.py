@@ -206,18 +206,19 @@ class TestWedgeTable:
         # reads it; both must give the shuffle sign and the sorted union.
         monkeypatch.setattr(_expr, "_WEDGE", {})
         tuples = [t for k in range(6) for t in combinations(range(5), k)]
-        p, q = {(1, 0, 0, 0, 0): 2}, {(0, 0, 0, 0, 3): Fraction(1, 3)}
+        ring = PolynomialRing(["a", "b", "c", "d", "e"])
+        p, q = {ring.pack((1, 0, 0, 0, 0)): 2}, {ring.pack((0, 0, 0, 0, 3)): Fraction(1, 3)}
         for _ in range(2):
             for s in tuples:
                 for t in tuples:
-                    got = mixed_mul({s: p}, {t: q})
+                    got = mixed_mul({s: p}, {t: q}, ring.limit)
                     if set(s) & set(t):
                         assert got == {}
                         continue
                     u = s + t
                     inversions = sum(1 for i, j in combinations(range(len(u)), 2) if u[i] > u[j])
                     coeff = Fraction(2, 3) * (-1) ** inversions
-                    assert got == {tuple(sorted(u)): {(1, 0, 0, 0, 3): coeff}}
+                    assert got == {tuple(sorted(u)): {ring.pack((1, 0, 0, 0, 3)): coeff}}
         assert len(_expr._WEDGE) == len(tuples) ** 2
 
 

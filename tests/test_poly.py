@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conormal import ParseError
@@ -15,19 +15,15 @@ from conormal.groebner import buchberger, reduce
 from conormal.poly import (
     GREVLEX,
     LEX,
+    MAX_DEGREE,
     MonomialOrder,
     Polynomial,
     PolynomialRing,
     _div,
     block_order,
     evaluate,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
     parse_polynomial,
     partial_derivative,
-    support_mask,
 )
 
 from strategies import coefficients, monomials, nonzero_polynomials, polynomials
@@ -275,39 +271,54 @@ class TestCoefficientTypes:
 class TestSupportMask:
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(*[monomials(n)] * 3)))
     def test_mask_facts(self, abc):
+        # The support facts the Groebner code relies on, on packed words:
+        # divisibility keeps the support, the lcm's support is the union,
+        # and the lcm is the product exactly when the supports are disjoint.
         a, b, c = abc
-        ma, mb = support_mask(a), support_mask(b)
+        ring = PolynomialRing([f"x{i}" for i in range(len(a))])
+
+        def mask(word):
+            return sum(1 << i for i, e in enumerate(ring.unpack(word)) if e)
+
+        wa, wb, wc = ring.pack(a), ring.pack(b), ring.pack(c)
+        ma, mb = mask(wa), mask(wb)
         assert ma == sum(1 << i for i, e in enumerate(a) if e)
-        for u, v in ((a, b), (a, monomial_mul(a, c))):  # the second pair divides
-            if monomial_divides(u, v):
-                assert support_mask(u) & ~support_mask(v) == 0
-        lcm = monomial_lcm(a, b)
-        assert support_mask(lcm) == ma | mb
-        assert (lcm == monomial_mul(a, b)) == (ma & mb == 0)
+        for u, v in ((wa, wb), (wa, wa + wc)):  # the second pair divides
+            if ring.divides(u, v):
+                assert mask(u) & ~mask(v) == 0
+        assert ring.divides(wa, wa + wc)
+        lcm = ring.lcm(wa, wb)
+        assert mask(lcm) == ma | mb
+        assert (lcm == wa + wb) == (ma & mb == 0)
+
+
+def key(order, exps, ring=R):
+    """The order's key of the word of an exponent tuple."""
+    return order.key(ring)(ring.pack(exps))
 
 
 class TestOrders:
     def test_grevlex_examples(self):
         # x > y > z, and degree dominates
-        assert GREVLEX.key((1, 0, 0)) > GREVLEX.key((0, 1, 0)) > GREVLEX.key((0, 0, 1))
-        assert GREVLEX.key((0, 3, 0)) > GREVLEX.key((2, 0, 0))
+        assert key(GREVLEX, (1, 0, 0)) > key(GREVLEX, (0, 1, 0)) > key(GREVLEX, (0, 0, 1))
+        assert key(GREVLEX, (0, 3, 0)) > key(GREVLEX, (2, 0, 0))
         # classic grevlex tie-break: x*y^3 > x^2*y*z
-        assert GREVLEX.key((1, 3, 0)) > GREVLEX.key((2, 1, 1))
+        assert key(GREVLEX, (1, 3, 0)) > key(GREVLEX, (2, 1, 1))
 
     def test_lex_examples(self):
-        assert LEX.key((1, 0, 0)) > LEX.key((0, 9, 9))
+        assert key(LEX, (1, 0, 0)) > key(LEX, (0, 9, 9))
 
     def test_block_order_elimination_property(self):
         order = block_order(1)
         # any monomial containing the first variable beats any without it
-        assert order.key((1, 0, 0)) > order.key((0, 9, 9))
-        assert order.key((0, 1, 0)) > order.key((0, 0, 1))
+        assert key(order, (1, 0, 0)) > key(order, (0, 9, 9))
+        assert key(order, (0, 1, 0)) > key(order, (0, 0, 1))
 
     def test_one_is_minimal(self):
         one = (0, 0, 0)
         for order in (LEX, GREVLEX, block_order(1)):
             for m in [(1, 0, 0), (0, 1, 0), (2, 1, 3)]:
-                assert order.key(m) > order.key(one)
+                assert key(order, m) > key(order, one)
 
 
 def reference_key(kind, split, e):
@@ -324,10 +335,6 @@ def reference_key(kind, split, e):
     return (grevlex(e[:split]), grevlex(e[split:]))
 
 
-def pairs_of_monomials(nvars=4):
-    return st.tuples(monomials(nvars), monomials(nvars))
-
-
 def scalars():
     return st.integers(-50, 50) | st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -335,12 +342,50 @@ def scalars():
 class TestKernels:
     """The hot-path kernels equal their definitions."""
 
-    @given(pairs_of_monomials())
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(*[monomials(n, MAX_DEGREE // 14)] * 2)))
     def test_monomial_helpers(self, ab):
+        # The word kernels against their definitions on exponent tuples, up
+        # to exponents whose sum nears the degree limit in 7 variables.
         a, b = ab
-        assert monomial_divides(a, b) == all(x <= y for x, y in zip(a, b))
-        assert monomial_div(a, b) == tuple(x - y for x, y in zip(a, b))
-        assert monomial_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+        ring = PolynomialRing([f"x{i}" for i in range(len(a))])
+        wa, wb = ring.pack(a), ring.pack(b)
+        assert ring.unpack(wa) == a and ring.degree(wa) == sum(a)
+        assert ring.unpack(wa + wb) == tuple(x + y for x, y in zip(a, b))
+        assert ring.pack(tuple(map(max, a, b))) == ring.lcm(wa, wb)
+        assert ring.divides(wa, wb) == all(x <= y for x, y in zip(a, b))
+        assert ring.divides(wa, wa + wb) and ring.divides(wb, wa + wb)
+        assert ring.unpack(wa + wb - wb) == a
+        if ring.divides(wa, wb):
+            assert ring.unpack(wb - wa) == tuple(y - x for x, y in zip(a, b))
+        coprime = not any(x and y for x, y in zip(a, b))
+        assert (ring.lcm(wa, wb) == wa + wb) == coprime
+
+    @given(polynomials(R))
+    def test_terms_round_trip(self, p):
+        assert Polynomial(R, p.terms) == p
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_largest_degree_accepted_and_one_more_refused(self, n):
+        ring = PolynomialRing([f"x{i}" for i in range(n)])
+        x, last = ring.var(0), ring.var(n - 1)
+        top = (0,) * (n - 1) + (MAX_DEGREE,)
+        p = Polynomial(ring, {top: 1})
+        assert p.total_degree() == MAX_DEGREE
+        assert parse_polynomial(f"x{n - 1}^{MAX_DEGREE}", ring) == p == last ** MAX_DEGREE
+        assert ring.unpack(next(iter(p._terms))) == top
+        with pytest.raises(ValueError, match="limit"):
+            Polynomial(ring, {(0,) * (n - 1) + (MAX_DEGREE + 1,): 1})
+        with pytest.raises(ParseError, match="limit"):
+            parse_polynomial(f"x{n - 1}^{MAX_DEGREE + 1}", ring)
+        with pytest.raises(ParseError, match="limit"):
+            parse_polynomial(f"x0*(x{n - 1}^{MAX_DEGREE} + 1)", ring)
+        with pytest.raises(ValueError, match="limit"):
+            p * x
+        # Under lex a division step can raise the degree: x0 -> x_last^2.
+        f = x * last ** (MAX_DEGREE - 1)
+        assert reduce(f, [x - last], LEX) == p
+        with pytest.raises(ValueError, match="limit"):
+            reduce(f, [x - last**2], LEX)
 
     @given(scalars(), scalars().filter(bool))
     def test_div_is_the_normalized_quotient(self, a, b):
@@ -363,10 +408,17 @@ class TestKernels:
     @given(
         st.sampled_from(["lex", "grevlex", "block", "top"]),
         st.integers(0, 4),
-        monomials(4),
+        st.lists(monomials(4), min_size=2, max_size=12, unique=True),
     )
-    def test_order_keys(self, kind, split, e):
-        assert MonomialOrder(kind, split).key(e) == reference_key(kind, split, e)
+    @settings(max_examples=300)
+    def test_order_keys(self, kind, split, exps):
+        # The word keys order every pair of the monomials as the
+        # definitions do: both sorts agree, and distinct keys stay distinct.
+        ring = PolynomialRing(["a", "b", "c", "d"])
+        key = MonomialOrder(kind, split).key(ring)
+        by_words = sorted(exps, key=lambda e: key(ring.pack(e)))
+        assert by_words == sorted(exps, key=lambda e: reference_key(kind, split, e))
+        assert len({key(ring.pack(e)) for e in exps}) == len(exps)
 
     def test_orders_compare_by_identity(self):
         # An equal but distinct order keeps its own divisor records.
