@@ -287,12 +287,13 @@ def volume_coefficient(x: FormLike) -> Polynomial:
     return x.coefficient(tuple(range(ring.nvars)))
 
 
-def form_to_vector_field(omega: DifferentialForm) -> VectorField:
+def form_to_vector_field(omega: FormLike) -> VectorField:
     """The degree-(n-1) correspondence with vector fields.
 
     Writing omega = sum_i a_i dx_1 ^ ... (omit dx_i) ... ^ dx_n, the image V
     has V_i = (-1)^(n-1-i) a_i (0-based i), the unique field with
-    volume_coefficient(omega ^ dg) = V(g) for all g.
+    volume_coefficient(omega ^ dg) = V(g) for all g.  In one variable omega
+    is a bare polynomial.
     """
     ring = omega.ring
     n = ring.nvars
@@ -300,13 +301,13 @@ def form_to_vector_field(omega: DifferentialForm) -> VectorField:
         raise ValueError("expected a form of degree n-1")
     comps = [ring.zero] * n
     everything = set(range(n))
-    for idx, a in omega._coeffs.items():
+    for idx, a in _term_dict(omega).items():
         i = (everything - set(idx)).pop()
         comps[i] = a if (n - 1 - i) % 2 == 0 else -a
     return VectorField(ring, comps)
 
 
-def vector_field_to_form(field: VectorField) -> DifferentialForm:
+def vector_field_to_form(field: VectorField) -> FormLike:
     """Inverse of :func:`form_to_vector_field`."""
     ring = field.ring
     n = ring.nvars
@@ -315,7 +316,7 @@ def vector_field_to_form(field: VectorField) -> DifferentialForm:
         if v:
             idx = tuple(j for j in range(n) if j != i)
             out[idx] = v if (n - 1 - i) % 2 == 0 else -v
-    return DifferentialForm(ring, n - 1, out, _clean=True)
+    return _make(ring, n - 1, out)
 
 
 def radial_potential(omega: FormLike) -> Polynomial:

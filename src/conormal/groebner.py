@@ -12,9 +12,9 @@ leading-term ideal of a grevlex basis) and ``module_membership``.
 There is one division loop and one pair loop.  A :class:`Submodule` of R^r
 runs a vector (p_1, ..., p_r) through them as the polynomial sum e_i*p_i,
 with r position variables in front, under the term-over-position order
-``top``; the one module rule, that leads in different positions give the
-S-vector 0, lives in ``s_polynomial``, and ``buchberger`` never queues such
-a pair.
+``top``, which is grevlex on the position ring (see :class:`Submodule`).
+The one module rule, that leads in different positions give the S-vector 0,
+lives in ``s_polynomial``, and ``buchberger`` never queues such a pair.
 
 Monomials are the packed words of :mod:`conormal.poly`: a product is one
 addition, and a lead-divisibility test (in ``reduce``, in ``_autoreduce``
@@ -64,7 +64,8 @@ def reduce(
     basis element.  A cached basis (of one ring, without zeros) passes the
     list of its records as ``divisors``, so a warm call checks the ring of
     ``f`` against one element and rebuilds nothing.  The order's key is
-    looked up once per call; under grevlex it is a C-level ``int.__xor__``.
+    looked up once per call; under grevlex and ``top`` it is a C-level
+    ``int.__xor__``.
     """
     ring = f.ring
     if divisors is None:
@@ -442,7 +443,9 @@ class Submodule:
     polynomial) pairs with distinct positions.  ``encode`` is the one map of
     a vector to its polynomial in the position ring; the nonzero encoded
     generators are kept, and their basis is computed on first use and kept,
-    together with its divisor records."""
+    together with its divisor records.  The position variables come first,
+    so they are the lowest fields and grevlex compares them last: on these
+    module terms, one position of exponent 1 each, ``top`` is grevlex."""
 
     __slots__ = ("rank", "position_ring", "order", "generators", "_basis", "_divisors")
 

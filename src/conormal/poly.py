@@ -32,7 +32,8 @@ sum of two fields never carries into the next one.  So a product is
 per-field maximum on the whole word (:meth:`PolynomialRing.lcm`); two
 monomials are coprime iff their lcm is their product.  Ints compare by
 total degree first, and the grevlex key is the word XOR-ed with the mask of
-the variable fields, a C-level ``int.__xor__``.  One width serves every
+the variable fields, a C-level ``int.__xor__``; it is also the key of the
+module order ``top`` (see :class:`MonomialOrder`).  One width serves every
 ring, with no repacking and no second representation; the layout depends
 only on the number of variables, and :class:`MonomialOrder` builds its key
 per number.
@@ -117,35 +118,17 @@ def _order_key(kind: str, split: int, n: int) -> Callable:
     because a total degree does.
     """
     every = (1 << (n * WIDTH)) - 1
-    if kind == "grevlex":
+    if kind in ("grevlex", "top"):  # top is grevlex on module terms
         # Degree first, then the last variable's exponent, smaller winning.
         return every.__xor__
     if kind == "lex":
         return lambda m: _reversed_fields(m, n)
+    # block: [degree of the first s fields | those fields complemented |
+    # degree of the rest | rest fields complemented], two grevlex keys.
     s = min(split, n)
     low, bits, ones = (1 << (s * WIDTH)) - 1, s * WIDTH, _ones(s)
     sum_shift = (s - 1) * WIDTH if s else 0
     rest, rest_bits = (1 << ((n - s) * WIDTH)) - 1, (n - s) * WIDTH
-    if kind == "top":
-        # [degree of the rest | rest fields complemented | position fields
-        # reversed, so that lex reads field 0 first].  A term of an encoded
-        # vector has one position field, of exponent 1: the first branch
-        # looks its reversal up and takes 1 off the degree.
-        reversal = {1 << (i * WIDTH): 1 << ((s - 1 - i) * WIDTH) for i in range(s)}
-        unit = 1 << rest_bits
-
-        def top(m):
-            p = m & low
-            tail = reversal.get(p)
-            if tail is not None:
-                return ((((m >> bits) - unit) ^ rest) << bits) | tail
-            degree = (p * ones >> sum_shift) & FIELD
-            head = (m >> bits) - (degree << rest_bits)
-            return ((head ^ rest) << bits) | _reversed_fields(p, s)
-
-        return top
-    # block: [degree of the first s fields | those fields complemented |
-    # degree of the rest | rest fields complemented], two grevlex keys.
     high_shift = rest_bits + WIDTH
 
     def block(m):
@@ -164,10 +147,12 @@ class MonomialOrder:
     ``kind`` is one of ``lex``, ``grevlex``, ``block`` or ``top``.  A block
     order compares the first ``split`` exponents by grevlex, breaking ties
     with grevlex on the rest, which makes the first block an elimination
-    block.  ``top`` (term over position) encodes a vector (p_1, ..., p_r) of a
-    free module as the polynomial sum e_i*p_i, with the ``split`` = r
-    position variables e_i in front: it compares the rest by grevlex and
-    breaks ties by position, the lower position winning.
+    block.  ``top`` (term over position, Cox-Little-O'Shea, *Using Algebraic
+    Geometry* ch. 5 section 2) orders the module terms x^a*e_i of R^r,
+    r = ``split``, as words whose first r fields are the positions e_i: it
+    compares x^a by grevlex, then the lower position wins.  That is grevlex
+    on such words, whose one position field is 1 and is compared last, so
+    ``top`` takes grevlex's key; no code keys a word that is not a module term.
 
     ``key(ring)`` is the sort key on the ring's words: ``key(a) > key(b)``
     iff the monomial a is larger.  It is built once per number of variables.

@@ -91,7 +91,7 @@ def random_form(
     degree: int,
     max_terms: int = 2,
     max_coeff_degree: int = 2,
-) -> DifferentialForm:
+) -> DifferentialForm | Polynomial:
     tuples = list(combinations(range(ring.nvars), degree))
     coeffs = {}
     for _ in range(rng.randint(0, max_terms)):
@@ -99,7 +99,10 @@ def random_form(
         p = random_polynomial(rng, ring, max_terms=2, max_degree=max_coeff_degree)
         if p:
             coeffs[idx] = coeffs.get(idx, ring.zero) + p
-    return DifferentialForm(ring, degree, {i: c for i, c in coeffs.items() if c})
+    coeffs = {i: c for i, c in coeffs.items() if c}
+    if degree == 0:  # a bare polynomial, as forms.py keeps degree 0
+        return coeffs.get((), ring.zero)
+    return DifferentialForm(ring, degree, coeffs)
 
 
 # Expressions of the parser's grammar, drawn as (text, tree).  A tree is

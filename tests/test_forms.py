@@ -35,6 +35,7 @@ from strategies import expressions, forms, polynomials, random_form, random_poly
 R = PolynomialRing(["x", "y", "z"])
 X, Y, Z = R.gens()
 R4 = PolynomialRing(["x", "y", "z", "t"])
+R1 = PolynomialRing(["x"])
 
 
 def form(text, ring=R):
@@ -334,14 +335,16 @@ class TestVectorFieldMap:
         assert v.components == (R4.zero, R4.zero, R4.zero, R4.one)
 
     def test_roundtrip(self):
+        # In one variable an (n-1)-form is a bare polynomial.
         rng = random.Random(7)
-        for _ in range(20):
-            w = random_form(rng, R, 2)
-            assert vector_field_to_form(form_to_vector_field(w)) == w
+        for ring in (R, R1):
+            for _ in range(20):
+                w = random_form(rng, ring, ring.nvars - 1)
+                assert vector_field_to_form(form_to_vector_field(w)) == w
 
     def test_defining_identity(self):
         rng = random.Random(11)
-        for ring in (R, R4):
+        for ring in (R, R4, R1):
             for _ in range(25):
                 w = random_form(rng, ring, ring.nvars - 1)
                 g = random_polynomial(rng, ring, max_terms=3, max_degree=3)

@@ -98,11 +98,17 @@ class TestReduce:
     def test_one_order_key_per_monomial(self, monkeypatch):
         # No Python code runs to key a monomial: a reduction looks the
         # order's key up once, and the grevlex key of a word is a C-level
-        # int method, so no pending term is keyed by Python at all.
-        basis = buchberger([F_UMBRELLA, X**3 - Y * Z], GREVLEX)
-        for g in basis:
-            g.leading(GREVLEX)
-        f = X**3 * Y**2 + X * Z**3 + Y * Z**4
+        # int method, so no pending term is keyed by Python at all.  The
+        # term-over-position order takes the same key on its position ring.
+        cases = [
+            (GREVLEX, R, [F_UMBRELLA, X**3 - Y * Z], X**3 * Y**2 + X * Z**3 + Y * Z**4),
+            (TOP, R_TOP, [encode_vector(X, Y), encode_vector(Y**2, Z)],
+             encode_vector(X * Z + Y**3 + Z**2, X * Y + Z**3)),
+        ]
+        bases = [buchberger(gens, order) for order, _, gens, _ in cases]
+        for (order, _, _, _), basis in zip(cases, bases):
+            for g in basis:
+                g.leading(order)
         looked_up = []
         key = MonomialOrder.key
 
@@ -111,10 +117,13 @@ class TestReduce:
             return key(order, ring)
 
         monkeypatch.setattr(MonomialOrder, "key", counting)
-        r = reduce(f, basis, GREVLEX)
-        assert r != f and looked_up == [GREVLEX]  # division steps ran, one lookup
-        grevlex = key(GREVLEX, R)
-        assert type(grevlex) is type((0).__xor__) and grevlex.__self__ == R.fields
+        for (order, ring, _, f), basis in zip(cases, bases):
+            looked_up.clear()
+            r = reduce(f, basis, order)
+            assert r != f and looked_up == [order]  # division steps ran, one lookup
+            c_level = key(order, ring)
+            assert type(c_level) is type((0).__xor__) and c_level.__name__ == "__xor__"
+            assert c_level.__self__ == ring.fields
 
     def test_no_division_by_a_unit_leading_coefficient(self, monkeypatch):
         # Every basis a warm decision reduces against is monic.
@@ -295,10 +304,30 @@ class TestTrivialModuleWork:
                 return original(*args)
 
             monkeypatch.setattr(groebner, attr, counting)
+        # The top key is grevlex's, which is top only on module terms: every
+        # word keyed under top has exactly one position field, equal to 1.
+        keyed, strays = [], []
+        key = MonomialOrder.key
+
+        def checking(order, ring):
+            word_key = key(order, ring)
+            if order.kind != "top":
+                return word_key
+
+            def module_term_key(m):
+                keyed.append(m)
+                if sorted(ring.unpack(m)[: order.split]) != [0] * (order.split - 1) + [1]:
+                    strays.append(m)
+                return word_key(m)
+
+            return module_term_key
+
+        monkeypatch.setattr(MonomialOrder, "key", checking)
         s_polys, reductions, basis = self.WORK[name, k]
         built = _trivial_module(load_germ_file(name).germ, k)[1].groebner_basis()
         assert [str(b) for b in built] == basis
         assert (calls["s_polynomial"], calls["reduce"]) == (s_polys, reductions)
+        assert keyed and strays == []
 
 
 class TestParserWork:

@@ -335,6 +335,25 @@ def reference_key(kind, split, e):
     return (grevlex(e[:split]), grevlex(e[split:]))
 
 
+@st.composite
+def module_terms(draw, split, nvars):
+    """Exponent tuples of module terms x^a*e_i: one of the first ``split``
+    fields, the position, is 1, the others 0, and the rest are free."""
+    position = draw(st.integers(0, split - 1))
+    return tuple(int(i == position) for i in range(split)) + draw(monomials(nvars - split))
+
+
+@st.composite
+def order_cases(draw):
+    """(kind, split, distinct exponent tuples of 4 variables).  ``top`` is
+    defined on module terms, so its split is at least 1 and its tuples are
+    module terms; the other kinds take any monomials."""
+    kind = draw(st.sampled_from(["lex", "grevlex", "block", "top"]))
+    split = draw(st.integers(1 if kind == "top" else 0, 4))
+    terms = module_terms(split, 4) if kind == "top" else monomials(4)
+    return kind, split, draw(st.lists(terms, min_size=2, max_size=12, unique=True))
+
+
 def scalars():
     return st.integers(-50, 50) | st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -405,15 +424,12 @@ class TestKernels:
         with pytest.raises(ZeroDivisionError):
             _div(a, 0)
 
-    @given(
-        st.sampled_from(["lex", "grevlex", "block", "top"]),
-        st.integers(0, 4),
-        st.lists(monomials(4), min_size=2, max_size=12, unique=True),
-    )
+    @given(order_cases())
     @settings(max_examples=300)
-    def test_order_keys(self, kind, split, exps):
+    def test_order_keys(self, case):
         # The word keys order every pair of the monomials as the
         # definitions do: both sorts agree, and distinct keys stay distinct.
+        kind, split, exps = case
         ring = PolynomialRing(["a", "b", "c", "d"])
         key = MonomialOrder(kind, split).key(ring)
         by_words = sorted(exps, key=lambda e: key(ring.pack(e)))
