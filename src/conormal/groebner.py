@@ -22,6 +22,12 @@ and in the pair criteria of ``_complete``) is one subtraction and one mask
 of guard bits.  Under ``top`` it fails at once for a lead in another
 position, whose field the term leaves at 0.
 
+The pair loop runs on the divisor records ``(lm, lc, tail, reach)`` that
+:meth:`Polynomial.divisor` caches: ``s_polynomial`` builds each S-polynomial
+from the two records into one term dict, and ``_complete`` and
+``_autoreduce`` keep the records of their basis in a list next to it, which
+every ``reduce`` they call receives.  No record is rebuilt per reduction.
+
 Bases are reduced, monic and sorted, so they are canonical per (ideal, order);
 an :class:`Ideal` caches its one grevlex basis lazily, so repeated membership
 tests against one ideal compute one basis.
@@ -61,11 +67,12 @@ def reduce(
     a leading term of the basis.  With the empty basis, r = f.
 
     Each divisor is the record :meth:`Polynomial.divisor` caches on the
-    basis element.  A cached basis (of one ring, without zeros) passes the
-    list of its records as ``divisors``, so a warm call checks the ring of
-    ``f`` against one element and rebuilds nothing.  The order's key is
-    looked up once per call; under grevlex and ``top`` it is a C-level
-    ``int.__xor__``.
+    basis element.  A basis of one ring without zeros may come with the
+    list of its records as ``divisors``: a cached basis passes it, and so
+    do ``_complete`` and ``_autoreduce``, which extend the list as their
+    basis grows.  Such a call checks the ring of ``f`` against one element
+    and rebuilds nothing.  The order's key is looked up once per call; under
+    grevlex and ``top`` it is a C-level ``int.__xor__``.
     """
     ring = f.ring
     if divisors is None:
@@ -104,29 +111,36 @@ def reduce(
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     """The cancellation combination of f and g at the lcm of their leads.
 
-    Under a ``top`` order, leads in different positions have no common
-    multiple in the module, so the S-vector is 0.
+    It is built from the two divisor records (:meth:`Polynomial.divisor`)
+    into one term dict: f's tail shifted to the lcm, less g's, each divided
+    by its leading coefficient unless that is 1.  The leads cancel, so they
+    are never written.  Under a ``top`` order, leads in different positions
+    have no common multiple in the module, so the S-vector is 0.
     """
-    fm, fc = f.leading(order)
-    gm, gc = g.leading(order)
+    ring = same_ring(f, g)
+    fm, fc, f_tail, f_reach = f.divisor(order)
+    gm, gc, g_tail, g_reach = g.divisor(order)
     if (fm ^ gm) & _position_fields(order):
-        return f.ring.zero
-    lcm = f.ring.lcm(fm, gm)
-    uf = _mono_times(f, lcm - fm, _div(1, fc))
-    ug = _mono_times(g, lcm - gm, _div(1, gc))
-    return uf - ug
+        return ring.zero
+    lcm = ring.lcm(fm, gm)
+    qf, qg = lcm - fm, lcm - gm
+    # Under lex a tail word may have a larger degree than the lead.
+    _check_degree(max(lcm, f_reach + qf, g_reach + qg), ring.limit)
+    terms = {m + qf: c if fc == 1 else _div(c, fc) for m, c in f_tail}
+    for m, c in g_tail:
+        t = m + qg
+        s = terms.get(t, 0) - (c if gc == 1 else _div(c, gc))
+        if s:
+            terms[t] = s
+        elif t in terms:
+            del terms[t]
+    return Polynomial(ring, terms, _clean=True)
 
 
 def _position_fields(order: MonomialOrder) -> int:
     """The mask of the position fields of the words under a ``top`` order
     (see :class:`Submodule`), and 0 under other orders."""
     return (1 << (order.split * WIDTH)) - 1 if order.kind == "top" else 0
-
-
-def _mono_times(p: Polynomial, mono: int, coeff) -> Polynomial:
-    terms = p._terms
-    _check_degree(max(terms) + mono, p.ring.limit)
-    return Polynomial(p.ring, {m + mono: v * coeff for m, v in terms.items()}, _clean=True)
 
 
 def _autoreduce(basis: list, order: MonomialOrder) -> list:
@@ -143,11 +157,13 @@ def _autoreduce(basis: list, order: MonomialOrder) -> list:
         g for i, (g, lm) in enumerate(zip(basis, leads))
         if not any(j != i and divides(hm, lm) and (hm != lm or j < i) for j, hm in enumerate(leads))
     ]
+    records = [g.divisor(order) for g in minimal]
     reduced: list = []
-    for i in range(len(minimal)):
-        others = reduced + minimal[i + 1 :]
-        r = reduce(minimal[i], others, order)
-        reduced.append(r.monic(order))
+    done: list = []  # the records of ``reduced``
+    for i, g in enumerate(minimal):
+        r = reduce(g, reduced + minimal[i + 1 :], order, done + records[i + 1 :]).monic(order)
+        reduced.append(r)
+        done.append(r.divisor(order))
     key = order.key(basis[0].ring)
     reduced.sort(key=lambda g: key(g.leading(order)[0]))
     return reduced
@@ -168,10 +184,13 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, known: int = 0)
     If the first ``known`` generators already form a Groebner basis under
     ``order`` (say a cached basis lifted to a ring with more variables),
     no pair among them is queued, only pairs with a later generator
-    (the Gebauer-Moeller update setting).
+    (the Gebauer-Moeller update setting).  A ``known`` outside
+    ``0 .. len(gens)`` raises ``ValueError``.
     """
     if not gens:
         raise ValueError("buchberger needs at least one generator")
+    if not 0 <= known <= len(gens):
+        raise ValueError(f"known={known} is not between 0 and {len(gens)}")
     same_ring(*gens)
     seen = set()
     basis = []
@@ -203,7 +222,8 @@ def _complete(basis: list, order: MonomialOrder, known: int) -> list:
     one = ring.one
     if any(g.is_constant() for g in basis):
         return [one]
-    leads = [g.leading(order)[0] for g in basis]
+    divisors = [g.divisor(order) for g in basis]
+    leads = [d[0] for d in divisors]
     key, lcm_of = order.key(ring), ring.lcm
     positions = _position_fields(order)
     pending = set()
@@ -226,13 +246,14 @@ def _complete(basis: list, order: MonomialOrder, known: int) -> list:
             continue  # coprime leads: S-polynomial reduces to zero
         if _chain_criterion(leads, ring.guards, pending, i, j, lcm):
             continue
-        r = reduce(s_polynomial(basis[i], basis[j], order), basis, order)
+        r = reduce(s_polynomial(basis[i], basis[j], order), basis, order, divisors)
         if r:
             if r.is_constant():
                 return [one]
             r = r.monic(order)
             basis.append(r)
-            leads.append(r.leading(order)[0])
+            divisors.append(r.divisor(order))
+            leads.append(divisors[-1][0])
             add_pairs(len(basis) - 1)
     return basis
 

@@ -1,6 +1,8 @@
 """Groebner engine: division, bases, membership, elimination, radical, dimension."""
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,9 +31,11 @@ from conormal.groebner import (
 from conormal.poly import (
     GREVLEX,
     LEX,
+    MAX_DEGREE,
     MonomialOrder,
     Polynomial,
     PolynomialRing,
+    block_order,
 )
 
 from strategies import nonzero_polynomials, polynomials, random_polynomial
@@ -220,6 +224,58 @@ class TestBuchberger:
             gens + extra, order
         )
 
+    def test_known_must_index_the_generators(self):
+        # A prefix longer than the generators would queue no pair at all and
+        # return the inputs without y^2 - x.  (known=2 would claim that the
+        # inputs are a Groebner basis, which they are not.)
+        R2 = PolynomialRing(["x", "y"])
+        x, y = R2.gens()
+        gens = [x * y - 1, x**2 - y]
+        for known in (5, 3, -1):
+            with pytest.raises(ValueError, match="known"):
+                buchberger(gens, GREVLEX, known=known)
+        for known in (0, 1):
+            assert y**2 - x in buchberger(gens, GREVLEX, known=known)
+
+
+def reference_s_polynomial(f, g, order):
+    """(lcm/lm_f)*f/lc_f - (lcm/lm_g)*g/lc_g, by its definition on
+    exponent tuples and with Polynomial arithmetic."""
+    (fm, fc), (gm, gc) = f.leading(order), g.leading(order)
+    a, b = f.ring.unpack(fm), f.ring.unpack(gm)
+    lcm = tuple(map(max, a, b))
+
+    def cofactor(lead, c):
+        return Polynomial(f.ring, {tuple(u - v for u, v in zip(lcm, lead)): Fraction(1) / c})
+
+    return cofactor(a, fc) * f - cofactor(b, gc) * g
+
+
+class TestSPolynomial:
+    # f and g are drawn non-monic, with Fraction coefficients.
+    @pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)], ids=lambda o: o.kind)
+    @given(nonzero_polynomials(R), nonzero_polynomials(R))
+    def test_is_its_definition(self, order, f, g):
+        assert s_polynomial(f, g, order) == reference_s_polynomial(f, g, order)
+
+    @given(*[st.tuples(polynomials(R), polynomials(R)).filter(any)] * 2)
+    def test_is_its_definition_under_top(self, u, v):
+        # Leads in different positions have the S-vector 0.
+        f, g = encode_vector(*u), encode_vector(*v)
+        positions = [R_TOP.unpack(h.leading(TOP)[0])[:2] for h in (f, g)]
+        expected = reference_s_polynomial(f, g, TOP) if positions[0] == positions[1] else 0
+        assert s_polynomial(f, g, TOP) == expected
+
+    def test_degree_limit_covers_the_tail(self):
+        # Under lex, x leads x + y^MAX_DEGREE: the lcm x*y of the leads is
+        # far below the limit, but the tail word y^MAX_DEGREE moves past it.
+        R2 = PolynomialRing(["x", "y"])
+        x, y = R2.gens()
+        f = x + y**MAX_DEGREE
+        assert f.leading(LEX)[0] == R2.units[0]
+        with pytest.raises(ValueError, match="past the limit"):
+            s_polynomial(f, y, LEX)
+
 
 class TestPairCriteria:
     """The pair criteria decide on packed words; the pairs they skip are
@@ -328,6 +384,50 @@ class TestTrivialModuleWork:
         assert [str(b) for b in built] == basis
         assert (calls["s_polynomial"], calls["reduce"]) == (s_polys, reductions)
         assert keyed and strays == []
+
+
+class TestPairLoopRecords:
+    """Work gate: the pair loop keeps the divisor records of its basis next
+    to it.  Every reduction of a basis build receives them, the very records
+    each element caches, and each polynomial's record is built once."""
+
+    CASES = [("umbrella.germ", "jacobian")] + list(TestTrivialModuleWork.WORK)
+
+    @pytest.mark.parametrize("name, k", CASES)
+    def test_reductions_receive_cached_records(self, monkeypatch, name, k):
+        import conormal.groebner as groebner
+
+        germ = load_germ_file(name).germ
+        if k == "jacobian":
+            target, order = Ideal(germ.jacobian.generators), GREVLEX
+        else:
+            target = _trivial_module(germ, k)[1]
+            order = target.order
+        reductions, callers = [], Counter()
+        reduce = groebner.reduce
+
+        def recording(f, basis, order, divisors=None):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            reductions.append((list(basis), None if divisors is None else list(divisors)))
+            return reduce(f, basis, order, divisors)
+
+        builds, kept = Counter(), []
+        divisor = Polynomial.divisor
+
+        def counting(self, order):
+            if order not in (self._lead or {}):
+                builds[id(self)] += 1
+                kept.append(self)  # keeps each id unique while counting
+            return divisor(self, order)
+
+        monkeypatch.setattr(groebner, "reduce", recording)
+        monkeypatch.setattr(Polynomial, "divisor", counting)
+        target.groebner_basis()
+        assert set(callers) == {"_complete", "_autoreduce"}
+        for basis, divisors in reductions:
+            assert divisors is not None and len(divisors) == len(basis)
+            assert all(d is b._lead[order] for b, d in zip(basis, divisors))
+        assert builds and set(builds.values()) == {1}
 
 
 class TestParserWork:
