@@ -14,7 +14,7 @@ produces a polynomial potential for a closed 1-form.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence, Union
 
 from ._expr import _accumulate, mixed_mul, parse_mixed_text
@@ -24,8 +24,10 @@ from .poly import (
     Scalar,
     _check_degree,
     _div,
+    _join_chunks,
     _mul_terms,
     _rational,
+    _term_chunks,
     evaluate,
     format_polynomial,
     partial_derivative,
@@ -360,13 +362,9 @@ class Hyperplane:
             raise ValueError("one normal coordinate per ring variable required")
         if not any(vec):
             raise ValueError("the zero vector is not a hyperplane normal")
-        scale = 1
-        for v in vec:
-            scale = scale * v.denominator // gcd(scale, v.denominator)
+        scale = lcm(*(v.denominator for v in vec))
         ints = [int(v * scale) for v in vec]
-        content = 0
-        for v in ints:
-            content = gcd(content, abs(v))
+        content = gcd(*ints)
         ints = [v // content for v in ints]
         first = next(v for v in ints if v)
         if first < 0:
@@ -418,39 +416,33 @@ def parse_form(text: str, ring: PolynomialRing) -> list:
     return parts
 
 
-def _coeff_chunk(coeff: Polynomial, differentials: str) -> tuple:
-    """Render one form term; returns (sign, body) with sign '+' or '-'."""
-    text = format_polynomial(coeff)
-    if len(coeff) == 1:
-        if text == "1":
-            return "+", differentials
-        if text == "-1":
-            return "-", differentials
-        if text.startswith("-"):
-            return "-", f"{text[1:]}*{differentials}"
-        return "+", f"{text}*{differentials}"
-    return "+", f"({text})*{differentials}"
+def _differentials(ring: PolynomialRing, idx) -> str:
+    """The label ``dx*dy`` of an index tuple."""
+    return "*".join("d" + ring.variables[i] for i in idx)
+
+
+def _form_chunks(x: FormLike) -> list:
+    """(sign, body) of each term of ``x``: a coefficient with one term
+    multiplies its differentials, a longer one is parenthesized."""
+    if isinstance(x, Polynomial):
+        return _term_chunks(x)
+    chunks = []
+    for idx, coeff in x.coefficients():
+        differentials = _differentials(x.ring, idx)
+        if len(coeff) == 1:
+            ((sign, body),) = _term_chunks(coeff)
+            chunks.append((sign, differentials if body == "1" else f"{body}*{differentials}"))
+        else:
+            chunks.append(("+", f"({format_polynomial(coeff)})*{differentials}"))
+    return chunks
 
 
 def format_form(x: FormLike) -> str:
     """Canonical rendering in the input grammar (round-trips through parse)."""
-    if isinstance(x, Polynomial):
-        return format_polynomial(x)
-    if not x:
-        return "0"
-    chunks = []
-    for idx, coeff in x.coefficients():
-        differentials = "*".join("d" + x.ring.variables[i] for i in idx)
-        chunks.append(_coeff_chunk(coeff, differentials))
-    sign, body = chunks[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in chunks[1:]:
-        out += f" {sign} {body}"
-    return out
+    return _join_chunks(_form_chunks(x))
 
 
 def format_form_parts(parts: Sequence[FormLike]) -> str:
-    """Render a list of homogeneous parts as one expression."""
-    if not parts:
-        return "0"
-    return " + ".join(format_form(p) for p in parts)
+    """Render a list of homogeneous parts as one expression, which parses
+    back to the same parts."""
+    return _join_chunks([chunk for part in parts for chunk in _form_chunks(part)])

@@ -45,6 +45,7 @@ from .forms import (
     DifferentialForm,
     FormLike,
     VectorField,
+    _differentials,
     _term_dict,
     exterior_derivative,
     form_degree,
@@ -55,6 +56,7 @@ from .forms import (
 from .groebner import (
     Ideal,
     Submodule,
+    _rabinowitsch,
     ideal_membership,
     implicitization,
     krull_dimension,
@@ -120,7 +122,7 @@ class Verdict:
         if self.wedge is None:
             claim = f"V({key}) = {p}"
         else:
-            claim = f"coefficient {p} on " + "*".join("d" + p.ring.variables[i] for i in key)
+            claim = f"coefficient {p} on {_differentials(p.ring, key)}"
         if self.is_certified_no:
             return f"{claim} is not in the radical of the ideal"
         return f"{claim} is in the radical but not in the ideal"
@@ -260,7 +262,8 @@ def _classify(tested, germ: Germ, wedge: Optional[DifferentialForm] = None) -> V
     The offender is the first pair failing the strongest test that decides
     the status.  On a radical germ a polynomial outside the ideal is outside
     its radical, so the first failure decides; only other germs run the
-    radical test, and only on the failures.
+    radical test, and only its Rabinowitsch step on the failures, whose
+    plain membership has already been reduced.
     """
     tested = tuple(tested)
     ideal = germ.ideal
@@ -271,7 +274,7 @@ def _classify(tested, germ: Germ, wedge: Optional[DifferentialForm] = None) -> V
                 return Verdict(VerdictStatus.CERTIFIED_NO, tested, pair, wedge)
             failures.append(pair)
     for pair in failures:
-        if not radical_membership(pair[1], ideal):
+        if not _rabinowitsch(pair[1], ideal):
             return Verdict(VerdictStatus.CERTIFIED_NO, tested, pair, wedge)
     if failures:
         return Verdict(VerdictStatus.NO_CERTIFICATE, tested, failures[0], wedge)

@@ -542,37 +542,32 @@ class Polynomial:
         return f"<{format_polynomial(self)} over {self.ring}>"
 
 
-def _format_coeff(c: Scalar) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def format_polynomial(p: Polynomial) -> str:
-    """Canonical rendering: terms in descending grevlex, ``*`` and ``^`` explicit."""
-    if not p:
-        return "0"
+def _term_chunks(p: Polynomial) -> list:
+    """(sign, body) of each term of ``p`` in descending grevlex order, with
+    sign ``+`` or ``-`` and body the magnitude: ``*`` and ``^`` explicit, a
+    unit coefficient dropped unless the term is constant."""
     ring, terms = p.ring, p._terms
     chunks = []
     for m in sorted(terms, key=GREVLEX.key(ring), reverse=True):
         c = terms[m]
-        factors = []
-        for name, e in zip(ring.variables, ring.unpack(m)):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        mag = abs(c)
-        if factors and mag == 1:
-            body = "*".join(factors)
-        elif factors:
-            body = "*".join([_format_coeff(mag)] + factors)
-        else:
-            body = _format_coeff(mag)
-        chunks.append(("-" if c < 0 else "+", body))
-    sign, body = chunks[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in chunks[1:]:
-        out += f" {sign} {body}"
-    return out
+        factors = [f"{x}^{e}" if e > 1 else x for x, e in zip(ring.variables, ring.unpack(m)) if e]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        chunks.append(("-" if c < 0 else "+", "*".join(factors)))
+    return chunks
+
+
+def _join_chunks(chunks: Sequence[tuple]) -> str:
+    """Join (sign, body) chunks as ``a - b + c``; ``0`` when there are none."""
+    if not chunks:
+        return "0"
+    (sign, body), *rest = chunks
+    return ("-" if sign == "-" else "") + body + "".join(f" {s} {b}" for s, b in rest)
+
+
+def format_polynomial(p: Polynomial) -> str:
+    """Canonical rendering: terms in descending grevlex, ``*`` and ``^`` explicit."""
+    return _join_chunks(_term_chunks(p))
 
 
 def parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:

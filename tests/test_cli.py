@@ -27,9 +27,12 @@ class TestGermFiles:
         ]
 
     def test_corpus_files_roundtrip(self):
-        for name in corpus_names():
-            gf = load_germ_file(name)
-            again = parse_germ_text(gf.render(), source=name)
+        files = [load_germ_file(name) for name in corpus_names()]
+        # A mixed form whose higher part is negative renders as "x - dy".
+        files.append(parse_germ_text("ring x y\ngen x^2\nform w x - dy\n"))
+        assert "form w x - dy\n" in files[-1].render()
+        for gf in files:
+            again = parse_germ_text(gf.render())
             assert again.germ.generators == gf.germ.generators
             assert again.germ.hypersurface == gf.germ.hypersurface
             assert again.germ.complete_intersection == gf.germ.complete_intersection

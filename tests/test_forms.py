@@ -22,6 +22,7 @@ from conormal.forms import (
     form_degree,
     form_to_vector_field,
     format_form,
+    format_form_parts,
     parse_form,
     radial_potential,
     vector_field_to_form,
@@ -79,6 +80,19 @@ class TestParseForm:
             parts = parse_form(text, ring)
             printed = format_form(parts[0])
             assert parse_form(printed, ring) == parts
+        # Mixed degrees print as one expression, with the sign of each part
+        # carried into the join.
+        for text in ["x - dy", "-1 - y*dx + x*dx*dy"]:
+            parts = parse_form(text, R)
+            printed = format_form_parts(parts)
+            assert printed == text
+            assert parse_form(printed, R) == parts
+
+    @given(expressions(R))
+    @settings(max_examples=200)
+    def test_printed_parts_parse_back(self, case):
+        parts = parse_form(case[0], R)
+        assert parse_form(format_form_parts(parts), R) == parts
 
 
 def _graded_sum(values) -> dict:

@@ -149,6 +149,28 @@ class TestIsConormal:
         assert is_conormal(y, double_line).is_certified_no
         assert len(seen) == 1
 
+    def test_one_membership_reduction_per_tested_polynomial(self, monkeypatch):
+        # On the non-radical V(x^2) a failed membership goes on to the
+        # radical test, which must not reduce the same polynomial again.
+        import conormal.germs as germs
+        import conormal.groebner as groebner
+
+        plane = PolynomialRing(["x", "y"])
+        double_line = Germ(plane, [plane.var(0) ** 2])
+        assert not double_line.radical
+        calls = []
+        real = groebner.ideal_membership
+        for module in (germs, groebner):
+            monkeypatch.setattr(
+                module, "ideal_membership", lambda f, ideal: calls.append(f) or real(f, ideal)
+            )
+        cases = [("dy", "NoCertificate"), ("y", "CertifiedNo"), ("x*dy", "CertifiedYes")]
+        for text, status in cases:
+            calls.clear()
+            verdict = is_conormal(form(text, plane), double_line)
+            assert verdict.status.value == status
+            assert calls == [p for _, p in verdict.tested]
+
     def test_no_certificate_on_non_radical_generators(self):
         # V(x^2) has the y,z-plane as reduced zero set; x vanishes there but
         # has no certificate in (x^2).
@@ -188,14 +210,15 @@ class TestVerdict:
         omega1, dx = form("y*z*dx + 2*x*z*dy - 2*x*y*dz"), form("dx")
         plane_dx, plane_dy = form("dx", plane), form("dy", plane)
         rendered = []
-        original = conormal.poly.format_polynomial
+        original = conormal.poly._term_chunks
 
         def counting(p):
             rendered.append(p)
             return original(p)
 
-        monkeypatch.setattr(conormal.poly, "format_polynomial", counting)
-        monkeypatch.setattr(conormal.forms, "format_polynomial", counting)
+        # Every polynomial and form is printed from its term chunks.
+        monkeypatch.setattr(conormal.poly, "_term_chunks", counting)
+        monkeypatch.setattr(conormal.forms, "_term_chunks", counting)
         yes, no, open_ = "CertifiedYes: ", "CertifiedNo: ", "NoCertificate: "
         cases = [
             (is_conormal(x**2 * y, double_line), yes + "normal form 0 modulo the generator ideal"),

@@ -41,7 +41,7 @@ FORMS = {
     "cusp3.germ": ["omega2", "3*x^2*dx - z*dy - y*dz", "dx", "x*dy*dz"],
     "segre.germ": ["omega3", "z*dx + x*dz - t*dy - y*dt", "dx*dy"],
     "umbrella.germ": ["omega1", "omega2", "dx", "x*dy", "y*dz"],
-    "double_line.germ": ["x", "y", "x^2*y", "dx", "dy", "x*dy", "dx*dy", "x + dy"],
+    "double_line.germ": ["x", "y", "x^2*y", "dx", "dy", "x*dy", "dx*dy", "x + dy", "x - dy"],
     "cylinder.germ": ["dx*dy", "dy*dz"],
 }
 
