@@ -1,6 +1,6 @@
 """Buchberger's algorithm for ideals and for submodules of free modules.
 
-Everything runs over the exact rational polynomials of :mod:`conormal.poly`.
+Everything is exact over the rational polynomials of :mod:`conormal.poly`.
 The public operations are ``reduce`` (multivariate division / normal form),
 ``buchberger`` (reduced Groebner basis, heap-ordered normal pair selection),
 ``ideal_membership``, ``eliminate``, ``implicitization`` (the ideal of the
@@ -22,21 +22,36 @@ and in the pair criteria of ``_complete``) is one subtraction and one mask
 of guard bits.  Under ``top`` it fails at once for a lead in another
 position, whose field the term leaves at 0.
 
-The pair loop runs on the divisor records ``(lm, lc, tail, reach)`` that
-:meth:`Polynomial.divisor` caches: ``s_polynomial`` builds each S-polynomial
-from the two records into one term dict, and ``_complete`` and
-``_autoreduce`` keep the records of their basis in a list next to it, which
-every ``reduce`` they call receives.  No record is rebuilt per reduction.
+The core runs on integers (fraction-free division, Geddes-Czapor-Labahn,
+*Algorithms for Computer Algebra*, 1992, ch. 2 and 7).  The divisor record
+``(lm, a, tail, reach)`` that :meth:`Polynomial.divisor` caches is that of
+the polynomial's primitive integer associate, so ``a`` is a positive
+integer and the tail is integral.  ``reduce`` pseudo-divides: where ``a``
+does not divide a coefficient it scales what is left by one integer and
+folds it into a multiplier, which it takes out of the remainder once at
+the end, so the normal form is the exact one over Q.  Against a monic
+integer basis, the case of every warm decision, ``a`` is 1 and no step
+scales.  ``_complete`` keeps its basis primitive, and ``_autoreduce``
+makes each element monic once, at the end.
+
+The pair loop runs on the records: ``s_polynomial`` builds each
+S-polynomial from the two records into one term dict, and ``_complete``
+and ``_autoreduce`` keep the records of their basis in a list next to it,
+which every ``reduce`` they call receives.  No record is rebuilt per
+reduction.
 
 Bases are reduced, monic and sorted, so they are canonical per (ideal, order);
-an :class:`Ideal` caches its one grevlex basis lazily, so repeated membership
-tests against one ideal compute one basis.
+an :class:`Ideal` caches its one grevlex basis lazily, with the records of
+its elements, so repeated membership tests against one ideal compute one
+basis.
 """
 
 from __future__ import annotations
 
 import heapq
+from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -49,6 +64,7 @@ from .poly import (
     _check_degree,
     _degree_error,
     _div,
+    _primitive_terms,
     block_order,
     same_ring,
 )
@@ -73,6 +89,15 @@ def reduce(
     basis grows.  Such a call checks the ring of ``f`` against one element
     and rebuilds nothing.  The order's key is looked up once per call; under
     grevlex and ``top`` it is a C-level ``int.__xor__``.
+
+    A step whose divisor has the leading coefficient a = 1 subtracts the
+    term's coefficient times the tail.  Otherwise it pseudo-divides: if a
+    does not divide the coefficient c, the pending terms and the remainder
+    are multiplied by a/gcd(a, c), and that factor joins one multiplier,
+    by which the remainder is divided once at the end.  The first such step
+    to meet a non-integer coefficient clears the denominators, and one that
+    follows ``_CONTENT_BITS`` bits of growth of the multiplier removes the
+    content; both fold their factor into the multiplier.
     """
     ring = f.ring
     if divisors is None:
@@ -85,19 +110,29 @@ def reduce(
     key, guards, limit = order.key(ring), ring.guards, ring.limit
     work = dict(f._terms)
     remainder: dict = {}
+    mult, grown = 1, 0  # work and remainder are mult times their exact values
     while work:
         m = max(work, key=key)
         c = work.pop(m)
         room = m | guards
-        for lm, lc, tail, reach in divisors:
+        for lm, a, tail, reach in divisors:
             if (room - lm) & guards == guards:  # lm divides m
                 q = m - lm
                 if q + reach >= limit:  # a division step past MAX_DEGREE
                     raise _degree_error(ring.degree(q + reach))
-                scale = c if lc == 1 else _div(c, lc)  # warm bases are monic
+                if a != 1:  # warm bases are monic: a is 1
+                    if type(c) is not int or grown > _CONTENT_BITS:
+                        u, c, work, remainder = _primitive_part(m, c, work, remainder)
+                        mult, grown = mult * u, 0
+                    scale = a // gcd(a, c)
+                    if scale != 1:
+                        c, mult, grown = c * scale, mult * scale, grown + scale.bit_length()
+                        work = {t: v * scale for t, v in work.items()}
+                        remainder = {t: v * scale for t, v in remainder.items()}
+                    c //= a
                 for gm, gc in tail:
                     t = gm + q
-                    s = work.get(t, 0) - scale * gc
+                    s = work.get(t, 0) - c * gc
                     if s:
                         work[t] = s
                     elif t in work:
@@ -105,35 +140,61 @@ def reduce(
                 break
         else:
             remainder[m] = c
+    if mult != 1:
+        num, den = mult.numerator, mult.denominator
+        remainder = {t: _div(v * den, num) for t, v in remainder.items()}
     return Polynomial(ring, remainder, _clean=True)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    """The cancellation combination of f and g at the lcm of their leads.
+# The bits a reduction's multiplier may gain before the content comes out.
+# On the section of x^2 + y^3 + z^7 + w^11 + x*y*z*w by random_hyperplane
+# (seed 1), whose remainders swell to thousands of bits, 4 to 64 bits cost
+# about the same and no content removal about twice as much.
+_CONTENT_BITS = 16
 
-    It is built from the two divisor records (:meth:`Polynomial.divisor`)
-    into one term dict: f's tail shifted to the lcm, less g's, each divided
-    by its leading coefficient unless that is 1.  The leads cancel, so they
-    are never written.  Under a ``top`` order, leads in different positions
-    have no common multiple in the module, so the S-vector is 0.
+
+def _primitive_part(m: int, c, work: dict, remainder: dict) -> tuple:
+    """``(u, u*c, u*work, u*remainder)`` for the one positive rational u
+    that makes c, the coefficient of the word m, and every value of the
+    dicts integers with gcd 1."""
+    ints = _primitive_terms({**work, **remainder, m: c}, 1)
+    u = Fraction(ints[m]) / c
+    return u, ints[m], {t: ints[t] for t in work}, {t: ints[t] for t in remainder}
+
+
+def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+    """The cancellation combination of f and g at the lcm of their leads:
+    x^qf*f/lc_f - x^qg*g/lc_g, with x^qf and x^qg the cofactors of the leads.
+
+    It is built from the two primitive integer divisor records
+    (:meth:`Polynomial.divisor`) into one term dict: with L the lcm of
+    their leading coefficients a_f and a_g, the integer combination
+    (L/a_f)*x^qf*tail_f - (L/a_g)*x^qg*tail_g, divided by L once at the
+    end.  The leads cancel, so they are never written.  Under a ``top``
+    order, leads in different positions have no common multiple in the
+    module, so the S-vector is 0.
     """
     ring = same_ring(f, g)
-    fm, fc, f_tail, f_reach = f.divisor(order)
-    gm, gc, g_tail, g_reach = g.divisor(order)
+    fm, fa, f_tail, f_reach = f.divisor(order)
+    gm, ga, g_tail, g_reach = g.divisor(order)
     if (fm ^ gm) & _position_fields(order):
         return ring.zero
-    lcm = ring.lcm(fm, gm)
-    qf, qg = lcm - fm, lcm - gm
+    joint = ring.lcm(fm, gm)
+    qf, qg = joint - fm, joint - gm
     # Under lex a tail word may have a larger degree than the lead.
-    _check_degree(max(lcm, f_reach + qf, g_reach + qg), ring.limit)
-    terms = {m + qf: c if fc == 1 else _div(c, fc) for m, c in f_tail}
+    _check_degree(max(joint, f_reach + qf, g_reach + qg), ring.limit)
+    common = fa if fa == ga else lcm(fa, ga)
+    sf, sg = common // fa, common // ga
+    terms = {m + qf: c * sf for m, c in f_tail}
     for m, c in g_tail:
         t = m + qg
-        s = terms.get(t, 0) - (c if gc == 1 else _div(c, gc))
+        s = terms.get(t, 0) - c * sg
         if s:
             terms[t] = s
         elif t in terms:
             del terms[t]
+    if common != 1:
+        terms = {t: _div(v, common) for t, v in terms.items()}
     return Polynomial(ring, terms, _clean=True)
 
 
@@ -144,29 +205,30 @@ def _position_fields(order: MonomialOrder) -> int:
 
 
 def _autoreduce(basis: list, order: MonomialOrder) -> list:
-    # Only valid on a completed Groebner basis: drop elements whose lead is
-    # divisible by another lead, then replace each tail by its normal form
-    # against the (sequentially updated) rest.  Leads never change, so the
-    # result is the unique reduced basis.
-    basis = [g.monic(order) for g in basis if g]
-    if not basis:
-        return []
-    leads = [g.leading(order)[0] for g in basis]
-    divides = basis[0].ring.divides
-    minimal = [
-        g for i, (g, lm) in enumerate(zip(basis, leads))
-        if not any(j != i and divides(hm, lm) and (hm != lm or j < i) for j, hm in enumerate(leads))
-    ]
-    records = [g.divisor(order) for g in minimal]
+    # Only valid on a completed Groebner basis of primitive elements: drop
+    # elements whose lead is divisible by another lead, then replace each
+    # tail by its normal form against the (sequentially updated) rest, kept
+    # primitive, and make each element monic once at the end.  Leads never
+    # change, so the result is the unique reduced basis.
+    records = [g.divisor(order) for g in basis]
+    leads = [d[0] for d in records]
+    guards = basis[0].ring.guards
+    minimal, kept = [], []
+    for i, (g, lm) in enumerate(zip(basis, leads)):
+        room = lm | guards
+        if not any((room - hm) & guards == guards and (hm != lm or j < i)
+                   for j, hm in enumerate(leads) if j != i):
+            minimal.append(g)
+            kept.append(records[i])
     reduced: list = []
     done: list = []  # the records of ``reduced``
     for i, g in enumerate(minimal):
-        r = reduce(g, reduced + minimal[i + 1 :], order, done + records[i + 1 :]).monic(order)
+        r = reduce(g, reduced + minimal[i + 1 :], order, done + kept[i + 1 :]).primitive(order)
         reduced.append(r)
         done.append(r.divisor(order))
     key = order.key(basis[0].ring)
-    reduced.sort(key=lambda g: key(g.leading(order)[0]))
-    return reduced
+    reduced.sort(key=lambda g: key(g.divisor(order)[0]))
+    return [g.monic(order) for g in reduced]
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, known: int = 0) -> list:
@@ -198,7 +260,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, known: int = 0)
         if index == known:
             known = len(basis)  # the prefix without zeros and repeats
         if g:
-            g = g.monic(order)
+            g = g.primitive(order)
             if g not in seen:
                 seen.add(g)
                 basis.append(g)
@@ -211,7 +273,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, known: int = 0)
 
 
 def _complete(basis: list, order: MonomialOrder, known: int) -> list:
-    """The pair loop: extend the distinct monic ``basis`` to a Groebner
+    """The pair loop: extend the distinct primitive ``basis`` to a Groebner
     basis, queueing no pair inside the first ``known`` elements; return
     [1] on the first constant, which makes the ideal the unit ideal.
 
@@ -250,7 +312,7 @@ def _complete(basis: list, order: MonomialOrder, known: int) -> list:
         if r:
             if r.is_constant():
                 return [one]
-            r = r.monic(order)
+            r = r.primitive(order)
             basis.append(r)
             divisors.append(r.divisor(order))
             leads.append(divisors[-1][0])
@@ -391,13 +453,14 @@ def _rabinowitsch(g: Polynomial, ideal: Ideal) -> bool:
     The basis that ``ideal`` caches stays a Groebner basis in the ring with
     t appended (the order restricts to the same order on the old monomials),
     so ``buchberger`` starts from it and pairs only the relation and what
-    follows from it.  Callers have already checked g's ring with
-    :func:`ideal_membership`.
+    follows from it.  It lifts the primitive integer associates that the
+    cached records give, so the lift and the pair loop run on integers.
+    Callers have already checked g's ring with :func:`ideal_membership`.
     """
     ring = ideal.ring
     ext = PolynomialRing(ring.variables + (_fresh_name(ring),))
     *lift, t = ext.gens()
-    known = [p.substitute(ext, lift) for p in ideal.groebner_basis()]
+    known = [p.primitive(GREVLEX).substitute(ext, lift) for p in ideal.groebner_basis()]
     relation = ext.one - t * g.substitute(ext, lift)
     basis = buchberger(known + [relation], GREVLEX, known=len(known))
     return any(b.is_constant() and b for b in basis)

@@ -10,9 +10,13 @@ otherwise, never a float: integer arithmetic skips the ``gcd`` that every
 ``Fraction`` operation pays.  Construction, ``scale``, ``monic``, :func:`_div`
 and :func:`evaluate` give integral values as ``int`` (:func:`_norm`); sums
 and products may keep a ``Fraction`` with denominator 1, which compares and
-hashes equal to the ``int``.  Every division of coefficients goes through
-:func:`_div`, because ``int / int`` is a float; two ints build a ``Fraction``
-there only when the quotient is not integral.
+hashes equal to the ``int``.  No coefficient is divided with ``/``, because
+``int / int`` is a float: a rational quotient goes through :func:`_div`,
+where two ints build a ``Fraction`` only when the quotient is not integral.
+Integer code divides exactly with ``//``: :func:`_primitive_terms`, which
+gives the records of :meth:`Polynomial.divisor` the primitive integer
+associate of a polynomial, and the fraction-free division of
+:mod:`conormal.groebner`, which reads those records.
 
 Inside the package a monomial is one ``int``, a packed exponent word
 (Bachmann-Schoenemann 1998, Monagan-Pearce 2007).  Its layout in a ring of
@@ -55,6 +59,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -108,6 +113,20 @@ def _div(a: Scalar, b: Scalar) -> Scalar:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     return _norm(Fraction(a) / b)
+
+
+def _primitive_terms(terms: Mapping, lc: Scalar) -> dict:
+    """The term dict of ``terms`` times the one rational u for which every
+    coefficient is an integer, their gcd is 1 and ``lc`` times u is positive."""
+    den = lcm(*[c.denominator for c in terms.values() if type(c) is not int])
+    if den == 1:
+        ints = {m: int(c) for m, c in terms.items()}
+    else:
+        ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    k = gcd(*ints.values())
+    if lc < 0:
+        k = -k
+    return ints if k == 1 else {m: c // k for m, c in ints.items()}
 
 
 def _order_key(kind: str, split: int, n: int) -> Callable:
@@ -403,15 +422,18 @@ class Polynomial:
         """The (word, coefficient) pair maximal under ``order``; None if zero."""
         if not self._terms:
             return None
-        return self.divisor(order)[:2]
+        lm = self.divisor(order)[0]
+        return lm, self._terms[lm]
 
     def divisor(self, order: MonomialOrder) -> tuple:
-        """``(lm, lc, tail, reach)``: what division by this nonzero
-        polynomial reads under ``order``.  ``lm`` and ``lc`` are the leading
-        word and coefficient, ``tail`` holds the other terms as (word,
-        coefficient) pairs, and ``reach`` is the largest word of the tail (0
-        without one), which bounds the degree a division step makes.  Cached
-        per order."""
+        """``(lm, a, tail, reach)``: what division by this nonzero
+        polynomial reads under ``order``, taken from its primitive integer
+        associate, the multiple whose coefficients are integers with gcd 1
+        and whose leading one, ``a``, is positive.  ``lm`` is the leading
+        word, ``tail`` holds the associate's other terms as (word, integer)
+        pairs, and ``reach`` is the largest word of the tail (0 without
+        one), which bounds the degree a division step makes.  A polynomial
+        and its nonzero multiples share the record.  Cached per order."""
         records = self._lead
         if records is None:
             records = self._lead = {}
@@ -419,17 +441,36 @@ class Polynomial:
         if cached is None:
             terms = self._terms
             lm = max(terms, key=order.key(self.ring))
-            tail = tuple(t for t in terms.items() if t[0] != lm)
-            reach = max(m for m, _ in tail) if tail else 0
-            cached = records[order] = (lm, terms[lm], tail, reach)
+            ints = _primitive_terms(terms, terms[lm])
+            a = ints.pop(lm)
+            tail = tuple(ints.items())
+            reach = max(ints) if ints else 0
+            cached = records[order] = (lm, a, tail, reach)
         return cached
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
+        """The multiple whose leading coefficient under ``order`` is 1; it
+        keeps this polynomial's divisor record for ``order``."""
         lead = self.leading(order)
         if lead is None or lead[1] == 1:
             return self
         c = lead[1]
-        return Polynomial(self.ring, {m: _div(v, c) for m, v in self._terms.items()}, _clean=True)
+        p = Polynomial(self.ring, {m: _div(v, c) for m, v in self._terms.items()}, _clean=True)
+        p._lead = {order: self._lead[order]}
+        return p
+
+    def primitive(self, order: MonomialOrder) -> "Polynomial":
+        """The primitive integer associate of :meth:`divisor`, which keeps
+        this polynomial's record for ``order``; ``self`` if it is one."""
+        if not self._terms:
+            return self
+        record = lm, a, tail, _ = self.divisor(order)
+        if self._terms[lm] == a:
+            return self
+        p = Polynomial(self.ring, dict(tail), _clean=True)
+        p._terms[lm] = a
+        p._lead = {order: record}
+        return p
 
     def scale(self, c: Scalar) -> "Polynomial":
         c = _norm(_rational(c))

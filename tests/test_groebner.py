@@ -130,24 +130,32 @@ class TestReduce:
             assert c_level.__self__ == ring.fields
 
     def test_no_division_by_a_unit_leading_coefficient(self, monkeypatch):
-        # Every basis a warm decision reduces against is monic.
+        # Every basis a warm decision reduces against is monic.  A nonzero
+        # multiple of a basis element shares its record, the primitive
+        # integer associate, so it too has the leading coefficient 1.  No
+        # step against either takes the pseudo-division branch, the one
+        # place where reduce calls gcd(a, c) with the divisor's lead a.
         import conormal.groebner as groebner
 
         f = Polynomial(R, {(3, 2, 0): Fraction(1, 2), (1, 0, 3): 3, (0, 1, 4): 1})
         monic = buchberger([F_UMBRELLA, X**3 - Y * Z], GREVLEX)
-        scaled = [g.scale(2) for g in monic]
-        divided = []
-        div = groebner._div
+        scaled = [g.scale(Fraction(-2, 3)) for g in monic]
+        leads = []
+        gcd = groebner.gcd
 
-        def counting(a, b):
-            divided.append(b)
-            return div(a, b)
+        def counting(a, c):
+            leads.append(a)
+            return gcd(a, c)
 
-        monkeypatch.setattr(groebner, "_div", counting)
+        monkeypatch.setattr(groebner, "gcd", counting)
         r = reduce(f, monic, GREVLEX)
-        assert divided == []
+        assert leads == []
+        assert [g.divisor(GREVLEX) for g in scaled] == [g.divisor(GREVLEX) for g in monic]
         assert reduce(f, scaled, GREVLEX) == r
-        assert divided and set(divided) == {2}
+        assert leads == []
+        halved = X**3 - Fraction(1, 2) * Y * Z
+        assert reduce(f, [2 * X**3 - Y * Z], GREVLEX) == reduce(f, [halved], GREVLEX)
+        assert leads and set(leads) == {2}
 
     @given(polynomials(R), st.lists(nonzero_polynomials(R, max_degree=2), min_size=1, max_size=3))
     def test_same_remainder_as_unfiltered_division(self, f, basis):
@@ -168,6 +176,89 @@ class TestReduce:
         r = reduce(f, [g], GREVLEX)
         lm = R.unpack(g.leading(GREVLEX)[0])
         assert all(not divides(lm, m) for m in r.terms)
+
+
+def fraction_reduce(f, basis, order):
+    """The division loop over Q that ``reduce`` ran before its divisor
+    records were integral: each step divides the coefficient of the leading
+    pending term by the divisor's leading coefficient, as a Fraction."""
+    ring = f.ring
+    key, guards = order.key(ring), ring.guards
+    divisors = []
+    for g in basis:
+        if g:
+            lm = max(g._terms, key=key)
+            divisors.append((lm, g._terms[lm], [(m, c) for m, c in g._terms.items() if m != lm]))
+    work, remainder = dict(f._terms), {}
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        for lm, lc, tail in divisors:
+            if ((m | guards) - lm) & guards == guards:
+                q, scale = m - lm, Fraction(c) / lc
+                for gm, gc in tail:
+                    t = gm + q
+                    s = work.get(t, 0) - scale * gc
+                    if s:
+                        work[t] = s
+                    elif t in work:
+                        del work[t]
+                break
+        else:
+            remainder[m] = c
+    return Polynomial(ring, remainder, _clean=True)
+
+
+class TestExactRemainder:
+    """``reduce`` pseudo-divides on integers and rescales once at the end;
+    its remainder is exactly that of the division loop over Q."""
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)], ids=lambda o: o.kind)
+    @given(polynomials(R, max_terms=6, max_degree=4),
+           st.lists(nonzero_polynomials(R, max_degree=2), min_size=1, max_size=3))
+    def test_same_remainder_as_the_fraction_loop(self, order, f, basis):
+        assert reduce(f, basis, order) == fraction_reduce(f, basis, order)
+
+    @given(
+        polynomials(R), polynomials(R),
+        st.lists(st.tuples(polynomials(R, max_degree=2), polynomials(R, max_degree=2)),
+                 min_size=1, max_size=3),
+    )
+    def test_same_remainder_as_the_fraction_loop_under_top(self, p, q, vectors):
+        f = encode_vector(p, q)
+        basis = [encode_vector(a, b) for a, b in vectors]
+        assert reduce(f, basis, TOP) == fraction_reduce(f, basis, TOP)
+
+    def test_wide_coefficients_remove_content(self, monkeypatch):
+        # 80-bit leads make each pseudo-division step scale by about 80
+        # bits, past the growth after which the content comes out, and the
+        # 80-bit factor of f stays in the content of what is left.
+        import conormal.groebner as groebner
+
+        rng = random.Random(80)
+
+        def wide():
+            return Fraction(rng.getrandbits(80) | 1, rng.getrandbits(20) | 1)
+
+        basis = [
+            Polynomial(R, {(2, 0, 0): wide(), (0, 1, 1): wide(), (0, 0, 1): wide()}),
+            Polynomial(R, {(0, 2, 0): wide(), (1, 0, 1): wide(), (1, 0, 0): wide()}),
+        ]
+        f = (X**4 * Y**3 - 3 * X**2 * Y**2 * Z**2 + 5 * X * Y**4 * Z + Z**3).scale(rng.getrandbits(80))
+        removed = []
+        primitive_part = groebner._primitive_part
+
+        def recording(m, c, work, remainder):
+            u, *rest = primitive_part(m, c, work, remainder)
+            if all(type(v) is int for v in (c, *work.values(), *remainder.values())):
+                removed.append(u)  # the content of integers, not denominators
+            return (u, *rest)
+
+        monkeypatch.setattr(groebner, "_primitive_part", recording)
+        for order in (GREVLEX, LEX):
+            r = reduce(f, basis, order)
+            assert r and r == fraction_reduce(f, basis, order)
+        assert any(u != 1 for u in removed)
 
 
 class TestBuchberger:

@@ -1,0 +1,153 @@
+"""An independent oracle for the Groebner bases: sympy's ``groebner``.
+
+A reduced Groebner basis is unique per (ideal, order) once its elements are
+monic, so equality with sympy's, after making both sides monic, checks a
+basis with code that shares nothing with ``conormal.groebner``.  sympy keeps
+integer content (it may return twice our element), hence the monic step.
+
+A submodule M of R^r is compared as the ideal M + (e_i*e_j : i <= j) of the
+position ring, under grevlex in the same variable order: ``top`` is grevlex
+on module terms, and the basis elements of degree 1 in the e_i are the
+module basis.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conormal.cli import corpus_names, load_germ_file
+from conormal.forms import Hyperplane
+from conormal.geometry import bertini_check, random_hyperplane
+from conormal.germs import Germ, _trivial_module
+from conormal.groebner import Ideal, buchberger, eliminate
+from conormal.poly import GREVLEX, LEX, Polynomial, PolynomialRing, block_order, parse_polynomial
+
+from strategies import nonzero_polynomials
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.orderings import ProductOrder, grevlex, monomial_key  # noqa: E402
+
+
+def sympy_order(order):
+    """sympy's monomial order for ``order``: a key on exponent tuples."""
+    if order.kind == "block":
+        k = order.split
+        return ProductOrder((grevlex, lambda m: m[:k]), (grevlex, lambda m: m[k:]))
+    return monomial_key(order.kind)
+
+
+def to_sympy(p, symbols):
+    terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+    return sympy.Poly.from_dict(terms, *symbols, domain=sympy.QQ)
+
+
+def monic_set(polys):
+    """Each polynomial as the frozenset of its (exponents, Fraction) terms."""
+    return {frozenset((e, Fraction(c)) for e, c in p.items()) for p in polys}
+
+
+def sympy_basis(gens, order, keep=lambda e: True):
+    """sympy's reduced basis of ``gens``, monic, as a set; only the elements
+    whose every exponent tuple passes ``keep``."""
+    ring = gens[0].ring
+    symbols = sympy.symbols(ring.variables)
+    key = sympy_order(order)
+    basis = sympy.groebner([to_sympy(g, symbols) for g in gens], *symbols, order=key)
+    out = []
+    for g in basis.polys:
+        terms = {e: Fraction(int(c.p), int(c.q)) for e, c in g.as_dict().items()}
+        lc = terms[max(terms, key=key)]
+        if all(keep(e) for e in terms):
+            out.append({e: c / lc for e, c in terms.items()})
+    return monic_set(out)
+
+
+def our_set(basis):
+    return monic_set(g.terms for g in basis)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_corpus_ideal_bases_match_sympy(name):
+    germ = load_germ_file(name).germ
+    for ideal in (germ.ideal, germ.jacobian):
+        basis = ideal.groebner_basis()
+        assert our_set(basis) == sympy_basis(list(ideal.generators), GREVLEX), name
+
+
+TRIVIAL_MODULES = [
+    ("segre.germ", 1), ("segre.germ", 2), ("segre.germ", 3),
+    ("umbrella.germ", 1), ("umbrella.germ", 2),
+    ("cusp3.germ", 1), ("cusp3.germ", 2),
+]
+
+
+@pytest.mark.parametrize("name, k", TRIVIAL_MODULES)
+def test_trivial_module_bases_match_sympy(name, k):
+    module = _trivial_module(load_germ_file(name).germ, k)[1]
+    ring, r = module.position_ring, module.rank
+    e = ring.gens()[:r]
+    squares = [e[i] * e[j] for i in range(r) for j in range(i, r)]
+    expected = sympy_basis(list(module.generators) + squares, GREVLEX,
+                           keep=lambda exps: sum(exps[:r]) == 1)
+    assert our_set(module.groebner_basis()) == expected
+
+
+R2 = PolynomialRing(["x", "y"])
+R3 = PolynomialRing(["x", "y", "z"])
+
+SECTION_CASES = [
+    # the geometry work gates, and a section with rational coefficients of
+    # the z^6 + y^5 + x^4 surface the section benchmark cuts
+    ("z^2 - x*y^2", [1, -1, 0]),
+    ("z^2 - x*y^2", random_hyperplane(R3, 7).normal),
+    ("x^2 + y^3 + z^4", [1, 2, 3]),
+    ("z^6 + y^5 + x^4", [7, 9, -9]),
+]
+
+
+@pytest.mark.parametrize("equation, normal", SECTION_CASES)
+def test_section_bases_match_sympy(monkeypatch, equation, normal):
+    # Every basis one Bertini check computes: the Jacobian ideals of the
+    # germ and of the section, and each Rabinowitsch basis.
+    import conormal.groebner as groebner
+
+    seen = []
+    monkeypatch.setattr(groebner, "_basis_observer", lambda *args: seen.append(args))
+    bertini_check(Germ(R3, [parse_polynomial(equation, R3)]), Hyperplane(R3, normal))
+    assert seen
+    for gens, order, basis in seen:
+        assert our_set(basis) == sympy_basis(gens, order)
+
+
+@given(
+    st.sampled_from([R2, R3]).flatmap(
+        lambda ring: st.lists(nonzero_polynomials(ring, max_terms=3, max_degree=3),
+                              min_size=1, max_size=3)
+    ),
+    st.sampled_from([GREVLEX, LEX, block_order(1)]),
+)
+@settings(max_examples=60)
+def test_random_bases_match_sympy(gens, order):
+    assert our_set(buchberger(gens, order)) == sympy_basis(gens, order)
+
+
+@pytest.mark.parametrize("gens", [
+    ["x - t^2", "y - t^3", "z - t^4"],
+    ["x - s*t", "y - s^2", "z - t^2 + s"],
+])
+def test_elimination_matches_a_sympy_lex_basis(gens):
+    # The elements of sympy's lex basis free of s and t generate the
+    # elimination ideal; its reduced grevlex basis is what ``eliminate``
+    # returns, whose block order is grevlex on the kept variables.
+    ring = PolynomialRing(["s", "t", "x", "y", "z"])
+    polys = [parse_polynomial(g, ring) for g in gens]
+    result = eliminate(Ideal(polys), [0, 1])
+    symbols = sympy.symbols(ring.variables)
+    lex = sympy.groebner([to_sympy(g, symbols) for g in polys], *symbols, order="lex")
+    kept = [
+        Polynomial(result.ring, {e[2:]: Fraction(int(c.p), int(c.q)) for e, c in g.as_dict().items()})
+        for g in lex.polys if g.degree(symbols[0]) == g.degree(symbols[1]) == 0
+    ]
+    assert our_set(result.generators) == sympy_basis(kept, GREVLEX)

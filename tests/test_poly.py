@@ -1,6 +1,7 @@
 """Polynomial arithmetic, parsing, printing, derivatives, evaluation."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -228,6 +229,21 @@ class TestCoefficientTypes:
         for g in buchberger([q, p + X * q], GREVLEX):
             assert_exact(g)
         assert_exact(radial_potential(exterior_derivative(p)))
+
+    @given(nonzero_polynomials(R), coefficients(), st.sampled_from([GREVLEX, LEX, block_order(1)]))
+    def test_divisor_record_is_the_primitive_integer_associate(self, p, c, order):
+        # Integer coefficients with gcd 1 and a positive lead, a multiple of
+        # p, and the same for every nonzero multiple of p.
+        lm, a, tail, reach = p.divisor(order)
+        coeffs = [a] + [v for _, v in tail]
+        assert all(type(v) is int for v in coeffs) and a > 0 and gcd(*coeffs) == 1
+        assert lm == max(p._terms, key=order.key(R))
+        assert reach == max([m for m, _ in tail], default=0)
+        associate = p.primitive(order)
+        assert associate.scale(Fraction(p.leading(order)[1], a)) == p
+        assert associate.primitive(order) is associate
+        assert p.scale(c).divisor(order) == p.divisor(order)
+        assert p.monic(order).divisor(order) is p.divisor(order)
 
     @pytest.mark.parametrize(
         "entry",
