@@ -33,7 +33,16 @@ from typing import Optional
 from .forms import Hyperplane, evaluate_form, exterior_derivative
 from .germs import Germ, Parametrization
 from .groebner import Ideal, krull_dimension, radical_membership
-from .poly import PolynomialRing, _div, evaluate, partial_derivative
+from .poly import (
+    FIELD,
+    WIDTH,
+    Polynomial,
+    PolynomialRing,
+    _div,
+    _mul_terms,
+    evaluate,
+    partial_derivative,
+)
 
 
 class BertiniVerdict(Enum):
@@ -101,28 +110,63 @@ def _require_section_input(germ: Germ, hyperplane: Hyperplane):
 
 
 def _cut(germ: Germ, hyperplane: Hyperplane):
-    """The section germ, the images of the ambient variables in its ring and
-    the pivot; raises if the hyperplane is contained in the germ.
+    """The section germ and the pivot, the first variable with a nonzero
+    normal entry; raises if the hyperplane is contained in the germ.
 
-    The hyperplane is solved for its first variable with a nonzero normal
-    entry, whose image is that solution; every other variable maps to itself.
+    The section ring keeps the other variables, in their order, and the
+    section's generator is the germ's, restricted to H by :func:`_restrict`.
     """
-    ring, normal = germ.ring, hyperplane.normal
-    pivot = next(i for i, h in enumerate(normal) if h)
-    keep = [i for i in range(ring.nvars) if i != pivot]
-    section_ring = PolynomialRing([ring.variables[i] for i in keep])
-    solved = section_ring.zero
-    for new_pos, old in enumerate(keep):
-        if normal[old]:
-            solved = solved - section_ring.var(new_pos).scale(_div(normal[old], normal[pivot]))
-    images = [
-        solved if old == pivot else section_ring.var(keep.index(old))
-        for old in range(ring.nvars)
-    ]
-    g = germ.generators[0].substitute(section_ring, images)
+    pivot = _pivot(hyperplane)
+    section_ring = PolynomialRing([v for i, v in enumerate(germ.ring.variables) if i != pivot])
+    g = _restrict(germ.generators[0], hyperplane, section_ring)
     if not g:
         raise ValueError("the hyperplane is contained in the germ")
-    return Germ(section_ring, [g]), images, pivot
+    return Germ(section_ring, [g]), pivot
+
+
+def _pivot(hyperplane: Hyperplane) -> int:
+    return next(i for i, h in enumerate(hyperplane.normal) if h)
+
+
+def _restrict(p: Polynomial, hyperplane: Hyperplane, section_ring: PolynomialRing) -> Polynomial:
+    """p restricted to H, in ``section_ring``: the pivot x_p maps to the
+    solution -sum_i (h_i/h_p)*y_i of the hyperplane, every other variable
+    to itself.
+
+    The restriction runs on integers.  The normal is integral and h_p is
+    positive, so h_p times the pivot's image, -sum_i h_i*y_i, is integral.
+    With D the degree of p in x_p, a term of pivot exponent e is scaled by
+    h_p^(D-e) and multiplied by the e-th power of that integral image, and
+    each coefficient of the sum is divided once, by h_p^D.
+    """
+    pivot = _pivot(hyperplane)
+    normal = hyperplane.normal
+    hp = normal[pivot]
+    shift, limit = pivot * WIDTH, section_ring.limit
+    low, above = (1 << shift) - 1, shift + WIDTH
+    degree_unit = 1 << (section_ring.nvars * WIDTH)  # one total degree in the section ring
+    others = [h for i, h in enumerate(normal) if i != pivot]
+    solved = {section_ring.units[k]: -h for k, h in enumerate(others) if h}
+    powers = [{0: 1}, solved]  # powers[e]: the terms of solved^e
+    top = max(((m >> shift) & FIELD for m in p._terms), default=0)
+    out: dict = {}
+    for m, c in p._terms.items():
+        e = (m >> shift) & FIELD
+        # m without its pivot field: the fields above it move down one
+        # field, and the total degree drops by e.
+        rest = (m & low) + ((m >> above) << shift) - e * degree_unit
+        while len(powers) <= e:
+            powers.append(_mul_terms(powers[-1], solved, limit))
+        scaled = c * hp ** (top - e)
+        for t, v in powers[e].items():
+            t += rest
+            s = out.get(t, 0) + scaled * v
+            if s:
+                out[t] = s
+            elif t in out:
+                del out[t]
+    whole = hp**top
+    return Polynomial(section_ring, {t: _div(v, whole) for t, v in out.items()}, _clean=True)
 
 
 def _sampled_tangency_notes(hyperplane: Hyperplane, par: Parametrization, jac: Ideal) -> list:
@@ -152,9 +196,10 @@ def bertini_check(
     """Compare the singular locus of the hyperplane section with the sliced
     singular locus, classifying any disagreement with diagnostics.
 
-    Both loci live in the section ring, C[x]/(l) through ``_cut``'s images.
-    With p the pivot, g = f o images and phi = (d_p f) o images, the chain
-    rule gives (d_k f) o images = dg/dy_k + (h_k/h_p) phi, so the sliced
+    Both loci live in the section ring C[x]/(l), into which
+    :func:`_restrict` carries a polynomial by solving l for the pivot p.
+    With g the restriction of f and phi that of d_p f, the chain rule gives
+    the restriction of d_k f as dg/dy_k + (h_k/h_p) phi, so the sliced
     Jacobian ideal is the section's Jacobian ideal plus (phi).  The loci are
     equal as point sets iff phi is in the radical of the section's Jacobian
     ideal, one radical membership; then the sliced locus has the section's
@@ -166,7 +211,7 @@ def bertini_check(
     ell = hyperplane.linear_form()
 
     try:
-        section, images, pivot = _cut(germ, hyperplane)
+        section, pivot = _cut(germ, hyperplane)
     except ValueError:
         diagnostics.append("H is contained in X")
         return BertiniReport(
@@ -179,7 +224,7 @@ def bertini_check(
     if not reduced:
         diagnostics.append("section is non-reduced (H is tangent to X along a locus)")
 
-    phi = partial_derivative(germ.generators[0], pivot).substitute(section.ring, images)
+    phi = _restrict(partial_derivative(germ.generators[0], pivot), hyperplane, section.ring)
     tangent = not radical_membership(phi, section_jac)
 
     dim_sing = germ.singular_dimension

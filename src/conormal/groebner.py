@@ -9,36 +9,39 @@ membership against the cached basis, then the Rabinowitsch trick, seeded
 with that basis), ``krull_dimension`` (independent variable sets modulo the
 leading-term ideal of a grevlex basis) and ``module_membership``.
 
-There is one division loop and one pair loop.  A :class:`Submodule` of R^r
-runs a vector (p_1, ..., p_r) through them as the polynomial sum e_i*p_i,
-with r position variables in front, under the term-over-position order
-``top``, which is grevlex on the position ring (see :class:`Submodule`).
-The one module rule, that leads in different positions give the S-vector 0,
-lives in ``s_polynomial``, and ``buchberger`` never queues such a pair.
+There is one division kernel, :func:`_remainder`, and one S-combination
+kernel, :func:`_s_terms`, both on raw term dicts, and one pair loop.  A :class:`Submodule` of R^r runs a vector (p_1, ..., p_r) through
+them as the polynomial sum e_i*p_i, with r position variables in front,
+under the term-over-position order ``top``, which is grevlex on the
+position ring (see :class:`Submodule`).  The one module rule, that leads in
+different positions give the S-vector 0, lives in ``_s_terms``, and
+``buchberger`` never queues such a pair.
 
 Monomials are the packed words of :mod:`conormal.poly`: a product is one
-addition, and a lead-divisibility test (in ``reduce``, in ``_autoreduce``
-and in the pair criteria of ``_complete``) is one subtraction and one mask
-of guard bits.  Under ``top`` it fails at once for a lead in another
-position, whose field the term leaves at 0.
+addition, and a lead-divisibility test (in ``_remainder``, in
+``_autoreduce`` and in the pair criteria of ``_complete``) is one
+subtraction and one mask of guard bits.  Under ``top`` it fails at once for
+a lead in another position, whose field the term leaves at 0.
 
 The core runs on integers (fraction-free division, Geddes-Czapor-Labahn,
 *Algorithms for Computer Algebra*, 1992, ch. 2 and 7).  The divisor record
 ``(lm, a, tail, reach)`` that :meth:`Polynomial.divisor` caches is that of
 the polynomial's primitive integer associate, so ``a`` is a positive
-integer and the tail is integral.  ``reduce`` pseudo-divides: where ``a``
-does not divide a coefficient it scales what is left by one integer and
-folds it into a multiplier, which it takes out of the remainder once at
-the end, so the normal form is the exact one over Q.  Against a monic
-integer basis, the case of every warm decision, ``a`` is 1 and no step
-scales.  ``_complete`` keeps its basis primitive, and ``_autoreduce``
-makes each element monic once, at the end.
+integer and the tail is integral.  ``_remainder`` pseudo-divides: where
+``a`` does not divide a coefficient it scales what is left by one integer
+and folds it into a multiplier, which it returns with the remainder.
+Against a monic integer basis, the case of every warm decision, ``a`` is 1
+and no step scales.  ``_s_terms`` returns L times the S-polynomial, with L
+the lcm of the two leading coefficients.  The public ``reduce`` and
+``s_polynomial`` are thin wrappers that copy the terms in and divide by the
+multiplier or by L once, at the end, so they give the exact values over Q.
 
-The pair loop runs on the records: ``s_polynomial`` builds each
-S-polynomial from the two records into one term dict, and ``_complete``
-and ``_autoreduce`` keep the records of their basis in a list next to it,
-which every ``reduce`` they call receives.  No record is rebuilt per
-reduction.
+The pair loop needs only the remainder up to a nonzero factor, so
+``_complete`` and ``_autoreduce`` call the kernels directly: a nonzero
+integer remainder becomes a basis element through ``_primitive_terms``
+alone (``poly._associate``), and only ``_autoreduce``'s final ``monic``
+makes a Fraction coefficient.  Both keep the records of their basis in a list next to
+it, which every division receives, so no record is rebuilt per reduction.
 
 Bases are reduced, monic and sorted, so they are canonical per (ideal, order);
 an :class:`Ideal` caches its one grevlex basis lazily, with the records of
@@ -61,6 +64,7 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     PolynomialRing,
+    _associate,
     _check_degree,
     _degree_error,
     _div,
@@ -84,20 +88,11 @@ def reduce(
 
     Each divisor is the record :meth:`Polynomial.divisor` caches on the
     basis element.  A basis of one ring without zeros may come with the
-    list of its records as ``divisors``: a cached basis passes it, and so
-    do ``_complete`` and ``_autoreduce``, which extend the list as their
-    basis grows.  Such a call checks the ring of ``f`` against one element
-    and rebuilds nothing.  The order's key is looked up once per call; under
-    grevlex and ``top`` it is a C-level ``int.__xor__``.
-
-    A step whose divisor has the leading coefficient a = 1 subtracts the
-    term's coefficient times the tail.  Otherwise it pseudo-divides: if a
-    does not divide the coefficient c, the pending terms and the remainder
-    are multiplied by a/gcd(a, c), and that factor joins one multiplier,
-    by which the remainder is divided once at the end.  The first such step
-    to meet a non-integer coefficient clears the denominators, and one that
-    follows ``_CONTENT_BITS`` bits of growth of the multiplier removes the
-    content; both fold their factor into the multiplier.
+    list of its records as ``divisors``, as a cached basis passes it; such
+    a call checks the ring of ``f`` against one element and rebuilds
+    nothing.  The division itself is the kernel :func:`_remainder`, on a
+    copy of f's terms; its remainder is divided by its multiplier here,
+    once, so the result is the exact normal form over Q.
     """
     ring = f.ring
     if divisors is None:
@@ -107,8 +102,31 @@ def reduce(
         divisors = [g.divisor(order) for g in nonzero]
     elif basis:
         same_ring(f, basis[0])
-    key, guards, limit = order.key(ring), ring.guards, ring.limit
-    work = dict(f._terms)
+    remainder, mult = _remainder(dict(f._terms), divisors, order.key(ring), ring)
+    if mult != 1:
+        num, den = mult.numerator, mult.denominator
+        remainder = {t: _div(v * den, num) for t, v in remainder.items()}
+    return Polynomial(ring, remainder, _clean=True)
+
+
+def _remainder(work: dict, divisors: Sequence[tuple], key, ring: PolynomialRing) -> tuple:
+    """The division kernel: ``(remainder, multiplier)`` for the term dict
+    ``work``, which it consumes, modulo the divisor records ``divisors``
+    (see :meth:`Polynomial.divisor`), with ``key`` the order's key on the
+    words of ``ring``.  The remainder is a term dict, the multiplier times
+    the normal form of ``work``, and the multiplier a nonzero rational; on
+    integer input the remainder is integral.
+
+    A step whose divisor has the leading coefficient a = 1 subtracts the
+    term's coefficient times the tail.  Otherwise it pseudo-divides: if a
+    does not divide the coefficient c, the pending terms and the remainder
+    are multiplied by a/gcd(a, c), and that factor joins the multiplier.
+    The first such step to meet a non-integer coefficient clears the
+    denominators, and one that follows ``_CONTENT_BITS`` bits of growth of
+    the multiplier removes the content; both fold their factor into the
+    multiplier.
+    """
+    guards, limit = ring.guards, ring.limit
     remainder: dict = {}
     mult, grown = 1, 0  # work and remainder are mult times their exact values
     while work:
@@ -140,10 +158,7 @@ def reduce(
                 break
         else:
             remainder[m] = c
-    if mult != 1:
-        num, den = mult.numerator, mult.denominator
-        remainder = {t: _div(v * den, num) for t, v in remainder.items()}
-    return Polynomial(ring, remainder, _clean=True)
+    return remainder, mult
 
 
 # The bits a reduction's multiplier may gain before the content comes out.
@@ -166,19 +181,37 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     """The cancellation combination of f and g at the lcm of their leads:
     x^qf*f/lc_f - x^qg*g/lc_g, with x^qf and x^qg the cofactors of the leads.
 
-    It is built from the two primitive integer divisor records
-    (:meth:`Polynomial.divisor`) into one term dict: with L the lcm of
-    their leading coefficients a_f and a_g, the integer combination
-    (L/a_f)*x^qf*tail_f - (L/a_g)*x^qg*tail_g, divided by L once at the
-    end.  The leads cancel, so they are never written.  Under a ``top``
-    order, leads in different positions have no common multiple in the
-    module, so the S-vector is 0.
+    It is L times the integer combination of the kernel :func:`_s_terms`,
+    with L the lcm of the leading coefficients of the two divisor records,
+    and it is divided by L here, once.  Under a ``top`` order, leads in
+    different positions have no common multiple in the module, so the
+    S-vector is 0.  A zero f or g has no lead and raises ``ValueError``.
     """
     ring = same_ring(f, g)
-    fm, fa, f_tail, f_reach = f.divisor(order)
-    gm, ga, g_tail, g_reach = g.divisor(order)
-    if (fm ^ gm) & _position_fields(order):
+    record_f, record_g = f.divisor(order), g.divisor(order)
+    terms = _s_terms(record_f, record_g, ring, _position_fields(order))
+    if terms is None:
         return ring.zero
+    common = lcm(record_f[1], record_g[1])
+    if common != 1:
+        terms = {t: _div(v, common) for t, v in terms.items()}
+    return Polynomial(ring, terms, _clean=True)
+
+
+def _s_terms(record_f: tuple, record_g: tuple, ring: PolynomialRing, positions: int):
+    """The S-combination kernel: L*S(f, g) as an integer term dict, from
+    the divisor records of f and g, with L = lcm(a_f, a_g) of their leading
+    coefficients; ``None`` if their leads differ in the ``positions`` mask
+    (see :func:`_position_fields`).
+
+    It is (L/a_f)*x^qf*tail_f - (L/a_g)*x^qg*tail_g, with x^qf and x^qg
+    the cofactors of the leads at their lcm; the leads cancel, so they are
+    never written.
+    """
+    fm, fa, f_tail, f_reach = record_f
+    gm, ga, g_tail, g_reach = record_g
+    if (fm ^ gm) & positions:
+        return None
     joint = ring.lcm(fm, gm)
     qf, qg = joint - fm, joint - gm
     # Under lex a tail word may have a larger degree than the lead.
@@ -193,9 +226,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
             terms[t] = s
         elif t in terms:
             del terms[t]
-    if common != 1:
-        terms = {t: _div(v, common) for t, v in terms.items()}
-    return Polynomial(ring, terms, _clean=True)
+    return terms
 
 
 def _position_fields(order: MonomialOrder) -> int:
@@ -209,24 +240,27 @@ def _autoreduce(basis: list, order: MonomialOrder) -> list:
     # elements whose lead is divisible by another lead, then replace each
     # tail by its normal form against the (sequentially updated) rest, kept
     # primitive, and make each element monic once at the end.  Leads never
-    # change, so the result is the unique reduced basis.
+    # change, so the result is the unique reduced basis.  The division runs
+    # on the records' integers; only ``monic`` makes a Fraction coefficient.
+    ring = basis[0].ring
+    key, guards = order.key(ring), ring.guards
     records = [g.divisor(order) for g in basis]
     leads = [d[0] for d in records]
-    guards = basis[0].ring.guards
-    minimal, kept = [], []
-    for i, (g, lm) in enumerate(zip(basis, leads)):
+    kept = []  # the records of the minimal elements
+    for i, lm in enumerate(leads):
         room = lm | guards
         if not any((room - hm) & guards == guards and (hm != lm or j < i)
                    for j, hm in enumerate(leads) if j != i):
-            minimal.append(g)
             kept.append(records[i])
     reduced: list = []
     done: list = []  # the records of ``reduced``
-    for i, g in enumerate(minimal):
-        r = reduce(g, reduced + minimal[i + 1 :], order, done + kept[i + 1 :]).primitive(order)
+    for i, (lm, a, tail, _) in enumerate(kept):
+        work = dict(tail)
+        work[lm] = a
+        # No other lead divides lm, so lm leads the remainder.
+        r = _associate(ring, _remainder(work, done + kept[i + 1 :], key, ring)[0], lm, order)
         reduced.append(r)
         done.append(r.divisor(order))
-    key = order.key(basis[0].ring)
     reduced.sort(key=lambda g: key(g.divisor(order)[0]))
     return [g.monic(order) for g in reduced]
 
@@ -278,7 +312,9 @@ def _complete(basis: list, order: MonomialOrder, known: int) -> list:
     [1] on the first constant, which makes the ideal the unit ideal.
 
     Each queued pair keeps the lcm of its leads; the leads are coprime iff
-    that lcm is their product.
+    that lcm is their product.  A pair's integer S-combination is divided
+    by the kernels, and a nonzero remainder joins the basis as its
+    primitive integer associate.
     """
     ring = basis[0].ring
     one = ring.one
@@ -308,14 +344,15 @@ def _complete(basis: list, order: MonomialOrder, known: int) -> list:
             continue  # coprime leads: S-polynomial reduces to zero
         if _chain_criterion(leads, ring.guards, pending, i, j, lcm):
             continue
-        r = reduce(s_polynomial(basis[i], basis[j], order), basis, order, divisors)
+        r = _remainder(_s_terms(divisors[i], divisors[j], ring, positions), divisors, key, ring)[0]
         if r:
-            if r.is_constant():
+            lm = max(r, key=key)
+            if not lm:  # a nonzero constant
                 return [one]
-            r = r.primitive(order)
-            basis.append(r)
-            divisors.append(r.divisor(order))
-            leads.append(divisors[-1][0])
+            g = _associate(ring, r, lm, order)
+            basis.append(g)
+            divisors.append(g.divisor(order))
+            leads.append(lm)
             add_pairs(len(basis) - 1)
     return basis
 

@@ -129,6 +129,23 @@ def _primitive_terms(terms: Mapping, lc: Scalar) -> dict:
     return ints if k == 1 else {m: c // k for m, c in ints.items()}
 
 
+def _record(ints: Mapping, lm: int) -> tuple:
+    """The divisor record ``(lm, a, tail, reach)`` of a primitive integer
+    term dict whose leading word is ``lm`` (see :meth:`Polynomial.divisor`)."""
+    tail = tuple((m, c) for m, c in ints.items() if m != lm)
+    return lm, ints[lm], tail, max(tail)[0] if tail else 0
+
+
+def _associate(ring: "PolynomialRing", terms: Mapping, lm: int, order: "MonomialOrder"):
+    """The primitive integer associate of the nonzero term dict ``terms``,
+    whose leading word under ``order`` is ``lm``, as a polynomial that
+    caches its divisor record for ``order``."""
+    ints = _primitive_terms(terms, terms[lm])
+    p = Polynomial(ring, ints, _clean=True)
+    p._lead = {order: _record(ints, lm)}
+    return p
+
+
 def _order_key(kind: str, split: int, n: int) -> Callable:
     """The sort key of an order on the words of a ring of ``n`` variables.
 
@@ -433,19 +450,18 @@ class Polynomial:
         word, ``tail`` holds the associate's other terms as (word, integer)
         pairs, and ``reach`` is the largest word of the tail (0 without
         one), which bounds the degree a division step makes.  A polynomial
-        and its nonzero multiples share the record.  Cached per order."""
+        and its nonzero multiples share the record.  Cached per order.  The
+        zero polynomial has no leading term, so it raises ``ValueError``."""
         records = self._lead
         if records is None:
             records = self._lead = {}
         cached = records.get(order)
         if cached is None:
             terms = self._terms
+            if not terms:
+                raise ValueError("the zero polynomial has no leading term")
             lm = max(terms, key=order.key(self.ring))
-            ints = _primitive_terms(terms, terms[lm])
-            a = ints.pop(lm)
-            tail = tuple(ints.items())
-            reach = max(ints) if ints else 0
-            cached = records[order] = (lm, a, tail, reach)
+            cached = records[order] = _record(_primitive_terms(terms, terms[lm]), lm)
         return cached
 
     def monic(self, order: MonomialOrder) -> "Polynomial":

@@ -1,4 +1,5 @@
-"""Hypothesis strategies and seeded random generators for algebra objects."""
+"""Hypothesis strategies and seeded random generators for algebra objects,
+and the coefficient check ``assert_exact``."""
 
 from __future__ import annotations
 
@@ -11,6 +12,15 @@ from hypothesis import strategies as st
 from conormal.forms import DifferentialForm
 from conormal.germs import Germ
 from conormal.poly import Polynomial, PolynomialRing, parse_polynomial
+
+
+def assert_exact(p, normalized=False):
+    """Every coefficient is an ``int`` or a ``Fraction``, never a float; if
+    ``normalized``, no ``Fraction`` is integral."""
+    for c in p.terms.values():
+        assert type(c) in (int, Fraction), (p, c)
+        if normalized:
+            assert type(c) is int or c.denominator != 1, (p, c)
 
 
 def coefficients():

@@ -1,14 +1,18 @@
 """Jacobian ideals, regularity in codimension, hyperplane sections, and the
 seeded section harness."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conormal.forms import Hyperplane, exterior_derivative, wedge
 from conormal.geometry import (
     BertiniVerdict,
     _cut,
+    _restrict,
     bertini_check,
     hyperplane_section,
     jacobian_ideal,
@@ -19,10 +23,24 @@ from conormal.germs import Germ
 from conormal.groebner import Ideal, krull_dimension, radical_membership
 from conormal.poly import PolynomialRing, evaluate, partial_derivative
 
-from strategies import SECTION_GERMS, section_germ
+from strategies import SECTION_GERMS, assert_exact, polynomials, section_germ
 
 R = PolynomialRing(["x", "y", "z"])
 X, Y, Z = R.gens()
+
+
+def section_images(hyperplane, section_ring, pivot):
+    """The images of the ambient variables on H, built by polynomial
+    arithmetic over Q: x_pivot is -sum_i (h_i/h_pivot)*y_i, and every other
+    variable is itself."""
+    others = iter(section_ring.gens())
+    images = [None if i == pivot else next(others) for i in range(len(hyperplane.normal))]
+    h_pivot = hyperplane.normal[pivot]
+    images[pivot] = section_ring.zero - sum(
+        (Fraction(h, h_pivot) * y for h, y in zip(hyperplane.normal, images) if y is not None),
+        section_ring.zero,
+    )
+    return images
 
 
 class TestJacobianIdeal:
@@ -127,6 +145,56 @@ class TestHyperplaneSection:
         germ = Germ(R2, [R2.var(0)])
         with pytest.raises(ValueError):
             hyperplane_section(germ, Hyperplane(R2, [1, 0]))
+
+
+class TestRestriction:
+    """``_cut`` and ``bertini_check`` restrict to H on integers; the result
+    is the substitution of the images over Q, with exact coefficients."""
+
+    R4 = PolynomialRing(["x", "y", "z", "t"])
+
+    @given(
+        st.sampled_from([R, R4]).flatmap(
+            lambda ring: st.tuples(
+                polynomials(ring, max_terms=5),
+                st.lists(st.integers(-4, 4), min_size=ring.nvars, max_size=ring.nvars)
+                .filter(any),
+            )
+        )
+    )
+    def test_restriction_is_the_substitution(self, case):
+        f, normal = case
+        ring = f.ring
+        f = f - f.constant_coefficient()  # a germ's generator vanishes at 0
+        hyperplane = Hyperplane(ring, normal)
+        pivot = next(i for i, h in enumerate(hyperplane.normal) if h)
+        section_ring = PolynomialRing([v for i, v in enumerate(ring.variables) if i != pivot])
+        images = section_images(hyperplane, section_ring, pivot)
+        expected = f.substitute(section_ring, images)
+        if f and expected:
+            section, cut_pivot = _cut(Germ(ring, [f]), hyperplane)
+            assert (section.ring, cut_pivot) == (section_ring, pivot)
+            assert section.generators[0] == expected
+            assert_exact(section.generators[0], normalized=True)
+        elif f:
+            with pytest.raises(ValueError, match="contained in the germ"):
+                _cut(Germ(ring, [f]), hyperplane)
+        partial = partial_derivative(f, pivot)
+        phi = _restrict(partial, hyperplane, section_ring)
+        assert phi == partial.substitute(section_ring, images)
+        assert_exact(phi, normalized=True)
+
+    def test_pivot_powers_are_divided_once(self):
+        # h_p = 3: the terms of x^2, x*y and y*z are scaled by 1, 3 and 9
+        # and divided by h_p^2 = 9 only at the end.
+        f = 9 * X**2 + Fraction(1, 2) * X * Y - Y * Z
+        hyperplane = Hyperplane(R, [3, 2, -1])  # x = (z - 2*y)/3
+        y, z = PolynomialRing(["y", "z"]).gens()
+        section, pivot = _cut(Germ(R, [f]), hyperplane)
+        assert pivot == 0
+        expected = (z - 2 * y) ** 2 + Fraction(1, 6) * (z - 2 * y) * y - y * z
+        assert section.generators[0] == expected
+        assert_exact(section.generators[0], normalized=True)
 
 
 class TestSectionIsReduced:
@@ -279,8 +347,9 @@ class TestBertiniCheck:
 
     def test_sliced_jacobian_is_section_jacobian_plus_pivot_partial(self):
         # The identity the check rests on: the Jacobian ideal of X carried
-        # to H through _cut's images equals the section's Jacobian ideal
-        # plus phi = (d_p f) o images, p the pivot.
+        # to H through the images of the ambient variables equals the
+        # section's Jacobian ideal plus phi, the restriction of d_p f with
+        # p the pivot.
         pairs = 0
         for variables, equation in SECTION_GERMS:
             germ = section_germ(variables, equation)
@@ -289,11 +358,13 @@ class TestBertiniCheck:
                 if not any(normal):
                     continue
                 try:
-                    section, images, pivot = _cut(germ, Hyperplane(germ.ring, list(normal)))
+                    hyperplane = Hyperplane(germ.ring, list(normal))
+                    section, pivot = _cut(germ, hyperplane)
                 except ValueError:
                     continue  # H is contained in X
+                images = section_images(hyperplane, section.ring, pivot)
                 sliced = [g.substitute(section.ring, images) for g in germ.jacobian.generators]
-                phi = partial_derivative(f, pivot).substitute(section.ring, images)
+                phi = _restrict(partial_derivative(f, pivot), hyperplane, section.ring)
                 plus_phi = Ideal(section.jacobian.generators + (phi,))
                 assert Ideal([g for g in sliced if g]).same_ideal(plus_phi), (equation, normal)
                 pairs += 1

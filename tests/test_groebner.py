@@ -367,10 +367,22 @@ class TestSPolynomial:
         with pytest.raises(ValueError, match="past the limit"):
             s_polynomial(f, y, LEX)
 
+    @pytest.mark.parametrize("order", [GREVLEX, LEX, TOP], ids=lambda o: o.kind)
+    def test_zero_has_no_lead(self, order):
+        ring = R_TOP if order is TOP else R
+        g = ring.var(0) * ring.var(2) + ring.var(1)
+        for pair in ((ring.zero, g), (g, ring.zero)):
+            with pytest.raises(ValueError, match="zero polynomial has no leading term"):
+                s_polynomial(*pair, order)
+        with pytest.raises(ValueError, match="zero polynomial has no leading term"):
+            ring.zero.divisor(order)
+        assert ring.zero.leading(order) is None and ring.zero.primitive(order) == 0
+
 
 class TestPairCriteria:
     """The pair criteria decide on packed words; the pairs they skip are
-    pinned by the S-polynomials each basis takes."""
+    pinned by the S-polynomials each basis takes, counted as calls of the
+    pair loop's S-combination kernel ``_s_terms``."""
 
     # S-polynomials that buchberger builds, per corpus germ: for the
     # Jacobian ideal under grevlex and for the degree-2 trivial forms under
@@ -387,13 +399,13 @@ class TestPairCriteria:
         import conormal.groebner as groebner
 
         built = []
-        s_poly = groebner.s_polynomial
+        s_terms = groebner._s_terms
 
-        def counting(f, g, order):
-            built.append(order)
-            return s_poly(f, g, order)
+        def counting(record_f, record_g, ring, positions):
+            built.append(positions)
+            return s_terms(record_f, record_g, ring, positions)
 
-        monkeypatch.setattr(groebner, "s_polynomial", counting)
+        monkeypatch.setattr(groebner, "_s_terms", counting)
         assert sorted(corpus_names()) == sorted(self.S_PAIRS)
         for name, (jacobian, trivial) in self.S_PAIRS.items():
             germ = load_germ_file(name).germ
@@ -407,8 +419,10 @@ class TestPairCriteria:
 
 class TestTrivialModuleWork:
     """Work gate: each corpus trivial-form module basis is pinned together
-    with the S-polynomials and reductions that building it takes.  A change
-    to the kernels may change how long these take, not these numbers."""
+    with the S-polynomials and reductions that building it takes, counted
+    as calls of the kernels ``_s_terms`` and ``_remainder`` that the pair
+    loop and ``_autoreduce`` call.  A change to the kernels may change how
+    long these take, not these numbers."""
 
     # (germ file, k) -> (S-polynomials, reductions, basis)
     WORK = {
@@ -442,7 +456,7 @@ class TestTrivialModuleWork:
     def test_work_and_basis_are_pinned(self, monkeypatch, name, k):
         import conormal.groebner as groebner
 
-        calls = {"s_polynomial": 0, "reduce": 0}
+        calls = {"_s_terms": 0, "_remainder": 0}
         for attr in calls:
             original = getattr(groebner, attr)
 
@@ -473,14 +487,16 @@ class TestTrivialModuleWork:
         s_polys, reductions, basis = self.WORK[name, k]
         built = _trivial_module(load_germ_file(name).germ, k)[1].groebner_basis()
         assert [str(b) for b in built] == basis
-        assert (calls["s_polynomial"], calls["reduce"]) == (s_polys, reductions)
+        assert (calls["_s_terms"], calls["_remainder"]) == (s_polys, reductions)
         assert keyed and strays == []
 
 
 class TestPairLoopRecords:
     """Work gate: the pair loop keeps the divisor records of its basis next
-    to it.  Every reduction of a basis build receives them, the very records
-    each element caches, and each polynomial's record is built once."""
+    to it.  Every reduction of a basis build, a call of the division kernel
+    ``_remainder``, receives the very records its divisors cache, and each
+    polynomial's record is built once: by ``Polynomial.divisor`` for a
+    generator, by ``_associate`` for an element the build makes."""
 
     CASES = [("umbrella.germ", "jacobian")] + list(TestTrivialModuleWork.WORK)
 
@@ -495,30 +511,73 @@ class TestPairLoopRecords:
             target = _trivial_module(germ, k)[1]
             order = target.order
         reductions, callers = [], Counter()
-        reduce = groebner.reduce
+        remainder = groebner._remainder
 
-        def recording(f, basis, order, divisors=None):
+        def recording(work, divisors, key, ring):
             callers[sys._getframe(1).f_code.co_name] += 1
-            reductions.append((list(basis), None if divisors is None else list(divisors)))
-            return reduce(f, basis, order, divisors)
+            reductions.append(list(divisors))
+            return remainder(work, divisors, key, ring)
 
-        builds, kept = Counter(), []
-        divisor = Polynomial.divisor
+        builds, kept, records = Counter(), [], {}
+        divisor, associate = Polynomial.divisor, groebner._associate
 
         def counting(self, order):
-            if order not in (self._lead or {}):
-                builds[id(self)] += 1
-                kept.append(self)  # keeps each id unique while counting
-            return divisor(self, order)
+            if order in (self._lead or {}):
+                return divisor(self, order)
+            builds[id(self)] += 1
+            kept.append(self)  # keeps each id unique while counting
+            record = records[id(self)] = divisor(self, order)
+            return record
 
-        monkeypatch.setattr(groebner, "reduce", recording)
+        def associating(ring, terms, lm, order):
+            p = associate(ring, terms, lm, order)
+            builds[id(p)] += 1
+            kept.append(p)
+            records[id(p)] = p._lead[order]
+            return p
+
+        monkeypatch.setattr(groebner, "_remainder", recording)
+        monkeypatch.setattr(groebner, "_associate", associating)
         monkeypatch.setattr(Polynomial, "divisor", counting)
         target.groebner_basis()
         assert set(callers) == {"_complete", "_autoreduce"}
-        for basis, divisors in reductions:
-            assert divisors is not None and len(divisors) == len(basis)
-            assert all(d is b._lead[order] for b, d in zip(basis, divisors))
+        made = {id(record) for record in records.values()}
+        assert all(id(d) in made for divisors in reductions for d in divisors)
         assert builds and set(builds.values()) == {1}
+
+
+class TestIntegerPairLoop:
+    """The pair loop and ``_autoreduce`` divide and combine on integers: a
+    basis build on integer input makes a Fraction only where ``monic``
+    scales the reduced elements at the end."""
+
+    def test_only_the_final_monic_divides(self, monkeypatch):
+        import conormal.groebner as groebner
+        import conormal.poly as poly
+
+        callers = []
+        div = poly._div
+
+        def recording(a, b):
+            # The two innermost callers; before Python 3.12 a comprehension
+            # is a frame of its own, named like <dictcomp>, so it is skipped.
+            names, frame = [], sys._getframe(1)
+            while len(names) < 2:
+                if not frame.f_code.co_name.startswith("<"):
+                    names.append(frame.f_code.co_name)
+                frame = frame.f_back
+            callers.append(tuple(names))
+            return div(a, b)
+
+        monkeypatch.setattr(poly, "_div", recording)
+        monkeypatch.setattr(groebner, "_div", recording)
+        # Leading coefficients 2, 3 and 5: every S-pair has L > 1, and
+        # the reductions pseudo-divide.
+        gens = [2 * X**2 - 3 * Y * Z, 3 * X * Y - 5 * Z**2, 5 * Y**2 - 2 * X * Z]
+        for order in (GREVLEX, LEX):
+            basis = buchberger(gens, order)
+            assert any(type(c) is Fraction for g in basis for c in g.terms.values())
+        assert callers and set(callers) == {("monic", "_autoreduce")}
 
 
 class TestParserWork:
@@ -771,23 +830,23 @@ class TestRadicalMembership:
         import conormal.groebner as groebner
 
         ideal = Ideal([X**2 - Y * Z, Y**2 - X * Z, Z**2 - X * Y])
-        cached = {frozenset((m + (0,), c) for m, c in b.terms.items())
-                  for b in ideal.groebner_basis()}
+        ext = PolynomialRing(R.variables + ("_t",))
+        lift = ext.gens()[:3]
+        # A polynomial and its nonzero multiples share their divisor record.
+        cached = {b.substitute(ext, lift).divisor(GREVLEX) for b in ideal.groebner_basis()}
         assert len(cached) > 2
         built = []
+        s_terms = groebner._s_terms
 
-        def recording(f, g, order):
-            built.append((f, g))
-            return s_polynomial(f, g, order)
+        def recording(record_f, record_g, ring, positions):
+            assert ring == ext
+            built.append((record_f, record_g))
+            return s_terms(record_f, record_g, ring, positions)
 
-        monkeypatch.setattr(groebner, "s_polynomial", recording)
+        monkeypatch.setattr(groebner, "_s_terms", recording)
         assert not radical_membership(X + Y, ideal)
         assert built
-
-        def from_cache(p):
-            return frozenset(p.terms.items()) in cached
-
-        assert not any(from_cache(f) and from_cache(g) for f, g in built)
+        assert not any(f in cached and g in cached for f, g in built)
 
 
 class TestKrullDimension:
@@ -903,18 +962,18 @@ class TestModuleMembership:
         import conormal.groebner as groebner
 
         built = []
+        s_terms = groebner._s_terms
 
-        def recording(f, g, order):
-            positions = [f.ring.unpack(h.leading(order)[0])[:3] for h in (f, g)]
-            built.append(tuple(positions))
-            return s_polynomial(f, g, order)
+        def recording(record_f, record_g, ring, positions):
+            built.append(tuple(ring.unpack(record[0])[:3] for record in (record_f, record_g)))
+            return s_terms(record_f, record_g, ring, positions)
 
         def lead_position(v):  # grevlex-largest term, the lower position on ties
             key = GREVLEX.key(R)
             return -max((key(c.leading(GREVLEX)[0]), -i)
                         for i, c in enumerate(v.components) if c)[1]
 
-        monkeypatch.setattr(groebner, "s_polynomial", recording)
+        monkeypatch.setattr(groebner, "_s_terms", recording)
         rng = random.Random(32)
         mixed = 0
         for _ in range(25):

@@ -27,7 +27,7 @@ from conormal.poly import (
     partial_derivative,
 )
 
-from strategies import coefficients, monomials, nonzero_polynomials, polynomials
+from strategies import assert_exact, coefficients, monomials, nonzero_polynomials, polynomials
 
 R = PolynomialRing(["x", "y", "z"])
 X, Y, Z = R.gens()
@@ -205,15 +205,6 @@ class TestSubstitute:
         with pytest.raises(ValueError):
             p.substitute(target, [target.var(0)])
         assert p.substitute(target, [target.var(0), target.zero]) == parse_polynomial("u^2", target)
-
-
-def assert_exact(p, normalized=False):
-    """Every coefficient is an ``int`` or a ``Fraction``, never a float; if
-    ``normalized``, no ``Fraction`` is integral."""
-    for c in p.terms.values():
-        assert type(c) in (int, Fraction), (p, c)
-        if normalized:
-            assert type(c) is int or c.denominator != 1, (p, c)
 
 
 class TestCoefficientTypes:
