@@ -48,10 +48,12 @@ from .forms import (
     wedge,
 )
 from .germs import (
+    Decision,
     Germ,
     Parametrization,
     Verdict,
     VerdictStatus,
+    decide,
     is_conormal,
     is_tangential,
     is_trivial_form,

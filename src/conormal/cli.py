@@ -19,8 +19,10 @@ assertions: both properties are derived from the generators, and a file
 whose flag does not hold is rejected.
 
 An ``expect <kind> <argument> <value>`` line records a result that
-``verify_examples`` checks.  The argument is a form or form name (kinds
-``check``, ``trivial``, ``oracle``, ``vanishes``), a vector field ``p1, ..., pn``
+``verify_examples`` checks with the command's own helper: the ``check``
+command and ``expect check`` both read ``germs.decide``, whose refusal fails
+the line.  The argument is a form or form name (kinds ``check``,
+``trivial``, ``oracle``, ``vanishes``), a vector field ``p1, ..., pn``
 (``tangent``) or a non-negative integer codimension (``regular``); ``check``
 and ``tangent`` expect a verdict status, the others ``yes`` or ``no``.
 """
@@ -50,7 +52,7 @@ from .germs import (
     Germ,
     Parametrization,
     VerdictStatus,
-    is_conormal,
+    decide,
     is_tangential,
     is_trivial_form,
     oracle_conormal_on_parametrization,
@@ -235,13 +237,16 @@ def _yes_no(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _aggregate(verdicts) -> VerdictStatus:
-    statuses = {v.status for v in verdicts}
-    if VerdictStatus.CERTIFIED_NO in statuses:
-        return VerdictStatus.CERTIFIED_NO
-    if VerdictStatus.NO_CERTIFICATE in statuses:
-        return VerdictStatus.NO_CERTIFICATE
-    return VerdictStatus.CERTIFIED_YES
+# (what decided, status) -> verdict line of ``check``; {} is a refusal's reason
+_CHECK_VERDICTS = {
+    ("criterion", "CertifiedYes"): "CONORMAL (certified)",
+    ("criterion", "CertifiedNo"): "NOT CONORMAL (refuted)",
+    ("criterion", "NoCertificate"):
+        "NO CERTIFICATE (no polynomial certificate; germ-level status open)",
+    ("oracle", "CertifiedYes"): "CONORMAL (parametrization oracle: pullback vanishes)",
+    ("oracle", "CertifiedNo"): "NOT CONORMAL (parametrization oracle: nonzero pullback)",
+    ("refused", "NoCertificate"): "NO CERTIFICATE ({})",
+}
 
 
 def _cmd_check(args) -> int:
@@ -249,49 +254,21 @@ def _cmd_check(args) -> int:
     parts = _resolve_form(gf, args.form)
     print(f"form: {format_form_parts(parts)}")
     print(f"germ: {gf.germ}")
+    decision = decide(parts, gf.germ, gf.parametrization)
+    for part, verdict in zip(parts, decision.verdicts):
+        print(f"degree {form_degree(part)} part: {verdict}")
+    print("verdict:", _CHECK_VERDICTS[decision.source, decision.status.value].format(decision.reason))
+    if decision.status is not VerdictStatus.CERTIFIED_YES:
+        return 1
+    n = gf.germ.ring.nvars
     if not parts:
-        print("verdict: CONORMAL (certified)")
         print("witness: the zero form is conormal to every germ")
-        return 0
-    if gf.germ.complete_intersection:
-        verdicts = []
-        for part in parts:
-            v = is_conormal(part, gf.germ)
-            print(f"degree {form_degree(part)} part: {v}")
-            verdicts.append(v)
-        status = _aggregate(verdicts)
-        if status is VerdictStatus.CERTIFIED_YES:
-            print("verdict: CONORMAL (certified)")
-            ring = gf.germ.ring
-            origin = (0,) * ring.nvars
-            for part in parts:
-                if form_degree(part) == ring.nvars - 1 and evaluate_form(part, origin):
-                    print(
-                        "note: Rossi decomposition applies (a conormal (n-1)-form "
-                        "does not vanish at 0): the germ splits off a (C, 0) factor"
-                    )
-                    break
-            return 0
-        if status is VerdictStatus.CERTIFIED_NO:
-            print("verdict: NOT CONORMAL (refuted)")
-        else:
-            print("verdict: NO CERTIFICATE (no polynomial certificate; germ-level status open)")
-        return 1
-    if gf.parametrization is None:
-        print(
-            "verdict: NO CERTIFICATE (germ is not a complete intersection "
-            "and has no parametrization)"
-        )
-        return 1
-    if not gf.parametrization.covers:
-        print("verdict: NO CERTIFICATE (the parametrization covers only part of X)")
-        return 1
-    ok = all(oracle_conormal_on_parametrization(part, gf.parametrization) for part in parts)
-    if ok:
-        print("verdict: CONORMAL (parametrization oracle: pullback vanishes)")
-        return 0
-    print("verdict: NOT CONORMAL (parametrization oracle: nonzero pullback)")
-    return 1
+    elif decision.source == "criterion" and any(
+        form_degree(part) == n - 1 and evaluate_form(part, (0,) * n) for part in parts
+    ):
+        print("note: Rossi decomposition applies (a conormal (n-1)-form does not vanish at 0): "
+              "the germ splits off a (C, 0) factor")
+    return 0
 
 
 def _parse_field(text: str, ring: PolynomialRing) -> VectorField:
@@ -414,10 +391,18 @@ def _every_part(test) -> tuple:
 
 _STATUSES = tuple(status.value for status in VerdictStatus)
 
+
+def _check_status(gf: GermFile, arg: str) -> str:
+    """``conormal check``'s status; a refusal raises with its reason."""
+    decision = decide(_resolve_form(gf, arg), gf.germ, gf.parametrization)
+    if decision.reason is not None:
+        raise ValueError(decision.reason)
+    return decision.status.value
+
+
 # expect kind -> (allowed values, value shown by a germ file for an argument)
 _EXPECT_KINDS = {
-    "check": (_STATUSES, lambda gf, arg: _aggregate(
-        is_conormal(p, gf.germ) for p in _resolve_form(gf, arg)).value),
+    "check": (_STATUSES, _check_status),
     "trivial": _every_part(lambda p, gf: is_trivial_form(p, gf.germ)),
     "tangent": (_STATUSES, lambda gf, arg: is_tangential(
         _parse_field(arg, gf.germ.ring), gf.germ).status.value),

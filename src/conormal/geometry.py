@@ -208,7 +208,6 @@ def bertini_check(
     _require_section_input(germ, hyperplane)
     diagnostics = []
     jac = jacobian_ideal(germ)
-    ell = hyperplane.linear_form()
 
     try:
         section, pivot = _cut(germ, hyperplane)
@@ -234,10 +233,10 @@ def bertini_check(
             if tangent else section.singular_dimension
         )
         # Sing X inside H forces dim (Sing X on H) = dim Sing X.
-        if dim_cut >= dim_sing and radical_membership(ell, jac):
-            diagnostics.append("H contains Sing X")
-        elif dim_cut >= dim_sing:
-            diagnostics.append("H contains a positive-dimensional component of Sing X")
+        if dim_cut >= dim_sing:
+            whole = radical_membership(hyperplane.linear_form(), jac)
+            held = "Sing X" if whole else "a positive-dimensional component of Sing X"
+            diagnostics.append(f"H contains {held}")
 
     if tangent:
         diagnostics.append("H is tangent to X at a regular point of X on H")

@@ -29,8 +29,8 @@ and no radical test runs.
 The conormality test wedges the candidate form with df_1 ^ ... ^ df_m
 (``Germ.jacobian_form``) and checks that every coefficient of the product
 lies in the generator ideal; this criterion needs a complete intersection
-(dim V(f_1, ..., f_m) = n - m).  Other germs only get the independent
-parametrization oracle.
+(dim V(f_1, ..., f_m) = n - m); for other germs :func:`decide`, the one
+decision for a whole form, asks the independent parametrization oracle.
 """
 
 from __future__ import annotations
@@ -390,3 +390,42 @@ def oracle_conormal_on_parametrization(omega: FormLike, par: Parametrization) ->
     (x_j <- p_j, dx_j <- dp_j) vanishes identically in the parameters."""
     same_ring(omega, par.germ.generators[0])
     return not pullback(omega, par.components)
+
+
+@dataclass(frozen=True)
+class Decision:
+    """What :func:`decide` found, and what decided it: ``source`` is
+    ``"criterion"`` (``verdicts`` holds one :class:`Verdict` per part, none
+    for the zero form, which is conormal to every germ), ``"oracle"`` (a
+    parametrization covering X: CertifiedYes iff every part pulls back to
+    zero, else CertifiedNo) or ``"refused"`` (NoCertificate, for ``reason``)."""
+
+    status: VerdictStatus
+    source: str
+    verdicts: tuple = ()
+    reason: Optional[str] = None
+
+
+def decide(
+    parts: Sequence[FormLike], germ: Germ, parametrization: Optional[Parametrization] = None
+) -> Decision:
+    """Whether the form with homogeneous ``parts`` is conormal to the germ:
+    the criterion of :func:`is_conormal` on a complete intersection, else the
+    parametrization oracle when the parametrization covers X, else refused."""
+    if parametrization is not None and parametrization.germ.generators != germ.generators:
+        raise ValueError("the parametrization is of a germ with other generators")
+    if germ.complete_intersection or not parts:
+        verdicts = tuple(is_conormal(part, germ) for part in parts)
+        statuses = {v.status for v in verdicts}
+        worst_first = (VerdictStatus.CERTIFIED_NO, VerdictStatus.NO_CERTIFICATE)
+        status = next((s for s in worst_first if s in statuses), VerdictStatus.CERTIFIED_YES)
+        return Decision(status, "criterion", verdicts)
+    if parametrization is None:
+        reason = "germ is not a complete intersection and has no parametrization"
+    elif not parametrization.covers:
+        reason = "the parametrization covers only part of X"
+    else:
+        ok = all(oracle_conormal_on_parametrization(p, parametrization) for p in parts)
+        status = VerdictStatus.CERTIFIED_YES if ok else VerdictStatus.CERTIFIED_NO
+        return Decision(status, "oracle")
+    return Decision(VerdictStatus.NO_CERTIFICATE, "refused", reason=reason)

@@ -94,6 +94,29 @@ class TestGermFiles:
         assert not any("--field" in line for line in lines)
         assert lines[-1] == "summary: 5/10 checks passed"
 
+    def test_check_lines_on_a_germ_that_is_not_a_complete_intersection(self):
+        # The twisted cubic cone is decided by the oracle on its covering
+        # parametrization; a curve in the plane of V(x*y, x*z) (the plane
+        # x = 0 and the x-axis) covers only part of X, so that check fails.
+        twisted_cubic = parse_germ_text(
+            "ring x y z w\ngen x*z - y^2\ngen y*w - z^2\ngen x*w - y*z\n"
+            "param s t -> s^3, s^2*t, s*t^2, t^3\n"
+            "expect check dx CertifiedNo\n"
+            "expect check z*dx - 2*y*dy + x*dz CertifiedYes\n"
+        )
+        plane_line = parse_germ_text(
+            "ring x y z\ngen x*y\ngen x*z\nparam s -> 0, s, s^2\nexpect check dx CertifiedNo\n"
+        )
+        lines, ok = verify_examples({"twisted_cubic": twisted_cubic, "plane_line": plane_line})
+        assert lines == [
+            "[twisted_cubic] check dx CertifiedNo: PASS",
+            "[twisted_cubic] check z*dx - 2*y*dy + x*dz CertifiedYes: PASS",
+            "[plane_line] check dx CertifiedNo: "
+            "FAIL (error: the parametrization covers only part of X)",
+            "summary: 2/3 checks passed",
+        ]
+        assert not ok
+
     def test_ring_must_come_first(self):
         with pytest.raises(GermFileError):
             parse_germ_text("gen x\nring x y\n")

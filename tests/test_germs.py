@@ -23,6 +23,8 @@ from conormal.geometry import jacobian_ideal, regular_in_codimension
 from conormal.germs import (
     Germ,
     Parametrization,
+    VerdictStatus,
+    decide,
     is_conormal,
     is_tangential,
     is_trivial_form,
@@ -623,6 +625,68 @@ class TestParametrizationOracle:
                 assert expected
             if verdict.is_certified_no:
                 assert not expected
+
+
+class TestDecide:
+    def test_criterion_on_a_complete_intersection(self, umbrella, umbrella_param):
+        # The parametrization is not asked on a complete intersection.
+        parts = parse_form("x + y*z*dx + 2*x*z*dy - 2*x*y*dz", R)
+        for par in (None, umbrella_param):
+            decision = decide(parts, umbrella, par)
+            assert decision.source == "criterion" and decision.reason is None
+            assert decision.verdicts == tuple(is_conormal(p, umbrella) for p in parts)
+            assert [v.status for v in decision.verdicts] == [
+                VerdictStatus.CERTIFIED_NO, VerdictStatus.CERTIFIED_YES
+            ]
+            assert decision.status is VerdictStatus.CERTIFIED_NO
+
+    def test_refuted_part_beats_uncertified_part(self):
+        # On the non-reduced V(x^2), x and dy hold on the zero set without a
+        # certificate, dx is certified and y is refuted.
+        ring = PolynomialRing(["x", "y"])
+        double_line = Germ(ring, [ring.var(0) ** 2])
+        for text, status in [
+            ("dx", VerdictStatus.CERTIFIED_YES),
+            ("x + dx", VerdictStatus.NO_CERTIFICATE),
+            ("y + dy", VerdictStatus.CERTIFIED_NO),
+        ]:
+            assert decide(parse_form(text, ring), double_line).status is status, text
+
+    def test_oracle_or_refusal_on_other_germs(self):
+        ring = PolynomialRing(["x", "y", "z", "w"])
+        x, y, z, w = ring.gens()
+        cone = Germ(ring, [x * z - y**2, y * w - z**2, x * w - y * z])
+        par = Parametrization(cone, UV, [U**3, U**2 * V, U * V**2, V**3])
+        for text, status in [
+            ("dx", VerdictStatus.CERTIFIED_NO),
+            ("z*dx - 2*y*dy + x*dz", VerdictStatus.CERTIFIED_YES),
+        ]:
+            decision = decide(parse_form(text, ring), cone, par)
+            assert (decision.status, decision.source, decision.verdicts) == (status, "oracle", ())
+        plane_line = Germ(R, [X * Y, X * Z])  # the plane x = 0 and the x-axis
+        s = PolynomialRing(["s"]).var(0)
+        curve = Parametrization(plane_line, s.ring, [s.ring.zero, s, s**2])
+        for par, reason in [
+            (None, "germ is not a complete intersection and has no parametrization"),
+            (curve, "the parametrization covers only part of X"),
+        ]:
+            decision = decide([form("dx")], plane_line, par)
+            assert (decision.status, decision.source) == (VerdictStatus.NO_CERTIFICATE, "refused")
+            assert decision.reason == reason
+            # The zero form is conormal to every germ.
+            zero = decide([], plane_line, par)
+            assert (zero.status, zero.source, zero.verdicts) == (
+                VerdictStatus.CERTIFIED_YES, "criterion", ()
+            )
+
+    def test_parametrization_of_another_germ_is_refused(self):
+        # The plane x = 0 is covered by (s, t) -> (0, s, t), and dx pulls back
+        # to zero, but dx is not conormal on the x-axis of V(x*y, x*z).
+        plane_line = Germ(R, [X * Y, X * Z])
+        s, t = UV.gens()
+        plane = Parametrization(Germ(R, [X]), UV, [UV.zero, s, t])
+        with pytest.raises(ValueError, match="other generators"):
+            decide([form("dx")], plane_line, plane)
 
 
 class TestDifferentialIdealClosure:

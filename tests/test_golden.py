@@ -12,7 +12,8 @@ import shlex
 import tempfile
 from pathlib import Path
 
-from conormal.cli import dispatch
+from conormal.cli import _EXPECT_KINDS, _resolve_form, dispatch, load_germ_file
+from conormal.germs import VerdictStatus, decide
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
 
@@ -110,6 +111,50 @@ def transcript(directory: Path) -> str:
 
 def test_cli_transcript_matches_golden(tmp_path):
     assert transcript(tmp_path) == GOLDEN.read_text(encoding="utf-8")
+
+
+# expect check status -> start of the verdict line ``conormal check`` prints
+VERDICT_LINES = {
+    "CertifiedYes": "verdict: CONORMAL (",
+    "CertifiedNo": "verdict: NOT CONORMAL (",
+    "NoCertificate": "verdict: NO CERTIFICATE (no polynomial certificate",
+}
+
+
+def test_check_command_and_expect_check_agree(tmp_path, monkeypatch, capsys):
+    """Every ``check`` command of the transcript exits 0 exactly when
+    ``decide`` certifies, and ``expect check`` on the same germ file and form
+    gives the status the command prints, or fails exactly when the command
+    prints a refusal, with the refusal's reason."""
+    for name, text in LOCAL_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    expect_check = _EXPECT_KINDS["check"][1]
+    sources = set()
+    for argv in commands():
+        if argv[0] != "check":
+            continue
+        code = dispatch(argv)
+        out = capsys.readouterr().out
+        germ, form = argv[2], argv[4]
+        try:
+            gf = load_germ_file(germ)
+            parts = _resolve_form(gf, form)
+        except ValueError:
+            assert code == 2, argv
+            continue
+        decision = decide(parts, gf.germ, gf.parametrization)
+        sources.add(decision.source)
+        assert (code == 0) == (decision.status is VerdictStatus.CERTIFIED_YES), argv
+        [verdict] = [line for line in out.splitlines() if line.startswith("verdict: ")]
+        try:
+            status = expect_check(gf, form)
+        except ValueError as e:
+            assert verdict == f"verdict: NO CERTIFICATE ({e})", argv
+        else:
+            assert status == decision.status.value, argv
+            assert verdict.startswith(VERDICT_LINES[status]), argv
+    assert sources == {"criterion", "oracle", "refused"}
 
 
 if __name__ == "__main__":
