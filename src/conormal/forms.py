@@ -373,11 +373,9 @@ class Hyperplane:
         self.normal = tuple(ints)
 
     def linear_form(self) -> Polynomial:
-        out = self.ring.zero
-        for i, h in enumerate(self.normal):
-            if h:
-                out = out + self.ring.var(i).scale(h)
-        return out
+        units = self.ring.units
+        terms = {units[i]: h for i, h in enumerate(self.normal) if h}
+        return Polynomial(self.ring, terms, _clean=True)
 
     def __eq__(self, other) -> bool:
         return (

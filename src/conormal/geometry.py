@@ -14,7 +14,8 @@ fact by diagnostics instead of deciding transversality up front:
   intersection (decided exactly in the section ring: the sliced Jacobian
   ideal is the section's Jacobian ideal plus the pivot partial restricted to
   H, and H is tangent iff that partial is not zero on all of Sing(X cap H)),
-* tangency witnessed at sampled points of a supplied parametrization.
+* for a tangent H only, an exactly checked witness: the first sampled point
+  of a supplied parametrization on H where df is a nonzero multiple of dl.
 
 The tangency locus of a hyperplane section is exactly the singular locus of
 the section minus the sliced singular locus, so on valid inputs a report can
@@ -30,8 +31,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .forms import Hyperplane, evaluate_form, exterior_derivative
-from .germs import Germ, Parametrization
+from .forms import Hyperplane
+from .germs import Germ, Parametrization, _require_parametrization_of
 from .groebner import Ideal, krull_dimension, radical_membership
 from .poly import (
     FIELD,
@@ -169,25 +170,21 @@ def _restrict(p: Polynomial, hyperplane: Hyperplane, section_ring: PolynomialRin
     return Polynomial(section_ring, {t: _div(v, whole) for t, v in out.items()}, _clean=True)
 
 
-def _sampled_tangency_notes(hyperplane: Hyperplane, par: Parametrization, jac: Ideal) -> list:
-    """Point witnesses: sampled parametrized points of the germ lying on the
-    hyperplane where every tangent direction of the parametrization stays
-    inside the hyperplane, i.e. where the pullback of dl, d(l o par), vanishes."""
+def _witness_notes(germ: Germ, hyperplane: Hyperplane, par: Parametrization) -> list:
+    """A point witness for a tangent H: the first sampled point p = par(s)
+    with l(p) = 0 and df(p) nonzero and parallel to the normal, i.e.
+    (df ^ dl)(p) = 0, read from the germ's kept df."""
     samples = [0, 1, -1, Fraction(1, 2), Fraction(-1, 2), 2]
-    on_h = hyperplane.linear_form().substitute(par.ring, par.components)
-    dl = exterior_derivative(on_h)
-    notes = []
+    normal, pivot = hyperplane.normal, _pivot(hyperplane)
+    partials = [germ.differentials[0].coefficient((i,)) for i in range(len(normal))]
     for values in product(samples, repeat=par.ring.nvars):
-        if evaluate(on_h, values):
-            continue
         point = [evaluate(p, values) for p in par.components]
-        if all(evaluate(g, point) == 0 for g in jac.generators):
-            continue  # singular point of the germ
-        if not evaluate_form(dl, values):
-            shown = "(" + ", ".join(str(x) for x in point) + ")"
-            notes.append(f"H is tangent to X at the parametrized point {shown}")
-            break
-    return notes
+        if sum(h * x for h, x in zip(normal, point)):
+            continue
+        grad = [evaluate(d, point) for d in partials]
+        if grad[pivot] and all(g * normal[pivot] == grad[pivot] * h for g, h in zip(grad, normal)):
+            return [f"H is tangent to X at the parametrized point ({', '.join(map(str, point))})"]
+    return []
 
 
 def bertini_check(
@@ -206,8 +203,8 @@ def bertini_check(
     singular dimension, and only a tangent H needs a dimension of its own.
     """
     _require_section_input(germ, hyperplane)
+    _require_parametrization_of(germ, parametrization)
     diagnostics = []
-    jac = jacobian_ideal(germ)
 
     try:
         section, pivot = _cut(germ, hyperplane)
@@ -234,15 +231,14 @@ def bertini_check(
         )
         # Sing X inside H forces dim (Sing X on H) = dim Sing X.
         if dim_cut >= dim_sing:
-            whole = radical_membership(hyperplane.linear_form(), jac)
+            whole = radical_membership(hyperplane.linear_form(), jacobian_ideal(germ))
             held = "Sing X" if whole else "a positive-dimensional component of Sing X"
             diagnostics.append(f"H contains {held}")
 
     if tangent:
         diagnostics.append("H is tangent to X at a regular point of X on H")
-
-    if parametrization is not None:
-        diagnostics.extend(_sampled_tangency_notes(hyperplane, parametrization, jac))
+        if parametrization is not None:
+            diagnostics.extend(_witness_notes(germ, hyperplane, parametrization))
 
     if reduced and not tangent:
         verdict = BertiniVerdict.CONFIRMS_THEOREM

@@ -255,6 +255,11 @@ class Parametrization:
         return "(" + ", ".join(str(p) for p in self.components) + ")"
 
 
+def _require_parametrization_of(germ: Germ, parametrization: Optional[Parametrization]):
+    if parametrization is not None and parametrization.germ.generators != germ.generators:
+        raise ValueError("the parametrization is of a germ with other generators")
+
+
 def _classify(tested, germ: Germ, wedge: Optional[DifferentialForm] = None) -> Verdict:
     """The verdict on whether every polynomial of the (key, polynomial)
     pairs ``tested`` lies in the generator ideal of a germ.
@@ -412,8 +417,7 @@ def decide(
     """Whether the form with homogeneous ``parts`` is conormal to the germ:
     the criterion of :func:`is_conormal` on a complete intersection, else the
     parametrization oracle when the parametrization covers X, else refused."""
-    if parametrization is not None and parametrization.germ.generators != germ.generators:
-        raise ValueError("the parametrization is of a germ with other generators")
+    _require_parametrization_of(germ, parametrization)
     if germ.complete_intersection or not parts:
         verdicts = tuple(is_conormal(part, germ) for part in parts)
         statuses = {v.status for v in verdicts}

@@ -14,6 +14,17 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+@pytest.fixture
+def basis_log(monkeypatch):
+    """The (generators, order, basis) record of every Groebner basis the
+    test computes, in order, as ``groebner._basis_observer`` reports it."""
+    import conormal.groebner as groebner
+
+    seen = []
+    monkeypatch.setattr(groebner, "_basis_observer", lambda *args: seen.append(args))
+    return seen
+
+
 @pytest.fixture(scope="session")
 def ring3():
     return PolynomialRing(["x", "y", "z"])

@@ -393,6 +393,7 @@ class TestHyperplane:
         h = Hyperplane(R, [Fraction(-1, 2), 1, 0])
         assert h.normal == (1, -2, 0)
         assert h.linear_form() == X - 2 * Y
+        assert all(type(c) is int for c in h.linear_form().terms.values())
 
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from conormal.geometry import (
     random_hyperplane,
     regular_in_codimension,
 )
-from conormal.germs import Germ
+from conormal.germs import Germ, Parametrization
 from conormal.groebner import Ideal, krull_dimension, radical_membership
 from conormal.poly import PolynomialRing, evaluate, partial_derivative
 
@@ -235,6 +235,59 @@ class TestBertiniCheck:
         assert report.verdict is BertiniVerdict.TRANSVERSALITY_FAILS
         assert any("contains Sing X" in d for d in report.diagnostics)
 
+    def test_foreign_parametrization_refused(self, umbrella):
+        # (0, s, t) parametrizes the plane V(x), not the umbrella
+        pring = PolynomialRing(["s", "t"])
+        s, t = pring.gens()
+        plane = Parametrization(Germ(R, [X]), pring, [pring.zero, s, t])
+        with pytest.raises(ValueError, match="other generators"):
+            bertini_check(umbrella, Hyperplane(R, [1, 0, 0]), plane)
+
+    def test_no_witness_where_the_parametrization_is_not_an_immersion(self):
+        # d(x o par) = 3*u^2*du vanishes at u = 0, yet H = V(x) is
+        # transverse to the smooth plane V(z) everywhere
+        pring = PolynomialRing(["u", "v"])
+        u, v = pring.gens()
+        plane = Germ(R, [Z])
+        par = Parametrization(plane, pring, [u**3, v, pring.zero])
+        report = bertini_check(plane, Hyperplane(R, [1, 0, 0]), par)
+        assert report.verdict is BertiniVerdict.CONFIRMS_THEOREM
+        assert report.diagnostics == ()
+
+    def test_parametrized_witnesses_are_tangency_points(self):
+        # The umbrella's default bertini trials and the hyperplanes x and y,
+        # with the corpus parametrization.  A witness p is checked by
+        # evaluation alone: f(p) = 0, l(p) = 0, and grad f(p) is nonzero and
+        # parallel to the normal.  The other diagnostics are the ambient
+        # reference's.
+        from conormal.cli import load_germ_file
+
+        gf = load_germ_file("umbrella.germ")
+        germ, ring = gf.germ, gf.germ.ring
+        f = germ.generators[0]
+        gradient = [partial_derivative(f, i) for i in range(ring.nvars)]
+        hyperplanes = [random_hyperplane(ring, seed, 10) for seed in range(20)]
+        hyperplanes += [Hyperplane(ring, [1, 0, 0]), Hyperplane(ring, [0, 1, 0])]
+        witnesses = []
+        for hyperplane in hyperplanes:
+            report = bertini_check(germ, hyperplane, gf.parametrization)
+            notes = [d for d in report.diagnostics if "parametrized point" in d]
+            others = tuple(d for d in report.diagnostics if d not in notes)
+            assert others == ambient_diagnostics(germ, hyperplane), hyperplane
+            if notes:
+                assert TANGENT in report.diagnostics, hyperplane
+            for note in notes:
+                point = [Fraction(c) for c in note[note.index("(") + 1 : -1].split(", ")]
+                normal = hyperplane.normal
+                grad = [evaluate(g, point) for g in gradient]
+                assert evaluate(f, point) == 0
+                assert sum(h * c for h, c in zip(normal, point)) == 0
+                assert any(grad)
+                pairs = [(a, k, b, h) for a, k in zip(grad, normal) for b, h in zip(grad, normal)]
+                assert all(a * h == b * k for a, k, b, h in pairs)
+                witnesses.append((hyperplane, point))
+        assert (Hyperplane(ring, [1, 0, 0]), [0, 1, 0]) in witnesses
+
     def test_smooth_germ_all_sections_clean(self):
         germ = Germ(R, [X + Y**2 + Z**2])
         assert jacobian_ideal(germ).is_unit()
@@ -272,49 +325,39 @@ class TestBertiniCheck:
         ],
         ids=["x-y", "3y-z"],
     )
-    def test_groebner_bases_per_check(self, monkeypatch, hyperplane, bases):
+    def test_groebner_bases_per_check(self, basis_log, hyperplane, bases):
         # Deterministic work gate: the exact number of Groebner bases one
         # check computes.  A rise means a lost cache or a lost shortcut.
-        import conormal.groebner as groebner
-
         germ = Germ(R, [Z**2 - X * Y**2])
-        seen = []
-        monkeypatch.setattr(groebner, "_basis_observer", lambda *args: seen.append(args))
         bertini_check(germ, hyperplane)
-        assert len(seen) == bases
+        assert len(basis_log) == bases
 
     @pytest.mark.parametrize(
         "hyperplane, bases",
         [(Hyperplane(R, [1, -1, 0]), 1), (random_hyperplane(R, 7), 3)],
         ids=["x-y", "3y-z"],
     )
-    def test_second_check_reuses_jacobian_basis(self, monkeypatch, hyperplane, bases):
+    def test_second_check_reuses_jacobian_basis(self, basis_log, hyperplane, bases):
         # The germ keeps its Jacobian ideal and that ideal its basis, so a
         # second check on the same germ computes one basis less than the first.
-        import conormal.groebner as groebner
-
         germ = Germ(R, [Z**2 - X * Y**2])
         bertini_check(germ, hyperplane)
-        seen = []
-        monkeypatch.setattr(groebner, "_basis_observer", lambda *args: seen.append(args))
+        basis_log.clear()
         bertini_check(germ, hyperplane)
-        assert len(seen) == bases
+        assert len(basis_log) == bases
         assert jacobian_ideal(germ) is jacobian_ideal(germ)
 
-    def test_isolated_singularity_bases(self, monkeypatch):
+    def test_isolated_singularity_bases(self, basis_log):
         # section jac, jac; the second check reuses jac.  No Rabinowitsch
         # basis: phi is a plain member, and dim Sing X = 0 skips the
         # component tests.
-        import conormal.groebner as groebner
-
         germ = Germ(R, [X**2 + Y**3 + Z**4])
         hyperplane = Hyperplane(R, [1, 2, 3])
         counts = []
         for _ in range(2):
-            seen = []
-            monkeypatch.setattr(groebner, "_basis_observer", lambda *args: seen.append(args))
+            basis_log.clear()
             bertini_check(germ, hyperplane)
-            counts.append(len(seen))
+            counts.append(len(basis_log))
         assert counts == [2, 1]
 
     def test_component_of_singular_locus(self):

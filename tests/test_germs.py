@@ -126,30 +126,26 @@ class TestIsConormal:
             verdict = is_conormal(p, umbrella)
             assert verdict.is_certified_yes == ideal_membership(p, umbrella.ideal)
 
-    def test_bases_per_refutation(self, monkeypatch):
+    def test_bases_per_refutation(self, basis_log):
         # Deterministic work gate.  On the radical umbrella the first "no"
         # computes the generator ideal's basis for the membership test and
         # the Jacobian basis that shows the germ radical, later ones compute
         # nothing; on the non-radical V(x^2) each "no" computes one
         # Rabinowitsch basis.
-        import conormal.groebner as groebner
-
         umbrella = Germ(R, [Z**2 - X * Y**2])
         plane = PolynomialRing(["x", "y"])
         x, y = plane.gens()
         double_line = Germ(plane, [x**2])
-        seen = []
-        monkeypatch.setattr(groebner, "_basis_observer", lambda *args: seen.append(args))
         assert is_conormal(form("dx"), umbrella).is_certified_no
-        assert len(seen) == 2
-        seen.clear()
+        assert len(basis_log) == 2
+        basis_log.clear()
         assert is_conormal(form("dy"), umbrella).is_certified_no
         assert is_conormal(form("dx"), umbrella).is_certified_no
-        assert not seen
+        assert not basis_log
         assert is_conormal(y, double_line).is_certified_no  # warms radical
-        seen.clear()
+        basis_log.clear()
         assert is_conormal(y, double_line).is_certified_no
-        assert len(seen) == 1
+        assert len(basis_log) == 1
 
     def test_one_membership_reduction_per_tested_polynomial(self, monkeypatch):
         # On the non-radical V(x^2) a failed membership goes on to the
@@ -295,21 +291,17 @@ class TestRadical:
         assert Germ(R, [X, Y]).radical
         assert Germ(R, [X * Y]).radical
 
-    def test_derived_on_first_use_not_at_construction(self, monkeypatch):
-        import conormal.groebner as groebner
-
-        seen = []
-        monkeypatch.setattr(groebner, "_basis_observer", lambda *args: seen.append(args))
+    def test_derived_on_first_use_not_at_construction(self, basis_log):
         germ = Germ(R, [Z**2 - X * Y**2])
-        assert not seen  # a hypersurface has dimension n - 1 without a basis
+        assert not basis_log  # a hypersurface has dimension n - 1 without a basis
         assert germ.radical
-        assert len(seen) == 1  # the Jacobian ideal's basis
+        assert len(basis_log) == 1  # the Jacobian ideal's basis
         assert germ.radical
-        assert len(seen) == 1
+        assert len(basis_log) == 1
         curve = Germ(R, [X, Z**2 - Y**3])
-        assert len(seen) == 2  # the generator ideal's basis, for the dimension
+        assert len(basis_log) == 2  # the generator ideal's basis, for the dimension
         assert curve.complete_intersection
-        assert len(seen) == 2
+        assert len(basis_log) == 2
 
     @given(st.sampled_from(corpus_names()), st.data())
     def test_verdicts_do_not_depend_on_derived_radicality(self, name, data):
@@ -489,30 +481,26 @@ class TestTrivialForms:
                 combo = term if combo is None else combo + term
             assert is_trivial_form(combo, umbrella)
 
-    def test_one_basis_per_germ_and_degree(self, monkeypatch, umbrella):
+    def test_one_basis_per_germ_and_degree(self, basis_log, umbrella):
         # The germ keeps the module basis of its degree-k trivial forms:
         # repeated tests at one degree compute it once, another degree once
         # more, and a new, equal germ (which may reuse the id of a freed
         # one) computes its own.
-        import conormal.groebner as groebner
-
         germ = Germ(R, umbrella.generators)
-        seen = []
-        monkeypatch.setattr(groebner, "_basis_observer", lambda *args: seen.append(args))
         omega1 = form("y*z*dx + 2*x*z*dy - 2*x*y*dz")
         for _ in range(3):
             assert not is_trivial_form(omega1, germ)
         assert is_trivial_form(DifferentialForm(R, 1, {(0,): umbrella.generators[0]}), germ)
-        assert len(seen) == 1
+        assert len(basis_log) == 1
         for _ in range(2):
             assert is_trivial_form(form("y*dx*dz - z*dx*dy").scale(umbrella.generators[0]), germ)
-        assert len(seen) == 2
+        assert len(basis_log) == 2
         del germ
         fresh = Germ(R, umbrella.generators)
-        seen.clear()
+        basis_log.clear()
         assert not is_trivial_form(omega1, fresh)
         assert not is_trivial_form(omega1, fresh)
-        assert len(seen) == 1
+        assert len(basis_log) == 1
 
     @pytest.mark.parametrize("fixture, seed", [("umbrella", 41), ("cusp", 42)])
     def test_cold_and_warm_agree_with_module_membership(self, request, fixture, seed):

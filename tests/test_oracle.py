@@ -108,16 +108,12 @@ SECTION_CASES = [
 
 
 @pytest.mark.parametrize("equation, normal", SECTION_CASES)
-def test_section_bases_match_sympy(monkeypatch, equation, normal):
+def test_section_bases_match_sympy(basis_log, equation, normal):
     # Every basis one Bertini check computes: the Jacobian ideals of the
     # germ and of the section, and each Rabinowitsch basis.
-    import conormal.groebner as groebner
-
-    seen = []
-    monkeypatch.setattr(groebner, "_basis_observer", lambda *args: seen.append(args))
     bertini_check(Germ(R3, [parse_polynomial(equation, R3)]), Hyperplane(R3, normal))
-    assert seen
-    for gens, order, basis in seen:
+    assert basis_log
+    for gens, order, basis in basis_log:
         assert our_set(basis) == sympy_basis(gens, order)
 
 
