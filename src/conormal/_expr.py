@@ -23,21 +23,36 @@ coefficient}}``, with the packed monomial words of :mod:`conormal.poly`.
 A term multiplies its numbers, variables and differentials, with their
 powers, straight into one accumulated monomial (a coefficient, a word and
 the differentials in order of appearance, whose order gives the wedge
-sign); only a parenthesized factor is a mixed form of its own, wedged in
-with :func:`mixed_mul`.  A total degree past ``poly.MAX_DEGREE`` is a
-:class:`ParseError` at the factor that makes it.  An
-expression adds its terms into one dict in place.  Each coefficient becomes
-a ``Polynomial`` once, at the end of :func:`parse_mixed_text`.
-:func:`mixed_mul` is the one wedge loop over raw term dicts;
-``forms.wedge`` calls it too.
+sign).  A term without a parenthesized factor adds that monomial straight
+into its expression's dict; a parenthesized factor is a mixed form of its
+own, wedged in with :func:`mixed_mul`, and a term with one adds its
+product into the dict in place.  ``(e)^k`` is ``poly._pow_terms``, which
+refuses a power past ``poly.MAX_DEGREE`` before it multiplies; any total
+degree past that bound is a :class:`ParseError` at the factor that makes
+it.  Each coefficient becomes a ``Polynomial`` once, at the end of
+:func:`parse_mixed_text`.  :func:`mixed_mul` is the one wedge loop over raw
+term dicts; ``forms.wedge`` calls it too.
+
+The tokens are the plain strings of one ``findall``, and the parser walks
+them with an index, one call of :func:`_sum` per parenthesized expression.
+Their offsets in the text are found only for an error, by running
+``finditer`` over the same pattern (:func:`_offset`); the end of the input
+is at ``len(text)``, past any trailing whitespace.  A stray character or a
+zero denominator is reported before any other error, wherever it is, as
+when the whole text was tokenized first: :func:`_scan` finds it before the
+parse.  Only a character outside the ASCII letters, digits, ``_``, the
+operators and whitespace can make one, so a text without such a character
+skips the scan; with no ``p/q`` literal, its arithmetic is on ``int``s
+alone, and it also skips the pass that normalizes coefficients.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import islice
 
-from .poly import Polynomial, PolynomialRing, _degree_error, _mul_terms, _norm
+from .poly import Polynomial, PolynomialRing, _degree_error, _mul_terms, _norm, _pow_terms
 
 
 class ParseError(ValueError):
@@ -48,42 +63,51 @@ class ParseError(ValueError):
         self.position = position
 
 
-# Each match is one token with the whitespace before it, so the offsets are
-# running sums of the match lengths: the matches leave no gap in the text.
-# Only trailing whitespace matches nothing; it is stripped first, because
-# trying the pattern at each of its k offsets would take k^2 steps.
-_TOKEN = re.compile(r"(\s*)(?:(\d+(?:\s*/\s*\d+)?)|([A-Za-z_]\w*)|([-+*^()])|(\S))")
+class _Error(Exception):
+    """A parse error at a token index, raised inside the parse; the entry
+    point turns it into a :class:`ParseError` at that token's offset."""
 
 
-def _tokenize(text: str):
-    """Tokens ``(kind, value, position)`` ending with an ``end`` token.
+# One match per token: a number (an integer or a ``p/q`` literal), a name,
+# an operator, or any other non-space character, which is stray.  Only
+# whitespace matches nothing, and the search steps over it in linear time.
+_TOKEN = re.compile(r"\d+(?:\s*/\s*\d+)?|[A-Za-z_]\w*|[-+*^()]|\S")
+# A one-character token that is stray: no digit, name or operator.
+_STRAY = re.compile(r"[^\dA-Za-z_+\-*^()]")
+# A character that can start a stray token or a ``p/q`` literal.  A text
+# without one has neither, and needs no scan before the parse.
+_ODD = re.compile(r"[^\sA-Za-z0-9_+\-*^()]")
+# The tokens that cannot start a factor: the operators but '(', and the end.
+_NOT_ATOMS = frozenset(("+", "-", "*", "^", ")", ""))
 
-    A number is ``int`` (an integer literal, value ``int``) or ``ratio`` (a
-    ``p/q`` literal, value normalized by :func:`_norm`).
+
+def _scan(text: str) -> None:
+    """Raise at the first stray character or zero denominator of ``text``.
+
+    The parse reads tokens in order, so without this scan a syntax error
+    earlier in the text would win; these two are reported first.
     """
-    tokens = []
-    pos = 0
-    for space, number, name, op, other in _TOKEN.findall(text.rstrip()):
-        pos += len(space)
-        if op:
-            tokens.append(("op", op, pos))
-            pos += 1
-        elif name:
-            tokens.append(("name", name, pos))
-            pos += len(name)
-        elif number:
-            num, slash, den = number.partition("/")
-            if not slash:
-                tokens.append(("int", int(num), pos))
-            elif int(den) == 0:
-                raise ParseError("zero denominator", pos)
-            else:
-                tokens.append(("ratio", _norm(Fraction(int(num), int(den))), pos))
-            pos += len(number)
-        else:
-            raise ParseError(f"unexpected character {other!r}", pos)
-    tokens.append(("end", "", len(text)))
-    return tokens
+    for match in _TOKEN.finditer(text):
+        token = match.group()
+        if len(token) == 1:
+            if _STRAY.match(token):
+                raise ParseError(f"unexpected character {token!r}", match.start())
+        elif "/" in token and not int(token.partition("/")[2]):
+            raise ParseError("zero denominator", match.start())
+
+
+def _offset(text: str, n: int) -> int:
+    """The offset of token ``n`` of ``text``; ``len(text)`` for the end."""
+    for match in islice(_TOKEN.finditer(text), n, None):
+        return match.start()
+    return len(text)
+
+
+def _literal(token: str):
+    """The value of a number token: an ``int``, or a ``p/q`` literal
+    normalized by :func:`_norm`; its denominator is not zero."""
+    num, slash, den = token.partition("/")
+    return _norm(Fraction(int(num), int(den))) if slash else int(num)
 
 
 def wedge_index_tuples(s: tuple, t: tuple):
@@ -144,155 +168,169 @@ def mixed_mul(a: dict, b: dict, limit: int) -> dict:
     return {key: terms for key, terms in out.items() if terms}
 
 
-class _Parser:
-    """Recursive descent over the token list.  An operator is recognized by
-    its value alone: no other token's value is an operator character."""
+def _power(tokens: list, i: int) -> int:
+    """The exponent at token ``i``, just after a ``^``."""
+    token = tokens[i]
+    k = int(token) if token.isdecimal() else 0
+    if k < 1:
+        raise _Error("exponent must be a positive integer", i)
+    return k
 
-    def __init__(self, tokens, ring: PolynomialRing, allow_differentials: bool):
-        self.tokens = tokens
-        self.index = ring._index
-        self.units = ring.units
-        self.limit = ring.limit
-        self.degree = ring.degree
-        self.allow_differentials = allow_differentials
-        self.i = 0
 
-    def expect_op(self, op: str):
-        _, value, pos = self.tokens[self.i]
-        if value != op:
-            raise ParseError(f"expected {op!r}", pos)
-        self.i += 1
+def _product(a: dict, b: dict, limit: int, at: int) -> dict:
+    """``mixed_mul(a, b)``, with a degree past the limit reported at token ``at``."""
+    try:
+        return mixed_mul(a, b, limit)
+    except ValueError as error:
+        raise _Error(str(error), at) from None
 
-    def parse(self) -> dict:
-        mixed = self.expression()
-        kind, value, pos = self.tokens[self.i]
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {value!r}", pos)
-        return mixed
 
-    def expression(self) -> dict:
-        """The sum of the terms, added into one dict in place; a lone
-        unsigned term is returned as it is."""
-        tokens = self.tokens
-        sign = tokens[self.i][1]
-        if sign == "+" or sign == "-":
-            self.i += 1
-        mixed = self.term()
-        value = tokens[self.i][1]
-        if sign != "-" and value != "+" and value != "-":
-            return mixed
-        out: dict = {}
+def _sum(tokens: list, i: int, ring: PolynomialRing, allow_differentials: bool):
+    """``(mixed, j)``: the expression that starts at token ``i``, and the
+    index of the token after it.
+
+    A term multiplies its numbers, variables and differentials into one
+    monomial ``coeff * word * d(diffs)``, with the differentials kept in
+    order of appearance; the parenthesized factors wedge into ``product``,
+    which the monomial then ends.  A term without one adds its monomial
+    straight into ``out``.
+    """
+    index, units, limit = ring._index, ring.units, ring.limit
+    out: dict = {}
+    token = tokens[i]
+    negate = token == "-"
+    if negate or token == "+":
+        i += 1
+    while True:
+        coeff, word, diffs, product = 1, 0, [], None
+        start = i
         while True:
-            for key, terms in mixed.items():
-                _accumulate(out, key, terms, sign == "-")
-            sign = tokens[self.i][1]
-            if sign != "+" and sign != "-":
-                return out
-            self.i += 1
-            mixed = self.term()
-
-    def power(self):
-        """``(k, position)`` of the ``^k`` that starts at the current token."""
-        kind, value, pos = self.tokens[self.i + 1]
-        if kind != "int" or value < 1:
-            raise ParseError("exponent must be a positive integer", pos)
-        self.i += 2
-        return value, pos
-
-    def product(self, a: dict, b: dict, pos: int) -> dict:
-        """``mixed_mul(a, b)``, with a degree past the limit reported at ``pos``."""
-        try:
-            return mixed_mul(a, b, self.limit)
-        except ValueError as error:
-            raise ParseError(str(error), pos) from None
-
-    def term(self) -> dict:
-        """A product: its numbers, variables and differentials multiply into
-        one monomial ``coeff * word * d(diffs)``, with the differentials
-        kept in order of appearance; the parenthesized factors wedge into
-        ``product``, which the monomial then ends."""
-        tokens, index, units, limit = self.tokens, self.index, self.units, self.limit
-        coeff, word, diffs = 1, 0, []
-        product = None
-        start = tokens[self.i][2]
-        while True:
-            kind, value, pos = tokens[self.i]
-            self.i += 1
-            if kind == "name":
-                i = index.get(value)
-                if i is not None:
-                    word += units[i] * self.power()[0] if tokens[self.i][1] == "^" else units[i]
-                    if word >= limit:
-                        raise ParseError(str(_degree_error(self.degree(word))), pos)
-                elif value.startswith("d") and value[1:] in index:
-                    if not self.allow_differentials:
-                        raise ParseError(
-                            f"differential {value!r} is not allowed in a polynomial expression", pos
-                        )
-                    if tokens[self.i][1] == "^":
-                        raise ParseError("'^' applies only to polynomial factors", self.power()[1])
-                    diffs.append(index[value[1:]])
+            token = tokens[i]
+            i += 1
+            k = index.get(token)
+            if k is not None:
+                if tokens[i] == "^":
+                    word += units[k] * _power(tokens, i + 1)
+                    i += 2
                 else:
-                    raise ParseError(f"unknown variable {value!r}", pos)
-            elif kind == "int" or kind == "ratio":
-                coeff *= value ** self.power()[0] if tokens[self.i][1] == "^" else value
-            elif value == "(":
-                sub = self.group()
+                    word += units[k]
+                if word >= limit:
+                    at = i - 3 if tokens[i - 2] == "^" else i - 1  # the name, before its ^k
+                    raise _Error(str(_degree_error(ring.degree(word))), at)
+            elif token == "(":
+                at = i - 1
+                sub, i = _sum(tokens, i, ring, allow_differentials)
+                if tokens[i] != ")":
+                    raise _Error("expected ')'", i)
+                i += 1
+                if tokens[i] == "^":
+                    k = _power(tokens, i + 1)
+                    if any(sub):
+                        raise _Error("'^' applies only to polynomial factors", i + 1)
+                    try:
+                        power = _pow_terms(sub.get((), {}), k, limit)
+                    except ValueError as error:
+                        raise _Error(str(error), i + 1) from None
+                    sub = {(): power} if power else {}
+                    i += 2
                 if len(diffs) % 2:
                     # the group moves in front of an odd number of
                     # differentials: its odd-degree parts change sign
                     sub = {key: {m: -c for m, c in p.items()} if len(key) % 2 else p
                            for key, p in sub.items()}
-                product = sub if product is None else self.product(product, sub, pos)
-            else:
-                raise ParseError(
-                    f"unexpected token {value!r}" if value else "unexpected end of input", pos
+                product = sub if product is None else _product(product, sub, limit, at)
+            elif token.isdecimal() or "/" in token:  # after the scan, "/" is in numbers only
+                value = _literal(token)
+                if tokens[i] == "^":
+                    value **= _power(tokens, i + 1)
+                    i += 2
+                coeff *= value
+            elif token in _NOT_ATOMS:
+                raise _Error(
+                    f"unexpected token {token!r}" if token else "unexpected end of input", i - 1
                 )
-            if tokens[self.i][1] != "*":
+            elif token.startswith("d") and token[1:] in index:
+                if not allow_differentials:
+                    raise _Error(
+                        f"differential {token!r} is not allowed in a polynomial expression", i - 1
+                    )
+                if tokens[i] == "^":
+                    _power(tokens, i + 1)
+                    raise _Error("'^' applies only to polynomial factors", i + 1)
+                diffs.append(index[token[1:]])
+            else:
+                raise _Error(f"unknown variable {token!r}", i - 1)
+            if tokens[i] != "*":
                 break
-            self.i += 1
-        if not coeff:
-            return {}
+            i += 1
         key = ()
         if diffs:
-            key = tuple(sorted(diffs))
+            ordered = sorted(diffs)
+            key = tuple(ordered)
             if len(set(key)) < len(key):
-                return {}
-            if sum(1 for j, a in enumerate(diffs) for b in diffs[j + 1 :] if a > b) % 2:
+                coeff = 0
+            elif ordered != diffs and sum(
+                1 for j, a in enumerate(diffs) for b in diffs[j + 1 :] if a > b
+            ) % 2:
                 coeff = -coeff
-        monomial = {key: {word: coeff}}
         if product is None:
-            return monomial
-        if coeff == 1 and not key and not word:
-            return product
-        return self.product(product, monomial, start)
-
-    def group(self) -> dict:
-        """A parenthesized expression after its ``(``, with its power."""
-        mixed = self.expression()
-        self.expect_op(")")
-        if self.tokens[self.i][1] != "^":
-            return mixed
-        k, pos = self.power()
-        if any(key for key in mixed):
-            raise ParseError("'^' applies only to polynomial factors", pos)
-        base = power = mixed.get((), {})
-        try:
-            for _ in range(k - 1):
-                power = _mul_terms(power, base, self.limit)
-        except ValueError as error:
-            raise ParseError(str(error), pos) from None
-        return {(): power} if power else {}
+            if coeff:
+                if negate:
+                    coeff = -coeff
+                terms = out.get(key)
+                if terms is None:
+                    out[key] = {word: coeff}
+                else:
+                    s = terms.get(word, 0) + coeff
+                    if s:
+                        terms[word] = s
+                    else:
+                        del terms[word]
+                        if not terms:
+                            del out[key]
+        elif coeff:
+            if coeff != 1 or key or word:
+                product = _product(product, {key: {word: coeff}}, limit, start)
+            if out or negate:
+                for key, terms in product.items():
+                    _accumulate(out, key, terms, negate)
+            else:
+                out = product  # a fresh dict that nothing else holds
+        token = tokens[i]
+        if token == "+":
+            negate = False
+        elif token == "-":
+            negate = True
+        else:
+            return out, i
+        i += 1
 
 
 def parse_mixed_text(text: str, ring: PolynomialRing, allow_differentials: bool) -> dict:
     """The mixed form of ``text``, one ``Polynomial`` per nonzero coefficient.
 
     Its integral coefficients are ``int``s, even where the arithmetic of
-    parsing left a ``Fraction`` (``2*1/2``).
+    parsing left a ``Fraction`` (``2*1/2``).  A text without a ``p/q``
+    literal is parsed with ``int`` arithmetic alone, so it needs no pass
+    that normalizes them.
     """
-    parser = _Parser(_tokenize(text), ring, allow_differentials)
-    return {
-        key: Polynomial(ring, {m: _norm(c) for m, c in terms.items()}, _clean=True)
-        for key, terms in parser.parse().items()
-    }
+    odd = _ODD.search(text) is not None
+    if odd:
+        _scan(text)
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
+    try:
+        mixed, i = _sum(tokens, 0, ring, allow_differentials)
+        token = tokens[i]
+        if token:
+            value = _literal(token) if token[0].isdecimal() else token
+            raise _Error(f"unexpected trailing input {value!r}", i)
+    except _Error as error:
+        message, at = error.args
+        raise ParseError(message, _offset(text, at)) from None
+    if odd:
+        return {
+            key: Polynomial(ring, {m: _norm(c) for m, c in terms.items()}, _clean=True)
+            for key, terms in mixed.items()
+        }
+    return {key: Polynomial(ring, terms, _clean=True) for key, terms in mixed.items()}

@@ -52,6 +52,10 @@ over raw term dicts ``{word: coefficient}``.  ``Polynomial.__mul__`` and
 ``__add__`` call them, and so do ``Polynomial.substitute``, the expression
 parser and ``forms.wedge``, which build a ``Polynomial`` only for each final
 result.
+
+:func:`_pow_terms` is the one power kernel, behind ``Polynomial.__pow__``
+and the parser's ``(e)^k``.  It refuses a power past ``MAX_DEGREE`` before
+it makes any product.
 """
 
 from __future__ import annotations
@@ -390,6 +394,29 @@ def _mul_terms(p: Mapping, q: Mapping, limit: int, out: dict = None, negate: boo
     return out
 
 
+def _pow_terms(p: Mapping, k: int, limit: int) -> dict:
+    """The term dict of ``p`` to the power ``k >= 0``, a fresh dict.
+
+    Over a domain the degree of a power is exact, k times the degree of p,
+    so a power past ``MAX_DEGREE`` raises before any product is made.  A
+    constant is raised with one ``c ** k``; any other p takes k - 1
+    products, and ``0^0`` is 1.
+    """
+    if not k:
+        return {0: 1}
+    if not p:
+        return {}
+    degree = k * (max(p) >> (limit.bit_length() - WIDTH))
+    if degree > MAX_DEGREE:
+        raise _degree_error(degree)
+    if not degree:
+        return {0: p[0] ** k}
+    out = dict(p)
+    for _ in range(k - 1):
+        out = _mul_terms(out, p, limit)
+    return out
+
+
 class Polynomial:
     """An immutable sparse polynomial with exact rational coefficients.
 
@@ -538,10 +565,8 @@ class Polynomial:
     def __pow__(self, exp: int) -> "Polynomial":
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        out = self.ring.one
-        for _ in range(exp):
-            out = out * self
-        return out
+        ring = self.ring
+        return Polynomial(ring, _pow_terms(self._terms, exp, ring.limit), _clean=True)
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -637,7 +662,8 @@ def parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:
     """
     from ._expr import parse_mixed_text
 
-    return parse_mixed_text(text, ring, allow_differentials=False).get((), ring.zero)
+    mixed = parse_mixed_text(text, ring, allow_differentials=False)
+    return mixed[()] if mixed else ring.zero
 
 
 def partial_derivative(p: Polynomial, i: int) -> Polynomial:

@@ -208,6 +208,24 @@ class TestParseWhitespace:
         assert str(err.value) == f"unexpected character '$' (at position {i})"
         assert err.value.position == i
 
+    @given(spaced_expressions(R), st.data())
+    @settings(max_examples=200)
+    def test_unknown_name_reported_at_its_offset(self, case, data):
+        # "w*" goes in where a factor may start: after the start, "(", "*"
+        # or a sign, and before a name, a number or "(".  The text before
+        # it parses, so the name is the first error the parser meets.
+        _, spaced = case
+        starts = [
+            i for i in _boundaries(spaced)
+            if spaced[:i].rstrip()[-1:] in ("", "(", "*", "+", "-")
+            and re.match(r"\s*[\w(]", spaced[i:])
+        ]
+        i = data.draw(st.sampled_from(starts))
+        with pytest.raises(ParseError) as err:
+            parse_mixed_text(spaced[:i] + "w*" + spaced[i:], R, True)
+        assert str(err.value) == f"unknown variable 'w' (at position {i})"
+        assert err.value.position == i
+
     def test_trailing_whitespace_is_scanned_in_linear_time(self):
         start = time.perf_counter()
         parsed = parse_mixed_text("x*dy" + " \t" * 20000, R, True)

@@ -1,5 +1,8 @@
 """Polynomial arithmetic, parsing, printing, derivatives, evaluation."""
 
+import signal
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
@@ -96,6 +99,24 @@ class TestParse:
     def test_error_message_and_position(self, text, differentials, message, position):
         with pytest.raises(ParseError) as err:
             parse_mixed_text(text, R, differentials)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            # A stray character or a zero denominator anywhere in the text
+            # is reported before an earlier syntax error.
+            ("x + * y $", "unexpected character '$'", 8),
+            ("(x + 1/0", "zero denominator", 5),
+            # The end of input sits at len(text), past trailing whitespace.
+            ("x + ", "unexpected end of input", 4),
+            ("(x + y  ", "expected ')'", 8),
+        ],
+    )
+    def test_error_precedence_and_position(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_mixed_text(text, R, True)
         assert str(err.value) == f"{message} (at position {position})"
         assert err.value.position == position
 
@@ -461,6 +482,68 @@ class TestKernels:
         )
         assert value == exact
         assert type(value) is (int if exact.denominator == 1 else Fraction)
+
+
+@contextmanager
+def under_a_second():
+    """Fail the block unless it ends within 1 s; stop it after 5 s."""
+
+    def stop(*_):
+        raise TimeoutError("still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 1
+
+
+class TestPowers:
+    """One power kernel serves ``Polynomial.__pow__`` and the parser's
+    ``(e)^k``: the degree of a power is checked before any product, and a
+    constant is raised in one step."""
+
+    X1 = PolynomialRing(["x"])
+
+    @pytest.mark.parametrize("text", ["(x+1)^40000", "(x)^40000"])
+    def test_parsed_power_past_the_limit_raises_at_once(self, text):
+        with under_a_second(), pytest.raises(ParseError, match="past the limit") as err:
+            parse_polynomial(text, self.X1)
+        assert err.value.position == text.index("^") + 1
+
+    def test_power_past_the_limit_raises_at_once(self):
+        x = self.X1.var(0)
+        with under_a_second(), pytest.raises(ValueError, match="past the limit"):
+            (x + 1) ** 40000
+        with pytest.raises(ValueError, match="past the limit"):
+            (x + 1) ** (MAX_DEGREE + 1)
+
+    def test_constant_powers_take_one_step(self):
+        with under_a_second():
+            assert parse_polynomial("(1)^1000000", self.X1) == 1
+            assert self.X1.one ** 10**6 == 1
+
+    def test_small_powers(self):
+        x = self.X1.var(0)
+        assert parse_polynomial("(2)^3*x", self.X1) == 8 * x
+        assert parse_polynomial("(0)^1", self.X1) == 0
+        assert parse_polynomial("(1/2)^3", self.X1) == Fraction(1, 8)
+        assert self.X1.zero ** 0 == 1 and self.X1.zero ** 3 == 0
+        assert (x + 1) ** 0 == 1 and (x + 1) ** 1 == x + 1
+
+    @given(polynomials(R), st.integers(0, 4))
+    @settings(max_examples=50)
+    def test_power_is_repeated_product(self, p, k):
+        product = R.one
+        for _ in range(k):
+            product = product * p
+        assert p**k == product
+        if k:
+            assert parse_polynomial(f"({p})^{k}", R) == product
 
 
 class TestRing:
