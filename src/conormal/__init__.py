@@ -25,8 +25,10 @@ from .groebner import (
     buchberger,
     eliminate,
     ideal_membership,
+    intersection,
     krull_dimension,
     module_membership,
+    quotient,
     radical_membership,
     reduce,
     s_polynomial,
@@ -51,6 +53,7 @@ from .germs import (
     Decision,
     Germ,
     Parametrization,
+    Refusal,
     Verdict,
     VerdictStatus,
     decide,

@@ -1,8 +1,11 @@
 """Command-line interface, germ file format, and the bundled example corpus.
 
 Exit codes: 0 when the queried claim is certified/confirmed, 1 when it is
-refuted or lacks a polynomial certificate (the report line disambiguates),
-2 on input errors.
+refuted, or, for ``check``, refused (the verdict line says which), 2 on
+input errors and on a tangency claim the library refuses (``germs.Refusal``,
+whose reason is printed as the error).  Every claim is decided on the
+reduced germ: a non-reduced hypersurface's claims are decided on the germ of
+the squarefree part of its generator, which the witness names.
 
 Germ files are UTF-8 and line-oriented; ``#`` starts a comment::
 
@@ -238,14 +241,13 @@ def _yes_no(flag: bool) -> str:
 
 
 # (what decided, status) -> verdict line of ``check``; {} is a refusal's reason
+_YES, _NO = VerdictStatus.CERTIFIED_YES, VerdictStatus.CERTIFIED_NO
 _CHECK_VERDICTS = {
-    ("criterion", "CertifiedYes"): "CONORMAL (certified)",
-    ("criterion", "CertifiedNo"): "NOT CONORMAL (refuted)",
-    ("criterion", "NoCertificate"):
-        "NO CERTIFICATE (no polynomial certificate; germ-level status open)",
-    ("oracle", "CertifiedYes"): "CONORMAL (parametrization oracle: pullback vanishes)",
-    ("oracle", "CertifiedNo"): "NOT CONORMAL (parametrization oracle: nonzero pullback)",
-    ("refused", "NoCertificate"): "NO CERTIFICATE ({})",
+    ("criterion", _YES): "CONORMAL (certified)",
+    ("criterion", _NO): "NOT CONORMAL (refuted)",
+    ("oracle", _YES): "CONORMAL (parametrization oracle: pullback vanishes)",
+    ("oracle", _NO): "NOT CONORMAL (parametrization oracle: nonzero pullback)",
+    ("refused", None): "REFUSED ({})",
 }
 
 
@@ -256,8 +258,8 @@ def _cmd_check(args) -> int:
     print(f"germ: {gf.germ}")
     decision = decide(parts, gf.germ, gf.parametrization)
     for part, verdict in zip(parts, decision.verdicts):
-        print(f"degree {form_degree(part)} part: {verdict}")
-    print("verdict:", _CHECK_VERDICTS[decision.source, decision.status.value].format(decision.reason))
+        print(f"degree {form_degree(part)} part: {verdict or 'refused'}")
+    print("verdict:", _CHECK_VERDICTS[decision.source, decision.status].format(decision.reason))
     if decision.status is not VerdictStatus.CERTIFIED_YES:
         return 1
     n = gf.germ.ring.nvars
@@ -290,10 +292,7 @@ def _cmd_tangent(args) -> int:
     if verdict.is_certified_yes:
         print("verdict: TANGENTIAL (certified)")
         return 0
-    if verdict.is_certified_no:
-        print("verdict: NOT TANGENTIAL (refuted)")
-    else:
-        print("verdict: NO CERTIFICATE")
+    print("verdict: NOT TANGENTIAL (refuted)")
     return 1
 
 

@@ -10,21 +10,25 @@ the germ computes on first use and keeps (see :class:`Germ`).
 Because membership is decided in the polynomial ring rather than the local
 analytic ring, germ-level claims come back as a :class:`Verdict`: a record
 of the polynomials the claim was reduced to and the one that decided it,
-whose witness text is rendered only when read, with one of three statuses:
+whose witness text is rendered only when read, with one of two statuses:
 
-* ``CertifiedYes``   -- established by an exact ideal-membership certificate;
-* ``CertifiedNo``    -- refuted even up to radical (the defect survives on
-  the reduced zero set, hence at some regular point);
-* ``NoCertificate``  -- the claim holds on the reduced zero set but has no
-  certificate in the given generator ideal (non-radical generators).
+* ``CertifiedYes`` -- established by an exact ideal-membership certificate,
+  or, for a polynomial (a degree-0 claim), by radical membership;
+* ``CertifiedNo``  -- refuted even up to radical (the defect survives on
+  the reduced zero set, hence at some regular point).
 
-For generators that define a radical ideal CertifiedYes/CertifiedNo match
-the analytic truth for polynomial data, and NoCertificate cannot occur.
-Radicality is derived, not assumed: ``Germ.radical`` holds for a complete
-intersection whose singular locus has smaller dimension than the germ.
-Such an ideal is unmixed (Macaulay) and generically reduced (Jacobian
-criterion), hence radical, so a failed membership is already a CertifiedNo
-and no radical test runs.
+The paper's germs are reduced, so every claim is decided on the reduced
+germ.  Radicality is derived, not assumed: ``Germ.radical`` holds for a
+complete intersection whose singular locus has smaller dimension than the
+germ.  Such an ideal is unmixed (Macaulay) and generically reduced (Jacobian
+criterion), hence radical: the germ is its own reduced germ, a failed
+membership is already a CertifiedNo and no radical test runs.  On another
+germ a failed membership runs the radical test.  A polynomial outside the
+radical refutes the claim, and one inside it settles a degree-0 claim as
+CertifiedYes.  A claim in positive degree that survives it is decided on
+``Germ.reduced``, the germ of the squarefree part of a hypersurface's
+generator; on other germs it is refused with a :class:`Refusal`, a
+``ValueError`` that gives the reason.
 
 The conormality test wedges the candidate form with df_1 ^ ... ^ df_m
 (``Germ.jacobian_form``) and checks that every coefficient of the product
@@ -35,9 +39,9 @@ decision for a whole form, asks the independent parametrization oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -59,22 +63,30 @@ from .groebner import (
     _rabinowitsch,
     ideal_membership,
     implicitization,
+    intersection,
     krull_dimension,
+    quotient,
     radical_membership,
 )
-from .poly import Polynomial, PolynomialRing, same_ring
+from .poly import GREVLEX, Polynomial, PolynomialRing, same_ring
 
 
 class VerdictStatus(Enum):
     CERTIFIED_YES = "CertifiedYes"
     CERTIFIED_NO = "CertifiedNo"
-    NO_CERTIFICATE = "NoCertificate"
 
 
+class Refusal(ValueError):
+    """A claim in positive degree that the generators leave open on a germ
+    whose reduced germ is not computed; the message gives the reason."""
+
+
+# (status, whether the radical test decided) -> witness of a degree-0 claim
 _DEGREE_ZERO = {
-    VerdictStatus.CERTIFIED_YES: "normal form 0 modulo the generator ideal",
-    VerdictStatus.CERTIFIED_NO: "does not vanish on the zero set (radical test fails)",
-    VerdictStatus.NO_CERTIFICATE: "vanishes on the zero set but is not in the generator ideal",
+    (VerdictStatus.CERTIFIED_YES, False): "normal form 0 modulo the generator ideal",
+    (VerdictStatus.CERTIFIED_YES, True):
+        "vanishes on the zero set (in the radical of the generator ideal)",
+    (VerdictStatus.CERTIFIED_NO, True): "does not vanish on the zero set (radical test fails)",
 }
 
 
@@ -88,15 +100,19 @@ class Verdict:
     ``Germ.jacobian_form`` (a conormality claim in positive degree; when the
     wedge is the zero form, ``tested`` is empty), or the generator g for the
     derivative V(g) of a tangency claim.  ``offender`` is the pair that
-    decided a CertifiedNo or NoCertificate.  ``witness`` renders the record
-    as text when it is read; labels such as ``dx*dy`` and ``V(g)`` come from
-    the keys and are never stored.
+    decided a CertifiedNo, or the polynomial of a degree-0 CertifiedYes that
+    the radical test decided.  ``reduced`` is the generator of
+    ``Germ.reduced`` when the claim was decided on it, not on the given
+    generator.  ``witness`` renders the record as text when it is read;
+    labels such as ``dx*dy`` and ``V(g)`` come from the keys and are never
+    stored.
     """
 
     status: VerdictStatus
     tested: tuple
     offender: Optional[tuple] = None
     wedge: Optional[DifferentialForm] = None
+    reduced: Optional[Polynomial] = None
 
     @property
     def is_certified_yes(self) -> bool:
@@ -108,8 +124,13 @@ class Verdict:
 
     @property
     def witness(self) -> str:
+        if self.reduced is None:
+            return self._claim()
+        return f"on the reduced germ V({self.reduced}): {self._claim()}"
+
+    def _claim(self) -> str:
         if self.wedge is None and self.tested[0][0] == ():
-            return _DEGREE_ZERO[self.status]
+            return _DEGREE_ZERO[self.status, self.offender is not None]
         if self.offender is None:
             if self.wedge is not None:
                 return (
@@ -123,9 +144,7 @@ class Verdict:
             claim = f"V({key}) = {p}"
         else:
             claim = f"coefficient {p} on {_differentials(p.ring, key)}"
-        if self.is_certified_no:
-            return f"{claim} is not in the radical of the ideal"
-        return f"{claim} is in the radical but not in the ideal"
+        return f"{claim} is not in the radical of the ideal"
 
     def __str__(self) -> str:
         return f"{self.status.value}: {self.witness}"
@@ -157,7 +176,12 @@ class Germ:
       radicality test, the regularity table and the section harness read;
     * ``radical``: the generator ideal is provably radical, i.e. the germ is a
       complete intersection (so its ideal is unmixed) and regular in
-      codimension 0, ``singular_dimension`` < dim X.
+      codimension 0, ``singular_dimension`` < dim X;
+    * ``reduced``: the reduced germ, ``self`` when ``radical`` holds.  For
+      another hypersurface V(f) it is V(g), g the primitive generator of the
+      intersection of the quotients (f) : (d_i f), which is the squarefree
+      part of f; the given generator stays for display.  Other germs raise
+      a :class:`Refusal` on every access.
 
     ``_trivial`` maps a degree k to (positions of the k-index tuples,
     :class:`Submodule` of the degree-k trivial forms), which
@@ -201,6 +225,21 @@ class Germ:
     @cached_property
     def radical(self) -> bool:
         return self.complete_intersection and self.singular_dimension < self.dimension
+
+    @cached_property
+    def reduced(self) -> "Germ":
+        if self.radical:
+            return self
+        if not self.hypersurface:
+            # A complete intersection is radical iff it passes ``radical``.
+            known = "is not" if self.complete_intersection else "may not be"
+            raise Refusal(
+                f"the germ {known} reduced, and a reduced germ is computed only for a "
+                "hypersurface"
+            )
+        quotients = [quotient(self.ideal, p) for _, p in self.differentials[0].coefficients()]
+        [g] = reduce(intersection, quotients).generators
+        return Germ(self.ring, [g.primitive(GREVLEX)])
 
     @cached_property
     def differentials(self) -> tuple:
@@ -260,30 +299,37 @@ def _require_parametrization_of(germ: Germ, parametrization: Optional[Parametriz
         raise ValueError("the parametrization is of a germ with other generators")
 
 
-def _classify(tested, germ: Germ, wedge: Optional[DifferentialForm] = None) -> Verdict:
+def _classify(tested, germ: Germ, wedge: Optional[DifferentialForm] = None) -> Optional[Verdict]:
     """The verdict on whether every polynomial of the (key, polynomial)
-    pairs ``tested`` lies in the generator ideal of a germ.
+    pairs ``tested`` lies in the generator ideal of a germ, up to radical
+    for a degree-0 claim; None for a claim in positive degree that the
+    generators leave open, which the caller decides on ``germ.reduced``.
 
-    The offender is the first pair failing the strongest test that decides
-    the status.  On a radical germ a polynomial outside the ideal is outside
-    its radical, so the first failure decides; only other germs run the
-    radical test, and only its Rabinowitsch step on the failures, whose
-    plain membership has already been reduced.
+    The offender is the first pair outside the radical of the ideal.  On a
+    radical germ a polynomial outside the ideal is outside its radical, so
+    the first failure decides; only other germs run the radical test, and
+    only its Rabinowitsch step on a failure, whose plain membership has
+    already been reduced.  A failure inside the radical leaves the claim
+    open, unless it is a degree-0 claim, which radical membership decides.
     """
     tested = tuple(tested)
     ideal = germ.ideal
-    failures = []
+    inside = None  # the first pair in the radical but not in the ideal
     for pair in tested:
         if not ideal_membership(pair[1], ideal):
-            if germ.radical:
+            if germ.radical or not _rabinowitsch(pair[1], ideal):
                 return Verdict(VerdictStatus.CERTIFIED_NO, tested, pair, wedge)
-            failures.append(pair)
-    for pair in failures:
-        if not _rabinowitsch(pair[1], ideal):
-            return Verdict(VerdictStatus.CERTIFIED_NO, tested, pair, wedge)
-    if failures:
-        return Verdict(VerdictStatus.NO_CERTIFICATE, tested, failures[0], wedge)
-    return Verdict(VerdictStatus.CERTIFIED_YES, tested, None, wedge)
+            inside = inside or pair
+    if inside is None or inside[0] == ():
+        return Verdict(VerdictStatus.CERTIFIED_YES, tested, inside, wedge)
+    return None
+
+
+def _on_reduced(test, claim, germ: Germ) -> Verdict:
+    """``test`` of a claim the given generators leave open, on the reduced
+    germ; a germ without one raises its :class:`Refusal`."""
+    reduced = germ.reduced
+    return replace(test(claim, reduced), reduced=reduced.generators[0])
 
 
 def _require_complete_intersection(germ: Germ):
@@ -299,27 +345,30 @@ def is_conormal(omega: FormLike, germ: Germ) -> Verdict:
     the germ at its regular points.
 
     For a complete intersection the form is conormal iff its wedge with
-    ``germ.jacobian_form`` = df_1 ^ ... ^ df_m vanishes on the germ; vanishing
-    is checked coefficient-wise as ideal membership, with radical membership
-    as the fallback that separates CertifiedNo from NoCertificate (not
-    needed when ``germ.radical`` holds).  The degree-0 case is plain
-    (radical) ideal membership.
+    ``germ.jacobian_form`` = df_1 ^ ... ^ df_m vanishes on the reduced germ;
+    vanishing is checked coefficient-wise as ideal membership, and a
+    coefficient outside the radical refutes the claim.  A claim that no
+    coefficient refutes but one leaves outside the ideal is decided on
+    ``germ.reduced`` (never reached when ``germ.radical`` holds).  The
+    degree-0 case is radical membership.
     """
     _require_complete_intersection(germ)
     same_ring(omega, germ.generators[0])
     if form_degree(omega) == 0:
         return _classify([((), omega)], germ)
     eta = wedge(omega, germ.jacobian_form)
-    return _classify(eta.coefficients(), germ, eta)
+    return _classify(eta.coefficients(), germ, eta) or _on_reduced(is_conormal, omega, germ)
 
 
 def is_tangential(field: VectorField, germ: Germ) -> Verdict:
-    """Decide whether a vector field is tangent to the germ: V(f_j) must
-    vanish on the germ for every generator f_j.  V(f_j) is the field
-    contracted with the kept differential df_j."""
+    """Decide whether a vector field is tangent to the reduced germ: V(f_j)
+    must vanish on the germ for every generator f_j.  V(f_j) is the field
+    contracted with the kept differential df_j.  As for conormality, a
+    claim the generators leave open is decided on ``germ.reduced``."""
     same_ring(field, germ.generators[0])
     pairs = zip(germ.generators, germ.differentials)
-    return _classify([(g, field.contract(dg)) for g, dg in pairs], germ)
+    tested = [(g, field.contract(dg)) for g, dg in pairs]
+    return _classify(tested, germ) or _on_reduced(is_tangential, field, germ)
 
 
 def trivial_form_generators(germ: Germ, k: int) -> list:
@@ -403,9 +452,10 @@ class Decision:
     ``"criterion"`` (``verdicts`` holds one :class:`Verdict` per part, none
     for the zero form, which is conormal to every germ), ``"oracle"`` (a
     parametrization covering X: CertifiedYes iff every part pulls back to
-    zero, else CertifiedNo) or ``"refused"`` (NoCertificate, for ``reason``)."""
+    zero, else CertifiedNo) or ``"refused"`` (``status`` None, for
+    ``reason``).  A part the criterion refuses has the verdict None."""
 
-    status: VerdictStatus
+    status: Optional[VerdictStatus]
     source: str
     verdicts: tuple = ()
     reason: Optional[str] = None
@@ -416,14 +466,23 @@ def decide(
 ) -> Decision:
     """Whether the form with homogeneous ``parts`` is conormal to the germ:
     the criterion of :func:`is_conormal` on a complete intersection, else the
-    parametrization oracle when the parametrization covers X, else refused."""
+    parametrization oracle when the parametrization covers X, else refused.
+    One refuted part refutes the form, even if the criterion refuses
+    another part."""
     _require_parametrization_of(germ, parametrization)
     if germ.complete_intersection or not parts:
-        verdicts = tuple(is_conormal(part, germ) for part in parts)
-        statuses = {v.status for v in verdicts}
-        worst_first = (VerdictStatus.CERTIFIED_NO, VerdictStatus.NO_CERTIFICATE)
-        status = next((s for s in worst_first if s in statuses), VerdictStatus.CERTIFIED_YES)
-        return Decision(status, "criterion", verdicts)
+        verdicts, reason = [], None
+        for part in parts:
+            try:
+                verdicts.append(is_conormal(part, germ))
+            except Refusal as e:
+                verdicts.append(None)
+                reason = reason or str(e)
+        if any(v and v.is_certified_no for v in verdicts):
+            return Decision(VerdictStatus.CERTIFIED_NO, "criterion", tuple(verdicts))
+        if reason is not None:
+            return Decision(None, "refused", tuple(verdicts), reason)
+        return Decision(VerdictStatus.CERTIFIED_YES, "criterion", tuple(verdicts))
     if parametrization is None:
         reason = "germ is not a complete intersection and has no parametrization"
     elif not parametrization.covers:
@@ -432,4 +491,4 @@ def decide(
         ok = all(oracle_conormal_on_parametrization(p, parametrization) for p in parts)
         status = VerdictStatus.CERTIFIED_YES if ok else VerdictStatus.CERTIFIED_NO
         return Decision(status, "oracle")
-    return Decision(VerdictStatus.NO_CERTIFICATE, "refused", reason=reason)
+    return Decision(None, "refused", reason=reason)

@@ -3,8 +3,9 @@
 Everything is exact over the rational polynomials of :mod:`conormal.poly`.
 The public operations are ``reduce`` (multivariate division / normal form),
 ``buchberger`` (reduced Groebner basis, heap-ordered normal pair selection),
-``ideal_membership``, ``eliminate``, ``implicitization`` (the ideal of the
-closure of a polynomial map's image), ``radical_membership`` (plain
+``ideal_membership``, ``eliminate``, ``intersection`` and ``quotient`` (the
+ideal quotient (I : g), by one exact division), ``implicitization`` (the
+ideal of the closure of a polynomial map's image), ``radical_membership`` (plain
 membership against the cached basis, then the Rabinowitsch trick, seeded
 with that basis), ``krull_dimension`` (independent variable sets modulo the
 leading-term ideal of a grevlex basis) and ``module_membership``.
@@ -68,6 +69,7 @@ from .poly import (
     _check_degree,
     _degree_error,
     _div,
+    _mul_terms,
     _primitive_terms,
     block_order,
     same_ring,
@@ -446,6 +448,46 @@ def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
     dropped = (1 << (k * WIDTH)) - 1  # the fields of the dropped block
     kept = [g.substitute(target, back) for g in basis if not any(m & dropped for m in g._terms)]
     return Ideal(kept or [target.zero])
+
+
+def intersection(a: Ideal, b: Ideal) -> Ideal:
+    """I ∩ J: the ideal t*I + (1 - t)*J with t, a fresh first variable,
+    eliminated (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*,
+    ch. 4 section 3).  The result lives in a fresh ring on I's variables."""
+    ring = same_ring(a, b)
+    ext = PolynomialRing((_fresh_name(ring),) + ring.variables)
+    t, *lift = ext.gens()
+    gens = [t * g.substitute(ext, lift) for g in a.generators]
+    gens += [(ext.one - t) * g.substitute(ext, lift) for g in b.generators]
+    return eliminate(Ideal(gens), [0])
+
+
+def quotient(ideal: Ideal, g: Polynomial) -> Ideal:
+    """The ideal quotient (I : g) = {h : h*g in I}: each generator of
+    I ∩ (g), a multiple of g, divided by g (Cox-Little-O'Shea ch. 4
+    section 4).  (I : 0) is the whole ring."""
+    if not g:
+        return Ideal([g.ring.one])
+    return Ideal([_exact_quotient(h, g) for h in intersection(ideal, Ideal([g])).generators])
+
+
+def _exact_quotient(h: Polynomial, g: Polynomial) -> Polynomial:
+    """h / g for a nonzero g that divides h, by division on grevlex leads.
+    {g} is a Groebner basis of (g), so a lead of the dividend that g's lead
+    does not divide stays in the remainder: g does not divide h, and that
+    raises ``ValueError``."""
+    ring = same_ring(h, g)
+    key = GREVLEX.key(ring)
+    lm, lc = g.leading(GREVLEX)
+    work, out = dict(h._terms), {}
+    while work:
+        m = max(work, key=key)
+        if not ring.divides(lm, m):
+            raise ValueError(f"{g} does not divide {h}")
+        term = {m - lm: _div(work[m], lc)}
+        out.update(term)
+        _mul_terms(term, g._terms, ring.limit, work, negate=True)
+    return Polynomial(ring, out, _clean=True)
 
 
 def implicitization(ring: PolynomialRing, images: Sequence[Polynomial]) -> Ideal:

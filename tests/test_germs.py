@@ -23,6 +23,7 @@ from conormal.geometry import jacobian_ideal, regular_in_codimension
 from conormal.germs import (
     Germ,
     Parametrization,
+    Refusal,
     VerdictStatus,
     decide,
     is_conormal,
@@ -40,7 +41,7 @@ from conormal.groebner import (
     module_membership,
     radical_membership,
 )
-from conormal.poly import PolynomialRing, partial_derivative
+from conormal.poly import PolynomialRing, parse_polynomial, partial_derivative
 
 from strategies import forms, nonzero_polynomials, polynomials, random_form, random_polynomial
 
@@ -149,12 +150,15 @@ class TestIsConormal:
 
     def test_one_membership_reduction_per_tested_polynomial(self, monkeypatch):
         # On the non-radical V(x^2) a failed membership goes on to the
-        # radical test, which must not reduce the same polynomial again.
+        # radical test, which must not reduce the same polynomial again.  A
+        # claim that test leaves open goes on to the reduced germ V(x), whose
+        # polynomials are reduced once each as well.
         import conormal.germs as germs
         import conormal.groebner as groebner
 
         plane = PolynomialRing(["x", "y"])
-        double_line = Germ(plane, [plane.var(0) ** 2])
+        x = plane.var(0)
+        double_line = Germ(plane, [x**2])
         assert not double_line.radical
         calls = []
         real = groebner.ideal_membership
@@ -162,19 +166,21 @@ class TestIsConormal:
             monkeypatch.setattr(
                 module, "ideal_membership", lambda f, ideal: calls.append(f) or real(f, ideal)
             )
-        cases = [("dy", "NoCertificate"), ("y", "CertifiedNo"), ("x*dy", "CertifiedYes")]
-        for text, status in cases:
+        # (form, status, what was reduced against the given generator first)
+        cases = [("dy", "CertifiedNo", [-2 * x]), ("y", "CertifiedNo", []),
+                 ("x*dy", "CertifiedYes", [])]
+        for text, status, given in cases:
             calls.clear()
             verdict = is_conormal(form(text, plane), double_line)
             assert verdict.status.value == status
-            assert calls == [p for _, p in verdict.tested]
+            assert calls == given + [p for _, p in verdict.tested]
 
-    def test_no_certificate_on_non_radical_generators(self):
+    def test_radical_membership_decides_degree_zero_on_non_radical_generators(self):
         # V(x^2) has the y,z-plane as reduced zero set; x vanishes there but
-        # has no certificate in (x^2).
+        # is not in (x^2): radical membership certifies it.
         germ = Germ(R, [X**2])
         verdict = is_conormal(X, germ)
-        assert verdict.status.value == "NoCertificate"
+        assert verdict.status.value == "CertifiedYes"
 
 
 class TestIsTangential:
@@ -197,7 +203,8 @@ class TestIsTangential:
 class TestVerdict:
     def test_witness_is_rendered_only_when_read(self, monkeypatch):
         # Deciding renders no polynomial; reading the witness renders the
-        # same text as ever, for 3 statuses x polynomial, form and field.
+        # same text as ever, for 2 statuses x polynomial, form and field,
+        # decided by the given generator or on the reduced germ.
         import conormal.forms
         import conormal.poly
 
@@ -217,13 +224,13 @@ class TestVerdict:
         # Every polynomial and form is printed from its term chunks.
         monkeypatch.setattr(conormal.poly, "_term_chunks", counting)
         monkeypatch.setattr(conormal.forms, "_term_chunks", counting)
-        yes, no, open_ = "CertifiedYes: ", "CertifiedNo: ", "NoCertificate: "
+        yes, no = "CertifiedYes: ", "CertifiedNo: "
         cases = [
             (is_conormal(x**2 * y, double_line), yes + "normal form 0 modulo the generator ideal"),
             (is_conormal(y, double_line),
              no + "does not vanish on the zero set (radical test fails)"),
             (is_conormal(x, double_line),
-             open_ + "vanishes on the zero set but is not in the generator ideal"),
+             yes + "vanishes on the zero set (in the radical of the generator ideal)"),
             (is_conormal(omega1, umbrella),
              yes + "wedge with generator differentials = (-2*x*y^3 + 2*y*z^2)*dx*dz"
              " + (-4*x^2*y^2 + 4*x*z^2)*dy*dz; every coefficient is in the generator ideal"),
@@ -233,13 +240,14 @@ class TestVerdict:
             (is_conormal(dx, umbrella),
              no + "coefficient -2*x*y on dx*dy is not in the radical of the ideal"),
             (is_conormal(plane_dy, double_line),
-             open_ + "coefficient -2*x on dx*dy is in the radical but not in the ideal"),
+             no + "on the reduced germ V(x): coefficient -1 on dx*dy is not in the radical of"
+             " the ideal"),
             (is_tangential(VectorField(R, [R.zero, -Y, -Z]), umbrella),
              yes + "V(-x*y^2 + z^2) = 2*x*y^2 - 2*z^2; all in the generator ideal"),
             (is_tangential(VectorField(R, [R.one, R.zero, R.zero]), umbrella),
              no + "V(-x*y^2 + z^2) = -y^2 is not in the radical of the ideal"),
             (is_tangential(VectorField(plane, [plane.one, plane.zero]), double_line),
-             open_ + "V(x^2) = 2*x is in the radical but not in the ideal"),
+             no + "on the reduced germ V(x): V(x) = 1 is not in the radical of the ideal"),
         ]
         assert rendered == []
         for verdict, text in cases:
@@ -253,6 +261,10 @@ class TestVerdict:
         double_line = Germ(plane, [x**2])
         v = is_conormal(x, double_line)
         assert (v.tested, v.offender, v.wedge) == ((((), x),), ((), x), None)
+        assert v.is_certified_yes and v.reduced is None
+        v = is_conormal(form("dy", plane), double_line)  # decided on V(x)
+        assert (v.tested, v.offender, v.reduced) == ((((0, 1), -plane.one),),
+                                                     ((0, 1), -plane.one), x)
         v = is_conormal(form("dx"), umbrella)
         assert v.wedge == wedge(form("dx"), umbrella.jacobian_form)
         assert v.tested == tuple(v.wedge.coefficients())
@@ -324,7 +336,69 @@ class TestRadical:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Germ, "radical", property(lambda self: False))
             assert (is_conormal(omega, germ), is_tangential(field, germ)) == derived
-        assert all(v.status.value != "NoCertificate" for v in derived)
+        assert all(v.reduced is None for v in derived)
+
+
+# Hypersurfaces with repeated factors; the reduced generator of each is the
+# product of its distinct factors.
+NON_REDUCED = [
+    "x^2",
+    "x^2*y",
+    "(z^2 - x*y^2)^2",
+    "x^2*(x^2 + y^3 - z^5)",
+    "(x*y - z^2)^3*(x + y)",
+]
+
+
+class TestReducedGerm:
+    @pytest.mark.parametrize("seed, text", enumerate(NON_REDUCED))
+    def test_statuses_are_those_of_the_reduced_generator(self, seed, text):
+        # Every status on V(f) is the status on V(g), g the reduced
+        # generator: seeded forms of degree 0-2 and fields, plus forms and a
+        # field that are conormal or tangent to V(g).
+        germ = Germ(R, [parse_polynomial(text, R)])
+        assert not germ.radical
+        [g] = germ.reduced.generators
+        plain = Germ(R, [g])
+        rng = random.Random(seed)
+        dg = exterior_derivative(g)
+        omegas = [random_form(rng, R, k) for k in (0, 1, 2) for _ in range(5)]
+        omegas += [g * random_polynomial(rng, R, 2, 2), dg, wedge(random_form(rng, R, 1), dg)]
+        fields = [VectorField(R, [random_polynomial(rng, R, 2, 2) for _ in range(3)])
+                  for _ in range(5)]
+        fields.append(VectorField(R, [partial_derivative(g, 1), -partial_derivative(g, 0), R.zero]))
+        statuses = set()
+        claims = [(w, is_conormal) for w in omegas] + [(v, is_tangential) for v in fields]
+        for claim, test in claims:
+            status = test(claim, germ).status
+            assert status == test(claim, plain).status, (text, claim)
+            statuses.add(status)
+        assert statuses == {VerdictStatus.CERTIFIED_YES, VerdictStatus.CERTIFIED_NO}
+
+    def test_reduced_germ_is_radical_and_a_radical_germ_is_its_own(self):
+        for text in NON_REDUCED:
+            reduced = Germ(R, [parse_polynomial(text, R)]).reduced
+            assert reduced.radical and reduced.reduced is reduced, text
+        for name in corpus_names():
+            assert corpus_germ(name).reduced is corpus_germ(name), name
+
+    def test_refusals_give_their_reason(self):
+        # V(x^2, y) is a non-reduced complete intersection; V(x^2, x*y), the
+        # plane x = 0 with an embedded line, is no complete intersection.
+        # What the radical test decides stays decided.
+        double_axis = Germ(R, [X**2, Y])
+        with pytest.raises(Refusal, match="the germ is not reduced"):
+            is_conormal(form("dz"), double_axis)
+        assert is_conormal(X, double_axis).is_certified_yes
+        assert is_conormal(form("x*dz"), double_axis).is_certified_yes
+        assert is_conormal(form("dy"), double_axis).is_certified_yes  # dy ^ dy = 0
+        embedded = Germ(R, [X**2, X * Y])
+        with pytest.raises(Refusal, match="the germ may not be reduced"):
+            is_tangential(VectorField(R, [R.zero, R.one, R.zero]), embedded)
+        assert is_tangential(VectorField(R, [R.one, R.zero, R.zero]), embedded).is_certified_no
+        for germ in (double_axis, embedded):
+            with pytest.raises(Refusal):
+                germ.reduced
 
 
 class TestDerivedFacts:
@@ -628,17 +702,19 @@ class TestDecide:
             ]
             assert decision.status is VerdictStatus.CERTIFIED_NO
 
-    def test_refuted_part_beats_uncertified_part(self):
-        # On the non-reduced V(x^2), x and dy hold on the zero set without a
-        # certificate, dx is certified and y is refuted.
-        ring = PolynomialRing(["x", "y"])
-        double_line = Germ(ring, [ring.var(0) ** 2])
-        for text, status in [
-            ("dx", VerdictStatus.CERTIFIED_YES),
-            ("x + dx", VerdictStatus.NO_CERTIFICATE),
-            ("y + dy", VerdictStatus.CERTIFIED_NO),
+    def test_refuted_part_beats_refused_part(self):
+        # The non-reduced complete intersection V(x^2, y) has no computed
+        # reduced germ, so the criterion refuses dz; x is certified by
+        # radical membership, dx by the criterion, and z is refuted.
+        germ = Germ(R, [X**2, Y])
+        assert germ.complete_intersection and not germ.radical
+        for text, status, source in [
+            ("x + dx", VerdictStatus.CERTIFIED_YES, "criterion"),
+            ("x + dz", None, "refused"),
+            ("z + dz", VerdictStatus.CERTIFIED_NO, "criterion"),
         ]:
-            assert decide(parse_form(text, ring), double_line).status is status, text
+            decision = decide(parse_form(text, R), germ)
+            assert (decision.status, decision.source) == (status, source), text
 
     def test_oracle_or_refusal_on_other_germs(self):
         ring = PolynomialRing(["x", "y", "z", "w"])
@@ -659,7 +735,7 @@ class TestDecide:
             (curve, "the parametrization covers only part of X"),
         ]:
             decision = decide([form("dx")], plane_line, par)
-            assert (decision.status, decision.source) == (VerdictStatus.NO_CERTIFICATE, "refused")
+            assert (decision.status, decision.source) == (None, "refused")
             assert decision.reason == reason
             # The zero form is conormal to every germ.
             zero = decide([], plane_line, par)

@@ -18,8 +18,12 @@ from conormal.germs import VerdictStatus, decide
 GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
 
 # Germ files written next to the commands.  V(x^2) is not radical, so with
-# the corpus it reaches every witness phrase (3 statuses x polynomial, form
-# and vector field); V(x) carries a conormal 2-form not vanishing at 0.
+# the corpus it reaches every witness phrase (2 statuses x polynomial, form
+# and vector field, decided by the given generator or on the reduced germ
+# V(x)); V(x) carries a conormal 2-form not vanishing at 0.  V(x^2, y) is a
+# non-reduced complete intersection but no hypersurface: a polynomial is
+# decided by radical membership, and a claim in positive degree that the
+# radical test leaves open is refused.
 # V(x*y, x*z), the plane x = 0 and the x-axis, is not a complete
 # intersection, so ``check`` falls back on the parametrization oracle, or
 # says that there is none; its curve in the plane covers only part of X.
@@ -28,6 +32,7 @@ GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
 LOCAL_FILES = {
     "double_line.germ": "ring x y\ngen x^2\n",
     "cylinder.germ": "ring x y z\ngen x\n",
+    "double_axis.germ": "ring x y z\ngen x^2\ngen y\n",
     "plane_line.germ": "ring x y z\ngen x*y\ngen x*z\nparam s -> 0, s, s^2\n",
     "plane_line_bare.germ": "ring x y z\ngen x*y\ngen x*z\n",
     "twisted_cubic.germ": (
@@ -49,6 +54,7 @@ FORMS = {
 FIELDS = {
     "umbrella.germ": ["0, -y, -z", "2*x, 0, z", "1, 0, 0", "0, 1"],
     "double_line.germ": ["0, 1", "x, y", "1, 0", "y, 0"],
+    "double_axis.germ": ["1, 0, 0"],
 }
 
 BERTINI = [
@@ -79,6 +85,9 @@ def commands() -> list:
         out += [["tangent", "--germ", germ, "--field", f] for f in fields]
     out += [["bertini"] + args for args in BERTINI]
     out += [
+        ["check", "--germ", "double_axis.germ", "--form", "dz"],
+        ["check", "--germ", "double_axis.germ", "--form", "x"],
+        ["check", "--germ", "double_axis.germ", "--form", "z"],
         ["check", "--germ", "plane_line.germ", "--form", "dx"],
         ["check", "--germ", "plane_line.germ", "--form", "dy"],
         ["check", "--germ", "plane_line_bare.germ", "--form", "dx"],
@@ -117,7 +126,6 @@ def test_cli_transcript_matches_golden(tmp_path):
 VERDICT_LINES = {
     "CertifiedYes": "verdict: CONORMAL (",
     "CertifiedNo": "verdict: NOT CONORMAL (",
-    "NoCertificate": "verdict: NO CERTIFICATE (no polynomial certificate",
 }
 
 
@@ -150,7 +158,7 @@ def test_check_command_and_expect_check_agree(tmp_path, monkeypatch, capsys):
         try:
             status = expect_check(gf, form)
         except ValueError as e:
-            assert verdict == f"verdict: NO CERTIFICATE ({e})", argv
+            assert verdict == f"verdict: REFUSED ({e})", argv
         else:
             assert status == decision.status.value, argv
             assert verdict.startswith(VERDICT_LINES[status]), argv

@@ -15,15 +15,18 @@ from conormal.germs import _trivial_module, is_trivial_form
 from conormal.groebner import (
     Ideal,
     ModuleElement,
+    _exact_quotient,
     _fresh_name,
     buchberger,
     eliminate,
     ideal_membership,
     implicitization,
+    intersection,
     krull_dimension,
     module_buchberger,
     module_membership,
     module_reduce,
+    quotient,
     radical_membership,
     reduce,
     s_polynomial,
@@ -729,6 +732,40 @@ class TestEliminate:
     def test_cannot_drop_everything(self):
         with pytest.raises(ValueError):
             eliminate(Ideal([X]), [0, 1, 2])
+
+
+class TestQuotient:
+    def test_intersection(self):
+        assert intersection(Ideal([X]), Ideal([Y])).same_ideal(Ideal([X * Y]))
+        assert intersection(Ideal([X**2 * Y]), Ideal([X * Y**3])).same_ideal(Ideal([X**2 * Y**3]))
+        # (x, y) and (x, z): the two lines' union is V(x, y*z)
+        assert intersection(Ideal([X, Y]), Ideal([X, Z])).same_ideal(Ideal([X, Y * Z]))
+
+    def test_quotient(self):
+        assert quotient(Ideal([X**2 * Y]), X).same_ideal(Ideal([X * Y]))
+        assert quotient(Ideal([X * Y, X * Z]), X).same_ideal(Ideal([Y, Z]))
+        assert quotient(Ideal([X * Y, X * Z]), Y).same_ideal(Ideal([X]))
+        assert quotient(Ideal([X]), Y).same_ideal(Ideal([X]))
+        assert quotient(Ideal([X]), X * Y).same_ideal(Ideal([R.one]))
+        assert quotient(Ideal([X]), R.zero).same_ideal(Ideal([R.one]))
+
+    @given(nonzero_polynomials(R, max_terms=3, max_degree=2),
+           nonzero_polynomials(R, max_terms=3, max_degree=2))
+    @settings(max_examples=20)
+    def test_quotient_of_a_principal_ideal(self, f, g):
+        # (f*g : g) = (f), and every element of (f : g) times g lies in (f)
+        assert quotient(Ideal([f * g]), g).same_ideal(Ideal([f]))
+        for h in quotient(Ideal([f]), g).generators:
+            assert ideal_membership(h * g, Ideal([f]))
+
+    def test_exact_division(self):
+        assert _exact_quotient(X**2 * Y - Y * Z**2, X - Z) == X * Y + Y * Z
+        assert _exact_quotient(R.zero, X) == R.zero
+        half = Fraction(1, 2)
+        assert _exact_quotient(F_UMBRELLA.scale(half), F_UMBRELLA.scale(3)) == Fraction(1, 6)
+        for h, g in [(X**2 + 1, X), (X * Y, Z), (X + Y, X)]:
+            with pytest.raises(ValueError, match="does not divide"):
+                _exact_quotient(h, g)
 
 
 class TestImplicitization:

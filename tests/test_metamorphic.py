@@ -16,6 +16,9 @@ form_to_vector_field(pullback(vector_field_to_form(V), phi)), which is
 A hyperplane-section report must not move when the ambient variables are
 listed in another order and the hyperplane normal is permuted with them.
 
+Conormality and tangency are decided on the reduced germ, so squaring the
+generator of a hypersurface must not move their statuses either.
+
 Two relations of a verdict at 0 do not hold yet, because membership is
 decided in the polynomial ring: multiplying a generator by a unit
 1 + (higher terms), and adding a component that misses 0.  They belong with
@@ -43,6 +46,7 @@ from conormal.germs import Germ, is_conormal, is_tangential, is_trivial_form
 from conormal.poly import Polynomial, PolynomialRing, parse_polynomial
 
 from strategies import SECTION_GERMS, coefficients, polynomials, section_germ
+from strategies import forms as random_forms
 
 CORPUS = corpus_names()
 
@@ -161,6 +165,30 @@ def test_invariant_under_scaling_forms(name, c):
     germ, forms, fields = corpus_case(name)
     scaled = [w.scale(c) for w in forms]
     assert verdicts(germ, scaled, fields) == corpus_verdicts(name)
+
+
+@lru_cache(maxsize=None)
+def squared(name):
+    [f] = corpus_case(name)[0].generators
+    return Germ(f.ring, [f * f])
+
+
+@pytest.mark.parametrize("name", ["umbrella.germ", "cusp3.germ", "segre.germ"])
+@given(data=st.data())
+def test_invariant_under_squaring_the_generator(name, data):
+    # The corpus forms and fields, and one drawn form and field.
+    germ, forms, fields = corpus_case(name)
+    ring = germ.ring
+    k = data.draw(st.integers(0, ring.nvars - 1), label="k")
+    drawn = random_forms(ring, k) if k else polynomials(ring, max_terms=3, max_degree=2)
+    forms = forms + (data.draw(drawn, label="form"),)
+    comps = st.lists(polynomials(ring, max_terms=2, max_degree=2), min_size=ring.nvars,
+                     max_size=ring.nvars)
+    fields = fields + (VectorField(ring, data.draw(comps, label="field")),)
+    for w in forms:
+        assert is_conormal(w, squared(name)).status == is_conormal(w, germ).status
+    for v in fields:
+        assert is_tangential(v, squared(name)).status == is_tangential(v, germ).status
 
 
 @given(data=st.data())

@@ -9,6 +9,9 @@ A submodule M of R^r is compared as the ideal M + (e_i*e_j : i <= j) of the
 position ring, under grevlex in the same variable order: ``top`` is grevlex
 on module terms, and the basis elements of degree 1 in the e_i are the
 module basis.
+
+The reduced germ of a hypersurface V(f) is checked against sympy's
+``sqf_part``: its generator is a constant multiple of the squarefree part.
 """
 
 from fractions import Fraction
@@ -24,7 +27,7 @@ from conormal.germs import Germ, _trivial_module
 from conormal.groebner import Ideal, buchberger, eliminate
 from conormal.poly import GREVLEX, LEX, Polynomial, PolynomialRing, block_order, parse_polynomial
 
-from strategies import nonzero_polynomials
+from strategies import nonzero_polynomials, polynomials
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.orderings import ProductOrder, grevlex, monomial_key  # noqa: E402
@@ -147,3 +150,37 @@ def test_elimination_matches_a_sympy_lex_basis(gens):
         for g in lex.polys if g.degree(symbols[0]) == g.degree(symbols[1]) == 0
     ]
     assert our_set(result.generators) == sympy_basis(kept, GREVLEX)
+
+
+def assert_sqf_part(f):
+    """The generator of the reduced germ of V(f) is a constant multiple of
+    sympy's squarefree part of f."""
+    [g] = Germ(f.ring, [f]).reduced.generators
+    symbols = sympy.symbols(f.ring.variables)
+    sqf = to_sympy(f, symbols).sqf_part().as_dict()
+    assert set(sqf) == set(g.terms), (f, g)
+    m = next(iter(sqf))
+    scale = Fraction(int(sqf[m].p), int(sqf[m].q)) / g.terms[m]
+    assert all(Fraction(int(c.p), int(c.q)) == scale * g.terms[e] for e, c in sqf.items()), (f, g)
+
+
+@pytest.mark.parametrize("text", [
+    "x^2", "x^2*y", "(z^2 - x*y^2)^2", "x^2*(x^2 + y^3 - z^5)", "(x*y - z^2)^3*(x + y)",
+])
+def test_reduced_generator_is_the_sympy_squarefree_part(text):
+    assert_sqf_part(parse_polynomial(text, R3))
+
+
+@given(
+    st.sampled_from([R2, R3]).flatmap(lambda ring: st.tuples(
+        nonzero_polynomials(ring, max_terms=3, max_degree=2)
+        .map(lambda p: p - p.terms.get((0,) * ring.nvars, 0))
+        .filter(lambda p: not p.is_constant()),
+        polynomials(ring, max_terms=2, max_degree=2).filter(bool),
+    )),
+    st.integers(2, 3),
+)
+@settings(max_examples=25)
+def test_reduced_generator_of_random_products_is_the_squarefree_part(pair, a):
+    g, h = pair
+    assert_sqf_part(g**a * h)
