@@ -26,10 +26,12 @@ the differentials in order of appearance, whose order gives the wedge
 sign).  A term without a parenthesized factor adds that monomial straight
 into its expression's dict; a parenthesized factor is a mixed form of its
 own, wedged in with :func:`mixed_mul`, and a term with one adds its
-product into the dict in place.  ``(e)^k`` is ``poly._pow_terms``, which
-refuses a power past ``poly.MAX_DEGREE`` before it multiplies; any total
-degree past that bound is a :class:`ParseError` at the factor that makes
-it.  Each coefficient becomes a ``Polynomial`` once, at the end of
+product into the dict in place.  ``(e)^k`` and a literal's ``c^k`` are
+``poly._pow_terms``, which refuses a power past ``poly.MAX_DEGREE`` before
+it multiplies, and a constant power past ``poly.MAX_POWER_BITS`` before it
+computes it.  Any total degree past that bound is a :class:`ParseError` at
+the factor that makes it, and a refused power is one at its exponent.
+Each coefficient becomes a ``Polynomial`` once, at the end of
 :func:`parse_mixed_text`.  :func:`mixed_mul` is the one wedge loop over raw
 term dicts; ``forms.wedge`` calls it too.
 
@@ -242,7 +244,10 @@ def _sum(tokens: list, i: int, ring: PolynomialRing, allow_differentials: bool):
             elif token.isdecimal() or "/" in token:  # after the scan, "/" is in numbers only
                 value = _literal(token)
                 if tokens[i] == "^":
-                    value **= _power(tokens, i + 1)
+                    try:
+                        value = _pow_terms({0: value}, _power(tokens, i + 1), limit)[0]
+                    except ValueError as error:
+                        raise _Error(str(error), i + 1) from None
                     i += 2
                 coeff *= value
             elif token in _NOT_ATOMS:

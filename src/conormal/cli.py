@@ -1,11 +1,16 @@
 """Command-line interface, germ file format, and the bundled example corpus.
 
 Exit codes: 0 when the queried claim is certified/confirmed, 1 when it is
-refuted, or, for ``check``, refused (the verdict line says which), 2 on
-input errors and on a tangency claim the library refuses (``germs.Refusal``,
-whose reason is printed as the error).  Every claim is decided on the
-reduced germ: a non-reduced hypersurface's claims are decided on the germ of
-the squarefree part of its generator, which the witness names.
+refuted or refused (the verdict line says which, and gives a refusal's
+reason), 2 on input errors only.  Every claim is decided on the reduced
+germ: a non-reduced hypersurface's claims are decided on the germ of the
+squarefree part of its generator, which the witness names.
+
+``check``, ``tangent`` and ``trivial`` print one record, the ``Decision``
+that ``germs.decide`` returns for their question (conormal, tangent,
+trivial): the claim, one line per part with its answer, and the verdict
+line that ``_VERDICTS`` gives for the question, what decided and the
+status.
 
 Germ files are UTF-8 and line-oriented; ``#`` starts a comment::
 
@@ -22,12 +27,14 @@ assertions: both properties are derived from the generators, and a file
 whose flag does not hold is rejected.
 
 An ``expect <kind> <argument> <value>`` line records a result that
-``verify_examples`` checks with the command's own helper: the ``check``
-command and ``expect check`` both read ``germs.decide``, whose refusal fails
-the line.  The argument is a form or form name (kinds ``check``,
-``trivial``, ``oracle``, ``vanishes``), a vector field ``p1, ..., pn``
-(``tangent``) or a non-negative integer codimension (``regular``); ``check``
-and ``tangent`` expect a verdict status, the others ``yes`` or ``no``.
+``verify_examples`` checks.  Every kind but ``regular`` reads
+``germs.decide`` on its question, as the matching command does, and maps
+its status to the file's value; a refusal fails the line with its reason.
+The argument is a form or form name (kinds ``check``, ``trivial``,
+``oracle``, ``vanishes``), a vector field ``p1, ..., pn`` (``tangent``) or a
+non-negative integer codimension (``regular``, read from the table of
+``conormal singular``); ``check`` and ``tangent`` expect a verdict status,
+the others ``yes`` or ``no``.
 """
 
 from __future__ import annotations
@@ -51,23 +58,8 @@ from .forms import (
     parse_form,
     radial_potential,
 )
-from .germs import (
-    Germ,
-    Parametrization,
-    VerdictStatus,
-    decide,
-    is_tangential,
-    is_trivial_form,
-    oracle_conormal_on_parametrization,
-    vanishes_on_singular_locus,
-)
-from .geometry import (
-    BertiniVerdict,
-    bertini_check,
-    jacobian_ideal,
-    random_hyperplane,
-    regular_in_codimension,
-)
+from .germs import Germ, Parametrization, VerdictStatus, decide
+from .geometry import BertiniVerdict, bertini_check, random_hyperplane, regular_in_codimension
 from .groebner import ideal_membership
 from .poly import PolynomialRing, parse_polynomial
 
@@ -240,32 +232,66 @@ def _yes_no(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-# (what decided, status) -> verdict line of ``check``; {} is a refusal's reason
+def _claim(gf: GermFile, question: str, text: str) -> list:
+    """The parts ``germs.decide`` asks ``question`` of: the one vector field
+    ``p1, ..., pn`` of a tangency claim, else the homogeneous parts of a form
+    or form name."""
+    if question != "tangent":
+        return _resolve_form(gf, text)
+    ring = gf.germ.ring
+    chunks = text.split(",")
+    if len(chunks) != ring.nvars:
+        raise GermFileError(
+            f"a vector field needs {ring.nvars} comma-separated components for {ring}"
+        )
+    return [VectorField(ring, [parse_polynomial(c, ring) for c in chunks])]
+
+
+# (question, what decided, status) -> verdict line; {} is a refusal's reason
 _YES, _NO = VerdictStatus.CERTIFIED_YES, VerdictStatus.CERTIFIED_NO
-_CHECK_VERDICTS = {
-    ("criterion", _YES): "CONORMAL (certified)",
-    ("criterion", _NO): "NOT CONORMAL (refuted)",
-    ("oracle", _YES): "CONORMAL (parametrization oracle: pullback vanishes)",
-    ("oracle", _NO): "NOT CONORMAL (parametrization oracle: nonzero pullback)",
-    ("refused", None): "REFUSED ({})",
+_VERDICTS = {
+    ("conormal", "criterion", _YES): "CONORMAL (certified)",
+    ("conormal", "criterion", _NO): "NOT CONORMAL (refuted)",
+    ("conormal", "oracle", _YES): "CONORMAL (parametrization oracle: pullback vanishes)",
+    ("conormal", "oracle", _NO): "NOT CONORMAL (parametrization oracle: nonzero pullback)",
+    ("conormal", "refused", None): "REFUSED ({})",
+    ("tangent", "criterion", _YES): "TANGENTIAL (certified)",
+    ("tangent", "criterion", _NO): "NOT TANGENTIAL (refuted)",
+    ("tangent", "refused", None): "REFUSED ({})",
+    ("trivial", "criterion", _YES):
+        "TRIVIAL (inside the differential ideal generated by the germ ideal)",
+    ("trivial", "criterion", _NO):
+        "NON-TRIVIAL (outside the module generated by the trivial forms)",
 }
 
 
-def _cmd_check(args) -> int:
+def _cmd_decide(args) -> int:
+    """``check``, ``tangent`` and ``trivial``: the claim, one line per part
+    with its answer, and the verdict line of the ``germs.decide`` record."""
     gf = load_germ_file(args.germ)
-    parts = _resolve_form(gf, args.form)
-    print(f"form: {format_form_parts(parts)}")
-    print(f"germ: {gf.germ}")
-    decision = decide(parts, gf.germ, gf.parametrization)
-    for part, verdict in zip(parts, decision.verdicts):
-        print(f"degree {form_degree(part)} part: {verdict or 'refused'}")
-    print("verdict:", _CHECK_VERDICTS[decision.source, decision.status].format(decision.reason))
-    if decision.status is not VerdictStatus.CERTIFIED_YES:
+    question = args.question
+    parts = _claim(gf, question, args.field if question == "tangent" else args.form)
+    if question == "tangent":
+        print(f"germ: {gf.germ}")
+        print(f"field: {parts[0]}")
+        labels = ["status"]
+    else:
+        print(f"form: {format_form_parts(parts)}")
+        print(f"germ: {gf.germ}")
+        of = " trivial" if question == "trivial" else ""
+        labels = [f"degree {form_degree(part)} part{of}" for part in parts]
+    decision = decide(parts, gf.germ, gf.parametrization, question)
+    for label, answer in zip(labels, decision.verdicts):
+        shown = _yes_no(answer) if isinstance(answer, bool) else answer or "refused"
+        print(f"{label}: {shown}")
+    verdict = _VERDICTS[decision.question, decision.source, decision.status]
+    print("verdict:", verdict.format(decision.reason))
+    if decision.status is not _YES:
         return 1
     n = gf.germ.ring.nvars
-    if not parts:
+    if question == "conormal" and not parts:
         print("witness: the zero form is conormal to every germ")
-    elif decision.source == "criterion" and any(
+    elif question == "conormal" and decision.source == "criterion" and any(
         form_degree(part) == n - 1 and evaluate_form(part, (0,) * n) for part in parts
     ):
         print("note: Rossi decomposition applies (a conormal (n-1)-form does not vanish at 0): "
@@ -273,50 +299,10 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _parse_field(text: str, ring: PolynomialRing) -> VectorField:
-    chunks = text.split(",")
-    if len(chunks) != ring.nvars:
-        raise GermFileError(
-            f"a vector field needs {ring.nvars} comma-separated components for {ring}"
-        )
-    return VectorField(ring, [parse_polynomial(c, ring) for c in chunks])
-
-
-def _cmd_tangent(args) -> int:
-    gf = load_germ_file(args.germ)
-    field_ = _parse_field(args.field, gf.germ.ring)
-    print(f"germ: {gf.germ}")
-    print(f"field: {field_}")
-    verdict = is_tangential(field_, gf.germ)
-    print(f"status: {verdict}")
-    if verdict.is_certified_yes:
-        print("verdict: TANGENTIAL (certified)")
-        return 0
-    print("verdict: NOT TANGENTIAL (refuted)")
-    return 1
-
-
-def _cmd_trivial(args) -> int:
-    gf = load_germ_file(args.germ)
-    parts = _resolve_form(gf, args.form)
-    print(f"form: {format_form_parts(parts)}")
-    print(f"germ: {gf.germ}")
-    trivial = True
-    for part in parts:
-        ok = is_trivial_form(part, gf.germ)
-        print(f"degree {form_degree(part)} part trivial: {_yes_no(ok)}")
-        trivial = trivial and ok
-    if trivial:
-        print("verdict: TRIVIAL (inside the differential ideal generated by the germ ideal)")
-        return 0
-    print("verdict: NON-TRIVIAL (outside the module generated by the trivial forms)")
-    return 1
-
-
 def _cmd_singular(args) -> int:
     gf = load_germ_file(args.germ)
     print(f"germ: {gf.germ}")
-    jac = jacobian_ideal(gf.germ)
+    jac = gf.germ.jacobian
     print("jacobian ideal: " + "; ".join(str(g) for g in jac.generators))
     dim_x = gf.germ.dimension
     dim_sing = gf.germ.singular_dimension
@@ -383,30 +369,30 @@ def _cmd_potential(args) -> int:
     return 0 if member else 1
 
 
-def _every_part(test) -> tuple:
-    """A yes/no kind: whether ``test(part, germ_file)`` holds for each part."""
-    return ("yes", "no"), lambda gf, arg: _yes_no(all(test(p, gf) for p in _resolve_form(gf, arg)))
-
-
 _STATUSES = tuple(status.value for status in VerdictStatus)
 
 
-def _check_status(gf: GermFile, arg: str) -> str:
-    """``conormal check``'s status; a refusal raises with its reason."""
-    decision = decide(_resolve_form(gf, arg), gf.germ, gf.parametrization)
-    if decision.reason is not None:
-        raise ValueError(decision.reason)
-    return decision.status.value
+def _decided(question: str, values: tuple = ("yes", "no")) -> tuple:
+    """An expect kind that ``germs.decide`` answers: the value of its
+    status, ``values`` being those of CertifiedYes and CertifiedNo; a
+    refusal raises with its reason."""
+
+    def value(gf: GermFile, arg: str) -> str:
+        decision = decide(_claim(gf, question, arg), gf.germ, gf.parametrization, question)
+        if decision.reason is not None:
+            raise ValueError(decision.reason)
+        return dict(zip(VerdictStatus, values))[decision.status]
+
+    return values, value
 
 
 # expect kind -> (allowed values, value shown by a germ file for an argument)
 _EXPECT_KINDS = {
-    "check": (_STATUSES, _check_status),
-    "trivial": _every_part(lambda p, gf: is_trivial_form(p, gf.germ)),
-    "tangent": (_STATUSES, lambda gf, arg: is_tangential(
-        _parse_field(arg, gf.germ.ring), gf.germ).status.value),
-    "oracle": _every_part(lambda p, gf: oracle_conormal_on_parametrization(p, gf.parametrization)),
-    "vanishes": _every_part(lambda p, gf: vanishes_on_singular_locus(p, gf.germ)),
+    "check": _decided("conormal", _STATUSES),
+    "trivial": _decided("trivial"),
+    "tangent": _decided("tangent", _STATUSES),
+    "oracle": _decided("oracle"),
+    "vanishes": _decided("vanishes"),
     "regular": (("yes", "no"), lambda gf, arg: _yes_no(regular_in_codimension(gf.germ, int(arg)))),
 }
 
@@ -482,17 +468,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide conormality of a form")
     germ_arg(p)
     p.add_argument("--form", required=True, help="form expression or a named form")
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(func=_cmd_decide, question="conormal")
 
     p = sub.add_parser("tangent", help="decide tangency of a vector field")
     germ_arg(p)
     p.add_argument("--field", required=True, help="comma-separated components p1, ..., pn")
-    p.set_defaults(func=_cmd_tangent)
+    p.set_defaults(func=_cmd_decide, question="tangent")
 
     p = sub.add_parser("trivial", help="test membership in the trivial conormal forms")
     germ_arg(p)
     p.add_argument("--form", required=True, help="form expression or a named form")
-    p.set_defaults(func=_cmd_trivial)
+    p.set_defaults(func=_cmd_decide, question="trivial")
 
     p = sub.add_parser("singular", help="jacobian ideal, its dimension, regularity table")
     germ_arg(p)

@@ -33,15 +33,18 @@ generator; on other germs it is refused with a :class:`Refusal`, a
 The conormality test wedges the candidate form with df_1 ^ ... ^ df_m
 (``Germ.jacobian_form``) and checks that every coefficient of the product
 lies in the generator ideal; this criterion needs a complete intersection
-(dim V(f_1, ..., f_m) = n - m); for other germs :func:`decide`, the one
-decision for a whole form, asks the independent parametrization oracle.
+(dim V(f_1, ..., f_m) = n - m); for other germs :func:`decide` asks the
+independent parametrization oracle.  :func:`decide` is the one decision of
+every claim: conormal, tangent, trivial, vanishes on Sing X, or pulled back
+to zero by the oracle.  It asks each part of the claim and aggregates the
+answers into one :class:`Decision`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -448,47 +451,80 @@ def oracle_conormal_on_parametrization(omega: FormLike, par: Parametrization) ->
 
 @dataclass(frozen=True)
 class Decision:
-    """What :func:`decide` found, and what decided it: ``source`` is
-    ``"criterion"`` (``verdicts`` holds one :class:`Verdict` per part, none
-    for the zero form, which is conormal to every germ), ``"oracle"`` (a
-    parametrization covering X: CertifiedYes iff every part pulls back to
-    zero, else CertifiedNo) or ``"refused"`` (``status`` None, for
-    ``reason``).  A part the criterion refuses has the verdict None."""
+    """What :func:`decide` found on a ``question``, and what decided it.
+
+    ``source`` is ``"criterion"`` (``verdicts`` holds the question's
+    primitive's answer on each part: a :class:`Verdict` for conormal and
+    tangent, a ``bool`` for trivial and vanishes, None for a part it
+    refuses; the zero form has no part), ``"oracle"`` (the parametrization
+    oracle: CertifiedYes iff every part pulls back to zero, else
+    CertifiedNo; it keeps no answer per part) or ``"refused"`` (``status``
+    None, for ``reason``)."""
 
     status: Optional[VerdictStatus]
     source: str
     verdicts: tuple = ()
     reason: Optional[str] = None
+    question: str = "conormal"
+
+
+# question -> the primitive that answers it on one part of a claim
+_CRITERIA = {
+    "conormal": is_conormal,
+    "tangent": is_tangential,
+    "trivial": is_trivial_form,
+    "vanishes": vanishes_on_singular_locus,
+}
+
+
+def _oracle(part: FormLike, parametrization: Optional[Parametrization], covering: bool) -> bool:
+    """The parametrization oracle on one part; ``covering``, for a
+    conormality claim, refuses unless the parametrization covers X."""
+    if parametrization is None:
+        if covering:
+            raise Refusal("germ is not a complete intersection and has no parametrization")
+        raise ValueError("the oracle needs a parametrization")
+    if covering and not parametrization.covers:
+        raise Refusal("the parametrization covers only part of X")
+    return oracle_conormal_on_parametrization(part, parametrization)
 
 
 def decide(
-    parts: Sequence[FormLike], germ: Germ, parametrization: Optional[Parametrization] = None
+    parts: Sequence,
+    germ: Germ,
+    parametrization: Optional[Parametrization] = None,
+    question: str = "conormal",
 ) -> Decision:
-    """Whether the form with homogeneous ``parts`` is conormal to the germ:
-    the criterion of :func:`is_conormal` on a complete intersection, else the
-    parametrization oracle when the parametrization covers X, else refused.
-    One refuted part refutes the form, even if the criterion refuses
-    another part."""
+    """The answer to ``question`` for the claim with ``parts`` on the germ.
+
+    ``question`` is ``"conormal"``, ``"tangent"`` (the parts are vector
+    fields), ``"trivial"``, ``"vanishes"`` (on Sing X) or ``"oracle"`` (the
+    parts pull back to zero along the parametrization).  Each part is asked
+    by the question's primitive; a conormality claim on a germ that is not
+    a complete intersection asks the parametrization oracle instead, which
+    it trusts only when the parametrization covers X.  One refuted part
+    refutes the claim, even if another part is refused; otherwise a
+    :class:`Refusal` of a part refuses the claim with its reason; otherwise
+    the claim is certified.  Any other ``ValueError`` is raised.
+    """
     _require_parametrization_of(germ, parametrization)
-    if germ.complete_intersection or not parts:
-        verdicts, reason = [], None
-        for part in parts:
-            try:
-                verdicts.append(is_conormal(part, germ))
-            except Refusal as e:
-                verdicts.append(None)
-                reason = reason or str(e)
-        if any(v and v.is_certified_no for v in verdicts):
-            return Decision(VerdictStatus.CERTIFIED_NO, "criterion", tuple(verdicts))
-        if reason is not None:
-            return Decision(None, "refused", tuple(verdicts), reason)
-        return Decision(VerdictStatus.CERTIFIED_YES, "criterion", tuple(verdicts))
-    if parametrization is None:
-        reason = "germ is not a complete intersection and has no parametrization"
-    elif not parametrization.covers:
-        reason = "the parametrization covers only part of X"
+    oracle = question == "oracle" or (
+        question == "conormal" and bool(parts) and not germ.complete_intersection
+    )
+    if oracle:
+        test = partial(_oracle, parametrization=parametrization, covering=question == "conormal")
     else:
-        ok = all(oracle_conormal_on_parametrization(p, parametrization) for p in parts)
-        status = VerdictStatus.CERTIFIED_YES if ok else VerdictStatus.CERTIFIED_NO
-        return Decision(status, "oracle")
-    return Decision(None, "refused", reason=reason)
+        test = partial(_CRITERIA[question], germ=germ)
+    answers, reason = [], None
+    for part in parts:
+        try:
+            answers.append(test(part))
+        except Refusal as e:
+            answers.append(None)
+            reason = reason or str(e)
+    source, kept = ("oracle", ()) if oracle else ("criterion", tuple(answers))
+    if any(a is False or isinstance(a, Verdict) and a.is_certified_no for a in answers):
+        return Decision(VerdictStatus.CERTIFIED_NO, source, kept, question=question)
+    if reason is not None:
+        return Decision(None, "refused", kept, reason, question)
+    return Decision(VerdictStatus.CERTIFIED_YES, source, kept, question=question)

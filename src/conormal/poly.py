@@ -54,8 +54,10 @@ parser and ``forms.wedge``, which build a ``Polynomial`` only for each final
 result.
 
 :func:`_pow_terms` is the one power kernel, behind ``Polynomial.__pow__``
-and the parser's ``(e)^k``.  It refuses a power past ``MAX_DEGREE`` before
-it makes any product.
+and the parser's powers ``(e)^k`` and ``c^k`` of a literal.  It refuses a
+power past ``MAX_DEGREE`` before it makes any product, and a constant
+power whose coefficient would have more than ``MAX_POWER_BITS`` bits before
+it computes it.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ Scalar = Union[int, Fraction]
 WIDTH = 16  # bits per exponent field, its guard bit included
 FIELD = (1 << WIDTH) - 1
 MAX_DEGREE = (1 << (WIDTH - 1)) - 1  # the largest total degree a monomial may have
+MAX_POWER_BITS = 1 << 16  # bound on the bits of a constant power, checked before computing it
 
 
 def _degree_error(degree: int) -> ValueError:
@@ -399,8 +402,11 @@ def _pow_terms(p: Mapping, k: int, limit: int) -> dict:
 
     Over a domain the degree of a power is exact, k times the degree of p,
     so a power past ``MAX_DEGREE`` raises before any product is made.  A
-    constant is raised with one ``c ** k``; any other p takes k - 1
-    products, and ``0^0`` is 1.
+    constant c is raised with one ``c ** k``, after a check: with b the bit
+    length of the larger of c's numerator and denominator, that of ``c^k``
+    has at least k * (b - 1) bits, and a bound past ``MAX_POWER_BITS``
+    raises before the power is computed.  Any other p takes k - 1 products,
+    and ``0^0`` is 1.
     """
     if not k:
         return {0: 1}
@@ -410,7 +416,13 @@ def _pow_terms(p: Mapping, k: int, limit: int) -> dict:
     if degree > MAX_DEGREE:
         raise _degree_error(degree)
     if not degree:
-        return {0: p[0] ** k}
+        c = p[0]
+        bits = k * (max(abs(c.numerator), c.denominator).bit_length() - 1)
+        if bits > MAX_POWER_BITS:
+            raise ValueError(
+                f"coefficient ({c})^{k} of at least {bits} bits is past the limit {MAX_POWER_BITS}"
+            )
+        return {0: c**k}
     out = dict(p)
     for _ in range(k - 1):
         out = _mul_terms(out, p, limit)

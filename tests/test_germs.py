@@ -21,6 +21,7 @@ from conormal.forms import (
 )
 from conormal.geometry import jacobian_ideal, regular_in_codimension
 from conormal.germs import (
+    Decision,
     Germ,
     Parametrization,
     Refusal,
@@ -742,6 +743,37 @@ class TestDecide:
             assert (zero.status, zero.source, zero.verdicts) == (
                 VerdictStatus.CERTIFIED_YES, "criterion", ()
             )
+
+    def test_every_question_keeps_its_primitives_answers(self, umbrella, umbrella_param):
+        # Sing X of the umbrella is the x-axis, where y and z vanish but 1
+        # does not; z^2 - x*y^2 is trivial in degree 0 and dx is not.
+        for text, question, answers, status in [
+            ("z^2 - x*y^2 + dx", "trivial", (True, False), VerdictStatus.CERTIFIED_NO),
+            ("y + z*dx", "vanishes", (True, True), VerdictStatus.CERTIFIED_YES),
+            ("y + dx", "vanishes", (True, False), VerdictStatus.CERTIFIED_NO),
+        ]:
+            decision = decide(parse_form(text, R), umbrella, question=question)
+            assert decision == Decision(status, "criterion", answers, question=question), text
+        field = VectorField(R, [R.zero, -Y, -Z])
+        decision = decide([field], umbrella, question="tangent")
+        assert decision.verdicts == (is_tangential(field, umbrella),)
+        assert (decision.status, decision.source) == (VerdictStatus.CERTIFIED_YES, "criterion")
+        # The oracle question keeps only its aggregate, and needs a
+        # parametrization, but not one that covers X.
+        decision = decide([form("dx")], umbrella, umbrella_param, question="oracle")
+        assert decision == Decision(VerdictStatus.CERTIFIED_NO, "oracle", question="oracle")
+        with pytest.raises(ValueError, match="needs a parametrization"):
+            decide([form("dx")], umbrella, question="oracle")
+
+    def test_a_refused_tangency_claim_is_a_refused_decision(self):
+        # V(x^2, y) has no computed reduced germ: V(x^2) = 2*x for the field
+        # (1, 0, 0) lies in the radical of the ideal but not in the ideal.
+        germ = Germ(R, [X**2, Y])
+        field = VectorField(R, [R.one, R.zero, R.zero])
+        with pytest.raises(Refusal) as refusal:
+            is_tangential(field, germ)
+        decision = decide([field], germ, question="tangent")
+        assert decision == Decision(None, "refused", (None,), str(refusal.value), "tangent")
 
     def test_parametrization_of_another_germ_is_refused(self):
         # The plane x = 0 is covered by (s, t) -> (0, s, t), and dx pulls back

@@ -12,7 +12,7 @@ import shlex
 import tempfile
 from pathlib import Path
 
-from conormal.cli import _EXPECT_KINDS, _resolve_form, dispatch, load_germ_file
+from conormal.cli import _EXPECT_KINDS, _claim, dispatch, load_germ_file
 from conormal.germs import VerdictStatus, decide
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
@@ -122,47 +122,69 @@ def test_cli_transcript_matches_golden(tmp_path):
     assert transcript(tmp_path) == GOLDEN.read_text(encoding="utf-8")
 
 
-# expect check status -> start of the verdict line ``conormal check`` prints
+# (expect kind, value) -> start of the verdict line its command prints
 VERDICT_LINES = {
-    "CertifiedYes": "verdict: CONORMAL (",
-    "CertifiedNo": "verdict: NOT CONORMAL (",
+    ("check", "CertifiedYes"): "verdict: CONORMAL (",
+    ("check", "CertifiedNo"): "verdict: NOT CONORMAL (",
+    ("tangent", "CertifiedYes"): "verdict: TANGENTIAL (",
+    ("tangent", "CertifiedNo"): "verdict: NOT TANGENTIAL (",
+    ("trivial", "yes"): "verdict: TRIVIAL (",
+    ("trivial", "no"): "verdict: NON-TRIVIAL (",
 }
+
+# command -> the question it asks ``decide``; each has the expect kind of its name
+QUESTIONS = {"check": "conormal", "tangent": "tangent", "trivial": "trivial"}
+
+# One more claim per command, outside the transcript: a refuted part beats
+# a refused one, a field is refuted on a germ whose reduced germ is not
+# computed, and a form is trivial on a germ that is not a complete
+# intersection.
+MORE_CLAIMS = [
+    ["check", "--germ", "double_axis.germ", "--form", "z + dz"],
+    ["tangent", "--germ", "double_axis.germ", "--field", "0, 1, 0"],
+    ["trivial", "--germ", "plane_line.germ", "--form", "x*z*dy + x^2*dz"],
+]
 
 
 def test_check_command_and_expect_check_agree(tmp_path, monkeypatch, capsys):
-    """Every ``check`` command of the transcript exits 0 exactly when
-    ``decide`` certifies, and ``expect check`` on the same germ file and form
-    gives the status the command prints, or fails exactly when the command
-    prints a refusal, with the refusal's reason."""
+    """Every ``check``, ``tangent`` and ``trivial`` command exits 0 exactly
+    when ``decide`` certifies and 1 when it refutes or refuses, and the
+    ``expect`` kind of the command on the same germ file and claim gives the
+    value the command prints, or fails exactly when the command prints a
+    refusal, with the refusal's reason."""
     for name, text in LOCAL_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    expect_check = _EXPECT_KINDS["check"][1]
-    sources = set()
-    for argv in commands():
-        if argv[0] != "check":
+    sources, kinds = set(), set()
+    for argv in commands() + MORE_CLAIMS:
+        kind = argv[0]
+        if kind not in QUESTIONS:
             continue
         code = dispatch(argv)
         out = capsys.readouterr().out
-        germ, form = argv[2], argv[4]
+        germ, claim = argv[2], argv[4]
         try:
             gf = load_germ_file(germ)
-            parts = _resolve_form(gf, form)
+            parts = _claim(gf, QUESTIONS[kind], claim)
         except ValueError:
             assert code == 2, argv
             continue
-        decision = decide(parts, gf.germ, gf.parametrization)
+        decision = decide(parts, gf.germ, gf.parametrization, QUESTIONS[kind])
         sources.add(decision.source)
-        assert (code == 0) == (decision.status is VerdictStatus.CERTIFIED_YES), argv
+        kinds.add((kind, decision.source))
+        assert code == (0 if decision.status is VerdictStatus.CERTIFIED_YES else 1), argv
         [verdict] = [line for line in out.splitlines() if line.startswith("verdict: ")]
         try:
-            status = expect_check(gf, form)
+            value = _EXPECT_KINDS[kind][1](gf, claim)
         except ValueError as e:
+            assert decision.source == "refused", argv
             assert verdict == f"verdict: REFUSED ({e})", argv
         else:
-            assert status == decision.status.value, argv
-            assert verdict.startswith(VERDICT_LINES[status]), argv
+            assert (value in ("CertifiedYes", "yes")) == (code == 0), argv
+            assert verdict.startswith(VERDICT_LINES[kind, value]), argv
     assert sources == {"criterion", "oracle", "refused"}
+    assert {"check", "tangent", "trivial"} == {kind for kind, _ in kinds}
+    assert ("tangent", "refused") in kinds
 
 
 if __name__ == "__main__":

@@ -504,8 +504,9 @@ def under_a_second():
 
 class TestPowers:
     """One power kernel serves ``Polynomial.__pow__`` and the parser's
-    ``(e)^k``: the degree of a power is checked before any product, and a
-    constant is raised in one step."""
+    ``(e)^k`` and ``c^k``: the degree of a power is checked before any
+    product, and a constant is raised in one step, once the size of the
+    result is checked against ``MAX_POWER_BITS``."""
 
     X1 = PolynomialRing(["x"])
 
@@ -522,9 +523,19 @@ class TestPowers:
         with pytest.raises(ValueError, match="past the limit"):
             (x + 1) ** (MAX_DEGREE + 1)
 
+    @pytest.mark.parametrize("text", ["7^10000000*x", "(7)^10000000"])
+    def test_constant_power_past_the_bit_limit_raises_at_once(self, text):
+        with under_a_second(), pytest.raises(ParseError, match="past the limit") as err:
+            parse_polynomial(text, self.X1)
+        assert err.value.position == text.index("^") + 1
+        with under_a_second(), pytest.raises(ValueError, match="past the limit"):
+            (7 * self.X1.one) ** 10**7
+
     def test_constant_powers_take_one_step(self):
         with under_a_second():
             assert parse_polynomial("(1)^1000000", self.X1) == 1
+            assert parse_polynomial("(-1)^1000001", self.X1) == -1
+            assert parse_polynomial("2^65536", self.X1) == 2**65536
             assert self.X1.one ** 10**6 == 1
 
     def test_small_powers(self):
