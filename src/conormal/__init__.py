@@ -21,7 +21,6 @@ from .poly import (
 from ._expr import ParseError
 from .groebner import (
     Ideal,
-    ModuleElement,
     buchberger,
     eliminate,
     ideal_membership,

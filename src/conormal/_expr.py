@@ -30,7 +30,9 @@ product into the dict in place.  ``(e)^k`` and a literal's ``c^k`` are
 ``poly._pow_terms``, which refuses a power past ``poly.MAX_DEGREE`` before
 it multiplies, and a constant power past ``poly.MAX_POWER_BITS`` before it
 computes it.  Any total degree past that bound is a :class:`ParseError` at
-the factor that makes it, and a refused power is one at its exponent.
+the factor that makes it, and a refused power is one at its exponent.  A
+literal, exponent or denominator is read by ``poly._read_int``, and one of
+more than ``poly.MAX_POWER_BITS`` bits is a :class:`ParseError` at its token.
 Each coefficient becomes a ``Polynomial`` once, at the end of
 :func:`parse_mixed_text`.  :func:`mixed_mul` is the one wedge loop over raw
 term dicts; ``forms.wedge`` calls it too.
@@ -54,7 +56,15 @@ import re
 from fractions import Fraction
 from itertools import islice
 
-from .poly import Polynomial, PolynomialRing, _degree_error, _mul_terms, _norm, _pow_terms
+from .poly import (
+    Polynomial,
+    PolynomialRing,
+    _degree_error,
+    _mul_terms,
+    _norm,
+    _pow_terms,
+    _read_int,
+)
 
 
 class ParseError(ValueError):
@@ -94,7 +104,7 @@ def _scan(text: str) -> None:
         if len(token) == 1:
             if _STRAY.match(token):
                 raise ParseError(f"unexpected character {token!r}", match.start())
-        elif "/" in token and not int(token.partition("/")[2]):
+        elif "/" in token and not token.partition("/")[2].lstrip().lstrip("0"):
             raise ParseError("zero denominator", match.start())
 
 
@@ -105,11 +115,17 @@ def _offset(text: str, n: int) -> int:
     return len(text)
 
 
-def _literal(token: str):
-    """The value of a number token: an ``int``, or a ``p/q`` literal
-    normalized by :func:`_norm`; its denominator is not zero."""
-    num, slash, den = token.partition("/")
-    return _norm(Fraction(int(num), int(den))) if slash else int(num)
+def _literal(tokens: list, i: int):
+    """The value of the number token ``i``: an ``int``, or a ``p/q`` literal
+    normalized by :func:`_norm`; its denominator is not zero.  A number past
+    ``poly.MAX_POWER_BITS`` bits is an error at the token."""
+    num, slash, den = tokens[i].partition("/")
+    try:
+        if slash:
+            return _norm(Fraction(_read_int(num.rstrip()), _read_int(den.lstrip())))
+        return _read_int(num)
+    except ValueError as error:
+        raise _Error(str(error), i) from None
 
 
 def wedge_index_tuples(s: tuple, t: tuple):
@@ -173,7 +189,10 @@ def mixed_mul(a: dict, b: dict, limit: int) -> dict:
 def _power(tokens: list, i: int) -> int:
     """The exponent at token ``i``, just after a ``^``."""
     token = tokens[i]
-    k = int(token) if token.isdecimal() else 0
+    try:
+        k = _read_int(token) if token.isdecimal() else 0
+    except ValueError as error:
+        raise _Error(str(error), i) from None
     if k < 1:
         raise _Error("exponent must be a positive integer", i)
     return k
@@ -216,9 +235,12 @@ def _sum(tokens: list, i: int, ring: PolynomialRing, allow_differentials: bool):
                     i += 2
                 else:
                     word += units[k]
-                if word >= limit:
-                    at = i - 3 if tokens[i - 2] == "^" else i - 1  # the name, before its ^k
-                    raise _Error(str(_degree_error(ring.degree(word))), at)
+                if word >= limit:  # reported at the name, before its ^k
+                    power = _power(tokens, i - 1) if tokens[i - 2] == "^" else 1
+                    at = i - 3 if tokens[i - 2] == "^" else i - 1
+                    # A power may overflow its field: add it to the degree of the word before it.
+                    degree = ring.degree(word - units[k] * power) + power
+                    raise _Error(str(_degree_error(degree)), at)
             elif token == "(":
                 at = i - 1
                 sub, i = _sum(tokens, i, ring, allow_differentials)
@@ -242,7 +264,7 @@ def _sum(tokens: list, i: int, ring: PolynomialRing, allow_differentials: bool):
                            for key, p in sub.items()}
                 product = sub if product is None else _product(product, sub, limit, at)
             elif token.isdecimal() or "/" in token:  # after the scan, "/" is in numbers only
-                value = _literal(token)
+                value = _literal(tokens, i - 1)
                 if tokens[i] == "^":
                     try:
                         value = _pow_terms({0: value}, _power(tokens, i + 1), limit)[0]
@@ -328,8 +350,8 @@ def parse_mixed_text(text: str, ring: PolynomialRing, allow_differentials: bool)
         mixed, i = _sum(tokens, 0, ring, allow_differentials)
         token = tokens[i]
         if token:
-            value = _literal(token) if token[0].isdecimal() else token
-            raise _Error(f"unexpected trailing input {value!r}", i)
+            shown = token if token[0].isdecimal() else repr(token)
+            raise _Error(f"unexpected trailing input {shown}", i)
     except _Error as error:
         message, at = error.args
         raise ParseError(message, _offset(text, at)) from None

@@ -8,15 +8,17 @@ ideal quotient (I : g), by one exact division), ``implicitization`` (the
 ideal of the closure of a polynomial map's image), ``radical_membership`` (plain
 membership against the cached basis, then the Rabinowitsch trick, seeded
 with that basis), ``krull_dimension`` (independent variable sets modulo the
-leading-term ideal of a grevlex basis) and ``module_membership``.
+leading-term ideal of the cached basis) and ``module_membership``, whose
+vectors are tuples of polynomials.
 
 There is one division kernel, :func:`_remainder`, and one S-combination
-kernel, :func:`_s_terms`, both on raw term dicts, and one pair loop.  A :class:`Submodule` of R^r runs a vector (p_1, ..., p_r) through
-them as the polynomial sum e_i*p_i, with r position variables in front,
-under the term-over-position order ``top``, which is grevlex on the
-position ring (see :class:`Submodule`).  The one module rule, that leads in
-different positions give the S-vector 0, lives in ``_s_terms``, and
-``buchberger`` never queues such a pair.
+kernel, :func:`_s_terms`, both on raw term dicts, and one pair loop.  A
+:class:`Submodule` of R^r runs a vector (p_1, ..., p_r) through them as the
+polynomial sum e_i*p_i, with r position variables in front, under the
+term-over-position order ``top``, which is grevlex on the position ring
+(see :class:`Submodule`).  The one module rule, that leads in different
+positions give the S-vector 0, lives in ``_s_terms``, and ``buchberger``
+never queues such a pair.
 
 Monomials are the packed words of :mod:`conormal.poly`: a product is one
 addition, and a lead-divisibility test (in ``_remainder``, in
@@ -44,10 +46,11 @@ alone (``poly._associate``), and only ``_autoreduce``'s final ``monic``
 makes a Fraction coefficient.  Both keep the records of their basis in a list next to
 it, which every division receives, so no record is rebuilt per reduction.
 
-Bases are reduced, monic and sorted, so they are canonical per (ideal, order);
-an :class:`Ideal` caches its one grevlex basis lazily, with the records of
-its elements, so repeated membership tests against one ideal compute one
-basis.
+Bases are reduced, monic and sorted, so they are canonical per (ideal, order).
+An :class:`Ideal` is the one lazy basis holder: it caches its basis under its
+``order`` (grevlex unless given), with the records of its elements, so
+repeated membership tests against one ideal compute one basis.  A
+:class:`Submodule` keeps its encoded generators in an ``Ideal`` under ``top``.
 """
 
 from __future__ import annotations
@@ -374,23 +377,26 @@ def _chain_criterion(leads, guards, pending, i, j, lcm) -> bool:
 
 
 class Ideal:
-    """An ideal given by generators, with a grevlex Groebner basis computed
-    on first use and kept, together with its divisor records."""
+    """An ideal given by generators, with its reduced Groebner basis under
+    ``order`` computed on first use and kept, together with its divisor
+    records.  Generator ideals take grevlex; a :class:`Submodule` keeps its
+    encoded generators in an ideal under ``top``."""
 
-    __slots__ = ("ring", "generators", "_basis", "_divisors")
+    __slots__ = ("ring", "generators", "order", "_basis", "_divisors")
 
-    def __init__(self, generators: Sequence[Polynomial]):
+    def __init__(self, generators: Sequence[Polynomial], order: MonomialOrder = GREVLEX):
         gens = tuple(generators)
         if not gens:
             raise ValueError("an ideal needs at least one generator")
         self.ring = same_ring(*gens)
         self.generators = gens
+        self.order = order
         self._basis = self._divisors = None
 
     def groebner_basis(self) -> tuple:
         if self._basis is None:
-            self._basis = tuple(buchberger(self.generators, GREVLEX))
-            self._divisors = [g.divisor(GREVLEX) for g in self._basis]
+            self._basis = tuple(buchberger(self.generators, self.order))
+            self._divisors = [g.divisor(self.order) for g in self._basis]
         return self._basis
 
     def is_unit(self) -> bool:
@@ -416,7 +422,7 @@ def ideal_membership(f: Polynomial, ideal: Ideal) -> bool:
         raise ValueError(f"ring mismatch: {f.ring} vs {ideal.ring}")
     if not f:
         return True
-    return not reduce(f, ideal.groebner_basis(), GREVLEX, ideal._divisors)
+    return not reduce(f, ideal.groebner_basis(), ideal.order, ideal._divisors)
 
 
 def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
@@ -536,12 +542,12 @@ def _rabinowitsch(g: Polynomial, ideal: Ideal) -> bool:
     cached records give, so the lift and the pair loop run on integers.
     Callers have already checked g's ring with :func:`ideal_membership`.
     """
-    ring = ideal.ring
+    ring, order = ideal.ring, ideal.order
     ext = PolynomialRing(ring.variables + (_fresh_name(ring),))
     *lift, t = ext.gens()
-    known = [p.primitive(GREVLEX).substitute(ext, lift) for p in ideal.groebner_basis()]
+    known = [p.primitive(order).substitute(ext, lift) for p in ideal.groebner_basis()]
     relation = ext.one - t * g.substitute(ext, lift)
-    basis = buchberger(known + [relation], GREVLEX, known=len(known))
+    basis = buchberger(known + [relation], order, known=len(known))
     return any(b.is_constant() and b for b in basis)
 
 
@@ -549,7 +555,7 @@ def krull_dimension(ideal: Ideal) -> int:
     """Dimension of the affine zero set of I; -1 for the unit ideal.
 
     Equals the largest size of a set S of variables such that no leading
-    term of a grevlex basis involves only variables from S: each lead has
+    term of the cached basis involves only variables from S: each lead has
     an exponent in a field outside S.
     """
     basis = ideal.groebner_basis()
@@ -558,7 +564,7 @@ def krull_dimension(ideal: Ideal) -> int:
         return n  # zero ideal: the whole space
     if any(g.is_constant() for g in basis):
         return -1
-    leads = [g.leading(GREVLEX)[0] for g in basis]
+    leads = [d[0] for d in ideal._divisors]
     every = ideal.ring.fields
     for size in range(n, 0, -1):
         for subset in combinations(range(n), size):
@@ -568,57 +574,23 @@ def krull_dimension(ideal: Ideal) -> int:
     return 0
 
 
-class ModuleElement:
-    """A vector of polynomials: an element of a free module R^rank."""
-
-    __slots__ = ("ring", "components")
-
-    def __init__(self, components: Sequence[Polynomial]):
-        comps = tuple(components)
-        if not comps:
-            raise ValueError("a module element needs positive rank")
-        self.ring = same_ring(*comps)
-        self.components = comps
-
-    @property
-    def rank(self) -> int:
-        return len(self.components)
-
-    def __bool__(self) -> bool:
-        return any(self.components)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ModuleElement)
-            and self.ring == other.ring
-            and self.components == other.components
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.components)
-
-    def __repr__(self) -> str:
-        return "(" + ", ".join(str(p) for p in self.components) + ")"
-
-
 class Submodule:
     """The submodule of R^rank generated by vectors, each given as (position,
     polynomial) pairs with distinct positions.  ``encode`` is the one map of
     a vector to its polynomial in the position ring; the nonzero encoded
-    generators are kept, and their basis is computed on first use and kept,
-    together with its divisor records.  The position variables come first,
-    so they are the lowest fields and grevlex compares them last: on these
-    module terms, one position of exponent 1 each, ``top`` is grevlex."""
+    generators make up ``ideal``, whose basis under ``top`` is computed on
+    first use and kept.  The position variables come first, so they are the
+    lowest fields and grevlex compares them last: on these module terms,
+    one position of exponent 1 each, ``top`` is grevlex."""
 
-    __slots__ = ("rank", "position_ring", "order", "generators", "_basis", "_divisors")
+    __slots__ = ("rank", "position_ring", "ideal")
 
     def __init__(self, ring: PolynomialRing, rank: int, generators: Iterable[Iterable[tuple]]):
         self.rank = rank
         names = [_fresh_name(ring, f"_e{i + 1}") for i in range(rank)]
         self.position_ring = PolynomialRing(names + list(ring.variables))
-        self.order = MonomialOrder("top", rank)
-        self.generators = tuple(g for g in map(self.encode, generators) if g)
-        self._basis = self._divisors = None
+        gens = [g for g in map(self.encode, generators) if g]
+        self.ideal = Ideal(gens or [self.position_ring.zero], MonomialOrder("top", rank))
 
     def encode(self, parts: Iterable[tuple]) -> Polynomial:
         """The polynomial sum e_p*q over (position p, polynomial q) pairs: a
@@ -633,25 +605,23 @@ class Submodule:
                     terms[(m << bits) + e] = c
         return Polynomial(ring, terms, _clean=True)
 
-    def groebner_basis(self) -> tuple:
-        if self._basis is None:
-            self._basis = tuple(buchberger(self.generators, self.order)) if self.generators else ()
-            self._divisors = [g.divisor(self.order) for g in self._basis]
-        return self._basis
-
     def contains(self, parts: Iterable[tuple]) -> bool:
         """Whether the vector given by (position, polynomial) pairs lies in
         the submodule: its normal form modulo the basis is 0."""
-        return not reduce(self.encode(parts), self.groebner_basis(), self.order, self._divisors)
+        return ideal_membership(self.encode(parts), self.ideal)
 
 
-def _submodule(gens: Sequence[ModuleElement], ring: PolynomialRing, rank: int) -> Submodule:
-    if any(g.rank != rank or g.ring != ring for g in gens):
+def _submodule(v: Sequence[Polynomial], gens: Sequence[Sequence[Polynomial]]) -> Submodule:
+    # The submodule generated by ``gens``, in the free module of v.
+    if not v:
+        raise ValueError("a module element needs positive rank")
+    ring, rank = same_ring(*v), len(v)
+    if any(len(g) != rank or same_ring(*g) != ring for g in gens):
         raise ValueError(f"module elements must all lie in {ring}^{rank}")
-    return Submodule(ring, rank, (enumerate(g.components) for g in gens))
+    return Submodule(ring, rank, map(enumerate, gens))
 
 
-def _decode(p: Polynomial, ring: PolynomialRing, rank: int) -> ModuleElement:
+def _decode(p: Polynomial, ring: PolynomialRing, rank: int) -> tuple:
     # The inverse of Submodule.encode: a term's one position field gives its
     # component, and the word above the position fields, less the degree of
     # e_p, is its word in ``ring``.
@@ -660,27 +630,29 @@ def _decode(p: Polynomial, ring: PolynomialRing, rank: int) -> ModuleElement:
     for m, c in p._terms.items():
         position = ((m & ((1 << bits) - 1)).bit_length() - 1) // WIDTH
         comps[position][(m >> bits) - unit] = c
-    return ModuleElement([Polynomial(ring, t, _clean=True) for t in comps])
+    return tuple(Polynomial(ring, t, _clean=True) for t in comps)
 
 
-def module_buchberger(gens: Sequence[ModuleElement]) -> list:
-    """Reduced Groebner basis of the submodule of R^rank generated by
-    ``gens``, in the term-over-position order over grevlex."""
+def module_buchberger(gens: Sequence[Sequence[Polynomial]]) -> list:
+    """Reduced Groebner basis, as tuples, of the submodule of R^rank
+    generated by the vectors ``gens``, in the term-over-position order over
+    grevlex."""
     if not gens:
         return []
-    ring, rank = gens[0].ring, gens[0].rank
-    return [_decode(b, ring, rank) for b in _submodule(gens, ring, rank).groebner_basis()]
+    sub = _submodule(gens[0], gens)
+    return [_decode(b, gens[0][0].ring, sub.rank) for b in sub.ideal.groebner_basis()]
 
 
-def module_reduce(v: ModuleElement, basis: Sequence[ModuleElement]) -> ModuleElement:
-    """Normal form of v modulo module elements of the same rank, in the
-    order of :func:`module_buchberger`."""
-    sub = _submodule(basis, v.ring, v.rank)
-    r = reduce(sub.encode(enumerate(v.components)), sub.generators, sub.order)
-    return _decode(r, v.ring, v.rank)
+def module_reduce(v: Sequence[Polynomial], basis: Sequence[Sequence[Polynomial]]) -> tuple:
+    """Normal form, as a tuple, of the vector v modulo vectors of the same
+    rank, in the order of :func:`module_buchberger`."""
+    sub = _submodule(v, basis)
+    r = reduce(sub.encode(enumerate(v)), sub.ideal.generators, sub.ideal.order)
+    return _decode(r, v[0].ring, sub.rank)
 
 
-def module_membership(v: ModuleElement, gens: Sequence[ModuleElement]) -> bool:
-    """Whether v lies in the submodule of R^rank generated by ``gens``; the
-    encoded basis is used as it comes out of ``buchberger``."""
-    return _submodule(gens, v.ring, v.rank).contains(enumerate(v.components))
+def module_membership(v: Sequence[Polynomial], gens: Sequence[Sequence[Polynomial]]) -> bool:
+    """Whether the vector v lies in the submodule of R^rank generated by the
+    vectors ``gens``; the encoded basis is used as it comes out of
+    ``buchberger``."""
+    return _submodule(v, gens).contains(enumerate(v))

@@ -58,6 +58,13 @@ and the parser's powers ``(e)^k`` and ``c^k`` of a literal.  It refuses a
 power past ``MAX_DEGREE`` before it makes any product, and a constant
 power whose coefficient would have more than ``MAX_POWER_BITS`` bits before
 it computes it.
+
+:func:`_read_int` and :func:`_format_number` are the one pair that reads
+and prints numbers: the parser's literals and exponents, and the
+coefficients :func:`format_polynomial` prints.  Neither depends on
+``sys.get_int_max_str_digits()``, and ``_read_int`` refuses a number of
+more than ``MAX_POWER_BITS`` bits, so a long literal is bounded as a
+literal's power is.
 """
 
 from __future__ import annotations
@@ -76,8 +83,53 @@ MAX_DEGREE = (1 << (WIDTH - 1)) - 1  # the largest total degree a monomial may h
 MAX_POWER_BITS = 1 << 16  # bound on the bits of a constant power, checked before computing it
 
 
+# int() and str() convert up to this many decimal digits under every
+# sys.get_int_max_str_digits() setting (its least nonzero value is 640), and
+# a number of at most _SHORT_BITS bits has no more digits than that.
+_SHORT_DIGITS, _SHORT_BITS = 600, 1990
+# The most decimal digits of a number of MAX_POWER_BITS bits.
+_MAX_DIGITS = MAX_POWER_BITS * 30103 // 100000 + 1
+
+
+def _read_int(digits: str) -> int:
+    """The value of a string of decimal digits, at any
+    ``sys.get_int_max_str_digits()``.  A value of more than
+    ``MAX_POWER_BITS`` bits raises ``ValueError``, a long string before it
+    is converted."""
+    if len(digits) <= _SHORT_DIGITS:
+        return int(digits)
+    digits = digits.lstrip("0")
+    value = _digits_value(digits) if len(digits) <= _MAX_DIGITS else None
+    if value is None or value.bit_length() > MAX_POWER_BITS:
+        raise ValueError(f"number of {len(digits)} digits is past the limit {MAX_POWER_BITS} bits")
+    return value
+
+
+def _digits_value(digits: str) -> int:
+    # Halve the string until int() takes each piece.
+    if len(digits) <= _SHORT_DIGITS:
+        return int(digits or "0")
+    half = len(digits) // 2
+    return _digits_value(digits[:-half]) * 10**half + _digits_value(digits[-half:])
+
+
+def _format_number(c: Scalar) -> str:
+    """``str(c)`` of an ``int`` or a ``Fraction``, at any
+    ``sys.get_int_max_str_digits()``."""
+    if type(c) is not int:
+        num = _format_number(c.numerator)
+        return num if c.denominator == 1 else f"{num}/{_format_number(c.denominator)}"
+    if c.bit_length() <= _SHORT_BITS:
+        return str(c)
+    if c < 0:
+        return "-" + _format_number(-c)
+    half = c.bit_length() * 3 // 20  # about half of its digits
+    high, low = divmod(c, 10**half)
+    return _format_number(high) + _format_number(low).zfill(half)
+
+
 def _degree_error(degree: int) -> ValueError:
-    return ValueError(f"total degree {degree} is past the limit {MAX_DEGREE}")
+    return ValueError(f"total degree {_format_number(degree)} is past the limit {MAX_DEGREE}")
 
 
 def _check_degree(word: int, limit: int) -> None:
@@ -420,7 +472,8 @@ def _pow_terms(p: Mapping, k: int, limit: int) -> dict:
         bits = k * (max(abs(c.numerator), c.denominator).bit_length() - 1)
         if bits > MAX_POWER_BITS:
             raise ValueError(
-                f"coefficient ({c})^{k} of at least {bits} bits is past the limit {MAX_POWER_BITS}"
+                f"coefficient ({_format_number(c)})^{_format_number(k)} of at least "
+                f"{_format_number(bits)} bits is past the limit {MAX_POWER_BITS}"
             )
         return {0: c**k}
     out = dict(p)
@@ -646,7 +699,7 @@ def _term_chunks(p: Polynomial) -> list:
         c = terms[m]
         factors = [f"{x}^{e}" if e > 1 else x for x, e in zip(ring.variables, ring.unpack(m)) if e]
         if abs(c) != 1 or not factors:
-            factors.insert(0, str(abs(c)))
+            factors.insert(0, _format_number(abs(c)))
         chunks.append(("-" if c < 0 else "+", "*".join(factors)))
     return chunks
 

@@ -40,7 +40,6 @@ from conormal.germs import (
 )
 from conormal.groebner import (
     Ideal,
-    ModuleElement,
     eliminate,
     ideal_membership,
     module_membership,
@@ -305,9 +304,7 @@ def test_criterion_7_groebner_oracles():
             for g in gens:
                 candidate = candidate + random_polynomial(rng, base, max_terms=2, max_degree=1) * g
         expected = ideal_membership(candidate, Ideal(gens))
-        got = module_membership(
-            ModuleElement([candidate]), [ModuleElement([g]) for g in gens]
-        )
+        got = module_membership((candidate,), [(g,) for g in gens])
         agreement = agreement and (got == expected)
         positives += expected
 

@@ -1,5 +1,7 @@
 """Command dispatch, exit codes, germ file round-trips, report determinism."""
 
+from decimal import Decimal, localcontext
+
 import pytest
 
 from conormal.cli import (
@@ -160,6 +162,27 @@ class TestGermFiles:
         with pytest.raises(GermFileError):
             load_germ_file("no_such_file.germ")
 
+    @pytest.mark.parametrize("text, message", [
+        ("ring x y\nring x y\n", "g.germ:2: duplicate ring declaration"),
+        ("ring x y\ngen x +\n", "g.germ:2: bad generator: unexpected end of input (at position 3)"),
+        ("ring x y\ngen x\nform w\n", "g.germ:3: expected: form <name> <expression>"),
+        ("ring x y\ngen x\nform w dz\n",
+         "g.germ:3: bad form 'w': unknown variable 'dz' (at position 0)"),
+        ("ring x y z\ngen x*y\nparam s t x, y\n",
+         "g.germ:3: expected: param <variables> -> <polynomials>"),
+        ("ring x y z\ngen x*y\nparam s -> s, t, 0\n",
+         "g.germ:3: bad parametrization: unknown variable 't' (at position 1)"),
+        ("ring x y z\ngen x*y\nparam s -> s, s, 0\n",
+         "g.germ:3: parametrization does not satisfy generator x*y"),
+        ("# only a comment\n", "g.germ: missing ring declaration"),
+        ("ring x y\n", "g.germ: missing generators"),
+        ("ring x y\ngen x\nform w dx\nform w dy\n", "g.germ:4: duplicate form name 'w'"),
+    ])
+    def test_error_messages_carry_source_and_line(self, text, message):
+        with pytest.raises(GermFileError) as err:
+            parse_germ_text(text, source="g.germ")
+        assert str(err.value) == message
+
 
 class TestDispatch:
     def test_check_certified(self, capsys):
@@ -180,6 +203,17 @@ class TestDispatch:
         code, out = run(capsys, "check", "--germ", "umbrella.germ", "--form", "dx")
         assert code == 1
         assert "NOT CONORMAL" in out
+
+    def test_check_prints_a_coefficient_past_the_int_string_limit(self, capsys):
+        # 2^65536 has 19729 digits, past Python's default limit of 4300 for
+        # converting an int to a string.
+        code, out = run(capsys, "check", "--germ", "umbrella.germ", "--form", "2^65536*dx")
+        assert code in (0, 1)
+        with localcontext() as context:
+            context.prec = 20000
+            digits = str(Decimal(2) ** 65536)
+        assert out.splitlines()[0] == f"form: {digits}*dx"
+        assert "verdict: NOT CONORMAL (refuted)" in out
 
     def test_check_reports_splitting_hypothesis(self, capsys, tmp_path):
         # a cylinder germ carries a conormal (n-1)-form not vanishing at 0

@@ -235,6 +235,17 @@ class TestBertiniCheck:
         assert report.verdict is BertiniVerdict.TRANSVERSALITY_FAILS
         assert any("contains Sing X" in d for d in report.diagnostics)
 
+    def test_hyperplane_contained_in_x(self):
+        # V(x*y^2 - x*z^3) contains the plane x = 0, so the section is empty.
+        report = bertini_check(Germ(R, [X * Y**2 - X * Z**3]), Hyperplane(R, [1, 0, 0]))
+        assert report.verdict is BertiniVerdict.TRANSVERSALITY_FAILS
+        assert report.section is None
+        assert report.diagnostics == ("H is contained in X",)
+
+    def test_random_hyperplane_needs_a_positive_bound(self):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            random_hyperplane(R, 1, 0)
+
     def test_foreign_parametrization_refused(self, umbrella):
         # (0, s, t) parametrizes the plane V(x), not the umbrella
         pring = PolynomialRing(["s", "t"])

@@ -36,7 +36,6 @@ from conormal.germs import (
 )
 from conormal.groebner import (
     Ideal,
-    ModuleElement,
     ideal_membership,
     krull_dimension,
     module_membership,
@@ -588,7 +587,7 @@ class TestTrivialForms:
         for k in (1, 2, 3):
             tuples = list(combinations(range(R.nvars), k))
             gens = trivial_form_generators(Germ(R, generators), k)
-            vectors = [ModuleElement([g.coefficient(S) for S in tuples]) for g in gens]
+            vectors = [tuple(g.coefficient(S) for S in tuples) for g in gens]
             for i in range(4):
                 if i % 2:
                     omega = random_form(rng, R, k, max_terms=3)
@@ -598,7 +597,7 @@ class TestTrivialForms:
                         term = g.scale(random_polynomial(rng, R, max_terms=2, max_degree=1))
                         omega = term if omega is None else omega + term
                 expected = module_membership(
-                    ModuleElement([omega.coefficient(S) for S in tuples]), vectors
+                    tuple(omega.coefficient(S) for S in tuples), vectors
                 )
                 germ = Germ(R, generators)
                 assert is_trivial_form(omega, germ) == expected

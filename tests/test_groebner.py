@@ -14,7 +14,6 @@ from conormal.forms import parse_form
 from conormal.germs import _trivial_module, is_trivial_form
 from conormal.groebner import (
     Ideal,
-    ModuleElement,
     _exact_quotient,
     _fresh_name,
     buchberger,
@@ -416,7 +415,7 @@ class TestPairCriteria:
             buchberger(list(germ.jacobian.generators), GREVLEX)
             assert len(built) == jacobian, name
             built.clear()
-            _trivial_module(germ, 2)[1].groebner_basis()
+            _trivial_module(germ, 2)[1].ideal.groebner_basis()
             assert len(built) == trivial, name
 
 
@@ -488,7 +487,7 @@ class TestTrivialModuleWork:
 
         monkeypatch.setattr(MonomialOrder, "key", checking)
         s_polys, reductions, basis = self.WORK[name, k]
-        built = _trivial_module(load_germ_file(name).germ, k)[1].groebner_basis()
+        built = _trivial_module(load_germ_file(name).germ, k)[1].ideal.groebner_basis()
         assert [str(b) for b in built] == basis
         assert (calls["_s_terms"], calls["_remainder"]) == (s_polys, reductions)
         assert keyed and strays == []
@@ -509,10 +508,9 @@ class TestPairLoopRecords:
 
         germ = load_germ_file(name).germ
         if k == "jacobian":
-            target, order = Ideal(germ.jacobian.generators), GREVLEX
+            target = Ideal(germ.jacobian.generators)
         else:
-            target = _trivial_module(germ, k)[1]
-            order = target.order
+            target = _trivial_module(germ, k)[1].ideal
         reductions, callers = [], Counter()
         remainder = groebner._remainder
 
@@ -647,7 +645,7 @@ class TestWarmReduce:
     def test_submodule_contains_fetches_no_divisor(self, monkeypatch):
         germ = load_germ_file("umbrella.germ").germ
         positions, module = _trivial_module(germ, 1)
-        module.groebner_basis()
+        module.ideal.groebner_basis()
         calls = self._count_divisor_calls(monkeypatch)
         [omega] = parse_form("y*z*dx + 2*x*z*dy - 2*x*y*dz", germ.ring)
         assert not is_trivial_form(omega, germ)
@@ -670,6 +668,25 @@ class TestWarmReduce:
 
 
 class TestIdealMembership:
+    def test_membership_under_the_order_of_the_cached_basis(self):
+        # An Ideal keeps its basis under its own order; membership reduces
+        # under that order and agrees with the grevlex ideal.
+        gens = [X**2 - Y * Z, Y**2 - X * Z**2]
+        lex = Ideal(gens, LEX)
+        assert lex.order is LEX and list(lex.groebner_basis()) == buchberger(gens, LEX)
+        grevlex = Ideal(gens)
+        rng = random.Random(11)
+        hits = 0
+        for _ in range(30):
+            f = random_polynomial(rng, R, max_terms=3, max_degree=3)
+            if rng.random() < 0.5:  # force plenty of positive instances
+                f = sum((random_polynomial(rng, R, max_terms=2, max_degree=2) * g for g in gens),
+                        R.zero)
+            expected = ideal_membership(f, grevlex)
+            assert ideal_membership(f, lex) == expected
+            hits += expected
+        assert 0 < hits < 30
+
     def test_scalar_multiple(self, cusp):
         f = cusp.generators[0]
         assert ideal_membership(3 * f, cusp.ideal)
@@ -911,28 +928,37 @@ class TestKrullDimension:
 class TestModuleMembership:
     def test_component_multiple(self):
         f = F_UMBRELLA
-        e1 = ModuleElement([f, R.zero])
-        e2 = ModuleElement([R.zero, f])
+        e1 = (f, R.zero)
+        e2 = (R.zero, f)
         assert module_membership(e1, [e1, e2])
 
     def test_unit_component_cannot_appear(self):
         f = F_UMBRELLA
-        assert not module_membership(ModuleElement([R.one]), [ModuleElement([f])])
+        assert not module_membership((R.one,), [(f,)])
 
     def test_position_variables_avoid_differential_names(self):
         ring = PolynomialRing(["x", "d_e1"])
         x, _ = ring.gens()
         assert _fresh_name(ring, "_e1") == "_e1_"
-        assert module_membership(ModuleElement([x**2]), [ModuleElement([x])])
-        assert not module_membership(ModuleElement([x]), [ModuleElement([x**2])])
+        assert module_membership((x**2,), [(x,)])
+        assert not module_membership((x,), [(x**2,)])
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
-            module_membership(ModuleElement([X]), [ModuleElement([X, Y])])
+            module_membership((X,), [(X, Y)])
         with pytest.raises(ValueError):
-            module_buchberger([ModuleElement([X]), ModuleElement([X, Y])])
+            module_buchberger([(X,), (X, Y)])
         with pytest.raises(ValueError):
-            module_reduce(ModuleElement([X]), [ModuleElement([X, Y])])
+            module_reduce((X,), [(X, Y)])
+
+    def test_vectors_need_positive_rank_and_one_ring(self):
+        other = PolynomialRing(["x", "y", "w"]).var(0)
+        with pytest.raises(ValueError, match="positive rank"):
+            module_membership((), [(X,)])
+        with pytest.raises(ValueError, match="ring mismatch"):
+            module_reduce((X, other), [(X, Y)])
+        with pytest.raises(ValueError, match="must all lie in"):
+            module_buchberger([(X, Y), (other, other)])
 
     def test_rank_one_agrees_with_ideal_membership(self):
         rng = random.Random(20240)
@@ -949,7 +975,7 @@ class TestModuleMembership:
                     R.zero,
                 )
             expected = ideal_membership(f, Ideal(gens))
-            got = module_membership(ModuleElement([f]), [ModuleElement([g]) for g in gens])
+            got = module_membership((f,), [(g,) for g in gens])
             assert got == expected
             hits += expected
         assert 0 < hits < 50  # both outcomes exercised
@@ -966,7 +992,7 @@ class TestModuleMembership:
         def encode(v):
             return sum(
                 (e * p.substitute(ring, [ring.var(rank + i) for i in range(3)])
-                 for e, p in zip(es, v.components)),
+                 for e, p in zip(es, v)),
                 ring.zero,
             )
 
@@ -974,23 +1000,50 @@ class TestModuleMembership:
         hits = 0
         for _ in range(25):
             gens = [
-                ModuleElement([random_polynomial(rng, R, max_terms=2, max_degree=2)
-                               for _ in range(rank)])
+                tuple(random_polynomial(rng, R, max_terms=2, max_degree=2)
+                      for _ in range(rank))
                 for _ in range(rng.randint(1, 3))
             ]
-            v = ModuleElement([random_polynomial(rng, R, max_terms=2, max_degree=2)
-                               for _ in range(rank)])
+            v = tuple(random_polynomial(rng, R, max_terms=2, max_degree=2)
+                      for _ in range(rank))
             if rng.random() < 0.5:  # force plenty of positive instances
                 coeffs = [random_polynomial(rng, R, max_terms=2, max_degree=1) for _ in gens]
-                v = ModuleElement([
-                    sum((c * g.components[i] for c, g in zip(coeffs, gens)), R.zero)
+                v = tuple(
+                    sum((c * g[i] for c, g in zip(coeffs, gens)), R.zero)
                     for i in range(rank)
-                ])
-            reference = Ideal([encode(g) for g in gens if g] + square)
+                )
+            reference = Ideal([encode(g) for g in gens if any(g)] + square)
             expected = ideal_membership(encode(v), reference)
             assert module_membership(v, gens) == expected
             hits += expected
         assert 0 < hits < 25  # both outcomes exercised
+
+    @pytest.mark.parametrize("rank, seed", [(2, 33), (3, 34)])
+    def test_module_reduce_is_a_normal_form(self, rank, seed):
+        # v - module_reduce(v, gens) lies in the module, and the normal form
+        # modulo the module's basis is zero exactly for its members.
+        rng = random.Random(seed)
+        hits = 0
+        for _ in range(20):
+            gens = [
+                tuple(random_polynomial(rng, R, max_terms=2, max_degree=2, nonzero=True)
+                      for _ in range(rank))
+                for _ in range(rng.randint(1, 3))
+            ]
+            v = tuple(random_polynomial(rng, R, max_terms=3, max_degree=3, nonzero=True)
+                      for _ in range(rank))
+            if rng.random() < 0.5:  # force plenty of positive instances
+                coeffs = [random_polynomial(rng, R, max_terms=2, max_degree=1, nonzero=True)
+                          for _ in gens]
+                v = tuple(sum((c * g[i] for c, g in zip(coeffs, gens)), R.zero)
+                          for i in range(rank))
+            r = module_reduce(v, gens)
+            assert type(r) is tuple and len(r) == rank
+            assert module_membership(tuple(a - b for a, b in zip(v, r)), gens)
+            member = module_membership(v, gens)
+            assert (not any(module_reduce(v, module_buchberger(gens)))) == member
+            hits += member
+        assert 0 < hits < 20  # both outcomes exercised
 
     def test_no_pair_of_leads_in_different_positions(self, monkeypatch):
         # Under top, a pair of leads in different positions has S-vector 0,
@@ -1008,15 +1061,15 @@ class TestModuleMembership:
         def lead_position(v):  # grevlex-largest term, the lower position on ties
             key = GREVLEX.key(R)
             return -max((key(c.leading(GREVLEX)[0]), -i)
-                        for i, c in enumerate(v.components) if c)[1]
+                        for i, c in enumerate(v) if c)[1]
 
         monkeypatch.setattr(groebner, "_s_terms", recording)
         rng = random.Random(32)
         mixed = 0
         for _ in range(25):
             gens = [
-                ModuleElement([random_polynomial(rng, R, max_terms=2, max_degree=2)
-                               for _ in range(3)])
+                tuple(random_polynomial(rng, R, max_terms=2, max_degree=2)
+                      for _ in range(3))
                 for _ in range(rng.randint(1, 3))
             ]
             # Draws of v and of the forced combination, kept so that the
@@ -1036,10 +1089,10 @@ class TestModuleMembership:
             raise AssertionError("module_membership decoded a basis")
 
         monkeypatch.setattr(groebner, "_decode", no_decode)
-        gens = [ModuleElement([X, Y]), ModuleElement([Y**2, Z])]
-        assert module_membership(ModuleElement([X * Z + Y**3, 2 * Y * Z]), gens)
-        assert not module_membership(ModuleElement([Y, X]), gens)
-        zero = ModuleElement([R.zero, R.zero])
+        gens = [(X, Y), (Y**2, Z)]
+        assert module_membership((X * Z + Y**3, 2 * Y * Z), gens)
+        assert not module_membership((Y, X), gens)
+        zero = (R.zero, R.zero)
         assert module_membership(zero, [zero])
 
     def test_s_vector_of_leads_in_different_positions_is_zero(self):

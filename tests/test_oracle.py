@@ -92,9 +92,9 @@ def test_trivial_module_bases_match_sympy(name, k):
     ring, r = module.position_ring, module.rank
     e = ring.gens()[:r]
     squares = [e[i] * e[j] for i in range(r) for j in range(i, r)]
-    expected = sympy_basis(list(module.generators) + squares, GREVLEX,
+    expected = sympy_basis(list(module.ideal.generators) + squares, GREVLEX,
                            keep=lambda exps: sum(exps[:r]) == 1)
-    assert our_set(module.groebner_basis()) == expected
+    assert our_set(module.ideal.groebner_basis()) == expected
 
 
 R2 = PolynomialRing(["x", "y"])

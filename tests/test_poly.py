@@ -1,8 +1,10 @@
 """Polynomial arithmetic, parsing, printing, derivatives, evaluation."""
 
 import signal
+import sys
 import time
 from contextlib import contextmanager
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
 
@@ -20,6 +22,7 @@ from conormal.poly import (
     GREVLEX,
     LEX,
     MAX_DEGREE,
+    MAX_POWER_BITS,
     MonomialOrder,
     Polynomial,
     PolynomialRing,
@@ -91,6 +94,7 @@ class TestParse:
             ("(x*dy)^2", True, "'^' applies only to polynomial factors", 7),
             ("x^0", False, "exponent must be a positive integer", 2),
             ("x y", False, "unexpected trailing input 'y'", 2),
+            ("x 3 / 6", False, "unexpected trailing input 3 / 6", 2),
             ("(x + y", False, "expected ')'", 6),
             ("x +", False, "unexpected end of input", 3),
             ("x + * y", False, "unexpected token '*'", 4),
@@ -125,6 +129,63 @@ class TestParse:
             p = parse_polynomial(text, R)
             assert parse_polynomial(str(p), R) == p
             assert str(parse_polynomial(str(p), R)) == str(p)
+
+
+class TestHugeNumbers:
+    """Number tokens are read and printed whatever Python's int-to-string
+    limit (4300 digits by default) is; a literal, an exponent or a
+    denominator past ``MAX_POWER_BITS`` bits is a :class:`ParseError` at its
+    token."""
+
+    REPUNIT = (10**5000 - 1) // 9  # 5000 ones
+
+    def test_long_literal_parses_to_its_value(self):
+        assert parse_polynomial("1" * 5000 + "*x", R) == self.REPUNIT * X
+        assert parse_polynomial("x + 1/" + "1" * 5000, R) == X + Fraction(1, self.REPUNIT)
+
+    @pytest.mark.parametrize("limit", [640, 0])
+    def test_results_do_not_depend_on_the_int_string_limit(self, limit):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            p = parse_polynomial("1" * 5000 + "*x", R)
+            text = str(p)
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert p == self.REPUNIT * X and text == "1" * 5000 + "*x"
+
+    @pytest.mark.parametrize("text, position", [
+        ("x + " + "1" * 20000, 4),
+        ("x^" + "1" * 20000, 2),
+        ("x + 1/" + "1" * 20000, 4),
+    ], ids=["literal", "exponent", "denominator"])
+    def test_number_past_the_bit_limit_is_refused_at_its_token(self, text, position):
+        with under_a_second(), pytest.raises(ParseError, match="past the limit") as err:
+            parse_polynomial(text, R)
+        assert err.value.position == position
+
+    def test_bit_limit_is_exact(self):
+        # 2^MAX_POWER_BITS - 1 and 2^MAX_POWER_BITS have the same number of
+        # digits, and only the second has more than MAX_POWER_BITS bits.
+        with localcontext() as context:
+            context.prec = 20000
+            within, past = (str(Decimal(2) ** MAX_POWER_BITS - d) for d in (1, 0))
+        assert parse_polynomial(within, R) == 2**MAX_POWER_BITS - 1
+        with pytest.raises(ParseError, match="past the limit") as err:
+            parse_polynomial("x + " + past, R)
+        assert err.value.position == 4
+
+    def test_long_exponent_is_a_degree_error_at_its_name(self):
+        with pytest.raises(ParseError, match="past the limit") as err:
+            parse_polynomial("y*x^" + "1" * 5000, R)
+        degree = "1" * 4999 + "2"  # of y*x^k: the repunit k plus 1
+        assert str(err.value) == f"total degree {degree} is past the limit {MAX_DEGREE} (at position 2)"
+
+    @pytest.mark.parametrize("c", [2**60000, -(2**60000), Fraction(1, 3**12000)],
+                             ids=["2^60000", "-2^60000", "1/3^12000"])
+    def test_huge_coefficient_prints_and_parses_back(self, c):
+        p = c * X - Y
+        assert parse_polynomial(str(p), R) == p
 
 
 class TestDerivative:
