@@ -22,11 +22,12 @@ The parser works on raw mixed forms, ``{index tuple: {word:
 coefficient}}``, with the packed monomial words of :mod:`conormal.poly`.
 A term multiplies its numbers, variables and differentials, with their
 powers, straight into one accumulated monomial (a coefficient, a word and
-the differentials in order of appearance, whose order gives the wedge
-sign).  A term without a parenthesized factor adds that monomial straight
-into its expression's dict; a parenthesized factor is a mixed form of its
-own, wedged in with :func:`mixed_mul`, and a term with one adds its
-product into the dict in place.  ``(e)^k`` and a literal's ``c^k`` are
+an increasing index tuple: each differential is wedged on at the right,
+with the sign :func:`wedge_index_tuples` gives, and a repeated one makes
+the coefficient zero).  A term without a parenthesized factor adds that
+monomial straight into its expression's dict; a parenthesized factor is a
+mixed form of its own, wedged in with :func:`mixed_mul`, and a term with
+one adds its product into the dict in place.  ``(e)^k`` and a literal's ``c^k`` are
 ``poly._pow_terms``, which refuses a power past ``poly.MAX_DEGREE`` before
 it multiplies, and a constant power past ``poly.MAX_POWER_BITS`` before it
 computes it.  Any total degree past that bound is a :class:`ParseError` at
@@ -34,8 +35,15 @@ the factor that makes it, and a refused power is one at its exponent.  A
 literal, exponent or denominator is read by ``poly._read_int``, and one of
 more than ``poly.MAX_POWER_BITS`` bits is a :class:`ParseError` at its token.
 Each coefficient becomes a ``Polynomial`` once, at the end of
-:func:`parse_mixed_text`.  :func:`mixed_mul` is the one wedge loop over raw
-term dicts; ``forms.wedge`` calls it too.
+:func:`parse_mixed_text`.
+
+The exterior algebra has one sign rule: the sign of ``dx_S ^ dx_T`` is
+:func:`wedge_index_tuples`, kept per pair in ``_WEDGE``.  The parser,
+:func:`mixed_mul` and, in :mod:`conormal.forms`, ``exterior_derivative``
+and the vector-field map take their signs from it.  :func:`mixed_mul` is
+the one product of raw mixed forms (``forms.wedge`` and ``d`` call it),
+and :func:`_accumulate` the one sum (form addition, ``d`` and pullback add
+through it).
 
 The tokens are the plain strings of one ``findall``, and the parser walks
 them with an index, one call of :func:`_sum` per parenthesized expression.
@@ -132,7 +140,8 @@ def wedge_index_tuples(s: tuple, t: tuple):
     """Merge two strictly increasing index tuples.
 
     Returns ``(sign, merged)`` where sign is the parity of the shuffle, or
-    ``None`` when the tuples share an index (the wedge is zero).
+    ``None`` when the tuples share an index (the wedge is zero):
+    ``dx_s ^ dx_t = sign * dx_merged``, the package's one sign rule.
     """
     if not s or not t:
         return 1, s or t
@@ -211,10 +220,11 @@ def _sum(tokens: list, i: int, ring: PolynomialRing, allow_differentials: bool):
     index of the token after it.
 
     A term multiplies its numbers, variables and differentials into one
-    monomial ``coeff * word * d(diffs)``, with the differentials kept in
-    order of appearance; the parenthesized factors wedge into ``product``,
-    which the monomial then ends.  A term without one adds its monomial
-    straight into ``out``.
+    monomial ``coeff * word * dx_key``, each differential wedged on at the
+    right of ``key`` through :func:`wedge_index_tuples`; the parenthesized
+    factors wedge into ``product``, which the monomial then ends.  A term
+    without one adds its monomial straight into ``out``, a fast path that
+    is :func:`_accumulate` of one term.
     """
     index, units, limit = ring._index, ring.units, ring.limit
     out: dict = {}
@@ -223,7 +233,7 @@ def _sum(tokens: list, i: int, ring: PolynomialRing, allow_differentials: bool):
     if negate or token == "+":
         i += 1
     while True:
-        coeff, word, diffs, product = 1, 0, [], None
+        coeff, word, key, product = 1, 0, (), None
         start = i
         while True:
             token = tokens[i]
@@ -257,11 +267,11 @@ def _sum(tokens: list, i: int, ring: PolynomialRing, allow_differentials: bool):
                         raise _Error(str(error), i + 1) from None
                     sub = {(): power} if power else {}
                     i += 2
-                if len(diffs) % 2:
+                if len(key) % 2:
                     # the group moves in front of an odd number of
                     # differentials: its odd-degree parts change sign
-                    sub = {key: {m: -c for m, c in p.items()} if len(key) % 2 else p
-                           for key, p in sub.items()}
+                    sub = {idx: {m: -c for m, c in p.items()} if len(idx) % 2 else p
+                           for idx, p in sub.items()}
                 product = sub if product is None else _product(product, sub, limit, at)
             elif token.isdecimal() or "/" in token:  # after the scan, "/" is in numbers only
                 value = _literal(tokens, i - 1)
@@ -284,22 +294,21 @@ def _sum(tokens: list, i: int, ring: PolynomialRing, allow_differentials: bool):
                 if tokens[i] == "^":
                     _power(tokens, i + 1)
                     raise _Error("'^' applies only to polynomial factors", i + 1)
-                diffs.append(index[token[1:]])
+                t = (index[token[1:]],)
+                try:
+                    merged = _WEDGE[key, t]
+                except KeyError:
+                    merged = _WEDGE[key, t] = wedge_index_tuples(key, t)
+                if merged is None:  # a repeated differential: the term is zero
+                    coeff = 0
+                else:
+                    sign, key = merged
+                    coeff *= sign
             else:
                 raise _Error(f"unknown variable {token!r}", i - 1)
             if tokens[i] != "*":
                 break
             i += 1
-        key = ()
-        if diffs:
-            ordered = sorted(diffs)
-            key = tuple(ordered)
-            if len(set(key)) < len(key):
-                coeff = 0
-            elif ordered != diffs and sum(
-                1 for j, a in enumerate(diffs) for b in diffs[j + 1 :] if a > b
-            ) % 2:
-                coeff = -coeff
         if product is None:
             if coeff:
                 if negate:

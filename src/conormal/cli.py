@@ -61,7 +61,7 @@ from .forms import (
 from .germs import Germ, Parametrization, VerdictStatus, decide
 from .geometry import BertiniVerdict, bertini_check, random_hyperplane, regular_in_codimension
 from .groebner import ideal_membership
-from .poly import PolynomialRing, parse_polynomial
+from .poly import PolynomialRing, _read_int, parse_polynomial
 
 
 @dataclass
@@ -393,7 +393,10 @@ _EXPECT_KINDS = {
     "tangent": _decided("tangent", _STATUSES),
     "oracle": _decided("oracle"),
     "vanishes": _decided("vanishes"),
-    "regular": (("yes", "no"), lambda gf, arg: _yes_no(regular_in_codimension(gf.germ, int(arg)))),
+    "regular": (
+        ("yes", "no"),
+        lambda gf, arg: _yes_no(regular_in_codimension(gf.germ, _read_int(arg))),
+    ),
 }
 
 

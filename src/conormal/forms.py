@@ -10,6 +10,13 @@ Besides wedge, exterior derivative, pullback and pointwise evaluation, the
 module implements the degree-(n-1) correspondence with vector fields given
 by the volume form dx_1 ^ ... ^ dx_n |-> 1, and the radial homotopy that
 produces a polynomial potential for a closed 1-form.
+
+Every sign comes from one rule, the sign of dx_S ^ dx_T that
+``_expr.wedge_index_tuples`` gives: wedge and d multiply raw forms through
+``_expr.mixed_mul``, which reads it, and the vector-field correspondence
+reads it for dx_{[n] minus i} ^ dx_i.  Forms add through
+``_expr._accumulate``; ``scale`` and negation are wedges with a degree-0
+form.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Sequence, Union
 
-from ._expr import _accumulate, mixed_mul, parse_mixed_text
+from ._expr import _accumulate, mixed_mul, parse_mixed_text, wedge_index_tuples
 from .poly import (
     Polynomial,
     PolynomialRing,
@@ -69,8 +76,7 @@ class DifferentialForm:
                 raise ValueError(f"index tuple {idx} out of range for {ring}")
             if not isinstance(coeff, Polynomial):
                 coeff = ring.const(coeff)
-            if coeff.ring != ring:
-                raise ValueError("coefficient ring mismatch")
+            same_ring(self, coeff)
             if coeff:
                 clean[idx] = clean.get(idx, ring.zero) + coeff
         self._coeffs = {i: c for i, c in clean.items() if c}
@@ -99,36 +105,28 @@ class DifferentialForm:
     def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
         if not isinstance(other, DifferentialForm):
             return NotImplemented
-        same_ring(self, other)
+        ring = same_ring(self, other)
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degrees")
-        out = dict(self._coeffs)
-        for idx, c in other._coeffs.items():
-            s = out.get(idx, self.ring.zero) + c
-            if s:
-                out[idx] = s
-            elif idx in out:
-                del out[idx]
-        return DifferentialForm(self.ring, self.degree, out, _clean=True)
+        # _accumulate copies a term dict it inserts, so neither summand changes.
+        out: dict = {}
+        for x in (self, other):
+            for idx, terms in _raw(x).items():
+                _accumulate(out, idx, terms)
+        coeffs = {idx: Polynomial(ring, terms, _clean=True) for idx, terms in out.items()}
+        return DifferentialForm(ring, self.degree, coeffs, _clean=True)
 
     def __neg__(self) -> "DifferentialForm":
-        return DifferentialForm(
-            self.ring, self.degree, {i: -c for i, c in self._coeffs.items()}, _clean=True
-        )
+        return self.scale(-1)
 
     def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
         return self + (-other)
 
     def scale(self, factor) -> "DifferentialForm":
-        """Multiply by a polynomial or scalar (the degree-0 wedge action)."""
+        """Multiply by a polynomial or scalar: the wedge with a degree-0 form."""
         if not isinstance(factor, Polynomial):
             factor = self.ring.const(factor)
-        out = {}
-        for idx, c in self._coeffs.items():
-            p = factor * c
-            if p:
-                out[idx] = p
-        return DifferentialForm(self.ring, self.degree, out, _clean=True)
+        return wedge(factor, self)
 
     def __str__(self) -> str:
         return format_form(self)
@@ -153,8 +151,10 @@ def _raw(x: FormLike) -> dict:
 
 
 def _make(ring: PolynomialRing, degree: int, coeffs: dict) -> FormLike:
+    """The form of ``degree`` with the nonzero coefficients ``coeffs``; in
+    degree 0 a bare polynomial."""
     if degree == 0:
-        return coeffs.get((), ring.zero)
+        return coeffs[()] if coeffs else ring.zero
     return DifferentialForm(ring, degree, coeffs, _clean=True)
 
 
@@ -171,26 +171,16 @@ def wedge(a: FormLike, b: FormLike) -> FormLike:
 
 
 def exterior_derivative(x: FormLike) -> DifferentialForm:
-    """The exterior derivative d; linear, with d(d(x)) = 0."""
+    """The exterior derivative d(sum_I c_I dx_I) = sum_I dc_I ^ dx_I, with
+    dc = sum_i (dc/dx_i) dx_i; linear, with d(d(x)) = 0."""
     ring = x.ring
     out: dict = {}
     for idx, coeff in _term_dict(x).items():
-        for i in range(ring.nvars):
-            if i in idx:
-                continue
-            dc = partial_derivative(coeff, i)
-            if not dc:
-                continue
-            pos = sum(1 for j in idx if j < i)
-            if pos % 2:
-                dc = -dc
-            key = tuple(sorted(idx + (i,)))
-            total = out.get(key, ring.zero) + dc
-            if total:
-                out[key] = total
-            elif key in out:
-                del out[key]
-    return DifferentialForm(ring, form_degree(x) + 1, out, _clean=True)
+        dc = {(i,): t for i in range(ring.nvars) if (t := partial_derivative(coeff, i)._terms)}
+        for key, terms in mixed_mul(dc, {idx: {0: 1}}, ring.limit).items():
+            _accumulate(out, key, terms)
+    coeffs = {idx: Polynomial(ring, terms, _clean=True) for idx, terms in out.items()}
+    return DifferentialForm(ring, form_degree(x) + 1, coeffs, _clean=True)
 
 
 def pullback(x: FormLike, images: Sequence[Polynomial]) -> FormLike:
@@ -241,10 +231,8 @@ class VectorField:
         comps = tuple(components)
         if len(comps) != ring.nvars:
             raise ValueError("one component per ring variable required")
-        for c in comps:
-            if c.ring != ring:
-                raise ValueError("component ring mismatch")
         self.ring = ring
+        same_ring(self, *comps)
         self.components = comps
 
     def apply(self, g: Polynomial) -> Polynomial:
@@ -293,9 +281,10 @@ def form_to_vector_field(omega: FormLike) -> VectorField:
     """The degree-(n-1) correspondence with vector fields.
 
     Writing omega = sum_i a_i dx_1 ^ ... (omit dx_i) ... ^ dx_n, the image V
-    has V_i = (-1)^(n-1-i) a_i (0-based i), the unique field with
-    volume_coefficient(omega ^ dg) = V(g) for all g.  In one variable omega
-    is a bare polynomial.
+    has V_i = s_i a_i, where s_i is the sign of the wedge of those
+    differentials with dx_i, (-1)^(n-1-i) for a 0-based i: the unique field
+    with volume_coefficient(omega ^ dg) = V(g) for all g.  In one variable
+    omega is a bare polynomial.
     """
     ring = omega.ring
     n = ring.nvars
@@ -305,7 +294,8 @@ def form_to_vector_field(omega: FormLike) -> VectorField:
     everything = set(range(n))
     for idx, a in _term_dict(omega).items():
         i = (everything - set(idx)).pop()
-        comps[i] = a if (n - 1 - i) % 2 == 0 else -a
+        sign, _ = wedge_index_tuples(idx, (i,))
+        comps[i] = a if sign > 0 else -a
     return VectorField(ring, comps)
 
 
@@ -317,7 +307,8 @@ def vector_field_to_form(field: VectorField) -> FormLike:
     for i, v in enumerate(field.components):
         if v:
             idx = tuple(j for j in range(n) if j != i)
-            out[idx] = v if (n - 1 - i) % 2 == 0 else -v
+            sign, _ = wedge_index_tuples(idx, (i,))
+            out[idx] = v if sign > 0 else -v
     return _make(ring, n - 1, out)
 
 
@@ -400,18 +391,10 @@ def parse_form(text: str, ring: PolynomialRing) -> list:
     differential makes the term zero.  The degree-0 part, when present, is a
     bare polynomial.  The zero form parses to an empty list.
     """
-    mixed = parse_mixed_text(text, ring, allow_differentials=True)
     by_degree: dict = {}
-    for idx, coeff in mixed.items():
-        if coeff:
-            by_degree.setdefault(len(idx), {})[idx] = coeff
-    parts = []
-    for k in sorted(by_degree):
-        if k == 0:
-            parts.append(by_degree[0][()])
-        else:
-            parts.append(DifferentialForm(ring, k, by_degree[k], _clean=True))
-    return parts
+    for idx, coeff in parse_mixed_text(text, ring, allow_differentials=True).items():
+        by_degree.setdefault(len(idx), {})[idx] = coeff
+    return [_make(ring, k, by_degree[k]) for k in sorted(by_degree)]
 
 
 def _differentials(ring: PolynomialRing, idx) -> str:

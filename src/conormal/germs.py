@@ -53,6 +53,7 @@ from .forms import (
     FormLike,
     VectorField,
     _differentials,
+    _make,
     _term_dict,
     exterior_derivative,
     form_degree,
@@ -195,14 +196,13 @@ class Germ:
         gens = tuple(generators)
         if not gens:
             raise ValueError("a germ needs at least one generator")
+        self.ring = ring
+        same_ring(self, *gens)
         for g in gens:
-            if g.ring != ring:
-                raise ValueError("generator ring mismatch")
             if not g:
                 raise ValueError("zero generators are not allowed")
             if g.constant_coefficient() != 0:
                 raise ValueError(f"generator {g} does not vanish at the origin")
-        self.ring = ring
         self.generators = gens
         self.ideal = Ideal(gens)
         self.hypersurface = len(gens) == 1
@@ -275,16 +275,15 @@ class Parametrization:
         comps = tuple(components)
         if len(comps) != germ.ring.nvars:
             raise ValueError("one component per ambient variable required")
+        self.ring = ring
+        same_ring(self, *comps)
         for p in comps:
-            if p.ring != ring:
-                raise ValueError("component ring mismatch")
             if p.constant_coefficient() != 0:
                 raise ValueError("parametrization must send 0 to 0")
         for g in germ.generators:
             if g.substitute(ring, comps):
                 raise ValueError(f"parametrization does not satisfy generator {g}")
         self.germ = germ
-        self.ring = ring
         self.components = comps
 
     @cached_property
@@ -385,16 +384,13 @@ def trivial_form_generators(germ: Germ, k: int) -> list:
     seen = set()
     for f in germ.generators:
         for S in combinations(range(n), k):
-            form = DifferentialForm(ring, k, {S: f}, _clean=True)
+            form = _make(ring, k, {S: f})
             if form not in seen:
                 seen.add(form)
                 out.append(form)
     for df in germ.differentials:
         for T in combinations(range(n), k - 1):
-            basis_form = (
-                ring.one if not T else DifferentialForm(ring, k - 1, {T: ring.one}, _clean=True)
-            )
-            form = wedge(df, basis_form)
+            form = wedge(df, _make(ring, k - 1, {T: ring.one}))
             if form and form not in seen:
                 seen.add(form)
                 out.append(form)

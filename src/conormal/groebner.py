@@ -406,8 +406,7 @@ class Ideal:
 
     def same_ideal(self, other: "Ideal") -> bool:
         """Exact ideal equality via mutual membership of generators."""
-        if self.ring != other.ring:
-            raise ValueError("ideals live in different rings")
+        same_ring(self, other)
         return all(ideal_membership(g, other) for g in self.generators) and all(
             ideal_membership(g, self) for g in other.generators
         )
@@ -418,8 +417,7 @@ class Ideal:
 
 def ideal_membership(f: Polynomial, ideal: Ideal) -> bool:
     """Exact membership f in I over the polynomial ring."""
-    if f.ring != ideal.ring:
-        raise ValueError(f"ring mismatch: {f.ring} vs {ideal.ring}")
+    same_ring(f, ideal)
     if not f:
         return True
     return not reduce(f, ideal.groebner_basis(), ideal.order, ideal._divisors)

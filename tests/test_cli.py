@@ -96,6 +96,19 @@ class TestGermFiles:
         assert not any("--field" in line for line in lines)
         assert lines[-1] == "summary: 5/10 checks passed"
 
+    def test_expect_regular_past_the_int_string_limit(self):
+        # A codimension of 5000 digits passes the syntax check and is read
+        # whatever sys.get_int_max_str_digits() is; the line fails with the
+        # range check of regular_in_codimension.
+        big = "1" * 5000
+        gf = parse_germ_text(f"ring x y z\ngen x^3 - y*z\nexpect regular {big} no\n")
+        lines, ok = verify_examples({"big": gf})
+        assert not ok
+        assert lines == [
+            f"[big] regular {big} no: FAIL (error: codimension must be between 0 and dim X = 2)",
+            "summary: 0/1 checks passed",
+        ]
+
     def test_check_lines_on_a_germ_that_is_not_a_complete_intersection(self):
         # The twisted cubic cone is decided by the oracle on its covering
         # parametrization; a curve in the plane of V(x*y, x*z) (the plane

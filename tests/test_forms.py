@@ -5,7 +5,7 @@ import random
 import re
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -233,6 +233,24 @@ class TestParseWhitespace:
         assert parsed == parse_mixed_text("x*dy", R, True)
 
 
+class TestParseSign:
+    def test_every_word_of_up_to_four_differentials(self):
+        # The parser wedges the differentials of a term in order: the sign
+        # of 2*dw_1*...*dw_k is the parity of the word's inversions, counted
+        # here without the wedge code, and a repeated differential gives 0.
+        names = R4.variables
+        words = [w for k in range(5) for w in product(range(4), repeat=k)]
+        assert len(words) == 341
+        for word in words:
+            text = "*".join(["2", *("d" + names[i] for i in word)])
+            got = parse_mixed_text(text, R4, True)
+            if len(set(word)) < len(word):
+                assert got == {}, text
+                continue
+            inversions = sum(1 for a, b in combinations(word, 2) if a > b)
+            assert got == {tuple(sorted(word)): R4.const(2 * (-1) ** inversions)}, text
+
+
 class TestWedgeTable:
     def test_every_pair_of_increasing_tuples_up_to_five(self, monkeypatch):
         # Two passes from an empty table: the first fills it, the second
@@ -295,6 +313,24 @@ class TestWedge:
     @settings(max_examples=20)
     def test_associativity(self, a, b, c):
         assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+
+
+def _snapshot(w) -> list:
+    # Each coefficient of w, with the polynomial object and its term dict.
+    return [(idx, c, dict(c._terms)) for idx, c in w._coeffs.items()]
+
+
+class TestFormArithmetic:
+    @given(forms(R, 2), forms(R, 2), polynomials(R, max_terms=3))
+    @settings(max_examples=50)
+    def test_operations_leave_their_operands_unchanged(self, a, b, p):
+        # Sums add into term dicts in place; they must start from copies.
+        before = _snapshot(a), _snapshot(b), dict(p._terms)
+        results = [a + b, a - b, b - a, a - a, -a, a.scale(p), a.scale(-1)]
+        assert (_snapshot(a), _snapshot(b), dict(p._terms)) == before
+        assert not results[3]
+        assert results[0] - b == a and results[4] == results[6]
+        assert all(c for r in results for _, c in r.coefficients())
 
 
 class TestExteriorDerivative:

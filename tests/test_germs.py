@@ -77,6 +77,21 @@ class TestGermConstruction:
         with pytest.raises(ValueError):
             Germ(R, [X + 1])
 
+    def test_every_ring_check_names_the_mismatch(self):
+        # Six constructors and tests compare rings; each raises the one
+        # message of poly.same_ring.
+        cusp = Germ(R, [X**3 - Y * Z])
+        for make in (
+            lambda: Germ(R, [X, U]),
+            lambda: Parametrization(cusp, UV, [U, V, X]),
+            lambda: VectorField(R, [X, Y, U]),
+            lambda: DifferentialForm(R, 1, {(0,): U}),
+            lambda: ideal_membership(U, cusp.ideal),
+            lambda: cusp.ideal.same_ideal(Ideal([U])),
+        ):
+            with pytest.raises(ValueError, match="^ring mismatch: "):
+                make()
+
     def test_hypersurface_needs_single_generator(self):
         assert Germ(R, [X * Y]).hypersurface
         assert not Germ(R, [X, Y]).hypersurface
