@@ -14,9 +14,18 @@ produces a polynomial potential for a closed 1-form.
 Every sign comes from one rule, the sign of dx_S ^ dx_T that
 ``_expr.wedge_index_tuples`` gives: wedge and d multiply raw forms through
 ``_expr.mixed_mul``, which reads it, and the vector-field correspondence
-reads it for dx_{[n] minus i} ^ dx_i.  Forms add through
-``_expr._accumulate``; ``scale`` and negation are wedges with a degree-0
-form.
+reads it for dx_{[n] minus i} ^ dx_i.
+
+Forms compute on raw mixed forms ``{index tuple: term dict}`` with the two
+kernels of :mod:`conormal.poly`: ``mixed_mul`` multiplies coefficients with
+``poly._mul_terms``, the one product kernel, and forms add through
+``_expr._accumulate``, which adds each coefficient with ``poly._add_into``,
+the one sum kernel; the checked constructor and the radial potential call
+them too.  ``scale`` and negation are wedges with a degree-0 form, and
+:func:`_from_raw` is the one way a raw mixed form becomes a form.  Outside
+the two kernels only three fast paths add into a term dict:
+``groebner._remainder``, ``groebner._s_terms`` and the parser's
+one-monomial add in ``_expr._sum``.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from .poly import (
     Polynomial,
     PolynomialRing,
     Scalar,
+    _add_into,
     _check_degree,
     _div,
     _join_chunks,
@@ -67,19 +77,19 @@ class DifferentialForm:
         if _clean:
             self._coeffs = dict(coefficients)
             return
-        clean = {}
+        raw: dict = {}
         for idx, coeff in coefficients.items():
             idx = tuple(idx)
-            if len(idx) != degree or list(idx) != sorted(set(idx)):
-                raise ValueError(f"index tuple {idx} is not strictly increasing of length {degree}")
+            ints = all(isinstance(i, int) for i in idx)
+            if len(idx) != degree or not ints or list(idx) != sorted(set(idx)):
+                raise ValueError(f"index tuple {idx} is not {degree} strictly increasing integers")
             if idx and (idx[0] < 0 or idx[-1] >= ring.nvars):
                 raise ValueError(f"index tuple {idx} out of range for {ring}")
             if not isinstance(coeff, Polynomial):
                 coeff = ring.const(coeff)
             same_ring(self, coeff)
-            if coeff:
-                clean[idx] = clean.get(idx, ring.zero) + coeff
-        self._coeffs = {i: c for i, c in clean.items() if c}
+            _accumulate(raw, idx, coeff._terms)
+        self._coeffs = _from_raw(ring, degree, raw)._coeffs
 
     def coefficients(self):
         """Deterministic iteration: (index tuple, coefficient) sorted by tuple."""
@@ -113,8 +123,7 @@ class DifferentialForm:
         for x in (self, other):
             for idx, terms in _raw(x).items():
                 _accumulate(out, idx, terms)
-        coeffs = {idx: Polynomial(ring, terms, _clean=True) for idx, terms in out.items()}
-        return DifferentialForm(ring, self.degree, coeffs, _clean=True)
+        return _from_raw(ring, self.degree, out)
 
     def __neg__(self) -> "DifferentialForm":
         return self.scale(-1)
@@ -158,6 +167,13 @@ def _make(ring: PolynomialRing, degree: int, coeffs: dict) -> FormLike:
     return DifferentialForm(ring, degree, coeffs, _clean=True)
 
 
+def _from_raw(ring: PolynomialRing, degree: int, raw: dict) -> FormLike:
+    """The form of ``degree`` whose raw mixed form is ``raw``, with one
+    ``Polynomial`` per coefficient; it takes the term dicts as they are."""
+    coeffs = {idx: Polynomial(ring, terms, _clean=True) for idx, terms in raw.items()}
+    return _make(ring, degree, coeffs)
+
+
 def wedge(a: FormLike, b: FormLike) -> FormLike:
     """Exterior product; bilinear, associative, and sign-correct.
 
@@ -165,9 +181,7 @@ def wedge(a: FormLike, b: FormLike) -> FormLike:
     ring dimension the result is the zero form of that degree.
     """
     ring = same_ring(a, b)
-    raw = mixed_mul(_raw(a), _raw(b), ring.limit)
-    coeffs = {idx: Polynomial(ring, terms, _clean=True) for idx, terms in raw.items()}
-    return _make(ring, form_degree(a) + form_degree(b), coeffs)
+    return _from_raw(ring, form_degree(a) + form_degree(b), mixed_mul(_raw(a), _raw(b), ring.limit))
 
 
 def exterior_derivative(x: FormLike) -> DifferentialForm:
@@ -179,8 +193,7 @@ def exterior_derivative(x: FormLike) -> DifferentialForm:
         dc = {(i,): t for i in range(ring.nvars) if (t := partial_derivative(coeff, i)._terms)}
         for key, terms in mixed_mul(dc, {idx: {0: 1}}, ring.limit).items():
             _accumulate(out, key, terms)
-    coeffs = {idx: Polynomial(ring, terms, _clean=True) for idx, terms in out.items()}
-    return DifferentialForm(ring, form_degree(x) + 1, coeffs, _clean=True)
+    return _from_raw(ring, form_degree(x) + 1, out)
 
 
 def pullback(x: FormLike, images: Sequence[Polynomial]) -> FormLike:
@@ -201,8 +214,7 @@ def pullback(x: FormLike, images: Sequence[Polynomial]) -> FormLike:
             term = mixed_mul(term, diffs[j], ring.limit)
         for key, terms in term.items():
             _accumulate(out, key, terms)
-    coeffs = {idx: Polynomial(ring, terms, _clean=True) for idx, terms in out.items()}
-    return _make(ring, form_degree(x), coeffs)
+    return _from_raw(ring, form_degree(x), out)
 
 
 def evaluate_form(x: FormLike, point: Sequence[Scalar]):
@@ -327,14 +339,8 @@ def radial_potential(omega: FormLike) -> Polynomial:
     out: dict = {}
     for (i,), coeff in omega._coeffs.items():
         unit = ring.units[i]
-        for m, c in coeff._terms.items():
-            key = m + unit
-            _check_degree(key, ring.limit)
-            s = out.get(key, 0) + _div(c, ring.degree(key))
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+        _check_degree(max(coeff._terms) + unit, ring.limit)
+        _add_into(out, {m + unit: _div(c, ring.degree(m + unit)) for m, c in coeff._terms.items()})
     return Polynomial(ring, out, _clean=True)
 
 

@@ -158,14 +158,7 @@ def _restrict(p: Polynomial, hyperplane: Hyperplane, section_ring: PolynomialRin
         rest = (m & low) + ((m >> above) << shift) - e * degree_unit
         while len(powers) <= e:
             powers.append(_mul_terms(powers[-1], solved, limit))
-        scaled = c * hp ** (top - e)
-        for t, v in powers[e].items():
-            t += rest
-            s = out.get(t, 0) + scaled * v
-            if s:
-                out[t] = s
-            elif t in out:
-                del out[t]
+        _mul_terms({rest: c * hp ** (top - e)}, powers[e], limit, out)
     whole = hp**top
     return Polynomial(section_ring, {t: _div(v, whole) for t, v in out.items()}, _clean=True)
 

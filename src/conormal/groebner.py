@@ -130,6 +130,11 @@ def _remainder(work: dict, divisors: Sequence[tuple], key, ring: PolynomialRing)
     denominators, and one that follows ``_CONTENT_BITS`` bits of growth of
     the multiplier removes the content; both fold their factor into the
     multiplier.
+
+    The subtraction is a fast path with its own loop, not the product
+    kernel ``poly._mul_terms``: it runs on the tuple tail of the record,
+    which the kernel would take only as a dict, built per step, and the
+    degree bound is checked once per step through the record's ``reach``.
     """
     guards, limit = ring.guards, ring.limit
     remainder: dict = {}
@@ -211,7 +216,9 @@ def _s_terms(record_f: tuple, record_g: tuple, ring: PolynomialRing, positions: 
 
     It is (L/a_f)*x^qf*tail_f - (L/a_g)*x^qg*tail_g, with x^qf and x^qg
     the cofactors of the leads at their lcm; the leads cancel, so they are
-    never written.
+    never written.  Like :func:`_remainder` it adds the tuple tails in a
+    loop of its own, a fast path past ``poly._mul_terms``, which would take
+    each tail only as a dict built per pair.
     """
     fm, fa, f_tail, f_reach = record_f
     gm, ga, g_tail, g_reach = record_g

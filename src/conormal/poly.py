@@ -47,11 +47,18 @@ tuple: coefficient})`` packs them (:meth:`PolynomialRing.pack`) and
 :attr:`Polynomial.terms` unpacks them.  The parser reads ``x^k`` straight
 into a word, and :func:`format_polynomial` unpacks each word it prints.
 
-:func:`_mul_terms` and :func:`_add_terms` are the one product and sum kernel
-over raw term dicts ``{word: coefficient}``.  ``Polynomial.__mul__`` and
-``__add__`` call them, and so do ``Polynomial.substitute``, the expression
-parser and ``forms.wedge``, which build a ``Polynomial`` only for each final
-result.
+Raw term dicts ``{word: coefficient}`` have one product kernel,
+:func:`_mul_terms`, which adds a product into a dict, and one sum kernel,
+:func:`_add_into`, which adds a term dict into one in place.  Every sum of
+term dicts in the package runs through one of the two: ``Polynomial``
+arithmetic and its checked constructor, ``Polynomial.substitute`` (each
+term is a product with its coefficient), ``geometry._restrict``, the
+parser's sums (``_expr._accumulate``) and every form operation of
+:mod:`conormal.forms`, which build a ``Polynomial`` only for each final
+result.  Three fast paths keep a loop of their own: the division and
+S-combination kernels of :mod:`conormal.groebner` (``_remainder`` and
+``_s_terms``), which pair a coefficient with the tuple tail of a divisor
+record, and the parser's one-monomial add in ``_expr._sum``.
 
 :func:`_pow_terms` is the one power kernel, behind ``Polynomial.__pow__``
 and the parser's powers ``(e)^k`` and ``c^k`` of a literal.  It refuses a
@@ -411,11 +418,15 @@ def same_ring(*objs) -> PolynomialRing:
     return ring
 
 
-def _add_terms(p: Mapping, q: Mapping) -> dict:
-    """The term dict of the sum of two term dicts; zero sums are dropped."""
-    out = dict(p)
-    for m, c in q.items():
-        s = out.get(m, 0) + c
+def _add_into(out: dict, terms: Mapping, negate: bool = False) -> dict:
+    """Add the term dict ``terms``, negated if ``negate``, into ``out`` in
+    place and return ``out``; zero sums are dropped and ``terms`` is not
+    changed.  Into an empty ``out`` the terms are copied at C level."""
+    if not out:
+        out.update({m: -c for m, c in terms.items()} if negate else terms)
+        return out
+    for m, c in terms.items():
+        s = out.get(m, 0) - c if negate else out.get(m, 0) + c
         if s:
             out[m] = s
         elif m in out:
@@ -497,13 +508,12 @@ class Polynomial:
         if _clean:
             self._terms = dict(terms) if not isinstance(terms, dict) else terms
         else:
-            clean = {}
+            clean: dict = {}
             for exps, coeff in terms.items():
-                m = ring.pack(tuple(exps))
-                c = _rational(coeff)
-                if c != 0:
-                    clean[m] = clean.get(m, 0) + c
-            self._terms = {m: _norm(c) for m, c in clean.items() if c != 0}
+                m, c = ring.pack(tuple(exps)), _rational(coeff)
+                if c:
+                    _add_into(clean, {m: c})
+            self._terms = {m: _norm(c) for m, c in clean.items()}
         self._lead = self._tuples = None  # made on first use
 
     @property
@@ -598,7 +608,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial(self.ring, _add_terms(self._terms, other._terms), _clean=True)
+        return Polynomial(self.ring, _add_into(dict(self._terms), other._terms), _clean=True)
 
     __radd__ = __add__
 
@@ -664,8 +674,8 @@ class Polynomial:
         seed-1 ``sections`` benchmark ops, ``_restrict`` takes 5-8 ms per
         pass and this map 14 ms (Intel Xeon, CPython 3.11).  It runs on raw
         term dicts through :func:`_mul_terms`: the powers of each image are
-        built as they are needed, and every term adds into one accumulating
-        dict.
+        built as they are needed, and each term times its coefficient is
+        added into one accumulating dict.
         """
         if len(images) != self.ring.nvars:
             raise ValueError("one image per variable required")
@@ -683,12 +693,7 @@ class Polynomial:
                     while len(cache) <= e:
                         cache.append(_mul_terms(cache[-1], cache[1], limit))
                     term = cache[e] if term is one else _mul_terms(term, cache[e], limit)
-            for t, v in term.items():
-                s = out.get(t, 0) + c * v
-                if s:
-                    out[t] = s
-                elif t in out:
-                    del out[t]
+            _mul_terms({0: c}, term, limit, out)
         return Polynomial(ring, out, _clean=True)
 
     def __str__(self) -> str:

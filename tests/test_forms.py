@@ -45,6 +45,36 @@ def form(text, ring=R):
     return parts[0]
 
 
+def count_polynomials(monkeypatch) -> list:
+    """The list of every Polynomial built from now on in the test."""
+    built = []
+    init = Polynomial.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting)
+    return built
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("index", [1.5, 0.0, "a"])
+    def test_an_index_that_is_not_an_int_is_refused(self, index):
+        with pytest.raises(ValueError, match="index tuple"):
+            DifferentialForm(R, 1, {(index,): X})
+
+    def test_one_polynomial_per_nonzero_coefficient(self, monkeypatch):
+        built = count_polynomials(monkeypatch)
+        w = DifferentialForm(R, 1, {(0,): X, (1,): Y})
+        assert len(built) == 2
+        assert w == form("x*dx + y*dy")
+
+    def test_keys_that_are_the_same_tuple_add_up(self):
+        assert DifferentialForm(R, 1, {(0,): X, range(0, 1): Y}) == form("(x + y)*dx")
+        assert not DifferentialForm(R, 1, {(0,): X, range(0, 1): -X})
+
+
 class TestParseForm:
     def test_two_form_coefficients(self):
         w = form("x*dy*dz + 3*z*dx*dy")
@@ -154,14 +184,7 @@ class TestParseAgainstReference:
     def test_one_polynomial_per_nonzero_coefficient(self, monkeypatch):
         # The parser works on raw term dicts and builds each coefficient's
         # Polynomial once, at the end.
-        built = []
-        init = Polynomial.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(Polynomial, "__init__", counting)
+        built = count_polynomials(monkeypatch)
         text = "x*dy*dz + 3*z*dx*dy - (x + 1/2*y)^2*dx*dz + 2*dx*dx + y^2 - 2*1/2*x + x"
         parts = parse_form(text, R)
         k = sum(1 if form_degree(p) == 0 else len(p.coefficients()) for p in parts)

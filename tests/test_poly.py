@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conormal import ParseError
-from conormal._expr import parse_mixed_text
+from conormal._expr import _accumulate, parse_mixed_text
 from conormal.forms import Hyperplane, exterior_derivative, radial_potential
 from conormal.geometry import hyperplane_section
 from conormal.germs import Germ
@@ -26,6 +26,7 @@ from conormal.poly import (
     MonomialOrder,
     Polynomial,
     PolynomialRing,
+    _add_into,
     _div,
     block_order,
     evaluate,
@@ -447,8 +448,44 @@ def scalars():
     return st.integers(-50, 50) | st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 
+def term_dicts():
+    # Few words and small coefficients, so that sums often cancel.
+    coefficient = st.integers(-2, 2).filter(bool) | coefficients()
+    return st.dictionaries(st.integers(0, 5), coefficient, max_size=5)
+
+
+def reference_sum(a: dict, b: dict, sign: int) -> dict:
+    """a + sign*b as a term dict without zero coefficients."""
+    return {m: s for m in a.keys() | b.keys() if (s := a.get(m, 0) + sign * b.get(m, 0))}
+
+
 class TestKernels:
     """The hot-path kernels equal their definitions."""
+
+    @given(term_dicts(), term_dicts(), st.booleans())
+    def test_add_into_is_the_sum(self, out, terms, negate):
+        sign = -1 if negate else 1
+        expected, before = reference_sum(out, terms, sign), dict(terms)
+        assert _add_into(out, terms, negate) is out
+        assert out == expected and terms == before
+        # The first insert into an empty dict copies terms: adding into the
+        # result again, here or through _accumulate, leaves terms unchanged.
+        fresh = _add_into({}, terms, negate)
+        _add_into(fresh, terms, not negate)
+        mixed: dict = {}
+        _accumulate(mixed, (), terms, negate)
+        _accumulate(mixed, (), terms, not negate)
+        assert terms == before and fresh == {} and mixed == {}
+
+    @given(polynomials(R), polynomials(R))
+    def test_sums_leave_their_operands_unchanged(self, p, q):
+        # Polynomial sums add into a copy of the first operand's terms.
+        before = dict(p._terms), dict(q._terms)
+        results = [p + q, p - q, q - p, p - p, q + p]
+        assert (dict(p._terms), dict(q._terms)) == before
+        assert not any(r._terms is t for r in results for t in (p._terms, q._terms))
+        assert results[0]._terms == reference_sum(p._terms, q._terms, 1)
+        assert results[1]._terms == reference_sum(p._terms, q._terms, -1)
 
     @given(st.integers(1, 7).flatmap(lambda n: st.tuples(*[monomials(n, MAX_DEGREE // 14)] * 2)))
     def test_monomial_helpers(self, ab):
