@@ -44,6 +44,7 @@ from .poly import (
     _join_chunks,
     _mul_terms,
     _rational,
+    _scalar_terms,
     _term_chunks,
     evaluate,
     format_polynomial,
@@ -85,10 +86,12 @@ class DifferentialForm:
                 raise ValueError(f"index tuple {idx} is not {degree} strictly increasing integers")
             if idx and (idx[0] < 0 or idx[-1] >= ring.nvars):
                 raise ValueError(f"index tuple {idx} out of range for {ring}")
-            if not isinstance(coeff, Polynomial):
-                coeff = ring.const(coeff)
-            same_ring(self, coeff)
-            _accumulate(raw, idx, coeff._terms)
+            if isinstance(coeff, Polynomial):
+                same_ring(self, coeff)
+                terms = coeff._terms
+            else:
+                terms = _scalar_terms(coeff)
+            _accumulate(raw, idx, terms)
         self._coeffs = _from_raw(ring, degree, raw)._coeffs
 
     def coefficients(self):
@@ -191,7 +194,8 @@ def exterior_derivative(x: FormLike) -> DifferentialForm:
     out: dict = {}
     for idx, coeff in _term_dict(x).items():
         dc = {(i,): t for i in range(ring.nvars) if (t := partial_derivative(coeff, i)._terms)}
-        for key, terms in mixed_mul(dc, {idx: {0: 1}}, ring.limit).items():
+        # The d of a polynomial is its partials: no product with dx_() = 1.
+        for key, terms in (mixed_mul(dc, {idx: {0: 1}}, ring.limit) if idx else dc).items():
             _accumulate(out, key, terms)
     return _from_raw(ring, form_degree(x) + 1, out)
 

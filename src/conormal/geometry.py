@@ -34,16 +34,7 @@ from typing import Optional
 from .forms import Hyperplane
 from .germs import Germ, Parametrization, _require_parametrization_of
 from .groebner import Ideal, krull_dimension, radical_membership
-from .poly import (
-    FIELD,
-    WIDTH,
-    Polynomial,
-    PolynomialRing,
-    _div,
-    _mul_terms,
-    evaluate,
-    partial_derivative,
-)
+from .poly import Polynomial, PolynomialRing, _div, evaluate
 
 
 class BertiniVerdict(Enum):
@@ -111,56 +102,29 @@ def _require_section_input(germ: Germ, hyperplane: Hyperplane):
 
 
 def _cut(germ: Germ, hyperplane: Hyperplane):
-    """The section germ and the pivot, the first variable with a nonzero
-    normal entry; raises if the hyperplane is contained in the germ.
+    """The section germ, the pivot p (the first variable with a nonzero
+    normal entry) and the images of the ambient variables on H; raises if
+    the hyperplane is contained in the germ.
 
-    The section ring keeps the other variables, in their order, and the
-    section's generator is the germ's, restricted to H by :func:`_restrict`.
+    The section ring keeps the other variables y_i, in their order.  The
+    pivot maps to the solution -sum_i (h_i/h_p)*y_i of the hyperplane and
+    every other variable to itself; the section's generator is the germ's
+    through that ring map, :meth:`Polynomial.substitute`.
     """
-    pivot = _pivot(hyperplane)
+    normal, pivot = hyperplane.normal, _pivot(hyperplane)
     section_ring = PolynomialRing([v for i, v in enumerate(germ.ring.variables) if i != pivot])
-    g = _restrict(germ.generators[0], hyperplane, section_ring)
+    others = [h for i, h in enumerate(normal) if i != pivot]
+    solved = {section_ring.units[k]: _div(-h, normal[pivot]) for k, h in enumerate(others) if h}
+    images = list(section_ring.gens())
+    images.insert(pivot, Polynomial(section_ring, solved, _clean=True))
+    g = germ.generators[0].substitute(section_ring, images)
     if not g:
         raise ValueError("the hyperplane is contained in the germ")
-    return Germ(section_ring, [g]), pivot
+    return Germ(section_ring, [g]), pivot, images
 
 
 def _pivot(hyperplane: Hyperplane) -> int:
     return next(i for i, h in enumerate(hyperplane.normal) if h)
-
-
-def _restrict(p: Polynomial, hyperplane: Hyperplane, section_ring: PolynomialRing) -> Polynomial:
-    """p restricted to H, in ``section_ring``: the pivot x_p maps to the
-    solution -sum_i (h_i/h_p)*y_i of the hyperplane, every other variable
-    to itself.
-
-    The restriction runs on integers.  The normal is integral and h_p is
-    positive, so h_p times the pivot's image, -sum_i h_i*y_i, is integral.
-    With D the degree of p in x_p, a term of pivot exponent e is scaled by
-    h_p^(D-e) and multiplied by the e-th power of that integral image, and
-    each coefficient of the sum is divided once, by h_p^D.
-    """
-    pivot = _pivot(hyperplane)
-    normal = hyperplane.normal
-    hp = normal[pivot]
-    shift, limit = pivot * WIDTH, section_ring.limit
-    low, above = (1 << shift) - 1, shift + WIDTH
-    degree_unit = 1 << (section_ring.nvars * WIDTH)  # one total degree in the section ring
-    others = [h for i, h in enumerate(normal) if i != pivot]
-    solved = {section_ring.units[k]: -h for k, h in enumerate(others) if h}
-    powers = [{0: 1}, solved]  # powers[e]: the terms of solved^e
-    top = max(((m >> shift) & FIELD for m in p._terms), default=0)
-    out: dict = {}
-    for m, c in p._terms.items():
-        e = (m >> shift) & FIELD
-        # m without its pivot field: the fields above it move down one
-        # field, and the total degree drops by e.
-        rest = (m & low) + ((m >> above) << shift) - e * degree_unit
-        while len(powers) <= e:
-            powers.append(_mul_terms(powers[-1], solved, limit))
-        _mul_terms({rest: c * hp ** (top - e)}, powers[e], limit, out)
-    whole = hp**top
-    return Polynomial(section_ring, {t: _div(v, whole) for t, v in out.items()}, _clean=True)
 
 
 def _witness_notes(germ: Germ, hyperplane: Hyperplane, par: Parametrization) -> list:
@@ -186,8 +150,8 @@ def bertini_check(
     """Compare the singular locus of the hyperplane section with the sliced
     singular locus, classifying any disagreement with diagnostics.
 
-    Both loci live in the section ring C[x]/(l), into which
-    :func:`_restrict` carries a polynomial by solving l for the pivot p.
+    Both loci live in the section ring C[x]/(l), into which the images
+    :func:`_cut` builds carry a polynomial by solving l for the pivot p.
     With g the restriction of f and phi that of d_p f, the chain rule gives
     the restriction of d_k f as dg/dy_k + (h_k/h_p) phi, so the sliced
     Jacobian ideal is the section's Jacobian ideal plus (phi).  The loci are
@@ -200,7 +164,7 @@ def bertini_check(
     diagnostics = []
 
     try:
-        section, pivot = _cut(germ, hyperplane)
+        section, pivot, images = _cut(germ, hyperplane)
     except ValueError:
         diagnostics.append("H is contained in X")
         return BertiniReport(
@@ -213,7 +177,7 @@ def bertini_check(
     if not reduced:
         diagnostics.append("section is non-reduced (H is tangent to X along a locus)")
 
-    phi = _restrict(partial_derivative(germ.generators[0], pivot), hyperplane, section.ring)
+    phi = germ.differentials[0].coefficient((pivot,)).substitute(section.ring, images)
     tangent = not radical_membership(phi, section_jac)
 
     dim_sing = germ.singular_dimension

@@ -7,16 +7,20 @@ returns a fresh polynomial, so instances can be shared freely.
 
 A coefficient is a plain ``int`` when it is integral and a ``Fraction``
 otherwise, never a float: integer arithmetic skips the ``gcd`` that every
-``Fraction`` operation pays.  Construction, ``scale``, ``monic``, :func:`_div`
-and :func:`evaluate` give integral values as ``int`` (:func:`_norm`); sums
-and products may keep a ``Fraction`` with denominator 1, which compares and
-hashes equal to the ``int``.  No coefficient is divided with ``/``, because
-``int / int`` is a float: a rational quotient goes through :func:`_div`,
-where two ints build a ``Fraction`` only when the quotient is not integral.
-Integer code divides exactly with ``//``: :func:`_primitive_terms`, which
-gives the records of :meth:`Polynomial.divisor` the primitive integer
-associate of a polynomial, and the fraction-free division of
-:mod:`conormal.groebner`, which reads those records.
+``Fraction`` operation pays.  Construction, ``scale``, ``monic``,
+``substitute``, :func:`_div` and :func:`evaluate` give integral values as
+``int`` (:func:`_norm`); sums and products may keep a ``Fraction`` with
+denominator 1, which compares and hashes equal to the ``int``.  No
+coefficient is divided with ``/``, because ``int / int`` is a float: a
+rational quotient goes through :func:`_div`, where two ints build a
+``Fraction`` only when the quotient is not integral.  Integer code divides
+exactly with ``//``: :func:`_integral`, the integer multiple of a term
+dict, as which ``Polynomial.substitute`` raises an image of two or more
+terms and from which :func:`_primitive_terms` starts;
+:func:`_primitive_terms`, which gives the records of
+:meth:`Polynomial.divisor` the primitive integer associate of a
+polynomial; and the fraction-free division of :mod:`conormal.groebner`,
+which reads those records.
 
 Inside the package a monomial is one ``int``, a packed exponent word
 (Bachmann-Schoenemann 1998, Monagan-Pearce 2007).  Its layout in a ring of
@@ -52,13 +56,13 @@ Raw term dicts ``{word: coefficient}`` have one product kernel,
 :func:`_add_into`, which adds a term dict into one in place.  Every sum of
 term dicts in the package runs through one of the two: ``Polynomial``
 arithmetic and its checked constructor, ``Polynomial.substitute`` (each
-term is a product with its coefficient), ``geometry._restrict``, the
-parser's sums (``_expr._accumulate``) and every form operation of
-:mod:`conormal.forms`, which build a ``Polynomial`` only for each final
-result.  Three fast paths keep a loop of their own: the division and
-S-combination kernels of :mod:`conormal.groebner` (``_remainder`` and
-``_s_terms``), which pair a coefficient with the tuple tail of a divisor
-record, and the parser's one-monomial add in ``_expr._sum``.
+term is a product with its coefficient), the parser's sums
+(``_expr._accumulate``) and every form operation of :mod:`conormal.forms`,
+which build a ``Polynomial`` only for each final result.  Three fast paths
+keep a loop of their own: the division and S-combination kernels of
+:mod:`conormal.groebner` (``_remainder`` and ``_s_terms``), which pair a
+coefficient with the tuple tail of a divisor record, and the parser's
+one-monomial add in ``_expr._sum``.
 
 :func:`_pow_terms` is the one power kernel, behind ``Polynomial.__pow__``
 and the parser's powers ``(e)^k`` and ``c^k`` of a literal.  It refuses a
@@ -173,6 +177,12 @@ def _norm(c: Scalar) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
+def _scalar_terms(value) -> dict:
+    """The term dict of the constant ``value``, normalized by :func:`_norm`."""
+    c = _norm(_rational(value))
+    return {0: c} if c else {}
+
+
 def _div(a: Scalar, b: Scalar) -> Scalar:
     """The exact quotient a / b, normalized by :func:`_norm`."""
     if type(a) is int and type(b) is int:
@@ -181,14 +191,18 @@ def _div(a: Scalar, b: Scalar) -> Scalar:
     return _norm(Fraction(a) / b)
 
 
+def _integral(terms: Mapping) -> tuple:
+    """``(d, ints)``: d the lcm of the denominators of the coefficients of a
+    term dict, and ints the integer term dict of d times it."""
+    d = lcm(*[c.denominator for c in terms.values() if type(c) is not int])
+    return d, {m: c * d if type(c) is int else c.numerator * (d // c.denominator)
+               for m, c in terms.items()}
+
+
 def _primitive_terms(terms: Mapping, lc: Scalar) -> dict:
     """The term dict of ``terms`` times the one rational u for which every
     coefficient is an integer, their gcd is 1 and ``lc`` times u is positive."""
-    den = lcm(*[c.denominator for c in terms.values() if type(c) is not int])
-    if den == 1:
-        ints = {m: int(c) for m, c in terms.items()}
-    else:
-        ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    ints = _integral(terms)[1]
     k = gcd(*ints.values())
     if lc < 0:
         k = -k
@@ -383,10 +397,7 @@ class PolynomialRing:
         return tuple(self.var(i) for i in range(self.nvars))
 
     def const(self, value: Scalar) -> "Polynomial":
-        c = _norm(_rational(value))
-        if c == 0:
-            return Polynomial(self, {}, _clean=True)
-        return Polynomial(self, {0: c}, _clean=True)
+        return Polynomial(self, _scalar_terms(value), _clean=True)
 
     @property
     def zero(self) -> "Polynomial":
@@ -664,37 +675,53 @@ class Polynomial:
     def substitute(self, ring: PolynomialRing, images: Sequence["Polynomial"]) -> "Polynomial":
         """Apply the ring map sending variable i to ``images[i]`` (all in ``ring``).
 
-        This is the general ring map of the package: elimination, the
-        Rabinowitsch extension, the parametrization check and
-        ``forms.pullback`` use it.  The section harness does not: it
-        restricts to a hyperplane with ``geometry._restrict``, which scales
-        the solved pivot to integers and divides once at the end.  That
-        fork stays because the images of a restriction have rational
-        coefficients h_i/h_p: on the two restrictions of each of the 225
-        seed-1 ``sections`` benchmark ops, ``_restrict`` takes 5-8 ms per
-        pass and this map 14 ms (Intel Xeon, CPython 3.11).  It runs on raw
-        term dicts through :func:`_mul_terms`: the powers of each image are
-        built as they are needed, and each term times its coefficient is
-        added into one accumulating dict.
+        This is the one ring map of the package: elimination, the
+        Rabinowitsch extension, the parametrization check,
+        ``forms.pullback`` and the restriction to a hyperplane in
+        :mod:`conormal.geometry` use it.
+
+        An image of one term (a variable or a monomial) moves the word and
+        scales the coefficient, with no product.  Any other image, 0
+        included, is raised as its integer multiple d_i * images[i], d_i the
+        lcm of its denominators (:func:`_integral`), its powers built through
+        :func:`_mul_terms` as they are needed.  A term whose exponent of
+        variable i is e is then scaled by d_i^(top_i - e), top_i the largest
+        such exponent in ``self``; the terms are added into one accumulating
+        dict, and each coefficient of the sum is divided once, by the
+        product of the d_i^top_i, so the result is exact and normalized.
         """
         if len(images) != self.ring.nvars:
             raise ValueError("one image per variable required")
         if same_ring(*images) != ring:
             raise ValueError(f"ring mismatch: {images[0].ring} vs {ring}")
-        one, limit = {0: 1}, ring.limit
-        powers = [[one, p._terms] for p in images]  # powers[i][e]: the terms of images[i]^e
+        one, limit, terms = {0: 1}, ring.limit, self._terms
+        plan, whole = [], 1  # plan[i]: (d_i, top_i, word, coefficient, powers) of image i
+        for i, image in enumerate(images):
+            d, ints = _integral(image._terms) if len(image._terms) > 1 else (1, image._terms)
+            top = max(((m >> i * WIDTH) & FIELD for m in terms), default=0) if d > 1 else 0
+            whole *= d**top
+            word, a = next(iter(ints.items())) if len(ints) == 1 else (0, 0)
+            plan.append((d, top, word, a, None if len(ints) == 1 else [one, ints]))
         out: dict = {}
-        for m, c in self._terms.items():
-            term = one
-            for cache in powers:
+        for m, c in terms.items():
+            word, term = 0, one
+            for d, top, w, a, powers in plan:
                 e = m & FIELD
                 m >>= WIDTH
-                if e:
-                    while len(cache) <= e:
-                        cache.append(_mul_terms(cache[-1], cache[1], limit))
-                    term = cache[e] if term is one else _mul_terms(term, cache[e], limit)
-            _mul_terms({0: c}, term, limit, out)
-        return Polynomial(ring, out, _clean=True)
+                if d > 1:
+                    c *= d ** (top - e)
+                if not e:
+                    continue
+                if powers is None:
+                    word += e * w
+                    c *= a**e
+                else:
+                    while len(powers) <= e:
+                        powers.append(_mul_terms(powers[-1], powers[1], limit))
+                    term = powers[e] if term is one else _mul_terms(term, powers[e], limit)
+            _mul_terms({word: c}, term, limit, out)
+        divided = {m: _div(c, whole) if whole > 1 else _norm(c) for m, c in out.items()}
+        return Polynomial(ring, divided, _clean=True)
 
     def __str__(self) -> str:
         return format_polynomial(self)

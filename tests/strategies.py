@@ -1,5 +1,6 @@
 """Hypothesis strategies and seeded random generators for algebra objects,
-and the coefficient check ``assert_exact``."""
+the coefficient check ``assert_exact`` and the reference ring map
+``reference_substitute``."""
 
 from __future__ import annotations
 
@@ -21,6 +22,17 @@ def assert_exact(p, normalized=False):
         assert type(c) in (int, Fraction), (p, c)
         if normalized:
             assert type(c) is int or c.denominator != 1, (p, c)
+
+
+def reference_substitute(p, ring, images):
+    """The ring map written out in ``Polynomial`` arithmetic."""
+    out = ring.zero
+    for exps, c in p.terms.items():
+        term = ring.const(c)
+        for image, e in zip(images, exps):
+            term = term * image**e
+        out = out + term
+    return out
 
 
 def coefficients():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conormal import _expr
+from conormal import forms as forms_module
 from conormal._expr import ParseError, mixed_mul, parse_mixed_text
 from conormal.forms import (
     DifferentialForm,
@@ -29,9 +30,16 @@ from conormal.forms import (
     volume_coefficient,
     wedge,
 )
-from conormal.poly import Polynomial, PolynomialRing
+from conormal.poly import Polynomial, PolynomialRing, partial_derivative
 
-from strategies import expressions, forms, polynomials, random_form, random_polynomial
+from strategies import (
+    assert_exact,
+    expressions,
+    forms,
+    polynomials,
+    random_form,
+    random_polynomial,
+)
 
 R = PolynomialRing(["x", "y", "z"])
 X, Y, Z = R.gens()
@@ -69,6 +77,15 @@ class TestConstructor:
         w = DifferentialForm(R, 1, {(0,): X, (1,): Y})
         assert len(built) == 2
         assert w == form("x*dx + y*dy")
+
+    def test_one_polynomial_per_scalar_coefficient(self, monkeypatch):
+        # A scalar is read straight into its normalized term dict; no
+        # constant polynomial is built on the way.
+        built = count_polynomials(monkeypatch)
+        w = DifferentialForm(R, 1, {(0,): 3, (1,): Fraction(4, 2), (2,): 0})
+        assert len(built) == 2
+        assert w == form("3*dx + 2*dy")
+        assert_exact(w.coefficient((1,)), normalized=True)
 
     def test_keys_that_are_the_same_tuple_add_up(self):
         assert DifferentialForm(R, 1, {(0,): X, range(0, 1): Y}) == form("(x + y)*dx")
@@ -360,6 +377,16 @@ class TestExteriorDerivative:
     def test_derivative_of_function(self):
         f = X**3 - Y * Z
         assert exterior_derivative(f) == form("3*x^2*dx - z*dy - y*dz")
+
+    def test_derivative_of_function_is_its_partials(self, monkeypatch):
+        # d of a polynomial takes no wedge product with the unit form.
+        calls = []
+        monkeypatch.setattr(forms_module, "mixed_mul", lambda *a: calls.append(a))
+        f = X**3 - Y * Z
+        assert exterior_derivative(f) == DifferentialForm(
+            R, 1, {(i,): partial_derivative(f, i) for i in range(3)}
+        )
+        assert not calls
 
     def test_derivative_of_constant(self):
         assert not exterior_derivative(R.const(5))

@@ -12,7 +12,6 @@ from conormal.forms import Hyperplane, exterior_derivative, wedge
 from conormal.geometry import (
     BertiniVerdict,
     _cut,
-    _restrict,
     bertini_check,
     hyperplane_section,
     jacobian_ideal,
@@ -23,7 +22,13 @@ from conormal.germs import Germ, Parametrization
 from conormal.groebner import Ideal, krull_dimension, radical_membership
 from conormal.poly import PolynomialRing, evaluate, partial_derivative
 
-from strategies import SECTION_GERMS, assert_exact, polynomials, section_germ
+from strategies import (
+    SECTION_GERMS,
+    assert_exact,
+    polynomials,
+    reference_substitute,
+    section_germ,
+)
 
 R = PolynomialRing(["x", "y", "z"])
 X, Y, Z = R.gens()
@@ -148,8 +153,11 @@ class TestHyperplaneSection:
 
 
 class TestRestriction:
-    """``_cut`` and ``bertini_check`` restrict to H on integers; the result
-    is the substitution of the images over Q, with exact coefficients."""
+    """``_cut`` builds the images of the ambient variables on H, and
+    ``_cut`` and ``bertini_check`` restrict to H through
+    ``Polynomial.substitute``; the result is the ring map written out over
+    Q, agrees with the ambient polynomial at points of H, and has exact,
+    normalized coefficients."""
 
     R4 = PolynomialRing(["x", "y", "z", "t"])
 
@@ -170,19 +178,23 @@ class TestRestriction:
         pivot = next(i for i, h in enumerate(hyperplane.normal) if h)
         section_ring = PolynomialRing([v for i, v in enumerate(ring.variables) if i != pivot])
         images = section_images(hyperplane, section_ring, pivot)
-        expected = f.substitute(section_ring, images)
+        expected = reference_substitute(f, section_ring, images)
         if f and expected:
-            section, cut_pivot = _cut(Germ(ring, [f]), hyperplane)
-            assert (section.ring, cut_pivot) == (section_ring, pivot)
+            section, cut_pivot, cut_images = _cut(Germ(ring, [f]), hyperplane)
+            assert (section.ring, cut_pivot, cut_images) == (section_ring, pivot, images)
             assert section.generators[0] == expected
             assert_exact(section.generators[0], normalized=True)
         elif f:
             with pytest.raises(ValueError, match="contained in the germ"):
                 _cut(Germ(ring, [f]), hyperplane)
         partial = partial_derivative(f, pivot)
-        phi = _restrict(partial, hyperplane, section_ring)
-        assert phi == partial.substitute(section_ring, images)
+        phi = partial.substitute(section_ring, images)
+        assert phi == reference_substitute(partial, section_ring, images)
         assert_exact(phi, normalized=True)
+        point = [Fraction(1, 2), -3, Fraction(2, 5)][: section_ring.nvars]
+        on_h = [evaluate(g, point) for g in images]
+        assert sum(h * x for h, x in zip(hyperplane.normal, on_h)) == 0
+        assert evaluate(phi, point) == evaluate(partial, on_h)
 
     def test_pivot_powers_are_divided_once(self):
         # h_p = 3: the terms of x^2, x*y and y*z are scaled by 1, 3 and 9
@@ -190,7 +202,7 @@ class TestRestriction:
         f = 9 * X**2 + Fraction(1, 2) * X * Y - Y * Z
         hyperplane = Hyperplane(R, [3, 2, -1])  # x = (z - 2*y)/3
         y, z = PolynomialRing(["y", "z"]).gens()
-        section, pivot = _cut(Germ(R, [f]), hyperplane)
+        section, pivot, _ = _cut(Germ(R, [f]), hyperplane)
         assert pivot == 0
         expected = (z - 2 * y) ** 2 + Fraction(1, 6) * (z - 2 * y) * y - y * z
         assert section.generators[0] == expected
@@ -413,12 +425,12 @@ class TestBertiniCheck:
                     continue
                 try:
                     hyperplane = Hyperplane(germ.ring, list(normal))
-                    section, pivot = _cut(germ, hyperplane)
+                    section, pivot, _ = _cut(germ, hyperplane)
                 except ValueError:
                     continue  # H is contained in X
                 images = section_images(hyperplane, section.ring, pivot)
                 sliced = [g.substitute(section.ring, images) for g in germ.jacobian.generators]
-                phi = _restrict(partial_derivative(f, pivot), hyperplane, section.ring)
+                phi = reference_substitute(partial_derivative(f, pivot), section.ring, images)
                 plus_phi = Ideal(section.jacobian.generators + (phi,))
                 assert Ideal([g for g in sliced if g]).same_ideal(plus_phi), (equation, normal)
                 pairs += 1

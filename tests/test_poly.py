@@ -34,7 +34,14 @@ from conormal.poly import (
     partial_derivative,
 )
 
-from strategies import assert_exact, coefficients, monomials, nonzero_polynomials, polynomials
+from strategies import (
+    assert_exact,
+    coefficients,
+    monomials,
+    nonzero_polynomials,
+    polynomials,
+    reference_substitute,
+)
 
 R = PolynomialRing(["x", "y", "z"])
 X, Y, Z = R.gens()
@@ -251,17 +258,7 @@ class TestRingAxioms:
 
 
 S = PolynomialRing(["u", "v"])
-
-
-def reference_substitute(p, ring, images):
-    """The ring map written out in ``Polynomial`` arithmetic."""
-    out = ring.zero
-    for exps, c in p.terms.items():
-        term = ring.const(c)
-        for image, e in zip(images, exps):
-            term = term * image**e
-        out = out + term
-    return out
+U, V = S.gens()
 
 
 class TestSubstitute:
@@ -273,7 +270,40 @@ class TestSubstitute:
         assert (p + q).substitute(S, images) == sub + q.substitute(S, images)
         point = [Fraction(1, 2), Fraction(-3)]
         assert evaluate(sub, point) == evaluate(p, [evaluate(g, point) for g in images])
-        assert_exact(sub)
+        assert_exact(sub, normalized=True)
+
+    @pytest.mark.parametrize(
+        "p, images, expected",
+        [
+            # A rational one-term image: 1/2 * (2*u) is the int 1 times u.
+            (Fraction(1, 2) * X, [2 * U, V, U], U),
+            (X * Y**2, [Fraction(1, 2) * U, 2 * V, U], 2 * U * V**2),
+            (Fraction(3, 2) * X**2 * Z, [Fraction(2, 3) * U * V, V, Fraction(3, 2) * U], U**3 * V**2),
+            # The zero polynomial, and a zero image.
+            (R.zero, [U, V, U + V], S.zero),
+            (R.zero, [Fraction(1, 3) * U + V, S.zero, S.zero], S.zero),
+            (X + Y * Z, [U, S.zero, V], U),
+            # A rational image of two terms, raised as its integer multiple:
+            # the v^2 terms 1/4 and 3/4 add up to the int 1.
+            (
+                X**2 + Z,
+                [Fraction(1, 2) * (U + V), V, Fraction(3, 4) * V**2],
+                Fraction(1, 4) * U**2 + Fraction(1, 2) * U * V + V**2,
+            ),
+        ],
+    )
+    def test_exact_and_normalized(self, p, images, expected):
+        sub = p.substitute(S, images)
+        assert sub == reference_substitute(p, S, images) == expected
+        assert_exact(sub, normalized=True)
+
+    def test_degree_limit_through_one_term_images(self):
+        # A one-term image moves the word without a product, and the limit
+        # still holds.
+        assert (X * Y).substitute(S, [U ** (MAX_DEGREE - 1), U, V]) == U**MAX_DEGREE
+        for p, images in [(X**200, [U**200, V, U]), (X**2 * Y, [U ** (MAX_DEGREE - 1), U**2, V])]:
+            with pytest.raises(ValueError, match="past the limit"):
+                p.substitute(S, images)
 
     def test_image_from_another_ring_raises(self):
         # x^2 does not involve y, but y's image must still live in the target.

@@ -27,7 +27,7 @@ def test_library_example_runs():
 
 def _private_names_by_row() -> list:
     """(module, names) per row of the README's module table: the backticked
-    dotted names of the row that have a private part, such as ``_restrict``,
+    dotted names of the row that have a private part, such as ``_cut``,
     ``_expr.mixed_mul`` or ``Polynomial.__pow__``."""
     readme = (ROOT / "README.md").read_text()
     rows = re.findall(r"^\| `(conormal\.\w+)` \|(.*)$", readme, re.M)
@@ -57,7 +57,7 @@ def _resolve(module: str, name: str):
 def test_private_names_in_the_module_table_exist():
     rows = _private_names_by_row()
     checked = set().union(*(names for _, names in rows))
-    assert {"_restrict", "_s_terms", "_expr.mixed_mul"} <= checked
+    assert {"_cut", "_s_terms", "_expr.mixed_mul"} <= checked
     missing = []
     for module, names in rows:
         for name in sorted(names):
