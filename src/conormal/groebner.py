@@ -23,8 +23,11 @@ never queues such a pair.
 Monomials are the packed words of :mod:`conormal.poly`: a product is one
 addition, and a lead-divisibility test (in ``_remainder``, in
 ``_autoreduce`` and in the pair criteria of ``_complete``) is one
-subtraction and one mask of guard bits.  Under ``top`` it fails at once for
-a lead in another position, whose field the term leaves at 0.
+subtraction and one mask of guard bits.  Under ``top`` a lead can divide
+a term only in the term's own position (Cox-Little-O'Shea, *Using
+Algebraic Geometry*, ch. 5 section 2), so these scans take the divisor
+records grouped by the position word of their lead (:func:`_group`) and
+test only the term's group.  A plain ideal has one group.
 
 The core runs on integers (fraction-free division, Geddes-Czapor-Labahn,
 *Algorithms for Computer Algebra*, 1992, ch. 2 and 7).  The divisor record
@@ -43,13 +46,16 @@ The pair loop needs only the remainder up to a nonzero factor, so
 ``_complete`` and ``_autoreduce`` call the kernels directly: a nonzero
 integer remainder becomes a basis element through ``_primitive_terms``
 alone (``poly._associate``), and only ``_autoreduce``'s final ``monic``
-makes a Fraction coefficient.  Both keep the records of their basis in a list next to
-it, which every division receives, so no record is rebuilt per reduction.
+makes a Fraction coefficient.  Both keep the records of their basis,
+grouped, next to it, and every division receives the groups, so no record
+is rebuilt per reduction.
 
 Bases are reduced, monic and sorted, so they are canonical per (ideal, order).
 An :class:`Ideal` is the one lazy basis holder: it caches its basis under its
-``order`` (grevlex unless given), with the records of its elements, so
-repeated membership tests against one ideal compute one basis.  A
+``order`` (grevlex unless given), with the records of its elements and
+their groups, so repeated membership tests against one ideal compute one
+basis.  ``ideal_membership`` too needs the remainder only up to a nonzero
+factor, so it calls ``_remainder`` on those groups directly.  A
 :class:`Submodule` keeps its encoded generators in an ``Ideal`` under ``top``.
 """
 
@@ -107,20 +113,27 @@ def reduce(
         divisors = [g.divisor(order) for g in nonzero]
     elif basis:
         same_ring(f, basis[0])
-    remainder, mult = _remainder(dict(f._terms), divisors, order.key(ring), ring)
+    positions = _position_fields(order)
+    groups = _group(divisors, positions)
+    remainder, mult = _remainder(dict(f._terms), groups, positions, order.key(ring), ring)
     if mult != 1:
         num, den = mult.numerator, mult.denominator
         remainder = {t: _div(v * den, num) for t, v in remainder.items()}
     return Polynomial(ring, remainder, _clean=True)
 
 
-def _remainder(work: dict, divisors: Sequence[tuple], key, ring: PolynomialRing) -> tuple:
+def _remainder(work: dict, groups: dict, positions: int, key, ring: PolynomialRing) -> tuple:
     """The division kernel: ``(remainder, multiplier)`` for the term dict
-    ``work``, which it consumes, modulo the divisor records ``divisors``
-    (see :meth:`Polynomial.divisor`), with ``key`` the order's key on the
-    words of ``ring``.  The remainder is a term dict, the multiplier times
-    the normal form of ``work``, and the multiplier a nonzero rational; on
-    integer input the remainder is integral.
+    ``work``, which it consumes, modulo divisor records (see
+    :meth:`Polynomial.divisor`) grouped by :func:`_group` under the
+    ``positions`` mask, with ``key`` the order's key on the words of
+    ``ring``.  The remainder is a term dict, the multiplier times the normal
+    form of ``work``, and the multiplier a nonzero rational; on integer
+    input the remainder is integral.
+
+    A term m is tested only against the group ``m & positions``, in its
+    order: a lead in another position cannot divide m.  Without positions
+    there is one group, every record.
 
     A step whose divisor has the leading coefficient a = 1 subtracts the
     term's coefficient times the tail.  Otherwise it pseudo-divides: if a
@@ -143,7 +156,7 @@ def _remainder(work: dict, divisors: Sequence[tuple], key, ring: PolynomialRing)
         m = max(work, key=key)
         c = work.pop(m)
         room = m | guards
-        for lm, a, tail, reach in divisors:
+        for lm, a, tail, reach in groups.get(m & positions, ()):
             if (room - lm) & guards == guards:  # lm divides m
                 q = m - lm
                 if q + reach >= limit:  # a division step past MAX_DEGREE
@@ -247,6 +260,17 @@ def _position_fields(order: MonomialOrder) -> int:
     return (1 << (order.split * WIDTH)) - 1 if order.kind == "top" else 0
 
 
+def _group(records: Iterable[tuple], positions: int) -> dict:
+    """The divisor records by the position word ``lm & positions`` of their
+    lead, each group in the order of ``records``.  A module term has one
+    position field, equal to 1, so only the leads of its own group can
+    divide it; under an order without positions there is one group."""
+    groups: dict = {}
+    for record in records:
+        groups.setdefault(record[0] & positions, []).append(record)
+    return groups
+
+
 def _autoreduce(basis: list, order: MonomialOrder) -> list:
     # Only valid on a completed Groebner basis of primitive elements: drop
     # elements whose lead is divisible by another lead, then replace each
@@ -254,25 +278,33 @@ def _autoreduce(basis: list, order: MonomialOrder) -> list:
     # primitive, and make each element monic once at the end.  Leads never
     # change, so the result is the unique reduced basis.  The division runs
     # on the records' integers; only ``monic`` makes a Fraction coefficient.
+    # Both steps scan only the group of a lead's position (see _group).
     ring = basis[0].ring
-    key, guards = order.key(ring), ring.guards
+    key, guards, positions = order.key(ring), ring.guards, _position_fields(order)
     records = [g.divisor(order) for g in basis]
-    leads = [d[0] for d in records]
-    kept = []  # the records of the minimal elements
-    for i, lm in enumerate(leads):
+    rivals = _group(records, positions)
+    kept, seen = [], set()
+    for d in records:  # the minimal records, the first of equal leads
+        lm = d[0]
         room = lm | guards
-        if not any((room - hm) & guards == guards and (hm != lm or j < i)
-                   for j, hm in enumerate(leads) if j != i):
-            kept.append(records[i])
+        if lm not in seen and not any((room - e[0]) & guards == guards and e[0] != lm
+                                      for e in rivals[lm & positions]):
+            kept.append(d)
+        seen.add(lm)
+    groups = _group(kept, positions)
     reduced: list = []
-    done: list = []  # the records of ``reduced``
-    for i, (lm, a, tail, _) in enumerate(kept):
+    for d in kept:
+        lm, a, tail, _ = d
         work = dict(tail)
         work[lm] = a
-        # No other lead divides lm, so lm leads the remainder.
-        r = _associate(ring, _remainder(work, done + kept[i + 1 :], key, ring)[0], lm, order)
+        # The rest, in basis order, with the elements before d reduced.  No
+        # other lead divides lm, so lm leads the remainder.
+        group = groups[lm & positions]
+        at = group.index(d)
+        del group[at]
+        r = _associate(ring, _remainder(work, groups, positions, key, ring)[0], lm, order)
+        group.insert(at, r.divisor(order))
         reduced.append(r)
-        done.append(r.divisor(order))
     reduced.sort(key=lambda g: key(g.divisor(order)[0]))
     return [g.monic(order) for g in reduced]
 
@@ -326,7 +358,10 @@ def _complete(basis: list, order: MonomialOrder, known: int) -> list:
     Each queued pair keeps the lcm of its leads; the leads are coprime iff
     that lcm is their product.  A pair's integer S-combination is divided
     by the kernels, and a nonzero remainder joins the basis as its
-    primitive integer associate.
+    primitive integer associate.  The loop groups its records (see
+    :func:`_group`) and the indices of its basis by the position word of
+    their leads, so pairs, the chain criterion and the division see only
+    the leads of one position.
     """
     ring = basis[0].ring
     one = ring.one
@@ -336,27 +371,35 @@ def _complete(basis: list, order: MonomialOrder, known: int) -> list:
     leads = [d[0] for d in divisors]
     key, lcm_of = order.key(ring), ring.lcm
     positions = _position_fields(order)
+    groups: dict = {}  # the records, as _group groups them
+    members: dict = {}  # the indices of the basis, by the same words
     pending = set()
     queue = []
 
-    def add_pairs(j):
-        for i in range(j):
-            if (leads[i] ^ leads[j]) & positions:
-                continue  # leads in different positions: S-vector 0
-            lcm = lcm_of(leads[i], leads[j])
-            pending.add((i, j))
-            heapq.heappush(queue, (key(lcm), i, j, lcm))
+    def add(j):
+        # j joins its position's group, paired with the earlier members
+        # (leads in different positions have the S-vector 0).
+        word = leads[j] & positions
+        same = members.setdefault(word, [])
+        if j >= known:
+            for i in same:
+                lcm = lcm_of(leads[i], leads[j])
+                pending.add((i, j))
+                heapq.heappush(queue, (key(lcm), i, j, lcm))
+        same.append(j)
+        groups.setdefault(word, []).append(divisors[j])
 
-    for j in range(known, len(basis)):
-        add_pairs(j)
+    for j in range(len(basis)):
+        add(j)
     while queue:
         _, i, j, lcm = heapq.heappop(queue)
         pending.remove((i, j))
         if lcm == leads[i] + leads[j]:
             continue  # coprime leads: S-polynomial reduces to zero
-        if _chain_criterion(leads, ring.guards, pending, i, j, lcm):
+        if _chain_criterion(leads, members[lcm & positions], ring.guards, pending, i, j, lcm):
             continue
-        r = _remainder(_s_terms(divisors[i], divisors[j], ring, positions), divisors, key, ring)[0]
+        terms = _s_terms(divisors[i], divisors[j], ring, positions)
+        r = _remainder(terms, groups, positions, key, ring)[0]
         if r:
             lm = max(r, key=key)
             if not lm:  # a nonzero constant
@@ -365,16 +408,17 @@ def _complete(basis: list, order: MonomialOrder, known: int) -> list:
             basis.append(g)
             divisors.append(g.divisor(order))
             leads.append(lm)
-            add_pairs(len(basis) - 1)
+            add(len(basis) - 1)
     return basis
 
 
-def _chain_criterion(leads, guards, pending, i, j, lcm) -> bool:
+def _chain_criterion(leads, members, guards, pending, i, j, lcm) -> bool:
     # Skip (i, j) if some k has its lead dividing lcm(i, j) while both
-    # (i, k) and (j, k) have already been treated.
+    # (i, k) and (j, k) have already been treated.  Only the ``members``,
+    # the indices in the position of lcm(i, j), can divide it.
     room = lcm | guards
-    for k, lead in enumerate(leads):
-        if k in (i, j) or (room - lead) & guards != guards:
+    for k in members:
+        if k in (i, j) or (room - leads[k]) & guards != guards:
             continue
         ik = (min(i, k), max(i, k))
         jk = (min(j, k), max(j, k))
@@ -386,10 +430,11 @@ def _chain_criterion(leads, guards, pending, i, j, lcm) -> bool:
 class Ideal:
     """An ideal given by generators, with its reduced Groebner basis under
     ``order`` computed on first use and kept, together with its divisor
-    records.  Generator ideals take grevlex; a :class:`Submodule` keeps its
-    encoded generators in an ideal under ``top``."""
+    records and their groups (see :func:`_group`).  Generator ideals take
+    grevlex; a :class:`Submodule` keeps its encoded generators in an ideal
+    under ``top``."""
 
-    __slots__ = ("ring", "generators", "order", "_basis", "_divisors")
+    __slots__ = ("ring", "generators", "order", "_basis", "_divisors", "_groups")
 
     def __init__(self, generators: Sequence[Polynomial], order: MonomialOrder = GREVLEX):
         gens = tuple(generators)
@@ -398,12 +443,13 @@ class Ideal:
         self.ring = same_ring(*gens)
         self.generators = gens
         self.order = order
-        self._basis = self._divisors = None
+        self._basis = self._divisors = self._groups = None
 
     def groebner_basis(self) -> tuple:
         if self._basis is None:
             self._basis = tuple(buchberger(self.generators, self.order))
             self._divisors = [g.divisor(self.order) for g in self._basis]
+            self._groups = _group(self._divisors, _position_fields(self.order))
         return self._basis
 
     def is_unit(self) -> bool:
@@ -423,11 +469,17 @@ class Ideal:
 
 
 def ideal_membership(f: Polynomial, ideal: Ideal) -> bool:
-    """Exact membership f in I over the polynomial ring."""
-    same_ring(f, ideal)
+    """Exact membership f in I over the polynomial ring: whether the
+    division kernel leaves no remainder of f modulo the cached basis.  The
+    remainder is a nonzero multiple of the normal form, so it is not made
+    a polynomial or divided by its multiplier."""
+    ring = same_ring(f, ideal)
     if not f:
         return True
-    return not reduce(f, ideal.groebner_basis(), ideal.order, ideal._divisors)
+    ideal.groebner_basis()
+    order = ideal.order
+    positions = _position_fields(order)
+    return not _remainder(dict(f._terms), ideal._groups, positions, order.key(ring), ring)[0]
 
 
 def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:

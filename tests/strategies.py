@@ -1,6 +1,7 @@
 """Hypothesis strategies and seeded random generators for algebra objects,
-the coefficient check ``assert_exact`` and the reference ring map
-``reference_substitute``."""
+the coefficient check ``assert_exact``, the reference ring map
+``reference_substitute`` and the reference divisions ``reference_reduce``
+and ``reference_is_trivial``."""
 
 from __future__ import annotations
 
@@ -10,8 +11,8 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from conormal.forms import DifferentialForm
-from conormal.germs import Germ
+from conormal.forms import DifferentialForm, form_degree
+from conormal.germs import Germ, _trivial_module
 from conormal.poly import Polynomial, PolynomialRing, parse_polynomial
 
 
@@ -33,6 +34,43 @@ def reference_substitute(p, ring, images):
             term = term * image**e
         out = out + term
     return out
+
+
+def reference_reduce(f, basis, order):
+    """The textbook division loop on exponent tuples: take the leading term
+    of what is left, cancel it with the first basis element whose lead
+    divides it, else move it to the remainder.  Every element is tested,
+    whatever its position under a module order."""
+    unpack = f.ring.unpack
+    divisors = [(g, unpack(g.leading(order)[0]), g.leading(order)[1]) for g in basis if g]
+    rest, remainder = f, f.ring.zero
+    while rest:
+        m, c = rest.leading(order)
+        m = unpack(m)
+        term = Polynomial(f.ring, {m: c})
+        for g, lm, lc in divisors:
+            if all(x <= y for x, y in zip(lm, m)):
+                quotient = tuple(y - x for x, y in zip(lm, m))
+                rest = rest - Polynomial(f.ring, {quotient: Fraction(c) / lc}) * g
+                break
+        else:
+            remainder, rest = remainder + term, rest - term
+    return remainder
+
+
+def reference_is_trivial(omega, germ: Germ) -> bool:
+    """Whether a form of degree k <= n is trivial on the germ, by
+    ``reference_reduce`` against the basis the germ caches for degree k:
+    that of the germ ideal for k = 0, else that of the module of trivial
+    k-forms, which divides the form encoded as a module vector."""
+    k = form_degree(omega)
+    if k == 0:
+        ideal, f = germ.ideal, omega
+    else:
+        positions, module = _trivial_module(germ, k)
+        ideal = module.ideal
+        f = module.encode((positions[S], c) for S, c in omega.coefficients())
+    return not reference_reduce(f, ideal.groebner_basis(), ideal.order)
 
 
 def coefficients():

@@ -556,6 +556,16 @@ class TestTrivialForms:
         assert answers == [ideal_membership(p, germ.ideal) for p in cases]
         assert True in answers and False in answers
 
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_forms_above_the_top_degree_are_trivial(self, name):
+        # Past degree n the only form is 0, which every differential ideal
+        # holds; no module of trivial forms is built for such a degree.
+        germ = corpus_germ(name)
+        zero = DifferentialForm(germ.ring, germ.ring.nvars + 1, {})
+        assert is_trivial_form(zero, germ)
+        decision = decide([zero], germ, question="trivial")
+        assert decision.status is VerdictStatus.CERTIFIED_YES
+
     def test_f_dx_is_trivial(self, umbrella):
         f = umbrella.generators[0]
         assert is_trivial_form(DifferentialForm(R, 1, {(0,): f}), umbrella)

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conormal.cli import corpus_names, load_germ_file
-from conormal.forms import parse_form
-from conormal.germs import _trivial_module, is_trivial_form
+from conormal.forms import DifferentialForm, parse_form, wedge
+from conormal.germs import _trivial_module, is_trivial_form, trivial_form_generators
 from conormal.groebner import (
     Ideal,
     _exact_quotient,
     _fresh_name,
+    _position_fields,
     buchberger,
     eliminate,
     ideal_membership,
@@ -40,7 +41,14 @@ from conormal.poly import (
     block_order,
 )
 
-from strategies import nonzero_polynomials, polynomials, random_polynomial
+from strategies import (
+    nonzero_polynomials,
+    polynomials,
+    random_form,
+    random_polynomial,
+    reference_is_trivial,
+    reference_reduce,
+)
 
 R = PolynomialRing(["x", "y", "z"])
 X, Y, Z = R.gens()
@@ -60,27 +68,6 @@ def encode_vector(p, q):
 def divides(a, b):
     """Divisibility of exponent tuples, by its definition."""
     return all(x <= y for x, y in zip(a, b))
-
-
-def reference_reduce(f, basis, order):
-    # The textbook division loop on exponent tuples: take the leading term
-    # of what is left, cancel it with the first basis element whose lead
-    # divides it, else move it to the remainder.
-    unpack = f.ring.unpack
-    divisors = [(g, unpack(g.leading(order)[0]), g.leading(order)[1]) for g in basis if g]
-    rest, remainder = f, f.ring.zero
-    while rest:
-        m, c = rest.leading(order)
-        m = unpack(m)
-        term = Polynomial(f.ring, {m: c})
-        for g, lm, lc in divisors:
-            if divides(lm, m):
-                quotient = tuple(x - y for x, y in zip(m, lm))
-                rest = rest - Polynomial(f.ring, {quotient: Fraction(c) / lc}) * g
-                break
-        else:
-            remainder, rest = remainder + term, rest - term
-    return remainder
 
 
 class TestReduce:
@@ -496,9 +483,10 @@ class TestTrivialModuleWork:
 class TestPairLoopRecords:
     """Work gate: the pair loop keeps the divisor records of its basis next
     to it.  Every reduction of a basis build, a call of the division kernel
-    ``_remainder``, receives the very records its divisors cache, and each
-    polynomial's record is built once: by ``Polynomial.divisor`` for a
-    generator, by ``_associate`` for an element the build makes."""
+    ``_remainder``, receives in its groups the very records its divisors
+    cache, and each polynomial's record is built once: by
+    ``Polynomial.divisor`` for a generator, by ``_associate`` for an
+    element the build makes."""
 
     CASES = [("umbrella.germ", "jacobian")] + list(TestTrivialModuleWork.WORK)
 
@@ -514,10 +502,10 @@ class TestPairLoopRecords:
         reductions, callers = [], Counter()
         remainder = groebner._remainder
 
-        def recording(work, divisors, key, ring):
+        def recording(work, groups, positions, key, ring):
             callers[sys._getframe(1).f_code.co_name] += 1
-            reductions.append(list(divisors))
-            return remainder(work, divisors, key, ring)
+            reductions.append([d for group in groups.values() for d in group])
+            return remainder(work, groups, positions, key, ring)
 
         builds, kept, records = Counter(), [], {}
         divisor, associate = Polynomial.divisor, groebner._associate
@@ -545,6 +533,59 @@ class TestPairLoopRecords:
         made = {id(record) for record in records.values()}
         assert all(id(d) in made for divisors in reductions for d in divisors)
         assert builds and set(builds.values()) == {1}
+
+
+class TestPositionGroups:
+    """Under ``top`` a lead divides a term only in the term's position, so
+    the division kernel, the pair loop and ``_autoreduce`` scan the divisor
+    records grouped by the position word of their lead.  The grouping
+    changes no answer: on every corpus germ and in every degree k <= n,
+    ``is_trivial_form`` agrees with ``reference_is_trivial``, which tests
+    every basis element, and each cached group holds the basis's own
+    records, all of one position."""
+
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_answers_equal_the_ungrouped_division(self, name):
+        germ = load_germ_file(name).germ
+        ring = germ.ring
+        rng = random.Random(41)
+        answers = []
+        for k in range(ring.nvars + 1):
+            gens = trivial_form_generators(germ, k) if k else list(germ.generators)
+            for _ in range(8):
+                zero = DifferentialForm(ring, k, {}) if k else ring.zero
+                member = sum((wedge(random_polynomial(rng, ring, 2, 1, nonzero=True), g)
+                              for g in rng.sample(gens, min(3, len(gens)))), zero)
+                noise = None
+                while not noise:
+                    noise = random_form(rng, ring, k, max_terms=2)
+                for omega in (member, member + noise):
+                    answer = is_trivial_form(omega, germ)
+                    assert answer == reference_is_trivial(omega, germ), (name, k, str(omega))
+                    answers.append(answer)
+                assert answers[-2], (name, k, str(member))
+        assert False in answers
+
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_groups_hold_the_basis_records_of_one_position(self, name):
+        germ = load_germ_file(name).germ
+        n = germ.ring.nvars
+        ideals = [germ.ideal] + [_trivial_module(germ, k)[1].ideal for k in range(1, n + 1)]
+        for ideal in ideals:
+            basis, order = ideal.groebner_basis(), ideal.order
+            positions = _position_fields(order)
+            records = [g.divisor(order) for g in basis]
+            grouped = [d for group in ideal._groups.values() for d in group]
+            assert sorted(map(id, grouped)) == sorted(map(id, records)), name
+            for word, group in ideal._groups.items():
+                assert all(d[0] & positions == word for d in group), name
+                indices = [next(i for i, d in enumerate(records) if d is e) for e in group]
+                assert indices == sorted(indices), name  # in basis order
+                if positions:  # one position field, equal to 1
+                    fields = ideal.ring.unpack(word)[: order.split]
+                    assert sorted(fields) == [0] * (order.split - 1) + [1], name
+                else:
+                    assert word == 0, name
 
 
 class TestIntegerPairLoop:
