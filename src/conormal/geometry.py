@@ -17,9 +17,10 @@ fact by diagnostics instead of deciding transversality up front:
 * for a tangent H only, an exactly checked witness: the first sampled point
   of a supplied parametrization on H where df is a nonzero multiple of dl.
 
-The tangency locus of a hyperplane section is exactly the singular locus of
-the section minus the sliced singular locus, so on valid inputs a report can
-never end up in the ``Violation`` state: the diagnostics are complete.
+A report has two outcomes: ``ConfirmsTheorem`` when the section is reduced
+and the loci are equal, ``TransversalityFails`` otherwise, and then a
+diagnostic always says why, since a non-reduced section and a tangent H
+(the only way the loci differ) each add one.
 """
 
 from __future__ import annotations
@@ -40,24 +41,25 @@ from .poly import Polynomial, PolynomialRing, _div, evaluate
 class BertiniVerdict(Enum):
     CONFIRMS_THEOREM = "ConfirmsTheorem"
     TRANSVERSALITY_FAILS = "TransversalityFails"
-    VIOLATION = "Violation"
 
 
 @dataclass(frozen=True)
 class BertiniReport:
-    """Outcome of one hyperplane-section check.
-
-    ``Violation`` would mean: section reduced, loci different, and no
-    transversality diagnostic fired -- this must never happen on valid
-    inputs.
-    """
+    """Outcome of one hyperplane-section check.  The verdict is derived:
+    the loci differ only where H is tangent, and that adds a diagnostic, as
+    a non-reduced section does, so a failing report always says why."""
 
     hyperplane: Hyperplane
     section: Optional[Germ]
     section_reduced: bool
     singular_loci_equal: bool
     diagnostics: tuple
-    verdict: BertiniVerdict
+
+    @property
+    def verdict(self) -> BertiniVerdict:
+        if self.section_reduced and self.singular_loci_equal:
+            return BertiniVerdict.CONFIRMS_THEOREM
+        return BertiniVerdict.TRANSVERSALITY_FAILS
 
 
 def jacobian_ideal(germ: Germ) -> Ideal:
@@ -161,16 +163,11 @@ def bertini_check(
     """
     _require_section_input(germ, hyperplane)
     _require_parametrization_of(germ, parametrization)
-    diagnostics = []
-
     try:
         section, pivot, images = _cut(germ, hyperplane)
     except ValueError:
-        diagnostics.append("H is contained in X")
-        return BertiniReport(
-            hyperplane, None, False, False, tuple(diagnostics),
-            BertiniVerdict.TRANSVERSALITY_FAILS,
-        )
+        return BertiniReport(hyperplane, None, False, False, ("H is contained in X",))
+    diagnostics = []
 
     section_jac = jacobian_ideal(section)
     reduced = section.radical
@@ -197,15 +194,7 @@ def bertini_check(
         if parametrization is not None:
             diagnostics.extend(_witness_notes(germ, hyperplane, parametrization))
 
-    if reduced and not tangent:
-        verdict = BertiniVerdict.CONFIRMS_THEOREM
-    elif diagnostics:
-        verdict = BertiniVerdict.TRANSVERSALITY_FAILS
-    else:
-        verdict = BertiniVerdict.VIOLATION
-    return BertiniReport(
-        hyperplane, section, reduced, not tangent, tuple(diagnostics), verdict
-    )
+    return BertiniReport(hyperplane, section, reduced, not tangent, tuple(diagnostics))
 
 
 def random_hyperplane(ring: PolynomialRing, seed: int, bound: int = 10) -> Hyperplane:

@@ -52,8 +52,8 @@ is rebuilt per reduction.
 
 Bases are reduced, monic and sorted, so they are canonical per (ideal, order).
 An :class:`Ideal` is the one lazy basis holder: it caches its basis under its
-``order`` (grevlex unless given), with the records of its elements and
-their groups, so repeated membership tests against one ideal compute one
+``order`` (grevlex unless given), with the records of its elements
+grouped, so repeated membership tests against one ideal compute one
 basis.  ``ideal_membership`` too needs the remainder only up to a nonzero
 factor, so it calls ``_remainder`` on those groups directly.  A
 :class:`Submodule` keeps its encoded generators in an ``Ideal`` under ``top``.
@@ -89,32 +89,23 @@ from .poly import (
 _basis_observer = None
 
 
-def reduce(
-    f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder, divisors=None
-) -> Polynomial:
+def reduce(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
     """Full normal form of ``f`` modulo ``basis``.
 
     The result r satisfies f - r in <basis> and no term of r is divisible by
     a leading term of the basis.  With the empty basis, r = f.
 
     Each divisor is the record :meth:`Polynomial.divisor` caches on the
-    basis element.  A basis of one ring without zeros may come with the
-    list of its records as ``divisors``, as a cached basis passes it; such
-    a call checks the ring of ``f`` against one element and rebuilds
-    nothing.  The division itself is the kernel :func:`_remainder`, on a
-    copy of f's terms; its remainder is divided by its multiplier here,
-    once, so the result is the exact normal form over Q.
+    basis element.  The division itself is the kernel :func:`_remainder`,
+    on a copy of f's terms; its remainder is divided by its multiplier
+    here, once, so the result is the exact normal form over Q.
     """
     ring = f.ring
-    if divisors is None:
-        nonzero = [g for g in basis if g]
-        if nonzero:
-            same_ring(f, *nonzero)
-        divisors = [g.divisor(order) for g in nonzero]
-    elif basis:
-        same_ring(f, basis[0])
+    nonzero = [g for g in basis if g]
+    if nonzero:
+        same_ring(f, *nonzero)
     positions = _position_fields(order)
-    groups = _group(divisors, positions)
+    groups = _group([g.divisor(order) for g in nonzero], positions)
     remainder, mult = _remainder(dict(f._terms), groups, positions, order.key(ring), ring)
     if mult != 1:
         num, den = mult.numerator, mult.denominator
@@ -430,11 +421,11 @@ def _chain_criterion(leads, members, guards, pending, i, j, lcm) -> bool:
 class Ideal:
     """An ideal given by generators, with its reduced Groebner basis under
     ``order`` computed on first use and kept, together with its divisor
-    records and their groups (see :func:`_group`).  Generator ideals take
+    records, grouped (see :func:`_group`).  Generator ideals take
     grevlex; a :class:`Submodule` keeps its encoded generators in an ideal
     under ``top``."""
 
-    __slots__ = ("ring", "generators", "order", "_basis", "_divisors", "_groups")
+    __slots__ = ("ring", "generators", "order", "_basis", "_groups")
 
     def __init__(self, generators: Sequence[Polynomial], order: MonomialOrder = GREVLEX):
         gens = tuple(generators)
@@ -443,13 +434,13 @@ class Ideal:
         self.ring = same_ring(*gens)
         self.generators = gens
         self.order = order
-        self._basis = self._divisors = self._groups = None
+        self._basis = self._groups = None
 
     def groebner_basis(self) -> tuple:
         if self._basis is None:
             self._basis = tuple(buchberger(self.generators, self.order))
-            self._divisors = [g.divisor(self.order) for g in self._basis]
-            self._groups = _group(self._divisors, _position_fields(self.order))
+            records = (g.divisor(self.order) for g in self._basis)
+            self._groups = _group(records, _position_fields(self.order))
         return self._basis
 
     def is_unit(self) -> bool:
@@ -621,7 +612,7 @@ def krull_dimension(ideal: Ideal) -> int:
         return n  # zero ideal: the whole space
     if any(g.is_constant() for g in basis):
         return -1
-    leads = [d[0] for d in ideal._divisors]
+    leads = [d[0] for group in ideal._groups.values() for d in group]
     every = ideal.ring.fields
     for size in range(n, 0, -1):
         for subset in combinations(range(n), size):

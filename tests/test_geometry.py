@@ -279,37 +279,53 @@ class TestBertiniCheck:
 
     def test_parametrized_witnesses_are_tangency_points(self):
         # The umbrella's default bertini trials and the hyperplanes x and y,
-        # with the corpus parametrization.  A witness p is checked by
-        # evaluation alone: f(p) = 0, l(p) = 0, and grad f(p) is nonzero and
-        # parallel to the normal.  The other diagnostics are the ambient
-        # reference's.
+        # with the corpus parametrization, and two tangent hyperplanes of the
+        # smooth graph z = x^2 + y^3.  A witness p is checked by evaluation
+        # alone: f(p) = 0, l(p) = 0, and grad f(p) is nonzero and parallel to
+        # the normal.  The other diagnostics are the ambient reference's.
         from conormal.cli import load_germ_file
 
         gf = load_germ_file("umbrella.germ")
-        germ, ring = gf.germ, gf.germ.ring
-        f = germ.generators[0]
-        gradient = [partial_derivative(f, i) for i in range(ring.nvars)]
-        hyperplanes = [random_hyperplane(ring, seed, 10) for seed in range(20)]
-        hyperplanes += [Hyperplane(ring, [1, 0, 0]), Hyperplane(ring, [0, 1, 0])]
-        witnesses = []
-        for hyperplane in hyperplanes:
-            report = bertini_check(germ, hyperplane, gf.parametrization)
-            notes = [d for d in report.diagnostics if "parametrized point" in d]
-            others = tuple(d for d in report.diagnostics if d not in notes)
-            assert others == ambient_diagnostics(germ, hyperplane), hyperplane
-            if notes:
-                assert TANGENT in report.diagnostics, hyperplane
-            for note in notes:
-                point = [Fraction(c) for c in note[note.index("(") + 1 : -1].split(", ")]
-                normal = hyperplane.normal
-                grad = [evaluate(g, point) for g in gradient]
-                assert evaluate(f, point) == 0
-                assert sum(h * c for h, c in zip(normal, point)) == 0
-                assert any(grad)
-                pairs = [(a, k, b, h) for a, k in zip(grad, normal) for b, h in zip(grad, normal)]
-                assert all(a * h == b * k for a, k, b, h in pairs)
-                witnesses.append((hyperplane, point))
+        umbrella, ring = gf.germ, gf.germ.ring
+        trials = [random_hyperplane(ring, seed, 10) for seed in range(20)]
+        trials += [Hyperplane(ring, [1, 0, 0]), Hyperplane(ring, [0, 1, 0])]
+        pring = PolynomialRing(["u", "v"])
+        u, v = pring.gens()
+        graph = Germ(R, [Z - X**2 - Y**3])
+        graph_par = Parametrization(graph, pring, [u, v, u**2 + v**3])
+        # 4x + 3y - 4z is tangent at (1/2, -1/2, 1/8), a sampled point; the
+        # sampled point (1/2, 1/2, 3/8) has a parallel gradient but is off H.
+        # 8x + 12y - z is tangent only at (4, -2, 8), which is not sampled.
+        on_grid, off_grid = Hyperplane(R, [4, 3, -4]), Hyperplane(R, [8, 12, -1])
+        witnesses, unwitnessed = [], []
+        for germ, par, hyperplanes in (
+            (umbrella, gf.parametrization, trials),
+            (graph, graph_par, [on_grid, off_grid]),
+        ):
+            f = germ.generators[0]
+            gradient = [partial_derivative(f, i) for i in range(germ.ring.nvars)]
+            for hyperplane in hyperplanes:
+                report = bertini_check(germ, hyperplane, par)
+                notes = [d for d in report.diagnostics if "parametrized point" in d]
+                others = tuple(d for d in report.diagnostics if d not in notes)
+                assert others == ambient_diagnostics(germ, hyperplane), hyperplane
+                if notes:
+                    assert TANGENT in report.diagnostics, hyperplane
+                elif TANGENT in report.diagnostics:
+                    unwitnessed.append(hyperplane)
+                for note in notes:
+                    point = [Fraction(c) for c in note[note.index("(") + 1 : -1].split(", ")]
+                    normal = hyperplane.normal
+                    grad = [evaluate(g, point) for g in gradient]
+                    assert evaluate(f, point) == 0
+                    assert sum(h * c for h, c in zip(normal, point)) == 0
+                    assert any(grad)
+                    pairs = [(a, k, b, h) for a, k in zip(grad, normal) for b, h in zip(grad, normal)]
+                    assert all(a * h == b * k for a, k, b, h in pairs)
+                    witnesses.append((hyperplane, point))
         assert (Hyperplane(ring, [1, 0, 0]), [0, 1, 0]) in witnesses
+        assert (on_grid, [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 8)]) in witnesses
+        assert off_grid in unwitnessed
 
     def test_smooth_germ_all_sections_clean(self):
         germ = Germ(R, [X + Y**2 + Z**2])
@@ -322,6 +338,8 @@ class TestBertiniCheck:
             assert jacobian_ideal(report.section).is_unit()
 
     def test_no_violations_on_corpus_hundred_draws(self, umbrella, cusp, segre, umbrella_param):
+        # The two-outcome rule: a report confirms the theorem iff its section
+        # is reduced and its loci are equal, and a failing one says why.
         failures = []
         for germ, par, count in (
             (umbrella, umbrella_param, 40),
@@ -330,10 +348,11 @@ class TestBertiniCheck:
         ):
             for seed in range(count):
                 report = bertini_check(germ, random_hyperplane(germ.ring, seed, 10), par)
-                if report.verdict is BertiniVerdict.VIOLATION:
+                confirms = report.section_reduced and report.singular_loci_equal
+                if (report.verdict is BertiniVerdict.CONFIRMS_THEOREM) != confirms:
                     failures.append((germ, seed, report))
-                if report.verdict is BertiniVerdict.TRANSVERSALITY_FAILS:
-                    assert report.diagnostics
+                if report.verdict is BertiniVerdict.TRANSVERSALITY_FAILS and not report.diagnostics:
+                    failures.append((germ, seed, report))
         assert not failures
 
     @pytest.mark.parametrize(
