@@ -3,7 +3,9 @@
 Exit codes: 0 when the queried claim is certified/confirmed, 1 when it is
 refuted or refused (the verdict line says which, and gives a refusal's
 reason), 2 on input errors only.  ``bertini`` and ``singular`` report and
-exit 0 on every valid input.  Every claim is decided on the reduced
+exit 0 on every germ they apply to; a germ outside their scope exits 2
+with the reason: ``singular`` needs a complete intersection, ``bertini`` a
+hypersurface in at least 3 variables.  Every claim is decided on the reduced
 germ: a non-reduced hypersurface's claims are decided on the germ of the
 squarefree part of its generator, which the witness names.
 

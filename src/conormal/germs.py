@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -64,12 +64,11 @@ from .forms import (
 from .groebner import (
     Ideal,
     Submodule,
+    _colon,
     _rabinowitsch,
     ideal_membership,
     implicitization,
-    intersection,
     krull_dimension,
-    quotient,
     radical_membership,
 )
 from .poly import GREVLEX, Polynomial, PolynomialRing, same_ring
@@ -183,9 +182,10 @@ class Germ:
       codimension 0, ``singular_dimension`` < dim X;
     * ``reduced``: the reduced germ, ``self`` when ``radical`` holds.  For
       another hypersurface V(f) it is V(g), g the primitive generator of the
-      intersection of the quotients (f) : (d_i f), which is the squarefree
-      part of f; the given generator stays for display.  Other germs raise
-      a :class:`Refusal` on every access.
+      one colon (f*R^k : (d_i f)_i) over the k nonzero partials (see
+      ``groebner._colon``), which is (f) : (d_1 f, ..., d_k f), the
+      squarefree part of f; the given generator stays for display.  Other
+      germs raise a :class:`Refusal` on every access.
 
     ``_trivial`` maps a degree k to (positions of the k-index tuples,
     :class:`Submodule` of the degree-k trivial forms), which
@@ -240,8 +240,9 @@ class Germ:
                 f"the germ {known} reduced, and a reduced germ is computed only for a "
                 "hypersurface"
             )
-        quotients = [quotient(self.ideal, p) for _, p in self.differentials[0].coefficients()]
-        [g] = reduce(intersection, quotients).generators
+        [f], partials = self.generators, [p for _, p in self.differentials[0].coefficients()]
+        k = len(partials)
+        [g] = _colon(self.ring, k, ([(i, f)] for i in range(k)), partials).generators
         return Germ(self.ring, [g.primitive(GREVLEX)])
 
     @cached_property

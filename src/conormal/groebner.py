@@ -4,12 +4,12 @@ Everything is exact over the rational polynomials of :mod:`conormal.poly`.
 The public operations are ``reduce`` (multivariate division / normal form),
 ``buchberger`` (reduced Groebner basis, heap-ordered normal pair selection),
 ``ideal_membership``, ``eliminate``, ``intersection`` and ``quotient`` (the
-ideal quotient (I : g), by one exact division), ``implicitization`` (the
-ideal of the closure of a polynomial map's image), ``radical_membership`` (plain
-membership against the cached basis, then the Rabinowitsch trick, seeded
-with that basis), ``krull_dimension`` (independent variable sets modulo the
-leading-term ideal of the cached basis) and ``module_membership``, whose
-vectors are tuples of polynomials.
+ideal quotient (I : g)), each one colon of :func:`_colon`,
+``implicitization`` (the ideal of the closure of a polynomial map's image),
+``radical_membership`` (plain membership against the cached basis, then the
+Rabinowitsch trick, seeded with that basis), ``krull_dimension``
+(independent variable sets modulo the leading-term ideal of the cached
+basis) and ``module_membership``, whose vectors are tuples of polynomials.
 
 There is one division kernel, :func:`_remainder`, and one S-combination
 kernel, :func:`_s_terms`, both on raw term dicts, and one pair loop.  A
@@ -18,13 +18,16 @@ polynomial sum e_i*p_i, with r position variables in front, under the
 term-over-position order ``top``, which is grevlex on the position ring
 (see :class:`Submodule`).  The one module rule, that leads in different
 positions give the S-vector 0, lives in ``_s_terms``, and ``buchberger``
-never queues such a pair.
+never queues such a pair.  The colon (M : v) = {a : a*v in M}, the one
+implementation behind ``intersection``, ``quotient`` and the reduced germ,
+is a :class:`Submodule` under the position-over-term order ``pot`` (see
+:func:`_colon`).
 
 Monomials are the packed words of :mod:`conormal.poly`: a product is one
 addition, and a lead-divisibility test (in ``_remainder``, in
 ``_autoreduce`` and in the pair criteria of ``_complete``) is one
-subtraction and one mask of guard bits.  Under ``top`` a lead can divide
-a term only in the term's own position (Cox-Little-O'Shea, *Using
+subtraction and one mask of guard bits.  Under a module order a lead can
+divide a term only in the term's own position (Cox-Little-O'Shea, *Using
 Algebraic Geometry*, ch. 5 section 2), so these scans take the divisor
 records grouped by the position word of their lead (:func:`_group`) and
 test only the term's group.  A plain ideal has one group.
@@ -56,7 +59,8 @@ An :class:`Ideal` is the one lazy basis holder: it caches its basis under its
 grouped, so repeated membership tests against one ideal compute one
 basis.  ``ideal_membership`` too needs the remainder only up to a nonzero
 factor, so it calls ``_remainder`` on those groups directly.  A
-:class:`Submodule` keeps its encoded generators in an ``Ideal`` under ``top``.
+:class:`Submodule` keeps its encoded generators in an ``Ideal`` under its
+module order.
 """
 
 from __future__ import annotations
@@ -78,7 +82,6 @@ from .poly import (
     _check_degree,
     _degree_error,
     _div,
-    _mul_terms,
     _primitive_terms,
     block_order,
     same_ring,
@@ -104,7 +107,7 @@ def reduce(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> 
     nonzero = [g for g in basis if g]
     if nonzero:
         same_ring(f, *nonzero)
-    positions = _position_fields(order)
+    positions = order.positions
     groups = _group([g.divisor(order) for g in nonzero], positions)
     remainder, mult = _remainder(dict(f._terms), groups, positions, order.key(ring), ring)
     if mult != 1:
@@ -197,13 +200,13 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
 
     It is L times the integer combination of the kernel :func:`_s_terms`,
     with L the lcm of the leading coefficients of the two divisor records,
-    and it is divided by L here, once.  Under a ``top`` order, leads in
+    and it is divided by L here, once.  Under a module order, leads in
     different positions have no common multiple in the module, so the
     S-vector is 0.  A zero f or g has no lead and raises ``ValueError``.
     """
     ring = same_ring(f, g)
     record_f, record_g = f.divisor(order), g.divisor(order)
-    terms = _s_terms(record_f, record_g, ring, _position_fields(order))
+    terms = _s_terms(record_f, record_g, ring, order.positions)
     if terms is None:
         return ring.zero
     common = lcm(record_f[1], record_g[1])
@@ -216,7 +219,7 @@ def _s_terms(record_f: tuple, record_g: tuple, ring: PolynomialRing, positions: 
     """The S-combination kernel: L*S(f, g) as an integer term dict, from
     the divisor records of f and g, with L = lcm(a_f, a_g) of their leading
     coefficients; ``None`` if their leads differ in the ``positions`` mask
-    (see :func:`_position_fields`).
+    (see :attr:`MonomialOrder.positions`).
 
     It is (L/a_f)*x^qf*tail_f - (L/a_g)*x^qg*tail_g, with x^qf and x^qg
     the cofactors of the leads at their lcm; the leads cancel, so they are
@@ -245,12 +248,6 @@ def _s_terms(record_f: tuple, record_g: tuple, ring: PolynomialRing, positions: 
     return terms
 
 
-def _position_fields(order: MonomialOrder) -> int:
-    """The mask of the position fields of the words under a ``top`` order
-    (see :class:`Submodule`), and 0 under other orders."""
-    return (1 << (order.split * WIDTH)) - 1 if order.kind == "top" else 0
-
-
 def _group(records: Iterable[tuple], positions: int) -> dict:
     """The divisor records by the position word ``lm & positions`` of their
     lead, each group in the order of ``records``.  A module term has one
@@ -271,7 +268,7 @@ def _autoreduce(basis: list, order: MonomialOrder) -> list:
     # on the records' integers; only ``monic`` makes a Fraction coefficient.
     # Both steps scan only the group of a lead's position (see _group).
     ring = basis[0].ring
-    key, guards, positions = order.key(ring), ring.guards, _position_fields(order)
+    key, guards, positions = order.key(ring), ring.guards, order.positions
     records = [g.divisor(order) for g in basis]
     rivals = _group(records, positions)
     kept, seen = [], set()
@@ -306,7 +303,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, known: int = 0)
     Classical Buchberger with the coprime-lead and chain criteria.  Each
     pair is scored once, when it is created, and kept in a heap, so the
     normal selection strategy pops the pair with the smallest lcm of leads
-    (ties broken by index).  Under a ``top`` order a pair of leads in
+    (ties broken by index).  Under a module order a pair of leads in
     different positions is never queued: its S-vector is 0, so the chain
     criterion may count it as treated.  The output is auto-reduced, monic
     and sorted by leading term, hence canonical for the (ideal, order) pair;
@@ -361,7 +358,7 @@ def _complete(basis: list, order: MonomialOrder, known: int) -> list:
     divisors = [g.divisor(order) for g in basis]
     leads = [d[0] for d in divisors]
     key, lcm_of = order.key(ring), ring.lcm
-    positions = _position_fields(order)
+    positions = order.positions
     groups: dict = {}  # the records, as _group groups them
     members: dict = {}  # the indices of the basis, by the same words
     pending = set()
@@ -423,7 +420,7 @@ class Ideal:
     ``order`` computed on first use and kept, together with its divisor
     records, grouped (see :func:`_group`).  Generator ideals take
     grevlex; a :class:`Submodule` keeps its encoded generators in an ideal
-    under ``top``."""
+    under its module order."""
 
     __slots__ = ("ring", "generators", "order", "_basis", "_groups")
 
@@ -440,7 +437,7 @@ class Ideal:
         if self._basis is None:
             self._basis = tuple(buchberger(self.generators, self.order))
             records = (g.divisor(self.order) for g in self._basis)
-            self._groups = _group(records, _position_fields(self.order))
+            self._groups = _group(records, self.order.positions)
         return self._basis
 
     def is_unit(self) -> bool:
@@ -469,7 +466,7 @@ def ideal_membership(f: Polynomial, ideal: Ideal) -> bool:
         return True
     ideal.groebner_basis()
     order = ideal.order
-    positions = _position_fields(order)
+    positions = order.positions
     return not _remainder(dict(f._terms), ideal._groups, positions, order.key(ring), ring)[0]
 
 
@@ -505,43 +502,35 @@ def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
 
 
 def intersection(a: Ideal, b: Ideal) -> Ideal:
-    """I ∩ J: the ideal t*I + (1 - t)*J with t, a fresh first variable,
-    eliminated (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*,
-    ch. 4 section 3).  The result lives in a fresh ring on I's variables."""
+    """I ∩ J, the colon (I*e_1 + J*e_2 : (1, 1)) of R^2 (see :func:`_colon`):
+    a*(1, 1) lies in I*e_1 + J*e_2 iff a lies in I and in J."""
     ring = same_ring(a, b)
-    ext = PolynomialRing((_fresh_name(ring),) + ring.variables)
-    t, *lift = ext.gens()
-    gens = [t * g.substitute(ext, lift) for g in a.generators]
-    gens += [(ext.one - t) * g.substitute(ext, lift) for g in b.generators]
-    return eliminate(Ideal(gens), [0])
+    gens = [[(0, g)] for g in a.generators] + [[(1, g)] for g in b.generators]
+    return _colon(ring, 2, gens, [ring.one, ring.one])
 
 
 def quotient(ideal: Ideal, g: Polynomial) -> Ideal:
-    """The ideal quotient (I : g) = {h : h*g in I}: each generator of
-    I ∩ (g), a multiple of g, divided by g (Cox-Little-O'Shea ch. 4
-    section 4).  (I : 0) is the whole ring."""
-    if not g:
-        return Ideal([g.ring.one])
-    return Ideal([_exact_quotient(h, g) for h in intersection(ideal, Ideal([g])).generators])
+    """The ideal quotient (I : g) = {h : h*g in I}, the colon of R^1 (see
+    :func:`_colon`).  (I : 0) is the whole ring."""
+    ring = same_ring(ideal, g)
+    return _colon(ring, 1, ([(0, h)] for h in ideal.generators), [g])
 
 
-def _exact_quotient(h: Polynomial, g: Polynomial) -> Polynomial:
-    """h / g for a nonzero g that divides h, by division on grevlex leads.
-    {g} is a Groebner basis of (g), so a lead of the dividend that g's lead
-    does not divide stays in the remainder: g does not divide h, and that
-    raises ``ValueError``."""
-    ring = same_ring(h, g)
-    key = GREVLEX.key(ring)
-    lm, lc = g.leading(GREVLEX)
-    work, out = dict(h._terms), {}
-    while work:
-        m = max(work, key=key)
-        if not ring.divides(lm, m):
-            raise ValueError(f"{g} does not divide {h}")
-        term = {m - lm: _div(work[m], lc)}
-        out.update(term)
-        _mul_terms(term, g._terms, ring.limit, work, negate=True)
-    return Polynomial(ring, out, _clean=True)
+def _colon(ring: PolynomialRing, rank: int, generators: Iterable, v: Sequence[Polynomial]) -> Ideal:
+    """The colon (M : v) = {a : a*v in M}, M the submodule of R^rank that
+    the vectors ``generators``, as (position, polynomial) pairs, generate,
+    and v a vector of R^rank; its reduced grevlex basis, or (0).
+
+    The tagged submodule of R^(rank+1) generated by (v | 1) and the (m | 0)
+    holds (0 | a) iff a*v lies in M.  Under ``pot`` the tag, position
+    ``rank``, is the lowest position, so a basis element whose lead lies
+    there has no other component, and those elements' tags are a Groebner
+    basis of (M : v) under grevlex (Cox-Little-O'Shea, *Using Algebraic
+    Geometry*, ch. 5 section 3); they are reduced, monic and sorted."""
+    tagged = [[*enumerate(v), (rank, ring.one)], *generators]
+    sub = Submodule(ring, rank + 1, tagged, order="pot")
+    parts = map(sub.decode, sub.ideal.groebner_basis())
+    return Ideal([p[rank] for p in parts if not any(p[:rank])] or [ring.zero])
 
 
 def implicitization(ring: PolynomialRing, images: Sequence[Polynomial]) -> Ideal:
@@ -625,20 +614,23 @@ def krull_dimension(ideal: Ideal) -> int:
 class Submodule:
     """The submodule of R^rank generated by vectors, each given as (position,
     polynomial) pairs with distinct positions.  ``encode`` is the one map of
-    a vector to its polynomial in the position ring; the nonzero encoded
-    generators make up ``ideal``, whose basis under ``top`` is computed on
-    first use and kept.  The position variables come first, so they are the
-    lowest fields and grevlex compares them last: on these module terms,
-    one position of exponent 1 each, ``top`` is grevlex."""
+    a vector to its polynomial in the position ring, and ``decode`` its
+    inverse; the nonzero encoded generators make up ``ideal``, whose basis
+    under the module order ``order`` of :class:`MonomialOrder`, ``top``
+    unless given, is computed on first use and kept.  The position
+    variables come first, so they are the lowest fields and grevlex
+    compares them last: on these module terms, one position of exponent 1
+    each, ``top`` is grevlex.  :func:`_colon` alone asks for ``pot``."""
 
-    __slots__ = ("rank", "position_ring", "ideal")
+    __slots__ = ("ring", "rank", "position_ring", "ideal")
 
-    def __init__(self, ring: PolynomialRing, rank: int, generators: Iterable[Iterable[tuple]]):
-        self.rank = rank
+    def __init__(self, ring: PolynomialRing, rank: int, generators: Iterable[Iterable[tuple]],
+                 order: str = "top"):
+        self.ring, self.rank = ring, rank
         names = [_fresh_name(ring, f"_e{i + 1}") for i in range(rank)]
         self.position_ring = PolynomialRing(names + list(ring.variables))
         gens = [g for g in map(self.encode, generators) if g]
-        self.ideal = Ideal(gens or [self.position_ring.zero], MonomialOrder("top", rank))
+        self.ideal = Ideal(gens or [self.position_ring.zero], MonomialOrder(order, rank))
 
     def encode(self, parts: Iterable[tuple]) -> Polynomial:
         """The polynomial sum e_p*q over (position p, polynomial q) pairs: a
@@ -652,6 +644,18 @@ class Submodule:
                 for m, c in q._terms.items():
                     terms[(m << bits) + e] = c
         return Polynomial(ring, terms, _clean=True)
+
+    def decode(self, p: Polynomial) -> tuple:
+        """The vector of the encoded ``p``, a tuple of ``rank`` polynomials: a
+        term's one position field gives its component, and the word above
+        the position fields, less the degree of e_p, is its word in
+        ``ring``."""
+        comps = [{} for _ in range(self.rank)]
+        bits, unit = self.rank * WIDTH, 1 << (self.ring.nvars * WIDTH)
+        for m, c in p._terms.items():
+            position = ((m & ((1 << bits) - 1)).bit_length() - 1) // WIDTH
+            comps[position][(m >> bits) - unit] = c
+        return tuple(Polynomial(self.ring, t, _clean=True) for t in comps)
 
     def contains(self, parts: Iterable[tuple]) -> bool:
         """Whether the vector given by (position, polynomial) pairs lies in
@@ -669,18 +673,6 @@ def _submodule(v: Sequence[Polynomial], gens: Sequence[Sequence[Polynomial]]) ->
     return Submodule(ring, rank, map(enumerate, gens))
 
 
-def _decode(p: Polynomial, ring: PolynomialRing, rank: int) -> tuple:
-    # The inverse of Submodule.encode: a term's one position field gives its
-    # component, and the word above the position fields, less the degree of
-    # e_p, is its word in ``ring``.
-    comps = [{} for _ in range(rank)]
-    bits, unit = rank * WIDTH, 1 << (ring.nvars * WIDTH)
-    for m, c in p._terms.items():
-        position = ((m & ((1 << bits) - 1)).bit_length() - 1) // WIDTH
-        comps[position][(m >> bits) - unit] = c
-    return tuple(Polynomial(ring, t, _clean=True) for t in comps)
-
-
 def module_buchberger(gens: Sequence[Sequence[Polynomial]]) -> list:
     """Reduced Groebner basis, as tuples, of the submodule of R^rank
     generated by the vectors ``gens``, in the term-over-position order over
@@ -688,15 +680,14 @@ def module_buchberger(gens: Sequence[Sequence[Polynomial]]) -> list:
     if not gens:
         return []
     sub = _submodule(gens[0], gens)
-    return [_decode(b, gens[0][0].ring, sub.rank) for b in sub.ideal.groebner_basis()]
+    return [sub.decode(b) for b in sub.ideal.groebner_basis()]
 
 
 def module_reduce(v: Sequence[Polynomial], basis: Sequence[Sequence[Polynomial]]) -> tuple:
     """Normal form, as a tuple, of the vector v modulo vectors of the same
     rank, in the order of :func:`module_buchberger`."""
     sub = _submodule(v, basis)
-    r = reduce(sub.encode(enumerate(v)), sub.ideal.generators, sub.ideal.order)
-    return _decode(r, v[0].ring, sub.rank)
+    return sub.decode(reduce(sub.encode(enumerate(v)), sub.ideal.generators, sub.ideal.order))
 
 
 def module_membership(v: Sequence[Polynomial], gens: Sequence[Sequence[Polynomial]]) -> bool:

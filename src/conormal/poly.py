@@ -41,10 +41,10 @@ per-field maximum on the whole word (:meth:`PolynomialRing.lcm`); two
 monomials are coprime iff their lcm is their product.  Ints compare by
 total degree first, and the grevlex key is the word XOR-ed with the mask of
 the variable fields, a C-level ``int.__xor__``; it is also the key of the
-module order ``top`` (see :class:`MonomialOrder`).  One width serves every
-ring, with no repacking and no second representation; the layout depends
-only on the number of variables, and :class:`MonomialOrder` builds its key
-per number.
+module order ``top``, and ``pot`` takes the block key (see
+:class:`MonomialOrder`).  One width serves every ring, with no repacking
+and no second representation; the layout depends only on the number of
+variables, and :class:`MonomialOrder` builds its key per number.
 
 Tuples of exponents are the public boundary: ``Polynomial(ring, {exponent
 tuple: coefficient})`` packs them (:meth:`PolynomialRing.pack`) and
@@ -239,8 +239,9 @@ def _order_key(kind: str, split: int, n: int) -> Callable:
         return every.__xor__
     if kind == "lex":
         return lambda m: _reversed_fields(m, n)
-    # block: [degree of the first s fields | those fields complemented |
-    # degree of the rest | rest fields complemented], two grevlex keys.
+    # block and pot: [degree of the first s fields | those fields
+    # complemented | degree of the rest | rest fields complemented], two
+    # grevlex keys.
     s = min(split, n)
     low, bits, ones = (1 << (s * WIDTH)) - 1, s * WIDTH, _ones(s)
     sum_shift = (s - 1) * WIDTH if s else 0
@@ -260,24 +261,34 @@ def _order_key(kind: str, split: int, n: int) -> Callable:
 class MonomialOrder:
     """A multiplicative well-order on monomials (the constant 1 is minimal).
 
-    ``kind`` is one of ``lex``, ``grevlex``, ``block`` or ``top``.  A block
-    order compares the first ``split`` exponents by grevlex, breaking ties
-    with grevlex on the rest, which makes the first block an elimination
-    block.  ``top`` (term over position, Cox-Little-O'Shea, *Using Algebraic
-    Geometry* ch. 5 section 2) orders the module terms x^a*e_i of R^r,
-    r = ``split``, as words whose first r fields are the positions e_i: it
-    compares x^a by grevlex, then the lower position wins.  That is grevlex
-    on such words, whose one position field is 1 and is compared last, so
-    ``top`` takes grevlex's key; no code keys a word that is not a module term.
+    ``kind`` is one of ``lex``, ``grevlex``, ``block``, ``top`` or ``pot``.
+    A block order compares the first ``split`` exponents by grevlex, breaking
+    ties with grevlex on the rest, which makes the first block an elimination
+    block.  The two module orders (Cox-Little-O'Shea, *Using Algebraic
+    Geometry* ch. 5 sections 2 and 3) order the module terms x^a*e_i of R^r,
+    r = ``split``, as words whose first r fields are the positions e_i.
+    ``top`` (term over position) compares x^a by grevlex, then the lower
+    position wins.  That is grevlex on such words, whose one position field
+    is 1 and is compared last, so ``top`` takes grevlex's key; no code keys a
+    word that is not a module term.  ``pot`` (position over term) compares
+    the positions first, the lower one winning, then x^a by grevlex: the
+    block key with the positions as the first block.
 
     ``key(ring)`` is the sort key on the ring's words: ``key(a) > key(b)``
     iff the monomial a is larger.  It is built once per number of variables.
-    Identity hashing lets a :meth:`Polynomial.divisor` cache hit run no Python.
+    ``positions`` is the mask of the position fields under a module order,
+    and 0 under the others.  Identity hashing lets a
+    :meth:`Polynomial.divisor` cache hit run no Python.
     """
 
     kind: str
     split: int = 0
+    positions: int = field(init=False, repr=False)
     _keys: dict = field(init=False, repr=False, default_factory=dict)
+
+    def __post_init__(self):
+        module = self.kind in ("top", "pot")
+        object.__setattr__(self, "positions", (1 << (self.split * WIDTH)) - 1 if module else 0)
 
     def key(self, ring: "PolynomialRing") -> Callable:
         n = len(ring.variables)
@@ -287,9 +298,9 @@ class MonomialOrder:
         return key
 
     def __str__(self) -> str:
-        if self.kind in ("block", "top"):
-            return f"{self.kind}({self.split})"
-        return self.kind
+        if self.kind in ("lex", "grevlex"):
+            return self.kind
+        return f"{self.kind}({self.split})"
 
 
 LEX = MonomialOrder("lex")

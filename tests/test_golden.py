@@ -27,6 +27,7 @@ GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
 # V(x*y, x*z), the plane x = 0 and the x-axis, is not a complete
 # intersection, so ``check`` falls back on the parametrization oracle, or
 # says that there is none; its curve in the plane covers only part of X.
+# ``singular`` needs the Jacobian ideal, so on it exits 2.
 # The twisted cubic cone, not a complete intersection either, is covered by
 # its parametrization, so the oracle decides.
 LOCAL_FILES = {
@@ -91,6 +92,7 @@ def commands() -> list:
         ["check", "--germ", "plane_line.germ", "--form", "dx"],
         ["check", "--germ", "plane_line.germ", "--form", "dy"],
         ["check", "--germ", "plane_line_bare.germ", "--form", "dx"],
+        ["singular", "--germ", "plane_line_bare.germ"],
         ["check", "--germ", "twisted_cubic.germ", "--form", "dx"],
         ["check", "--germ", "twisted_cubic.germ", "--form", "z*dx - 2*y*dy + x*dz"],
         ["check", "--germ", "missing.germ", "--form", "dx"],

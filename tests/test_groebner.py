@@ -14,9 +14,7 @@ from conormal.forms import DifferentialForm, parse_form, wedge
 from conormal.germs import _trivial_module, is_trivial_form, trivial_form_generators
 from conormal.groebner import (
     Ideal,
-    _exact_quotient,
     _fresh_name,
-    _position_fields,
     buchberger,
     eliminate,
     ideal_membership,
@@ -573,7 +571,7 @@ class TestPositionGroups:
         ideals = [germ.ideal] + [_trivial_module(germ, k)[1].ideal for k in range(1, n + 1)]
         for ideal in ideals:
             basis, order = ideal.groebner_basis(), ideal.order
-            positions = _position_fields(order)
+            positions = order.positions
             records = [g.divisor(order) for g in basis]
             grouped = [d for group in ideal._groups.values() for d in group]
             assert sorted(map(id, grouped)) == sorted(map(id, records)), name
@@ -780,6 +778,9 @@ class TestEliminate:
         assert result.ring.variables == ("x",)
         single = PolynomialRing(["x"])
         assert result.same_ideal(Ideal([single.var(0)]))
+        # Dropping nothing keeps the generators and the ring.
+        kept = eliminate(Ideal([x]), [])
+        assert kept.ring == R2 and kept.generators == (x,)
 
     def test_rabinowitsch_style_intersection(self):
         Rt = PolynomialRing(["t", "x", "y"])
@@ -809,6 +810,9 @@ class TestQuotient:
         assert intersection(Ideal([X**2 * Y]), Ideal([X * Y**3])).same_ideal(Ideal([X**2 * Y**3]))
         # (x, y) and (x, z): the two lines' union is V(x, y*z)
         assert intersection(Ideal([X, Y]), Ideal([X, Z])).same_ideal(Ideal([X, Y * Z]))
+        # The generators are the reduced grevlex basis, sorted by lead.
+        meet = intersection(Ideal([X**2 * Y, X * Y * Z - Z**3]), Ideal([Y**2 + X * Z, Z]))
+        assert [str(g) for g in meet.generators] == ["x*y*z - z^3", "x*z^3", "x^2*y^2", "z^5"]
 
     def test_quotient(self):
         assert quotient(Ideal([X**2 * Y]), X).same_ideal(Ideal([X * Y]))
@@ -817,6 +821,17 @@ class TestQuotient:
         assert quotient(Ideal([X]), Y).same_ideal(Ideal([X]))
         assert quotient(Ideal([X]), X * Y).same_ideal(Ideal([R.one]))
         assert quotient(Ideal([X]), R.zero).same_ideal(Ideal([R.one]))
+        # The generators are the reduced grevlex basis, sorted by lead.
+        colon = quotient(Ideal([X**2 * Y, X * Y * Z - Z**3]), 2 * X + Z)
+        assert [str(g) for g in colon.generators] == [
+            "x*y*z - z^3", "x*y^2 - y*z^2 + 2*z^3", "x^2*y", "z^4", "x*z^3"]
+
+    def test_ring_is_checked(self):
+        # Also for the zero polynomial, whose quotient is the whole ring.
+        _, v = PolynomialRing(["u", "v"]).gens()
+        for g in (v, v.ring.zero):
+            with pytest.raises(ValueError, match="ring mismatch"):
+                quotient(Ideal([X**2]), g)
 
     @given(nonzero_polynomials(R, max_terms=3, max_degree=2),
            nonzero_polynomials(R, max_terms=3, max_degree=2))
@@ -826,15 +841,6 @@ class TestQuotient:
         assert quotient(Ideal([f * g]), g).same_ideal(Ideal([f]))
         for h in quotient(Ideal([f]), g).generators:
             assert ideal_membership(h * g, Ideal([f]))
-
-    def test_exact_division(self):
-        assert _exact_quotient(X**2 * Y - Y * Z**2, X - Z) == X * Y + Y * Z
-        assert _exact_quotient(R.zero, X) == R.zero
-        half = Fraction(1, 2)
-        assert _exact_quotient(F_UMBRELLA.scale(half), F_UMBRELLA.scale(3)) == Fraction(1, 6)
-        for h, g in [(X**2 + 1, X), (X * Y, Z), (X + Y, X)]:
-            with pytest.raises(ValueError, match="does not divide"):
-                _exact_quotient(h, g)
 
 
 class TestImplicitization:
@@ -1140,7 +1146,7 @@ class TestModuleMembership:
         def no_decode(*args):
             raise AssertionError("module_membership decoded a basis")
 
-        monkeypatch.setattr(groebner, "_decode", no_decode)
+        monkeypatch.setattr(groebner.Submodule, "decode", no_decode)
         gens = [(X, Y), (Y**2, Z)]
         assert module_membership((X * Z + Y**3, 2 * Y * Z), gens)
         assert not module_membership((Y, X), gens)

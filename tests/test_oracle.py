@@ -12,8 +12,11 @@ module basis.
 
 The reduced germ of a hypersurface V(f) is checked against sympy's
 ``sqf_part``: its generator is a constant multiple of the squarefree part.
+``intersection`` and ``quotient`` are checked against the ideal operations
+of sympy's ``QQ.old_poly_ring``.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,10 +27,10 @@ from conormal.cli import corpus_names, load_germ_file
 from conormal.forms import Hyperplane
 from conormal.geometry import bertini_check, random_hyperplane
 from conormal.germs import Germ, _trivial_module
-from conormal.groebner import Ideal, buchberger, eliminate
+from conormal.groebner import Ideal, buchberger, eliminate, intersection, quotient
 from conormal.poly import GREVLEX, LEX, Polynomial, PolynomialRing, block_order, parse_polynomial
 
-from strategies import nonzero_polynomials, polynomials
+from strategies import nonzero_polynomials, polynomials, random_polynomial
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.orderings import ProductOrder, grevlex, monomial_key  # noqa: E402
@@ -54,10 +57,14 @@ def monic_set(polys):
 def sympy_basis(gens, order, keep=lambda e: True):
     """sympy's reduced basis of ``gens``, monic, as a set; only the elements
     whose every exponent tuple passes ``keep``."""
-    ring = gens[0].ring
-    symbols = sympy.symbols(ring.variables)
-    key = sympy_order(order)
-    basis = sympy.groebner([to_sympy(g, symbols) for g in gens], *symbols, order=key)
+    symbols = sympy.symbols(gens[0].ring.variables)
+    return sympy_set([to_sympy(g, symbols) for g in gens], symbols, sympy_order(order), keep)
+
+
+def sympy_set(polys, symbols, key, keep=lambda e: True):
+    """sympy's reduced basis of the sympy ``polys`` under the monomial key
+    ``key``, as :func:`sympy_basis` gives it."""
+    basis = sympy.groebner(polys, *symbols, order=key)
     out = []
     for g in basis.polys:
         terms = {e: Fraction(int(c.p), int(c.q)) for e, c in g.as_dict().items()}
@@ -150,6 +157,31 @@ def test_elimination_matches_a_sympy_lex_basis(gens):
         for g in lex.polys if g.degree(symbols[0]) == g.degree(symbols[1]) == 0
     ]
     assert our_set(result.generators) == sympy_basis(kept, GREVLEX)
+
+
+def test_colon_matches_sympy_intersect_and_quotient():
+    # intersection(I, J) and quotient(I, g) are reduced grevlex bases of the
+    # ideals that sympy's old_poly_ring gives with a syzygy computation of
+    # its own.
+    rng = random.Random(43)
+    symbols = sympy.symbols(R3.variables)
+    key, old = sympy_order(GREVLEX), sympy.QQ.old_poly_ring(*symbols)
+
+    def ideal(gens):
+        return old.ideal(*(to_sympy(g, symbols).as_expr() for g in gens))
+
+    def expected(result):
+        return sympy_set([sympy.Poly(old.to_sympy(g), *symbols) for g in result.gens], symbols, key)
+
+    for _ in range(30):
+        # Generators that are multiples of g make (I : g) larger than I.
+        g = random_polynomial(rng, R3, 2, 2, nonzero=True)
+        a, b = ([random_polynomial(rng, R3, terms, 2, nonzero=True) * rng.choice([g, R3.one])
+                 for _ in range(rng.randint(1, count))] for terms, count in [(2, 3), (3, 2)])
+        sym_a = ideal(a)
+        assert our_set(intersection(Ideal(a), Ideal(b)).generators) == expected(
+            sym_a.intersect(ideal(b))), (a, b)
+        assert our_set(quotient(Ideal(a), g).generators) == expected(sym_a.quotient(ideal([g]))), (a, g)
 
 
 def assert_sqf_part(f):

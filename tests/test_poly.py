@@ -452,6 +452,8 @@ def reference_key(kind, split, e):
         return grevlex(e)
     if kind == "top":
         return (grevlex(e[split:]), e[:split])
+    if kind == "pot":
+        return (e[:split], grevlex(e[split:]))
     return (grevlex(e[:split]), grevlex(e[split:]))
 
 
@@ -465,12 +467,13 @@ def module_terms(draw, split, nvars):
 
 @st.composite
 def order_cases(draw):
-    """(kind, split, distinct exponent tuples of 4 variables).  ``top`` is
-    defined on module terms, so its split is at least 1 and its tuples are
-    module terms; the other kinds take any monomials."""
-    kind = draw(st.sampled_from(["lex", "grevlex", "block", "top"]))
-    split = draw(st.integers(1 if kind == "top" else 0, 4))
-    terms = module_terms(split, 4) if kind == "top" else monomials(4)
+    """(kind, split, distinct exponent tuples of 4 variables).  ``top`` and
+    ``pot`` are defined on module terms, so their split is at least 1 and
+    their tuples are module terms; the other kinds take any monomials."""
+    kind = draw(st.sampled_from(["lex", "grevlex", "block", "top", "pot"]))
+    module = kind in ("top", "pot")
+    split = draw(st.integers(1 if module else 0, 4))
+    terms = module_terms(split, 4) if module else monomials(4)
     return kind, split, draw(st.lists(terms, min_size=2, max_size=12, unique=True))
 
 
@@ -650,6 +653,10 @@ class TestPowers:
             (x + 1) ** 40000
         with pytest.raises(ValueError, match="past the limit"):
             (x + 1) ** (MAX_DEGREE + 1)
+        # The refusal prints a long negative base whole.
+        literal = "9" * 700
+        with pytest.raises(ParseError, match=rf"coefficient \(-{literal}\)\^200 of"):
+            parse_polynomial(f"(-{literal})^200*x", self.X1)
 
     @pytest.mark.parametrize("text", ["7^10000000*x", "(7)^10000000"])
     def test_constant_power_past_the_bit_limit_raises_at_once(self, text):
