@@ -46,12 +46,14 @@ the lcm of the two leading coefficients.  The public ``reduce`` and
 multiplier or by L once, at the end, so they give the exact values over Q.
 
 The pair loop needs only the remainder up to a nonzero factor, so
-``_complete`` and ``_autoreduce`` call the kernels directly: a nonzero
-integer remainder becomes a basis element through ``_primitive_terms``
-alone (``poly._associate``), and only ``_autoreduce``'s final ``monic``
-makes a Fraction coefficient.  Both keep the records of their basis,
-grouped, next to it, and every division receives the groups, so no record
-is rebuilt per reduction.
+``_complete`` and ``_autoreduce`` call the kernels directly.  ``buchberger``
+hands ``_complete`` the records of its generators, and the pair loop runs on
+records alone: a nonzero integer remainder joins as the record of its
+primitive associate (``poly._record``), and no polynomial is made.
+``_autoreduce`` reduces each minimal record's tail once and makes the
+polynomials of the basis (``poly._associate``); only its final ``monic``
+makes a Fraction coefficient.  Every division receives the records grouped,
+so no record is rebuilt per reduction.
 
 Bases are reduced, monic and sorted, so they are canonical per (ideal, order).
 An :class:`Ideal` is the one lazy basis holder: it caches its basis under its
@@ -83,6 +85,7 @@ from .poly import (
     _degree_error,
     _div,
     _primitive_terms,
+    _record,
     block_order,
     same_ring,
 )
@@ -259,20 +262,19 @@ def _group(records: Iterable[tuple], positions: int) -> dict:
     return groups
 
 
-def _autoreduce(basis: list, order: MonomialOrder) -> list:
-    # Only valid on a completed Groebner basis of primitive elements: drop
-    # elements whose lead is divisible by another lead, then replace each
-    # tail by its normal form against the (sequentially updated) rest, kept
-    # primitive, and make each element monic once at the end.  Leads never
-    # change, so the result is the unique reduced basis.  The division runs
-    # on the records' integers; only ``monic`` makes a Fraction coefficient.
-    # Both steps scan only the group of a lead's position (see _group).
-    ring = basis[0].ring
+def _autoreduce(records: list, ring: PolynomialRing, order: MonomialOrder) -> list:
+    # Only valid on the records of a Groebner basis: keep the minimal
+    # records, the first of equal leads, reduce each one's tail once against
+    # them, put its lead back, and make it monic.  No tail term lies above
+    # its own lead, so that lead divides none, and the normal form modulo a
+    # Groebner basis is unique: the result is the unique reduced basis.  The
+    # division runs on the records' integers; only ``monic`` makes a
+    # Fraction coefficient.  Both steps scan only the group of a lead's
+    # position (see _group).
     key, guards, positions = order.key(ring), ring.guards, order.positions
-    records = [g.divisor(order) for g in basis]
     rivals = _group(records, positions)
     kept, seen = [], set()
-    for d in records:  # the minimal records, the first of equal leads
+    for d in records:
         lm = d[0]
         room = lm | guards
         if lm not in seen and not any((room - e[0]) & guards == guards and e[0] != lm
@@ -280,21 +282,12 @@ def _autoreduce(basis: list, order: MonomialOrder) -> list:
             kept.append(d)
         seen.add(lm)
     groups = _group(kept, positions)
-    reduced: list = []
-    for d in kept:
-        lm, a, tail, _ = d
-        work = dict(tail)
-        work[lm] = a
-        # The rest, in basis order, with the elements before d reduced.  No
-        # other lead divides lm, so lm leads the remainder.
-        group = groups[lm & positions]
-        at = group.index(d)
-        del group[at]
-        r = _associate(ring, _remainder(work, groups, positions, key, ring)[0], lm, order)
-        group.insert(at, r.divisor(order))
-        reduced.append(r)
-    reduced.sort(key=lambda g: key(g.divisor(order)[0]))
-    return [g.monic(order) for g in reduced]
+    reduced = []
+    for lm, a, tail, _ in sorted(kept, key=lambda d: key(d[0])):
+        r, mult = _remainder(dict(tail), groups, positions, key, ring)
+        r[lm] = a * mult  # r is mult times the tail's normal form
+        reduced.append(_associate(ring, r, lm, order).monic(order))
+    return reduced
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, known: int = 0) -> list:
@@ -319,48 +312,48 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, known: int = 0)
         raise ValueError("buchberger needs at least one generator")
     if not 0 <= known <= len(gens):
         raise ValueError(f"known={known} is not between 0 and {len(gens)}")
-    same_ring(*gens)
+    ring = same_ring(*gens)
     seen = set()
-    basis = []
+    divisors = []  # the records of the distinct primitive generators
     for index, g in enumerate(gens):
         if index == known:
-            known = len(basis)  # the prefix without zeros and repeats
+            known = len(divisors)  # the prefix without zeros and repeats
         if g:
-            g = g.primitive(order)
-            if g not in seen:
-                seen.add(g)
-                basis.append(g)
-    if not basis:
+            d = g.divisor(order)
+            primitive = d[0], d[1], frozenset(d[2])  # whatever the order of the tail
+            if primitive not in seen:
+                seen.add(primitive)
+                divisors.append(d)
+    if not divisors:
         return []
-    result = _autoreduce(_complete(basis, order, min(known, len(basis))), order)
+    records = _complete(divisors, ring, order, min(known, len(divisors)))
+    result = [ring.one] if records is None else _autoreduce(records, ring, order)
     if _basis_observer is not None:
         _basis_observer(list(gens), order, list(result))
     return result
 
 
-def _complete(basis: list, order: MonomialOrder, known: int) -> list:
-    """The pair loop: extend the distinct primitive ``basis`` to a Groebner
-    basis, queueing no pair inside the first ``known`` elements; return
-    [1] on the first constant, which makes the ideal the unit ideal.
+def _complete(divisors: list, ring: PolynomialRing, order: MonomialOrder, known: int):
+    """The pair loop: extend the records ``divisors`` of distinct primitive
+    generators to those of a Groebner basis, queueing no pair inside the
+    first ``known``; ``None`` on the first constant lead, which makes the
+    ideal the unit ideal.
 
     Each queued pair keeps the lcm of its leads; the leads are coprime iff
     that lcm is their product.  A pair's integer S-combination is divided
-    by the kernels, and a nonzero remainder joins the basis as its
-    primitive integer associate.  The loop groups its records (see
-    :func:`_group`) and the indices of its basis by the position word of
-    their leads, so pairs, the chain criterion and the division see only
-    the leads of one position.
+    by the kernels, and a nonzero remainder joins as the record of its
+    primitive integer associate; no polynomial is made.  The loop groups its
+    records (see :func:`_group`) and their indices by the position word of
+    their leads, so pairs, the chain criterion and the division see only the
+    leads of one position.
     """
-    ring = basis[0].ring
-    one = ring.one
-    if any(g.is_constant() for g in basis):
-        return [one]
-    divisors = [g.divisor(order) for g in basis]
     leads = [d[0] for d in divisors]
+    if not all(leads):
+        return None
     key, lcm_of = order.key(ring), ring.lcm
     positions = order.positions
     groups: dict = {}  # the records, as _group groups them
-    members: dict = {}  # the indices of the basis, by the same words
+    members: dict = {}  # the indices of the records, by the same words
     pending = set()
     queue = []
 
@@ -377,7 +370,7 @@ def _complete(basis: list, order: MonomialOrder, known: int) -> list:
         same.append(j)
         groups.setdefault(word, []).append(divisors[j])
 
-    for j in range(len(basis)):
+    for j in range(len(divisors)):
         add(j)
     while queue:
         _, i, j, lcm = heapq.heappop(queue)
@@ -391,13 +384,11 @@ def _complete(basis: list, order: MonomialOrder, known: int) -> list:
         if r:
             lm = max(r, key=key)
             if not lm:  # a nonzero constant
-                return [one]
-            g = _associate(ring, r, lm, order)
-            basis.append(g)
-            divisors.append(g.divisor(order))
+                return None
+            divisors.append(_record(_primitive_terms(r, r[lm]), lm))
             leads.append(lm)
-            add(len(basis) - 1)
-    return basis
+            add(len(divisors) - 1)
+    return divisors
 
 
 def _chain_criterion(leads, members, guards, pending, i, j, lcm) -> bool:

@@ -777,8 +777,6 @@ def parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:
     offending position on syntax errors, unknown names or a total degree
     past ``MAX_DEGREE``.
     """
-    from ._expr import parse_mixed_text
-
     mixed = parse_mixed_text(text, ring, allow_differentials=False)
     return mixed[()] if mixed else ring.zero
 
@@ -812,3 +810,8 @@ def evaluate(p: Polynomial, point: Sequence[Scalar]) -> Scalar:
             m >>= WIDTH
         total += v
     return _norm(total)
+
+
+# The parser takes its names from this module at its top, so it is imported
+# here, once, after every one of them is defined.
+from ._expr import parse_mixed_text  # noqa: E402

@@ -18,6 +18,7 @@ from conormal.forms import (
     DifferentialForm,
     Hyperplane,
     NotClosedError,
+    VectorField,
     evaluate_form,
     exterior_derivative,
     form_degree,
@@ -25,6 +26,7 @@ from conormal.forms import (
     format_form,
     format_form_parts,
     parse_form,
+    pullback,
     radial_potential,
     vector_field_to_form,
     volume_coefficient,
@@ -502,3 +504,25 @@ class TestHyperplane:
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
             Hyperplane(R, [0, 0, 0])
+
+
+class TestInputChecks:
+    """Each input check of the form constructors and maps refuses with its
+    own message."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: DifferentialForm(R, 0, {}), "degree-0 forms are represented by bare polynomials"),
+        (lambda: DifferentialForm(R, 1, {(3,): X}), r"index tuple \(3,\) out of range"),
+        (lambda: form("dx") + form("dx*dy"), "cannot add forms of different degrees"),
+        (lambda: pullback(DifferentialForm(R, 1, {}), [X, Y]), "one image per variable required"),
+        (lambda: VectorField(R, [X, Y]), "one component per ring variable required"),
+        (lambda: VectorField(R, [X, Y, Z]).contract(form("dx*dy")),
+         "a vector field contracts with a 1-form"),
+        (lambda: volume_coefficient(form("dx*dy")), "volume coefficient needs a top-degree form"),
+        (lambda: radial_potential(form("dx*dy")), "the radial potential is defined for 1-forms"),
+        (lambda: Hyperplane(R, [1, 2]), "one normal coordinate per ring variable required"),
+    ], ids=["degree", "index", "add", "pullback", "vector-field", "contract", "volume", "radial",
+            "hyperplane"])
+    def test_refuses_with_its_message(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()

@@ -505,3 +505,16 @@ class TestRandomHyperplane:
         assert all(seen_positive)
         assert not seen_negative[0] and seen_negative[1] and seen_negative[2]
         assert len(normals) > 500  # draws are spread out
+
+
+class TestInputChecks:
+    """Each input check of the section harness refuses with its own message."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: bertini_check(Germ(R, [Z**2 - X * Y**2]),
+                               Hyperplane(PolynomialRing(["u", "v", "w"]), [1, 2, 3])),
+         "hyperplane ring mismatch"),
+    ], ids=["ring"])
+    def test_refuses_with_its_message(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()

@@ -38,7 +38,6 @@ from conormal.groebner import (
     Ideal,
     ideal_membership,
     krull_dimension,
-    module_membership,
     radical_membership,
 )
 from conormal.poly import PolynomialRing, parse_polynomial, partial_derivative
@@ -605,14 +604,26 @@ class TestTrivialForms:
     def test_cold_and_warm_agree_with_module_membership(self, request, fixture, seed):
         # Each form is decided on a new germ (cold: the basis is built) and
         # again on the same germ (warm: the kept basis is reused); both must
-        # equal the public module_membership path on coefficient vectors.
+        # equal module membership of its coefficient vector, decided by
+        # sympy's submodules of a free module over QQ[x, y, z], an oracle
+        # that shares no code with conormal.groebner.
+        sympy = pytest.importorskip("sympy")
+        symbols = sympy.symbols(R.variables)
+        ring = sympy.QQ.old_poly_ring(*symbols)
+
+        def to_sympy(p):
+            return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                               * sympy.Mul(*(s**e for s, e in zip(symbols, exps)))
+                               for exps, c in p.terms.items()))
+
         generators = request.getfixturevalue(fixture).generators
         rng = random.Random(seed)
         answers = []
         for k in (1, 2, 3):
             tuples = list(combinations(range(R.nvars), k))
             gens = trivial_form_generators(Germ(R, generators), k)
-            vectors = [tuple(g.coefficient(S) for S in tuples) for g in gens]
+            module = ring.free_module(len(tuples)).submodule(
+                *([to_sympy(g.coefficient(S)) for S in tuples] for g in gens))
             for i in range(4):
                 if i % 2:
                     omega = random_form(rng, R, k, max_terms=3)
@@ -621,9 +632,7 @@ class TestTrivialForms:
                     for g in rng.sample(gens, 2):
                         term = g.scale(random_polynomial(rng, R, max_terms=2, max_degree=1))
                         omega = term if omega is None else omega + term
-                expected = module_membership(
-                    tuple(omega.coefficient(S) for S in tuples), vectors
-                )
+                expected = module.contains([to_sympy(omega.coefficient(S)) for S in tuples])
                 germ = Germ(R, generators)
                 assert is_trivial_form(omega, germ) == expected
                 assert is_trivial_form(omega, germ) == expected
@@ -868,3 +877,22 @@ class TestInclusionAndComponents:
                 g = radial_potential(w)
                 assert g == h
                 assert ideal_membership(g, germ.ideal)
+
+
+class TestInputChecks:
+    """Each input check of the germ constructors and of the trivial-form
+    generators refuses with its own message."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Germ(R, []), "a germ needs at least one generator"),
+        (lambda: Germ(R, [Z**2 - X * Y**2, R.zero]), "zero generators are not allowed"),
+        (lambda: Parametrization(Germ(R, [Z**2 - X * Y**2]), UV, [U, V]),
+         "one component per ambient variable required"),
+        (lambda: trivial_form_generators(Germ(R, [Z**2 - X * Y**2]), 0),
+         "degree must be between 1 and 3"),
+        (lambda: trivial_form_generators(Germ(R, [Z**2 - X * Y**2]), 4),
+         "degree must be between 1 and 3"),
+    ], ids=["no-generator", "zero-generator", "components", "degree-0", "degree-4"])
+    def test_refuses_with_its_message(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()

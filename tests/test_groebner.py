@@ -479,12 +479,13 @@ class TestTrivialModuleWork:
 
 
 class TestPairLoopRecords:
-    """Work gate: the pair loop keeps the divisor records of its basis next
-    to it.  Every reduction of a basis build, a call of the division kernel
-    ``_remainder``, receives in its groups the very records its divisors
-    cache, and each polynomial's record is built once: by
-    ``Polynomial.divisor`` for a generator, by ``_associate`` for an
-    element the build makes."""
+    """Work gate: the pair loop runs on divisor records alone.  Every
+    reduction of a basis build, a call of the division kernel
+    ``_remainder``, receives in its groups the very records built for it,
+    and each record is built once: by ``Polynomial.divisor`` for a
+    generator, by ``_record`` for an element the pair loop makes.  The pair
+    loop ``_complete`` makes no polynomial; only ``_autoreduce`` makes the
+    elements of the basis, through ``_associate``."""
 
     CASES = [("umbrella.germ", "jacobian")] + list(TestTrivialModuleWork.WORK)
 
@@ -505,32 +506,61 @@ class TestPairLoopRecords:
             reductions.append([d for group in groups.values() for d in group])
             return remainder(work, groups, positions, key, ring)
 
-        builds, kept, records = Counter(), [], {}
-        divisor, associate = Polynomial.divisor, groebner._associate
+        builds, kept, made = Counter(), [], set()
+        divisor, record, associate = Polynomial.divisor, groebner._record, groebner._associate
 
         def counting(self, order):
             if order in (self._lead or {}):
                 return divisor(self, order)
-            builds[id(self)] += 1
+            builds["divisor", id(self)] += 1
             kept.append(self)  # keeps each id unique while counting
-            record = records[id(self)] = divisor(self, order)
-            return record
+            d = divisor(self, order)
+            made.add(id(d))
+            return d
+
+        def recording_record(ints, lm):
+            d = record(ints, lm)
+            builds["_record", id(d)] += 1
+            kept.append(d)
+            made.add(id(d))
+            return d
+
+        associators, grown = Counter(), []
+        complete = groebner._complete
+
+        def completing(divisors, ring, order, known):
+            given = len(divisors)
+            records = complete(divisors, ring, order, known)
+            grown.append(len(records) - given)
+            return records
 
         def associating(ring, terms, lm, order):
-            p = associate(ring, terms, lm, order)
-            builds[id(p)] += 1
-            kept.append(p)
-            records[id(p)] = p._lead[order]
-            return p
+            associators[sys._getframe(1).f_code.co_name] += 1
+            return associate(ring, terms, lm, order)
+
+        made_in_loop, init = [], Polynomial.__init__
+
+        def constructing(self, *args, **kwargs):
+            frame = sys._getframe(1)
+            while frame and frame.f_code.co_name != "_complete":
+                frame = frame.f_back
+            if frame:
+                made_in_loop.append(self)
+            init(self, *args, **kwargs)
 
         monkeypatch.setattr(groebner, "_remainder", recording)
+        monkeypatch.setattr(groebner, "_record", recording_record)
         monkeypatch.setattr(groebner, "_associate", associating)
+        monkeypatch.setattr(groebner, "_complete", completing)
         monkeypatch.setattr(Polynomial, "divisor", counting)
-        target.groebner_basis()
+        monkeypatch.setattr(Polynomial, "__init__", constructing)
+        basis = target.groebner_basis()
         assert set(callers) == {"_complete", "_autoreduce"}
-        made = {id(record) for record in records.values()}
         assert all(id(d) in made for divisors in reductions for d in divisors)
         assert builds and set(builds.values()) == {1}
+        assert sum(kind == "_record" for kind, _ in builds) == sum(grown)
+        assert associators == Counter(_autoreduce=len(basis))
+        assert made_in_loop == []
 
 
 class TestPositionGroups:
@@ -618,6 +648,15 @@ class TestIntegerPairLoop:
             basis = buchberger(gens, order)
             assert any(type(c) is Fraction for g in basis for c in g.terms.values())
         assert callers and set(callers) == {("monic", "_autoreduce")}
+
+    def test_a_scaled_tail_takes_its_lead_along(self):
+        # A minimal element's tail 5*y^2 is divided by 25*y^2 + 6*x*z, whose
+        # leading coefficient does not divide 5, so the division scales the
+        # tail; the lead must be scaled by the same multiplier.  The basis is
+        # sympy's, made monic.
+        gens = [3 * X**2 * Y * Z**2 + 5 * Y**2, 5 * X**2 * Y * Z**2 - 2 * X * Z]
+        assert [str(g) for g in buchberger(gens, GREVLEX)] == [
+            "y^2 + 6/25*x*z", "x^2*y*z^2 - 2/5*x*z", "x^3*z^3 + 5/3*x*y*z"]
 
 
 class TestParserWork:
@@ -1163,3 +1202,20 @@ class TestModuleMembership:
         assert not s_polynomial(f, g, top)
         assert s_polynomial(f, e1 * x**2 + e2, top) == e2 * x**2 - e2 * y
 
+
+class TestInputChecks:
+    """Each input check of the Groebner entry points refuses with its own
+    message, and an empty generator list has the empty module basis."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: buchberger([], GREVLEX), "buchberger needs at least one generator"),
+        (lambda: Ideal([]), "an ideal needs at least one generator"),
+        (lambda: eliminate(Ideal([X * Y]), [3]), "variable index 3 out of range"),
+        (lambda: eliminate(Ideal([X * Y]), [-1]), "variable index -1 out of range"),
+    ], ids=["buchberger", "ideal", "eliminate-high", "eliminate-low"])
+    def test_refuses_with_its_message(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_no_generators_have_the_empty_module_basis(self):
+        assert module_buchberger([]) == []

@@ -719,3 +719,21 @@ class TestRing:
     def test_degree_of_zero_is_minus_one(self):
         assert R.zero.total_degree() == -1
         assert R.one.total_degree() == 0
+
+
+class TestInputChecks:
+    """Each input check of the ring, its orders and its polynomials refuses
+    with its own message."""
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: block_order(-1), ValueError, "block split must be non-negative"),
+        (lambda: PolynomialRing(["x", "1y"]), ValueError, "invalid variable name '1y'"),
+        (lambda: R.pack((1, 2)), ValueError, r"bad exponent tuple \(1, 2\)"),
+        (lambda: R.pack((1, -1, 0)), ValueError, r"bad exponent tuple \(1, -1, 0\)"),
+        (lambda: R.var(3), ValueError, "variable index 3 out of range"),
+        (lambda: X ** -1, ValueError, "polynomial powers must be non-negative integers"),
+        (lambda: X + "a", TypeError, "unsupported operand"),
+    ], ids=["block", "name", "pack-length", "pack-negative", "var", "power", "add-str"])
+    def test_refuses_with_its_message(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
