@@ -1,18 +1,19 @@
 """Mutants of the decision core, each run against the tests that must kill it.
 
-    python tests/mutants.py [name ...]
+    python tests/mutants.py
 
 Each mutant replaces one piece of text in one file of ``src/conormal`` with
 another.  It is applied to a temporary copy of ``src/`` and ``tests/``,
 never to the checkout, and the copy runs ``pytest -x -q`` on the mutant's
 test subset.  A mutant is killed when that run fails.  An equivalent mutant
 changes no answer and no pinned work, so no test can kill it; it is listed
-with the reason, run, and reported, but its survival is not a failure.
+with the reason and run too, and a killed equivalent mutant is a failure,
+because its equivalence claim is then stale.
 
 The subsets run first unmutated, so a failing suite cannot pass for killed
 mutants.  The script exits 1 if a subset fails unmutated, if a mutant's old
-text is not found exactly once, or if a mutant that is not equivalent
-survives.  It needs only the standard library and the test dependencies of
+text is not found exactly once, if a mutant that is not equivalent
+survives, or if an equivalent mutant is killed.  It needs only the standard library and the test dependencies of
 the package.  This file is not a test module, so pytest does not collect
 it.
 """
@@ -28,7 +29,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TIMEOUT = 900  # seconds per pytest run; a mutant that hangs its subset is killed
+TIMEOUT = 120  # seconds per pytest run; a mutant that hangs its subset is killed
 
 
 class Mutant(NamedTuple):
@@ -122,21 +123,16 @@ def fresh_copy(into: Path) -> Path:
     return copy
 
 
-def main(names) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 1
-    mutants = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
     failed = []
     with tempfile.TemporaryDirectory(prefix="conormal-mutants-") as tmp:
-        subsets = sorted({t for m in mutants for t in m.tests})
+        subsets = sorted({t for m in MUTANTS for t in m.tests})
         run = run_pytest(fresh_copy(Path(tmp)), subsets)
         if run is None or run.returncode:
             print("the unmutated test subsets fail:", file=sys.stderr)
             print(run.stdout[-3000:] if run else "timed out", file=sys.stderr)
             return 1
-        for m in mutants:
+        for m in MUTANTS:
             copy = fresh_copy(Path(tmp))
             path = copy / "src" / "conormal" / m.file
             text = path.read_text()
@@ -148,18 +144,21 @@ def main(names) -> int:
             path.write_text(text.replace(m.old, m.new))
             run = run_pytest(copy, m.tests)
             killed = run is None or run.returncode != 0
-            if killed:
+            if m.equivalent:
+                status = "NOT EQUIVALENT (update its entry)" if killed else "equivalent"
+            elif killed:
                 status = "killed" + (" (timeout)" if run is None else "")
             else:
-                status = "equivalent" if m.equivalent else "SURVIVED"
+                status = "SURVIVED"
             print(f"{status:<10} {m.name}: {m.reason}", flush=True)
-            if not killed and not m.equivalent:
+            if killed == m.equivalent:
                 failed.append(m.name)
     if failed:
-        print(f"{len(failed)} mutant(s) not killed: {', '.join(failed)}", file=sys.stderr)
+        print(f"{len(failed)} mutant(s) with the wrong outcome: {', '.join(failed)}",
+              file=sys.stderr)
         return 1
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
