@@ -30,7 +30,6 @@ one-monomial add in ``_expr._sum``.
 
 from __future__ import annotations
 
-from math import gcd, lcm
 from typing import Sequence, Union
 
 from ._expr import _accumulate, mixed_mul, parse_mixed_text, wedge_index_tuples
@@ -43,6 +42,7 @@ from .poly import (
     _div,
     _join_chunks,
     _mul_terms,
+    _primitive_terms,
     _rational,
     _scalar_terms,
     _term_chunks,
@@ -207,9 +207,9 @@ def pullback(x: FormLike, images: Sequence[Polynomial]) -> FormLike:
     The result has the degree of ``x`` and lives in the ring of the images.
     Pullback commutes with d and with wedge.
     """
-    ring = same_ring(*images)
     if len(images) != x.ring.nvars:
         raise ValueError("one image per variable required")
+    ring = same_ring(*images)
     diffs = [_raw(exterior_derivative(p)) for p in images]
     out: dict = {}
     for idx, coeff in _term_dict(x).items():
@@ -260,7 +260,7 @@ class VectorField:
         """The interior product of a 1-form alpha = sum_i a_i dx_i with the
         field, sum_i V_i * a_i, added up in one term dict; V(g) for dg."""
         ring = same_ring(self, alpha)
-        if alpha.degree != 1:
+        if form_degree(alpha) != 1:
             raise ValueError("a vector field contracts with a 1-form")
         out: dict = {}
         for (i,), a in alpha._coeffs.items():
@@ -363,15 +363,10 @@ class Hyperplane:
             raise ValueError("one normal coordinate per ring variable required")
         if not any(vec):
             raise ValueError("the zero vector is not a hyperplane normal")
-        scale = lcm(*(v.denominator for v in vec))
-        ints = [int(v * scale) for v in vec]
-        content = gcd(*ints)
-        ints = [v // content for v in ints]
-        first = next(v for v in ints if v)
-        if first < 0:
-            ints = [-v for v in ints]
+        entries = {i: v for i, v in enumerate(vec) if v}
+        ints = _primitive_terms(entries, next(iter(entries.values())))
         self.ring = ring
-        self.normal = tuple(ints)
+        self.normal = tuple(ints.get(i, 0) for i in range(len(vec)))
 
     def linear_form(self) -> Polynomial:
         units = self.ring.units

@@ -496,14 +496,18 @@ def decide(
 
     ``question`` is ``"conormal"``, ``"tangent"`` (the parts are vector
     fields), ``"trivial"``, ``"vanishes"`` (on Sing X) or ``"oracle"`` (the
-    parts pull back to zero along the parametrization).  Each part is asked
-    by the question's primitive; a conormality claim on a germ that is not
-    a complete intersection asks the parametrization oracle instead, which
-    it trusts only when the parametrization covers X.  One refuted part
+    parts pull back to zero along the parametrization); any other question
+    raises ``ValueError``.  Each part is asked by the question's primitive;
+    a conormality claim on a germ that is not a complete intersection asks
+    the parametrization oracle instead, which it trusts only when the
+    parametrization covers X.  One refuted part
     refutes the claim, even if another part is refused; otherwise a
     :class:`Refusal` of a part refuses the claim with its reason; otherwise
     the claim is certified.  Any other ``ValueError`` is raised.
     """
+    if question != "oracle" and question not in _CRITERIA:
+        raise ValueError(f"unknown question {question!r}: ask 'conormal', 'tangent', "
+                         "'trivial', 'vanishes' or 'oracle'")
     _require_parametrization_of(germ, parametrization)
     oracle = question == "oracle" or (
         question == "conormal" and bool(parts) and not germ.complete_intersection

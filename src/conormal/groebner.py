@@ -7,7 +7,8 @@ The public operations are ``reduce`` (multivariate division / normal form),
 ideal quotient (I : g)), each one colon of :func:`_colon`,
 ``implicitization`` (the ideal of the closure of a polynomial map's image),
 ``radical_membership`` (plain membership against the cached basis, then the
-Rabinowitsch trick, seeded with that basis), ``krull_dimension``
+Rabinowitsch trick: the pair loop, seeded with the records of that basis,
+meets a constant or not), ``krull_dimension``
 (independent variable sets modulo the leading-term ideal of the cached
 basis) and ``module_membership``, whose vectors are tuples of polynomials.
 
@@ -53,7 +54,9 @@ primitive associate (``poly._record``), and no polynomial is made.
 ``_autoreduce`` reduces each minimal record's tail once and makes the
 polynomials of the basis (``poly._associate``); only its final ``monic``
 makes a Fraction coefficient.  Every division receives the records grouped,
-so no record is rebuilt per reduction.
+so no record is rebuilt per reduction.  The Rabinowitsch step runs
+``_complete`` alone and reads its answer: ``None``, the unit ideal, or not.
+"Unit ideal" is read from a basis in one place, :meth:`Ideal.is_unit`.
 
 Bases are reduced, monic and sorted, so they are canonical per (ideal, order).
 An :class:`Ideal` is the one lazy basis holder: it caches its basis under its
@@ -290,7 +293,7 @@ def _autoreduce(records: list, ring: PolynomialRing, order: MonomialOrder) -> li
     return reduced
 
 
-def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, known: int = 0) -> list:
+def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> list:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     Classical Buchberger with the coprime-lead and chain criteria.  Each
@@ -301,23 +304,13 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, known: int = 0)
     criterion may count it as treated.  The output is auto-reduced, monic
     and sorted by leading term, hence canonical for the (ideal, order) pair;
     it is ``[1]`` as soon as a nonzero constant turns up.
-
-    If the first ``known`` generators already form a Groebner basis under
-    ``order`` (say a cached basis lifted to a ring with more variables),
-    no pair among them is queued, only pairs with a later generator
-    (the Gebauer-Moeller update setting).  A ``known`` outside
-    ``0 .. len(gens)`` raises ``ValueError``.
     """
     if not gens:
         raise ValueError("buchberger needs at least one generator")
-    if not 0 <= known <= len(gens):
-        raise ValueError(f"known={known} is not between 0 and {len(gens)}")
     ring = same_ring(*gens)
     seen = set()
     divisors = []  # the records of the distinct primitive generators
-    for index, g in enumerate(gens):
-        if index == known:
-            known = len(divisors)  # the prefix without zeros and repeats
+    for g in gens:
         if g:
             d = g.divisor(order)
             primitive = d[0], d[1], frozenset(d[2])  # whatever the order of the tail
@@ -326,7 +319,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder, known: int = 0)
                 divisors.append(d)
     if not divisors:
         return []
-    records = _complete(divisors, ring, order, min(known, len(divisors)))
+    records = _complete(divisors, ring, order, 0)
     result = [ring.one] if records is None else _autoreduce(records, ring, order)
     if _basis_observer is not None:
         _basis_observer(list(gens), order, list(result))
@@ -432,9 +425,9 @@ class Ideal:
         return self._basis
 
     def is_unit(self) -> bool:
-        """Whether the ideal is the whole ring (empty zero set)."""
-        basis = self.groebner_basis()
-        return any(g.is_constant() and g for g in basis)
+        """Whether the ideal is the whole ring (empty zero set): its reduced
+        basis is ``[1]``."""
+        return self.groebner_basis() == (self.ring.one,)
 
     def same_ideal(self, other: "Ideal") -> bool:
         """Exact ideal equality via mutual membership of generators."""
@@ -554,7 +547,7 @@ def radical_membership(g: Polynomial, ideal: Ideal) -> bool:
     Plain membership comes first: g in I implies g in rad(I), and reducing
     g against the basis the :class:`Ideal` caches is cheap.  Only when that
     leaves a nonzero remainder is the question decided by the Rabinowitsch
-    trick, whose Groebner basis starts from that same cached basis.
+    trick, whose pair loop starts from the records of that same basis.
     """
     return ideal_membership(g, ideal) or _rabinowitsch(g, ideal)
 
@@ -565,18 +558,21 @@ def _rabinowitsch(g: Polynomial, ideal: Ideal) -> bool:
 
     The basis that ``ideal`` caches stays a Groebner basis in the ring with
     t appended (the order restricts to the same order on the old monomials),
-    so ``buchberger`` starts from it and pairs only the relation and what
-    follows from it.  It lifts the primitive integer associates that the
-    cached records give, so the lift and the pair loop run on integers.
-    Callers have already checked g's ring with :func:`ideal_membership`.
+    so the pair loop :func:`_complete` starts from its records and pairs
+    only the relation and what follows from it.  It lifts the primitive
+    integer associates that the cached records give, so the lift and the
+    pair loop run on integers.  Every Groebner basis of the unit ideal has
+    a constant lead, and ``_complete`` returns ``None`` at the first one, so
+    its answer is the answer: no basis is reduced or scanned.  Callers have
+    already checked g's ring with :func:`ideal_membership`.
     """
     ring, order = ideal.ring, ideal.order
     ext = PolynomialRing(ring.variables + (_fresh_name(ring),))
     *lift, t = ext.gens()
     known = [p.primitive(order).substitute(ext, lift) for p in ideal.groebner_basis()]
     relation = ext.one - t * g.substitute(ext, lift)
-    basis = buchberger(known + [relation], order, known=len(known))
-    return any(b.is_constant() and b for b in basis)
+    records = [p.divisor(order) for p in known + [relation]]
+    return _complete(records, ext, order, len(known)) is None
 
 
 def krull_dimension(ideal: Ideal) -> int:
@@ -590,7 +586,7 @@ def krull_dimension(ideal: Ideal) -> int:
     n = ideal.ring.nvars
     if not basis:
         return n  # zero ideal: the whole space
-    if any(g.is_constant() for g in basis):
+    if ideal.is_unit():
         return -1
     leads = [d[0] for group in ideal._groups.values() for d in group]
     every = ideal.ring.fields

@@ -25,6 +25,23 @@ def basis_log(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def pair_loops(monkeypatch):
+    """The argument lists ``(divisors, ring, order, known)`` of every run of
+    the pair loop ``groebner._complete`` the test makes, in order: one per
+    Groebner basis of nonzero generators and one per Rabinowitsch step."""
+    import conormal.groebner as groebner
+
+    seen, complete = [], groebner._complete
+
+    def counting(divisors, ring, order, known):
+        seen.append((list(divisors), ring, order, known))
+        return complete(divisors, ring, order, known)
+
+    monkeypatch.setattr(groebner, "_complete", counting)
+    return seen
+
+
 @pytest.fixture(scope="session")
 def ring3():
     return PolynomialRing(["x", "y", "z"])

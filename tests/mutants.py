@@ -73,9 +73,41 @@ MUTANTS = [
     ),
     Mutant(
         "rabinowitsch-known-0", "groebner.py",
-        "order, known=len(known))", "order, known=0)",
+        "_complete(records, ext, order, len(known)) is None",
+        "_complete(records, ext, order, 0) is None",
         "changes only work: pairs inside the cached basis are queued again",
         ("tests/test_groebner.py::TestRadicalMembership",),
+    ),
+    Mutant(
+        "rabinowitsch-is-not-none", "groebner.py",
+        "len(known)) is None", "len(known)) is not None",
+        "the pair loop returns None exactly when I + (1 - t*g) is the unit ideal",
+        ("tests/test_groebner.py::TestRadicalMembership",),
+    ),
+    Mutant(
+        "wedge-shuffle-sign-plus", "_expr.py",
+        "    sign = -1 if inversions % 2 else 1", "    sign = 1",
+        "dx_s ^ dx_t is the parity of the shuffle times dx_merged",
+        ("tests/test_forms.py::TestWedge",),
+    ),
+    Mutant(
+        "accumulate-keeps-cancelled-key", "_expr.py",
+        "    if not _add_into(out.setdefault(key, {}), terms, negate):\n        del out[key]",
+        "    _add_into(out.setdefault(key, {}), terms, negate)",
+        "a form stores no zero coefficient, so a form whose terms cancel is the zero form",
+        ("tests/test_forms.py::TestExteriorDerivative",),
+    ),
+    Mutant(
+        "d-drops-dx-idx", "forms.py",
+        "(mixed_mul(dc, {idx: {0: 1}}, ring.limit) if idx else dc)", "dc",
+        "d(c dx_I) is dc ^ dx_I, not dc",
+        ("tests/test_forms.py::TestExteriorDerivative",),
+    ),
+    Mutant(
+        "vector-field-unsigned", "forms.py",
+        "        comps[i] = a if sign > 0 else -a", "        comps[i] = a",
+        "V_i is s_i*a_i, with s_i the sign of dx_{[n] minus i} ^ dx_i",
+        ("tests/test_forms.py::TestVectorFieldMap",),
     ),
     Mutant(
         "trivial-false-above-top-degree", "germs.py",

@@ -515,14 +515,16 @@ class TestInputChecks:
         (lambda: DifferentialForm(R, 1, {(3,): X}), r"index tuple \(3,\) out of range"),
         (lambda: form("dx") + form("dx*dy"), "cannot add forms of different degrees"),
         (lambda: pullback(DifferentialForm(R, 1, {}), [X, Y]), "one image per variable required"),
+        (lambda: pullback(form("dz"), []), "one image per variable required"),
         (lambda: VectorField(R, [X, Y]), "one component per ring variable required"),
         (lambda: VectorField(R, [X, Y, Z]).contract(form("dx*dy")),
          "a vector field contracts with a 1-form"),
+        (lambda: VectorField(R, [X, Y, Z]).contract(X), "a vector field contracts with a 1-form"),
         (lambda: volume_coefficient(form("dx*dy")), "volume coefficient needs a top-degree form"),
         (lambda: radial_potential(form("dx*dy")), "the radial potential is defined for 1-forms"),
         (lambda: Hyperplane(R, [1, 2]), "one normal coordinate per ring variable required"),
-    ], ids=["degree", "index", "add", "pullback", "vector-field", "contract", "volume", "radial",
-            "hyperplane"])
+    ], ids=["degree", "index", "add", "pullback", "pullback-no-image", "vector-field", "contract",
+            "contract-polynomial", "volume", "radial", "hyperplane"])
     def test_refuses_with_its_message(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()

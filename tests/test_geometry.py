@@ -361,32 +361,35 @@ class TestBertiniCheck:
             # section jac, jac: phi is a plain member of the section jac,
             # and Sing X on H is a point, so the test of l is skipped
             (Hyperplane(R, [1, -1, 0]), 2),
-            # 3*y - z: non-reduced section; H contains Sing X; section jac,
-            # Rabinowitsch(phi, section jac), jac, Rabinowitsch(ell, jac)
+            # 3*y - z: non-reduced section; H contains Sing X; the bases of
+            # section jac and jac, and the Rabinowitsch steps (phi, section
+            # jac) and (ell, jac), which run the pair loop without a basis
             (random_hyperplane(R, 7), 4),
         ],
         ids=["x-y", "3y-z"],
     )
-    def test_groebner_bases_per_check(self, basis_log, hyperplane, bases):
-        # Deterministic work gate: the exact number of Groebner bases one
-        # check computes.  A rise means a lost cache or a lost shortcut.
+    def test_groebner_bases_per_check(self, pair_loops, hyperplane, bases):
+        # Deterministic work gate: the exact number of pair-loop runs, one
+        # per Groebner basis and one per Rabinowitsch step, of one check.  A
+        # rise means a lost cache or a lost shortcut.
         germ = Germ(R, [Z**2 - X * Y**2])
         bertini_check(germ, hyperplane)
-        assert len(basis_log) == bases
+        assert len(pair_loops) == bases
 
     @pytest.mark.parametrize(
         "hyperplane, bases",
         [(Hyperplane(R, [1, -1, 0]), 1), (random_hyperplane(R, 7), 3)],
         ids=["x-y", "3y-z"],
     )
-    def test_second_check_reuses_jacobian_basis(self, basis_log, hyperplane, bases):
+    def test_second_check_reuses_jacobian_basis(self, pair_loops, hyperplane, bases):
         # The germ keeps its Jacobian ideal and that ideal its basis, so a
-        # second check on the same germ computes one basis less than the first.
+        # second check on the same germ makes one pair-loop run less than
+        # the first: the Jacobian basis.
         germ = Germ(R, [Z**2 - X * Y**2])
         bertini_check(germ, hyperplane)
-        basis_log.clear()
+        pair_loops.clear()
         bertini_check(germ, hyperplane)
-        assert len(basis_log) == bases
+        assert len(pair_loops) == bases
         assert jacobian_ideal(germ) is jacobian_ideal(germ)
 
     def test_isolated_singularity_bases(self, basis_log):

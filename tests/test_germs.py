@@ -141,26 +141,26 @@ class TestIsConormal:
             verdict = is_conormal(p, umbrella)
             assert verdict.is_certified_yes == ideal_membership(p, umbrella.ideal)
 
-    def test_bases_per_refutation(self, basis_log):
-        # Deterministic work gate.  On the radical umbrella the first "no"
-        # computes the generator ideal's basis for the membership test and
-        # the Jacobian basis that shows the germ radical, later ones compute
-        # nothing; on the non-radical V(x^2) each "no" computes one
-        # Rabinowitsch basis.
+    def test_bases_per_refutation(self, pair_loops):
+        # Deterministic work gate on pair-loop runs.  On the radical
+        # umbrella the first "no" computes the generator ideal's basis for
+        # the membership test and the Jacobian basis that shows the germ
+        # radical, later ones compute nothing; on the non-radical V(x^2)
+        # each "no" runs the pair loop once, for its Rabinowitsch step.
         umbrella = Germ(R, [Z**2 - X * Y**2])
         plane = PolynomialRing(["x", "y"])
         x, y = plane.gens()
         double_line = Germ(plane, [x**2])
         assert is_conormal(form("dx"), umbrella).is_certified_no
-        assert len(basis_log) == 2
-        basis_log.clear()
+        assert len(pair_loops) == 2
+        pair_loops.clear()
         assert is_conormal(form("dy"), umbrella).is_certified_no
         assert is_conormal(form("dx"), umbrella).is_certified_no
-        assert not basis_log
+        assert not pair_loops
         assert is_conormal(y, double_line).is_certified_no  # warms radical
-        basis_log.clear()
+        pair_loops.clear()
         assert is_conormal(y, double_line).is_certified_no
-        assert len(basis_log) == 1
+        assert len(pair_loops) == 1
 
     def test_one_membership_reduction_per_tested_polynomial(self, monkeypatch):
         # On the non-radical V(x^2) a failed membership goes on to the
@@ -892,7 +892,9 @@ class TestInputChecks:
          "degree must be between 1 and 3"),
         (lambda: trivial_form_generators(Germ(R, [Z**2 - X * Y**2]), 4),
          "degree must be between 1 and 3"),
-    ], ids=["no-generator", "zero-generator", "components", "degree-0", "degree-4"])
+        (lambda: decide([X], Germ(R, [Z**2 - X * Y**2]), question="nope"),
+         "unknown question 'nope': ask 'conormal', 'tangent', 'trivial', 'vanishes' or 'oracle'"),
+    ], ids=["no-generator", "zero-generator", "components", "degree-0", "degree-4", "question"])
     def test_refuses_with_its_message(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()

@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conormal.cli import corpus_names, load_germ_file
@@ -14,6 +14,8 @@ from conormal.forms import DifferentialForm, parse_form, wedge
 from conormal.germs import _trivial_module, is_trivial_form, trivial_form_generators
 from conormal.groebner import (
     Ideal,
+    _autoreduce,
+    _complete,
     _fresh_name,
     buchberger,
     eliminate,
@@ -293,27 +295,27 @@ class TestBuchberger:
         st.lists(polynomials(R, max_terms=3, max_degree=2), min_size=1, max_size=2),
         st.sampled_from([GREVLEX, LEX]),
     )
+    @example([X * Y - 1], [Y, R.zero], GREVLEX)  # the unit ideal, met in the loop
+    @example([X, 1 - X], [Y], LEX)  # the unit ideal, a constant known prefix
     @settings(max_examples=15)
     def test_known_prefix_gives_the_same_basis(self, gens, extra, order):
-        # A reduced basis passed as the known prefix is not paired with
-        # itself; the result must still be the basis of all generators.
-        basis = buchberger(gens, order)
-        assert buchberger(basis + extra, order, known=len(basis)) == buchberger(
-            gens + extra, order
-        )
-
-    def test_known_must_index_the_generators(self):
-        # A prefix longer than the generators would queue no pair at all and
-        # return the inputs without y^2 - x.  (known=2 would claim that the
-        # inputs are a Groebner basis, which they are not.)
-        R2 = PolynomialRing(["x", "y"])
-        x, y = R2.gens()
-        gens = [x * y - 1, x**2 - y]
-        for known in (5, 3, -1):
-            with pytest.raises(ValueError, match="known"):
-                buchberger(gens, GREVLEX, known=known)
-        for known in (0, 1):
-            assert y**2 - x in buchberger(gens, GREVLEX, known=known)
+        # The pair loop pairs nothing inside a known prefix.  Given the
+        # records of a reduced basis as that prefix, then those of the
+        # nonzero, distinct extras, it must still complete them to a basis
+        # of all generators, or meet a constant iff that is the unit ideal.
+        records = [b.divisor(order) for b in buchberger(gens, order)]
+        known, seen = len(records), {(d[0], d[1], frozenset(d[2])) for d in records}
+        for p in filter(None, extra):
+            d = p.divisor(order)
+            primitive = d[0], d[1], frozenset(d[2])
+            if primitive not in seen:
+                seen.add(primitive)
+                records.append(d)
+        expected = buchberger(gens + extra, order)
+        completed = _complete(records, R, order, known)
+        assert (completed is None) == (expected == [R.one])
+        if completed is not None:
+            assert _autoreduce(completed, R, order) == expected
 
 
 def reference_s_polynomial(f, g, order):
@@ -998,6 +1000,22 @@ class TestRadicalMembership:
         assert not radical_membership(X + Y, ideal)
         assert built
         assert not any(f in cached and g in cached for f, g in built)
+
+    def test_answers_from_the_pair_loop_alone(self, monkeypatch, pair_loops):
+        # The step asks only whether the pair loop meets a constant: it
+        # neither computes nor auto-reduces a basis, unit or not.
+        import conormal.groebner as groebner
+
+        ideal = Ideal([X**2 - Y * Z, Y**3])
+        ideal.groebner_basis()
+        pair_loops.clear()
+        called = []
+        monkeypatch.setattr(groebner, "buchberger", lambda *a: called.append("buchberger"))
+        monkeypatch.setattr(groebner, "_autoreduce", lambda *a: called.append("_autoreduce"))
+        assert groebner._rabinowitsch(Y, ideal)
+        assert not groebner._rabinowitsch(X + Z, ideal)
+        assert called == []
+        assert [known for *_, known in pair_loops] == [2, 2]
 
 
 class TestKrullDimension:

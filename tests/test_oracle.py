@@ -114,17 +114,64 @@ SECTION_CASES = [
     ("z^2 - x*y^2", random_hyperplane(R3, 7).normal),
     ("x^2 + y^3 + z^4", [1, 2, 3]),
     ("z^6 + y^5 + x^4", [7, 9, -9]),
+    # H holds one of the two lines of Sing X, so its Rabinowitsch step
+    # answers no
+    ("z^2 - x^2*y^2", [0, 1, 0]),
 ]
 
 
 @pytest.mark.parametrize("equation, normal", SECTION_CASES)
 def test_section_bases_match_sympy(basis_log, equation, normal):
     # Every basis one Bertini check computes: the Jacobian ideals of the
-    # germ and of the section, and each Rabinowitsch basis.
+    # germ and of the section.  A Rabinowitsch step computes no basis; its
+    # answers are checked below.
     bertini_check(Germ(R3, [parse_polynomial(equation, R3)]), Hyperplane(R3, normal))
     assert basis_log
     for gens, order, basis in basis_log:
         assert our_set(basis) == sympy_basis(gens, order)
+
+
+def sympy_rabinowitsch(g, gens):
+    """Whether sympy's reduced basis of (gens) + (1 - t*g), t a fresh
+    symbol, is [1]: g lies in the radical of (gens)."""
+    symbols = sympy.symbols(g.ring.variables)
+    t = sympy.Symbol("t_rabinowitsch")
+    polys = [to_sympy(p, symbols).as_expr() for p in gens]
+    relation = 1 - t * to_sympy(g, symbols).as_expr()
+    return sympy.groebner(polys + [relation], *symbols, t, order="grevlex").exprs == [1]
+
+
+def section_radical_answers(monkeypatch, equation, normal):
+    """The (g, generators, answer) of every Rabinowitsch step of one Bertini
+    check of V(equation) on the hyperplane with ``normal``."""
+    import conormal.groebner as groebner
+
+    answers, rabinowitsch = [], groebner._rabinowitsch
+
+    def recording(g, ideal):
+        answer = rabinowitsch(g, ideal)
+        answers.append((g, ideal.generators, answer))
+        return answer
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "_rabinowitsch", recording)
+        bertini_check(Germ(R3, [parse_polynomial(equation, R3)]), Hyperplane(R3, normal))
+    return answers
+
+
+@pytest.mark.parametrize("equation, normal", SECTION_CASES)
+def test_section_radical_answers_match_sympy(monkeypatch, equation, normal):
+    # Every Rabinowitsch answer of one Bertini check, against sympy's.
+    for g, gens, answer in section_radical_answers(monkeypatch, equation, normal):
+        assert answer == sympy_rabinowitsch(g, list(gens)), (str(g), [str(p) for p in gens])
+
+
+def test_section_cases_reach_both_radical_answers(monkeypatch):
+    # The comparison above is not vacuous: the section cases take both
+    # answers of the Rabinowitsch step.
+    seen = {answer for case in SECTION_CASES
+            for _, _, answer in section_radical_answers(monkeypatch, *case)}
+    assert seen == {True, False}
 
 
 @given(
