@@ -146,8 +146,6 @@ def wedge_index_tuples(s: tuple, t: tuple):
     ``None`` when the tuples share an index (the wedge is zero):
     ``dx_s ^ dx_t = sign * dx_merged``, the package's one sign rule.
     """
-    if not s or not t:
-        return 1, s or t
     if set(s) & set(t):
         return None
     inversions = sum(1 for a in s for b in t if a > b)

@@ -222,7 +222,11 @@ def load_germ_file(path: str) -> GermFile:
         p = corpus_path(path)
     if not p.exists():
         raise GermFileError(f"no such germ file: {path}")
-    return parse_germ_text(p.read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except OSError as e:
+        raise GermFileError(f"cannot read germ file {path}: {e.strerror}") from None
+    return parse_germ_text(text, source=str(path))
 
 
 def _resolve_form(gf: GermFile, text: str) -> list:
@@ -493,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     d = _BERTINI_DEFAULTS
     p.add_argument("--trials", type=_positive_int, help=f"random hyperplanes (default {d['trials']})")
     p.add_argument("--seed", type=int, help=f"seed of the first trial (default {d['seed']})")
-    p.add_argument("--bound", type=int, help=f"bound on the normal entries (default {d['bound']})")
+    p.add_argument("--bound", type=_positive_int,
+                   help=f"bound on the normal entries (default {d['bound']})")
     p.add_argument("--hyperplane", help="check one explicit hyperplane (linear form) instead")
     p.set_defaults(func=_cmd_bertini, subparser=p)
 
@@ -521,7 +526,7 @@ def dispatch(argv) -> int:
     except NotClosedError as e:
         print(f"error: NotClosed: {e}")
         return 2
-    except (GermFileError, ParseError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}")
         return 2
 

@@ -264,9 +264,7 @@ class VectorField:
             raise ValueError("a vector field contracts with a 1-form")
         out: dict = {}
         for (i,), a in alpha._coeffs.items():
-            v = self.components[i]
-            if v:
-                _mul_terms(v._terms, a._terms, ring.limit, out)
+            _mul_terms(self.components[i]._terms, a._terms, ring.limit, out)
         return Polynomial(ring, out, _clean=True)
 
     def __bool__(self) -> bool:

@@ -51,11 +51,15 @@ The pair loop needs only the remainder up to a nonzero factor, so
 hands ``_complete`` the records of its generators, and the pair loop runs on
 records alone: a nonzero integer remainder joins as the record of its
 primitive associate (``poly._record``), and no polynomial is made.
-``_autoreduce`` reduces each minimal record's tail once and makes the
-polynomials of the basis (``poly._associate``); only its final ``monic``
-makes a Fraction coefficient.  Every division receives the records grouped,
-so no record is rebuilt per reduction.  The Rabinowitsch step runs
-``_complete`` alone and reads its answer: ``None``, the unit ideal, or not.
+``_autoreduce`` reduces each minimal record's tail once and makes one
+monic polynomial per element of the basis, which caches the record of its
+primitive integer associate; only that final division makes a Fraction
+coefficient.  Every division receives the records grouped, so no record is
+rebuilt per reduction.  So a basis computation makes a polynomial only for
+an element of the reduced basis it returns.  The Rabinowitsch step lifts
+the records of the cached basis into the ring with the new variable, makes
+one polynomial, the relation, runs ``_complete`` alone and reads its
+answer: ``None``, the unit ideal, or not.
 "Unit ideal" is read from a basis in one place, :meth:`Ideal.is_unit`.
 
 Bases are reduced, monic and sorted, so they are canonical per (ideal, order).
@@ -83,7 +87,6 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     PolynomialRing,
-    _associate,
     _check_degree,
     _degree_error,
     _div,
@@ -109,17 +112,13 @@ def reduce(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> 
     on a copy of f's terms; its remainder is divided by its multiplier
     here, once, so the result is the exact normal form over Q.
     """
-    ring = f.ring
     nonzero = [g for g in basis if g]
-    if nonzero:
-        same_ring(f, *nonzero)
+    ring = same_ring(f, *nonzero)
     positions = order.positions
     groups = _group([g.divisor(order) for g in nonzero], positions)
     remainder, mult = _remainder(dict(f._terms), groups, positions, order.key(ring), ring)
-    if mult != 1:
-        num, den = mult.numerator, mult.denominator
-        remainder = {t: _div(v * den, num) for t, v in remainder.items()}
-    return Polynomial(ring, remainder, _clean=True)
+    num, den = mult.numerator, mult.denominator
+    return Polynomial(ring, {t: _div(v * den, num) for t, v in remainder.items()}, _clean=True)
 
 
 def _remainder(work: dict, groups: dict, positions: int, key, ring: PolynomialRing) -> tuple:
@@ -216,9 +215,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     if terms is None:
         return ring.zero
     common = lcm(record_f[1], record_g[1])
-    if common != 1:
-        terms = {t: _div(v, common) for t, v in terms.items()}
-    return Polynomial(ring, terms, _clean=True)
+    return Polynomial(ring, {t: _div(v, common) for t, v in terms.items()}, _clean=True)
 
 
 def _s_terms(record_f: tuple, record_g: tuple, ring: PolynomialRing, positions: int):
@@ -268,12 +265,13 @@ def _group(records: Iterable[tuple], positions: int) -> dict:
 def _autoreduce(records: list, ring: PolynomialRing, order: MonomialOrder) -> list:
     # Only valid on the records of a Groebner basis: keep the minimal
     # records, the first of equal leads, reduce each one's tail once against
-    # them, put its lead back, and make it monic.  No tail term lies above
-    # its own lead, so that lead divides none, and the normal form modulo a
-    # Groebner basis is unique: the result is the unique reduced basis.  The
-    # division runs on the records' integers; only ``monic`` makes a
-    # Fraction coefficient.  Both steps scan only the group of a lead's
-    # position (see _group).
+    # them, put its lead back, and make the one monic polynomial of the
+    # result, which caches the record of its primitive integer associate.
+    # No tail term lies above its own lead, so that lead divides none, and
+    # the normal form modulo a Groebner basis is unique: the result is the
+    # unique reduced basis.  The division runs on the records' integers;
+    # only the final division by the leading coefficient makes a Fraction.
+    # Both steps scan only the group of a lead's position (see _group).
     key, guards, positions = order.key(ring), ring.guards, order.positions
     rivals = _group(records, positions)
     kept, seen = [], set()
@@ -289,7 +287,11 @@ def _autoreduce(records: list, ring: PolynomialRing, order: MonomialOrder) -> li
     for lm, a, tail, _ in sorted(kept, key=lambda d: key(d[0])):
         r, mult = _remainder(dict(tail), groups, positions, key, ring)
         r[lm] = a * mult  # r is mult times the tail's normal form
-        reduced.append(_associate(ring, r, lm, order).monic(order))
+        ints = _primitive_terms(r, r[lm])
+        c = ints[lm]
+        p = Polynomial(ring, {m: _div(v, c) for m, v in ints.items()}, _clean=True)
+        p._lead = {order: _record(ints, lm)}
+        reduced.append(p)
     return reduced
 
 
@@ -317,8 +319,6 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> list:
             if primitive not in seen:
                 seen.add(primitive)
                 divisors.append(d)
-    if not divisors:
-        return []
     records = _complete(divisors, ring, order, 0)
     result = [ring.one] if records is None else _autoreduce(records, ring, order)
     if _basis_observer is not None:
@@ -557,21 +557,32 @@ def _rabinowitsch(g: Polynomial, ideal: Ideal) -> bool:
     variable, is the unit ideal.
 
     The basis that ``ideal`` caches stays a Groebner basis in the ring with
-    t appended (the order restricts to the same order on the old monomials),
-    so the pair loop :func:`_complete` starts from its records and pairs
-    only the relation and what follows from it.  It lifts the primitive
-    integer associates that the cached records give, so the lift and the
-    pair loop run on integers.  Every Groebner basis of the unit ideal has
-    a constant lead, and ``_complete`` returns ``None`` at the first one, so
-    its answer is the answer: no basis is reduced or scanned.  Callers have
-    already checked g's ring with :func:`ideal_membership`.
+    t appended: t is the last variable, so every order restricts to itself
+    on the words without t.  So the pair loop :func:`_complete` starts from
+    the records that basis caches and pairs only the relation and what
+    follows from it.  A word moves into the ring with t by one map: its
+    variable fields stay, and its total degree moves up one field, above
+    the new field of t.  The records are lifted word by word, and the
+    relation, the one polynomial made here, is built from g's terms with
+    the same map; its top word is checked against the degree limit first.
+    Every Groebner basis of the unit ideal has a constant lead, and
+    ``_complete`` returns ``None`` at the first one, so its answer is the
+    answer: no basis is reduced or scanned.  Callers have already checked
+    g's ring with :func:`ideal_membership`.
     """
     ring, order = ideal.ring, ideal.order
     ext = PolynomialRing(ring.variables + (_fresh_name(ring),))
-    *lift, t = ext.gens()
-    known = [p.primitive(order).substitute(ext, lift) for p in ideal.groebner_basis()]
-    relation = ext.one - t * g.substitute(ext, lift)
-    records = [p.divisor(order) for p in known + [relation]]
+    s, t = ring.nvars * WIDTH, ext.units[-1]
+
+    def lift(m):
+        return m + (m >> s << s) * FIELD
+
+    known = [(lift(lm), a, tuple((lift(m), c) for m, c in tail), lift(reach))
+             for lm, a, tail, reach in (p.divisor(order) for p in ideal.groebner_basis())]
+    _check_degree(lift(max(g._terms)) + t, ext.limit)
+    terms = {lift(m) + t: -c for m, c in g._terms.items()}
+    terms[0] = 1
+    records = known + [Polynomial(ext, terms, _clean=True).divisor(order)]
     return _complete(records, ext, order, len(known)) is None
 
 
@@ -582,10 +593,7 @@ def krull_dimension(ideal: Ideal) -> int:
     term of the cached basis involves only variables from S: each lead has
     an exponent in a field outside S.
     """
-    basis = ideal.groebner_basis()
     n = ideal.ring.nvars
-    if not basis:
-        return n  # zero ideal: the whole space
     if ideal.is_unit():
         return -1
     leads = [d[0] for group in ideal._groups.values() for d in group]

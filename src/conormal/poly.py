@@ -216,16 +216,6 @@ def _record(ints: Mapping, lm: int) -> tuple:
     return lm, ints[lm], tail, max(tail)[0] if tail else 0
 
 
-def _associate(ring: "PolynomialRing", terms: Mapping, lm: int, order: "MonomialOrder"):
-    """The primitive integer associate of the nonzero term dict ``terms``,
-    whose leading word under ``order`` is ``lm``, as a polynomial that
-    caches its divisor record for ``order``."""
-    ints = _primitive_terms(terms, terms[lm])
-    p = Polynomial(ring, ints, _clean=True)
-    p._lead = {order: _record(ints, lm)}
-    return p
-
-
 def _order_key(kind: str, split: int, n: int) -> Callable:
     """The sort key of an order on the words of a ring of ``n`` variables.
 
@@ -687,9 +677,8 @@ class Polynomial:
         """Apply the ring map sending variable i to ``images[i]`` (all in ``ring``).
 
         This is the one ring map of the package: elimination, the
-        Rabinowitsch extension, the parametrization check,
-        ``forms.pullback`` and the restriction to a hyperplane in
-        :mod:`conormal.geometry` use it.
+        parametrization check, ``forms.pullback`` and the restriction to a
+        hyperplane in :mod:`conormal.geometry` use it.
 
         An image of one term (a variable or a monomial) moves the word and
         scales the coefficient, with no product.  Any other image, 0

@@ -85,6 +85,13 @@ MUTANTS = [
         ("tests/test_groebner.py::TestRadicalMembership",),
     ),
     Mutant(
+        "rabinowitsch-lift-unmoved", "groebner.py",
+        "        return m + (m >> s << s) * FIELD", "        return m",
+        "a word of the ring keeps its variable fields in the ring with t, but its"
+        " total degree moves up one field, above the field of t",
+        ("tests/test_groebner.py::TestRadicalMembership::test_square_among_generators",),
+    ),
+    Mutant(
         "wedge-shuffle-sign-plus", "_expr.py",
         "    sign = -1 if inversions % 2 else 1", "    sign = 1",
         "dx_s ^ dx_t is the parity of the shuffle times dx_merged",
@@ -124,10 +131,40 @@ MUTANTS = [
     Mutant(
         "krull-dimension-below-n", "groebner.py",
         "    for size in range(n, 0, -1):", "    for size in range(n - 1, 0, -1):",
-        "equivalent: a nonzero proper ideal never has dimension n, and the zero"
-        " ideal returns n before the loop",
-        ("tests/test_groebner.py::TestKrullDimension",),
-        equivalent=True,
+        "the zero ideal, whose basis has no lead, has dimension n at the loop's first size",
+        ("tests/test_groebner.py::TestKrullDimension::test_zero_ideal_is_everything",),
+    ),
+    Mutant(
+        "radical-germ-le", "germs.py",
+        "self.singular_dimension < self.dimension", "self.singular_dimension <= self.dimension",
+        "a complete intersection is radical only if Sing X has a lower dimension than X;"
+        " a non-reduced germ must be decided on its reduced generator",
+        ("tests/test_germs.py::TestReducedGerm",),
+    ),
+    Mutant(
+        "decide-refusal-before-refutation", "germs.py",
+        "    if any(a is False or isinstance(a, Verdict) and a.is_certified_no for a in answers):\n"
+        "        return Decision(VerdictStatus.CERTIFIED_NO, source, kept, question=question)\n"
+        "    if reason is not None:\n"
+        "        return Decision(None, \"refused\", kept, reason, question)\n",
+        "    if reason is not None:\n"
+        "        return Decision(None, \"refused\", kept, reason, question)\n"
+        "    if any(a is False or isinstance(a, Verdict) and a.is_certified_no for a in answers):\n"
+        "        return Decision(VerdictStatus.CERTIFIED_NO, source, kept, question=question)\n",
+        "one refuted part refutes the claim, even if another part is refused",
+        ("tests/test_germs.py::TestDecide::test_refuted_part_beats_refused_part",),
+    ),
+    Mutant(
+        "bertini-cut-above-sing", "geometry.py",
+        "        if dim_cut >= dim_sing:", "        if dim_cut > dim_sing:",
+        "Sing X inside H makes dim (Sing X on H) equal to dim Sing X, never larger",
+        ("tests/test_geometry.py::TestBertiniCheck::test_y_zero_contains_singular_locus",),
+    ),
+    Mutant(
+        "cut-pivot-image-unsigned", "geometry.py",
+        "_div(-h, normal[pivot])", "_div(h, normal[pivot])",
+        "on H the pivot is -sum_i (h_i/h_p)*y_i, with the minus sign",
+        ("tests/test_geometry.py::TestHyperplaneSection::test_umbrella_generic_form",),
     ),
 ]
 

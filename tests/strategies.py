@@ -1,5 +1,6 @@
 """Hypothesis strategies and seeded random generators for algebra objects,
-the coefficient check ``assert_exact``, the reference ring map
+the coefficient check ``assert_exact``, the outcome check
+``assert_outcome``, the reference ring map
 ``reference_substitute`` and the reference divisions ``reference_reduce``
 and ``reference_is_trivial``."""
 
@@ -9,6 +10,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import strategies as st
 
 from conormal.forms import DifferentialForm, form_degree
@@ -23,6 +25,18 @@ def assert_exact(p, normalized=False):
         assert type(c) in (int, Fraction), (p, c)
         if normalized:
             assert type(c) is int or c.denominator != 1, (p, c)
+
+
+def assert_outcome(make, want):
+    """``make()`` has the value and the type of ``want``; if ``want`` is an
+    exception, ``make()`` raises one of its type with exactly its message."""
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as info:
+            make()
+        assert str(info.value) == str(want)
+    else:
+        got = make()
+        assert (type(got), got) == (type(want), want)
 
 
 def reference_substitute(p, ring, images):

@@ -283,6 +283,15 @@ class TestDispatch:
             assert code == 2
             assert "trial" not in out and "check:" not in out
 
+    @pytest.mark.parametrize("argv, printed", [
+        (["bertini", "--germ", "umbrella.germ", "--bound", "0"], ""),
+        (["check", "--germ", "{dir}", "--form", "dx"],
+         "error: cannot read germ file {dir}: Is a directory\n"),
+    ], ids=["bertini-bound-0", "germ-directory"])
+    def test_input_errors_exit_2_before_any_output(self, capsys, tmp_path, argv, printed):
+        code, out = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+        assert (code, out) == (2, printed.format(dir=tmp_path))
+
     def test_bertini_explicit_hyperplane(self, capsys):
         code, out = run(
             capsys, "bertini", "--germ", "umbrella.germ", "--hyperplane", "y"

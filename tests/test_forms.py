@@ -36,6 +36,7 @@ from conormal.poly import Polynomial, PolynomialRing, partial_derivative
 
 from strategies import (
     assert_exact,
+    assert_outcome,
     expressions,
     forms,
     polynomials,
@@ -504,6 +505,28 @@ class TestHyperplane:
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
             Hyperplane(R, [0, 0, 0])
+
+
+class TestSmallMethods:
+    """The display methods, comparisons and operator fallbacks of forms,
+    vector fields and hyperplanes, each with its exact value or exception."""
+
+    @pytest.mark.parametrize("make, want", [
+        (lambda: str(form("x*dy - 2*dz")), "x*dy - 2*dz"),
+        (lambda: repr(form("x*dy - 2*dz")), "<x*dy - 2*dz over (x, y, z)>"),
+        (lambda: form("dx") + 1,
+         TypeError("unsupported operand type(s) for +: 'DifferentialForm' and 'int'")),
+        (lambda: evaluate_form(X**2 * Y - Z, [2, 3, Fraction(1, 2)]), Fraction(23, 2)),
+        (lambda: bool(VectorField(R, [R.zero, R.zero, R.zero])), False),
+        (lambda: bool(VectorField(R, [R.zero, Y, R.zero])), True),
+        (lambda: VectorField(R, [X, Y, Z]) == VectorField(R, [X, Y, Z]), True),
+        (lambda: VectorField(R, [X, Y, Z]) == VectorField(R, [X, Y, -Z]), False),
+        (lambda: VectorField(R, [X, Y, Z]) == (X, Y, Z), False),
+        (lambda: len({Hyperplane(R, [2, 4, 0]), Hyperplane(R, [-1, -2, 0])}), 1),
+    ], ids=["form-str", "form-repr", "form-add-int", "evaluate-polynomial", "field-zero",
+            "field-nonzero", "field-equal", "field-unequal", "field-tuple", "hyperplane-hash"])
+    def test_value(self, make, want):
+        assert_outcome(make, want)
 
 
 class TestInputChecks:

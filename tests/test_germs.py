@@ -42,7 +42,14 @@ from conormal.groebner import (
 )
 from conormal.poly import PolynomialRing, parse_polynomial, partial_derivative
 
-from strategies import forms, nonzero_polynomials, polynomials, random_form, random_polynomial
+from strategies import (
+    assert_outcome,
+    forms,
+    nonzero_polynomials,
+    polynomials,
+    random_form,
+    random_polynomial,
+)
 
 R = PolynomialRing(["x", "y", "z"])
 X, Y, Z = R.gens()
@@ -877,6 +884,17 @@ class TestInclusionAndComponents:
                 g = radial_potential(w)
                 assert g == h
                 assert ideal_membership(g, germ.ideal)
+
+
+class TestSmallMethods:
+    """The display method of parametrizations, with its exact value."""
+
+    @pytest.mark.parametrize("make, want", [
+        (lambda: repr(Parametrization(Germ(R, [Z**2 - X * Y**2]), UV, [U**2, V, U * V])),
+         "(u^2, v, u*v)"),
+    ], ids=["parametrization-repr"])
+    def test_value(self, make, want):
+        assert_outcome(make, want)
 
 
 class TestInputChecks:

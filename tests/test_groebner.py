@@ -42,6 +42,7 @@ from conormal.poly import (
 )
 
 from strategies import (
+    assert_outcome,
     nonzero_polynomials,
     polynomials,
     random_form,
@@ -486,8 +487,9 @@ class TestPairLoopRecords:
     ``_remainder``, receives in its groups the very records built for it,
     and each record is built once: by ``Polynomial.divisor`` for a
     generator, by ``_record`` for an element the pair loop makes.  The pair
-    loop ``_complete`` makes no polynomial; only ``_autoreduce`` makes the
-    elements of the basis, through ``_associate``."""
+    loop ``_complete`` makes no polynomial; ``_autoreduce`` makes exactly one
+    per element of the basis, with one ``_record`` call for its cached
+    record."""
 
     CASES = [("umbrella.germ", "jacobian")] + list(TestTrivialModuleWork.WORK)
 
@@ -509,7 +511,8 @@ class TestPairLoopRecords:
             return remainder(work, groups, positions, key, ring)
 
         builds, kept, made = Counter(), [], set()
-        divisor, record, associate = Polynomial.divisor, groebner._record, groebner._associate
+        divisor, record = Polynomial.divisor, groebner._record
+        recorders = Counter()
 
         def counting(self, order):
             if order in (self._lead or {}):
@@ -521,13 +524,14 @@ class TestPairLoopRecords:
             return d
 
         def recording_record(ints, lm):
+            recorders[sys._getframe(1).f_code.co_name] += 1
             d = record(ints, lm)
             builds["_record", id(d)] += 1
             kept.append(d)
             made.add(id(d))
             return d
 
-        associators, grown = Counter(), []
+        grown = []
         complete = groebner._complete
 
         def completing(divisors, ring, order, known):
@@ -536,23 +540,19 @@ class TestPairLoopRecords:
             grown.append(len(records) - given)
             return records
 
-        def associating(ring, terms, lm, order):
-            associators[sys._getframe(1).f_code.co_name] += 1
-            return associate(ring, terms, lm, order)
-
-        made_in_loop, init = [], Polynomial.__init__
+        makers, init = Counter(), Polynomial.__init__
 
         def constructing(self, *args, **kwargs):
+            # The innermost of the two engine functions on the stack.
             frame = sys._getframe(1)
-            while frame and frame.f_code.co_name != "_complete":
+            while frame and frame.f_code.co_name not in ("_complete", "_autoreduce"):
                 frame = frame.f_back
             if frame:
-                made_in_loop.append(self)
+                makers[frame.f_code.co_name] += 1
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(groebner, "_remainder", recording)
         monkeypatch.setattr(groebner, "_record", recording_record)
-        monkeypatch.setattr(groebner, "_associate", associating)
         monkeypatch.setattr(groebner, "_complete", completing)
         monkeypatch.setattr(Polynomial, "divisor", counting)
         monkeypatch.setattr(Polynomial, "__init__", constructing)
@@ -560,9 +560,8 @@ class TestPairLoopRecords:
         assert set(callers) == {"_complete", "_autoreduce"}
         assert all(id(d) in made for divisors in reductions for d in divisors)
         assert builds and set(builds.values()) == {1}
-        assert sum(kind == "_record" for kind, _ in builds) == sum(grown)
-        assert associators == Counter(_autoreduce=len(basis))
-        assert made_in_loop == []
+        assert recorders == Counter(_complete=sum(grown), _autoreduce=len(basis))
+        assert makers == Counter(_autoreduce=len(basis))
 
 
 class TestPositionGroups:
@@ -620,8 +619,8 @@ class TestPositionGroups:
 
 class TestIntegerPairLoop:
     """The pair loop and ``_autoreduce`` divide and combine on integers: a
-    basis build on integer input makes a Fraction only where ``monic``
-    scales the reduced elements at the end."""
+    basis build on integer input makes a Fraction only where
+    ``_autoreduce`` makes the reduced elements monic at the end."""
 
     def test_only_the_final_monic_divides(self, monkeypatch):
         import conormal.groebner as groebner
@@ -649,7 +648,7 @@ class TestIntegerPairLoop:
         for order in (GREVLEX, LEX):
             basis = buchberger(gens, order)
             assert any(type(c) is Fraction for g in basis for c in g.terms.values())
-        assert callers and set(callers) == {("monic", "_autoreduce")}
+        assert callers and set(callers) == {("_autoreduce", "buchberger")}
 
     def test_a_scaled_tail_takes_its_lead_along(self):
         # A minimal element's tail 5*y^2 is divided by 25*y^2 + 6*x*z, whose
@@ -1017,6 +1016,31 @@ class TestRadicalMembership:
         assert called == []
         assert [known for *_, known in pair_loops] == [2, 2]
 
+    def test_lifts_records_and_makes_only_the_relation(self, monkeypatch):
+        # The step lifts the cached records word by word: it maps no
+        # polynomial into the ring with t, and the one polynomial it makes
+        # is the relation 1 - t*g.
+        import conormal.groebner as groebner
+
+        ideal, outside = Ideal([X**2 - Y * Z, Y**3]), X + Z
+        ideal.groebner_basis()
+
+        def refusing(*args):
+            raise AssertionError("the Rabinowitsch step made a polynomial by a ring map")
+
+        made, init = [], Polynomial.__init__
+
+        def constructing(self, ring, *args, **kwargs):
+            made.append(ring.variables)
+            init(self, ring, *args, **kwargs)
+
+        monkeypatch.setattr(Polynomial, "substitute", refusing)
+        monkeypatch.setattr(Polynomial, "primitive", refusing)
+        monkeypatch.setattr(Polynomial, "__init__", constructing)
+        assert groebner._rabinowitsch(Y, ideal)
+        assert not groebner._rabinowitsch(outside, ideal)
+        assert made == [R.variables + ("_t",)] * 2
+
 
 class TestKrullDimension:
     def test_hypersurface(self):
@@ -1221,6 +1245,17 @@ class TestModuleMembership:
         assert s_polynomial(f, e1 * x**2 + e2, top) == e2 * x**2 - e2 * y
 
 
+class TestSmallMethods:
+    """The display method of ideals, with its exact value."""
+
+    @pytest.mark.parametrize("make, want", [
+        (lambda: repr(Ideal([X * Y, Z**2 - 1])), "Ideal(x*y, z^2 - 1)"),
+        (lambda: repr(Ideal([R.zero])), "Ideal(0)"),
+    ], ids=["ideal-repr", "zero-ideal-repr"])
+    def test_value(self, make, want):
+        assert_outcome(make, want)
+
+
 class TestInputChecks:
     """Each input check of the Groebner entry points refuses with its own
     message, and an empty generator list has the empty module basis."""
@@ -1230,7 +1265,10 @@ class TestInputChecks:
         (lambda: Ideal([]), "an ideal needs at least one generator"),
         (lambda: eliminate(Ideal([X * Y]), [3]), "variable index 3 out of range"),
         (lambda: eliminate(Ideal([X * Y]), [-1]), "variable index -1 out of range"),
-    ], ids=["buchberger", "ideal", "eliminate-high", "eliminate-low"])
+        # 1 - t*g has the total degree MAX_DEGREE + 1.
+        (lambda: radical_membership(X**MAX_DEGREE, Ideal([Y])),
+         f"total degree {MAX_DEGREE + 1} is past the limit {MAX_DEGREE}"),
+    ], ids=["buchberger", "ideal", "eliminate-high", "eliminate-low", "rabinowitsch-degree"])
     def test_refuses_with_its_message(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()

@@ -36,6 +36,7 @@ from conormal.poly import (
 
 from strategies import (
     assert_exact,
+    assert_outcome,
     coefficients,
     monomials,
     nonzero_polynomials,
@@ -719,6 +720,23 @@ class TestRing:
     def test_degree_of_zero_is_minus_one(self):
         assert R.zero.total_degree() == -1
         assert R.one.total_degree() == 0
+
+
+class TestSmallMethods:
+    """The display methods of rings and orders and the operator fallbacks
+    of polynomials, each with its exact value or exception."""
+
+    @pytest.mark.parametrize("make, want", [
+        (lambda: repr(R), "PolynomialRing(x, y, z)"),
+        (lambda: str(GREVLEX), "grevlex"),
+        (lambda: str(LEX), "lex"),
+        (lambda: str(block_order(2)), "block(2)"),
+        (lambda: str(MonomialOrder("top", 2)), "top(2)"),
+        (lambda: X - "a", TypeError("unsupported operand type(s) for -: 'Polynomial' and 'str'")),
+        (lambda: "a" - X, TypeError("unsupported operand type(s) for -: 'str' and 'Polynomial'")),
+    ], ids=["ring-repr", "grevlex", "lex", "block", "top", "sub-str", "rsub-str"])
+    def test_value(self, make, want):
+        assert_outcome(make, want)
 
 
 class TestInputChecks:
