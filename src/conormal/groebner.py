@@ -27,7 +27,11 @@ is a :class:`Submodule` under the position-over-term order ``pot`` (see
 Monomials are the packed words of :mod:`conormal.poly`: a product is one
 addition, and a lead-divisibility test (in ``_remainder``, in
 ``_autoreduce`` and in the pair criteria of ``_complete``) is one
-subtraction and one mask of guard bits.  Under a module order a lead can
+subtraction and one mask of guard bits.  The layout of a word is
+``poly``'s alone: a word moves into a ring with more variables (the
+Rabinowitsch ring, the position ring of a :class:`Submodule`) through
+``poly._embedding``, and ``Submodule.decode``, ``eliminate`` and
+``krull_dimension`` read exponents through ``unpack``.  Under a module order a lead can
 divide a term only in the term's own position (Cox-Little-O'Shea, *Using
 Algebraic Geometry*, ch. 5 section 2), so these scans take the divisor
 records grouped by the position word of their lead (:func:`_group`) and
@@ -81,15 +85,14 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .poly import (
-    FIELD,
     GREVLEX,
-    WIDTH,
     MonomialOrder,
     Polynomial,
     PolynomialRing,
     _check_degree,
     _degree_error,
     _div,
+    _embedding,
     _primitive_terms,
     _record,
     block_order,
@@ -458,6 +461,8 @@ def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
     """Generators of I intersected with the subring omitting the ``drop``
     variables, computed with a block order that puts the dropped block first.
 
+    A basis element is kept iff its lead has no dropped variable: the order
+    compares the degree in the dropped block first, so then no term has one.
     The result lives in a fresh ring on the remaining variables, in their
     original order.
     """
@@ -476,12 +481,13 @@ def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
     work_ring = PolynomialRing([ring.variables[i] for i in perm])
     images = [work_ring.var(perm.index(i)) for i in range(ring.nvars)]
     moved = [g.substitute(work_ring, images) for g in ideal.generators]
-    basis = buchberger(moved, block_order(k))
+    order = block_order(k)
+    basis = buchberger(moved, order)
 
     target = PolynomialRing([ring.variables[i] for i in keep])
     back = [target.zero] * k + list(target.gens())
-    dropped = (1 << (k * WIDTH)) - 1  # the fields of the dropped block
-    kept = [g.substitute(target, back) for g in basis if not any(m & dropped for m in g._terms)]
+    kept = [g.substitute(target, back) for g in basis
+            if not any(work_ring.unpack(g.divisor(order)[0])[:k])]
     return Ideal(kept or [target.zero])
 
 
@@ -560,11 +566,12 @@ def _rabinowitsch(g: Polynomial, ideal: Ideal) -> bool:
     t appended: t is the last variable, so every order restricts to itself
     on the words without t.  So the pair loop :func:`_complete` starts from
     the records that basis caches and pairs only the relation and what
-    follows from it.  A word moves into the ring with t by one map: its
-    variable fields stay, and its total degree moves up one field, above
-    the new field of t.  The records are lifted word by word, and the
-    relation, the one polynomial made here, is built from g's terms with
-    the same map; its top word is checked against the degree limit first.
+    follows from it.  A word moves into the ring with t by ``poly``'s word
+    map ``_embedding(ring, ext, 0)``, which keeps products, so lifted
+    records are the records of the lifted basis.  The records are lifted
+    word by word, and the relation, the one polynomial made here, is built
+    from g's terms with the same map; its top word is checked against the
+    degree limit first.
     Every Groebner basis of the unit ideal has a constant lead, and
     ``_complete`` returns ``None`` at the first one, so its answer is the
     answer: no basis is reduced or scanned.  Callers have already checked
@@ -572,11 +579,7 @@ def _rabinowitsch(g: Polynomial, ideal: Ideal) -> bool:
     """
     ring, order = ideal.ring, ideal.order
     ext = PolynomialRing(ring.variables + (_fresh_name(ring),))
-    s, t = ring.nvars * WIDTH, ext.units[-1]
-
-    def lift(m):
-        return m + (m >> s << s) * FIELD
-
+    lift, t = _embedding(ring, ext, 0), ext.units[-1]
     known = [(lift(lm), a, tuple((lift(m), c) for m, c in tail), lift(reach))
              for lm, a, tail, reach in (p.divisor(order) for p in ideal.groebner_basis())]
     _check_degree(lift(max(g._terms)) + t, ext.limit)
@@ -590,18 +593,17 @@ def krull_dimension(ideal: Ideal) -> int:
     """Dimension of the affine zero set of I; -1 for the unit ideal.
 
     Equals the largest size of a set S of variables such that no leading
-    term of the cached basis involves only variables from S: each lead has
-    an exponent in a field outside S.
+    term of the cached basis involves only variables from S: the support of
+    each lead, the variables of its nonzero exponents, is not inside S.
     """
-    n = ideal.ring.nvars
     if ideal.is_unit():
         return -1
-    leads = [d[0] for group in ideal._groups.values() for d in group]
-    every = ideal.ring.fields
+    unpack, n = ideal.ring.unpack, ideal.ring.nvars
+    supports = [{i for i, e in enumerate(unpack(d[0])) if e}
+                for group in ideal._groups.values() for d in group]
     for size in range(n, 0, -1):
         for subset in combinations(range(n), size):
-            outside = every ^ sum(FIELD << (i * WIDTH) for i in subset)
-            if all(lead & outside for lead in leads):
+            if all(support.difference(subset) for support in supports):
                 return size
     return 0
 
@@ -609,47 +611,48 @@ def krull_dimension(ideal: Ideal) -> int:
 class Submodule:
     """The submodule of R^rank generated by vectors, each given as (position,
     polynomial) pairs with distinct positions.  ``encode`` is the one map of
-    a vector to its polynomial in the position ring, and ``decode`` its
-    inverse; the nonzero encoded generators make up ``ideal``, whose basis
-    under the module order ``order`` of :class:`MonomialOrder`, ``top``
-    unless given, is computed on first use and kept.  The position
+    a vector to its polynomial in the position ring, through ``poly``'s word
+    map, built once per submodule, and ``decode`` its inverse, through
+    ``unpack`` and ``pack``; the nonzero encoded generators make up
+    ``ideal``, whose basis under the module order ``order`` of
+    :class:`MonomialOrder`, ``top`` unless given, is computed on first use
+    and kept.  The position
     variables come first, so they are the lowest fields and grevlex
     compares them last: on these module terms, one position of exponent 1
     each, ``top`` is grevlex.  :func:`_colon` alone asks for ``pot``."""
 
-    __slots__ = ("ring", "rank", "position_ring", "ideal")
+    __slots__ = ("ring", "rank", "position_ring", "ideal", "_lift")
 
     def __init__(self, ring: PolynomialRing, rank: int, generators: Iterable[Iterable[tuple]],
                  order: str = "top"):
         self.ring, self.rank = ring, rank
         names = [_fresh_name(ring, f"_e{i + 1}") for i in range(rank)]
         self.position_ring = PolynomialRing(names + list(ring.variables))
+        self._lift = _embedding(ring, self.position_ring, rank)
         gens = [g for g in map(self.encode, generators) if g]
         self.ideal = Ideal(gens or [self.position_ring.zero], MonomialOrder(order, rank))
 
     def encode(self, parts: Iterable[tuple]) -> Polynomial:
         """The polynomial sum e_p*q over (position p, polynomial q) pairs: a
-        word of q moves above the position fields and gains the word of e_p."""
-        ring = self.position_ring
-        bits, terms = self.rank * WIDTH, {}
+        word of q moves by ``_embedding(ring, position_ring, rank)`` past the
+        position variables and gains the word of e_p."""
+        ring, terms, lift = self.position_ring, {}, self._lift
         for p, q in parts:
             if q:
                 e = ring.units[p]
-                _check_degree((max(q._terms) << bits) + e, ring.limit)
+                _check_degree(lift(max(q._terms)) + e, ring.limit)
                 for m, c in q._terms.items():
-                    terms[(m << bits) + e] = c
+                    terms[lift(m) + e] = c
         return Polynomial(ring, terms, _clean=True)
 
     def decode(self, p: Polynomial) -> tuple:
-        """The vector of the encoded ``p``, a tuple of ``rank`` polynomials: a
-        term's one position field gives its component, and the word above
-        the position fields, less the degree of e_p, is its word in
-        ``ring``."""
-        comps = [{} for _ in range(self.rank)]
-        bits, unit = self.rank * WIDTH, 1 << (self.ring.nvars * WIDTH)
-        for m, c in p._terms.items():
-            position = ((m & ((1 << bits) - 1)).bit_length() - 1) // WIDTH
-            comps[position][(m >> bits) - unit] = c
+        """The vector of the encoded ``p``, a tuple of ``rank`` polynomials:
+        of a term's exponents in the position ring, the one position exponent
+        equal to 1 gives its component, and the rest, packed in ``ring``,
+        its word."""
+        rank, pack, comps = self.rank, self.ring.pack, [{} for _ in range(self.rank)]
+        for exps, c in p.terms.items():  # unpacked in the position ring
+            comps[exps[:rank].index(1)][pack(exps[rank:])] = c
         return tuple(Polynomial(self.ring, t, _clean=True) for t in comps)
 
     def contains(self, parts: Iterable[tuple]) -> bool:

@@ -7,13 +7,13 @@ returns a fresh polynomial, so instances can be shared freely.
 
 A coefficient is a plain ``int`` when it is integral and a ``Fraction``
 otherwise, never a float: integer arithmetic skips the ``gcd`` that every
-``Fraction`` operation pays.  Construction, ``scale``, ``monic``,
-``substitute``, :func:`_div` and :func:`evaluate` give integral values as
-``int`` (:func:`_norm`); sums and products may keep a ``Fraction`` with
-denominator 1, which compares and hashes equal to the ``int``.  No
-coefficient is divided with ``/``, because ``int / int`` is a float: a
-rational quotient goes through :func:`_div`, where two ints build a
-``Fraction`` only when the quotient is not integral.  Integer code divides
+``Fraction`` operation pays.  Construction, ``scale``, ``substitute``,
+:func:`_div` and :func:`evaluate` give integral values as ``int``
+(:func:`_norm`); sums and products may keep a ``Fraction`` with denominator
+1, which compares and hashes equal to the ``int``.  No coefficient is
+divided with ``/``, because ``int / int`` is a float: a rational quotient
+goes through :func:`_div`, where two ints build a ``Fraction`` only when
+the quotient is not integral.  Integer code divides
 exactly with ``//``: :func:`_integral`, the integer multiple of a term
 dict, as which ``Polynomial.substitute`` raises an image of two or more
 terms and from which :func:`_primitive_terms` starts;
@@ -45,6 +45,12 @@ module order ``top``, and ``pot`` takes the block key (see
 :class:`MonomialOrder`).  One width serves every ring, with no repacking
 and no second representation; the layout depends only on the number of
 variables, and :class:`MonomialOrder` builds its key per number.
+
+The layout is this module's alone: no other module imports ``FIELD`` or
+``WIDTH``.  A word moves into a ring with more variables through the one
+word map :func:`_embedding`, which :mod:`conormal.groebner` uses for the
+ring with the Rabinowitsch variable and for the position ring of a
+submodule; a word is read back through ``unpack`` and ``pack``.
 
 Tuples of exponents are the public boundary: ``Polynomial(ring, {exponent
 tuple: coefficient})`` packs them (:meth:`PolynomialRing.pack`) and
@@ -430,6 +436,19 @@ def same_ring(*objs) -> PolynomialRing:
     return ring
 
 
+def _embedding(ring: PolynomialRing, target: PolynomialRing, first: int) -> Callable:
+    """The word map of ``ring`` into ``target``, whose variables ``first``,
+    ``first + 1``, ... are those of ``ring`` in order: the variable fields
+    move up ``first`` fields, and the total degree moves to ``target``'s
+    degree field.  It keeps products, so it keeps divisibility and lcms.
+    When ``ring``'s variables are ``target``'s last ones, as in the position
+    ring of a submodule, the map is one shift, a C-level bound method."""
+    fields, up, shift, to = ring.fields, first * WIDTH, ring._shift, target._shift
+    if to == shift + up:
+        return up.__rlshift__
+    return lambda m: ((m & fields) << up) | (m >> shift << to)
+
+
 def _add_into(out: dict, terms: Mapping, negate: bool = False) -> dict:
     """Add the term dict ``terms``, negated if ``negate``, into ``out`` in
     place and return ``out``; zero sums are dropped and ``terms`` is not
@@ -577,17 +596,6 @@ class Polynomial:
             lm = max(terms, key=order.key(self.ring))
             cached = records[order] = _record(_primitive_terms(terms, terms[lm]), lm)
         return cached
-
-    def monic(self, order: MonomialOrder) -> "Polynomial":
-        """The multiple whose leading coefficient under ``order`` is 1; it
-        keeps this polynomial's divisor record for ``order``."""
-        lead = self.leading(order)
-        if lead is None or lead[1] == 1:
-            return self
-        c = lead[1]
-        p = Polynomial(self.ring, {m: _div(v, c) for m, v in self._terms.items()}, _clean=True)
-        p._lead = {order: self._lead[order]}
-        return p
 
     def primitive(self, order: MonomialOrder) -> "Polynomial":
         """The primitive integer associate of :meth:`divisor`, which keeps

@@ -85,13 +85,6 @@ MUTANTS = [
         ("tests/test_groebner.py::TestRadicalMembership",),
     ),
     Mutant(
-        "rabinowitsch-lift-unmoved", "groebner.py",
-        "        return m + (m >> s << s) * FIELD", "        return m",
-        "a word of the ring keeps its variable fields in the ring with t, but its"
-        " total degree moves up one field, above the field of t",
-        ("tests/test_groebner.py::TestRadicalMembership::test_square_among_generators",),
-    ),
-    Mutant(
         "wedge-shuffle-sign-plus", "_expr.py",
         "    sign = -1 if inversions % 2 else 1", "    sign = 1",
         "dx_s ^ dx_t is the parity of the shuffle times dx_merged",
@@ -165,6 +158,71 @@ MUTANTS = [
         "_div(-h, normal[pivot])", "_div(h, normal[pivot])",
         "on H the pivot is -sum_i (h_i/h_p)*y_i, with the minus sign",
         ("tests/test_geometry.py::TestHyperplaneSection::test_umbrella_generic_form",),
+    ),
+    Mutant(
+        "embedding-unmoved", "poly.py",
+        "    return lambda m: ((m & fields) << up) | (m >> shift << to)", "    return lambda m: m",
+        "a word keeps its exponents in the larger ring, but its total degree moves to"
+        " that ring's degree field (the Rabinowitsch step lifts the cached basis so)",
+        ("tests/test_groebner.py::TestRadicalMembership::test_square_among_generators",),
+    ),
+    Mutant(
+        "embedding-shift-unmoved", "poly.py",
+        "        return up.__rlshift__", "        return lambda m: m",
+        "a submodule's encoding moves each word past the position variables",
+        ("tests/test_groebner.py::TestModuleMembership",),
+    ),
+    Mutant(
+        "primitive-lead-negative", "poly.py",
+        "    if lc < 0:\n        k = -k\n", "",
+        "the primitive integer associate of a divisor record has a positive lead",
+        ("tests/test_poly.py::TestCoefficientTypes"
+         "::test_divisor_record_is_the_primitive_integer_associate",),
+    ),
+    Mutant(
+        "read-int-unbounded", "poly.py",
+        "    if value is None or value.bit_length() > MAX_POWER_BITS:", "    if value is None:",
+        "a literal of more than MAX_POWER_BITS bits is refused, as a literal's power is",
+        ("tests/test_poly.py::TestHugeNumbers",),
+    ),
+    Mutant(
+        "substitute-unscaled", "poly.py",
+        "                if d > 1:\n                    c *= d ** (top - e)\n", "",
+        "an image with denominators is raised as its integer multiple d*image, so a term"
+        " of exponent e is scaled by d^(top - e) before the sum is divided by d^top",
+        ("tests/test_poly.py::TestSubstitute",),
+    ),
+    Mutant(
+        "usage-error-exit-one", "cli.py",
+        "return 0 if e.code in (0, None) else 2", "return 0 if e.code in (0, None) else 1",
+        "a usage error exits 2, a refuted claim 1",
+        ("tests/test_cli.py::TestDispatch::test_unknown_command_exit_two",),
+    ),
+    Mutant(
+        "decide-exit-zero-when-not-yes", "cli.py",
+        "    if decision.status is not _YES:\n        return 1",
+        "    if decision.status is not _YES:\n        return 0",
+        "a claim that is not certified yes exits 1",
+        ("tests/test_cli.py::TestDispatch::test_check_refuted",),
+    ),
+    Mutant(
+        "verify-examples-counts-every-check", "cli.py",
+        "passed += got == value", "passed += 1",
+        "a check passes only when its answer is the expected one",
+        ("tests/test_cli.py::TestGermFiles::test_flipped_expectation_fails",),
+    ),
+    Mutant(
+        "duplicate-form-accepted", "cli.py",
+        "        if name in forms:", "        if False:",
+        "a germ file names each form once",
+        ("tests/test_cli.py::TestGermFiles::test_error_messages_carry_source_and_line",),
+    ),
+    Mutant(
+        "affine-hyperplane-accepted", "cli.py",
+        "        if m not in ring.units:", "        if False:",
+        "a hyperplane is a linear form through the origin: a word that is not a"
+        " variable is refused with its own message",
+        ("tests/test_cli.py::TestDispatch::test_bertini_rejects_affine_hyperplane",),
     ),
 ]
 

@@ -2,6 +2,8 @@
 
 from decimal import Decimal, localcontext
 
+import sys
+
 import pytest
 
 from conormal.cli import (
@@ -9,6 +11,7 @@ from conormal.cli import (
     corpus_names,
     dispatch,
     load_germ_file,
+    main,
     parse_germ_text,
     verify_examples,
 )
@@ -319,7 +322,7 @@ class TestDispatch:
             capsys, "bertini", "--germ", "umbrella.germ", "--hyperplane", "x + 1"
         )
         assert code == 2
-        assert "error" in out
+        assert "error: a hyperplane must be a homogeneous linear form through the origin" in out
 
     def test_potential(self, capsys):
         code, out = run(
@@ -355,6 +358,18 @@ class TestDispatch:
 
     def test_unknown_command_exit_two(self, capsys):
         assert dispatch(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "--germ", "umbrella.germ", "--form", "omega1"], 0),
+        (["check", "--germ", "umbrella.germ", "--form", "dx"], 1),  # a refuted claim
+        (["frobnicate"], 2),
+    ])
+    def test_main_exits_with_the_dispatch_code(self, capsys, monkeypatch, argv, code):
+        # The console script and python -m conormal hand dispatch's code to sys.exit.
+        monkeypatch.setattr(sys, "argv", ["conormal", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert exit_info.value.code == code
 
     def test_unknown_flag_exit_two(self, capsys):
         assert dispatch(["singular", "--germ", "cusp3.germ", "--wat"]) == 2
