@@ -14,28 +14,28 @@ An exponent is an integer literal: ``x^4/2`` is an error, not ``x^2``.
 are wedged in order of appearance, so a repeated differential makes the
 term zero rather than raising.
 
-The parse result is a "mixed form": a dict from strictly increasing index
-tuples to polynomial coefficients, with the empty tuple holding the scalar
-part.  ``poly.parse_polynomial`` and ``forms.parse_form`` are thin wrappers.
+The parse result is a raw mixed form ``{index tuple: {word: coefficient}}``:
+strictly increasing index tuples map to the nonzero term dicts of their
+coefficients, with the packed monomial words of :mod:`conormal.poly`, and
+the empty tuple holds the scalar part.  It is the representation a
+``forms.DifferentialForm`` keeps, and this module makes no ``Polynomial``:
+``poly.parse_polynomial`` and ``forms.parse_form`` wrap the result once.
 
-The parser works on raw mixed forms, ``{index tuple: {word:
-coefficient}}``, with the packed monomial words of :mod:`conormal.poly`.
-A term multiplies its numbers, variables and differentials, with their
-powers, straight into one accumulated monomial (a coefficient, a word and
-an increasing index tuple: each differential is wedged on at the right,
-with the sign :func:`wedge_index_tuples` gives, and a repeated one makes
-the coefficient zero).  A term without a parenthesized factor adds that
-monomial straight into its expression's dict; a parenthesized factor is a
-mixed form of its own, wedged in with :func:`mixed_mul`, and a term with
-one adds its product into the dict in place.  ``(e)^k`` and a literal's ``c^k`` are
+The parser works on raw mixed forms throughout.  A term multiplies its
+numbers, variables and differentials, with their powers, straight into one
+accumulated monomial (a coefficient, a word and an increasing index tuple:
+each differential is wedged on at the right, with the sign
+:func:`wedge_index_tuples` gives, and a repeated one makes the coefficient
+zero).  A term without a parenthesized factor adds that monomial straight
+into its expression's dict; a parenthesized factor is a mixed form of its
+own, wedged in with :func:`mixed_mul`, and a term with one adds its product
+into the dict in place.  ``(e)^k`` and a literal's ``c^k`` are
 ``poly._pow_terms``, which refuses a power past ``poly.MAX_DEGREE`` before
 it multiplies, and a constant power past ``poly.MAX_POWER_BITS`` before it
 computes it.  Any total degree past that bound is a :class:`ParseError` at
 the factor that makes it, and a refused power is one at its exponent.  A
 literal, exponent or denominator is read by ``poly._read_int``, and one of
 more than ``poly.MAX_POWER_BITS`` bits is a :class:`ParseError` at its token.
-Each coefficient becomes a ``Polynomial`` once, at the end of
-:func:`parse_mixed_text`.
 
 The exterior algebra has one sign rule: the sign of ``dx_S ^ dx_T`` is
 :func:`wedge_index_tuples`, kept per pair in ``_WEDGE``.  The parser,
@@ -67,7 +67,6 @@ from fractions import Fraction
 from itertools import islice
 
 from .poly import (
-    Polynomial,
     PolynomialRing,
     _add_into,
     _degree_error,
@@ -161,7 +160,8 @@ _WEDGE: dict = {}
 def _accumulate(out: dict, key: tuple, terms: dict, negate: bool = False) -> None:
     """Add the term dict ``terms``, negated if ``negate``, into ``out[key]``
     in place with ``poly._add_into``, and drop the key if its terms cancel.
-    ``terms`` itself is not changed."""
+    A new key gets a fresh dict, so ``terms`` itself is neither changed nor
+    shared with ``out``."""
     if not _add_into(out.setdefault(key, {}), terms, negate):
         del out[key]
 
@@ -334,7 +334,7 @@ def _sum(tokens: list, i: int, ring: PolynomialRing, allow_differentials: bool):
 
 
 def parse_mixed_text(text: str, ring: PolynomialRing, allow_differentials: bool) -> dict:
-    """The mixed form of ``text``, one ``Polynomial`` per nonzero coefficient.
+    """The raw mixed form of ``text``, a fresh dict of fresh term dicts.
 
     Its integral coefficients are ``int``s, even where the arithmetic of
     parsing left a ``Fraction`` (``2*1/2``).  A text without a ``p/q``
@@ -356,8 +356,5 @@ def parse_mixed_text(text: str, ring: PolynomialRing, allow_differentials: bool)
         message, at = error.args
         raise ParseError(message, _offset(text, at)) from None
     if odd:
-        return {
-            key: Polynomial(ring, {m: _norm(c) for m, c in terms.items()}, _clean=True)
-            for key, terms in mixed.items()
-        }
-    return {key: Polynomial(ring, terms, _clean=True) for key, terms in mixed.items()}
+        return {key: {m: _norm(c) for m, c in terms.items()} for key, terms in mixed.items()}
+    return mixed

@@ -1,10 +1,15 @@
 """Exterior algebra of polynomial differential forms.
 
-A homogeneous k-form is stored as a map from strictly increasing index
-tuples (i_1 < ... < i_k, 0-based into the ring variables) to polynomial
-coefficients; signs are absorbed during canonicalization.  Degree-0 forms
-are bare :class:`~conormal.poly.Polynomial` values, and mixed-degree input
-is represented as a list of homogeneous parts (see :func:`parse_form`).
+A homogeneous k-form is its raw mixed form ``{index tuple: term dict}``:
+strictly increasing index tuples (i_1 < ... < i_k, 0-based into the ring
+variables) map to the nonzero term dicts ``{word: coefficient}`` of
+:mod:`conormal.poly`, and signs are absorbed during canonicalization.  A
+:class:`DifferentialForm` keeps it in ``_terms``, as a ``Polynomial`` keeps
+its term dict, and a coefficient becomes a ``Polynomial`` only when it is
+read (``coefficients()``, ``coefficient(idx)``); equality, hashing and
+truth read the raw dicts.  Degree-0 forms are bare
+:class:`~conormal.poly.Polynomial` values, and mixed-degree input is
+represented as a list of homogeneous parts (see :func:`parse_form`).
 
 Besides wedge, exterior derivative, pullback and pointwise evaluation, the
 module implements the degree-(n-1) correspondence with vector fields given
@@ -16,16 +21,24 @@ Every sign comes from one rule, the sign of dx_S ^ dx_T that
 ``_expr.mixed_mul``, which reads it, and the vector-field correspondence
 reads it for dx_{[n] minus i} ^ dx_i.
 
-Forms compute on raw mixed forms ``{index tuple: term dict}`` with the two
-kernels of :mod:`conormal.poly`: ``mixed_mul`` multiplies coefficients with
+Forms compute on their raw mixed forms with the two kernels of
+:mod:`conormal.poly`: ``mixed_mul`` multiplies coefficients with
 ``poly._mul_terms``, the one product kernel, and forms add through
 ``_expr._accumulate``, which adds each coefficient with ``poly._add_into``,
 the one sum kernel; the checked constructor and the radial potential call
-them too.  ``scale`` and negation are wedges with a degree-0 form, and
-:func:`_from_raw` is the one way a raw mixed form becomes a form.  Outside
-the two kernels only three fast paths add into a term dict:
-``groebner._remainder``, ``groebner._s_terms`` and the parser's
+them too.  ``scale`` and negation are wedges with a degree-0 form.
+:func:`_raw` is the one way in, the raw mixed form of a form or of a bare
+polynomial, and :func:`_form` the one way out, a form or, in degree 0, a
+polynomial.  Outside the two kernels only three fast paths add into a term
+dict: ``groebner._remainder``, ``groebner._s_terms`` and the parser's
 one-monomial add in ``_expr._sum``.
+
+Aliasing rule: forms and polynomials share term dicts.  A form built as
+``{S: f._terms}`` holds the term dict of the polynomial f, and the
+polynomials that ``coefficients()`` and ``coefficient(idx)`` return hold
+the form's.  So no code may mutate a term dict it did not create:
+``_accumulate`` adds a new key's terms into a fresh dict, and ``mixed_mul``
+writes only dicts it makes.
 """
 
 from __future__ import annotations
@@ -42,13 +55,13 @@ from .poly import (
     _div,
     _join_chunks,
     _mul_terms,
+    _partial_terms,
     _primitive_terms,
     _rational,
     _scalar_terms,
     _term_chunks,
     evaluate,
     format_polynomial,
-    partial_derivative,
     same_ring,
 )
 
@@ -63,20 +76,23 @@ FormLike = Union[Polynomial, "DifferentialForm"]
 class DifferentialForm:
     """A homogeneous differential form of degree >= 1 with polynomial coefficients.
 
-    Coefficients are indexed by sorted tuples only; zero coefficients are
-    never stored.  Forms of degree above the ring dimension are necessarily
-    zero and are allowed as transient results of wedge and d.
+    ``_terms`` is its raw mixed form: sorted index tuples only, and no zero
+    coefficient.  ``_clean=True`` takes a raw mixed form as it is.  Forms of
+    degree above the ring dimension are necessarily zero and are allowed as
+    transient results of wedge and d.
     """
 
-    __slots__ = ("ring", "degree", "_coeffs")
+    __slots__ = ("ring", "degree", "_terms")
 
     def __init__(self, ring: PolynomialRing, degree: int, coefficients, *, _clean: bool = False):
+        if not isinstance(degree, int):
+            raise ValueError(f"degree {degree!r} is not an int")
         if degree < 1:
             raise ValueError("degree-0 forms are represented by bare polynomials")
         self.ring = ring
         self.degree = degree
         if _clean:
-            self._coeffs = dict(coefficients)
+            self._terms = coefficients
             return
         raw: dict = {}
         for idx, coeff in coefficients.items():
@@ -92,28 +108,31 @@ class DifferentialForm:
             else:
                 terms = _scalar_terms(coeff)
             _accumulate(raw, idx, terms)
-        self._coeffs = _from_raw(ring, degree, raw)._coeffs
+        self._terms = raw
 
-    def coefficients(self):
-        """Deterministic iteration: (index tuple, coefficient) sorted by tuple."""
-        return [(idx, self._coeffs[idx]) for idx in sorted(self._coeffs)]
+    def coefficients(self) -> list:
+        """Deterministic iteration: (index tuple, coefficient) sorted by
+        tuple, each coefficient a ``Polynomial`` made on this read."""
+        ring, terms = self.ring, self._terms
+        return [(idx, Polynomial(ring, terms[idx], _clean=True)) for idx in sorted(terms)]
 
     def coefficient(self, idx) -> Polynomial:
-        return self._coeffs.get(tuple(idx), self.ring.zero)
+        return Polynomial(self.ring, self._terms.get(tuple(idx), {}), _clean=True)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._terms)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DifferentialForm)
             and self.ring == other.ring
             and self.degree == other.degree
-            and self._coeffs == other._coeffs
+            and self._terms == other._terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.degree, frozenset(self._coeffs.items())))
+        raw = frozenset((idx, frozenset(t.items())) for idx, t in self._terms.items())
+        return hash((self.ring, self.degree, raw))
 
     def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
         if not isinstance(other, DifferentialForm):
@@ -124,9 +143,9 @@ class DifferentialForm:
         # _accumulate copies a term dict it inserts, so neither summand changes.
         out: dict = {}
         for x in (self, other):
-            for idx, terms in _raw(x).items():
+            for idx, terms in x._terms.items():
                 _accumulate(out, idx, terms)
-        return _from_raw(ring, self.degree, out)
+        return _form(ring, self.degree, out)
 
     def __neg__(self) -> "DifferentialForm":
         return self.scale(-1)
@@ -151,30 +170,20 @@ def form_degree(x: FormLike) -> int:
     return 0 if isinstance(x, Polynomial) else x.degree
 
 
-def _term_dict(x: FormLike) -> dict:
-    if isinstance(x, Polynomial):
-        return {(): x} if x else {}
-    return x._coeffs
-
-
 def _raw(x: FormLike) -> dict:
-    """The raw mixed form ``{index tuple: term dict}`` of ``x``."""
-    return {idx: p._terms for idx, p in _term_dict(x).items()}
+    """The raw mixed form ``{index tuple: term dict}`` of ``x``, whose term
+    dicts are those of ``x``."""
+    if isinstance(x, Polynomial):
+        return {(): x._terms} if x else {}
+    return x._terms
 
 
-def _make(ring: PolynomialRing, degree: int, coeffs: dict) -> FormLike:
-    """The form of ``degree`` with the nonzero coefficients ``coeffs``; in
-    degree 0 a bare polynomial."""
+def _form(ring: PolynomialRing, degree: int, raw: dict) -> FormLike:
+    """The form of ``degree`` whose raw mixed form is ``raw``, which it
+    keeps as it is; in degree 0 a bare polynomial."""
     if degree == 0:
-        return coeffs[()] if coeffs else ring.zero
-    return DifferentialForm(ring, degree, coeffs, _clean=True)
-
-
-def _from_raw(ring: PolynomialRing, degree: int, raw: dict) -> FormLike:
-    """The form of ``degree`` whose raw mixed form is ``raw``, with one
-    ``Polynomial`` per coefficient; it takes the term dicts as they are."""
-    coeffs = {idx: Polynomial(ring, terms, _clean=True) for idx, terms in raw.items()}
-    return _make(ring, degree, coeffs)
+        return Polynomial(ring, raw[()], _clean=True) if raw else ring.zero
+    return DifferentialForm(ring, degree, raw, _clean=True)
 
 
 def wedge(a: FormLike, b: FormLike) -> FormLike:
@@ -184,7 +193,7 @@ def wedge(a: FormLike, b: FormLike) -> FormLike:
     ring dimension the result is the zero form of that degree.
     """
     ring = same_ring(a, b)
-    return _from_raw(ring, form_degree(a) + form_degree(b), mixed_mul(_raw(a), _raw(b), ring.limit))
+    return _form(ring, form_degree(a) + form_degree(b), mixed_mul(_raw(a), _raw(b), ring.limit))
 
 
 def exterior_derivative(x: FormLike) -> DifferentialForm:
@@ -192,12 +201,12 @@ def exterior_derivative(x: FormLike) -> DifferentialForm:
     dc = sum_i (dc/dx_i) dx_i; linear, with d(d(x)) = 0."""
     ring = x.ring
     out: dict = {}
-    for idx, coeff in _term_dict(x).items():
-        dc = {(i,): t for i in range(ring.nvars) if (t := partial_derivative(coeff, i)._terms)}
+    for idx, coeff in _raw(x).items():
+        dc = {(i,): t for i in range(ring.nvars) if (t := _partial_terms(ring, coeff, i))}
         # The d of a polynomial is its partials: no product with dx_() = 1.
         for key, terms in (mixed_mul(dc, {idx: {0: 1}}, ring.limit) if idx else dc).items():
             _accumulate(out, key, terms)
-    return _from_raw(ring, form_degree(x) + 1, out)
+    return _form(ring, form_degree(x) + 1, out)
 
 
 def pullback(x: FormLike, images: Sequence[Polynomial]) -> FormLike:
@@ -212,13 +221,13 @@ def pullback(x: FormLike, images: Sequence[Polynomial]) -> FormLike:
     ring = same_ring(*images)
     diffs = [_raw(exterior_derivative(p)) for p in images]
     out: dict = {}
-    for idx, coeff in _term_dict(x).items():
-        term = {(): coeff.substitute(ring, images)._terms}
+    for idx, coeff in _raw(x).items():
+        term = {(): Polynomial(x.ring, coeff, _clean=True).substitute(ring, images)._terms}
         for j in idx:
             term = mixed_mul(term, diffs[j], ring.limit)
         for key, terms in term.items():
             _accumulate(out, key, terms)
-    return _from_raw(ring, form_degree(x), out)
+    return _form(ring, form_degree(x), out)
 
 
 def evaluate_form(x: FormLike, point: Sequence[Scalar]):
@@ -230,12 +239,12 @@ def evaluate_form(x: FormLike, point: Sequence[Scalar]):
     """
     if isinstance(x, Polynomial):
         return evaluate(x, point)
-    out = {}
-    for idx, coeff in x._coeffs.items():
-        v = evaluate(coeff, point)
-        if v:
-            out[idx] = x.ring.const(v)
-    return DifferentialForm(x.ring, x.degree, out, _clean=True)
+    ring = x.ring
+    if len(point) != ring.nvars:
+        raise ValueError(f"point has {len(point)} coordinates, ring has {ring.nvars}")
+    values = [(idx, evaluate(Polynomial(ring, t, _clean=True), point))
+              for idx, t in x._terms.items()]
+    return _form(ring, x.degree, {idx: {0: v} for idx, v in values if v})
 
 
 class VectorField:
@@ -263,8 +272,8 @@ class VectorField:
         if form_degree(alpha) != 1:
             raise ValueError("a vector field contracts with a 1-form")
         out: dict = {}
-        for (i,), a in alpha._coeffs.items():
-            _mul_terms(self.components[i]._terms, a._terms, ring.limit, out)
+        for (i,), a in alpha._terms.items():
+            _mul_terms(self.components[i]._terms, a, ring.limit, out)
         return Polynomial(ring, out, _clean=True)
 
     def __bool__(self) -> bool:
@@ -306,10 +315,10 @@ def form_to_vector_field(omega: FormLike) -> VectorField:
         raise ValueError("expected a form of degree n-1")
     comps = [ring.zero] * n
     everything = set(range(n))
-    for idx, a in _term_dict(omega).items():
+    for idx, terms in _raw(omega).items():
         i = (everything - set(idx)).pop()
         sign, _ = wedge_index_tuples(idx, (i,))
-        comps[i] = a if sign > 0 else -a
+        comps[i] = Polynomial(ring, _add_into({}, terms, sign < 0), _clean=True)
     return VectorField(ring, comps)
 
 
@@ -322,8 +331,8 @@ def vector_field_to_form(field: VectorField) -> FormLike:
         if v:
             idx = tuple(j for j in range(n) if j != i)
             sign, _ = wedge_index_tuples(idx, (i,))
-            out[idx] = v if sign > 0 else -v
-    return _make(ring, n - 1, out)
+            out[idx] = v._terms if sign > 0 else (-v)._terms
+    return _form(ring, n - 1, out)
 
 
 def radial_potential(omega: FormLike) -> Polynomial:
@@ -339,10 +348,10 @@ def radial_potential(omega: FormLike) -> Polynomial:
         raise NotClosedError("the form is not closed: d(form) != 0")
     ring = omega.ring
     out: dict = {}
-    for (i,), coeff in omega._coeffs.items():
+    for (i,), terms in omega._terms.items():
         unit = ring.units[i]
-        _check_degree(max(coeff._terms) + unit, ring.limit)
-        _add_into(out, {m + unit: _div(c, ring.degree(m + unit)) for m, c in coeff._terms.items()})
+        _check_degree(max(terms) + unit, ring.limit)
+        _add_into(out, {m + unit: _div(c, ring.degree(m + unit)) for m, c in terms.items()})
     return Polynomial(ring, out, _clean=True)
 
 
@@ -395,9 +404,9 @@ def parse_form(text: str, ring: PolynomialRing) -> list:
     bare polynomial.  The zero form parses to an empty list.
     """
     by_degree: dict = {}
-    for idx, coeff in parse_mixed_text(text, ring, allow_differentials=True).items():
-        by_degree.setdefault(len(idx), {})[idx] = coeff
-    return [_make(ring, k, by_degree[k]) for k in sorted(by_degree)]
+    for idx, terms in parse_mixed_text(text, ring, allow_differentials=True).items():
+        by_degree.setdefault(len(idx), {})[idx] = terms
+    return [_form(ring, k, by_degree[k]) for k in sorted(by_degree)]
 
 
 def _differentials(ring: PolynomialRing, idx) -> str:

@@ -53,8 +53,8 @@ from .forms import (
     FormLike,
     VectorField,
     _differentials,
-    _make,
-    _term_dict,
+    _form,
+    _raw,
     exterior_derivative,
     form_degree,
     format_form,
@@ -242,7 +242,7 @@ class Germ:
             )
         [f], partials = self.generators, [p for _, p in self.differentials[0].coefficients()]
         k = len(partials)
-        [g] = _colon(self.ring, k, ([(i, f)] for i in range(k)), partials).generators
+        [g] = _colon(self.ring, k, ([(i, f._terms)] for i in range(k)), partials).generators
         return Germ(self.ring, [g.primitive(GREVLEX)])
 
     @cached_property
@@ -383,13 +383,13 @@ def trivial_form_generators(germ: Germ, k: int) -> list:
     seen = set()
     for f in germ.generators:
         for S in combinations(range(n), k):
-            form = _make(ring, k, {S: f})
+            form = _form(ring, k, {S: f._terms})
             if form not in seen:
                 seen.add(form)
                 out.append(form)
     for df in germ.differentials:
         for T in combinations(range(n), k - 1):
-            form = wedge(df, _make(ring, k - 1, {T: ring.one}))
+            form = wedge(df, _form(ring, k - 1, {T: {0: 1}}))
             if form and form not in seen:
                 seen.add(form)
                 out.append(form)
@@ -403,7 +403,7 @@ def _trivial_module(germ: Germ, k: int) -> tuple:
     if cached is None:
         positions = {S: p for p, S in enumerate(combinations(range(germ.ring.nvars), k))}
         gens = (
-            ((positions[S], c) for S, c in g.coefficients())
+            ((positions[S], t) for S, t in g._terms.items())
             for g in trivial_form_generators(germ, k)
         )
         cached = germ._trivial[k] = (positions, Submodule(germ.ring, len(positions), gens))
@@ -424,7 +424,7 @@ def is_trivial_form(omega: FormLike, germ: Germ) -> bool:
     if k > germ.ring.nvars:
         return True  # only the zero form
     positions, module = _trivial_module(germ, k)
-    return module.contains((positions[S], c) for S, c in omega.coefficients())
+    return module.contains((positions[S], t) for S, t in omega._terms.items())
 
 
 def vanishes_on_singular_locus(omega: FormLike, germ: Germ) -> bool:
@@ -433,7 +433,8 @@ def vanishes_on_singular_locus(omega: FormLike, germ: Germ) -> bool:
     if not germ.hypersurface:
         raise ValueError("the germ is not a hypersurface, which the singular-locus test needs")
     same_ring(omega, germ.generators[0])
-    return all(radical_membership(c, germ.jacobian) for c in _term_dict(omega).values())
+    coeffs = (Polynomial(germ.ring, t, _clean=True) for t in _raw(omega).values())
+    return all(radical_membership(c, germ.jacobian) for c in coeffs)
 
 
 def oracle_conormal_on_parametrization(omega: FormLike, par: Parametrization) -> bool:

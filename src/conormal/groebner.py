@@ -14,15 +14,16 @@ basis) and ``module_membership``, whose vectors are tuples of polynomials.
 
 There is one division kernel, :func:`_remainder`, and one S-combination
 kernel, :func:`_s_terms`, both on raw term dicts, and one pair loop.  A
-:class:`Submodule` of R^r runs a vector (p_1, ..., p_r) through them as the
-polynomial sum e_i*p_i, with r position variables in front, under the
-term-over-position order ``top``, which is grevlex on the position ring
-(see :class:`Submodule`).  The one module rule, that leads in different
-positions give the S-vector 0, lives in ``_s_terms``, and ``buchberger``
-never queues such a pair.  The colon (M : v) = {a : a*v in M}, the one
-implementation behind ``intersection``, ``quotient`` and the reduced germ,
-is a :class:`Submodule` under the position-over-term order ``pot`` (see
-:func:`_colon`).
+:class:`Submodule` of R^r runs a vector (p_1, ..., p_r), given as
+(position, term dict) pairs so that a form's raw coefficients need no
+``Polynomial``, through them as the polynomial sum e_i*p_i, with r position
+variables in front, under the term-over-position order ``top``, which is
+grevlex on the position ring (see :class:`Submodule`).  The one module
+rule, that leads in different positions give the S-vector 0, lives in
+``_s_terms``, and ``buchberger`` never queues such a pair.  The colon
+(M : v) = {a : a*v in M}, the one implementation behind ``intersection``,
+``quotient`` and the reduced germ, is a :class:`Submodule` under the
+position-over-term order ``pot`` (see :func:`_colon`).
 
 Monomials are the packed words of :mod:`conormal.poly`: a product is one
 addition, and a lead-divisibility test (in ``_remainder``, in
@@ -495,7 +496,7 @@ def intersection(a: Ideal, b: Ideal) -> Ideal:
     """I ∩ J, the colon (I*e_1 + J*e_2 : (1, 1)) of R^2 (see :func:`_colon`):
     a*(1, 1) lies in I*e_1 + J*e_2 iff a lies in I and in J."""
     ring = same_ring(a, b)
-    gens = [[(0, g)] for g in a.generators] + [[(1, g)] for g in b.generators]
+    gens = [[(0, g._terms)] for g in a.generators] + [[(1, g._terms)] for g in b.generators]
     return _colon(ring, 2, gens, [ring.one, ring.one])
 
 
@@ -503,12 +504,12 @@ def quotient(ideal: Ideal, g: Polynomial) -> Ideal:
     """The ideal quotient (I : g) = {h : h*g in I}, the colon of R^1 (see
     :func:`_colon`).  (I : 0) is the whole ring."""
     ring = same_ring(ideal, g)
-    return _colon(ring, 1, ([(0, h)] for h in ideal.generators), [g])
+    return _colon(ring, 1, ([(0, h._terms)] for h in ideal.generators), [g])
 
 
 def _colon(ring: PolynomialRing, rank: int, generators: Iterable, v: Sequence[Polynomial]) -> Ideal:
     """The colon (M : v) = {a : a*v in M}, M the submodule of R^rank that
-    the vectors ``generators``, as (position, polynomial) pairs, generate,
+    the vectors ``generators``, as (position, term dict) pairs, generate,
     and v a vector of R^rank; its reduced grevlex basis, or (0).
 
     The tagged submodule of R^(rank+1) generated by (v | 1) and the (m | 0)
@@ -517,7 +518,7 @@ def _colon(ring: PolynomialRing, rank: int, generators: Iterable, v: Sequence[Po
     there has no other component, and those elements' tags are a Groebner
     basis of (M : v) under grevlex (Cox-Little-O'Shea, *Using Algebraic
     Geometry*, ch. 5 section 3); they are reduced, monic and sorted."""
-    tagged = [[*enumerate(v), (rank, ring.one)], *generators]
+    tagged = [[*_parts(v), (rank, {0: 1})], *generators]
     sub = Submodule(ring, rank + 1, tagged, order="pot")
     parts = map(sub.decode, sub.ideal.groebner_basis())
     return Ideal([p[rank] for p in parts if not any(p[:rank])] or [ring.zero])
@@ -610,7 +611,9 @@ def krull_dimension(ideal: Ideal) -> int:
 
 class Submodule:
     """The submodule of R^rank generated by vectors, each given as (position,
-    polynomial) pairs with distinct positions.  ``encode`` is the one map of
+    term dict) pairs with distinct positions, a component's raw term dict
+    ``p._terms`` as it is (a form's ``_terms`` items, with each index tuple
+    mapped to its position, are such pairs).  ``encode`` is the one map of
     a vector to its polynomial in the position ring, through ``poly``'s word
     map, built once per submodule, and ``decode`` its inverse, through
     ``unpack`` and ``pack``; the nonzero encoded generators make up
@@ -633,15 +636,15 @@ class Submodule:
         self.ideal = Ideal(gens or [self.position_ring.zero], MonomialOrder(order, rank))
 
     def encode(self, parts: Iterable[tuple]) -> Polynomial:
-        """The polynomial sum e_p*q over (position p, polynomial q) pairs: a
+        """The polynomial sum e_p*q over (position p, term dict q) pairs: a
         word of q moves by ``_embedding(ring, position_ring, rank)`` past the
         position variables and gains the word of e_p."""
         ring, terms, lift = self.position_ring, {}, self._lift
         for p, q in parts:
             if q:
                 e = ring.units[p]
-                _check_degree(lift(max(q._terms)) + e, ring.limit)
-                for m, c in q._terms.items():
+                _check_degree(lift(max(q)) + e, ring.limit)
+                for m, c in q.items():
                     terms[lift(m) + e] = c
         return Polynomial(ring, terms, _clean=True)
 
@@ -656,9 +659,14 @@ class Submodule:
         return tuple(Polynomial(self.ring, t, _clean=True) for t in comps)
 
     def contains(self, parts: Iterable[tuple]) -> bool:
-        """Whether the vector given by (position, polynomial) pairs lies in
+        """Whether the vector given by (position, term dict) pairs lies in
         the submodule: its normal form modulo the basis is 0."""
         return ideal_membership(self.encode(parts), self.ideal)
+
+
+def _parts(v: Sequence[Polynomial]) -> list:
+    """The (position, term dict) pairs of the vector v."""
+    return [(i, p._terms) for i, p in enumerate(v)]
 
 
 def _submodule(v: Sequence[Polynomial], gens: Sequence[Sequence[Polynomial]]) -> Submodule:
@@ -668,7 +676,7 @@ def _submodule(v: Sequence[Polynomial], gens: Sequence[Sequence[Polynomial]]) ->
     ring, rank = same_ring(*v), len(v)
     if any(len(g) != rank or same_ring(*g) != ring for g in gens):
         raise ValueError(f"module elements must all lie in {ring}^{rank}")
-    return Submodule(ring, rank, map(enumerate, gens))
+    return Submodule(ring, rank, map(_parts, gens))
 
 
 def module_buchberger(gens: Sequence[Sequence[Polynomial]]) -> list:
@@ -685,11 +693,11 @@ def module_reduce(v: Sequence[Polynomial], basis: Sequence[Sequence[Polynomial]]
     """Normal form, as a tuple, of the vector v modulo vectors of the same
     rank, in the order of :func:`module_buchberger`."""
     sub = _submodule(v, basis)
-    return sub.decode(reduce(sub.encode(enumerate(v)), sub.ideal.generators, sub.ideal.order))
+    return sub.decode(reduce(sub.encode(_parts(v)), sub.ideal.generators, sub.ideal.order))
 
 
 def module_membership(v: Sequence[Polynomial], gens: Sequence[Sequence[Polynomial]]) -> bool:
     """Whether the vector v lies in the submodule of R^rank generated by the
     vectors ``gens``; the encoded basis is used as it comes out of
     ``buchberger``."""
-    return _submodule(v, gens).contains(enumerate(v))
+    return _submodule(v, gens).contains(_parts(v))

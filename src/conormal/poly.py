@@ -64,11 +64,12 @@ term dicts in the package runs through one of the two: ``Polynomial``
 arithmetic and its checked constructor, ``Polynomial.substitute`` (each
 term is a product with its coefficient), the parser's sums
 (``_expr._accumulate``) and every form operation of :mod:`conormal.forms`,
-which build a ``Polynomial`` only for each final result.  Three fast paths
-keep a loop of their own: the division and S-combination kernels of
-:mod:`conormal.groebner` (``_remainder`` and ``_s_terms``), which pair a
-coefficient with the tuple tail of a divisor record, and the parser's
-one-monomial add in ``_expr._sum``.
+which keep forms as raw term dicts and build a ``Polynomial`` only when a
+coefficient is read.  Three fast paths keep a loop of their own: the
+division and S-combination kernels of :mod:`conormal.groebner`
+(``_remainder`` and ``_s_terms``), which pair a coefficient with the tuple
+tail of a divisor record, and the parser's one-monomial add in
+``_expr._sum``.
 
 :func:`_pow_terms` is the one power kernel, behind ``Polynomial.__pow__``
 and the parser's powers ``(e)^k`` and ``c^k`` of a literal.  It refuses a
@@ -283,6 +284,8 @@ class MonomialOrder:
     _keys: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
+        if self.kind not in ("lex", "grevlex", "block", "top", "pot"):
+            raise ValueError(f"unknown order {self.kind!r}: use lex, grevlex, block, top or pot")
         module = self.kind in ("top", "pot")
         object.__setattr__(self, "positions", (1 << (self.split * WIDTH)) - 1 if module else 0)
 
@@ -775,7 +778,7 @@ def parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:
     past ``MAX_DEGREE``.
     """
     mixed = parse_mixed_text(text, ring, allow_differentials=False)
-    return mixed[()] if mixed else ring.zero
+    return Polynomial(ring, mixed[()], _clean=True) if mixed else ring.zero
 
 
 def partial_derivative(p: Polynomial, i: int) -> Polynomial:
@@ -783,13 +786,19 @@ def partial_derivative(p: Polynomial, i: int) -> Polynomial:
     n = p.ring.nvars
     if not 0 <= i < n:
         raise ValueError(f"variable index {i} out of range (ring has {n} variables)")
-    unit, shift = p.ring.units[i], i * WIDTH
+    return Polynomial(p.ring, _partial_terms(p.ring, p._terms, i), _clean=True)
+
+
+def _partial_terms(ring: PolynomialRing, terms: Mapping, i: int) -> dict:
+    """The term dict of the partial derivative of ``terms`` with respect to
+    the i-th variable of ``ring``, a fresh dict."""
+    unit, shift = ring.units[i], i * WIDTH
     out = {}
-    for m, c in p._terms.items():
+    for m, c in terms.items():
         e = (m >> shift) & FIELD
         if e:
             out[m - unit] = c * e
-    return Polynomial(p.ring, out, _clean=True)
+    return out
 
 
 def evaluate(p: Polynomial, point: Sequence[Scalar]) -> Scalar:

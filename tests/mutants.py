@@ -105,9 +105,50 @@ MUTANTS = [
     ),
     Mutant(
         "vector-field-unsigned", "forms.py",
-        "        comps[i] = a if sign > 0 else -a", "        comps[i] = a",
+        "_add_into({}, terms, sign < 0)", "_add_into({}, terms)",
         "V_i is s_i*a_i, with s_i the sign of dx_{[n] minus i} ^ dx_i",
         ("tests/test_forms.py::TestVectorFieldMap",),
+    ),
+    Mutant(
+        "coefficients-unsorted", "forms.py",
+        "for idx in sorted(terms)]", "for idx in terms]",
+        "coefficients() reads in index order, not in the order the raw form was built",
+        ("tests/test_forms.py::TestRawRepresentation"
+         "::test_polynomials_are_made_only_when_a_coefficient_is_read",),
+    ),
+    Mutant(
+        "form-eq-keys-only", "forms.py",
+        "            and self._terms == other._terms",
+        "            and self._terms.keys() == other._terms.keys()",
+        "equal forms have equal coefficients, not only the same index tuples",
+        ("tests/test_forms.py::TestSmallMethods",),
+    ),
+    Mutant(
+        "form-degree-zero-drops-raw", "forms.py",
+        "        return Polynomial(ring, raw[()], _clean=True) if raw else ring.zero",
+        "        return ring.zero",
+        "a degree-0 result is the polynomial of its raw form's () coefficient",
+        ("tests/test_forms.py::TestVectorFieldMap",),
+    ),
+    Mutant(
+        "form-add-into-operand", "forms.py",
+        "        out: dict = {}\n        for x in (self, other):",
+        "        out = dict(self._terms)\n        for x in (other,):",
+        "a sum adds into fresh term dicts: the summands' dicts may be a polynomial's",
+        ("tests/test_forms.py::TestRawRepresentation::test_shared_term_dicts_are_never_changed",),
+    ),
+    Mutant(
+        "form-degree-float-accepted", "forms.py",
+        "        if not isinstance(degree, int):", "        if False:",
+        "a form's degree is an int",
+        ("tests/test_forms.py::TestInputChecks",),
+    ),
+    Mutant(
+        "order-kind-unchecked", "poly.py",
+        '        if self.kind not in ("lex", "grevlex", "block", "top", "pot"):',
+        "        if False:",
+        "an unknown order kind would fall through to the block key",
+        ("tests/test_poly.py::TestInputChecks",),
     ),
     Mutant(
         "trivial-false-above-top-degree", "germs.py",

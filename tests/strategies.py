@@ -83,7 +83,7 @@ def reference_is_trivial(omega, germ: Germ) -> bool:
     else:
         positions, module = _trivial_module(germ, k)
         ideal = module.ideal
-        f = module.encode((positions[S], c) for S, c in omega.coefficients())
+        f = module.encode((positions[S], t) for S, t in omega._terms.items())
     return not reference_reduce(f, ideal.groebner_basis(), ideal.order)
 
 

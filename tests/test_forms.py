@@ -32,6 +32,7 @@ from conormal.forms import (
     volume_coefficient,
     wedge,
 )
+from conormal.germs import Germ, _trivial_module, is_trivial_form, trivial_form_generators
 from conormal.poly import Polynomial, PolynomialRing, partial_derivative
 
 from strategies import (
@@ -75,18 +76,19 @@ class TestConstructor:
         with pytest.raises(ValueError, match="index tuple"):
             DifferentialForm(R, 1, {(index,): X})
 
-    def test_one_polynomial_per_nonzero_coefficient(self, monkeypatch):
+    def test_no_polynomial_is_built_for_polynomial_coefficients(self, monkeypatch):
+        # The form keeps the coefficients' term dicts, added into fresh ones.
         built = count_polynomials(monkeypatch)
         w = DifferentialForm(R, 1, {(0,): X, (1,): Y})
-        assert len(built) == 2
+        assert built == []
         assert w == form("x*dx + y*dy")
 
-    def test_one_polynomial_per_scalar_coefficient(self, monkeypatch):
+    def test_no_polynomial_is_built_for_scalar_coefficients(self, monkeypatch):
         # A scalar is read straight into its normalized term dict; no
         # constant polynomial is built on the way.
         built = count_polynomials(monkeypatch)
         w = DifferentialForm(R, 1, {(0,): 3, (1,): Fraction(4, 2), (2,): 0})
-        assert len(built) == 2
+        assert built == []
         assert w == form("3*dx + 2*dy")
         assert_exact(w.coefficient((1,)), normalized=True)
 
@@ -183,9 +185,9 @@ def _raw(graded: dict) -> dict:
     for k, v in graded.items():
         if k == 0:
             if v:
-                out[()] = v.terms
+                out[()] = v._terms
         else:
-            out.update((idx, c.terms) for idx, c in v.coefficients())
+            out.update((idx, c._terms) for idx, c in v.coefficients())
     return out
 
 
@@ -195,15 +197,17 @@ class TestParseAgainstReference:
     def test_same_terms_as_polynomial_and_wedge_arithmetic(self, case):
         text, tree = case
         mixed = parse_mixed_text(text, R, allow_differentials=True)
-        assert {key: p.terms for key, p in mixed.items()} == _raw(reference_parse(tree, R))
-        for p in mixed.values():
-            for c in p.terms.values():
+        assert mixed == _raw(reference_parse(tree, R))
+        for terms in mixed.values():
+            assert terms
+            for c in terms.values():
                 assert type(c) in (int, Fraction)
                 assert type(c) is int or c.denominator != 1
 
     def test_one_polynomial_per_nonzero_coefficient(self, monkeypatch):
-        # The parser works on raw term dicts and builds each coefficient's
-        # Polynomial once, at the end.
+        # The parser works on raw term dicts: parse_form builds a Polynomial
+        # for the degree-0 part alone, and coefficients() one per coefficient
+        # of a form, when it is read.
         built = count_polynomials(monkeypatch)
         text = "x*dy*dz + 3*z*dx*dy - (x + 1/2*y)^2*dx*dz + 2*dx*dx + y^2 - 2*1/2*x + x"
         parts = parse_form(text, R)
@@ -291,7 +295,7 @@ class TestParseSign:
                 assert got == {}, text
                 continue
             inversions = sum(1 for a, b in combinations(word, 2) if a > b)
-            assert got == {tuple(sorted(word)): R4.const(2 * (-1) ** inversions)}, text
+            assert got == {tuple(sorted(word)): {0: 2 * (-1) ** inversions}}, text
 
 
 class TestWedgeTable:
@@ -359,8 +363,8 @@ class TestWedge:
 
 
 def _snapshot(w) -> list:
-    # Each coefficient of w, with the polynomial object and its term dict.
-    return [(idx, c, dict(c._terms)) for idx, c in w._coeffs.items()]
+    # Each raw coefficient of w: its term dict object and a copy of it.
+    return [(idx, id(t), dict(t)) for idx, t in w._terms.items()]
 
 
 class TestFormArithmetic:
@@ -374,6 +378,52 @@ class TestFormArithmetic:
         assert not results[3]
         assert results[0] - b == a and results[4] == results[6]
         assert all(c for r in results for _, c in r.coefficients())
+
+
+class TestRawRepresentation:
+    """A form keeps its raw mixed form ``{index tuple: term dict}``; a
+    coefficient becomes a Polynomial only when it is read, and a term dict
+    that a form shares with a polynomial is never changed."""
+
+    def test_polynomials_are_made_only_when_a_coefficient_is_read(self, monkeypatch):
+        germ = Germ(R, [Z**2 - X * Y**2])
+        omega, f, xy = form("y^2*dx + 2*x*y*dy - 2*z*dz"), X**2 * Y - Z, X * Y
+        assert is_trivial_form(omega, germ)  # builds and keeps the degree-1 module
+        built = count_polynomials(monkeypatch)
+        a = DifferentialForm(R, 1, {(2,): Z, (0,): xy})
+        b = wedge(a, form("z*dy - dx"))
+        db, dd = exterior_derivative(b), exterior_derivative(exterior_derivative(wedge(f, a)))
+        df = exterior_derivative(f)
+        parts = parse_form("x*dy*dz - (y + 1/2)*dx*dz + dx", R)
+        assert built == []
+        assert [idx for idx, _ in a.coefficients()] == [(0,), (2,)]
+        assert len(built) == 2
+        assert len(b.coefficients()) + len(df.coefficients()) == len(built) - 2 == 6
+        assert db == form("x*y*dx*dy*dz") and not dd and len(parts) == 2
+        del built[:]
+        assert is_trivial_form(omega, germ)
+        assert [p.ring for p in built] == [_trivial_module(germ, 1)[1].position_ring]
+
+    def test_shared_term_dicts_are_never_changed(self):
+        germ = Germ(R, [Z**2 - X * Y**2])
+        field = VectorField(R, [X * Y, R.zero, Z + 1])
+        w = form("x*dy - z*dx + y*dz")
+        read = [c for _, c in w.coefficients()]
+        shared = [*trivial_form_generators(germ, 1), *trivial_form_generators(germ, 2),
+                  vector_field_to_form(field), w]
+        sources = [germ.generators[0], *field.components, *read]
+        holders = {id(t) for x in shared for t in x._terms.values()}
+        assert {id(p._terms) for p in sources if p} <= holders
+        before = [dict(p._terms) for p in sources]
+        images = [X + Y, Y * Z, Z]
+        for x in shared:
+            for y in shared:
+                wedge(x, y)
+                if x.degree == y.degree:
+                    x + y, x - y, y + x
+            exterior_derivative(x), pullback(x, images), x.scale(X), -x
+            wedge(read[0], x), wedge(x, read[1])
+        assert [dict(p._terms) for p in sources] == before
 
 
 class TestExteriorDerivative:
@@ -516,6 +566,7 @@ class TestSmallMethods:
         (lambda: repr(form("x*dy - 2*dz")), "<x*dy - 2*dz over (x, y, z)>"),
         (lambda: form("dx") + 1,
          TypeError("unsupported operand type(s) for +: 'DifferentialForm' and 'int'")),
+        (lambda: form("x*dy - z*dz") == form("y*dy - z*dz"), False),
         (lambda: evaluate_form(X**2 * Y - Z, [2, 3, Fraction(1, 2)]), Fraction(23, 2)),
         (lambda: bool(VectorField(R, [R.zero, R.zero, R.zero])), False),
         (lambda: bool(VectorField(R, [R.zero, Y, R.zero])), True),
@@ -523,8 +574,9 @@ class TestSmallMethods:
         (lambda: VectorField(R, [X, Y, Z]) == VectorField(R, [X, Y, -Z]), False),
         (lambda: VectorField(R, [X, Y, Z]) == (X, Y, Z), False),
         (lambda: len({Hyperplane(R, [2, 4, 0]), Hyperplane(R, [-1, -2, 0])}), 1),
-    ], ids=["form-str", "form-repr", "form-add-int", "evaluate-polynomial", "field-zero",
-            "field-nonzero", "field-equal", "field-unequal", "field-tuple", "hyperplane-hash"])
+    ], ids=["form-str", "form-repr", "form-add-int", "form-unequal", "evaluate-polynomial",
+            "field-zero", "field-nonzero", "field-equal", "field-unequal", "field-tuple",
+            "hyperplane-hash"])
     def test_value(self, make, want):
         assert_outcome(make, want)
 
@@ -535,6 +587,8 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("make, message", [
         (lambda: DifferentialForm(R, 0, {}), "degree-0 forms are represented by bare polynomials"),
+        (lambda: DifferentialForm(R, 1.0, {(0,): X}), "degree 1.0 is not an int"),
+        (lambda: DifferentialForm(R, "1", {}), "degree '1' is not an int"),
         (lambda: DifferentialForm(R, 1, {(3,): X}), r"index tuple \(3,\) out of range"),
         (lambda: form("dx") + form("dx*dy"), "cannot add forms of different degrees"),
         (lambda: pullback(DifferentialForm(R, 1, {}), [X, Y]), "one image per variable required"),
@@ -545,9 +599,13 @@ class TestInputChecks:
         (lambda: VectorField(R, [X, Y, Z]).contract(X), "a vector field contracts with a 1-form"),
         (lambda: volume_coefficient(form("dx*dy")), "volume coefficient needs a top-degree form"),
         (lambda: radial_potential(form("dx*dy")), "the radial potential is defined for 1-forms"),
+        (lambda: evaluate_form(DifferentialForm(R, 1, {}), (0,)),
+         "point has 1 coordinates, ring has 3"),
+        (lambda: evaluate_form(form("x*dy"), (0,)), "point has 1 coordinates, ring has 3"),
         (lambda: Hyperplane(R, [1, 2]), "one normal coordinate per ring variable required"),
-    ], ids=["degree", "index", "add", "pullback", "pullback-no-image", "vector-field", "contract",
-            "contract-polynomial", "volume", "radial", "hyperplane"])
+    ], ids=["degree", "degree-float", "degree-str", "index", "add", "pullback",
+            "pullback-no-image", "vector-field", "contract", "contract-polynomial", "volume",
+            "radial", "evaluate-zero-form", "evaluate", "hyperplane"])
     def test_refuses_with_its_message(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()

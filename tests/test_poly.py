@@ -743,13 +743,16 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("make, error, message", [
         (lambda: block_order(-1), ValueError, "block split must be non-negative"),
+        (lambda: MonomialOrder("grlex"), ValueError,
+         "unknown order 'grlex': use lex, grevlex, block, top or pot"),
         (lambda: PolynomialRing(["x", "1y"]), ValueError, "invalid variable name '1y'"),
         (lambda: R.pack((1, 2)), ValueError, r"bad exponent tuple \(1, 2\)"),
         (lambda: R.pack((1, -1, 0)), ValueError, r"bad exponent tuple \(1, -1, 0\)"),
         (lambda: R.var(3), ValueError, "variable index 3 out of range"),
         (lambda: X ** -1, ValueError, "polynomial powers must be non-negative integers"),
         (lambda: X + "a", TypeError, "unsupported operand"),
-    ], ids=["block", "name", "pack-length", "pack-negative", "var", "power", "add-str"])
+    ], ids=["block", "order-kind", "name", "pack-length", "pack-negative", "var", "power",
+            "add-str"])
     def test_refuses_with_its_message(self, make, error, message):
         with pytest.raises(error, match=message):
             make()
