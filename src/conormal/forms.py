@@ -96,12 +96,7 @@ class DifferentialForm:
             return
         raw: dict = {}
         for idx, coeff in coefficients.items():
-            idx = tuple(idx)
-            ints = all(isinstance(i, int) for i in idx)
-            if len(idx) != degree or not ints or list(idx) != sorted(set(idx)):
-                raise ValueError(f"index tuple {idx} is not {degree} strictly increasing integers")
-            if idx and (idx[0] < 0 or idx[-1] >= ring.nvars):
-                raise ValueError(f"index tuple {idx} out of range for {ring}")
+            idx = _index(idx, degree, ring)
             if isinstance(coeff, Polynomial):
                 same_ring(self, coeff)
                 terms = coeff._terms
@@ -117,7 +112,13 @@ class DifferentialForm:
         return [(idx, Polynomial(ring, terms[idx], _clean=True)) for idx in sorted(terms)]
 
     def coefficient(self, idx) -> Polynomial:
-        return Polynomial(self.ring, self._terms.get(tuple(idx), {}), _clean=True)
+        """The coefficient of dx_idx; an index tuple the form does not store
+        must be one the constructor accepts, and reads 0."""
+        terms = self._terms.get(tuple(idx))
+        if terms is None:
+            _index(idx, self.degree, self.ring)
+            terms = {}
+        return Polynomial(self.ring, terms, _clean=True)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -168,6 +169,18 @@ class DifferentialForm:
 
 def form_degree(x: FormLike) -> int:
     return 0 if isinstance(x, Polynomial) else x.degree
+
+
+def _index(idx, degree: int, ring: PolynomialRing) -> tuple:
+    """``idx`` as a tuple, refused unless it is ``degree`` strictly
+    increasing indices of the ring's variables."""
+    idx = tuple(idx)
+    ints = all(isinstance(i, int) for i in idx)
+    if len(idx) != degree or not ints or list(idx) != sorted(set(idx)):
+        raise ValueError(f"index tuple {idx} is not {degree} strictly increasing integers")
+    if idx and (idx[0] < 0 or idx[-1] >= ring.nvars):
+        raise ValueError(f"index tuple {idx} out of range for {ring}")
+    return idx
 
 
 def _raw(x: FormLike) -> dict:

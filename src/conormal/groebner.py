@@ -71,10 +71,15 @@ Bases are reduced, monic and sorted, so they are canonical per (ideal, order).
 An :class:`Ideal` is the one lazy basis holder: it caches its basis under its
 ``order`` (grevlex unless given), with the records of its elements
 grouped, so repeated membership tests against one ideal compute one
-basis.  ``ideal_membership`` too needs the remainder only up to a nonzero
-factor, so it calls ``_remainder`` on those groups directly.  A
-:class:`Submodule` keeps its encoded generators in an ``Ideal`` under its
-module order.
+basis.  It also keeps a table of exact normal forms of words, filled on
+demand: the normal form modulo a Groebner basis is unique, hence linear
+(Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 section 6),
+so ``ideal_membership`` under the degree-first orders ``grevlex`` and
+``top`` adds up c*NF(m) over the terms c*m of f from that table, and
+divides each word once, by ``_remainder`` and then by its multiplier.
+Under ``lex``, ``block`` and ``pot`` it divides f as a whole and needs
+the remainder only up to a nonzero factor.  A :class:`Submodule` keeps
+its encoded generators in an ``Ideal`` under its module order.
 """
 
 from __future__ import annotations
@@ -408,9 +413,17 @@ class Ideal:
     ``order`` computed on first use and kept, together with its divisor
     records, grouped (see :func:`_group`).  Generator ideals take
     grevlex; a :class:`Submodule` keeps its encoded generators in an ideal
-    under its module order."""
+    under its module order.
 
-    __slots__ = ("ring", "generators", "order", "_basis", "_groups")
+    ``_normal`` is the ideal's table of normal forms: it maps a word m to
+    the exact normal form of m modulo the basis over Q, as ``((word,
+    coefficient), ...)``.  :func:`ideal_membership` fills it one word at a
+    time under ``grevlex`` and ``top``, whose division steps never raise
+    the degree, so no entry passes ``MAX_DEGREE``.  The normal form modulo
+    a Groebner basis is unique, so an entry never goes stale; it holds for
+    this ideal alone, and no table is shared."""
+
+    __slots__ = ("ring", "generators", "order", "_basis", "_groups", "_normal")
 
     def __init__(self, generators: Sequence[Polynomial], order: MonomialOrder = GREVLEX):
         gens = tuple(generators)
@@ -420,6 +433,7 @@ class Ideal:
         self.generators = gens
         self.order = order
         self._basis = self._groups = None
+        self._normal = {}
 
     def groebner_basis(self) -> tuple:
         if self._basis is None:
@@ -445,17 +459,46 @@ class Ideal:
 
 
 def ideal_membership(f: Polynomial, ideal: Ideal) -> bool:
-    """Exact membership f in I over the polynomial ring: whether the
-    division kernel leaves no remainder of f modulo the cached basis.  The
-    remainder is a nonzero multiple of the normal form, so it is not made
-    a polynomial or divided by its multiplier."""
+    """Exact membership f in I over the polynomial ring: whether the normal
+    form of f modulo the cached basis is 0.
+
+    The normal form is linear, so under the degree-first orders ``grevlex``
+    and ``top`` it is the sum of c*NF(m) over the terms c*m of f, read from
+    the ideal's table of exact normal forms of words (see :class:`Ideal`),
+    which gains one entry per word it lacks.  Under ``lex``, ``block`` and
+    ``pot`` a word's normal form may pass ``MAX_DEGREE`` where the terms of
+    f cancel, so f is divided as a whole: the division kernel's remainder
+    is a nonzero multiple of the normal form, so it is not made a
+    polynomial or divided by its multiplier."""
     ring = same_ring(f, ideal)
     if not f:
         return True
     ideal.groebner_basis()
     order = ideal.order
-    positions = order.positions
-    return not _remainder(dict(f._terms), ideal._groups, positions, order.key(ring), ring)[0]
+    if order.kind not in ("grevlex", "top"):
+        key, positions = order.key(ring), order.positions
+        return not _remainder(dict(f._terms), ideal._groups, positions, key, ring)[0]
+    normal, total = ideal._normal, {}
+    for m, c in f._terms.items():
+        entry = normal.get(m)
+        if entry is None:
+            entry = normal[m] = _normal_form(m, ideal)
+        for t, v in entry:
+            s = total.get(t, 0) + c * v
+            if s:
+                total[t] = s
+            elif t in total:
+                del total[t]
+    return not total
+
+
+def _normal_form(m: int, ideal: Ideal) -> tuple:
+    """The exact normal form of the word m modulo the cached basis, as
+    ``((word, coefficient), ...)``: the kernel's remainder divided once by
+    its multiplier."""
+    ring, order = ideal.ring, ideal.order
+    remainder, mult = _remainder({m: 1}, ideal._groups, order.positions, order.key(ring), ring)
+    return tuple((t, _div(v, mult)) for t, v in remainder.items())
 
 
 def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:

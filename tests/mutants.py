@@ -85,6 +85,37 @@ MUTANTS = [
         ("tests/test_groebner.py::TestRadicalMembership",),
     ),
     Mutant(
+        "normal-form-undivided", "groebner.py",
+        "tuple((t, _div(v, mult)) for t, v in remainder.items())",
+        "tuple((t, v) for t, v in remainder.items())",
+        "the kernel's remainder is mult times the normal form of the word, and entries"
+        " with different multipliers must cancel",
+        ("tests/test_groebner.py::TestNormalFormTable",),
+    ),
+    Mutant(
+        "normal-form-table-shared", "groebner.py",
+        "        self._normal = {}", "        self._normal = _remainder.__dict__",
+        "a word has a different normal form modulo each ideal",
+        ("tests/test_groebner.py::TestNormalFormTable",),
+    ),
+    Mutant(
+        "normal-form-sum-keeps-cancelled", "groebner.py",
+        "            s = total.get(t, 0) + c * v\n"
+        "            if s:\n"
+        "                total[t] = s\n"
+        "            elif t in total:\n"
+        "                del total[t]",
+        "            total[t] = total.get(t, 0) + c * v",
+        "f is a member when its normal forms cancel, so a cancelled word must leave the sum",
+        ("tests/test_groebner.py::TestNormalFormTable",),
+    ),
+    Mutant(
+        "normal-form-table-under-lex", "groebner.py",
+        '    if order.kind not in ("grevlex", "top"):', "    if False:",
+        "under lex a word's normal form may pass MAX_DEGREE where f's terms cancel",
+        ("tests/test_groebner.py::TestNormalFormTable::test_lex_divides_the_whole_polynomial",),
+    ),
+    Mutant(
         "wedge-shuffle-sign-plus", "_expr.py",
         "    sign = -1 if inversions % 2 else 1", "    sign = 1",
         "dx_s ^ dx_t is the parity of the shuffle times dx_merged",
@@ -141,6 +172,12 @@ MUTANTS = [
         "form-degree-float-accepted", "forms.py",
         "        if not isinstance(degree, int):", "        if False:",
         "a form's degree is an int",
+        ("tests/test_forms.py::TestInputChecks",),
+    ),
+    Mutant(
+        "coefficient-unchecked", "forms.py",
+        "            _index(idx, self.degree, self.ring)\n", "",
+        "an index tuple the constructor refuses must not read as a zero coefficient",
         ("tests/test_forms.py::TestInputChecks",),
     ),
     Mutant(

@@ -603,9 +603,18 @@ class TestInputChecks:
          "point has 1 coordinates, ring has 3"),
         (lambda: evaluate_form(form("x*dy"), (0,)), "point has 1 coordinates, ring has 3"),
         (lambda: Hyperplane(R, [1, 2]), "one normal coordinate per ring variable required"),
+        # dy ^ dx is -dx ^ dy, so (1, 0) must not read as a zero coefficient
+        (lambda: form("x*dx*dy").coefficient((1, 0)),
+         r"index tuple \(1, 0\) is not 2 strictly increasing integers"),
+        (lambda: form("x*dx*dy").coefficient((5,)),
+         r"index tuple \(5,\) is not 2 strictly increasing integers"),
+        (lambda: form("x*dx*dy").coefficient((0, 5)), r"index tuple \(0, 5\) out of range"),
+        (lambda: DifferentialForm(R, 1, {}).coefficient((0, 1)),
+         r"index tuple \(0, 1\) is not 1 strictly increasing integers"),
     ], ids=["degree", "degree-float", "degree-str", "index", "add", "pullback",
             "pullback-no-image", "vector-field", "contract", "contract-polynomial", "volume",
-            "radial", "evaluate-zero-form", "evaluate", "hyperplane"])
+            "radial", "evaluate-zero-form", "evaluate", "hyperplane", "coefficient-unsorted",
+            "coefficient-length", "coefficient-range", "coefficient-zero-form"])
     def test_refuses_with_its_message(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()

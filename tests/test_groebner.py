@@ -1,5 +1,6 @@
 """Groebner engine: division, bases, membership, elimination, radical, dimension."""
 
+import functools
 import random
 import sys
 from collections import Counter
@@ -43,6 +44,7 @@ from conormal.poly import (
 
 from strategies import (
     assert_outcome,
+    forms,
     nonzero_polynomials,
     polynomials,
     random_form,
@@ -799,6 +801,129 @@ class TestIdealMembership:
         ideal = Ideal([X**2 - Y, Y * Z])
         f = X**2 - Y
         assert ideal_membership(p * f + q * (Y * Z), ideal)
+
+
+# Two generators whose primitive integer records have the leading
+# coefficients 2 and 3, so the normal forms of words carry different
+# multipliers before they are divided by them.
+HALF_GENS = [X**2 - Y.scale(Fraction(1, 2)), Y * Z - X.scale(Fraction(1, 3))]
+HALF_IDEAL = Ideal(HALF_GENS)
+
+
+@functools.cache
+def warm_trivial_module(name, k):
+    germ = load_germ_file(name).germ
+    return germ, *_trivial_module(germ, k)
+
+
+class TestNormalFormTable:
+    """Under ``grevlex`` and ``top`` membership adds up the exact normal
+    forms of f's words from the ideal's table; the division of ``reduce``
+    is the reference."""
+
+    def test_records_have_leading_coefficients_other_than_one(self):
+        basis = HALF_IDEAL.groebner_basis()
+        assert sorted(g.divisor(GREVLEX)[1] for g in basis) == [2, 3]
+        for name in ("umbrella.germ", "cusp3.germ"):
+            _, _, module = warm_trivial_module(name, 1)
+            order = module.ideal.order
+            assert max(g.divisor(order)[1] for g in module.ideal.groebner_basis()) > 1
+
+    @given(st.lists(st.tuples(polynomials(R, max_terms=4, max_degree=4),
+                              polynomials(R, max_terms=2, max_degree=2),
+                              polynomials(R, max_terms=2, max_degree=2)),
+                    min_size=1, max_size=6))
+    def test_ideal_answers_as_the_division(self, queries):
+        # One ideal for every example, so the table grows across them.
+        basis = HALF_IDEAL.groebner_basis()
+        for f, a, b in queries:
+            member = a * HALF_GENS[0] + b * HALF_GENS[1]
+            for h in (f, member, f + member):
+                assert ideal_membership(h, HALF_IDEAL) == (not reduce(h, basis, GREVLEX))
+            assert ideal_membership(member, HALF_IDEAL)
+
+    @given(st.lists(nonzero_polynomials(R, max_terms=3, max_degree=2), min_size=1, max_size=2),
+           st.lists(polynomials(R, max_terms=4, max_degree=3), min_size=1, max_size=8))
+    @settings(max_examples=40)
+    def test_drawn_ideal_answers_as_the_division(self, gens, queries):
+        ideal = Ideal(gens)
+        basis = ideal.groebner_basis()
+        members = [q * gens[i % len(gens)] for i, q in enumerate(queries)]
+        for h in queries + members + [q + m for q, m in zip(queries, members)]:
+            assert ideal_membership(h, ideal) == (not reduce(h, basis, GREVLEX))
+
+    @pytest.mark.parametrize("name", ["umbrella.germ", "cusp3.germ"])
+    @given(data=st.data())
+    @settings(max_examples=30)
+    def test_trivial_module_answers_as_the_division(self, name, data):
+        germ, positions, module = warm_trivial_module(name, 1)
+        basis, order = module.ideal.groebner_basis(), module.ideal.order
+        gens = trivial_form_generators(germ, 1)
+        for _ in range(data.draw(st.integers(1, 4))):
+            omega = data.draw(forms(germ.ring, 1))
+            for g in gens:
+                if data.draw(st.booleans()):
+                    omega = omega + wedge(data.draw(polynomials(germ.ring, 2, 2)), g)
+            parts = [(positions[S], t) for S, t in omega._terms.items()]
+            expected = not reduce(module.encode(parts), basis, order)
+            assert module.contains(parts) == is_trivial_form(omega, germ) == expected
+
+    def test_every_entry_is_the_normal_form_of_its_word(self):
+        rng = random.Random(50)
+        ideal = Ideal(HALF_GENS)
+        for _ in range(30):
+            ideal_membership(random_polynomial(rng, R, max_terms=4, max_degree=5), ideal)
+        germ, positions, module = warm_trivial_module("umbrella.germ", 1)
+        for _ in range(10):
+            omega = random_form(rng, germ.ring, 1)
+            module.contains((positions[S], t) for S, t in omega._terms.items())
+        for table, ring, order, basis in [
+            (ideal._normal, R, GREVLEX, ideal.groebner_basis()),
+            (module.ideal._normal, module.position_ring, module.ideal.order,
+             module.ideal.groebner_basis()),
+        ]:
+            assert len(table) > 10
+            for m, entry in table.items():
+                terms = dict(entry)
+                assert terms == reduce(Polynomial(ring, {m: 1}, _clean=True), basis, order)._terms
+                assert all(type(c) is int or c.denominator != 1 for c in terms.values())
+
+    def test_remainder_runs_once_per_new_word(self, monkeypatch):
+        import conormal.groebner as groebner
+
+        ideal = Ideal(HALF_GENS)
+        ideal.groebner_basis()
+        calls = []
+        remainder = groebner._remainder
+
+        def counting(work, *args):
+            calls.append(dict(work))
+            return remainder(work, *args)
+
+        monkeypatch.setattr(groebner, "_remainder", counting)
+        f = X**3 * Y - 2 * Z**2 + X
+        assert not ideal_membership(f, ideal)
+        assert len(calls) == 3
+        calls.clear()
+        assert not ideal_membership(f, ideal)
+        assert calls == []
+        assert not ideal_membership(f.scale(7) + Y**5, ideal)
+        assert calls == [(Y**5)._terms]
+
+    def test_each_ideal_keeps_its_own_table(self):
+        # The word x has the normal form y modulo (x - y) and z modulo (x - z).
+        a, b = Ideal([X - Y]), Ideal([X - Z])
+        assert ideal_membership(X - Y, a)
+        assert not ideal_membership(X - Y, b)
+        assert ideal_membership(X - Z, b)
+        assert not ideal_membership(X - Z, a)
+
+    def test_lex_divides_the_whole_polynomial(self):
+        # NF(x^2) = y^40000 is past MAX_DEGREE, but the terms of f cancel in
+        # its division: x^2 - x*y^20000 = x*(x - y^20000).
+        ideal = Ideal([X - Y**20000], LEX)
+        assert ideal_membership(X**2 - X * Y**20000, ideal)
+        assert ideal._normal == {}
 
 
 class TestEliminate:

@@ -27,7 +27,14 @@ from conormal.cli import corpus_names, load_germ_file
 from conormal.forms import Hyperplane
 from conormal.geometry import bertini_check, random_hyperplane
 from conormal.germs import Germ, _trivial_module
-from conormal.groebner import Ideal, buchberger, eliminate, intersection, quotient
+from conormal.groebner import (
+    Ideal,
+    buchberger,
+    eliminate,
+    ideal_membership,
+    intersection,
+    quotient,
+)
 from conormal.poly import GREVLEX, LEX, Polynomial, PolynomialRing, block_order, parse_polynomial
 
 from strategies import nonzero_polynomials, polynomials, random_polynomial
@@ -84,6 +91,27 @@ def test_corpus_ideal_bases_match_sympy(name):
     for ideal in (germ.ideal, germ.jacobian):
         basis = ideal.groebner_basis()
         assert our_set(basis) == sympy_basis(list(ideal.generators), GREVLEX), name
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_warm_membership_matches_sympy(name):
+    # Seeded polynomials, half of them combinations of the generators,
+    # against the germ ideal, whose table of normal forms fills as they
+    # run; sympy divides each by its own basis.
+    germ = load_germ_file(name).germ
+    ring, gens = germ.ring, germ.ideal.generators
+    symbols = sympy.symbols(ring.variables)
+    basis = sympy.groebner([to_sympy(g, symbols) for g in gens], *symbols, order="grevlex")
+    rng = random.Random(50)
+    answers = []
+    for _ in range(40):
+        f = random_polynomial(rng, ring, max_terms=4, max_degree=4)
+        if rng.random() < 0.5:
+            f = f * gens[0] + sum((random_polynomial(rng, ring, 2, 2) * g for g in gens[1:]),
+                                  ring.zero)
+        answers.append(ideal_membership(f, germ.ideal))
+        assert answers[-1] == basis.contains(to_sympy(f, symbols).as_expr()), (name, f)
+    assert germ.ideal._normal and 0 < sum(answers) < len(answers)
 
 
 TRIVIAL_MODULES = [
