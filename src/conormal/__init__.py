@@ -26,7 +26,6 @@ from .groebner import (
     ideal_membership,
     intersection,
     krull_dimension,
-    module_membership,
     quotient,
     radical_membership,
     reduce,

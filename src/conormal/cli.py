@@ -76,23 +76,6 @@ class GermFile:
     parametrization: Optional[Parametrization] = None
     expects: list = field(default_factory=list)  # (kind, argument, value) triples
 
-    def render(self) -> str:
-        """Canonical text (parses back to equal data)."""
-        lines = ["ring " + " ".join(self.germ.ring.variables)]
-        lines += [f"gen {g}" for g in self.germ.generators]
-        for name in self.forms:
-            lines.append(f"form {name} {format_form_parts(self.forms[name])}")
-        if self.parametrization is not None:
-            par = self.parametrization
-            lines.append(
-                "param "
-                + " ".join(par.ring.variables)
-                + " -> "
-                + ", ".join(str(p) for p in par.components)
-            )
-        lines += [f"expect {kind} {arg} {value}" for kind, arg, value in self.expects]
-        return "\n".join(lines) + "\n"
-
 
 class GermFileError(ValueError):
     pass

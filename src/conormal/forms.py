@@ -273,11 +273,6 @@ class VectorField:
         same_ring(self, *comps)
         self.components = comps
 
-    def apply(self, g: Polynomial) -> Polynomial:
-        """Directional derivative V(g) = sum_i V_i * dg/dx_i."""
-        same_ring(self, g)
-        return self.contract(exterior_derivative(g))
-
     def contract(self, alpha: "DifferentialForm") -> Polynomial:
         """The interior product of a 1-form alpha = sum_i a_i dx_i with the
         field, sum_i V_i * a_i, added up in one term dict; V(g) for dg."""

@@ -118,14 +118,6 @@ class Verdict:
     reduced: Optional[Polynomial] = None
 
     @property
-    def is_certified_yes(self) -> bool:
-        return self.status is VerdictStatus.CERTIFIED_YES
-
-    @property
-    def is_certified_no(self) -> bool:
-        return self.status is VerdictStatus.CERTIFIED_NO
-
-    @property
     def witness(self) -> str:
         if self.reduced is None:
             return self._claim()
@@ -523,7 +515,8 @@ def decide(
             answers.append(None)
             reason = reason or str(e)
     source, kept = ("oracle", ()) if oracle else ("criterion", tuple(answers))
-    if any(a is False or isinstance(a, Verdict) and a.is_certified_no for a in answers):
+    if any(a is False or isinstance(a, Verdict) and a.status is VerdictStatus.CERTIFIED_NO
+           for a in answers):
         return Decision(VerdictStatus.CERTIFIED_NO, source, kept, question=question)
     if reason is not None:
         return Decision(None, "refused", kept, reason, question)

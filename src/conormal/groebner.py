@@ -8,9 +8,9 @@ ideal quotient (I : g)), each one colon of :func:`_colon`,
 ``implicitization`` (the ideal of the closure of a polynomial map's image),
 ``radical_membership`` (plain membership against the cached basis, then the
 Rabinowitsch trick: the pair loop, seeded with the records of that basis,
-meets a constant or not), ``krull_dimension``
+meets a constant or not), and ``krull_dimension``
 (independent variable sets modulo the leading-term ideal of the cached
-basis) and ``module_membership``, whose vectors are tuples of polynomials.
+basis).
 
 There is one division kernel, :func:`_remainder`, and one S-combination
 kernel, :func:`_s_terms`, both on raw term dicts, and one pair loop.  A
@@ -737,10 +737,3 @@ def module_reduce(v: Sequence[Polynomial], basis: Sequence[Sequence[Polynomial]]
     rank, in the order of :func:`module_buchberger`."""
     sub = _submodule(v, basis)
     return sub.decode(reduce(sub.encode(_parts(v)), sub.ideal.generators, sub.ideal.order))
-
-
-def module_membership(v: Sequence[Polynomial], gens: Sequence[Sequence[Polynomial]]) -> bool:
-    """Whether the vector v lies in the submodule of R^rank generated by the
-    vectors ``gens``; the encoded basis is used as it comes out of
-    ``buchberger``."""
-    return _submodule(v, gens).contains(_parts(v))

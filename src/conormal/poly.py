@@ -379,11 +379,6 @@ class PolynomialRing:
         """The total degree of a word."""
         return m >> self._shift
 
-    def divides(self, a: int, b: int) -> bool:
-        """Whether the monomial ``a`` divides ``b``: no field of b - a borrows."""
-        guards = self.guards
-        return ((b | guards) - a) & guards == guards
-
     def lcm(self, a: int, b: int) -> int:
         """The least common multiple: the larger exponent in each field.
 
@@ -565,19 +560,6 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def total_degree(self) -> int:
-        """Total degree, with -1 as the degree of the zero polynomial."""
-        if not self._terms:
-            return -1
-        return self.ring.degree(max(self._terms))
-
-    def leading(self, order: MonomialOrder):
-        """The (word, coefficient) pair maximal under ``order``; None if zero."""
-        if not self._terms:
-            return None
-        lm = self.divisor(order)[0]
-        return lm, self._terms[lm]
-
     def divisor(self, order: MonomialOrder) -> tuple:
         """``(lm, a, tail, reach)``: what division by this nonzero
         polynomial reads under ``order``, taken from its primitive integer
@@ -623,9 +605,6 @@ class Polynomial:
 
     def constant_coefficient(self) -> Scalar:
         return self._terms.get(0, 0)
-
-    def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -682,7 +661,11 @@ class Polynomial:
         return self.ring == other.ring and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.ring, frozenset(self._terms.items())))
+        # A constant equals its number, so it hashes as that number.
+        terms = self._terms
+        if len(terms) < 2 and (not terms or 0 in terms):
+            return hash(terms.get(0, 0))
+        return hash((self.ring, frozenset(terms.items())))
 
     def substitute(self, ring: PolynomialRing, images: Sequence["Polynomial"]) -> "Polynomial":
         """Apply the ring map sending variable i to ``images[i]`` (all in ``ring``).

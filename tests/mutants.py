@@ -135,6 +135,15 @@ MUTANTS = [
         ("tests/test_forms.py::TestExteriorDerivative",),
     ),
     Mutant(
+        "d-one-term-wrong-sign", "forms.py",
+        "        dc = {(i,): t for i in range(ring.nvars) if (t := _partial_terms(ring, coeff, i))}",
+        "        dc = {(i,): t if i or not idx else {m: -c for m, c in t.items()}\n"
+        "              for i in range(ring.nvars) if (t := _partial_terms(ring, coeff, i))}",
+        "d(c dx_I) has the term dc/dx_1 dx_1 ^ dx_I with a plus sign: with a minus, d of"
+        " a trivial form f dx_S is no longer trivial",
+        ("tests/test_germs.py::TestDifferentialIdealClosure",),
+    ),
+    Mutant(
         "vector-field-unsigned", "forms.py",
         "_add_into({}, terms, sign < 0)", "_add_into({}, terms)",
         "V_i is s_i*a_i, with s_i the sign of dx_{[n] minus i} ^ dx_i",
@@ -188,6 +197,14 @@ MUTANTS = [
         ("tests/test_poly.py::TestInputChecks",),
     ),
     Mutant(
+        "trivial-generators-without-df-half", "germs.py",
+        "    for df in germ.differentials:\n        for T in combinations(range(n), k - 1):",
+        "    for df in ():\n        for T in combinations(range(n), k - 1):",
+        "the trivial k-forms are generated by the f_j dx_S and the df_j ^ dx_T; without"
+        " the second half d(f_j dx_S) = df_j ^ dx_S is not trivial",
+        ("tests/test_germs.py::TestDifferentialIdealClosure",),
+    ),
+    Mutant(
         "trivial-false-above-top-degree", "germs.py",
         "        return True  # only the zero form", "        return False  # only the zero form",
         "a form of degree above n is the zero form, which is trivial",
@@ -214,13 +231,15 @@ MUTANTS = [
     ),
     Mutant(
         "decide-refusal-before-refutation", "germs.py",
-        "    if any(a is False or isinstance(a, Verdict) and a.is_certified_no for a in answers):\n"
+        "    if any(a is False or isinstance(a, Verdict) and a.status is VerdictStatus.CERTIFIED_NO\n"
+        "           for a in answers):\n"
         "        return Decision(VerdictStatus.CERTIFIED_NO, source, kept, question=question)\n"
         "    if reason is not None:\n"
         "        return Decision(None, \"refused\", kept, reason, question)\n",
         "    if reason is not None:\n"
         "        return Decision(None, \"refused\", kept, reason, question)\n"
-        "    if any(a is False or isinstance(a, Verdict) and a.is_certified_no for a in answers):\n"
+        "    if any(a is False or isinstance(a, Verdict) and a.status is VerdictStatus.CERTIFIED_NO\n"
+        "           for a in answers):\n"
         "        return Decision(VerdictStatus.CERTIFIED_NO, source, kept, question=question)\n",
         "one refuted part refutes the claim, even if another part is refused",
         ("tests/test_germs.py::TestDecide::test_refuted_part_beats_refused_part",),
@@ -249,6 +268,20 @@ MUTANTS = [
         "        return up.__rlshift__", "        return lambda m: m",
         "a submodule's encoding moves each word past the position variables",
         ("tests/test_groebner.py::TestModuleMembership",),
+    ),
+    Mutant(
+        "lcm-smaller-field", "poly.py",
+        "        word = (b ^ ((a ^ b) & pick)) & self.fields",
+        "        word = (a ^ ((a ^ b) & pick)) & self.fields",
+        "the lcm takes the larger exponent in each field",
+        ("tests/test_poly.py::TestKernels::test_monomial_helpers",),
+    ),
+    Mutant(
+        "div-floors", "poly.py",
+        "        return Fraction(a, b) if r else q", "        return q",
+        "the quotient of two ints that do not divide is a Fraction, not its floor",
+        ("tests/test_poly.py::TestKernels::test_div_is_the_normalized_quotient",
+         "tests/test_poly.py::TestKernels::test_div_signs_and_zero_numerator"),
     ),
     Mutant(
         "primitive-lead-negative", "poly.py",

@@ -1,8 +1,9 @@
 """Hypothesis strategies and seeded random generators for algebra objects,
 the coefficient check ``assert_exact``, the outcome check
 ``assert_outcome``, the reference ring map
-``reference_substitute`` and the reference divisions ``reference_reduce``
-and ``reference_is_trivial``."""
+``reference_substitute``, the lead ``lead`` and the reference divisions
+``reference_reduce`` and ``reference_is_trivial``, and the submodule
+membership ``in_submodule``."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from conormal.forms import DifferentialForm, form_degree
 from conormal.germs import Germ, _trivial_module
+from conormal.groebner import Submodule, _parts
 from conormal.poly import Polynomial, PolynomialRing, parse_polynomial
 
 
@@ -50,17 +52,22 @@ def reference_substitute(p, ring, images):
     return out
 
 
+def lead(p, order):
+    """The (exponent tuple, coefficient) of the largest term of the nonzero p
+    under ``order``, read from its terms, not from its cached divisor record."""
+    m = max(p._terms, key=order.key(p.ring))
+    return p.ring.unpack(m), p._terms[m]
+
+
 def reference_reduce(f, basis, order):
     """The textbook division loop on exponent tuples: take the leading term
     of what is left, cancel it with the first basis element whose lead
     divides it, else move it to the remainder.  Every element is tested,
     whatever its position under a module order."""
-    unpack = f.ring.unpack
-    divisors = [(g, unpack(g.leading(order)[0]), g.leading(order)[1]) for g in basis if g]
+    divisors = [(g, *lead(g, order)) for g in basis if g]
     rest, remainder = f, f.ring.zero
     while rest:
-        m, c = rest.leading(order)
-        m = unpack(m)
+        m, c = lead(rest, order)
         term = Polynomial(f.ring, {m: c})
         for g, lm, lc in divisors:
             if all(x <= y for x, y in zip(lm, m)):
@@ -85,6 +92,13 @@ def reference_is_trivial(omega, germ: Germ) -> bool:
         ideal = module.ideal
         f = module.encode((positions[S], t) for S, t in omega._terms.items())
     return not reference_reduce(f, ideal.groebner_basis(), ideal.order)
+
+
+def in_submodule(v, gens) -> bool:
+    """Whether the vector v, a tuple of polynomials, lies in the submodule
+    generated by the vectors ``gens``: the question ``is_trivial_form`` asks
+    of ``Submodule.contains``."""
+    return Submodule(v[0].ring, len(v), map(_parts, gens)).contains(_parts(v))
 
 
 def coefficients():

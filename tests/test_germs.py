@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conormal.cli import corpus_names, load_germ_file
+from conormal.cli import _resolve_form, corpus_names, load_germ_file
 from conormal.forms import (
     DifferentialForm,
     VectorField,
@@ -51,6 +51,7 @@ from strategies import (
     random_polynomial,
 )
 
+YES, NO = VerdictStatus.CERTIFIED_YES, VerdictStatus.CERTIFIED_NO
 R = PolynomialRing(["x", "y", "z"])
 X, Y, Z = R.gens()
 UV = PolynomialRing(["u", "v"])
@@ -126,14 +127,14 @@ class TestGermConstruction:
 
 class TestIsConormal:
     def test_isolated_singularity_2form(self, cusp):
-        assert is_conormal(form("x*dy*dz + 3*z*dx*dy"), cusp).is_certified_yes
+        assert is_conormal(form("x*dy*dz + 3*z*dx*dy"), cusp).status is YES
 
     def test_umbrella_1form(self, umbrella):
-        assert is_conormal(form("y*z*dx + 2*x*z*dy - 2*x*y*dz"), umbrella).is_certified_yes
+        assert is_conormal(form("y*z*dx + 2*x*z*dy - 2*x*y*dz"), umbrella).status is YES
 
     def test_refuted_with_radical_witness(self, umbrella):
         verdict = is_conormal(form("dx"), umbrella)
-        assert verdict.is_certified_no
+        assert verdict.status is NO
         assert "radical" in verdict.witness
 
     def test_requires_complete_intersection(self):
@@ -146,7 +147,7 @@ class TestIsConormal:
         for _ in range(25):
             p = random_polynomial(rng, R, max_terms=3, max_degree=4)
             verdict = is_conormal(p, umbrella)
-            assert verdict.is_certified_yes == ideal_membership(p, umbrella.ideal)
+            assert (verdict.status is YES) == ideal_membership(p, umbrella.ideal)
 
     def test_bases_per_refutation(self, pair_loops):
         # Deterministic work gate on pair-loop runs.  On the radical
@@ -158,15 +159,15 @@ class TestIsConormal:
         plane = PolynomialRing(["x", "y"])
         x, y = plane.gens()
         double_line = Germ(plane, [x**2])
-        assert is_conormal(form("dx"), umbrella).is_certified_no
+        assert is_conormal(form("dx"), umbrella).status is NO
         assert len(pair_loops) == 2
         pair_loops.clear()
-        assert is_conormal(form("dy"), umbrella).is_certified_no
-        assert is_conormal(form("dx"), umbrella).is_certified_no
+        assert is_conormal(form("dy"), umbrella).status is NO
+        assert is_conormal(form("dx"), umbrella).status is NO
         assert not pair_loops
-        assert is_conormal(y, double_line).is_certified_no  # warms radical
+        assert is_conormal(y, double_line).status is NO  # warms radical
         pair_loops.clear()
-        assert is_conormal(y, double_line).is_certified_no
+        assert is_conormal(y, double_line).status is NO
         assert len(pair_loops) == 1
 
     def test_one_membership_reduction_per_tested_polynomial(self, monkeypatch):
@@ -207,18 +208,18 @@ class TestIsConormal:
 class TestIsTangential:
     def test_scaling_field_of_umbrella(self, umbrella):
         v = VectorField(R, [R.zero, -Y, -Z])
-        assert is_tangential(v, umbrella).is_certified_yes
+        assert is_tangential(v, umbrella).status is YES
 
     def test_transverse_field_refuted(self):
         line = PolynomialRing(["x"])
         germ = Germ(line, [line.var(0)])
         field = VectorField(line, [line.one])
-        assert is_tangential(field, germ).is_certified_no
+        assert is_tangential(field, germ).status is NO
 
     def test_image_of_conormal_top_minus_one_form(self, umbrella):
         w = form("y*dx*dz - z*dx*dy")
-        assert is_conormal(w, umbrella).is_certified_yes
-        assert is_tangential(form_to_vector_field(w), umbrella).is_certified_yes
+        assert is_conormal(w, umbrella).status is YES
+        assert is_tangential(form_to_vector_field(w), umbrella).status is YES
 
 
 class TestVerdict:
@@ -282,7 +283,7 @@ class TestVerdict:
         double_line = Germ(plane, [x**2])
         v = is_conormal(x, double_line)
         assert (v.tested, v.offender, v.wedge) == ((((), x),), ((), x), None)
-        assert v.is_certified_yes and v.reduced is None
+        assert v.status is YES and v.reduced is None
         v = is_conormal(form("dy", plane), double_line)  # decided on V(x)
         assert (v.tested, v.offender, v.reduced) == ((((0, 1), -plane.one),),
                                                      ((0, 1), -plane.one), x)
@@ -291,7 +292,7 @@ class TestVerdict:
         assert v.tested == tuple(v.wedge.coefficients())
         assert v.offender == ((0, 1), -2 * X * Y)
         v = is_conormal(form("dx", plane), double_line)
-        assert v.is_certified_yes and v.tested == () and not v.wedge
+        assert v.status is YES and v.tested == () and not v.wedge
         [g] = umbrella.generators
         v = is_tangential(VectorField(R, [R.one, R.zero, R.zero]), umbrella)
         assert v.tested == ((g, -(Y**2)),) and v.offender == (g, -(Y**2)) and v.wedge is None
@@ -410,13 +411,13 @@ class TestReducedGerm:
         double_axis = Germ(R, [X**2, Y])
         with pytest.raises(Refusal, match="the germ is not reduced"):
             is_conormal(form("dz"), double_axis)
-        assert is_conormal(X, double_axis).is_certified_yes
-        assert is_conormal(form("x*dz"), double_axis).is_certified_yes
-        assert is_conormal(form("dy"), double_axis).is_certified_yes  # dy ^ dy = 0
+        assert is_conormal(X, double_axis).status is YES
+        assert is_conormal(form("x*dz"), double_axis).status is YES
+        assert is_conormal(form("dy"), double_axis).status is YES  # dy ^ dy = 0
         embedded = Germ(R, [X**2, X * Y])
         with pytest.raises(Refusal, match="the germ may not be reduced"):
             is_tangential(VectorField(R, [R.zero, R.one, R.zero]), embedded)
-        assert is_tangential(VectorField(R, [R.one, R.zero, R.zero]), embedded).is_certified_no
+        assert is_tangential(VectorField(R, [R.one, R.zero, R.zero]), embedded).status is NO
         for germ in (double_axis, embedded):
             with pytest.raises(Refusal):
                 germ.reduced
@@ -455,12 +456,12 @@ class TestDerivedFacts:
         )
         germ = Germ(R, umbrella.generators)
         omega1 = form("y*z*dx + 2*x*z*dy - 2*x*y*dz")
-        assert is_conormal(omega1, germ).is_certified_yes
+        assert is_conormal(omega1, germ).status is YES
         assert len(calls) == 1
-        assert is_conormal(omega1, germ).is_certified_yes
+        assert is_conormal(omega1, germ).status is YES
         trivial_form_generators(germ, 2)
         assert len(calls) == 1
-        assert is_conormal(omega1, Germ(R, umbrella.generators)).is_certified_yes
+        assert is_conormal(omega1, Germ(R, umbrella.generators)).status is YES
         assert len(calls) == 2
 
     def test_jacobian_generators_are_the_maximal_minors(self):
@@ -544,7 +545,7 @@ class TestTrivialForms:
     def test_generators_are_conormal(self, cusp, umbrella):
         for germ, k in ((cusp, 1), (umbrella, 1), (umbrella, 2)):
             for g in trivial_form_generators(germ, k):
-                assert is_conormal(g, germ).is_certified_yes
+                assert is_conormal(g, germ).status is YES
 
     def test_nontrivial_paper_forms(self, cusp, umbrella):
         assert not is_trivial_form(form("x*dy*dz + 3*z*dx*dy"), cusp)
@@ -724,9 +725,9 @@ class TestParametrizationOracle:
             w = form(text)
             verdict = is_conormal(w, umbrella)
             assert oracle_conormal_on_parametrization(w, umbrella_param) == expected
-            if verdict.is_certified_yes:
+            if verdict.status is YES:
                 assert expected
-            if verdict.is_certified_no:
+            if verdict.status is NO:
                 assert not expected
 
 
@@ -826,15 +827,50 @@ class TestDecide:
 
 
 class TestDifferentialIdealClosure:
+    """The paper's section 2: the conormal forms of a germ form a
+    differential ideal, and the trivial forms, the differential ideal
+    generated by its ideal I, lie inside it.  These hold on every germ, so
+    they check verdicts without an oracle; read backwards, a CertifiedNo on
+    d(omega) would refute the CertifiedYes on omega."""
+
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_corpus_conormal_forms_are_closed(self, name):
+        # d(omega), omega ^ dx_i and x_i * omega of each part of each form
+        # an ``expect check ... CertifiedYes`` line names.
+        gf = load_germ_file(name)
+        germ, ring = gf.germ, gf.germ.ring
+        forms = [part for kind, argument, value in gf.expects
+                 if kind == "check" and value == "CertifiedYes"
+                 for part in _resolve_form(gf, argument)]
+        assert forms
+        for omega in forms:
+            assert is_conormal(omega, germ).status is YES, omega
+            derived = [exterior_derivative(omega)]
+            derived += [wedge(omega, DifferentialForm(ring, 1, {(i,): ring.one}))
+                        for i in range(ring.nvars)]
+            derived += [omega.scale(x) for x in ring.gens()]
+            for eta in derived:
+                assert is_conormal(eta, germ).status is YES, (omega, eta)
+
+    @pytest.mark.parametrize("name", ["umbrella.germ", "cusp3.germ", "segre.germ"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_trivial_forms_are_conormal_and_closed_under_d(self, name, k):
+        germ = load_germ_file(name).germ
+        generators = trivial_form_generators(germ, k)
+        assert generators
+        for tau in generators:
+            assert is_conormal(tau, germ).status is YES, tau
+            assert is_trivial_form(exterior_derivative(tau), germ), tau
+
     def test_closure_under_d_product_and_scaling(self, umbrella):
         rng = random.Random(17)
         w = form("y*z*dx + 2*x*z*dy - 2*x*y*dz")
-        assert is_conormal(exterior_derivative(w), umbrella).is_certified_yes
+        assert is_conormal(exterior_derivative(w), umbrella).status is YES
         for _ in range(5):
             eta = random_form(rng, R, 1)
-            assert is_conormal(wedge(eta, w), umbrella).is_certified_yes
+            assert is_conormal(wedge(eta, w), umbrella).status is YES
             p = random_polynomial(rng, R, max_terms=2, max_degree=2)
-            assert is_conormal(w.scale(p), umbrella).is_certified_yes
+            assert is_conormal(w.scale(p), umbrella).status is YES
 
 
 class TestInclusionAndComponents:
@@ -845,8 +881,8 @@ class TestInclusionAndComponents:
         assert sub.complete_intersection
         for text in ["y*z*dx + 2*x*z*dy - 2*x*y*dz", "y*dx*dz - z*dx*dy"]:
             w = form(text)
-            assert is_conormal(w, umbrella).is_certified_yes
-            assert not is_conormal(w, sub).is_certified_no
+            assert is_conormal(w, umbrella).status is YES
+            assert is_conormal(w, sub).status is not NO
 
     def test_intersection_of_component_conormals(self):
         # X = V(xy) with components V(x), V(y): a form conormal to both
@@ -862,8 +898,8 @@ class TestInclusionAndComponents:
             w = wedge(exterior_derivative(Y), beta).scale(X) + wedge(
                 exterior_derivative(X), alpha
             ).scale(Y)
-            assert not is_conormal(w, vx).is_certified_no
-            assert not is_conormal(w, vy).is_certified_no
+            assert is_conormal(w, vx).status is not NO
+            assert is_conormal(w, vy).status is not NO
             eta = wedge(w, exterior_derivative(product))
             radical = Ideal([product])
             for _, c in eta.coefficients():
@@ -880,7 +916,7 @@ class TestInclusionAndComponents:
                 for f in germ.generators:
                     h = h + random_polynomial(rng, germ.ring, max_terms=2, max_degree=2) * f
                 w = exterior_derivative(h)
-                assert is_conormal(w, germ).is_certified_yes
+                assert is_conormal(w, germ).status is YES
                 g = radial_potential(w)
                 assert g == h
                 assert ideal_membership(g, germ.ideal)
