@@ -294,6 +294,10 @@ class VectorField:
             and self.components == other.components
         )
 
+    def __hash__(self) -> int:
+        # A Verdict keeps the field it decided, and stays hashable.
+        return hash((self.ring, self.components))
+
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.components) + ")"
 

@@ -8,9 +8,10 @@ differentials of its generators and their wedge product, its Jacobian ideal
 and its dimension, its radicality and the modules of its trivial forms --
 the germ computes on first use and keeps (see :class:`Germ`).
 Because membership is decided in the polynomial ring rather than the local
-analytic ring, germ-level claims come back as a :class:`Verdict`: a record
-of the polynomials the claim was reduced to and the one that decided it,
-whose witness text is rendered only when read, with one of two statuses:
+analytic ring, germ-level claims come back as a :class:`Verdict`: the claim,
+the germ it was decided on and the key of the polynomial that decided it,
+from which the record of what was tested and the witness text are made only
+when read, with one of two statuses:
 
 * ``CertifiedYes`` -- established by an exact ideal-membership certificate,
   or, for a polynomial (a degree-0 claim), by radical membership;
@@ -30,11 +31,21 @@ CertifiedYes.  A claim in positive degree that survives it is decided on
 generator; on other germs it is refused with a :class:`Refusal`, a
 ``ValueError`` that gives the reason.
 
-The conormality test wedges the candidate form with df_1 ^ ... ^ df_m
-(``Germ.jacobian_form``) and checks that every coefficient of the product
-lies in the generator ideal; this criterion needs a complete intersection
-(dim V(f_1, ..., f_m) = n - m); for other germs :func:`decide` asks the
-independent parametrization oracle.  :func:`decide` is the one decision of
+A form is conormal when every coefficient of its wedge with df_1 ^ ... ^
+df_m (``Germ.jacobian_form``) lies in the generator ideal; this criterion
+needs a complete intersection (dim V(f_1, ..., f_m) = n - m); for other
+germs :func:`decide` asks the independent parametrization oracle.  A field
+V is tangent when every V(f_j) lies in the ideal.  Both tests are Q-linear
+in the claim once normal forms are taken, because the normal form modulo a
+Groebner basis is unique (Cox-Little-O'Shea, *Ideals, Varieties, and
+Algorithms*, ch. 2 section 6).  So a germ keeps one table of rows per test
+(see :class:`_Table`), the exact normal forms of m*dx_idx ^ df_1 ^ ... ^ df_m
+and of m*d_j f_i per word m, and a test adds c*row over the terms of the
+claim into one flat sum.  It makes no wedge and no contraction, and no
+polynomial but the normal form that a non-radical germ hands to its
+Rabinowitsch step: the nonzero entries of the sum are the normal forms of
+the coefficients outside the ideal, from which ``_classify`` decides.
+:func:`decide` is the one decision of
 every claim: conormal, tangent, trivial, vanishes on Sing X, or pulled back
 to zero by the oracle.  It asks each part of the claim and aggregates the
 answers into one :class:`Decision`.
@@ -48,6 +59,7 @@ from functools import cached_property, partial
 from itertools import combinations
 from typing import Optional, Sequence
 
+from ._expr import wedge_index_tuples
 from .forms import (
     DifferentialForm,
     FormLike,
@@ -65,13 +77,15 @@ from .groebner import (
     Ideal,
     Submodule,
     _colon,
+    _normal_form,
+    _normal_terms,
     _rabinowitsch,
     ideal_membership,
     implicitization,
     krull_dimension,
     radical_membership,
 )
-from .poly import GREVLEX, Polynomial, PolynomialRing, same_ring
+from .poly import GREVLEX, Polynomial, PolynomialRing, _check_degree, same_ring
 
 
 class VerdictStatus(Enum):
@@ -97,25 +111,61 @@ _DEGREE_ZERO = {
 class Verdict:
     """Outcome of a germ-level claim checked in the polynomial ring.
 
-    ``tested`` holds the (key, polynomial) pairs the claim was reduced to,
-    each claimed to lie in the generator ideal.  A key is ``()`` for a
-    degree-0 claim, an index tuple for a coefficient of ``wedge`` = omega ^
-    ``Germ.jacobian_form`` (a conormality claim in positive degree; when the
-    wedge is the zero form, ``tested`` is empty), or the generator g for the
-    derivative V(g) of a tangency claim.  ``offender`` is the pair that
-    decided a CertifiedNo, or the polynomial of a degree-0 CertifiedYes that
-    the radical test decided.  ``reduced`` is the generator of
-    ``Germ.reduced`` when the claim was decided on it, not on the given
-    generator.  ``witness`` renders the record as text when it is read;
+    A verdict keeps the ``claim`` (a polynomial, a form of positive degree
+    or a vector field), the ``germ`` it was decided on and the ``key`` of
+    the polynomial that decided it, or None.  ``reduced`` is the generator
+    of ``Germ.reduced`` when the claim was decided on it, not on the given
+    generator.  Deciding makes no more: the record below is made from these
+    fields when it is read, as the witness is.
+
+    * ``wedge``: omega ^ ``Germ.jacobian_form`` for a form; None otherwise;
+    * ``tested``: the (key, polynomial) pairs the claim was reduced to, each
+      claimed to lie in the generator ideal.  A key is ``()`` for a degree-0
+      claim, an index tuple for a coefficient of ``wedge`` (a conormality
+      claim in positive degree; when the wedge is the zero form, ``tested``
+      is empty), or the generator g for the derivative V(g) of a tangency
+      claim;
+    * ``offender``: the pair that decided a CertifiedNo, or the polynomial
+      of a degree-0 CertifiedYes that the radical test decided.
+
+    The field ``key`` is that pair's key, or for a tangency claim the
+    position of its generator.  ``witness`` renders the record as text;
     labels such as ``dx*dy`` and ``V(g)`` come from the keys and are never
     stored.
     """
 
     status: VerdictStatus
-    tested: tuple
-    offender: Optional[tuple] = None
-    wedge: Optional[DifferentialForm] = None
+    claim: object
+    germ: Germ
+    key: object = None
     reduced: Optional[Polynomial] = None
+
+    @cached_property
+    def wedge(self) -> Optional[DifferentialForm]:
+        if isinstance(self.claim, DifferentialForm):
+            return wedge(self.claim, self.germ.jacobian_form)
+        return None
+
+    @cached_property
+    def tested(self) -> tuple:
+        claim, germ = self.claim, self.germ
+        if isinstance(claim, VectorField):
+            pairs = zip(germ.generators, germ.differentials)
+            return tuple((g, claim.contract(dg)) for g, dg in pairs)
+        if self.wedge is None:
+            return (((), claim),)
+        return tuple(self.wedge.coefficients())
+
+    @property
+    def offender(self) -> Optional[tuple]:
+        key = self.key
+        if key is None:
+            return None
+        if isinstance(self.claim, VectorField):
+            return self.tested[key]
+        if self.wedge is None:
+            return (), self.claim
+        return key, self.wedge.coefficient(key)
 
     @property
     def witness(self) -> str:
@@ -124,25 +174,90 @@ class Verdict:
         return f"on the reduced germ V({self.reduced}): {self._claim()}"
 
     def _claim(self) -> str:
-        if self.wedge is None and self.tested[0][0] == ():
-            return _DEGREE_ZERO[self.status, self.offender is not None]
-        if self.offender is None:
-            if self.wedge is not None:
-                return (
-                    f"wedge with generator differentials = {format_form(self.wedge)}; "
-                    "every coefficient is in the generator ideal"
-                )
-            shown = "; ".join(f"V({g}) = {p}" for g, p in self.tested)
-            return f"{shown}; all in the generator ideal"
+        if isinstance(self.claim, Polynomial):
+            return _DEGREE_ZERO[self.status, self.key is not None]
+        field = isinstance(self.claim, VectorField)
+        if self.key is None:
+            if field:
+                shown = "; ".join(f"V({g}) = {p}" for g, p in self.tested)
+                return f"{shown}; all in the generator ideal"
+            return (
+                f"wedge with generator differentials = {format_form(self.wedge)}; "
+                "every coefficient is in the generator ideal"
+            )
         key, p = self.offender
-        if self.wedge is None:
-            claim = f"V({key}) = {p}"
-        else:
-            claim = f"coefficient {p} on {_differentials(p.ring, key)}"
+        claim = f"V({key}) = {p}" if field else f"coefficient {p} on {_differentials(p.ring, key)}"
         return f"{claim} is not in the radical of the ideal"
 
     def __str__(self) -> str:
         return f"{self.status.value}: {self.witness}"
+
+
+class _Table:
+    """The rows of one Q-linear map of a germ's claims into exact normal
+    forms modulo its generator ideal, filled on first use and kept.
+
+    A claim is a sum of terms c*m at positions ``prefix``: an index tuple
+    idx for m*dx_idx, or a variable j for m*d/dx_j.  ``images`` maps each
+    position to the (key, negate, term dict) triples that the term 1 there
+    maps to, and the row of (prefix, m) is the normal form of the sum of
+    +-m*terms on each key, read word by word from the ideal's table (see
+    :class:`~conormal.groebner.Ideal`).  ``rows[prefix]`` maps m to the row,
+    stored flat as ``((code, value), ...)`` with one int code per (key,
+    word): ``codes[key]`` maps the word to its code, assigned in fill order,
+    and ``keys`` maps the code back.  The normal form modulo a Groebner
+    basis is unique, so a row never goes stale; it holds for its germ
+    alone, and no table is shared."""
+
+    __slots__ = ("ideal", "images", "rows", "codes", "keys")
+
+    def __init__(self, ideal: Ideal, images: dict):
+        self.ideal, self.images = ideal, images
+        self.rows = {prefix: {} for prefix in images}
+        self.codes, self.keys = {}, []
+
+    def _fill(self, prefix, m: int) -> tuple:
+        ideal = self.ideal
+        ideal.groebner_basis()
+        normal, limit, keys, acc = ideal._normal, ideal.ring.limit, self.keys, {}
+        for key, negate, terms in self.images[prefix]:
+            _check_degree(m + max(terms), limit)
+            codes = self.codes.setdefault(key, {})
+            for w, c in terms.items():
+                word = m + w
+                entry = normal.get(word)
+                if entry is None:
+                    entry = normal[word] = _normal_form(word, ideal)
+                if negate:
+                    c = -c
+                for t, v in entry:
+                    code = codes.get(t)
+                    if code is None:
+                        code = codes[t] = len(keys)
+                        keys.append((key, t))
+                    acc[code] = acc.get(code, 0) + c * v
+        row = self.rows[prefix][m] = tuple([(code, v) for code, v in acc.items() if v])
+        return row
+
+    def normal_forms(self, parts) -> list:
+        """The sum of c*row over the terms c*m of a claim, given as
+        (prefix, term dict) pairs: the (key, term dict) pairs, sorted by
+        key, of its nonzero normal forms."""
+        rows, total = self.rows, {}
+        for prefix, terms in parts:
+            filled = rows[prefix]
+            for m, c in terms.items():
+                row = filled.get(m)
+                if row is None:
+                    row = self._fill(prefix, m)
+                for code, v in row:
+                    total[code] = total.get(code, 0) + c * v
+        keys, out = self.keys, {}
+        for code, v in total.items():
+            if v:
+                key, word = keys[code]
+                out.setdefault(key, {})[word] = v
+        return sorted(out.items())
 
 
 class Germ:
@@ -162,8 +277,7 @@ class Germ:
 
     * ``differentials``: the exterior derivatives df_1, ..., df_m;
     * ``jacobian_form``: df_1 ^ ... ^ df_m, whose coefficients are the m x m
-      minors of the Jacobian matrix and which the conormality test wedges
-      every candidate form with;
+      minors of the Jacobian matrix;
     * ``jacobian``: the ideal of Sing X for a complete intersection, the
       generators plus the nonzero coefficients of ``jacobian_form``; it
       raises on every access for other germs;
@@ -177,7 +291,12 @@ class Germ:
       one colon (f*R^k : (d_i f)_i) over the k nonzero partials (see
       ``groebner._colon``), which is (f) : (d_1 f, ..., d_k f), the
       squarefree part of f; the given generator stays for display.  Other
-      germs raise a :class:`Refusal` on every access.
+      germs raise a :class:`Refusal` on every access;
+    * ``_conormal_table`` and ``_tangent_table``: the :class:`_Table` rows,
+      under grevlex, of the two linear maps the tests read.  The row of
+      (idx, m) is the normal form of m*dx_idx ^ ``jacobian_form``, by index
+      tuple, and the row of (j, m) that of m*d_j f_i, by generator position
+      i.  Each gains its rows as claims reach them.
 
     ``_trivial`` maps a degree k to (positions of the k-index tuples,
     :class:`Submodule` of the degree-k trivial forms), which
@@ -248,6 +367,25 @@ class Germ:
             form = wedge(form, dg)
         return form
 
+    @cached_property
+    def _conormal_table(self) -> _Table:
+        n, images = self.ring.nvars, {}
+        for k in range(1, n + 1):
+            for idx in combinations(range(n), k):
+                images[idx] = image = []
+                for K, terms in self.jacobian_form._terms.items():
+                    merged = wedge_index_tuples(idx, K)
+                    if merged is not None:
+                        sign, key = merged
+                        image.append((key, sign < 0, terms))
+        return _Table(self.ideal, images)
+
+    @cached_property
+    def _tangent_table(self) -> _Table:
+        images = {j: [(i, False, dg._terms[j,]) for i, dg in enumerate(self.differentials)
+                         if (j,) in dg._terms] for j in range(self.ring.nvars)}
+        return _Table(self.ideal, images)
+
     def __str__(self) -> str:
         return "V(" + ", ".join(str(g) for g in self.generators) + f") in {self.ring}"
 
@@ -294,29 +432,30 @@ def _require_parametrization_of(germ: Germ, parametrization: Optional[Parametriz
         raise ValueError("the parametrization is of a germ with other generators")
 
 
-def _classify(tested, germ: Germ, wedge: Optional[DifferentialForm] = None) -> Optional[Verdict]:
-    """The verdict on whether every polynomial of the (key, polynomial)
-    pairs ``tested`` lies in the generator ideal of a germ, up to radical
-    for a degree-0 claim; None for a claim in positive degree that the
-    generators leave open, which the caller decides on ``germ.reduced``.
+def _classify(claim, germ: Germ, pairs) -> Optional[Verdict]:
+    """The verdict on whether every polynomial a claim was reduced to lies
+    in the generator ideal of a germ, up to radical for a degree-0 claim;
+    None for a claim in positive degree that the generators leave open,
+    which the caller decides on ``germ.reduced``.  ``pairs`` are the (key,
+    term dict) pairs, sorted by key, of the nonzero normal forms of those
+    polynomials modulo the ideal's basis: the ones outside the ideal.
 
-    The offender is the first pair outside the radical of the ideal.  On a
+    The offender is the first key outside the radical of the ideal.  On a
     radical germ a polynomial outside the ideal is outside its radical, so
-    the first failure decides; only other germs run the radical test, and
-    only its Rabinowitsch step on a failure, whose plain membership has
-    already been reduced.  A failure inside the radical leaves the claim
-    open, unless it is a degree-0 claim, which radical membership decides.
+    the first pair decides; only other germs run the Rabinowitsch step, on
+    the normal form, which is congruent to the polynomial modulo the ideal
+    and so lies in its radical iff the polynomial does.  A pair inside the
+    radical leaves the claim open, unless it is a degree-0 claim, which
+    radical membership decides.
     """
-    tested = tuple(tested)
-    ideal = germ.ideal
-    inside = None  # the first pair in the radical but not in the ideal
-    for pair in tested:
-        if not ideal_membership(pair[1], ideal):
-            if germ.radical or not _rabinowitsch(pair[1], ideal):
-                return Verdict(VerdictStatus.CERTIFIED_NO, tested, pair, wedge)
-            inside = inside or pair
-    if inside is None or inside[0] == ():
-        return Verdict(VerdictStatus.CERTIFIED_YES, tested, inside, wedge)
+    inside = None  # the key of the first pair in the radical but not in the ideal
+    for key, terms in pairs:
+        if germ.radical or not _rabinowitsch(Polynomial(germ.ring, terms, _clean=True), germ.ideal):
+            return Verdict(VerdictStatus.CERTIFIED_NO, claim, germ, key)
+        if inside is None:
+            inside = key
+    if inside is None or inside == ():
+        return Verdict(VerdictStatus.CERTIFIED_YES, claim, germ, inside)
     return None
 
 
@@ -341,27 +480,33 @@ def is_conormal(omega: FormLike, germ: Germ) -> Verdict:
 
     For a complete intersection the form is conormal iff its wedge with
     ``germ.jacobian_form`` = df_1 ^ ... ^ df_m vanishes on the reduced germ;
-    vanishing is checked coefficient-wise as ideal membership, and a
+    vanishing is checked coefficient-wise as ideal membership, by the normal
+    forms of the coefficients that ``germ._conormal_table`` adds up, and a
     coefficient outside the radical refutes the claim.  A claim that no
     coefficient refutes but one leaves outside the ideal is decided on
     ``germ.reduced`` (never reached when ``germ.radical`` holds).  The
     degree-0 case is radical membership.
     """
     _require_complete_intersection(germ)
+    same_ring(omega, germ)
     if form_degree(omega) == 0:
-        return _classify([((), omega)], germ)
-    eta = wedge(omega, germ.jacobian_form)
-    return _classify(eta.coefficients(), germ, eta) or _on_reduced(is_conormal, omega, germ)
+        nf = omega and _normal_terms(omega, germ.ideal)
+        pairs = [((), nf)] if nf else []
+    else:
+        pairs = germ._conormal_table.normal_forms(omega._terms.items())
+    return _classify(omega, germ, pairs) or _on_reduced(is_conormal, omega, germ)
 
 
 def is_tangential(field: VectorField, germ: Germ) -> Verdict:
     """Decide whether a vector field is tangent to the reduced germ: V(f_j)
-    must vanish on the germ for every generator f_j.  V(f_j) is the field
-    contracted with the kept differential df_j.  As for conormality, a
-    claim the generators leave open is decided on ``germ.reduced``."""
-    pairs = zip(germ.generators, germ.differentials)
-    tested = [(g, field.contract(dg)) for g, dg in pairs]
-    return _classify(tested, germ) or _on_reduced(is_tangential, field, germ)
+    must vanish on the germ for every generator f_j.  The normal forms of
+    the V(f_j) = sum_i V_i * d_i f_j are added up from
+    ``germ._tangent_table``.  As for conormality, a claim the generators
+    leave open is decided on ``germ.reduced``."""
+    same_ring(field, germ)
+    parts = enumerate(c._terms for c in field.components)
+    pairs = germ._tangent_table.normal_forms(parts)
+    return _classify(field, germ, pairs) or _on_reduced(is_tangential, field, germ)
 
 
 def trivial_form_generators(germ: Germ, k: int) -> list:

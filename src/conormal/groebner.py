@@ -478,6 +478,14 @@ def ideal_membership(f: Polynomial, ideal: Ideal) -> bool:
     if order.kind not in ("grevlex", "top"):
         key, positions = order.key(ring), order.positions
         return not _remainder(dict(f._terms), ideal._groups, positions, key, ring)[0]
+    return not _normal_terms(f, ideal)
+
+
+def _normal_terms(f: Polynomial, ideal: Ideal) -> dict:
+    """The term dict of the normal form of f modulo the basis of an ideal
+    under ``grevlex`` or ``top``: the sum of c*NF(m) over the terms c*m of
+    f, each NF(m) read from the ideal's table and filled on first use."""
+    ideal.groebner_basis()
     normal, total = ideal._normal, {}
     for m, c in f._terms.items():
         entry = normal.get(m)
@@ -489,7 +497,7 @@ def ideal_membership(f: Polynomial, ideal: Ideal) -> bool:
                 total[t] = s
             elif t in total:
                 del total[t]
-    return not total
+    return total
 
 
 def _normal_form(m: int, ideal: Ideal) -> tuple:

@@ -654,16 +654,19 @@ class Polynomial:
         return NotImplemented
 
     def __eq__(self, other) -> bool:
+        # A constant equals its number whatever its ring, so equality stays
+        # transitive across rings: R.one == 1 == S.one and R.one == S.one.
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self._terms == other._terms
+        terms = self._terms
+        return terms == other._terms and (self.ring == other.ring or _constant(terms))
 
     def __hash__(self) -> int:
         # A constant equals its number, so it hashes as that number.
         terms = self._terms
-        if len(terms) < 2 and (not terms or 0 in terms):
+        if _constant(terms):
             return hash(terms.get(0, 0))
         return hash((self.ring, frozenset(terms.items())))
 
@@ -722,6 +725,11 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<{format_polynomial(self)} over {self.ring}>"
+
+
+def _constant(terms: Mapping) -> bool:
+    """Whether a term dict is that of a constant: no word but 0."""
+    return len(terms) < 2 and (not terms or 0 in terms)
 
 
 def _term_chunks(p: Polynomial) -> list:

@@ -329,6 +329,38 @@ MUTANTS = [
         ("tests/test_cli.py::TestGermFiles::test_error_messages_carry_source_and_line",),
     ),
     Mutant(
+        "conormal-row-without-sign", "germs.py",
+        "image.append((key, sign < 0, terms))", "image.append((key, False, terms))",
+        "a row of the conormality table is m*dx_idx ^ df_1 ^ ... ^ df_m, whose terms"
+        " carry the sign of each merge of index tuples",
+        ("tests/test_germs.py::TestLinearTables",),
+    ),
+    Mutant(
+        "conormal-table-shared", "germs.py",
+        "        return _Table(self.ideal, images)\n\n    @cached_property\n"
+        "    def _tangent_table",
+        "        return _Table.__init__.__dict__.setdefault(self.ring, _Table(self.ideal, images))"
+        "\n\n    @cached_property\n    def _tangent_table",
+        "a row holds the normal forms modulo one germ's ideal, so germs of one ring"
+        " cannot share a table",
+        ("tests/test_germs.py::TestLinearTables::test_each_germ_keeps_its_own_tables",),
+    ),
+    Mutant(
+        "tangent-row-drops-generator", "germs.py",
+        "for i, dg in enumerate(self.differentials)\n",
+        "for i, dg in enumerate(self.differentials[:1])\n",
+        "a field is tangent only if V(f_i) lies in the ideal for every generator f_i",
+        ("tests/test_germs.py::TestLinearTables::test_tangency_reads_every_generator",),
+    ),
+    Mutant(
+        "table-sum-keeps-cancelled", "germs.py",
+        "            if v:\n                key, word = keys[code]",
+        "            if True:\n                key, word = keys[code]",
+        "a claim holds when its rows' normal forms cancel, so a cancelled entry must"
+        " not count as a nonzero normal form",
+        ("tests/test_germs.py::TestLinearTables::test_cancelled_entries_leave_the_sum",),
+    ),
+    Mutant(
         "affine-hyperplane-accepted", "cli.py",
         "        if m not in ring.units:", "        if False:",
         "a hyperplane is a linear form through the origin: a word that is not a"

@@ -171,31 +171,38 @@ class TestIsConormal:
         assert len(pair_loops) == 1
 
     def test_one_membership_reduction_per_tested_polynomial(self, monkeypatch):
-        # On the non-radical V(x^2) a failed membership goes on to the
-        # radical test, which must not reduce the same polynomial again.  A
-        # claim that test leaves open goes on to the reduced germ V(x), whose
-        # polynomials are reduced once each as well.
+        # On the non-radical V(x^2) a nonzero normal form goes on to the
+        # radical test, and a claim that test leaves open goes on to the
+        # reduced germ V(x).  No word's normal form is computed twice for one
+        # ideal, no polynomial goes to the radical test twice, and none is
+        # sent to ideal_membership: the tables sum the normal forms.
         import conormal.germs as germs
         import conormal.groebner as groebner
 
         plane = PolynomialRing(["x", "y"])
-        x = plane.var(0)
+        x, y = plane.gens()
         double_line = Germ(plane, [x**2])
         assert not double_line.radical
-        calls = []
-        real = groebner.ideal_membership
+        memberships, words, radical = [], [], []
+        real_membership, real_normal_form = groebner.ideal_membership, groebner._normal_form
+        real_rabinowitsch = germs._rabinowitsch
         for module in (germs, groebner):
-            monkeypatch.setattr(
-                module, "ideal_membership", lambda f, ideal: calls.append(f) or real(f, ideal)
-            )
-        # (form, status, what was reduced against the given generator first)
-        cases = [("dy", "CertifiedNo", [-2 * x]), ("y", "CertifiedNo", []),
-                 ("x*dy", "CertifiedYes", [])]
-        for text, status, given in cases:
-            calls.clear()
+            monkeypatch.setattr(module, "ideal_membership",
+                                lambda f, ideal: memberships.append(f) or real_membership(f, ideal))
+            monkeypatch.setattr(module, "_normal_form", lambda m, ideal: words.append(
+                (m, id(ideal))) or real_normal_form(m, ideal))
+        monkeypatch.setattr(germs, "_rabinowitsch",
+                            lambda g, ideal: radical.append(g) or real_rabinowitsch(g, ideal))
+        # (form, status, the normal forms sent to the radical test)
+        cases = [("dy", "CertifiedNo", [-2 * x]), ("y", "CertifiedNo", [y]),
+                 ("x*dy", "CertifiedYes", []), ("dy", "CertifiedNo", [-2 * x])]
+        for text, status, sent in cases:
+            radical.clear()
             verdict = is_conormal(form(text, plane), double_line)
             assert verdict.status.value == status
-            assert calls == given + [p for _, p in verdict.tested]
+            assert radical == sent
+        assert memberships == []
+        assert words and len(words) == len(set(words))
 
     def test_radical_membership_decides_degree_zero_on_non_radical_generators(self):
         # V(x^2) has the y,z-plane as reduced zero set; x vanishes there but
@@ -296,6 +303,121 @@ class TestVerdict:
         [g] = umbrella.generators
         v = is_tangential(VectorField(R, [R.one, R.zero, R.zero]), umbrella)
         assert v.tested == ((g, -(Y**2)),) and v.offender == (g, -(Y**2)) and v.wedge is None
+
+
+def reference_verdict(claim, germ):
+    """(status, offender, tested, wedge) by the route that stored them:
+    the wedge with the Jacobian form or the contractions with the
+    differentials, then ideal membership and radical membership per
+    polynomial, in key order; None for a claim left open."""
+    ideal, eta = germ.ideal, None
+    if isinstance(claim, VectorField):
+        tested = [(g, claim.contract(dg)) for g, dg in zip(germ.generators, germ.differentials)]
+    elif isinstance(claim, DifferentialForm):
+        eta = wedge(claim, germ.jacobian_form)
+        tested = eta.coefficients()
+    else:
+        tested = [((), claim)]
+    inside = None
+    for pair in tested:
+        if not ideal_membership(pair[1], ideal):
+            if not radical_membership(pair[1], ideal):
+                return NO, pair, tuple(tested), eta
+            inside = inside or pair
+    if inside is None or inside[0] == ():
+        return YES, inside, tuple(tested), eta
+    return None
+
+
+# Weighted-homogeneous families of the benchmark's generator (variables,
+# generators), and non-radical germs: a double line in the plane and in
+# space, and a squared umbrella.
+TABLE_GERMS = [
+    ("x y z", ["x*y - z^3"]),
+    ("x y z", ["x^2 + y^2*z + z^3"]),
+    ("x y z", ["z^2 - x^2*y^2"]),
+    ("x y z t", ["x*y - z*t", "x*t - y^2"]),
+    ("a b c d e", ["a*b - c*d", "a*e - d^2"]),
+    ("x y", ["x^2"]),
+    ("x y z", ["x^2"]),
+    ("x y z", ["(z^2 - x*y^2)^2"]),
+]
+_TABLE_GERMS = {}
+
+
+def table_germ(i):
+    if isinstance(i, str):
+        return corpus_germ(i)
+    if i not in _TABLE_GERMS:
+        variables, gens = TABLE_GERMS[i]
+        ring = PolynomialRing(variables.split())
+        _TABLE_GERMS[i] = Germ(ring, [parse_polynomial(g, ring) for g in gens])
+    return _TABLE_GERMS[i]
+
+
+class TestLinearTables:
+    """The verdicts that the germ's tables of normal forms give equal those
+    of the wedge or the contractions followed by a membership test per
+    polynomial, and the record read on a verdict is the one that route
+    stores."""
+
+    @given(st.sampled_from(corpus_names() + list(range(len(TABLE_GERMS)))), st.data())
+    def test_table_verdicts_match_the_reference(self, which, data):
+        germ = table_germ(which)
+        ring = germ.ring
+        scale = data.draw(st.sampled_from([ring.one, *germ.generators]))
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(0, ring.nvars))
+            if k == 0:
+                claim = data.draw(polynomials(ring, max_terms=3, max_degree=2)) * scale
+            else:
+                claim = data.draw(forms(ring, k)).scale(scale)
+            test = is_conormal
+        else:
+            comps = [data.draw(polynomials(ring, max_terms=2, max_degree=2)) * scale
+                     for _ in range(ring.nvars)]
+            claim, test = VectorField(ring, comps), is_tangential
+        verdict = test(claim, germ)
+        want = reference_verdict(claim, germ)
+        decided = germ
+        if want is None:
+            decided = germ.reduced
+            assert verdict.reduced == decided.generators[0]
+            want = reference_verdict(claim, decided)
+        else:
+            assert verdict.reduced is None
+        status, offender, tested, eta = want
+        assert verdict.germ is decided
+        assert (verdict.status, verdict.offender, verdict.tested) == (status, offender, tested)
+        assert verdict.wedge == eta
+        again = test(claim, germ)  # warm: read from the tables
+        assert again == verdict and hash(again) == hash(verdict)
+
+    def test_each_germ_keeps_its_own_tables(self):
+        # dx is refuted on the umbrella and conormal to the plane x = 0, and
+        # the field d/dy is tangent only to the plane; each claim fills its
+        # rows on the umbrella first, then reads the same positions and
+        # words on the plane.
+        umbrella, plane = Germ(R, [Z**2 - X * Y**2]), Germ(R, [X])
+        dx, d_dy = form("dx"), VectorField(R, [R.zero, R.one, R.zero])
+        assert is_conormal(dx, umbrella).status is NO
+        assert is_conormal(dx, plane).status is YES
+        assert is_tangential(d_dy, umbrella).status is NO
+        assert is_tangential(d_dy, plane).status is YES
+
+    def test_tangency_reads_every_generator(self):
+        # On the z-axis V(x, y), d/dy fails on the second generator alone.
+        axis = Germ(R, [X, Y])
+        verdict = is_tangential(VectorField(R, [R.zero, R.one, R.zero]), axis)
+        assert verdict.status is NO and verdict.offender == (Y, R.one)
+        assert is_tangential(VectorField(R, [R.zero, R.zero, R.one]), axis).status is YES
+
+    def test_cancelled_entries_leave_the_sum(self, umbrella):
+        # Each term of omega1 has a nonzero row; their normal forms cancel.
+        omega1 = form("y*z*dx + 2*x*z*dy - 2*x*y*dz")
+        assert is_conormal(omega1, umbrella).status is YES
+        rows = umbrella._conormal_table.rows
+        assert all(rows[idx][m] for idx, terms in omega1._terms.items() for m in terms)
 
 
 _CORPUS = {}
@@ -499,17 +621,27 @@ class TestDerivedFacts:
             ]
             assert germ.jacobian.generators == tuple(gens) + tuple(p for p in minors if p)
 
-    def test_warm_conormality_test_wedges_once(self, monkeypatch):
+    def test_warm_conormality_test_reads_its_table(self, monkeypatch):
+        # A repeated form and field are answered from the germ's tables: no
+        # wedge, no product of term dicts and no normal form of a word.
+        import conormal._expr as expr
+        import conormal.forms as forms
         import conormal.germs as germs
+        import conormal.groebner as groebner
+        import conormal.poly as poly
 
         germ = Germ(R, [X * Y - Z**2, X + Y * Z])
-        omega = form("z*dx + y*dz")
-        first = is_conormal(omega, germ)
+        omega, field = form("z*dx + y*dz"), VectorField(R, [Z, R.zero, X])
+        first = (is_conormal(omega, germ), is_tangential(field, germ))
         calls = []
-        real = germs.wedge
-        monkeypatch.setattr(germs, "wedge", lambda a, b: calls.append(a) or real(a, b))
-        assert is_conormal(omega, germ) == first
-        assert len(calls) == 1
+        for module, name in [(germs, "wedge"), (forms, "wedge"), (poly, "_mul_terms"),
+                             (expr, "_mul_terms"), (forms, "_mul_terms"),
+                             (groebner, "_normal_form"), (germs, "_normal_form")]:
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        assert (is_conormal(omega, germ), is_tangential(field, germ)) == first
+        assert calls == []
 
     def test_jacobian_kept_on_germ(self, umbrella):
         germ = Germ(R, umbrella.generators)

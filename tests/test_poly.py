@@ -730,6 +730,17 @@ class TestRing:
         assert hash(p) == hash(c)
         assert len({p, c}) == 1 and len({c, p, R.const(c)}) == 1
 
+    @pytest.mark.parametrize("c", [0, 1, -3, Fraction(1, 2)], ids=["0", "1", "-3", "half"])
+    def test_constants_of_two_rings_are_equal(self, c):
+        # Equality is transitive across rings: a constant compares by its
+        # value, so a set of it in two rings and as a number has one element
+        # in either order.  A nonconstant polynomial keeps its ring.
+        other = PolynomialRing(["a", "b"])
+        p, q = R.const(c), other.const(c)
+        assert p == q and q == p and p != other.const(c + 1)
+        assert len({p, q, c}) == 1 and len({c, p, q}) == 1
+        assert X != other.var(0)
+
 
 class TestSmallMethods:
     """The display methods of rings and orders and the operator fallbacks
