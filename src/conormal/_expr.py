@@ -41,11 +41,13 @@ The exterior algebra has one sign rule: the sign of ``dx_S ^ dx_T`` is
 :func:`wedge_index_tuples`, kept per pair in ``_WEDGE``.  The parser,
 :func:`mixed_mul` and, in :mod:`conormal.forms`, ``exterior_derivative``
 and the vector-field map take their signs from it.  :func:`mixed_mul` is
-the one product of raw mixed forms (``forms.wedge`` and ``d`` call it), and
-:func:`_accumulate` their one sum: it adds a coefficient's terms with the
-sum kernel ``poly._add_into`` and drops a key whose terms cancel.  Form
-addition, ``d``, pullback and the checked form constructor add through it.
-One fast path keeps a loop of its own, the one-monomial add of :func:`_sum`.
+the one product of raw mixed forms: the parser's parenthesized factors,
+``forms.wedge``, ``d``, pullback and the rows dx_idx ^ df_1 ^ ... ^ df_m
+of ``germs.Germ._conormal_table`` call it.  :func:`_accumulate` is their one sum: it adds a coefficient's
+terms with the sum kernel ``poly._add_into`` and drops a key whose terms
+cancel.  Form addition, ``d``, pullback and the checked form constructor
+add through it.  Here one fast path keeps a loop of its own, the
+one-monomial add of :func:`_sum`; :mod:`conormal.poly` lists the others.
 
 The tokens are the plain strings of one ``findall``, and the parser walks
 them with an index, one call of :func:`_sum` per parenthesized expression.

@@ -29,9 +29,11 @@ the one sum kernel; the checked constructor and the radial potential call
 them too.  ``scale`` and negation are wedges with a degree-0 form.
 :func:`_raw` is the one way in, the raw mixed form of a form or of a bare
 polynomial, and :func:`_form` the one way out, a form or, in degree 0, a
-polynomial.  Outside the two kernels only three fast paths add into a term
-dict: ``groebner._remainder``, ``groebner._s_terms`` and the parser's
-one-monomial add in ``_expr._sum``.
+polynomial.  Outside the two kernels six fast paths add by hand, each
+with its reason in :mod:`conormal.poly`: ``groebner._remainder``,
+``groebner._s_terms``, the parser's one-monomial add in ``_expr._sum``,
+the sum of c*NF(m) in ``groebner.ideal_membership`` and the two
+code-keyed sums of ``germs._Table``.
 
 Aliasing rule: forms and polynomials share term dicts.  A form built as
 ``{S: f._terms}`` holds the term dict of the polynomial f, and the

@@ -41,10 +41,15 @@ Groebner basis is unique (Cox-Little-O'Shea, *Ideals, Varieties, and
 Algorithms*, ch. 2 section 6).  So a germ keeps one table of rows per test
 (see :class:`_Table`), the exact normal forms of m*dx_idx ^ df_1 ^ ... ^ df_m
 and of m*d_j f_i per word m, and a test adds c*row over the terms of the
-claim into one flat sum.  It makes no wedge and no contraction, and no
-polynomial but the normal form that a non-radical germ hands to its
-Rabinowitsch step: the nonzero entries of the sum are the normal forms of
-the coefficients outside the ideal, from which ``_classify`` decides.
+claim into one flat sum.  A polynomial, a degree-0 claim, is conormal when
+it vanishes on X, so its row is the identity's: the normal form of m.
+The images come from the package's own kernels, the wedge from the one
+product of raw mixed forms ``_expr.mixed_mul`` and the normal form of each
+word from ``groebner._normal_form``, the one reader of the ideal's table.
+A warm test makes no wedge and no contraction, and no polynomial but the
+normal form that a non-radical germ hands to its Rabinowitsch step: the
+nonzero entries of the sum are the normal forms of the coefficients
+outside the ideal, from which ``_classify`` decides.
 :func:`decide` is the one decision of
 every claim: conormal, tangent, trivial, vanishes on Sing X, or pulled back
 to zero by the oracle.  It asks each part of the claim and aggregates the
@@ -59,7 +64,7 @@ from functools import cached_property, partial
 from itertools import combinations
 from typing import Optional, Sequence
 
-from ._expr import wedge_index_tuples
+from ._expr import mixed_mul
 from .forms import (
     DifferentialForm,
     FormLike,
@@ -78,7 +83,6 @@ from .groebner import (
     Submodule,
     _colon,
     _normal_form,
-    _normal_terms,
     _rabinowitsch,
     ideal_membership,
     implicitization,
@@ -198,16 +202,20 @@ class _Table:
     forms modulo its generator ideal, filled on first use and kept.
 
     A claim is a sum of terms c*m at positions ``prefix``: an index tuple
-    idx for m*dx_idx, or a variable j for m*d/dx_j.  ``images`` maps each
-    position to the (key, negate, term dict) triples that the term 1 there
-    maps to, and the row of (prefix, m) is the normal form of the sum of
-    +-m*terms on each key, read word by word from the ideal's table (see
-    :class:`~conormal.groebner.Ideal`).  ``rows[prefix]`` maps m to the row,
-    stored flat as ``((code, value), ...)`` with one int code per (key,
-    word): ``codes[key]`` maps the word to its code, assigned in fill order,
-    and ``keys`` maps the code back.  The normal form modulo a Groebner
-    basis is unique, so a row never goes stale; it holds for its germ
-    alone, and no table is shared."""
+    idx for m*dx_idx (the empty tuple for a polynomial), or a variable j
+    for m*d/dx_j.  ``images`` maps each position to the (key, term dict)
+    pairs that the term 1 there maps to, and the row of (prefix, m) is the
+    normal form of the sum of m*terms on each key, read word by word
+    through ``groebner._normal_form``, the one reader of the ideal's table
+    (see :class:`~conormal.groebner.Ideal`).  ``rows[prefix]`` maps m to
+    the row, stored flat as ``((code, value), ...)`` with one int code per
+    (key, word): ``codes[key]`` maps the word to its code, assigned in fill
+    order, and ``keys`` maps the code back.  The two sums, in ``_fill`` and
+    :meth:`normal_forms`, keep loops of their own: they add scaled values
+    into dicts keyed by codes, not by words, which the sum kernel
+    ``poly._add_into`` neither scales nor takes as tuples.  The normal form
+    modulo a Groebner basis is unique, so a row never goes stale; it holds
+    for its germ alone, and no table is shared."""
 
     __slots__ = ("ideal", "images", "rows", "codes", "keys")
 
@@ -217,20 +225,12 @@ class _Table:
         self.codes, self.keys = {}, []
 
     def _fill(self, prefix, m: int) -> tuple:
-        ideal = self.ideal
-        ideal.groebner_basis()
-        normal, limit, keys, acc = ideal._normal, ideal.ring.limit, self.keys, {}
-        for key, negate, terms in self.images[prefix]:
+        ideal, limit, keys, acc = self.ideal, self.ideal.ring.limit, self.keys, {}
+        for key, terms in self.images[prefix]:
             _check_degree(m + max(terms), limit)
             codes = self.codes.setdefault(key, {})
             for w, c in terms.items():
-                word = m + w
-                entry = normal.get(word)
-                if entry is None:
-                    entry = normal[word] = _normal_form(word, ideal)
-                if negate:
-                    c = -c
-                for t, v in entry:
+                for t, v in _normal_form(m + w, ideal):
                     code = codes.get(t)
                     if code is None:
                         code = codes[t] = len(keys)
@@ -295,8 +295,10 @@ class Germ:
     * ``_conormal_table`` and ``_tangent_table``: the :class:`_Table` rows,
       under grevlex, of the two linear maps the tests read.  The row of
       (idx, m) is the normal form of m*dx_idx ^ ``jacobian_form``, by index
-      tuple, and the row of (j, m) that of m*d_j f_i, by generator position
-      i.  Each gains its rows as claims reach them.
+      tuple, its image the product ``_expr.mixed_mul`` of dx_idx and
+      ``jacobian_form``; the row of ((), m), for a polynomial, is the normal
+      form of m, by the key ().  The row of (j, m) is that of m*d_j f_i, by
+      generator position i.  Each gains its rows as claims reach them.
 
     ``_trivial`` maps a degree k to (positions of the k-index tuples,
     :class:`Submodule` of the degree-k trivial forms), which
@@ -369,20 +371,16 @@ class Germ:
 
     @cached_property
     def _conormal_table(self) -> _Table:
-        n, images = self.ring.nvars, {}
-        for k in range(1, n + 1):
-            for idx in combinations(range(n), k):
-                images[idx] = image = []
-                for K, terms in self.jacobian_form._terms.items():
-                    merged = wedge_index_tuples(idx, K)
-                    if merged is not None:
-                        sign, key = merged
-                        image.append((key, sign < 0, terms))
+        ring, eta = self.ring, self.jacobian_form._terms
+        images = {(): [((), {0: 1})]}
+        for k in range(1, ring.nvars + 1):
+            for idx in combinations(range(ring.nvars), k):
+                images[idx] = list(mixed_mul({idx: {0: 1}}, eta, ring.limit).items())
         return _Table(self.ideal, images)
 
     @cached_property
     def _tangent_table(self) -> _Table:
-        images = {j: [(i, False, dg._terms[j,]) for i, dg in enumerate(self.differentials)
+        images = {j: [(i, dg._terms[j,]) for i, dg in enumerate(self.differentials)
                          if (j,) in dg._terms] for j in range(self.ring.nvars)}
         return _Table(self.ideal, images)
 
@@ -484,16 +482,13 @@ def is_conormal(omega: FormLike, germ: Germ) -> Verdict:
     forms of the coefficients that ``germ._conormal_table`` adds up, and a
     coefficient outside the radical refutes the claim.  A claim that no
     coefficient refutes but one leaves outside the ideal is decided on
-    ``germ.reduced`` (never reached when ``germ.radical`` holds).  The
-    degree-0 case is radical membership.
+    ``germ.reduced`` (never reached when ``germ.radical`` holds).  Every
+    degree takes the one path: a polynomial reads the table's identity row,
+    so its normal form goes on to radical membership, which decides it.
     """
     _require_complete_intersection(germ)
     same_ring(omega, germ)
-    if form_degree(omega) == 0:
-        nf = omega and _normal_terms(omega, germ.ideal)
-        pairs = [((), nf)] if nf else []
-    else:
-        pairs = germ._conormal_table.normal_forms(omega._terms.items())
+    pairs = germ._conormal_table.normal_forms(_raw(omega).items())
     return _classify(omega, germ, pairs) or _on_reduced(is_conormal, omega, germ)
 
 

@@ -75,8 +75,11 @@ basis.  It also keeps a table of exact normal forms of words, filled on
 demand: the normal form modulo a Groebner basis is unique, hence linear
 (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 section 6),
 so ``ideal_membership`` under the degree-first orders ``grevlex`` and
-``top`` adds up c*NF(m) over the terms c*m of f from that table, and
-divides each word once, by ``_remainder`` and then by its multiplier.
+``top`` adds up c*NF(m) over the terms c*m of f from that table.
+:func:`_normal_form` is the table's one reader: it returns a word's entry
+and, on a miss, divides the word once, by ``_remainder`` and then by its
+multiplier.  ``ideal_membership`` and the linear tables of
+:mod:`conormal.germs` read the table through it alone.
 Under ``lex``, ``block`` and ``pot`` it divides f as a whole and needs
 the remainder only up to a nonzero factor.  A :class:`Submodule` keeps
 its encoded generators in an ``Ideal`` under its module order.
@@ -417,11 +420,13 @@ class Ideal:
 
     ``_normal`` is the ideal's table of normal forms: it maps a word m to
     the exact normal form of m modulo the basis over Q, as ``((word,
-    coefficient), ...)``.  :func:`ideal_membership` fills it one word at a
-    time under ``grevlex`` and ``top``, whose division steps never raise
-    the degree, so no entry passes ``MAX_DEGREE``.  The normal form modulo
-    a Groebner basis is unique, so an entry never goes stale; it holds for
-    this ideal alone, and no table is shared."""
+    coefficient), ...)``.  :func:`_normal_form` alone reads and fills it,
+    one word at a time, for :func:`ideal_membership` and the linear tables
+    of :mod:`conormal.germs`, under ``grevlex`` and ``top`` only, whose
+    division steps never raise the degree, so no entry passes
+    ``MAX_DEGREE``.  The normal form modulo a Groebner basis is unique, so
+    an entry never goes stale; it holds for this ideal alone, and no table
+    is shared."""
 
     __slots__ = ("ring", "generators", "order", "_basis", "_groups", "_normal")
 
@@ -463,50 +468,48 @@ def ideal_membership(f: Polynomial, ideal: Ideal) -> bool:
     form of f modulo the cached basis is 0.
 
     The normal form is linear, so under the degree-first orders ``grevlex``
-    and ``top`` it is the sum of c*NF(m) over the terms c*m of f, read from
-    the ideal's table of exact normal forms of words (see :class:`Ideal`),
-    which gains one entry per word it lacks.  Under ``lex``, ``block`` and
-    ``pot`` a word's normal form may pass ``MAX_DEGREE`` where the terms of
-    f cancel, so f is divided as a whole: the division kernel's remainder
-    is a nonzero multiple of the normal form, so it is not made a
-    polynomial or divided by its multiplier."""
+    and ``top`` it is the sum of c*NF(m) over the terms c*m of f, each NF(m)
+    read by :func:`_normal_form` from the ideal's table of exact normal
+    forms of words (see :class:`Ideal`), which gains one entry per word it
+    lacks.  The sum keeps a loop of its own, not ``poly._add_into``: an
+    entry is a tuple of (word, coefficient) pairs, which the kernel would
+    take only as a dict built per word, and its terms come scaled by c.
+    Under ``lex``, ``block`` and ``pot`` a word's normal form may pass
+    ``MAX_DEGREE`` where the terms of f cancel, so f is divided as a whole:
+    the division kernel's remainder is a nonzero multiple of the normal
+    form, so it is not made a polynomial or divided by its multiplier."""
     ring = same_ring(f, ideal)
     if not f:
         return True
-    ideal.groebner_basis()
     order = ideal.order
     if order.kind not in ("grevlex", "top"):
+        ideal.groebner_basis()
         key, positions = order.key(ring), order.positions
         return not _remainder(dict(f._terms), ideal._groups, positions, key, ring)[0]
-    return not _normal_terms(f, ideal)
-
-
-def _normal_terms(f: Polynomial, ideal: Ideal) -> dict:
-    """The term dict of the normal form of f modulo the basis of an ideal
-    under ``grevlex`` or ``top``: the sum of c*NF(m) over the terms c*m of
-    f, each NF(m) read from the ideal's table and filled on first use."""
-    ideal.groebner_basis()
-    normal, total = ideal._normal, {}
+    total = {}
     for m, c in f._terms.items():
-        entry = normal.get(m)
-        if entry is None:
-            entry = normal[m] = _normal_form(m, ideal)
-        for t, v in entry:
+        for t, v in _normal_form(m, ideal):
             s = total.get(t, 0) + c * v
             if s:
                 total[t] = s
             elif t in total:
                 del total[t]
-    return total
+    return not total
 
 
 def _normal_form(m: int, ideal: Ideal) -> tuple:
-    """The exact normal form of the word m modulo the cached basis, as
-    ``((word, coefficient), ...)``: the kernel's remainder divided once by
-    its multiplier."""
-    ring, order = ideal.ring, ideal.order
-    remainder, mult = _remainder({m: 1}, ideal._groups, order.positions, order.key(ring), ring)
-    return tuple((t, _div(v, mult)) for t, v in remainder.items())
+    """The exact normal form of the word m modulo the basis of an ideal
+    under ``grevlex`` or ``top``, as ``((word, coefficient), ...)``: the
+    one reader of the ideal's table (see :class:`Ideal`).  On a miss it
+    makes the basis, if it is not made yet, and the entry, the division
+    kernel's remainder divided once by its multiplier."""
+    entry = ideal._normal.get(m)
+    if entry is None:
+        ideal.groebner_basis()
+        ring, order = ideal.ring, ideal.order
+        remainder, mult = _remainder({m: 1}, ideal._groups, order.positions, order.key(ring), ring)
+        entry = ideal._normal[m] = tuple((t, _div(v, mult)) for t, v in remainder.items())
+    return entry
 
 
 def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:

@@ -65,11 +65,16 @@ arithmetic and its checked constructor, ``Polynomial.substitute`` (each
 term is a product with its coefficient), the parser's sums
 (``_expr._accumulate``) and every form operation of :mod:`conormal.forms`,
 which keep forms as raw term dicts and build a ``Polynomial`` only when a
-coefficient is read.  Three fast paths keep a loop of their own: the
-division and S-combination kernels of :mod:`conormal.groebner`
-(``_remainder`` and ``_s_terms``), which pair a coefficient with the tuple
-tail of a divisor record, and the parser's one-monomial add in
-``_expr._sum``.
+coefficient is read.  Six fast paths keep a loop of their own, each for
+its reason: the division and S-combination kernels of
+:mod:`conormal.groebner` (``_remainder`` and ``_s_terms``), which pair a
+coefficient with the tuple tail of a divisor record; the parser's
+one-monomial add in ``_expr._sum``; the sum of c*NF(m) in
+``groebner.ideal_membership``, which scales the ``(word, coefficient)``
+tuples of an ideal's table of normal forms; and the two sums of
+``germs._Table`` (``_fill`` and ``normal_forms``), which add scaled
+normal forms into dicts keyed by one int code per (key, word), not by
+words.
 
 :func:`_pow_terms` is the one power kernel, behind ``Polynomial.__pow__``
 and the parser's powers ``(e)^k`` and ``c^k`` of a literal.  It refuses a

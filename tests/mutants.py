@@ -110,6 +110,12 @@ MUTANTS = [
         ("tests/test_groebner.py::TestNormalFormTable",),
     ),
     Mutant(
+        "membership-sum-unscaled", "groebner.py",
+        "            s = total.get(t, 0) + c * v", "            s = total.get(t, 0) + v",
+        "the normal form of f is the sum of c*NF(m) over its terms c*m",
+        ("tests/test_groebner.py::TestNormalFormTable::test_ideal_answers_as_the_division",),
+    ),
+    Mutant(
         "normal-form-table-under-lex", "groebner.py",
         '    if order.kind not in ("grevlex", "top"):', "    if False:",
         "under lex a word's normal form may pass MAX_DEGREE where f's terms cancel",
@@ -330,10 +336,26 @@ MUTANTS = [
     ),
     Mutant(
         "conormal-row-without-sign", "germs.py",
-        "image.append((key, sign < 0, terms))", "image.append((key, False, terms))",
+        "images[idx] = list(mixed_mul({idx: {0: 1}}, eta, ring.limit).items())",
+        "images[idx] = [(tuple(sorted(idx + K)), t) for K, t in eta.items() if not set(idx) & set(K)]",
         "a row of the conormality table is m*dx_idx ^ df_1 ^ ... ^ df_m, whose terms"
         " carry the sign of each merge of index tuples",
         ("tests/test_germs.py::TestLinearTables",),
+    ),
+    Mutant(
+        "conormal-rows-from-first-differential", "germs.py",
+        "ring, eta = self.ring, self.jacobian_form._terms",
+        "ring, eta = self.ring, self.differentials[0]._terms",
+        "with m >= 2 generators a trivial form df_j ^ dx_T, j >= 2, wedges to zero only with"
+        " all of df_1 ^ ... ^ df_m",
+        ("tests/test_germs.py::TestTrivialCombinations",),
+    ),
+    Mutant(
+        "conormal-identity-row-empty", "germs.py",
+        "images = {(): [((), {0: 1})]}", "images = {(): []}",
+        "a polynomial is conormal iff it vanishes on X: the identity row maps it to its own"
+        " normal form",
+        ("tests/test_germs.py::TestIsConormal::test_one_membership_reduction_per_tested_polynomial",),
     ),
     Mutant(
         "conormal-table-shared", "germs.py",

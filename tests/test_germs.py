@@ -175,7 +175,9 @@ class TestIsConormal:
         # radical test, and a claim that test leaves open goes on to the
         # reduced germ V(x).  No word's normal form is computed twice for one
         # ideal, no polynomial goes to the radical test twice, and none is
-        # sent to ideal_membership: the tables sum the normal forms.
+        # sent to ideal_membership: the tables sum the normal forms.  A fill
+        # is a read of a word the ideal's table lacks, and every entry of
+        # the two tables is one fill.
         import conormal.germs as germs
         import conormal.groebner as groebner
 
@@ -186,11 +188,16 @@ class TestIsConormal:
         memberships, words, radical = [], [], []
         real_membership, real_normal_form = groebner.ideal_membership, groebner._normal_form
         real_rabinowitsch = germs._rabinowitsch
+
+        def counting_fills(m, ideal):
+            if m not in ideal._normal:
+                words.append((m, id(ideal)))
+            return real_normal_form(m, ideal)
+
         for module in (germs, groebner):
             monkeypatch.setattr(module, "ideal_membership",
                                 lambda f, ideal: memberships.append(f) or real_membership(f, ideal))
-            monkeypatch.setattr(module, "_normal_form", lambda m, ideal: words.append(
-                (m, id(ideal))) or real_normal_form(m, ideal))
+            monkeypatch.setattr(module, "_normal_form", counting_fills)
         monkeypatch.setattr(germs, "_rabinowitsch",
                             lambda g, ideal: radical.append(g) or real_rabinowitsch(g, ideal))
         # (form, status, the normal forms sent to the radical test)
@@ -203,6 +210,8 @@ class TestIsConormal:
             assert radical == sent
         assert memberships == []
         assert words and len(words) == len(set(words))
+        tables = double_line.ideal._normal, double_line.reduced.ideal._normal
+        assert len(words) == sum(map(len, tables))
 
     def test_radical_membership_decides_degree_zero_on_non_radical_generators(self):
         # V(x^2) has the y,z-plane as reduced zero set; x vanishes there but
@@ -623,7 +632,8 @@ class TestDerivedFacts:
 
     def test_warm_conormality_test_reads_its_table(self, monkeypatch):
         # A repeated form and field are answered from the germ's tables: no
-        # wedge, no product of term dicts and no normal form of a word.
+        # wedge, no product of forms or of term dicts and no read of a
+        # word's normal form.
         import conormal._expr as expr
         import conormal.forms as forms
         import conormal.germs as germs
@@ -636,7 +646,8 @@ class TestDerivedFacts:
         calls = []
         for module, name in [(germs, "wedge"), (forms, "wedge"), (poly, "_mul_terms"),
                              (expr, "_mul_terms"), (forms, "_mul_terms"),
-                             (groebner, "_normal_form"), (germs, "_normal_form")]:
+                             (groebner, "_normal_form"), (germs, "_normal_form"),
+                             (expr, "mixed_mul"), (forms, "mixed_mul"), (germs, "mixed_mul")]:
             real = getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda *args, real=real, name=name: calls.append(name) or real(*args))
@@ -1003,6 +1014,34 @@ class TestDifferentialIdealClosure:
             assert is_conormal(wedge(eta, w), umbrella).status is YES
             p = random_polynomial(rng, R, max_terms=2, max_degree=2)
             assert is_conormal(w.scale(p), umbrella).status is YES
+
+
+class TestTrivialCombinations:
+    """The paper's section 2 on drawn trivial forms: a combination
+    sum h_i * tau_i of ``trivial_form_generators`` on a table germ is
+    CertifiedYes conormal, by the generators alone, and trivial, and so is
+    its d.  A pick (i, c, j) adds c * x_j * tau_i, with x_0 = 1 and the
+    indices taken modulo the list lengths.  On a complete intersection with
+    m >= 2 a generator df_j ^ dx_T with j >= 2 wedges to zero only with all
+    of df_1 ^ ... ^ df_m; the examples pin the last one, df_2 ^ dx_T."""
+
+    @given(st.sampled_from(range(len(TABLE_GERMS))), st.integers(1, 5),
+           st.lists(st.tuples(st.integers(-99, 99), st.integers(-3, 3), st.integers(0, 5)),
+                    min_size=1, max_size=3))
+    @example(3, 1, [(-1, 1, 0)])
+    @example(4, 2, [(-1, 1, 0), (0, 2, 1)])
+    def test_combinations_are_conormal_trivial_and_closed_under_d(self, which, k, picks):
+        germ = table_germ(which)
+        ring = germ.ring
+        generators = trivial_form_generators(germ, min(k, ring.nvars))
+        monomials = [ring.one, *ring.gens()]
+        omega = generators[0].scale(0)
+        for i, c, j in picks:
+            omega = omega + generators[i % len(generators)].scale(c * monomials[j % len(monomials)])
+        verdict = is_conormal(omega, germ)
+        assert verdict.status is YES and verdict.reduced is None, omega
+        assert is_trivial_form(omega, germ), omega
+        assert is_trivial_form(exterior_derivative(omega), germ), omega
 
 
 class TestInclusionAndComponents:
